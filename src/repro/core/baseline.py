@@ -341,9 +341,6 @@ class BaselineSession:
                     self.global_map.n_keyframes,
                 )
             else:
-                for kf in self.global_map.keyframes_of_client(state.client_id):
-                    self.global_db.remove(kf.keyframe_id)
-                self.global_map.detach_client(state.client_id)
                 sync.merge_ms = self.config.merge_cost.baseline_merge_ms(
                     shipped.n_keyframes, 0, max(self.global_map.n_keyframes, 1)
                 )

@@ -34,6 +34,7 @@ from ..slam import (
     Vocabulary,
     default_vocabulary,
 )
+from ..slam.merging import RejectedPairs
 from ..vision import ObservedFeature, PinholeCamera
 from .config import SlamShareConfig
 
@@ -111,6 +112,8 @@ class _ClientProcess:
         self.merged = client_id == 0  # the first client *is* the global map
         self.merge_transform: Optional[Sim3] = Sim3.identity() if self.merged else None
         self.parked = False           # client is disconnected; state retained
+        # Keyframe pairs earlier merge attempts already failed to weld.
+        self.rejected_pairs: RejectedPairs = {}
 
 
 class SlamShareServer:
@@ -549,15 +552,15 @@ class SlamShareServer:
                 self.camera,
                 self.config.merger,
             )
-            merge = merger.merge_maps(process.system.map, process.client_id)
+            merge = merger.merge_maps(
+                process.system.map, process.client_id, process.rejected_pairs
+            )
+            attempt_span.set(n_pairs_tried=merge.n_pairs_tried,
+                             n_pairs_skipped=merge.n_pairs_skipped)
             if not merge.success:
-                # The failed attempt left the client's entities in the
-                # global structures; detach them (without touching the
-                # shared objects — the client's map still uses them) so the
-                # next attempt starts clean.
-                for kf in self.global_map.keyframes_of_client(process.client_id):
-                    self.global_database.remove(kf.keyframe_id)
-                self.global_map.detach_client(process.client_id)
+                # A failed search leaves the global map, its BoW index and
+                # its version (every merged tracker's local-map cache key)
+                # untouched; the next keyframe retries.
                 attempt_span.set(success=False,
                                  checked=merge.n_keyframes_checked)
                 return None, 0.0

@@ -72,6 +72,39 @@ def alignment_rmse(source: np.ndarray, target: np.ndarray, transform: Sim3) -> f
     return float(np.sqrt((residual ** 2).sum(axis=1).mean()))
 
 
+def _umeyama_batch(source: np.ndarray, target: np.ndarray, with_scale: bool):
+    """:func:`umeyama` over a stack of ``(h, k, 3)`` sample sets at once.
+
+    Returns ``(rotation (h,3,3), translation (h,3), scale (h,), valid (h,))``;
+    ``valid`` is False exactly where :func:`umeyama` would have raised
+    (zero source variance, non-positive scale, non-finite covariance).
+    """
+    k = source.shape[1]
+    mu_src = source.mean(axis=1)
+    mu_tgt = target.mean(axis=1)
+    src_c = source - mu_src[:, None, :]
+    tgt_c = target - mu_tgt[:, None, :]
+
+    cov = tgt_c.transpose(0, 2, 1) @ src_c / k
+    valid = np.isfinite(cov).all(axis=(1, 2))
+    # One non-finite matrix would make the whole batched SVD raise.
+    cov[~valid] = np.eye(3)
+    u, d, vt = np.linalg.svd(cov)
+    sign = np.ones_like(d)
+    sign[np.linalg.det(u) * np.linalg.det(vt) < 0, 2] = -1.0
+    rotation = (u * sign[:, None, :]) @ vt
+
+    if with_scale:
+        var_src = (src_c ** 2).sum(axis=(1, 2)) / k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = (d * sign).sum(axis=1) / var_src
+        valid &= (var_src > 0) & (scale > 0)
+    else:
+        scale = np.ones(len(cov))
+    translation = mu_tgt - scale[:, None] * (rotation @ mu_src[:, :, None])[:, :, 0]
+    return rotation, translation, scale, valid
+
+
 def ransac_umeyama(
     source: np.ndarray,
     target: np.ndarray,
@@ -86,32 +119,35 @@ def ransac_umeyama(
     Returns ``(Sim3, inlier_mask)`` or ``(None, None)`` when no model with
     at least ``min_inliers`` support is found.  Used by map merging where
     BoW feature matches contain wrong associations.
+
+    The minimal samples are drawn one ``rng.choice`` at a time (the
+    generator's stream is part of a seeded run's contract) and then all
+    hypotheses are fitted and scored in one batch.
     """
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     n = source.shape[0]
-    if n < 3:
+    if n < 3 or iterations < 1:
         return None, None
 
-    best_transform = None
-    best_mask = None
-    best_count = 0
-    for _ in range(iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        try:
-            candidate = umeyama(source[idx], target[idx], with_scale=with_scale)
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        residual = np.linalg.norm(target - candidate.apply(source), axis=1)
-        mask = residual < inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            best_transform = candidate
-
-    if best_transform is None or best_count < max(min_inliers, 3):
+    samples = np.array(
+        [rng.choice(n, size=3, replace=False) for _ in range(iterations)]
+    )
+    rotation, translation, scale, valid = _umeyama_batch(
+        source[samples], target[samples], with_scale
+    )
+    with np.errstate(invalid="ignore"):
+        mapped = (
+            scale[:, None, None] * (source @ rotation.transpose(0, 2, 1))
+            + translation[:, None, :]
+        )
+        masks = np.linalg.norm(target - mapped, axis=2) < inlier_threshold
+    counts = np.where(valid, masks.sum(axis=1), 0)
+    # argmax keeps the first of equal counts, as a strict ``>`` scan would.
+    best = int(np.argmax(counts))
+    if counts[best] < max(min_inliers, 3):
         return None, None
+    best_mask = masks[best]
 
     # Refit on all inliers for the final estimate.
     refined = umeyama(source[best_mask], target[best_mask], with_scale=with_scale)

@@ -133,10 +133,6 @@ class Atlas:
         if result.success:
             del self._entries[source_id]
             self.set_active(target_id)
-        else:
-            for kf in target.slam_map.keyframes_of_client(source_client):
-                target.database.remove(kf.keyframe_id)
-            target.slam_map.detach_client(source_client)
         return result
 
     def summary(self) -> str:

@@ -68,7 +68,7 @@ class _PackedPointArrays:
     the paper's Fig. 5 attributes to *search local points*.  The mirror
     is maintained incrementally: point insertions append (amortized via
     capacity doubling), position refinements overwrite one row, and only
-    structural edits (removal, fusion, client detach) force a rebuild.
+    out-of-band bulk edits (``touch``) force a rebuild.
     """
 
     def __init__(self) -> None:
@@ -599,28 +599,6 @@ class SlamMap:
         for kf in self.keyframes.values():
             if kf.client_id == client_id:
                 kf.pose_cw = transform.transform_pose(kf.pose_cw)
-        self.touch()
-
-    def detach_client(self, client_id: int) -> None:
-        """Remove a client's entities without mutating the shared objects.
-
-        Used to roll back a failed merge attempt: the keyframes and map
-        points are also referenced by the client's own map, so the
-        normal removal path (which clears observations in place) would
-        corrupt the client's state.
-        """
-        kf_ids = [
-            kf_id for kf_id, kf in self.keyframes.items() if kf.client_id == client_id
-        ]
-        for kf_id in kf_ids:
-            del self.keyframes[kf_id]
-            if self.covisibility.has_node(kf_id):
-                self.covisibility.remove_node(kf_id)
-        point_ids = [
-            pid for pid, p in self.mappoints.items() if p.client_id == client_id
-        ]
-        for pid in point_ids:
-            del self.mappoints[pid]
         self.touch()
 
     def nbytes(self) -> int:

@@ -2,24 +2,30 @@
 
 Given a client map and the global map, the merger:
 
-1. inserts the client's keyframes and map points into the global map
-   (id collisions are impossible — per-client id ranges, §4.3.1);
-2. iterates over **all** the client's keyframes (unlike vanilla
+1. iterates over **all** the client's keyframes (unlike vanilla
    ORB-SLAM3, which only checks the newest active keyframe — the
    paper's key modification for late-joining clients) running
    ``DetectCommonRegion`` against the global BoW database;
-3. on a hit, matches features between the client keyframe and the
+2. on a hit, matches features between the client keyframe and the
    candidate global keyframe, producing 3D-3D map-point
    correspondences, and robustly estimates the aligning Sim(3);
-4. applies the transform to every entity the client contributed, fuses
-   duplicate map points, and runs a local bundle adjustment around the
-   weld (lines 13-15 of Alg. 2).
+3. only once a weld is found, inserts the client's keyframes and map
+   points into the global map (id collisions are impossible —
+   per-client id ranges, §4.3.1), applies the transform to every entity
+   the client contributed, fuses duplicate map points, and runs a local
+   bundle adjustment around the weld (lines 13-15 of Alg. 2).
+
+The search reads client entities from the client map and global ones
+from the global map, so a failed attempt mutates neither.  Attempts are
+retried on every keyframe of an unmerged client; a caller that keeps a
+:data:`RejectedPairs` memo across attempts pays only for keyframe pairs
+it has not already seen fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +45,17 @@ _metrics = get_metrics()
 _bow_queries = _metrics.counter(
     "merge.bow_queries", "DetectCommonRegion queries during merging"
 )
+_pairs_skipped = _metrics.counter(
+    "merge.pairs_skipped", "keyframe pairs skipped as already rejected"
+)
 _fused_points = _metrics.counter(
     "merge.fused_points", "duplicate map points fused by merges"
 )
+
+# (client keyframe id, global keyframe id) -> the number of map-point
+# associations each keyframe had when the pair last failed to weld.  A
+# pair is worth retrying only once either keyframe has gained some.
+RejectedPairs = Dict[Tuple[int, int], Tuple[int, int]]
 
 # Alg.-2 merge rounds are traced under the paper's Table-4 component
 # name so trace output lines up with the latency-table vocabulary.
@@ -58,6 +72,8 @@ class MergeResult:
     n_correspondences: int = 0
     n_fused_points: int = 0
     n_keyframes_checked: int = 0
+    n_pairs_tried: int = 0       # keyframe pairs matched (+ RANSAC) this call
+    n_pairs_skipped: int = 0     # pairs the rejected-pair memo ruled out
     ba_stats: Optional[BAStats] = None
 
 
@@ -108,7 +124,7 @@ class MapMerger:
 
     # ------------------------------------------------------- correspondences
     def _correspondences(
-        self, client_kf: KeyFrame, global_kf: KeyFrame
+        self, client_kf: KeyFrame, global_kf: KeyFrame, client_map: SlamMap
     ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int]]]:
         """3D-3D point pairs via descriptor matches between two keyframes."""
         matches = match_descriptors(
@@ -122,7 +138,7 @@ class MapMerger:
             pid_g = int(global_kf.point_ids[m.train_idx])
             if pid_c < 0 or pid_g < 0 or pid_c == pid_g:
                 continue
-            pc = self.map.mappoints.get(pid_c)
+            pc = client_map.mappoints.get(pid_c)
             pg = self.map.mappoints.get(pid_g)
             if pc is None or pg is None:
                 continue
@@ -133,84 +149,117 @@ class MapMerger:
             return np.zeros((0, 3)), np.zeros((0, 3)), []
         return np.array(src), np.array(dst), id_pairs
 
-    # ----------------------------------------------------------------- merge
-    def merge_client(self, client_id: int) -> MergeResult:
-        """Align one client's entities already present in the global map.
+    def _align_pair(
+        self, client_kf: KeyFrame, global_kf: KeyFrame, client_map: SlamMap
+    ) -> Optional[Tuple[Sim3, List[Tuple[int, int]], np.ndarray]]:
+        """``(Sim3, id pairs, inlier mask)`` welding the pair, else None."""
+        cfg = self.config
+        with _tracer.span("correspondences"):
+            src, dst, id_pairs = self._correspondences(
+                client_kf, global_kf, client_map
+            )
+        if len(src) < cfg.min_correspondences:
+            return None
+        with _tracer.span("estimate_sim3", n_pairs=len(id_pairs)):
+            transform, mask = ransac_umeyama(
+                src,
+                dst,
+                self._rng,
+                with_scale=cfg.with_scale,
+                inlier_threshold=cfg.ransac_inlier_threshold,
+                min_inliers=cfg.min_correspondences,
+            )
+        if transform is None:
+            return None
+        return transform, id_pairs, mask
 
-        This is the SLAM-Share shared-memory path: the client's process
-        wrote its keyframes/points directly into the global map; merging
-        only needs to find the weld and snap the client's submap onto it.
+    # ---------------------------------------------------------------- search
+    def _find_weld(
+        self, client_map: SlamMap, client_id: int, rejected: RejectedPairs
+    ) -> Tuple[Optional[tuple], MergeResult]:
+        """Lines 6-9: the first keyframe pair that aligns, read-only.
+
+        Returns ``(client_kf, global_kf, Sim3, id pairs, inlier mask)`` (or
+        None) and a failed :class:`MergeResult` carrying the search counts.
         """
         cfg = self.config
         client_kfs = sorted(
-            self.map.keyframes_of_client(client_id), key=lambda kf: kf.timestamp
+            client_map.keyframes_of_client(client_id), key=lambda kf: kf.timestamp
         )
         if not cfg.check_all_keyframes:
             client_kfs = client_kfs[-1:]
-        checked = 0
-        with _tracer.span(MERGE_SPAN, client_id=client_id) as merge_span:
-            for kf in client_kfs:
-                checked += 1
-                _bow_queries.inc()
-                with _tracer.span(
-                    "detect_common_region", keyframe_id=kf.keyframe_id
-                ):
-                    region = detect_common_region(
-                        kf,
-                        self.map,
-                        self.database,
-                        min_score=cfg.min_bow_score,
-                        exclude_client=client_id,
-                    )
-                if not region:
+        # A client trivially matches whatever it already has in the map.
+        own = {kf.keyframe_id for kf in self.map.keyframes_of_client(client_id)}
+        stats = MergeResult(success=False)
+        for kf in client_kfs:
+            stats.n_keyframes_checked += 1
+            _bow_queries.inc()
+            with _tracer.span("detect_common_region", keyframe_id=kf.keyframe_id):
+                region = detect_common_region(
+                    kf,
+                    self.map,
+                    self.database,
+                    min_score=cfg.min_bow_score,
+                    exclude=own,
+                )
+            n_tracked = kf.n_tracked_points
+            for candidate in region.candidates:
+                global_kf = self.map.keyframes[candidate.keyframe_id]
+                pair = (kf.keyframe_id, global_kf.keyframe_id)
+                support = (n_tracked, global_kf.n_tracked_points)
+                seen = rejected.get(pair)
+                if seen is not None and support[0] <= seen[0] and support[1] <= seen[1]:
+                    stats.n_pairs_skipped += 1
                     continue
-                for candidate in region.candidates:
-                    global_kf = self.map.keyframes[candidate.keyframe_id]
-                    with _tracer.span("correspondences"):
-                        src, dst, id_pairs = self._correspondences(
-                            kf, global_kf
-                        )
-                    if len(src) < cfg.min_correspondences:
-                        continue
-                    with _tracer.span(
-                        "estimate_sim3", n_pairs=len(id_pairs)
-                    ):
-                        transform, mask = ransac_umeyama(
-                            src,
-                            dst,
-                            self._rng,
-                            with_scale=cfg.with_scale,
-                            inlier_threshold=cfg.ransac_inlier_threshold,
-                            min_inliers=cfg.min_correspondences,
-                        )
-                    if transform is None:
-                        continue
-                    result = self._apply_merge(
-                        client_id, kf, global_kf, transform, id_pairs, mask,
-                        checked,
-                    )
-                    merge_span.set(
-                        success=True, n_keyframes_checked=checked,
-                        n_fused=result.n_fused_points,
-                    )
-                    return result
-            merge_span.set(success=False, n_keyframes_checked=checked)
-        return MergeResult(success=False, n_keyframes_checked=checked)
+                stats.n_pairs_tried += 1
+                aligned = self._align_pair(kf, global_kf, client_map)
+                if aligned is not None:
+                    return (kf, global_kf, *aligned), stats
+                rejected[pair] = support
+        return None, stats
 
-    def merge_maps(self, client_map: SlamMap, client_id: int) -> MergeResult:
-        """Baseline path: ingest a detached map, then align it (full Alg. 2)."""
-        self.ingest_client_map(client_map)
-        return self.merge_client(client_id)
+    # ----------------------------------------------------------------- merge
+    def merge_maps(
+        self,
+        client_map: SlamMap,
+        client_id: int,
+        rejected: Optional[RejectedPairs] = None,
+    ) -> MergeResult:
+        """Full Alg. 2: find a weld, then ingest and align the client map.
+
+        ``rejected`` is the caller's memo of pairs that failed in earlier
+        attempts, read and updated in place.  Every client keyframe still
+        costs its BoW query (and counts in ``n_keyframes_checked``); a
+        memoised pair costs nothing more.  Without a weld neither map nor
+        the database is touched.
+        """
+        with _tracer.span(MERGE_SPAN, client_id=client_id) as merge_span:
+            weld, result = self._find_weld(
+                client_map, client_id, {} if rejected is None else rejected
+            )
+            if weld is not None:
+                with _tracer.span("ingest", client_id=client_id):
+                    self.ingest_client_map(client_map)
+                result = self._apply_merge(client_id, result, *weld)
+            merge_span.set(
+                success=result.success,
+                n_keyframes_checked=result.n_keyframes_checked,
+                n_pairs_tried=result.n_pairs_tried,
+                n_pairs_skipped=result.n_pairs_skipped,
+                n_fused=result.n_fused_points,
+            )
+        _pairs_skipped.inc(result.n_pairs_skipped)
+        return result
 
     def _apply_merge(
         self,
         client_id: int,
+        searched: MergeResult,
         client_kf: KeyFrame,
         global_kf: KeyFrame,
         transform: Sim3,
         id_pairs: List[Tuple[int, int]],
         inlier_mask: np.ndarray,
-        checked: int,
     ) -> MergeResult:
         # Lines 10-12: snap every client entity into the global frame.
         with _tracer.span("apply_transform", client_id=client_id):
@@ -243,13 +292,13 @@ class MapMerger:
                 iterations=self.config.ba_iterations,
                 backend=self.config.backend,
             )
-        return MergeResult(
+        return replace(
+            searched,
             success=True,
             transform=transform,
             merge_keyframe_id=client_kf.keyframe_id,
             anchor_keyframe_id=global_kf.keyframe_id,
             n_correspondences=len(id_pairs),
             n_fused_points=fused,
-            n_keyframes_checked=checked,
             ba_stats=ba_stats,
         )

@@ -2,15 +2,15 @@
 
 This is line 7 of the paper's merge algorithm (Alg. 2): a Bag-of-Words
 query over the global map's keyframe database returns the closest
-keyframes ("LW"), which seed the 3-D alignment.  Keyframes contributed
-by the querying client itself are excluded — a client trivially matches
-its own history.
+keyframes ("LW"), which seed the 3-D alignment.  The caller passes the
+ids of keyframes the querying client itself contributed to be excluded —
+a client trivially matches its own history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from .bow import KeyframeDatabase, QueryResult
 from .keyframe import KeyFrame
@@ -38,14 +38,13 @@ def detect_common_region(
     database: KeyframeDatabase,
     min_score: float = 0.08,
     max_results: int = 5,
-    exclude_client: Optional[int] = None,
+    exclude: Optional[Set[int]] = None,
 ) -> CommonRegion:
-    """Query the global database for keyframes seeing the same place."""
-    exclude = {
-        kf_id
-        for kf_id, kf in global_map.keyframes.items()
-        if exclude_client is not None and kf.client_id == exclude_client
-    }
+    """Query the global database for keyframes seeing the same place.
+
+    ``exclude`` holds the keyframe ids to leave out — the querying
+    client's own; a caller querying many keyframes builds it once.
+    """
     results = database.query(
         keyframe.bow_vector,
         min_score=min_score,

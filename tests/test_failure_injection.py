@@ -261,6 +261,57 @@ class TestMergeRobustness:
         for cid in (0, 1):
             assert result.client_ate(cid).rmse < 0.10
 
+    def test_failed_merge_leaves_global_state_untouched(self, monkeypatch):
+        """A failed attempt searches before it ingests: the global map, its
+        version (the cache key of every merged client's local-map pack) and
+        its BoW index are exactly as before, and what the attempt learned
+        stays with the client's process so the next one is cheap."""
+        from repro.slam import MapMerger
+
+        mh04 = euroc_dataset("MH04", duration=5.0, rate=10.0)
+        v202 = euroc_dataset("V202", duration=4.0, rate=10.0)
+        config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+        session = SlamShareSession(
+            [
+                ClientScenario(0, mh04),
+                ClientScenario(1, v202, start_time=1.0, oracle_seed=9,
+                               imu_seed=13),
+            ],
+            config,
+        )
+        result = session.run()
+        server = result.server
+        process = server.processes[1]
+        assert not process.merged and process.rejected_pairs
+
+        def state():
+            gmap = server.global_map
+            return (gmap.version, gmap.n_keyframes, gmap.n_mappoints,
+                    len(server.global_database))
+
+        matched = []
+        correspondences = MapMerger._correspondences
+
+        def counting(merger, *pair):
+            matched.append(pair)
+            return correspondences(merger, *pair)
+
+        monkeypatch.setattr(MapMerger, "_correspondences", counting)
+        before = state()
+        # Client 0 kept mapping after client 1's last keyframe, so this
+        # attempt may meet a few new pairs; an immediate second one cannot.
+        assert server._try_merge(process) == (None, 0.0)
+        assert state() == before
+        matched.clear()
+        assert server._try_merge(process) == (None, 0.0)
+        assert matched == []
+        # Forgetting them costs the whole search again, and still no write.
+        process.rejected_pairs.clear()
+        assert server._try_merge(process) == (None, 0.0)
+        assert len(matched) == len(process.rejected_pairs) > 0
+        assert state() == before
+        assert process.system.map.n_keyframes > 0
+
 
 class TestOffloadUnderChurn:
     """Adaptive offloading on hostile links: the handoff machinery must

@@ -105,6 +105,119 @@ class TestRansacUmeyama:
         assert est is None
 
 
+def _ransac_umeyama_sequential(
+    source, target, rng, with_scale=True, iterations=100,
+    inlier_threshold=0.25, min_inliers=6,
+):
+    """One-hypothesis-at-a-time RANSAC: the oracle for the batched kernel.
+
+    This is the loop ``ransac_umeyama`` ran before it was batched, kept
+    verbatim so the two can be held to the same draws and the same answer.
+    """
+    source = np.asarray(source, dtype=float)
+    target = np.asarray(target, dtype=float)
+    n = source.shape[0]
+    if n < 3:
+        return None, None
+    best_transform, best_mask, best_count = None, None, 0
+    for _ in range(iterations):
+        idx = rng.choice(n, size=3, replace=False)
+        try:
+            candidate = umeyama(source[idx], target[idx], with_scale=with_scale)
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+        residual = np.linalg.norm(target - candidate.apply(source), axis=1)
+        mask = residual < inlier_threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask, best_transform = count, mask, candidate
+    if best_transform is None or best_count < max(min_inliers, 3):
+        return None, None
+    refined = umeyama(source[best_mask], target[best_mask], with_scale=with_scale)
+    residual = np.linalg.norm(target - refined.apply(source), axis=1)
+    final_mask = residual < inlier_threshold
+    if final_mask.sum() < max(min_inliers, 3):
+        return None, None
+    return refined, final_mask
+
+
+def _fuzz_case(kind, seed):
+    """``(source, target, kwargs)`` for one seeded case of a named shape."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 80))
+    src = _random_points(rng, n)
+    truth = Sim3(so3.random_rotation(rng), rng.normal(size=3),
+                 float(rng.uniform(0.5, 2.0)))
+    tgt = truth.apply(src) + rng.normal(scale=0.02, size=(n, 3))
+    kwargs = {}
+    if kind == "minimal":            # n == 3: every draw is the whole set
+        src, tgt, kwargs = src[:3], tgt[:3], {"min_inliers": 3}
+    elif kind == "duplicated":       # samples of one repeated point
+        src[: n // 2] = src[0]
+    elif kind == "collinear":        # rank-1 covariance, rotation ambiguous
+        src = np.outer(np.linspace(0.0, 1.0, n), rng.normal(size=3))
+        tgt = truth.apply(src)
+    elif kind == "identical":        # zero variance in every sample
+        src[:] = src[0]
+    elif kind == "rigid":
+        tgt = SE3(truth.rotation, truth.translation).apply(src)
+        kwargs = {"with_scale": False}
+    elif kind == "outliers":
+        k = n // 3
+        tgt[:k] += rng.normal(scale=10.0, size=(k, 3))
+    elif kind == "garbage":
+        tgt = rng.normal(scale=50.0, size=(n, 3))
+        kwargs = {"inlier_threshold": 0.01}
+    elif kind == "non_finite":       # SVD of a NaN covariance raises
+        src[0] = np.nan
+    else:
+        assert kind == "clean"
+    return src, tgt, kwargs
+
+
+class TestRansacBatchedMatchesSequential:
+    """The batched kernel is the sequential loop, draw for draw."""
+
+    @pytest.mark.parametrize("kind", [
+        "clean", "minimal", "duplicated", "collinear", "identical", "rigid",
+        "outliers", "garbage", "non_finite",
+    ])
+    def test_same_result_and_rng_state(self, kind):
+        found = 0
+        for seed in range(40):
+            src, tgt, kwargs = _fuzz_case(kind, seed)
+            rng_seq = np.random.default_rng(1000 + seed)
+            rng_bat = np.random.default_rng(1000 + seed)
+            with np.errstate(all="ignore"):
+                want, want_mask = _ransac_umeyama_sequential(
+                    src, tgt, rng_seq, **kwargs)
+            got, got_mask = ransac_umeyama(src, tgt, rng_bat, **kwargs)
+            assert rng_bat.bit_generator.state == rng_seq.bit_generator.state
+            assert (got is None) == (want is None), (kind, seed)
+            if want is None:
+                assert got_mask is None
+                continue
+            found += 1
+            assert np.array_equal(got_mask, want_mask), (kind, seed)
+            assert np.abs(got.matrix() - want.matrix()).max() <= 1e-12
+        if kind in ("clean", "minimal", "rigid", "outliers"):
+            assert found >= 30   # the comparison is not vacuous
+        if kind in ("identical", "garbage"):
+            assert found == 0
+
+    def test_first_best_hypothesis_wins_ties(self):
+        # Noise-free data: many hypotheses reach the full inlier count, so
+        # selection is decided purely by the first-maximum rule.
+        rng = np.random.default_rng(8)
+        src = _random_points(rng, n=25)
+        tgt = Sim3(so3.random_rotation(rng), rng.normal(size=3), 1.2).apply(src)
+        want, want_mask = _ransac_umeyama_sequential(
+            src, tgt, np.random.default_rng(3))
+        got, got_mask = ransac_umeyama(src, tgt, np.random.default_rng(3))
+        assert want_mask.all() and np.array_equal(got_mask, want_mask)
+        assert np.abs(got.matrix() - want.matrix()).max() <= 1e-12
+
+
 class TestTrajectory:
     def _make(self, n=10, dt=0.1):
         times = np.arange(n) * dt

@@ -133,20 +133,6 @@ class TestSlamMap:
                 kf.camera_center(), centers_before[kid] + [10, 0, 0], atol=1e-9
             )
 
-    def test_detach_client_preserves_objects(self):
-        slam_map = make_map(n_keyframes=2, client_id=1, seed=10)
-        kf = next(iter(slam_map.keyframes.values()))
-        point_ids_before = kf.point_ids.copy()
-        obs_before = dict(
-            slam_map.mappoints[int(kf.point_ids[0])].observations
-        )
-        slam_map.detach_client(1)
-        assert slam_map.n_keyframes == 0
-        assert slam_map.n_mappoints == 0
-        # Shared objects untouched (a failed merge must not corrupt them).
-        assert np.array_equal(kf.point_ids, point_ids_before)
-        assert obs_before  # observations not cleared
-
     def test_keyframe_trajectory_sorted(self):
         slam_map = make_map(n_keyframes=4, seed=11)
         traj = slam_map.keyframe_trajectory()

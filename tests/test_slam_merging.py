@@ -9,6 +9,7 @@ from repro.slam import (
     MapMerger,
     MergerConfig,
     SlamConfig,
+    SlamMap,
     SlamSystem,
     default_vocabulary,
     detect_common_region,
@@ -68,8 +69,9 @@ class TestDetectCommonRegion:
     def test_excludes_own_client(self):
         sys_a = _SYS_A_TEMPLATE
         kf = next(iter(sys_a.map.keyframes.values()))
+        own = {k.keyframe_id for k in sys_a.map.keyframes_of_client(0)}
         region = detect_common_region(
-            kf, sys_a.map, sys_a.database, exclude_client=0
+            kf, sys_a.map, sys_a.database, exclude=own
         )
         assert not region
 
@@ -137,8 +139,9 @@ class TestMapMerging:
 
         ds_v = make("V202", duration=6.0, rate=10.0)
         sys_v, _ = run_system(ds_v, client_id=1)
-        (ds_a, sys_a), _ = fresh_pair()
-        merger = MapMerger(sys_a.map, sys_a.database, ds_a.camera)
+        # A failed attempt is read-only, so the shared template will do.
+        sys_a = _SYS_A_TEMPLATE
+        merger = MapMerger(sys_a.map, sys_a.database, _DS_A.camera)
         result = merger.merge_maps(sys_v.map, client_id=1)
         assert not result.success
         assert result.n_keyframes_checked > 0
@@ -168,3 +171,127 @@ class TestMapMerging:
         assert result.success
         assert result.ba_stats is not None
         assert result.ba_stats.n_keyframes >= 2
+
+
+class _CountingMerger(MapMerger):
+    """Records every keyframe pair that reaches descriptor matching."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pairs = []
+
+    def _correspondences(self, client_kf, global_kf, client_map):
+        self.pairs.append((client_kf.keyframe_id, global_kf.keyframe_id))
+        return super()._correspondences(client_kf, global_kf, client_map)
+
+
+def _prefix_map(slam_map, n_keyframes):
+    """The map as it was when it held its first ``n_keyframes`` keyframes."""
+    prefix = SlamMap(map_id=slam_map.map_id)
+    for point in slam_map.mappoints.values():
+        prefix.add_mappoint(point)
+    kfs = sorted(slam_map.keyframes.values(), key=lambda kf: kf.timestamp)
+    for kf in kfs[:n_keyframes]:
+        prefix.add_keyframe(kf)
+    return prefix
+
+
+def _global_state(slam_map, database):
+    return (slam_map.version, slam_map.n_keyframes, slam_map.n_mappoints,
+            len(database))
+
+
+class TestRejectedPairMemo:
+    """Failed attempts cost BoW queries plus the pairs not seen before."""
+
+    @pytest.fixture(scope="class")
+    def disjoint(self):
+        # A V202 (small Vicon room) map shares no landmarks with MH04.
+        ds_v = euroc_dataset("V202", duration=6.0, rate=10.0)
+        sys_v, _ = run_system(ds_v, client_id=1)
+        assert sys_v.map.n_keyframes >= 4
+        return sys_v
+
+    def _attempt(self, client_map, rejected):
+        sys_a = _SYS_A_TEMPLATE
+        merger = _CountingMerger(sys_a.map, sys_a.database, _DS_A.camera)
+        before = _global_state(sys_a.map, sys_a.database)
+        result = merger.merge_maps(client_map, client_id=1, rejected=rejected)
+        assert not result.success
+        # A failed search is read-only: the shared template stays usable.
+        assert _global_state(sys_a.map, sys_a.database) == before
+        assert result.n_pairs_tried == len(merger.pairs)
+        return result, merger.pairs
+
+    def test_next_attempt_evaluates_only_unseen_pairs(self, disjoint):
+        n = disjoint.map.n_keyframes
+        rejected = {}
+        seen = set()
+        for k in (n - 2, n - 1, n):
+            client_map = _prefix_map(disjoint.map, k)
+            unmemoised, all_pairs = self._attempt(client_map, None)
+            result, pairs = self._attempt(client_map, rejected)
+            assert not seen.intersection(pairs)
+            assert set(pairs) == set(all_pairs) - seen
+            assert result.n_pairs_skipped == len(seen.intersection(all_pairs))
+            # The memo never hides a keyframe from the sim-time merge cost.
+            assert result.n_keyframes_checked == k
+            assert result.n_keyframes_checked == unmemoised.n_keyframes_checked
+            seen.update(pairs)
+        assert seen == set(rejected) and seen
+        # Nothing new: the attempt is BoW queries only.
+        result, pairs = self._attempt(disjoint.map, rejected)
+        assert pairs == [] and result.n_pairs_skipped == len(all_pairs)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_pair_retried_once_a_keyframe_gains_associations(
+        self, disjoint, side
+    ):
+        _, pairs = self._attempt(disjoint.map, None)
+        pair = pairs[0]
+        kf = (disjoint.map, _SYS_A_TEMPLATE.map)[side].keyframes[pair[side]]
+        slot = int(np.flatnonzero(kf.point_ids >= 0)[0])
+        point_id = kf.point_ids[slot]
+        rejected = {}
+        kf.point_ids[slot] = -1
+        try:
+            self._attempt(disjoint.map, rejected)
+        finally:
+            kf.point_ids[slot] = point_id     # the keyframe gains one back
+        assert rejected[pair][side] == kf.n_tracked_points - 1
+        _, retried = self._attempt(disjoint.map, rejected)
+        # Every pair that keyframe is part of is worth another look, no other.
+        assert pair in retried
+        assert all(p[side] == pair[side] for p in retried)
+        assert rejected[pair][side] == kf.n_tracked_points
+        # Losing associations is no reason to retry.
+        kf.point_ids[slot] = -1
+        try:
+            _, retried = self._attempt(disjoint.map, rejected)
+        finally:
+            kf.point_ids[slot] = point_id
+        assert retried == []
+
+    def test_late_overlap_still_merges(self):
+        # The global map starts as the Vicon room only; client B (hall)
+        # fails against it and memoises those pairs.  Once another client
+        # has extended the global map into the hall, B's next attempt
+        # repeats none of that and welds onto the new keyframes.
+        (ds_a, sys_a), (_, sys_b) = fresh_pair()
+        room, _ = run_system(
+            euroc_dataset("V202", duration=6.0, rate=10.0), client_id=2
+        )
+        global_map, database = room.map, room.database
+        rejected = {}
+        rigid = MergerConfig(with_scale=False)   # stereo maps are metric
+        first = _CountingMerger(global_map, database, ds_a.camera, rigid)
+        assert not first.merge_maps(sys_b.map, 1, rejected).success
+        assert first.pairs and set(first.pairs) == set(rejected)
+        second = _CountingMerger(global_map, database, ds_a.camera, rigid)
+        second.ingest_client_map(sys_a.map)
+        result = second.merge_maps(sys_b.map, 1, rejected)
+        assert result.success
+        assert result.anchor_keyframe_id in sys_a.map.keyframes
+        assert not set(second.pairs) & set(first.pairs)
+        # The welded pair is not left behind as rejected.
+        assert (result.merge_keyframe_id, result.anchor_keyframe_id) not in rejected
