@@ -276,12 +276,6 @@ def _make_entities(n_keyframes: int, n_features: int = 24, spread: float = 80.0)
     return kfs, points
 
 
-def _store_locks(store):
-    if isinstance(store, ShardedMapStore):
-        return [shard.lock for shard in store.shards]
-    return [store.lock]
-
-
 def run_store_storm(store, kfs, points, seconds: float, n_writers: int,
                     n_readers: int) -> Dict[str, object]:
     """Concurrent real-thread publish/read storm against one store."""
@@ -318,7 +312,7 @@ def run_store_storm(store, kfs, points, seconds: float, n_writers: int,
     stop.set()
     for t in threads:
         t.join(timeout=10)
-    locks = _store_locks(store)
+    locks = [shard.lock for shard in store.shards]
     reads = [s for chunk in read_samples for s in chunk]
     writes = [s for chunk in write_samples for s in chunk]
 

@@ -23,7 +23,7 @@ from ..gpu.device import StageBreakdown, TrackingLatencyModel
 from ..imu import ImuDelta
 from ..obs import get_logger, get_metrics, get_tracer, kv
 from ..obs.trace import TraceContext
-from ..sharedmem import ShardedMapStore, SharedMapStore, ShmShardedMapStore
+from ..sharedmem import ShardedMapStore, ShmShardedMapStore
 from ..slam import (
     IdAllocator,
     KeyframeDatabase,
@@ -37,6 +37,8 @@ from ..slam import (
 from ..slam.merging import RejectedPairs
 from ..vision import ObservedFeature, PinholeCamera
 from .config import SlamShareConfig
+
+STORE_BACKENDS = ("local", "shm")   # ServingConfig.store_backend values
 
 _log = get_logger("core.server")
 _tracer = get_tracer()
@@ -124,7 +126,7 @@ class SlamShareServer:
         camera: PinholeCamera,
         config: Optional[SlamShareConfig] = None,
         vocabulary: Optional[Vocabulary] = None,
-        store: Optional[SharedMapStore] = None,
+        store: Optional[ShardedMapStore] = None,
     ) -> None:
         self.camera = camera
         self.config = config or SlamShareConfig()
@@ -138,25 +140,29 @@ class SlamShareServer:
             self.config.slam.mapping.max_keyframes = serving.map_max_keyframes
         if serving.map_max_points is not None:
             self.config.slam.mapping.max_mappoints = serving.map_max_points
+        if serving.store_backend not in STORE_BACKENDS:
+            raise ValueError(
+                f"unknown store_backend {serving.store_backend!r}; "
+                f"expected one of {STORE_BACKENDS}"
+            )
+        n_shards = max(1, serving.map_shards)  # one shard = unsharded
         self._owns_store = store is None and serving.store_backend == "shm"
         if store is not None:
             self.store = store
         elif serving.store_backend == "shm":
             # Real OS shared memory: one named segment workers can attach.
             self.store = ShmShardedMapStore.create(
-                n_shards=max(1, serving.map_shards),
+                n_shards=n_shards,
                 pack_capacity=serving.shm_pack_capacity,
                 shard_slab_bytes=serving.shm_slab_bytes,
                 region_size=serving.shard_region_m,
                 lock_timeout_s=serving.shm_lock_timeout_s,
             )
-        elif serving.map_shards > 1:
+        else:
             self.store = ShardedMapStore(
-                n_shards=serving.map_shards,
+                n_shards=n_shards,
                 region_size=serving.shard_region_m,
             )
-        else:
-            self.store = SharedMapStore()
         self.latency_model = TrackingLatencyModel(
             self.config.cpu_model, self.config.gpu_model
         )
@@ -182,7 +188,7 @@ class SlamShareServer:
         a no-op for them; for ``store_backend="shm"`` it detaches and
         destroys the named segment.  Idempotent.
         """
-        if self._owns_store and isinstance(self.store, ShmShardedMapStore):
+        if self._owns_store:
             self._owns_store = False
             self.store.close()
             self.store.unlink()
@@ -534,7 +540,7 @@ class SlamShareServer:
         _evicted_keyframes.inc(len(evicted_kfs))
         _evicted_points.inc(len(evicted_pts))
         threshold = self.config.serving.store_compact_utilization
-        if threshold is not None and hasattr(self.store, "maybe_compact"):
+        if threshold is not None:
             self.store.maybe_compact(threshold)
 
     # --------------------------------------------------------------- merge

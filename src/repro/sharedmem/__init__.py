@@ -1,7 +1,6 @@
 """Shared-memory substrate: arena, packed records, RW lock, map store."""
 
 from .arena import ALIGNMENT, Arena, ArenaError, ArenaStats
-from .mapstore import DEFAULT_CAPACITY, SharedMapStore, StoreStats
 from .records import (
     keyframe_record_size,
     mappoint_record_size,
@@ -10,9 +9,14 @@ from .records import (
     write_keyframe_record,
     write_mappoint_record,
 )
-from .prwlock import ProcessRWLock
-from .rwlock import RWLock
-from .sharding import ShardedMapStore, spatial_shard
+from .rwlock import ProcessRWLock, RWLock
+from .sharding import (
+    DEFAULT_CAPACITY,
+    ShardedMapStore,
+    SharedMapStore,
+    StoreStats,
+    spatial_shard,
+)
 from .shm_backend import SharedMemoryRegion
 from .snapshot import (
     LoadedSnapshot,

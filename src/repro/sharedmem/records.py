@@ -19,6 +19,11 @@ MapPoint record::
     u64 point_id | u64 client_id | u32 n_obs | u32 pad |
     f64[3] position | u8[32] descriptor | u32 visible | u32 found |
     (u64 kf_id, u32 feat_idx, u32 pad)[n_obs]
+
+Where records are stored back to back (the shm shard logs, snapshot
+shard files) each is preceded by a :data:`RECORD_FRAME`::
+
+    u32 kind | u32 flags | u64 entity_id | u64 size
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ from ..geometry import SE3
 from ..slam.keyframe import KeyFrame
 from ..slam.mappoint import MapPoint
 from ..vision.brief import DESCRIPTOR_BYTES
+
+RECORD_FRAME = struct.Struct("<IIQQ")  # kind, flags, entity_id, size
+KIND_KEYFRAME = 1
+KIND_MAPPOINT = 2
 
 _KF_HEADER = struct.Struct("<QQdII")
 _MP_HEADER = struct.Struct("<QQII")

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import struct
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
@@ -39,6 +38,9 @@ from typing import Dict, Iterable, List, Optional
 from ..slam.keyframe import KeyFrame
 from ..slam.mappoint import MapPoint
 from .records import (
+    KIND_KEYFRAME,
+    KIND_MAPPOINT,
+    RECORD_FRAME,
     keyframe_record_size,
     mappoint_record_size,
     read_keyframe_record,
@@ -50,10 +52,6 @@ from .records import (
 SNAPSHOT_MAGIC = "slam-share-map-snapshot"
 SNAPSHOT_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
-
-_FRAME = struct.Struct("<IIQQ")  # kind, flags, entity_id, size
-KIND_KEYFRAME = 1
-KIND_MAPPOINT = 2
 
 
 class SnapshotError(RuntimeError):
@@ -92,17 +90,17 @@ class LoadedSnapshot:
 
 def _frame_keyframe(kf: KeyFrame) -> bytes:
     size = keyframe_record_size(len(kf), len(kf.bow_vector))
-    buf = bytearray(_FRAME.size + size)
-    _FRAME.pack_into(buf, 0, KIND_KEYFRAME, 0, kf.keyframe_id, size)
-    write_keyframe_record(memoryview(buf)[_FRAME.size:], kf)
+    buf = bytearray(RECORD_FRAME.size + size)
+    RECORD_FRAME.pack_into(buf, 0, KIND_KEYFRAME, 0, kf.keyframe_id, size)
+    write_keyframe_record(memoryview(buf)[RECORD_FRAME.size:], kf)
     return bytes(buf)
 
 
 def _frame_mappoint(point: MapPoint) -> bytes:
     size = mappoint_record_size(len(point.observations))
-    buf = bytearray(_FRAME.size + size)
-    _FRAME.pack_into(buf, 0, KIND_MAPPOINT, 0, point.point_id, size)
-    write_mappoint_record(memoryview(buf)[_FRAME.size:], point)
+    buf = bytearray(RECORD_FRAME.size + size)
+    RECORD_FRAME.pack_into(buf, 0, KIND_MAPPOINT, 0, point.point_id, size)
+    write_mappoint_record(memoryview(buf)[RECORD_FRAME.size:], point)
     return bytes(buf)
 
 
@@ -119,7 +117,7 @@ def save_snapshot(
     not-yet-merged clients (whose geometry is still in a private frame)
     stay out of the durable map.
     """
-    n_shards = int(getattr(store, "n_shards", 1))
+    n_shards = store.n_shards
     kf_filter = None if keyframe_ids is None else {int(i) for i in keyframe_ids}
     mp_filter = None if mappoint_ids is None else {int(i) for i in mappoint_ids}
     per_shard: Dict[int, bytearray] = {i: bytearray() for i in range(n_shards)}
@@ -130,9 +128,7 @@ def save_snapshot(
         kf = store.get_keyframe(kf_id)
         if kf is None:
             continue
-        shard = (store.shard_of_keyframe(kf)
-                 if hasattr(store, "shard_of_keyframe") else 0)
-        per_shard[shard] += _frame_keyframe(kf)
+        per_shard[store.shard_of_keyframe(kf)] += _frame_keyframe(kf)
         n_kf += 1
     for pid in store.mappoint_ids():
         if mp_filter is not None and int(pid) not in mp_filter:
@@ -140,9 +136,7 @@ def save_snapshot(
         point = store.get_mappoint(pid)
         if point is None:
             continue
-        shard = (store.shard_of_mappoint(point)
-                 if hasattr(store, "shard_of_mappoint") else 0)
-        per_shard[shard] += _frame_mappoint(point)
+        per_shard[store.shard_of_mappoint(point)] += _frame_mappoint(point)
         n_mp += 1
 
     tmp = path.rstrip(os.sep) + ".tmp"
@@ -210,8 +204,8 @@ def load_snapshot(path: str) -> LoadedSnapshot:
         view = memoryview(data)
         cursor = 0
         while cursor < len(data):
-            kind, _flags, entity_id, size = _FRAME.unpack_from(view, cursor)
-            payload = view[cursor + _FRAME.size : cursor + _FRAME.size + size]
+            kind, _flags, entity_id, size = RECORD_FRAME.unpack_from(view, cursor)
+            payload = view[cursor + RECORD_FRAME.size : cursor + RECORD_FRAME.size + size]
             if kind == KIND_KEYFRAME:
                 keyframes.append(read_keyframe_record(payload))
             elif kind == KIND_MAPPOINT:
@@ -220,7 +214,7 @@ def load_snapshot(path: str) -> LoadedSnapshot:
                 raise SnapshotError(
                     f"corrupt snapshot record kind {kind} in {meta['file']}"
                 )
-            cursor += _FRAME.size + size
+            cursor += RECORD_FRAME.size + size
     return LoadedSnapshot(manifest=manifest, keyframes=keyframes,
                           mappoints=mappoints)
 

@@ -10,11 +10,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.geometry import SE3, Sim3, so3, umeyama
 from repro.net import deserialize_map, serialize_map
-from repro.sharedmem import SharedMapStore
+from repro.obs import get_metrics
+from repro.sharedmem import (
+    ShardedMapStore,
+    SharedMapStore,
+    ShmShardedMapStore,
+    keyframe_record_size,
+    mappoint_record_size,
+)
 from tests.test_net_serialization_transport import make_map
+from tests.test_shm_multiproc import _shm_available, make_keyframe, make_mappoint
 
 seeds = st.integers(min_value=0, max_value=10_000)
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -108,6 +122,185 @@ class TestRoundTrips:
         stats = store.stats()
         assert stats.n_keyframes == slam_map.n_keyframes
         assert stats.n_mappoints == slam_map.n_mappoints
+
+
+# Positions span several 8 m regions, so the sharded backends route
+# entities to different shards and an update can cross a cell boundary.
+coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, width=32)
+position = st.tuples(coord, coord, coord)
+point_id = st.integers(min_value=0, max_value=15)
+keyframe_id = st.integers(min_value=0, max_value=5)
+
+STORE_BACKENDS = {
+    "local-1": lambda: ShardedMapStore(n_shards=1, capacity=1024 * 1024),
+    "local-8": lambda: ShardedMapStore(n_shards=8, capacity=1024 * 1024),
+    "shm-4": lambda: ShmShardedMapStore.create(
+        n_shards=4, pack_capacity=16, shard_slab_bytes=256 * 1024),
+}
+
+
+class StoreContract(RuleBasedStateMachine):
+    """Any map store against a dict model.
+
+    The shm backend is also read through a second attachment of the
+    segment, so every check covers records another attachment wrote,
+    removed or compacted.
+    """
+
+    def __init__(self, backend):
+        super().__init__()
+        self.store = STORE_BACKENDS[backend]()
+        self.views = [self.store]
+        if isinstance(self.store, ShmShardedMapStore):
+            self.views.append(ShmShardedMapStore.attach(self.store.handle()))
+        self.points = {}       # point id -> (position, shard)
+        self.keyframes = {}    # keyframe id -> (camera center, shard)
+
+    def teardown(self):
+        for view in reversed(self.views):
+            view.close()
+        if isinstance(self.store, ShmShardedMapStore):
+            self.store.unlink()
+
+    def _placed(self, model, entity_id, where, shard):
+        # Sticky routing: a live entity never changes shard on update.
+        if entity_id in model:
+            assert shard == model[entity_id][1]
+        model[entity_id] = (where, shard)
+
+    @rule(pid=point_id, pos=position)
+    def put_mappoint(self, pid, pos):
+        shard = self.store.put_mappoint(make_mappoint(pid, pos))
+        self._placed(self.points, pid, pos, shard)
+
+    @rule(kid=keyframe_id, center=position)
+    def put_keyframe(self, kid, center):
+        shard = self.store.put_keyframe(make_keyframe(kid, center))
+        self._placed(self.keyframes, kid, center, shard)
+
+    @rule(pid=point_id)
+    def remove_mappoint(self, pid):
+        self.store.remove_mappoint(pid)
+        self.points.pop(pid, None)
+
+    @rule(kid=keyframe_id)
+    def remove_keyframe(self, kid):
+        self.store.remove_keyframe(kid)
+        self.keyframes.pop(kid, None)
+
+    @rule(kfs=st.dictionaries(keyframe_id, position, max_size=3),
+          pts=st.dictionaries(point_id, position, max_size=6))
+    def publish_map(self, kfs, pts):
+        keyframes = [make_keyframe(k, c) for k, c in kfs.items()]
+        points = [make_mappoint(p, pos) for p, pos in pts.items()]
+        written = self.store.publish_map(keyframes, points)
+        assert written == (
+            sum(keyframe_record_size(len(kf), len(kf.bow_vector))
+                for kf in keyframes)
+            + sum(mappoint_record_size(len(p.observations)) for p in points)
+        )
+        for kf in keyframes:
+            self._placed(self.keyframes, kf.keyframe_id,
+                         kfs[kf.keyframe_id], self.store.shard_of_keyframe(kf))
+        for p in points:
+            self._placed(self.points, p.point_id, pts[p.point_id],
+                         self.store.shard_of_mappoint(p))
+
+    @rule()
+    def compact(self):
+        assert self.store.compact() >= 0
+        # Nothing left to win straight after a full pass.
+        assert self.store.compact() == 0
+
+    @rule(utilization=st.sampled_from([0.0, 0.5, 1.5]))
+    def maybe_compact(self, utilization):
+        reclaimed = self.store.maybe_compact(utilization)
+        assert reclaimed >= 0
+        if utilization > 1.0:
+            assert reclaimed == 0
+
+    @invariant()
+    def every_view_matches_the_model(self):
+        for view in self.views:
+            assert view.keyframe_ids() == sorted(self.keyframes)
+            assert view.mappoint_ids() == sorted(self.points)
+            assert [kf.keyframe_id for kf in view.iter_keyframes()] == sorted(
+                self.keyframes)
+            for kid in range(6):
+                got = view.get_keyframe(kid)
+                if kid not in self.keyframes:
+                    assert got is None
+                    continue
+                center, shard = self.keyframes[kid]
+                want = make_keyframe(kid, center)
+                assert np.allclose(got.camera_center(), center)
+                assert np.array_equal(got.descriptors, want.descriptors)
+                assert np.array_equal(got.point_ids, want.point_ids)
+                assert view.shard_of_keyframe(want) == shard
+            for pid in range(16):
+                got = view.get_mappoint(pid)
+                if pid not in self.points:
+                    assert got is None
+                    continue
+                pos, shard = self.points[pid]
+                want = make_mappoint(pid, pos)
+                assert np.array_equal(got.position, want.position)
+                assert np.array_equal(got.descriptor, want.descriptor)
+                assert got.observations == want.observations
+                assert view.shard_of_mappoint(want) == shard
+            stats = view.stats()
+            assert stats.n_keyframes == len(self.keyframes)
+            assert stats.n_mappoints == len(self.points)
+            assert 0 <= stats.arena.allocated <= stats.arena.capacity
+            rows = view.shard_stats()
+            assert sum(r["n_mappoints"] for r in rows) == len(self.points)
+            assert sum(r["allocated"] for r in rows) == stats.arena.allocated
+
+
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
+def test_store_contract(backend):
+    if backend.startswith("shm") and not _shm_available():
+        pytest.skip("OS shared memory unavailable")
+    run_state_machine_as_test(
+        lambda: StoreContract(backend),
+        settings=settings(max_examples=40, stateful_step_count=30,
+                          deadline=None),
+    )
+
+
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
+def test_store_metrics_mean_the_same_on_every_backend(backend):
+    """One publish, one read, one compaction move the same
+    ``sharedmem.*`` instruments whatever the shards are built on."""
+    if backend.startswith("shm") and not _shm_available():
+        pytest.skip("OS shared memory unavailable")
+    metrics = get_metrics()
+    was_enabled = metrics.enabled
+    metrics.reset()
+    metrics.configure(enabled=True)
+    machine = StoreContract(backend)
+    try:
+        store = machine.store
+        points = [make_mappoint(i, (9.0 * i, 0.0, 0.0)) for i in range(8)]
+        n_hit = len({store.shard_of_mappoint(p) for p in points})
+        written = store.publish_map([make_keyframe(0, (0.0, 0.0, 0.0))], points)
+        assert store.get_mappoint(3) is not None
+        store.compact()
+        snap = metrics.snapshot()
+    finally:
+        machine.teardown()
+        metrics.reset()
+        metrics.enabled = was_enabled
+    counters, hists = snap["counters"], snap["histograms"]
+    assert counters["sharedmem.publishes"] == 1
+    assert counters["sharedmem.publish_bytes"] == written
+    assert counters["sharedmem.multi_shard_writes"] == (n_hit > 1)
+    assert counters["sharedmem.compactions"] == 1
+    assert hists["sharedmem.publish_ms"]["count"] == 1
+    assert hists["sharedmem.shards_per_write"]["count"] == 1
+    assert hists["sharedmem.shards_per_write"]["max"] == n_hit
+    assert hists["sharedmem.lock_wait_write_us"]["count"] >= n_hit
+    assert hists["sharedmem.lock_wait_read_us"]["count"] >= 1
 
 
 class TestAlignmentProperties:

@@ -17,7 +17,7 @@ from repro.core.server import SlamShareServer
 from repro.datasets import euroc_dataset
 from repro.gpu import BatchingConfig, GpuScheduler
 from repro.net.simclock import SimClock
-from repro.sharedmem import ShardedMapStore, SharedMapStore, spatial_shard
+from repro.sharedmem import ShardedMapStore, spatial_shard
 from tests.test_net_serialization_transport import make_map
 
 
@@ -76,6 +76,23 @@ class TestSpatialSharding:
         assert np.allclose(store.get_mappoint(point.point_id).position,
                            point.position)
         assert len(store.mappoint_ids()) == 1
+
+    def test_update_never_unroutes_a_live_entity(self):
+        """Routing is read without a lock, so an in-place update must not
+        leave a window in which the entity looks absent."""
+        store = _sharded()
+        kf = next(iter(make_map(seed=12).keyframes.values()))
+        shard = store.shards[store.put_keyframe(kf)]
+        routed = []
+        alloc = shard.arena.alloc
+
+        def probing_alloc(size):
+            routed.append(kf.keyframe_id in store._kf_shard)
+            return alloc(size)
+
+        shard.arena.alloc = probing_alloc
+        store.put_keyframe(kf)
+        assert routed == [True]
 
     def test_remove_reclaims_space(self):
         store = _sharded()
@@ -413,7 +430,33 @@ class TestAdmissionControl:
         assert isinstance(server.store, ShardedMapStore)
         assert server.store.n_shards == 4
         unsharded = self._server(map_shards=1)
-        assert isinstance(unsharded.store, SharedMapStore)
+        assert isinstance(unsharded.store, ShardedMapStore)
+        assert unsharded.store.n_shards == 1
+
+    def test_unknown_store_backend_rejected(self):
+        with pytest.raises(ValueError, match="'local', 'shm'"):
+            self._server(store_backend="Shm")
+
+    def test_unsharded_server_compacts_after_evictions(self):
+        """``map_shards=1`` takes the same evict -> tombstone -> compact
+        path as any other shard count."""
+        server = self._server(map_shards=1, store_compact_utilization=1e-9)
+        server.add_client(0, np.array([0.0, 0.0, -9.81]))
+        process = server.processes[0]
+        slam_map = make_map(n_keyframes=4, n_points_per_kf=8, seed=11)
+        for point in slam_map.mappoints.values():
+            process.system.map.add_mappoint(point)
+        for kf in slam_map.keyframes.values():
+            process.system.map.add_keyframe(kf)
+        server.store.publish_map(slam_map.keyframes.values(),
+                                 slam_map.mappoints.values())
+        evicted = process.system.map.evict_keyframes(2)
+        assert evicted
+        server._reconcile_evictions(process)
+        survivors = sorted(process.system.map.keyframes)
+        assert server.store.keyframe_ids() == survivors
+        # The holes the evicted records left are already closed.
+        assert server.store.compact() == 0
 
 
 class TestSessionScaleOut:

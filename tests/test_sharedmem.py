@@ -107,9 +107,28 @@ class TestArena:
         assert arena.alloc(8192 - 8) is not None
 
 
-class TestRWLock:
+class LockSemantics:
+    """The write-preferring RW-lock contract, once.
+
+    Subclasses pick the condition kind through ``make_lock``:
+    ``TestRWLock`` here (``threading.Condition``) and
+    ``TestProcessRWLockLocal`` in ``test_shm_multiproc.py``
+    (``multiprocessing.Condition``) run this same body.
+    """
+
+    make_lock = None
+
+    def _await_queued_writer(self, lock):
+        """Spin until a writer is queued behind the caller's read hold:
+        write preference then refuses even a non-blocking read."""
+        deadline = time.monotonic() + 2.0
+        while lock.acquire_read(timeout=0):
+            lock.release_read()
+            assert time.monotonic() < deadline, "writer never queued"
+            time.sleep(0.005)
+
     def test_concurrent_readers(self):
-        lock = RWLock()
+        lock = self.make_lock()
         assert lock.acquire_read()
         assert lock.acquire_read()
         assert lock.active_readers == 2
@@ -117,17 +136,28 @@ class TestRWLock:
         lock.release_read()
 
     def test_writer_excludes_readers(self):
-        lock = RWLock()
+        lock = self.make_lock()
         with lock.write():
             assert not lock.acquire_read(timeout=0.05)
 
     def test_reader_blocks_writer(self):
-        lock = RWLock()
+        lock = self.make_lock()
         with lock.read():
             assert not lock.acquire_write(timeout=0.05)
 
+    def test_read_write_semantics(self):
+        lock = self.make_lock()
+        assert lock.acquire_read()
+        assert lock.active_readers == 1
+        assert not lock.acquire_write(timeout=0.05)
+        lock.release_read()
+        assert lock.acquire_write()
+        assert lock.writer_active
+        assert not lock.acquire_read(timeout=0.05)
+        lock.release_write()
+
     def test_writer_preference(self):
-        lock = RWLock()
+        lock = self.make_lock()
         results = []
         lock.acquire_read()
 
@@ -144,15 +174,65 @@ class TestRWLock:
         t.join(timeout=1)
         assert results == ["w"]
 
+    def test_writer_preference_blocks_new_readers(self):
+        lock = self.make_lock()
+        assert lock.acquire_read()
+        state = {"acquired": False}
+
+        def writer():
+            assert lock.acquire_write(timeout=5.0)
+            state["acquired"] = True
+            lock.release_write()
+
+        t = threading.Thread(target=writer)
+        t.start()
+        self._await_queued_writer(lock)
+        # A new reader must now be refused (write preference).
+        assert not lock.acquire_read(timeout=0.05)
+        lock.release_read()
+        t.join(timeout=5.0)
+        assert state["acquired"]
+
+    def test_timed_out_writer_wakes_gated_readers(self):
+        """Reader A holds; a writer queues and gives up; reader B, which
+        queued behind that writer, must get in as soon as it does."""
+        lock = self.make_lock()
+        assert lock.acquire_read()                      # reader A
+        outcome = {}
+
+        def writer():
+            outcome["writer"] = lock.acquire_write(timeout=0.2)
+
+        def reader_b():
+            t0 = time.monotonic()
+            outcome["reader"] = lock.acquire_read(timeout=5.0)
+            outcome["reader_s"] = time.monotonic() - t0
+
+        tw = threading.Thread(target=writer)
+        tw.start()
+        self._await_queued_writer(lock)
+        tb = threading.Thread(target=reader_b)
+        tb.start()
+        tw.join(timeout=5.0)
+        tb.join(timeout=10.0)
+        assert not tw.is_alive() and not tb.is_alive()
+        assert outcome["writer"] is False
+        assert outcome["reader"] is True
+        # Woken by the writer's timeout, not by its own 5 s deadline.
+        assert outcome["reader_s"] < 2.0
+        assert lock.active_readers == 2
+        lock.release_read()
+        lock.release_read()
+
     def test_release_without_acquire_raises(self):
-        lock = RWLock()
+        lock = self.make_lock()
         with pytest.raises(RuntimeError):
             lock.release_read()
         with pytest.raises(RuntimeError):
             lock.release_write()
 
     def test_threaded_counter_consistency(self):
-        lock = RWLock()
+        lock = self.make_lock()
         counter = {"v": 0}
 
         def writer():
@@ -165,9 +245,46 @@ class TestRWLock:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
         assert counter["v"] == 400
         assert lock.write_acquisitions == 400
+
+    def test_bind_uses_buffer_state(self):
+        buf = bytearray(64)
+        a = self.make_lock().bind(buf, offset=16)
+        b = a.clone().bind(buf, offset=16)
+        with a.read():
+            # b sees a's reader through the shared lock word.
+            assert b.active_readers == 1
+        assert b.active_readers == 0
+
+    def test_clone_shares_state_but_not_metrics(self):
+        lock = self.make_lock()
+        buf = bytearray(32)
+        lock.bind(buf)
+        twin = lock.clone().bind(buf)
+        with lock.read():
+            pass
+        assert lock.read_acquisitions == 1
+        assert twin.read_acquisitions == 0
+        twin.unbind()            # must not disturb the original's view
+        with lock.write():
+            assert lock.writer_active
+
+    def test_metrics_fold(self):
+        lock = self.make_lock()
+        with lock.read():
+            pass
+        snap = lock.metrics_snapshot()
+        other = self.make_lock()
+        other.fold_metrics(snap)
+        other.fold_metrics(snap)
+        assert other.read_acquisitions == 2
+        assert other.read_wait_ns == 2 * snap["read_wait_ns"]
+
+
+class TestRWLock(LockSemantics):
+    make_lock = RWLock
 
 
 class TestRecords:

@@ -7,8 +7,6 @@ primitives are unavailable (some sandboxes mount no /dev/shm).
 """
 
 import multiprocessing as mp
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -23,6 +21,7 @@ from repro.sharedmem import (
 )
 from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
+from tests.test_sharedmem import LockSemantics
 
 
 def _shm_available() -> bool:
@@ -134,79 +133,9 @@ class TestRegionLifetime:
             del view, arena
 
 
-# ------------------------------------------------------------------ prwlock
-class TestProcessRWLockLocal:
-    def test_read_write_semantics(self):
-        lock = ProcessRWLock()
-        assert lock.acquire_read()
-        assert lock.active_readers == 1
-        assert not lock.acquire_write(timeout=0.05)
-        lock.release_read()
-        assert lock.acquire_write()
-        assert lock.writer_active
-        assert not lock.acquire_read(timeout=0.05)
-        lock.release_write()
-
-    def test_release_without_acquire_raises(self):
-        lock = ProcessRWLock()
-        with pytest.raises(RuntimeError):
-            lock.release_read()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
-
-    def test_bind_uses_buffer_state(self):
-        buf = bytearray(64)
-        a = ProcessRWLock().bind(buf, offset=16)
-        b = a.clone().bind(buf, offset=16)
-        with a.read():
-            # b sees a's reader through the shared lock word.
-            assert b.active_readers == 1
-        assert b.active_readers == 0
-
-    def test_clone_shares_state_but_not_metrics(self):
-        lock = ProcessRWLock()
-        buf = bytearray(32)
-        lock.bind(buf)
-        twin = lock.clone().bind(buf)
-        with lock.read():
-            pass
-        assert lock.read_acquisitions == 1
-        assert twin.read_acquisitions == 0
-        twin.unbind()            # must not disturb the original's view
-        with lock.write():
-            assert lock.writer_active
-
-    def test_metrics_fold(self):
-        lock = ProcessRWLock()
-        with lock.read():
-            pass
-        snap = lock.metrics_snapshot()
-        other = ProcessRWLock()
-        other.fold_metrics(snap)
-        other.fold_metrics(snap)
-        assert other.read_acquisitions == 2
-        assert other.read_wait_ns == 2 * snap["read_wait_ns"]
-
-    def test_writer_preference_blocks_new_readers(self):
-        lock = ProcessRWLock()
-        assert lock.acquire_read()
-        state = {"acquired": False}
-
-        def writer():
-            assert lock.acquire_write(timeout=5.0)
-            state["acquired"] = True
-            lock.release_write()
-
-        t = threading.Thread(target=writer)
-        t.start()
-        deadline = time.monotonic() + 2.0
-        while lock._state[2] == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)   # wait until the writer is queued
-        # A new reader must now be refused (write preference).
-        assert not lock.acquire_read(timeout=0.05)
-        lock.release_read()
-        t.join(timeout=5.0)
-        assert state["acquired"]
+# ------------------------------------------------------------- process lock
+class TestProcessRWLockLocal(LockSemantics):
+    make_lock = ProcessRWLock
 
 
 # ---------------------------------------------------- cross-process helpers
