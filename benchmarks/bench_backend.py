@@ -4,8 +4,7 @@ Times local bundle adjustment and pose-graph optimization with a
 selected kernel tier (``--backend vectorized`` by default, or ``gpu``)
 against the scalar reference loops, plus the batched SE(3) log as a
 geometry microbenchmark, and writes a JSON baseline
-(``BENCH_PR5.json`` / ``BENCH_PR10.json``) in the style of
-``bench_wallclock.py``.
+(``BENCH_PR5.json`` / ``BENCH_PR10.json``).
 
 Usage::
 

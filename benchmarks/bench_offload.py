@@ -116,7 +116,7 @@ def _run_fleet(policy: str, smoke: bool, seed: int = 7,
     session = SlamShareSession(scenarios, config)
 
     def set_delay(cid: int, delay_s: float) -> None:
-        link = session._links[cid]
+        link = session.clients[cid].link
         link.uplink.delay_s = delay_s
         link.downlink.delay_s = delay_s
 

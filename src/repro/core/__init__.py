@@ -24,8 +24,6 @@ from .offload import (
     PlacementDecision,
 )
 from .orchestrator import (
-    Orchestrator,
-    OrchestratorConfig,
     ServingOrchestrator,
     ServingReport,
     ServingWorkloadConfig,
@@ -40,6 +38,7 @@ from .server import ServerFrameResult, SlamShareServer
 from .session import (
     ClientOutcome,
     ClientScenario,
+    FrameAccountingError,
     MergeEvent,
     SessionResult,
     SlamShareSession,
@@ -52,6 +51,7 @@ __all__ = [
     "BaselineSession",
     "ClientOutcome",
     "ClientScenario",
+    "FrameAccountingError",
     "FrameUpload",
     "HandoffRecord",
     "Hologram",
@@ -61,8 +61,6 @@ __all__ = [
     "OffloadConfig",
     "OffloadController",
     "OffloadManager",
-    "Orchestrator",
-    "OrchestratorConfig",
     "PLACEMENT_CLIENT",
     "PLACEMENT_SERVER",
     "PlacementDecision",

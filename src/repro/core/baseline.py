@@ -17,17 +17,18 @@ short-term-ATE comparisons (Fig. 12b/c) punish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 
 from ..datasets.registry import SyntheticDataset
 from ..geometry import SE3, Sim3, Trajectory, TrajectoryPoint, quaternion
 from ..gpu.device import CpuCostModel, TrackingLatencyModel
-from ..imu import GRAVITY_W, ImuBuffer, preintegrate, synthesize_imu
+from ..imu import GRAVITY_W, ImuBuffer, preintegrate
 from ..metrics.ate import absolute_trajectory_error
 from ..metrics.cpu import CpuAccountant
 from ..metrics.latency import LatencyBreakdown
-from ..net import SimClock, deserialize_map, serialize_map
+from ..net import DuplexLink, SimClock, deserialize_map, serialize_map
 from ..slam import (
     KeyframeDatabase,
     MapMerger,
@@ -37,6 +38,7 @@ from ..slam import (
     default_vocabulary,
 )
 from .config import BaselineConfig, SlamShareConfig
+from .session import client_inputs
 
 
 @dataclass
@@ -76,6 +78,7 @@ class BaselineClientState:
     imu: ImuBuffer
     oracle: object
     cpu: CpuAccountant
+    link: DuplexLink
     start_time: float
     correction: Sim3 = field(default_factory=Sim3.identity)
     correction_fresh_at: float = -1.0
@@ -151,10 +154,9 @@ class BaselineSession:
         self.global_map = SlamMap(map_id=0)
         self.global_db = KeyframeDatabase(self.vocabulary)
         self.states: Dict[int, BaselineClientState] = {}
-        self._links = {}
-        self._merged_once = False
 
-    def _setup_client(self, scenario) -> BaselineClientState:
+    def _setup_client(self, scenario) -> list:
+        """Build one client's state; returns its camera-frame schedule."""
         dataset = scenario.dataset
         gravity_map = dataset.pose_cw(0).rotation @ GRAVITY_W
         slam_cfg = self.config.slam
@@ -166,17 +168,9 @@ class BaselineSession:
             vocabulary=self.vocabulary,
             gravity=gravity_map,
         )
-        oracle = dataset.make_oracle(
-            stereo=self.config.stereo,
-            seed=scenario.oracle_seed,
+        oracle, imu, frames = client_inputs(
+            scenario, self.config,
             max_features=self.baseline.client_feature_budget,
-        )
-        imu = ImuBuffer(
-            synthesize_imu(
-                dataset.ground_truth,
-                rate_hz=self.config.imu_rate_hz,
-                seed=scenario.imu_seed,
-            )
         )
         state = BaselineClientState(
             client_id=scenario.client_id,
@@ -185,50 +179,34 @@ class BaselineSession:
             imu=imu,
             oracle=oracle,
             cpu=CpuAccountant(),
+            link=self.config.shaping.build(
+                self.clock, seed=80 + scenario.client_id
+            ),
             start_time=scenario.start_time,
         )
         # Client 0 defines the global frame.
         if scenario.client_id == min(s.client_id for s in self.scenarios):
             state.merged = True
-        self._links[scenario.client_id] = self.config.shaping.build(
-            self.clock, seed=80 + scenario.client_id
-        )
         self.states[scenario.client_id] = state
-        return state
+        return frames
 
     # ---------------------------------------------------------------- run
     def run(self) -> BaselineResult:
         events = []
         for scenario in self.scenarios:
-            state = self._setup_client(scenario)
-            dataset = scenario.dataset
-            indices = range(0, dataset.n_frames, scenario.frame_stride)
-            if scenario.n_frames is not None:
-                indices = list(indices)[: scenario.n_frames]
-            timestamps = [dataset.ground_truth[i].timestamp for i in indices]
-            for idx, ts in zip(indices, timestamps):
-                events.append(
-                    (scenario.start_time + (ts - timestamps[0]),
-                     scenario.client_id, idx, ts)
-                )
+            events += self._setup_client(scenario)
         events.sort()
         end_time = events[-1][0] if events else 0.0
         for session_time, client_id, frame_idx, dataset_ts in events:
             self.clock.schedule_at(
                 session_time,
-                self._frame_handler(self.states[client_id], frame_idx, dataset_ts),
+                partial(self._process_frame, self.states[client_id],
+                        frame_idx, dataset_ts),
             )
         self.clock.run()
         for state in self.states.values():
             state.cpu.close_window(max(end_time, 1e-6))
         return BaselineResult(self.states, self.global_map, end_time)
-
-    def _frame_handler(self, state: BaselineClientState, frame_idx: int,
-                       dataset_ts: float):
-        def handle() -> None:
-            self._process_frame(state, frame_idx, dataset_ts)
-
-        return handle
 
     # ----------------------------------------------------------- per frame
     def _process_frame(self, state: BaselineClientState, frame_idx: int,
@@ -298,7 +276,6 @@ class BaselineSession:
         sync.serialization_ms = 40.0 * mb + 4.0
         sync.deserialization_ms = 200.0 * mb + 20.0
         state.cpu.add_serialization(len(payload))
-        link = self._links[state.client_id]
         send_at = self.clock.now
 
         def on_uploaded() -> None:
@@ -309,7 +286,7 @@ class BaselineSession:
                 lambda: self._send_partial_map(state, sync),
             )
 
-        link.uplink.send(len(payload) + 40, on_uploaded)
+        state.link.uplink.send(len(payload) + 40, on_uploaded)
 
     def _server_merge(self, state: BaselineClientState, payload: bytes,
                       sync: SyncRound) -> float:
@@ -362,7 +339,6 @@ class BaselineSession:
         payload_bytes = len(serialize_map(partial)) + sum(
             kf.nbytes() for kf in kfs
         )
-        link = self._links[state.client_id]
         sent_at = self.clock.now
 
         def on_downloaded() -> None:
@@ -377,4 +353,4 @@ class BaselineSession:
             state.rounds.append(sync)
             state.pending_round = None
 
-        link.downlink.send(payload_bytes + 40, on_downloaded)
+        state.link.downlink.send(payload_bytes + 40, on_downloaded)

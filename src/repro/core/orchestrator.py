@@ -6,24 +6,18 @@ each client process then "searches and attaches the shared memory buffer
 to its own virtual address space" and writes its keyframes/map points
 directly into it.
 
-Two tiers live here:
-
-* :class:`Orchestrator` — the original layout/lifetime validation demo:
-  each client process writes packed keyframe records into a disjoint
-  partition, the orchestrator reads them back.
-* :class:`ServingOrchestrator` — the real serving mode.  The
-  orchestrator builds a :class:`~repro.sharedmem.ShmShardedMapStore`
-  (one segment: packed map matrices + sharded record logs + lock
-  words), seeds the global map, then spawns N worker processes that
-  attach the segment and run **actual tracking** — projection search
-  through a :class:`~repro.vision.matching.FrameGrid` and Hamming
-  matching against the shared descriptor matrix — concurrently,
-  publishing keyframes back through the cross-process shard locks.
-  Because the workers are processes, not threads, the PR-2/PR-5
-  vectorized kernels run in true parallel, GIL-free.  A ``thread``
-  mode runs the identical workload on N threads of one process: the
-  honest single-process baseline that ``--procs`` benchmarks compare
-  against.
+:class:`ServingOrchestrator` is that serving mode.  The orchestrator
+builds a :class:`~repro.sharedmem.ShmShardedMapStore` (one segment:
+packed map matrices + sharded record logs + lock words), seeds the
+global map, then spawns N worker processes that attach the segment and
+run **actual tracking** — projection search through a
+:class:`~repro.vision.matching.FrameGrid` and Hamming matching against
+the shared descriptor matrix — concurrently, publishing keyframes back
+through the cross-process shard locks.  Because the workers are
+processes, not threads, the PR-2/PR-5 vectorized kernels run in true
+parallel, GIL-free.  A ``thread`` mode runs the identical workload on N
+threads of one process: the honest single-process baseline that
+``--procs`` benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -36,14 +30,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..sharedmem import SharedMemoryRegion, ShmShardedMapStore
-from ..sharedmem.records import (
-    keyframe_record_size,
-    read_keyframe_record,
-    write_keyframe_record,
-)
+from ..sharedmem import ShmShardedMapStore
 from ..slam.keyframe import KeyFrame
-from ..slam.map import IdAllocator
 from ..slam.mappoint import MapPoint
 from ..vision.camera import PinholeCamera
 from ..vision.matching import (
@@ -53,129 +41,6 @@ from ..vision.matching import (
 )
 from ..geometry import SE3
 
-HEADER_BYTES = 16  # per-partition: u64 record count, u64 bytes used
-
-
-@dataclass
-class OrchestratorConfig:
-    region_size: int = 16 * 1024 * 1024
-    partition_size: int = 4 * 1024 * 1024
-    n_features_per_keyframe: int = 50
-    keyframes_per_client: int = 5
-
-
-def _make_keyframe(client_id: int, index: int, n_features: int) -> KeyFrame:
-    """Deterministic synthetic keyframe (content checkable by the reader)."""
-    rng = np.random.default_rng(1000 * client_id + index)
-    alloc_base = IdAllocator(client_id)
-    for _ in range(index):
-        alloc_base.allocate()
-    return KeyFrame(
-        keyframe_id=alloc_base.allocate(),
-        timestamp=float(index),
-        pose_cw=SE3(np.eye(3), rng.normal(size=3)),
-        uv=rng.uniform(0, 320, size=(n_features, 2)),
-        descriptors=rng.integers(0, 256, size=(n_features, 32), dtype=np.uint8),
-        depths=rng.uniform(1, 10, size=n_features),
-        point_ids=np.full(n_features, -1, dtype=np.int64),
-        client_id=client_id,
-        bow_vector={int(w): 0.1 for w in rng.integers(0, 512, size=4)},
-    )
-
-
-def client_process_main(region_name: str, client_id: int, offset: int,
-                        config: OrchestratorConfig) -> None:
-    """Entry point of one per-client process: attach, write, detach.
-
-    Runs in a *separate OS process*; it communicates with the
-    orchestrator purely through the shared-memory region, like the
-    paper's Boost.Interprocess processes.
-    """
-    region = SharedMemoryRegion(name=region_name, create=False)
-    try:
-        buf = region.buffer
-        cursor = offset + HEADER_BYTES
-        count = 0
-        for index in range(config.keyframes_per_client):
-            kf = _make_keyframe(client_id, index, config.n_features_per_keyframe)
-            size = keyframe_record_size(len(kf), len(kf.bow_vector))
-            if cursor + size > offset + config.partition_size:
-                break
-            # Record length prefix so the reader can walk the partition.
-            buf[cursor : cursor + 8] = np.uint64(size).tobytes()
-            write_keyframe_record(buf[cursor + 8 : cursor + 8 + size], kf)
-            cursor += 8 + size
-            count += 1
-        buf[offset : offset + 8] = np.uint64(count).tobytes()
-        buf[offset + 8 : offset + 16] = np.uint64(cursor - offset).tobytes()
-    finally:
-        region.close()
-
-
-class Orchestrator:
-    """Allocates the region, launches client processes, reads results."""
-
-    def __init__(self, config: Optional[OrchestratorConfig] = None) -> None:
-        self.config = config or OrchestratorConfig()
-        self.region: Optional[SharedMemoryRegion] = None
-
-    def run(self, n_clients: int = 2) -> Dict[int, List[KeyFrame]]:
-        """Spawn ``n_clients`` real processes; return their keyframes.
-
-        Each client gets a disjoint partition of the region (offset by
-        client index); the orchestrator walks each partition after the
-        processes exit and deserializes every record zero-copy.
-        """
-        config = self.config
-        needed = n_clients * config.partition_size
-        if needed > config.region_size:
-            raise ValueError("region too small for the requested clients")
-        self.region = SharedMemoryRegion(size=config.region_size)
-        try:
-            ctx = mp.get_context("spawn")
-            processes = []
-            for client_id in range(n_clients):
-                offset = client_id * config.partition_size
-                proc = ctx.Process(
-                    target=client_process_main,
-                    args=(self.region.name, client_id, offset, config),
-                )
-                proc.start()
-                processes.append(proc)
-            for proc in processes:
-                proc.join(timeout=60)
-                if proc.exitcode != 0:
-                    raise RuntimeError(
-                        f"client process exited with {proc.exitcode}"
-                    )
-            return self._collect(n_clients)
-        finally:
-            self.region.close()
-            self.region.unlink()
-            self.region = None
-
-    def _collect(self, n_clients: int) -> Dict[int, List[KeyFrame]]:
-        buf = self.region.buffer
-        results: Dict[int, List[KeyFrame]] = {}
-        for client_id in range(n_clients):
-            offset = client_id * self.config.partition_size
-            count = int(np.frombuffer(buf[offset : offset + 8], dtype=np.uint64)[0])
-            cursor = offset + HEADER_BYTES
-            keyframes = []
-            for _ in range(count):
-                size = int(
-                    np.frombuffer(buf[cursor : cursor + 8], dtype=np.uint64)[0]
-                )
-                record = buf[cursor + 8 : cursor + 8 + size]
-                keyframes.append(read_keyframe_record(record))
-                cursor += 8 + size
-            results[client_id] = keyframes
-        return results
-
-
-# --------------------------------------------------------------------------
-# Real serving mode: N worker processes tracking against one shared arena.
-# --------------------------------------------------------------------------
 
 @dataclass
 class ServingWorkloadConfig:

@@ -496,7 +496,7 @@ class SlamShareServer:
                     merge_result, merge_ms = self._try_merge(process)
                 self._reconcile_evictions(process)
         # Real (wall-clock) cost of the hot path, alongside the
-        # simulated latency model: this is what bench_wallclock.py reads.
+        # simulated latency model (the ``server.wall_ms`` histogram).
         _wall_hist.record(
             (time.perf_counter() - wall_start) * 1e3,
             trace_id=trace_ctx.trace_id if trace_ctx else None,

@@ -28,27 +28,30 @@ frame RTTs, shed indicators and live ATE samples as they happen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import hashlib
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..datasets.registry import SyntheticDataset
-from ..geometry import SE3, Sim3, Trajectory
+from ..geometry import SE3, Sim3, Trajectory, umeyama
 from ..gpu.device import CpuCostModel, TrackingLatencyModel
 from ..gpu.scheduler import GpuScheduler
 from ..imu import GRAVITY_W, ImuBuffer, ImuDelta, preintegrate, synthesize_imu
 from ..metrics.ate import absolute_trajectory_error, associate
-from ..net import SimClock, connect
+from ..net import DuplexLink, Endpoint, SimClock, connect
 from ..net.tc import ShapingProfile
 from ..obs import get_logger, get_metrics, get_tracer, kv
-from ..vision.render import render_frame
+from ..vision.render import FeatureOracle, render_frame
 from .client import SlamShareClient
 from .config import SlamShareConfig
 from .holograms import HologramRegistry
 from .offload import (
     PLACEMENT_CLIENT,
     PLACEMENT_SERVER,
+    OffloadController,
     OffloadManager,
     PlacementDecision,
 )
@@ -105,6 +108,50 @@ class ClientScenario:
     device_cpu: Optional[CpuCostModel] = None
 
 
+def client_inputs(scenario: ClientScenario, config: SlamShareConfig,
+                  **oracle_kwargs) -> Tuple[FeatureOracle, ImuBuffer, list]:
+    """One participant's feature oracle, IMU buffer and camera schedule.
+
+    The SLAM-Share session and the baseline drive the same devices
+    through the same frames; only what becomes of a frame differs.  The
+    schedule lists ``(session_time, client_id, frame_index, dataset_ts)``
+    for every frame the camera produces.
+    """
+    dataset = scenario.dataset
+    oracle = dataset.make_oracle(
+        stereo=config.stereo, seed=scenario.oracle_seed, **oracle_kwargs
+    )
+    imu = ImuBuffer(
+        synthesize_imu(
+            dataset.ground_truth,
+            rate_hz=config.imu_rate_hz,
+            seed=scenario.imu_seed,
+        )
+    )
+    indices = range(0, dataset.n_frames, scenario.frame_stride)
+    if scenario.n_frames is not None:
+        indices = list(indices)[: scenario.n_frames]
+    timestamps = [dataset.ground_truth[i].timestamp for i in indices]
+    frames = [
+        (scenario.start_time + (ts - timestamps[0]), scenario.client_id, idx, ts)
+        for idx, ts in zip(indices, timestamps)
+    ]
+    return oracle, imu, frames
+
+
+def _pooled_rmse(est: np.ndarray, gt: np.ndarray) -> float:
+    """RMSE of pooled positions after one similarity alignment to
+    ground truth; ``inf`` while there is too little to align."""
+    if len(est) < 3:
+        return float("inf")
+    try:
+        transform = umeyama(est, gt, with_scale=True)
+    except (ValueError, np.linalg.LinAlgError):
+        return float("inf")
+    residual = np.linalg.norm(gt - transform.apply(est), axis=1)
+    return float(np.sqrt((residual ** 2).mean()))
+
+
 @dataclass
 class _FramePacket:
     """Payload of one uplink ``frame`` message."""
@@ -124,14 +171,6 @@ class _PosePacket:
     frame_no: int
     pose_cw: SE3
     captured_at: float
-
-
-@dataclass
-class _ProbePacket:
-    """Payload of one RTT ``probe`` / ``probe_ack`` round trip."""
-
-    client_id: int
-    sent_at: float
 
 
 @dataclass
@@ -155,6 +194,7 @@ class ClientOutcome:
     frames_recovered: int = 0     # deliveries that bridged a lost interval
     frames_offline: int = 0       # frames captured while disconnected
     frames_shed: int = 0          # deliveries shed by admission control
+    frames_parked: int = 0        # deliveries that landed after a disconnect
     frames_local: int = 0         # frames tracked on-device (offloading)
     frames_degraded: int = 0      # overload sheds degraded to local tracking
     frames_superseded: int = 0    # in-flight frames a handoff overtook
@@ -167,6 +207,56 @@ class ClientOutcome:
 
     def display_trajectory(self) -> Trajectory:
         return self.client.displayed_trajectory()
+
+    #: Where a captured frame can end, exactly one each: tracked
+    #: (``processed`` includes the ``local`` and ``degraded`` ones),
+    #: overtaken by a handoff, never uploaded, shed by admission, lost
+    #: on the uplink, or delivered to a parked process.
+    TERMINAL_COUNTERS = (
+        "frames_processed", "frames_superseded", "frames_offline",
+        "frames_shed", "uplink_drops", "frames_parked",
+    )
+
+    def unaccounted_frames(self) -> int:
+        """Captured frames that ended in no counter; 0 on a sound run."""
+        return self.frames_captured - sum(
+            getattr(self, name) for name in self.TERMINAL_COUNTERS
+        )
+
+
+class FrameAccountingError(RuntimeError):
+    """A finished run left frames unaccounted for or traces open."""
+
+
+@dataclass
+class ClientState:
+    """Everything the session holds for one participant.
+
+    Placement and the in-flight handoff live on ``controller``
+    (``placement`` / ``pending``), which the handoff ledger keeps.
+    """
+
+    scenario: ClientScenario
+    client: SlamShareClient
+    oracle: FeatureOracle
+    imu: ImuBuffer
+    link: DuplexLink
+    device_ep: Endpoint
+    server_ep: Endpoint
+    outcome: ClientOutcome
+    controller: OffloadController
+    device_model: TrackingLatencyModel   # on-device tracking latency
+    prev_ts: Optional[float] = None        # last frame the *client* captured
+    imu_anchor_ts: Optional[float] = None  # last frame the *tracker* received
+    frame_no: int = 0
+    connected: bool = True
+
+    def advance_anchor(self, timestamp: float) -> None:
+        """Move the tracker's IMU anchor forward to ``timestamp``."""
+        anchor = self.imu_anchor_ts
+        self.imu_anchor_ts = (
+            timestamp if anchor is None else max(anchor, timestamp)
+        )
 
 
 @dataclass
@@ -220,22 +310,46 @@ class SessionResult:
                 pooled.append((t + start, e, g))
         pooled.sort(key=lambda item: item[0])
         series = []
-        from ..geometry import umeyama
-
         for t in eval_times:
             prefix = [(e, g) for (ts, e, g) in pooled if ts <= t]
-            if len(prefix) < 3:
-                series.append((float(t), float("inf")))
-                continue
             est = np.array([e for e, _ in prefix])
             gt = np.array([g for _, g in prefix])
-            try:
-                transform = umeyama(est, gt, with_scale=True)
-                residual = np.linalg.norm(gt - transform.apply(est), axis=1)
-                series.append((float(t), float(np.sqrt((residual ** 2).mean()))))
-            except (ValueError, np.linalg.LinAlgError):
-                series.append((float(t), float("inf")))
+            series.append((float(t), _pooled_rmse(est, gt)))
         return series
+
+    def digest(self) -> str:
+        """SHA-256 of everything a seeded run determines.
+
+        Trajectories, frame accounting, modeled latencies, merge events,
+        the global map's ids and the store's occupancy — nothing derived
+        from the wall clock, so equal configs give equal digests across
+        reruns and store backends.
+        """
+        sha = hashlib.sha256()
+
+        def feed(*values) -> None:
+            for value in values:
+                array = np.asarray(value, dtype=np.float64)
+                sha.update(repr(array.shape).encode() + array.tobytes())
+
+        for cid in sorted(self.outcomes):
+            outcome = self.outcomes[cid]
+            for trajectory in (self.server.client_trajectory(cid),
+                               outcome.display_trajectory()):
+                feed(trajectory.timestamps, trajectory.positions,
+                     trajectory.orientations)
+            counters = [getattr(outcome, f.name) for f in fields(outcome)]
+            feed([c for c in counters if isinstance(c, int)],
+                 outcome.pose_rtts_ms, outcome.tracking_latencies_ms)
+        for merge in self.merges:
+            transform = merge.transform
+            feed(merge.session_time, merge.client_id, merge.n_fused_points,
+                 transform.rotation, transform.translation, transform.scale)
+        feed(sorted(self.server.global_map.keyframes),
+             sorted(self.server.global_map.mappoints),
+             [[row["n_keyframes"], row["n_mappoints"], row["record_bytes"],
+               row["writes"]] for row in self.server.store.shard_stats()])
+        return sha.hexdigest()
 
     def client_frame(self, client_id: int) -> Sim3:
         """Mapping from a client's current frame to the true world frame.
@@ -244,15 +358,35 @@ class SessionResult:
         ground truth — i.e. how this client's coordinates relate to
         reality.  Used by the hologram-consistency experiment.
         """
-        outcome = self.outcomes[client_id]
-        result = absolute_trajectory_error(
-            outcome.display_trajectory(), outcome.scenario.dataset.ground_truth
-        )
+        result = self.client_ate(client_id, use_display=True)
         return result.transform if result.transform is not None else Sim3.identity()
 
 
 class SlamShareSession:
-    """Builds and runs one multi-client SLAM-Share session."""
+    """Builds and runs one multi-client SLAM-Share session.
+
+    Per client the session keeps one :class:`ClientState` record; every
+    message delivered on that client's endpoints is dispatched through
+    :attr:`MESSAGE_HANDLERS` to a method called as
+    ``handler(state, message)``.
+    """
+
+    #: ``(endpoint side, message type) -> handler method``.  ``frame`` and
+    #: ``pose`` are the data plane.  Probes measure the link RTT even
+    #: while tracking runs on-device (pose round trips stop under client
+    #: placement, so the controller would otherwise fly blind); map_sync
+    #: carries keyframe publications up from a locally tracking client;
+    #: handoff commits a placement flip at reliable delivery on the
+    #: receiving side, whichever side that is.
+    MESSAGE_HANDLERS = {
+        ("server", "frame"): "_on_frame",
+        ("device", "pose"): "_on_pose",
+        ("server", "probe"): "_on_probe",
+        ("device", "probe_ack"): "_on_probe_ack",
+        ("server", "map_sync"): "_on_map_sync",
+        ("server", "handoff"): "_on_handoff",
+        ("device", "handoff"): "_on_handoff",
+    }
 
     def __init__(
         self,
@@ -287,12 +421,10 @@ class SlamShareSession:
         # into this session's mean/p99 latencies.
         self.scheduler.reset()
         self.holograms = HologramRegistry()
+        self.clients: Dict[int, ClientState] = {}
         self.outcomes: Dict[int, ClientOutcome] = {}
         self.merges: List[MergeEvent] = []
         self.live_global_ate: List[Tuple[float, float]] = []
-        self._links = {}
-        self._endpoints = {}
-        self._per_client: Dict[int, Dict[str, Any]] = {}
         # Optional SLO engine (repro.obs.slo): fed frame RTTs, shed
         # indicators and ATE samples when attached; None costs nothing.
         self.slo = None
@@ -301,73 +433,40 @@ class SlamShareSession:
         # probes are scheduled and no handoff ever fires, so behavior
         # is identical to the pre-offload session.
         self.offload = OffloadManager(self.config.serving.offload)
-        self._end_time = 0.0
 
     # -------------------------------------------------------------- setup
-    def _setup_client(self, scenario: ClientScenario) -> Dict[str, Any]:
-        dataset = scenario.dataset
-        t0_pose = dataset.pose_cw(0)
+    def _setup_client(self, scenario: ClientScenario) -> list:
+        """Build one client's record; returns its camera-frame schedule."""
+        cid = scenario.client_id
+        t0_pose = scenario.dataset.pose_cw(0)
         # The server map frame *is* the client's first camera frame
         # (bootstrap pose = identity), so the client's motion model
         # starts at the origin of that frame; gravity is rotated into it.
         gravity_map = t0_pose.rotation @ GRAVITY_W
-        client = SlamShareClient(
-            scenario.client_id, self.config, SE3.identity(), gravity_map
-        )
-        self.server.add_client(scenario.client_id, gravity_map)
+        client = SlamShareClient(cid, self.config, SE3.identity(), gravity_map)
+        self.server.add_client(cid, gravity_map)
         shaping = scenario.shaping or self.config.shaping
-        link = shaping.build(self.clock, seed=50 + scenario.client_id)
-        device_ep, server_ep = connect(
-            f"device-{scenario.client_id}", "edge-server", self.clock, link,
-            arq=self.config.reliability,
-        )
-        self._links[scenario.client_id] = link
-        self._endpoints[scenario.client_id] = (device_ep, server_ep)
-        oracle = dataset.make_oracle(
-            stereo=self.config.stereo, seed=scenario.oracle_seed
-        )
-        imu = ImuBuffer(
-            synthesize_imu(
-                dataset.ground_truth,
-                rate_hz=self.config.imu_rate_hz,
-                seed=scenario.imu_seed,
-            )
-        )
-        self.outcomes[scenario.client_id] = ClientOutcome(scenario, client)
-        controller = self.offload.controller(scenario.client_id)
-        state: Dict[str, Any] = {
-            "client": client,
-            "oracle": oracle,
-            "imu": imu,
-            "scenario": scenario,
-            "prev_ts": None,          # last frame the *client* captured
-            "imu_anchor_ts": None,    # last frame the *tracker* received
-            "frame_no": 0,
-            "connected": True,
-            # --- adaptive offloading
-            "placement": controller.placement,
-            "handoff_inflight": False,
-            "device_model": TrackingLatencyModel(
-                cpu=scenario.device_cpu or self.config.client_cpu_model
-            ),
-        }
-        self._per_client[scenario.client_id] = state
+        link = shaping.build(self.clock, seed=50 + cid)
         # Session traffic flows through the endpoint layer so transport
         # metrics (net.messages_sent / bytes / latency) see it.
-        server_ep.on("frame", self._make_server_frame_handler(state))
-        device_ep.on("pose", self._make_client_pose_handler(state))
-        # Offload control plane.  Probes measure the link RTT even while
-        # tracking runs on-device (pose round trips stop under client
-        # placement, so the controller would otherwise fly blind);
-        # map_sync carries keyframe publications up from a locally
-        # tracking client; handoff commits a placement flip at reliable
-        # delivery on the receiving side.
-        server_ep.on("probe", self._make_probe_echo(state))
-        device_ep.on("probe_ack", self._make_probe_ack_handler(state))
-        server_ep.on("map_sync", lambda message: None)
-        server_ep.on("handoff", self._make_handoff_commit(state))
-        device_ep.on("handoff", self._make_handoff_commit(state))
-        return state
+        device_ep, server_ep = connect(
+            f"device-{cid}", "edge-server", self.clock, link,
+            arq=self.config.reliability,
+        )
+        oracle, imu, frames = client_inputs(scenario, self.config)
+        outcome = self.outcomes[cid] = ClientOutcome(scenario, client)
+        state = self.clients[cid] = ClientState(
+            scenario=scenario, client=client, oracle=oracle, imu=imu,
+            link=link, device_ep=device_ep, server_ep=server_ep,
+            outcome=outcome, controller=self.offload.controller(cid),
+            device_model=TrackingLatencyModel(
+                cpu=scenario.device_cpu or self.config.client_cpu_model
+            ),
+        )
+        endpoints = {"device": device_ep, "server": server_ep}
+        for (side, msg_type), handler in self.MESSAGE_HANDLERS.items():
+            endpoints[side].on(msg_type, partial(getattr(self, handler), state))
+        return frames
 
     # ---------------------------------------------------------------- run
     def run(self) -> SessionResult:
@@ -383,20 +482,9 @@ class SlamShareSession:
         )
         events = []  # (session_time, client_id, frame_index, dataset_ts)
         for scenario in self.scenarios:
-            self._setup_client(scenario)
-            dataset = scenario.dataset
-            indices = range(0, dataset.n_frames, scenario.frame_stride)
-            if scenario.n_frames is not None:
-                indices = list(indices)[: scenario.n_frames]
-            timestamps = [dataset.ground_truth[i].timestamp for i in indices]
-            for idx, ts in zip(indices, timestamps):
-                events.append(
-                    (scenario.start_time + (ts - timestamps[0]), scenario.client_id,
-                     idx, ts)
-                )
+            events += self._setup_client(scenario)
         events.sort()
         end_time = events[-1][0] if events else 0.0
-        self._end_time = end_time
 
         # Close the observability loop: SLO breach/recover edges feed
         # every offload controller (no-op under static policies).
@@ -405,32 +493,30 @@ class SlamShareSession:
         # RTT probes are scheduled up front at fixed times — the clock
         # drains *all* events, so self-rescheduling probes would spin
         # the run forever.  Static policies send no probes at all.
-        if self.config.serving.offload.is_adaptive:
-            interval = self.config.serving.offload.probe_interval_s
-            for scenario in self.scenarios:
-                t = scenario.start_time + interval
+        if config.serving.offload.is_adaptive:
+            interval = config.serving.offload.probe_interval_s
+            for state in self.clients.values():
+                t = state.scenario.start_time + interval
                 while t < end_time:
-                    self.clock.schedule_at(
-                        t,
-                        lambda cid=scenario.client_id: self._send_probe(cid),
-                    )
+                    self.clock.schedule_at(t, partial(self._send_probe, state))
                     t += interval
 
         for session_time, client_id, frame_idx, dataset_ts in events:
-            state = self._per_client[client_id]
+            # _process_frame is looked up when the frame fires, so a
+            # wrapper installed on the instance sees every frame.
+            state = self.clients[client_id]
             self.clock.schedule_at(
                 session_time,
-                self._make_frame_handler(state, frame_idx, dataset_ts),
+                lambda s=state, i=frame_idx, t=dataset_ts: self._process_frame(s, i, t),
             )
         for scenario in self.scenarios:
             for disconnect_at, rejoin_at in scenario.offline_windows:
                 cid = scenario.client_id
                 self.clock.schedule_at(
-                    disconnect_at,
-                    lambda cid=cid: self.disconnect_client(cid),
+                    disconnect_at, partial(self.disconnect_client, cid)
                 )
                 self.clock.schedule_at(
-                    rejoin_at, lambda cid=cid: self.rejoin_client(cid)
+                    rejoin_at, partial(self.rejoin_client, cid)
                 )
         if self.ate_sample_interval is not None:
             t = self.ate_sample_interval
@@ -443,16 +529,17 @@ class SlamShareSession:
         # so the trace has no dangling roots.
         if _tracer.enabled:
             _tracer.close_open_traces(status="unfinished")
+        self._check_run_end()
         # Close CPU accounting windows.
-        for client_id, state in self._per_client.items():
-            state["client"].cpu.close_window(max(end_time, 1e-6))
+        for state in self.clients.values():
+            state.client.cpu.close_window(max(end_time, 1e-6))
         _log.info(
             "session done: %s",
             kv(duration_s=end_time, merges=len(self.merges),
                keyframes=self.server.global_map.n_keyframes),
         )
-        if self.config.serving.snapshot_path:
-            self.server.save_snapshot(self.config.serving.snapshot_path)
+        if config.serving.snapshot_path:
+            self.server.save_snapshot(config.serving.snapshot_path)
         return SessionResult(
             config=config,
             server=self.server,
@@ -464,6 +551,23 @@ class SlamShareSession:
             offload=self.offload,
         )
 
+    def _check_run_end(self) -> None:
+        """Fail the run if a frame vanished or a trace stayed open."""
+        problems = [
+            f"client {cid}: {outcome.unaccounted_frames()} of "
+            f"{outcome.frames_captured} captured frames unaccounted ("
+            + " ".join(f"{name}={getattr(outcome, name)}"
+                       for name in outcome.TERMINAL_COUNTERS) + ")"
+            for cid, outcome in self.outcomes.items()
+            if outcome.unaccounted_frames() != 0
+        ]
+        if _tracer.open_trace_count():
+            problems.append(
+                f"{_tracer.open_trace_count()} frame traces still open"
+            )
+        if problems:
+            raise FrameAccountingError("; ".join(problems))
+
     def _sample_global_ate(self) -> None:
         """Snapshot the pooled global-map ATE at the current sim time.
 
@@ -471,8 +575,6 @@ class SlamShareSession:
         here, so joins show up as spikes (Fig. 10a) that collapse once
         the merge lands.
         """
-        from ..geometry import umeyama
-
         est_rows = []
         gt_rows = []
         for outcome in self.outcomes.values():
@@ -486,38 +588,29 @@ class SlamShareSession:
         if not est_rows:
             return
         est = np.vstack(est_rows)
-        gt = np.vstack(gt_rows)
         if len(est) < 3:
             return
-        try:
-            transform = umeyama(est, gt, with_scale=True)
-            residual = np.linalg.norm(gt - transform.apply(est), axis=1)
-            rmse = float(np.sqrt((residual ** 2).mean()))
-        except (ValueError, np.linalg.LinAlgError):
-            rmse = float("inf")
+        rmse = _pooled_rmse(est, np.vstack(gt_rows))
         self.live_global_ate.append((self.clock.now, rmse))
         if self.slo is not None and np.isfinite(rmse):
             self.slo.observe("tracking.ate_m", rmse)
 
     # ------------------------------------------------------ frame handling
-    def _make_frame_handler(self, state, frame_idx: int, dataset_ts: float):
-        def handle() -> None:
-            self._process_frame(state, frame_idx, dataset_ts)
-
-        return handle
-
-    def _process_frame(self, state, frame_idx: int, dataset_ts: float) -> None:
-        scenario: ClientScenario = state["scenario"]
-        client: SlamShareClient = state["client"]
+    def _process_frame(self, state: ClientState, frame_idx: int,
+                       dataset_ts: float) -> None:
+        """Device side of one camera frame: capture, then upload or track."""
+        scenario = state.scenario
+        client = state.client
         dataset = scenario.dataset
-        outcome = self.outcomes[scenario.client_id]
+        outcome = state.outcome
         # 1) client: IMU advance + video encode.  The client's own motion
         # model always integrates the local inter-frame interval.
         client_delta = None
-        if state["prev_ts"] is not None:
-            client_delta = preintegrate(state["imu"], state["prev_ts"], dataset_ts)
+        if state.prev_ts is not None:
+            client_delta = preintegrate(state.imu, state.prev_ts, dataset_ts)
         pixels = None
-        local = state["placement"] == PLACEMENT_CLIENT
+        placement = state.controller.placement
+        local = placement == PLACEMENT_CLIENT
         if self.config.render_video_frames and not local:
             # Under client placement nothing is uploaded, so no video is
             # encoded — that bandwidth saving is half the point of
@@ -530,13 +623,13 @@ class SlamShareSession:
                 rng=np.random.default_rng(1000 + frame_idx),
             ).pixels
         upload = client.capture_frame(dataset_ts, client_delta, pixels=pixels)
-        prev_ts = state["prev_ts"]
-        state["prev_ts"] = dataset_ts
-        frame_no = state["frame_no"]
-        state["frame_no"] += 1
+        prev_ts = state.prev_ts
+        state.prev_ts = dataset_ts
+        frame_no = state.frame_no
+        state.frame_no += 1
         outcome.frames_captured += 1
 
-        if not state["connected"]:
+        if not state.connected:
             # Radio off: the device keeps dead-reckoning on IMU for its
             # display; nothing is uploaded, and the server-bound IMU
             # interval stays anchored at the last delivered frame so the
@@ -547,12 +640,12 @@ class SlamShareSession:
         # 2) the server-bound IMU delta spans back to the last *delivered*
         # frame: an interval lost to an uplink drop accumulates into the
         # next upload instead of vanishing (Alg. 1's C_IMU survives loss).
-        anchor = state["imu_anchor_ts"]
+        anchor = state.imu_anchor_ts
         if anchor is None:
             upload_delta = None
             bridged_s = 0.0
         elif prev_ts is not None and anchor < prev_ts - 1e-12:
-            upload_delta = preintegrate(state["imu"], anchor, dataset_ts)
+            upload_delta = preintegrate(state.imu, anchor, dataset_ts)
             bridged_s = prev_ts - anchor
         else:
             upload_delta = client_delta
@@ -561,10 +654,9 @@ class SlamShareSession:
         # 3) observations travel with the (simulated) video payload,
         # framed through the endpoint layer (best-effort: a stale frame
         # is not worth retransmitting, IMU bridges the gap instead).
-        observations = state["oracle"].observe(
+        observations = state.oracle.observe(
             dataset.world.positions, dataset.world.ids, dataset.pose_cw(frame_idx)
         )
-        device_ep, _ = self._endpoints[scenario.client_id]
         packet = _FramePacket(
             frame_no=frame_no,
             dataset_ts=dataset_ts,
@@ -580,240 +672,128 @@ class SlamShareSession:
         ctx = _tracer.open_trace(
             "frame.lifecycle", tid=f"client-{scenario.client_id}",
             client_id=scenario.client_id, frame=frame_no,
-            placement=state["placement"],
+            placement=placement,
         )
 
         if local:
             # Tracking currently lives on this device: no uplink at all,
             # the frame goes straight into the migrated front-end.
-            self._track_locally(state, packet, ctx)
+            outcome.frames_local += 1
+            self.offload.note_local_frame()
+            self._track(state, packet, ctx, on_device=True)
             return
 
-        def on_uplink_dropped(message) -> None:
-            outcome.uplink_drops += 1
-            _uplink_drops_total.inc()
-            _tracer.close_trace(ctx, status="uplink_dropped")
-
         _frames_uploaded.inc()
-        device_ep.send(
+        state.device_ep.send(
             "frame", upload.video_bytes, payload=packet,
-            on_dropped=on_uplink_dropped, trace=ctx,
+            on_dropped=partial(self._on_uplink_dropped, state), trace=ctx,
         )
 
-    def _make_server_frame_handler(self, state):
-        """Server-side processing of one delivered ``frame`` message."""
-        scenario: ClientScenario = state["scenario"]
-        client: SlamShareClient = state["client"]
-        outcome = self.outcomes[scenario.client_id]
+    def _on_uplink_dropped(self, state: ClientState, message) -> None:
+        state.outcome.uplink_drops += 1
+        _uplink_drops_total.inc()
+        _tracer.close_trace(message.trace, status="uplink_dropped")
 
-        def on_frame(message) -> None:
-            ctx = message.trace
-            if not state["connected"] or self.server.is_parked(scenario.client_id):
-                # in-flight frame landed after the disconnect
-                _tracer.close_trace(ctx, status="parked")
-                return
-            packet: _FramePacket = message.payload
-            # A server->client handoff committed while this frame was in
-            # flight.  If a locally tracked frame already overtook it the
-            # tracker's timeline has moved past it — skip it (its IMU
-            # interval folds into the next local delta, so continuity
-            # holds); otherwise it is still the newest frame and tracking
-            # it server-side is both safe and gap-free.
-            anchor = state["imu_anchor_ts"]
-            if anchor is not None and packet.dataset_ts <= anchor + 1e-12:
-                outcome.frames_superseded += 1
-                _tracer.close_trace(ctx, status="superseded")
-                return
-            # Admission control: shed stale or over-queue frames before
-            # spending any tracking compute on them.  The IMU anchor is
-            # left untouched, so the next admitted frame's delta bridges
-            # the shed interval exactly like an uplink drop.
-            with _tracer.child_span(
-                ctx, "server.admission", client_id=scenario.client_id
-            ) as admission_span:
-                admit = self.server.try_admit(
-                    scenario.client_id,
-                    age_s=self.clock.now - packet.captured_at,
-                )
-                admission_span.set(decision=admit)
-            controller = self.offload.controller(scenario.client_id)
-            controller.observe_admission(admit == "ok", self.clock.now)
-            if self.slo is not None:
-                self.slo.observe(
-                    "frames.shed_rate", 0.0 if admit == "ok" else 1.0
-                )
-            if admit == "overload" and controller.config.is_adaptive:
-                # Graceful degradation: instead of discarding the frame,
-                # run it through the device front-end.  The admission
-                # queue stays bounded and the client keeps fresh poses —
-                # overload now costs latency, not continuity.
-                outcome.frames_degraded += 1
-                self.offload.note_degraded()
-                self._track_locally(state, packet, ctx, degraded=True)
-                self._evaluate_offload(scenario.client_id)
-                return
-            if admit != "ok":
-                outcome.frames_shed += 1
-                _frames_shed_total.inc()
-                _tracer.close_trace(ctx, status=admit)
-                self._evaluate_offload(scenario.client_id)
-                return
-            if packet.bridged_s > 0:
-                # This delivery's delta recovered intervals lost upstream.
-                outcome.frames_recovered += 1
-                _frames_recovered.inc()
-                _gap_hist.record(packet.bridged_s * 1e3)
-            anchor = state["imu_anchor_ts"]
-            state["imu_anchor_ts"] = (
-                packet.dataset_ts if anchor is None
-                else max(anchor, packet.dataset_ts)
+    def _on_frame(self, state: ClientState, message) -> None:
+        """Server side of one delivered ``frame`` message."""
+        cid = state.scenario.client_id
+        outcome = state.outcome
+        ctx = message.trace
+        if not state.connected or self.server.is_parked(cid):
+            # in-flight frame landed after the disconnect
+            outcome.frames_parked += 1
+            _tracer.close_trace(ctx, status="parked")
+            return
+        packet: _FramePacket = message.payload
+        # A server->client handoff committed while this frame was in
+        # flight.  If a locally tracked frame already overtook it the
+        # tracker's timeline has moved past it — skip it (its IMU
+        # interval folds into the next local delta, so continuity
+        # holds); otherwise it is still the newest frame and tracking
+        # it server-side is both safe and gap-free.
+        anchor = state.imu_anchor_ts
+        if anchor is not None and packet.dataset_ts <= anchor + 1e-12:
+            outcome.frames_superseded += 1
+            _tracer.close_trace(ctx, status="superseded")
+            return
+        # Admission control: shed stale or over-queue frames before
+        # spending any tracking compute on them.  The IMU anchor is
+        # left untouched, so the next admitted frame's delta bridges
+        # the shed interval exactly like an uplink drop.
+        with _tracer.child_span(
+            ctx, "server.admission", client_id=cid
+        ) as admission_span:
+            admit = self.server.try_admit(
+                cid, age_s=self.clock.now - packet.captured_at,
             )
-            # server tracking (GPU-accelerated, possibly shared).
-            result = self.server.process_frame(
-                scenario.client_id, packet.dataset_ts, packet.observations,
-                imu_delta=packet.imu_delta, trace_ctx=ctx,
+            admission_span.set(decision=admit)
+        controller = state.controller
+        controller.observe_admission(admit == "ok", self.clock.now)
+        if self.slo is not None:
+            self.slo.observe(
+                "frames.shed_rate", 0.0 if admit == "ok" else 1.0
             )
-            outcome.frames_processed += 1
-            if not result.tracking_success:
-                outcome.frames_lost += 1
-            outcome.tracking_latencies_ms.append(result.latency.total)
-            if result.merge is not None:
-                self.merges.append(
-                    MergeEvent(
-                        session_time=self.clock.now,
-                        client_id=scenario.client_id,
-                        merge_ms=result.merge_ms,
-                        n_fused_points=result.merge.n_fused_points,
-                        transform=result.merge.transform,
-                    )
-                )
-                client.apply_merge_transform(
-                    result.merge.transform,
-                    result.merge.transform.rotation @ client.motion_model.gravity,
-                )
-            if result.pose_cw is None:
-                self.server.release_frame(scenario.client_id)
-                _tracer.close_trace(ctx, status="no_pose")
-                return
-            pose = result.pose_cw
-            track_s = result.latency.total / 1e3
+        if admit == "overload" and controller.config.is_adaptive:
+            # Graceful degradation: instead of discarding the frame,
+            # run it through the device front-end.  The admission
+            # queue stays bounded and the client keeps fresh poses —
+            # overload now costs latency, not continuity.
+            outcome.frames_degraded += 1
+            self.offload.note_degraded()
+            self._track(state, packet, ctx, on_device=True)
+            self._evaluate_offload(state)
+            return
+        if admit != "ok":
+            outcome.frames_shed += 1
+            _frames_shed_total.inc()
+            _tracer.close_trace(ctx, status=admit)
+            self._evaluate_offload(state)
+            return
+        self._track(state, packet, ctx, on_device=False)
 
-            def finish_frame() -> None:
-                # GPU dispatch (possibly batched with other clients'
-                # kernels) completed: free the admission slot and return
-                # the pose downstream.
-                self.server.release_frame(scenario.client_id)
-                if not state["connected"]:
-                    _tracer.close_trace(ctx, status="offline")
-                    return
-                _, server_ep = self._endpoints[scenario.client_id]
+    def _track(self, state: ClientState, packet: _FramePacket, ctx,
+               on_device: bool) -> None:
+        """Track one frame in the client's SLAM process (Fig. 3 steps 3-7).
 
-                def on_pose_dropped(m) -> None:
-                    outcome.pose_drops += 1
-                    _tracer.close_trace(ctx, status="pose_dropped")
-
-                server_ep.send(
-                    "pose", 128,
-                    payload=_PosePacket(packet.frame_no, pose,
-                                        packet.captured_at),
-                    on_dropped=on_pose_dropped, trace=ctx,
-                )
-
-            # Under backend="gpu" on real hardware the tracker reports a
-            # *measured* device-kernel wall time; the scheduler then
-            # plays that measurement instead of the calibrated model
-            # (which remains the no-hardware simulation path).
-            self.scheduler.submit(
-                scenario.client_id, track_s, on_done=finish_frame, trace=ctx,
-                measured_s=(
-                    result.measured_kernel_ms / 1e3
-                    if result.measured_kernel_ms is not None
-                    else None
-                ),
-            )
-            self._evaluate_offload(scenario.client_id)
-
-        return on_frame
-
-    def _make_client_pose_handler(self, state):
-        """Client-side fusion of one delivered ``pose`` message."""
-        client: SlamShareClient = state["client"]
-        outcome = self.outcomes[state["scenario"].client_id]
-
-        def on_pose(message) -> None:
-            if not state["connected"]:
-                # pose landed while the radio was off
-                _tracer.close_trace(message.trace, status="offline")
-                return
-            packet: _PosePacket = message.payload
-            client.receive_server_pose(packet.frame_no, packet.pose_cw)
-            rtt_ms = (self.clock.now - packet.captured_at) * 1e3
-            outcome.pose_rtts_ms.append(rtt_ms)
-            trace_id = message.trace.trace_id if message.trace else None
-            _pose_rtt_hist.record(rtt_ms, trace_id=trace_id)
-            _tracer.close_trace(
-                message.trace, status="complete", rtt_ms=rtt_ms
-            )
-            if self.slo is not None:
-                self.slo.observe("frame.p95_ms", rtt_ms)
-                self.slo.maybe_evaluate()
-            cid = state["scenario"].client_id
-            self.offload.controller(cid).observe_rtt(rtt_ms, self.clock.now)
-            self._evaluate_offload(cid)
-
-        return on_pose
-
-    # ---------------------------------------------------- adaptive offload
-    def _track_locally(self, state, packet: _FramePacket, ctx,
-                       degraded: bool = False) -> None:
-        """Run one frame through the migrated on-device front-end.
-
-        The per-client SLAM process is conceptually *on the device* now
-        (or, for ``degraded`` overload sheds, borrowed for this frame):
-        tracking latency comes from the device CPU model, no admission
-        slot or GPU dispatch is involved, and the pose reaches the
-        display after that local latency with zero network hops.
-        Keyframe publications still belong to the shared global map, so
-        their bytes are charged to the uplink as a reliable ``map_sync``
-        transfer.
+        The process is the same wherever it runs; ``on_device`` decides
+        what tracking costs and how the pose travels back.  Server side
+        it is the shared GPU, then the downlink.  On the device — a
+        migrated client, or an overload shed borrowing the device
+        front-end for one frame — it is the device CPU model, no
+        admission slot or GPU dispatch, and the pose reaches the display
+        after that local latency with zero network hops.
         """
-        scenario: ClientScenario = state["scenario"]
-        client: SlamShareClient = state["client"]
-        outcome = self.outcomes[scenario.client_id]
+        cid = state.scenario.client_id
+        client = state.client
+        outcome = state.outcome
         if packet.bridged_s > 0:
+            # This delivery's delta recovered intervals lost upstream.
             outcome.frames_recovered += 1
             _frames_recovered.inc()
             _gap_hist.record(packet.bridged_s * 1e3)
-        anchor = state["imu_anchor_ts"]
-        state["imu_anchor_ts"] = (
-            packet.dataset_ts if anchor is None
-            else max(anchor, packet.dataset_ts)
-        )
+        state.advance_anchor(packet.dataset_ts)
         result = self.server.process_frame(
-            scenario.client_id, packet.dataset_ts, packet.observations,
+            cid, packet.dataset_ts, packet.observations,
             imu_delta=packet.imu_delta, trace_ctx=ctx,
-            placement=PLACEMENT_CLIENT, device_model=state["device_model"],
+            placement=PLACEMENT_CLIENT if on_device else PLACEMENT_SERVER,
+            device_model=state.device_model,
         )
         outcome.frames_processed += 1
-        if degraded:
-            pass  # counted by the caller (frames_degraded)
-        else:
-            outcome.frames_local += 1
-            self.offload.note_local_frame()
         if not result.tracking_success:
             outcome.frames_lost += 1
         outcome.tracking_latencies_ms.append(result.latency.total)
-        outcome.local_latencies_ms.append(result.latency.total)
-        # On-device full-SLAM work hits the device CPU budget.
-        client.cpu.add_full_slam_frame(
-            int(self.config.slam.tracker.image_pixels),
-            len(packet.observations),
-        )
+        if on_device:
+            outcome.local_latencies_ms.append(result.latency.total)
+            # On-device full-SLAM work hits the device CPU budget.
+            client.cpu.add_full_slam_frame(
+                int(self.config.slam.tracker.image_pixels),
+                len(packet.observations),
+            )
         if result.merge is not None:
             self.merges.append(
                 MergeEvent(
                     session_time=self.clock.now,
-                    client_id=scenario.client_id,
+                    client_id=cid,
                     merge_ms=result.merge_ms,
                     n_fused_points=result.merge.n_fused_points,
                     transform=result.merge.transform,
@@ -823,58 +803,104 @@ class SlamShareSession:
                 result.merge.transform,
                 result.merge.transform.rotation @ client.motion_model.gravity,
             )
-        if result.store_bytes_written > 0 and state["connected"]:
+        if on_device and result.store_bytes_written > 0 and state.connected:
             # The published keyframe must still reach the shared store:
             # under client placement that costs uplink bytes (reliable —
             # map data, unlike a stale frame, is worth retransmitting).
-            device_ep, _ = self._endpoints[scenario.client_id]
-            device_ep.send(
+            state.device_ep.send(
                 "map_sync", result.store_bytes_written, reliable=True,
             )
         if result.pose_cw is None:
+            if not on_device:
+                self.server.release_frame(cid)
             _tracer.close_trace(ctx, status="no_pose")
             return
-        pose = result.pose_cw
-        latency_s = result.latency.total / 1e3
-        frame_no = packet.frame_no
-        captured_at = packet.captured_at
-
-        def finish_local() -> None:
-            if not state["connected"]:
-                _tracer.close_trace(ctx, status="offline")
-                return
-            client.receive_server_pose(frame_no, pose)
-            rtt_ms = (self.clock.now - captured_at) * 1e3
-            outcome.pose_rtts_ms.append(rtt_ms)
-            _pose_rtt_hist.record(
-                rtt_ms, trace_id=ctx.trace_id if ctx else None
+        pose = _PosePacket(packet.frame_no, result.pose_cw, packet.captured_at)
+        if on_device:
+            self.clock.schedule(
+                result.latency.total / 1e3,
+                partial(self._fuse_pose, state, pose, ctx,
+                        local_ms=result.latency.total),
             )
-            _tracer.close_trace(
-                ctx, status="complete", rtt_ms=rtt_ms,
-                placement=PLACEMENT_CLIENT,
-            )
-            if self.slo is not None:
-                self.slo.observe("frame.p95_ms", rtt_ms)
-                self.slo.maybe_evaluate()
-            controller = self.offload.controller(scenario.client_id)
-            controller.observe_local_ms(result.latency.total, self.clock.now)
-            self._evaluate_offload(scenario.client_id)
+            return
+        # Under backend="gpu" on real hardware the tracker reports a
+        # *measured* device-kernel wall time; the scheduler then plays
+        # that measurement instead of the calibrated model (which
+        # remains the no-hardware simulation path).
+        self.scheduler.submit(
+            cid, result.latency.total / 1e3,
+            on_done=partial(self._send_pose, state, pose, ctx), trace=ctx,
+            measured_s=(
+                result.measured_kernel_ms / 1e3
+                if result.measured_kernel_ms is not None
+                else None
+            ),
+        )
+        self._evaluate_offload(state)
 
-        self.clock.schedule(latency_s, finish_local)
+    def _send_pose(self, state: ClientState, pose: _PosePacket, ctx) -> None:
+        """GPU dispatch (possibly batched with other clients' kernels)
+        completed: free the admission slot and return the pose downstream."""
+        self.server.release_frame(state.scenario.client_id)
+        if not state.connected:
+            _tracer.close_trace(ctx, status="offline")
+            return
+        state.server_ep.send(
+            "pose", 128, payload=pose,
+            on_dropped=partial(self._on_pose_dropped, state), trace=ctx,
+        )
 
-    def _evaluate_offload(self, client_id: int) -> None:
+    def _on_pose_dropped(self, state: ClientState, message) -> None:
+        state.outcome.pose_drops += 1
+        _tracer.close_trace(message.trace, status="pose_dropped")
+
+    def _on_pose(self, state: ClientState, message) -> None:
+        """Client side of one delivered ``pose`` message."""
+        self._fuse_pose(state, message.payload, message.trace)
+
+    def _fuse_pose(self, state: ClientState, pose: _PosePacket, ctx,
+                   local_ms: Optional[float] = None) -> None:
+        """Fuse a tracked pose into the client's motion model (Alg. 1).
+
+        ``local_ms`` is the on-device tracking latency when the pose
+        never crossed the network; the controller then learns that
+        instead of a link round trip.
+        """
+        if not state.connected:
+            # pose became ready while the radio was off
+            _tracer.close_trace(ctx, status="offline")
+            return
+        outcome = state.outcome
+        state.client.receive_server_pose(pose.frame_no, pose.pose_cw)
+        rtt_ms = (self.clock.now - pose.captured_at) * 1e3
+        outcome.pose_rtts_ms.append(rtt_ms)
+        _pose_rtt_hist.record(rtt_ms, trace_id=ctx.trace_id if ctx else None)
+        # A degraded frame was captured under server placement; its
+        # trace ends saying where it was actually tracked.
+        where = {} if local_ms is None else {"placement": PLACEMENT_CLIENT}
+        _tracer.close_trace(ctx, status="complete", rtt_ms=rtt_ms, **where)
+        if self.slo is not None:
+            self.slo.observe("frame.p95_ms", rtt_ms)
+            self.slo.maybe_evaluate()
+        if local_ms is None:
+            state.controller.observe_rtt(rtt_ms, self.clock.now)
+        else:
+            state.controller.observe_local_ms(local_ms, self.clock.now)
+        self._evaluate_offload(state)
+
+    # ---------------------------------------------------- adaptive offload
+    def _evaluate_offload(self, state: ClientState) -> None:
         """Ask the client's controller whether tracking should move."""
         if not self.config.serving.offload.is_adaptive:
             return
-        state = self._per_client[client_id]
-        if not state["connected"] or state["handoff_inflight"]:
+        if not state.connected or state.controller.pending:
             return
-        controller = self.offload.controller(client_id)
-        decision = controller.decide(self.clock.now, self.server.load())
+        decision = state.controller.decide(self.clock.now, self.server.load())
         if decision is not None:
             self._initiate_handoff(state, decision)
 
-    def _initiate_handoff(self, state, decision: PlacementDecision) -> None:
+    def _initiate_handoff(self, state: ClientState,
+                          decision: PlacementDecision) -> None:
         """Send the reliable handoff message that migrates tracking.
 
         The sender is whichever side currently owns tracking (it ships
@@ -884,51 +910,39 @@ class SlamShareSession:
         message hits the retry cap the migration aborts and the cooldown
         still arms, so a dead link is not hammered with attempts.
         """
-        cid = decision.client_id
         record = self.offload.begin_handoff(
-            decision, imu_anchor_ts=state["imu_anchor_ts"]
+            decision, imu_anchor_ts=state.imu_anchor_ts
         )
-        state["handoff_inflight"] = True
-        device_ep, server_ep = self._endpoints[cid]
-        sender = server_ep if decision.placement == PLACEMENT_CLIENT else device_ep
-
-        def on_dropped(message) -> None:
-            state["handoff_inflight"] = False
-            self.offload.abort_handoff(record, self.clock.now)
-
+        sender = (
+            state.server_ep if decision.placement == PLACEMENT_CLIENT
+            else state.device_ep
+        )
         _log.info(
             "handoff initiated: %s",
-            kv(client=cid, dst=decision.placement, reason=decision.reason,
-               t=self.clock.now),
+            kv(client=decision.client_id, dst=decision.placement,
+               reason=decision.reason, t=self.clock.now),
         )
         sender.send(
-            "handoff", record.state_bytes, payload=(decision, record),
-            reliable=True, on_dropped=on_dropped,
+            "handoff", record.state_bytes, payload=record, reliable=True,
+            on_dropped=partial(self._on_handoff_dropped, state),
         )
 
-    def _make_handoff_commit(self, state):
+    def _on_handoff_dropped(self, state: ClientState, message) -> None:
+        self.offload.abort_handoff(message.payload, self.clock.now)
+
+    def _on_handoff(self, state: ClientState, message) -> None:
         """Receiver-side commit of one delivered ``handoff`` message."""
-
-        def on_handoff(message) -> None:
-            decision, record = message.payload
-            state["handoff_inflight"] = False
-            if not state["connected"]:
-                self.offload.abort_handoff(record, self.clock.now)
-                return
-            state["placement"] = decision.placement
-            # The migrated state carries the sender's IMU anchor; merge
-            # it so preintegration resumes from the newest frame either
-            # side has tracked — the anchor survives the migration.
-            if record.imu_anchor_ts is not None:
-                anchor = state["imu_anchor_ts"]
-                state["imu_anchor_ts"] = (
-                    record.imu_anchor_ts if anchor is None
-                    else max(anchor, record.imu_anchor_ts)
-                )
-            self.offload.commit_handoff(record, self.clock.now)
-            self.outcomes[decision.client_id].handoffs += 1
-
-        return on_handoff
+        record = message.payload
+        if not state.connected:
+            self.offload.abort_handoff(record, self.clock.now)
+            return
+        # The migrated state carries the sender's IMU anchor; merge
+        # it so preintegration resumes from the newest frame either
+        # side has tracked — the anchor survives the migration.
+        if record.imu_anchor_ts is not None:
+            state.advance_anchor(record.imu_anchor_ts)
+        self.offload.commit_handoff(record, self.clock.now)
+        state.outcome.handoffs += 1
 
     def request_handoff(self, client_id: int, placement: str,
                         reason: str = "manual") -> Optional[PlacementDecision]:
@@ -942,53 +956,47 @@ class SlamShareSession:
         """
         if placement not in (PLACEMENT_SERVER, PLACEMENT_CLIENT):
             raise ValueError(f"unknown placement {placement!r}")
-        state = self._per_client.get(client_id)
-        if state is None:
-            raise ValueError(f"unknown client {client_id}")
-        controller = self.offload.controller(client_id)
-        if state["handoff_inflight"] or controller.placement == placement:
+        state = self._state(client_id)
+        controller = state.controller
+        if controller.pending or controller.placement == placement:
             return None
         decision = PlacementDecision(client_id, placement, reason, self.clock.now)
         self._initiate_handoff(state, decision)
         return decision
 
-    def _send_probe(self, client_id: int) -> None:
+    def _send_probe(self, state: ClientState) -> None:
         """One link-RTT probe (adaptive policy only).
 
         Pose round trips stop once tracking runs on-device, so without
         probes the controller could never observe the link recovering.
         """
-        state = self._per_client.get(client_id)
-        if state is None or not state["connected"]:
+        if not state.connected:
             return
-        device_ep, _ = self._endpoints[client_id]
-        device_ep.send(
-            "probe", 64, payload=_ProbePacket(client_id, self.clock.now),
-        )
+        # The payload is the send time; the server echoes it back.
+        state.device_ep.send("probe", 64, payload=self.clock.now)
 
-    def _make_probe_echo(self, state):
-        def on_probe(message) -> None:
-            if not state["connected"]:
-                return
-            cid = state["scenario"].client_id
-            _, server_ep = self._endpoints[cid]
-            server_ep.send("probe_ack", 64, payload=message.payload)
+    def _on_probe(self, state: ClientState, message) -> None:
+        if state.connected:
+            state.server_ep.send("probe_ack", 64, payload=message.payload)
 
-        return on_probe
+    def _on_probe_ack(self, state: ClientState, message) -> None:
+        if not state.connected:
+            return
+        rtt_ms = (self.clock.now - message.payload) * 1e3
+        state.controller.observe_rtt(rtt_ms, self.clock.now)
+        self._evaluate_offload(state)
 
-    def _make_probe_ack_handler(self, state):
-        def on_probe_ack(message) -> None:
-            if not state["connected"]:
-                return
-            packet: _ProbePacket = message.payload
-            rtt_ms = (self.clock.now - packet.sent_at) * 1e3
-            controller = self.offload.controller(packet.client_id)
-            controller.observe_rtt(rtt_ms, self.clock.now)
-            self._evaluate_offload(packet.client_id)
-
-        return on_probe_ack
+    def _on_map_sync(self, state: ClientState, message) -> None:
+        """Only the wire cost of a ``map_sync`` is modeled: the keyframe
+        it stands for is already in the shared store."""
 
     # -------------------------------------------------------------- churn
+    def _state(self, client_id: int) -> ClientState:
+        state = self.clients.get(client_id)
+        if state is None:
+            raise ValueError(f"unknown client {client_id}")
+        return state
+
     def disconnect_client(self, client_id: int) -> None:
         """Take a client offline mid-session (radio off).
 
@@ -997,16 +1005,15 @@ class SlamShareSession:
         parks the per-client process, and the device falls back to IMU
         dead-reckoning until :meth:`rejoin_client`.
         """
-        state = self._per_client.get(client_id)
-        if state is None:
-            raise ValueError(f"unknown client {client_id}")
-        if not state["connected"]:
+        state = self._state(client_id)
+        if not state.connected:
             return
-        state["connected"] = False
-        device_ep, server_ep = self._endpoints[client_id]
-        cancelled = device_ep.cancel_pending() + server_ep.cancel_pending()
+        state.connected = False
+        cancelled = (
+            state.device_ep.cancel_pending() + state.server_ep.cancel_pending()
+        )
         self.server.park_client(client_id)
-        self.outcomes[client_id].disconnects += 1
+        state.outcome.disconnects += 1
         _log.info(
             "client disconnect: %s",
             kv(client=client_id, t=self.clock.now, cancelled=cancelled),
@@ -1020,14 +1027,12 @@ class SlamShareSession:
         tracking reacquires from that prior or falls back to BoW
         relocalization against the (possibly global) map.
         """
-        state = self._per_client.get(client_id)
-        if state is None:
-            raise ValueError(f"unknown client {client_id}")
-        if state["connected"]:
+        state = self._state(client_id)
+        if state.connected:
             return
-        state["connected"] = True
+        state.connected = True
         self.server.unpark_client(client_id)
-        self.outcomes[client_id].rejoins += 1
+        state.outcome.rejoins += 1
         _log.info(
             "client rejoin: %s", kv(client=client_id, t=self.clock.now)
         )

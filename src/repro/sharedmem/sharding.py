@@ -532,6 +532,12 @@ class ShardedMapStore:
                     "shard": shard.index,
                     "n_keyframes": len(shard.records[KIND_KEYFRAME]),
                     "n_mappoints": len(shard.records[KIND_MAPPOINT]),
+                    # live payload only: the same on every backend,
+                    # unlike ``allocated`` (an append-only log keeps
+                    # superseded versions until compaction)
+                    "record_bytes": sum(
+                        size for index in shard.records.values()
+                        for _, size in index.values()),
                     "capacity": arena.capacity,
                     "allocated": arena.allocated,
                     "n_blocks": arena.n_blocks,

@@ -6,6 +6,8 @@ consistency.  Durations are kept short (pure-Python SLAM); module-level
 session results are shared across read-only tests.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core import (
 from repro.datasets import euroc_dataset
 from repro.geometry import Sim3
 from repro.net import PROFILE_DELAY_300MS
+from tests.test_shm_multiproc import shm_required
 
 
 def _scenarios(duration_a=14.0, duration_b=11.0, rate=10.0):
@@ -162,6 +165,82 @@ class TestHolograms:
 
         h = Hologram(0, np.array([1.0, 2.0, 3.0]), 0, 0.0)
         assert np.allclose(perceived_position(h, Sim3.identity()), [1, 2, 3])
+
+
+def _short_session(oracle_seed=7, **serving):
+    """Two clients, 5 s each, overlapping MH04 passes (they merge)."""
+    config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+    for key, value in serving.items():
+        setattr(config.serving, key, value)
+    mh04 = euroc_dataset("MH04", duration=5.0, rate=10.0)
+    return SlamShareSession(
+        [
+            ClientScenario(0, mh04, oracle_seed=oracle_seed),
+            ClientScenario(1, mh04, start_time=1.0, oracle_seed=21,
+                           imu_seed=23),
+        ],
+        config,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _short_default():
+    """The default short session, run once for the read-only tests."""
+    session = _short_session()
+    return session, session.run()
+
+
+class TestSessionDigest:
+    def test_same_config_same_digest_other_seed_other_digest(self):
+        first = _short_default()[1].digest()
+        assert _short_session().run().digest() == first
+        assert _short_session(oracle_seed=8).run().digest() != first
+
+    @shm_required
+    def test_store_backends_agree(self):
+        local = _short_default()[1]
+        with _short_session(store_backend="shm") as session:
+            assert session.run().digest() == local.digest()
+        assert local.server.store.stats().n_keyframes > 0
+
+
+class TestSessionSeams:
+    """What benchmarks/perf relies on from outside the package."""
+
+    @pytest.mark.parametrize("policy, placement", [
+        ("static-server", "server"), ("static-client", "client"),
+    ])
+    def test_process_frame_replaced_on_instance_sees_every_frame(
+            self, policy, placement):
+        session = _short_session()
+        session.config.serving.offload.policy = policy
+        process_frame = session.server.process_frame
+        seen = []
+
+        def recording(client_id, *args, **kwargs):
+            seen.append((client_id, kwargs.get("placement")))
+            return process_frame(client_id, *args, **kwargs)
+
+        session.server.process_frame = recording
+        result = session.run()
+        for cid, outcome in result.outcomes.items():
+            assert outcome.frames_processed == 50
+            assert seen.count((cid, placement)) == 50
+        assert len(seen) == 100
+
+    def test_handler_table_is_what_the_endpoints_register(self):
+        table = SlamShareSession.MESSAGE_HANDLERS
+        assert sorted(table) == [
+            ("device", "handoff"), ("device", "pose"), ("device", "probe_ack"),
+            ("server", "frame"), ("server", "handoff"), ("server", "map_sync"),
+            ("server", "probe"),
+        ]
+        session, _ = _short_default()
+        for state in session.clients.values():
+            assert sorted(state.device_ep._handlers) == [
+                "handoff", "pose", "probe_ack"]
+            assert sorted(state.server_ep._handlers) == [
+                "frame", "handoff", "map_sync", "probe"]
 
 
 class TestBaselineSession:

@@ -9,7 +9,12 @@ nothing corrupts).
 
 import pytest
 
-from repro.core import ClientScenario, SlamShareConfig, SlamShareSession
+from repro.core import (
+    ClientScenario,
+    FrameAccountingError,
+    SlamShareConfig,
+    SlamShareSession,
+)
 from repro.datasets import euroc_dataset
 from repro.net import ShapingProfile
 
@@ -84,17 +89,17 @@ class TestObservationOutage:
         blackout = (5.0, 7.0)
 
         def patched(state, frame_idx, dataset_ts):
-            scenario = state["scenario"]
+            scenario = state.scenario
             if (
                 scenario.client_id == 0
                 and blackout[0] <= dataset_ts <= blackout[1]
             ):
-                real_observe = state["oracle"].observe
-                state["oracle"].observe = lambda *a, **k: []
+                real_observe = state.oracle.observe
+                state.oracle.observe = lambda *a, **k: []
                 try:
                     original_process(state, frame_idx, dataset_ts)
                 finally:
-                    state["oracle"].observe = real_observe
+                    state.oracle.observe = real_observe
             else:
                 original_process(state, frame_idx, dataset_ts)
 
@@ -181,6 +186,43 @@ class TestClientChurn:
         with pytest.raises(ValueError):
             session.disconnect_client(99)
 
+    def test_frames_landing_after_disconnect_are_counted(self):
+        """A frame uploaded in the instant before the radio drops lands
+        on a parked process: it is a reported outcome (frames_parked),
+        not a frame that vanishes from the accounting."""
+        mh04 = euroc_dataset("MH04", duration=12.0, rate=10.0)
+        mh05 = euroc_dataset("MH05", duration=9.0, rate=10.0)
+        config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+        config.shaping = ShapingProfile("lossy wifi", loss_rate=0.10)
+        session = SlamShareSession(
+            [
+                ClientScenario(0, mh04,
+                               offline_windows=((4.0, 6.0), (8.0, 8.6))),
+                ClientScenario(1, mh05, start_time=3.0, oracle_seed=9,
+                               imu_seed=13),
+            ],
+            config,
+        )
+        result = session.run()
+        churned, steady = result.outcomes[0], result.outcomes[1]
+        assert churned.frames_parked == 2
+        assert steady.frames_parked == 0
+        assert churned.uplink_drops > 0 and churned.frames_offline > 0
+        for outcome in result.outcomes.values():
+            assert outcome.unaccounted_frames() == 0
+
+
+class TestRunEndInvariant:
+    def test_run_fails_when_a_frame_lands_in_no_counter(self):
+        """The frame-accounting identity is checked by run() itself: a
+        terminal path that forgets its counter fails the run, naming
+        the client and its counters."""
+        lossy = ShapingProfile("lossy wifi", loss_rate=0.10)
+        session = _session(shaping=lossy, durations=(4.0, 3.0))
+        session._on_uplink_dropped = lambda state, message: None
+        with pytest.raises(FrameAccountingError, match=r"client 0: \d+ of 40"):
+            session.run()
+
 
 class TestUplinkDropAccounting:
     def test_per_client_drop_counts_match_link_stats(self):
@@ -191,8 +233,8 @@ class TestUplinkDropAccounting:
         session = _session(shaping=lossy)
         result = session.run()
         for cid, outcome in result.outcomes.items():
-            link = session._links[cid]
-            device_ep, _ = session._endpoints[cid]
+            link = session.clients[cid].link
+            device_ep = session.clients[cid].device_ep
             assert outcome.uplink_drops == link.uplink.stats.messages_dropped
             assert outcome.uplink_drops == len(device_ep.dropped)
             assert outcome.uplink_drops > 0
@@ -340,7 +382,7 @@ class TestOffloadUnderChurn:
         cooldown = session.config.serving.offload.cooldown_s
 
         def set_delay(delay_s):
-            link = session._links[0]
+            link = session.clients[0].link
             link.uplink.delay_s = delay_s
             link.downlink.delay_s = delay_s
 
@@ -355,8 +397,7 @@ class TestOffloadUnderChurn:
                     >= cooldown - 1e-9)
         outcome = result.outcomes[0]
         assert outcome.frames_shed == 0 and outcome.uplink_drops == 0
-        assert (outcome.frames_processed + outcome.frames_superseded
-                + outcome.frames_offline) == outcome.frames_captured
+        assert outcome.unaccounted_frames() == 0
 
     def test_disconnect_mid_handoff_aborts_cleanly(self):
         """The client vanishes while the handoff message is in flight on
@@ -398,7 +439,7 @@ class TestOffloadUnderChurn:
         anchors = []
 
         def migrate():
-            anchors.append(session._per_client[0]["imu_anchor_ts"])
+            anchors.append(session.clients[0].imu_anchor_ts)
             session.request_handoff(0, "client")
 
         session.clock.schedule_at(8.0, migrate)

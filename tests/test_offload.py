@@ -292,8 +292,7 @@ class TestSessionIntegration:
         outcome = result.outcomes[0]
         assert outcome.frames_shed == 0
         assert outcome.uplink_drops == 0
-        assert (outcome.frames_processed + outcome.frames_superseded
-                + outcome.frames_offline) == outcome.frames_captured
+        assert outcome.unaccounted_frames() == 0
 
     def test_link_recovery_returns_tracking_to_server(self):
         """Delay lifts mid-run: probes observe the clean link and the
@@ -302,7 +301,7 @@ class TestSessionIntegration:
                            shaping=PROFILE_DELAY_300MS)
 
         def heal():
-            link = session._links[0]
+            link = session.clients[0].link
             link.uplink.delay_s = 0.0
             link.downlink.delay_s = 0.0
 

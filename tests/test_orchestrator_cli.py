@@ -1,57 +1,8 @@
-"""Tests for the multi-process orchestrator and the CLI."""
+"""Tests for the CLI (the serving orchestrator's are in test_shm_multiproc)."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.orchestrator import (
-    Orchestrator,
-    OrchestratorConfig,
-    _make_keyframe,
-)
-from repro.slam.map import IdAllocator
-
-
-class TestOrchestrator:
-    def test_two_real_processes_share_one_region(self):
-        """Spawns genuine OS processes that attach the named region and
-        write keyframe records; the orchestrator reads them back."""
-        config = OrchestratorConfig(
-            region_size=8 * 1024 * 1024,
-            partition_size=2 * 1024 * 1024,
-            keyframes_per_client=3,
-            n_features_per_keyframe=30,
-        )
-        results = Orchestrator(config).run(n_clients=2)
-        assert set(results) == {0, 1}
-        for client_id, keyframes in results.items():
-            assert len(keyframes) == 3
-            for index, kf in enumerate(keyframes):
-                expected = _make_keyframe(client_id, index, 30)
-                assert kf.keyframe_id == expected.keyframe_id
-                assert kf.client_id == client_id
-                assert np.allclose(kf.uv, expected.uv, atol=1e-4)
-                assert np.array_equal(kf.descriptors, expected.descriptors)
-                assert kf.pose_cw.almost_equal(expected.pose_cw, 1e-9, 1e-9)
-
-    def test_id_ranges_disjoint_across_processes(self):
-        config = OrchestratorConfig(
-            region_size=8 * 1024 * 1024,
-            partition_size=2 * 1024 * 1024,
-            keyframes_per_client=2,
-            n_features_per_keyframe=10,
-        )
-        results = Orchestrator(config).run(n_clients=3)
-        all_ids = [kf.keyframe_id for kfs in results.values() for kf in kfs]
-        assert len(set(all_ids)) == len(all_ids)
-        for client_id, kfs in results.items():
-            for kf in kfs:
-                assert IdAllocator.owner_of(kf.keyframe_id) == client_id
-
-    def test_region_too_small_rejected(self):
-        config = OrchestratorConfig(region_size=1024, partition_size=1024)
-        with pytest.raises(ValueError):
-            Orchestrator(config).run(n_clients=2)
 
 
 class TestCli:
