@@ -12,15 +12,17 @@ distances are computed with a precomputed popcount table.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fast import Keypoint
 
 DESCRIPTOR_BITS = 256
 DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
 PATCH_RADIUS = 15
+CENTROID_RADIUS = 7
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -43,48 +45,84 @@ def sampling_pattern(rng_seed: int = 0xB12F) -> np.ndarray:
 _PATTERN = sampling_pattern()
 
 
-def intensity_centroid_angle(pixels: np.ndarray, u: float, v: float,
-                             radius: int = 7) -> float:
-    """Orientation of the patch by the intensity-centroid method (radians)."""
+def _centroid_angles(pixels: np.ndarray, ui: np.ndarray, vi: np.ndarray, radius: int) -> np.ndarray:
+    """Intensity-centroid orientation of the full patches centred on ``(ui, vi)``.
+
+    The moments are integer sums, exact in any order, so ``arctan2`` gets
+    the very inputs a per-patch float sum would give it.
+    """
+    size = 2 * radius + 1
+    patches = sliding_window_view(pixels, (size, size))[vi - radius, ui - radius]
+    offsets = np.arange(-radius, radius + 1)
+    m01 = patches.sum(axis=2, dtype=np.int64) @ offsets
+    m10 = patches.sum(axis=1, dtype=np.int64) @ offsets
+    return np.arctan2(m01.astype(np.float64), m10.astype(np.float64))
+
+
+def describe(
+    pixels: np.ndarray, u: np.ndarray, v: np.ndarray, angles: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orient and describe all keypoints ``(u, v)`` of one image at once.
+
+    Returns ``(inside, angles, descriptors)``: the mask of keypoints far
+    enough from the border to be described and, for those, the patch
+    orientation (computed unless given) and the packed ``(n, 32)``
+    descriptors.
+    """
     h, w = pixels.shape
-    ui, vi = int(round(u)), int(round(v))
-    y0, y1 = max(vi - radius, 0), min(vi + radius + 1, h)
-    x0, x1 = max(ui - radius, 0), min(ui + radius + 1, w)
-    patch = pixels[y0:y1, x0:x1].astype(np.float64)
-    ys = np.arange(y0, y1)[:, None] - vi
-    xs = np.arange(x0, x1)[None, :] - ui
-    m01 = float((patch * ys).sum())
-    m10 = float((patch * xs).sum())
-    return float(np.arctan2(m01, m10))
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    margin = PATCH_RADIUS + 2
+    inside = (margin <= u) & (u < w - margin) & (margin <= v) & (v < h - margin)
+    if not inside.any():  # also: an image too small to hold one patch
+        return inside, np.zeros(0), np.zeros((0, DESCRIPTOR_BYTES), dtype=np.uint8)
+    u, v = u[inside], v[inside]
+    if angles is None:
+        ui, vi = np.rint(u).astype(int), np.rint(v).astype(int)
+        angles = _centroid_angles(pixels, ui, vi, CENTROID_RADIUS)
+    else:
+        angles = np.asarray(angles, dtype=np.float64)[inside]
+    cos_a, sin_a = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    # Both work buffers are reused for every product: at (n, 256) a fresh
+    # temporary costs more in page faults than the arithmetic on it.
+    acc, tmp = np.empty((2, len(angles), DESCRIPTOR_BITS))
+
+    def steered(on_cos, on_sin, base, limit):
+        """``clip(round(base + on_cos * cos + on_sin * sin), 0, limit)``."""
+        np.multiply(on_cos, cos_a, out=acc)
+        np.multiply(on_sin, sin_a, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.add(base, acc, out=acc)
+        np.rint(acc, out=acc)
+        return np.clip(acc, 0, limit, out=acc).astype(np.intp)
+
+    # Each test's two endpoints, rotated by the patch orientation.
+    u, v, flat = u[:, None], v[:, None], pixels.reshape(-1)
+    first, second = (
+        flat.take(steered(dy, dx, v, h - 1) * w + steered(dx, -dy, u, w - 1))
+        for dy, dx in (_PATTERN[:, :2].T, _PATTERN[:, 2:].T)
+    )
+    return inside, angles, np.packbits(first < second, axis=1)
+
+
+def intensity_centroid_angle(pixels: np.ndarray, u: float, v: float,
+                             radius: int = CENTROID_RADIUS) -> float:
+    """Orientation of the patch by the intensity-centroid method (radians).
+
+    A patch clipped by the image border has the moments of the same patch
+    zero-padded, so padding lets the batch kernel serve one keypoint.
+    """
+    ui, vi = (np.array([int(round(c)) + radius]) for c in (u, v))
+    return float(_centroid_angles(np.pad(pixels, radius), ui, vi, radius)[0])
 
 
 def compute_descriptor(
     pixels: np.ndarray, keypoint: Keypoint, angle: Optional[float] = None
 ) -> Optional[np.ndarray]:
     """Compute one packed rBRIEF descriptor, or None near the border."""
-    h, w = pixels.shape
-    u, v = keypoint.u, keypoint.v
-    margin = PATCH_RADIUS + 2
-    if not (margin <= u < w - margin and margin <= v < h - margin):
-        return None
-    if angle is None:
-        angle = intensity_centroid_angle(pixels, u, v)
-    cos_a, sin_a = np.cos(angle), np.sin(angle)
-    # Rotate the whole test pattern by the patch orientation.
-    y1 = _PATTERN[:, 0] * cos_a + _PATTERN[:, 1] * sin_a
-    x1 = -_PATTERN[:, 0] * sin_a + _PATTERN[:, 1] * cos_a
-    y2 = _PATTERN[:, 2] * cos_a + _PATTERN[:, 3] * sin_a
-    x2 = -_PATTERN[:, 2] * sin_a + _PATTERN[:, 3] * cos_a
-    p1 = pixels[
-        np.clip(np.round(v + y1).astype(int), 0, h - 1),
-        np.clip(np.round(u + x1).astype(int), 0, w - 1),
-    ]
-    p2 = pixels[
-        np.clip(np.round(v + y2).astype(int), 0, h - 1),
-        np.clip(np.round(u + x2).astype(int), 0, w - 1),
-    ]
-    bits = (p1 < p2).astype(np.uint8)
-    return np.packbits(bits)
+    inside, _, descriptors = describe(
+        pixels, [keypoint.u], [keypoint.v], None if angle is None else [angle]
+    )
+    return descriptors[0] if inside[0] else None
 
 
 def hamming_distance(desc_a: np.ndarray, desc_b: np.ndarray) -> int:
@@ -238,10 +276,3 @@ def perturb_descriptor(
     idx = rng.choice(bits.size, size=min(flip_bits, bits.size), replace=False)
     bits[idx] ^= 1
     return np.packbits(bits)
-
-
-def descriptors_to_matrix(descriptors: List[np.ndarray]) -> np.ndarray:
-    """Stack a list of packed descriptors into an ``(n, 32)`` matrix."""
-    if not descriptors:
-        return np.zeros((0, DESCRIPTOR_BYTES), dtype=np.uint8)
-    return np.stack(descriptors).astype(np.uint8)

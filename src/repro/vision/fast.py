@@ -6,11 +6,13 @@ Two implementations of the same detector live here:
   "CPU sequential" reference (this is what the default ORB-SLAM3 path
   models in the paper's Fig. 5).
 * :func:`detect_fast_vectorized` — a fully data-parallel numpy
-  formulation operating on whole-image shifted views.  This is the
-  "GPU kernel" of §4.2.1: every pixel's segment test is independent,
+  formulation: 16 whole-image shifted views compared against centre ± t
+  and OR-ed into two ``uint16`` ring masks, the arc test one lookup in a
+  65 536-entry table, the score gathered at corner pixels only.  This is
+  the "GPU kernel" of §4.2.1: every pixel's segment test is independent,
   which is exactly the parallelism SLAM-Share exploits on the GPU.
 
-Both return identical results; tests assert this equivalence.
+Both return identical keypoints in identical order; tests assert this.
 """
 
 from __future__ import annotations
@@ -80,30 +82,24 @@ def detect_fast_scalar(
     return _collect_keypoints(scores, nonmax)
 
 
-def _ring_stack(pixels: np.ndarray) -> np.ndarray:
-    """Stack the 16 ring-shifted copies of the interior of the image.
+def _build_arc_table() -> np.ndarray:
+    """``table[m]``: has ring mask ``m`` (bit ``k`` = ring pixel ``k``) an arc of 9?
 
-    Output shape is ``(16, h - 6, w - 6)``; entry ``[k, y, x]`` is the
-    ring pixel ``k`` of the candidate at interior position ``(y, x)``.
+    Rotate-and-AND doubling: bit ``k`` of ``run`` ends up saying bits
+    ``k .. k+7`` are all set; the mask rotated by 8 supplies the ninth.
     """
-    h, w = pixels.shape
-    inner_h, inner_w = h - 2 * BORDER, w - 2 * BORDER
-    stack = np.empty((16, inner_h, inner_w), dtype=np.int16)
-    for k, (dy, dx) in enumerate(CIRCLE_OFFSETS):
-        stack[k] = pixels[
-            BORDER + dy : BORDER + dy + inner_h, BORDER + dx : BORDER + dx + inner_w
-        ].astype(np.int16)
-    return stack
+    masks = np.arange(1 << 16, dtype=np.uint32)
+
+    def rotated(m: np.ndarray, by: int) -> np.ndarray:
+        return ((m >> by) | (m << (16 - by))) & 0xFFFF
+
+    run = masks
+    for by in (1, 2, 4):
+        run = run & rotated(run, by)
+    return (run & rotated(masks, ARC_LENGTH - 1)) != 0
 
 
-def _arc_mask(flags: np.ndarray, arc: int) -> np.ndarray:
-    """Vectorized circular-run test over axis 0 of a (16, ...) bool array."""
-    doubled = np.concatenate([flags, flags[: arc - 1]], axis=0)
-    result = np.zeros(flags.shape[1:], dtype=bool)
-    for start in range(16):
-        window = doubled[start : start + arc]
-        result |= window.all(axis=0)
-    return result
+_ARC_TABLE = _build_arc_table()
 
 
 def detect_fast_vectorized(
@@ -114,15 +110,27 @@ def detect_fast_vectorized(
     h, w = pixels.shape
     if h <= 2 * BORDER or w <= 2 * BORDER:
         return []
+    inner_h, inner_w = h - 2 * BORDER, w - 2 * BORDER
     center = pixels[BORDER : h - BORDER, BORDER : w - BORDER].astype(np.int16)
-    ring = _ring_stack(pixels)
-    brighter = ring > center[None] + threshold
-    darker = ring < center[None] - threshold
-    corner = _arc_mask(brighter, ARC_LENGTH) | _arc_mask(darker, ARC_LENGTH)
-    score_inner = np.where(corner, np.abs(ring - center[None]).sum(axis=0), 0)
-    scores = np.zeros((h, w), dtype=np.float32)
-    scores[BORDER : h - BORDER, BORDER : w - BORDER] = score_inner
-    return _collect_keypoints(scores, nonmax)
+    upper, lower = center + threshold, center - threshold
+    brighter = np.zeros((inner_h, inner_w), dtype=np.uint16)
+    darker = np.zeros((inner_h, inner_w), dtype=np.uint16)
+    for k, (dy, dx) in enumerate(CIRCLE_OFFSETS):
+        ring = pixels[BORDER + dy : BORDER + dy + inner_h, BORDER + dx : BORDER + dx + inner_w]
+        bit = np.uint16(1 << k)
+        brighter |= (ring > upper) * bit
+        darker |= (ring < lower) * bit
+    corner = np.zeros((h, w), dtype=bool)
+    corner[BORDER : h - BORDER, BORDER : w - BORDER] = _ARC_TABLE.take(brighter)
+    corner[BORDER : h - BORDER, BORDER : w - BORDER] |= _ARC_TABLE.take(darker)
+    # Score = sum |ring - centre|, gathered at the corner pixels only.
+    at = np.flatnonzero(corner)
+    flat = pixels.reshape(-1)
+    ring_at = flat.take(at[:, None] + (CIRCLE_OFFSETS[:, 0] * w + CIRCLE_OFFSETS[:, 1]))
+    spread = ring_at.astype(np.int16) - flat.take(at).astype(np.int16)[:, None]
+    scores = np.zeros(h * w, dtype=np.float32)
+    scores[at] = np.abs(spread).sum(axis=1)
+    return _collect_keypoints(scores.reshape(h, w), nonmax)
 
 
 def _collect_keypoints(scores: np.ndarray, nonmax: bool) -> List[Keypoint]:
@@ -132,8 +140,8 @@ def _collect_keypoints(scores: np.ndarray, nonmax: bool) -> List[Keypoint]:
     the eight neighbour comparisons reduce over *views* of it — no
     per-shift array allocation.  Ties survive against neighbours that
     precede the pixel in raster order and lose against the ones that
-    follow it, exactly matching :func:`_collect_keypoints_reference`
-    (tests assert bit-for-bit identical keypoints).
+    follow it, exactly matching the shift-loop reference in
+    ``tests/oracles.py`` (tests assert bit-for-bit identical keypoints).
     """
     if nonmax:
         h, w = scores.shape
@@ -160,49 +168,5 @@ def _collect_keypoints(scores: np.ndarray, nonmax: bool) -> List[Keypoint]:
     else:
         vs, us = np.nonzero(scores > 0)
     responses = scores[vs, us].astype(np.float64)
-    return [
-        Keypoint(u=u, v=v, response=r)
-        for v, u, r in zip(
-            vs.astype(np.float64).tolist(),
-            us.astype(np.float64).tolist(),
-            responses.tolist(),
-        )
-    ]
-
-
-def _collect_keypoints_reference(scores: np.ndarray, nonmax: bool) -> List[Keypoint]:
-    """Original shift-loop NMS, kept as the equivalence reference."""
-    if nonmax:
-        keep = scores > 0
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dy == 0 and dx == 0:
-                    continue
-                shifted = np.zeros_like(scores)
-                ys = slice(max(dy, 0), scores.shape[0] + min(dy, 0))
-                xs = slice(max(dx, 0), scores.shape[1] + min(dx, 0))
-                ys_src = slice(max(-dy, 0), scores.shape[0] + min(-dy, 0))
-                xs_src = slice(max(-dx, 0), scores.shape[1] + min(-dx, 0))
-                shifted[ys, xs] = scores[ys_src, xs_src]
-                # Strictly-greater on one side breaks ties deterministically.
-                if _tie_break(dy, dx):
-                    keep &= scores >= shifted
-                else:
-                    keep &= scores > shifted
-        vs, us = np.nonzero(keep)
-    else:
-        vs, us = np.nonzero(scores > 0)
-    return [
-        Keypoint(u=float(u), v=float(v), response=float(scores[v, u]))
-        for v, u in zip(vs, us)
-    ]
-
-
-def _tie_break(dy: int, dx: int) -> bool:
-    """Whether a tie against the neighbour shifted by ``(dy, dx)`` is kept.
-
-    The shifted map holds the neighbour at ``(v - dy, u - dx)``; ties
-    are kept exactly when that neighbour precedes the pixel in raster
-    order, so one pixel of every tied plateau survives deterministically.
-    """
-    return dy > 0 or (dy == 0 and dx > 0)
+    us, vs = us.astype(np.float64).tolist(), vs.astype(np.float64).tolist()
+    return list(map(Keypoint, us, vs, responses.tolist()))

@@ -32,11 +32,16 @@ class FeatureSet:
         default_factory=lambda: np.zeros((0, brief.DESCRIPTOR_BYTES), dtype=np.uint8)
     )
 
+    #: ``(n, 2)`` positions, when the producer already holds them as an array.
+    positions: Optional[np.ndarray] = field(default=None, repr=False)
+
     def __len__(self) -> int:
         return len(self.keypoints)
 
     @property
     def uv(self) -> np.ndarray:
+        if self.positions is not None:
+            return self.positions
         if not self.keypoints:
             return np.zeros((0, 2))
         return np.array([[kp.u, kp.v] for kp in self.keypoints])
@@ -60,8 +65,9 @@ class OrbExtractor:
         self, config: Optional[OrbExtractorConfig] = None, backend: str = "vectorized"
     ) -> None:
         self.config = config or OrbExtractorConfig()
-        # FAST detection is branch-heavy pixel scanning with no device
-        # formulation yet, so only the two host tiers are allowed here.
+        # FAST has a sequential reference and a data-parallel host
+        # formulation; no device could measure a third tier here, so only
+        # the two host tiers are allowed.
         from ..backend import validate_backend
 
         self.backend = validate_backend(
@@ -73,65 +79,62 @@ class OrbExtractor:
             return detect_fast_scalar(pixels, threshold)
         return detect_fast_vectorized(pixels, threshold)
 
-    def _grid_cull(self, keypoints: List[Keypoint], width: int, height: int,
-                   budget: int) -> List[Keypoint]:
-        """Keep the strongest corners per grid cell for spatial spread."""
+    def _grid_cull(self, u: np.ndarray, v: np.ndarray, response: np.ndarray,
+                   width: int, height: int, budget: int) -> np.ndarray:
+        """Indices of the strongest corners per grid cell, for spatial spread.
+
+        Responses are small integers, so ties are everywhere and the order
+        is part of the result: every sort is stable, cells rank by first
+        appearance, leftovers fill the budget strongest first.
+        """
         cfg = self.config
-        if not keypoints or budget <= 0:
-            return []
+        if len(u) == 0 or budget <= 0:
+            return np.zeros(0, dtype=np.intp)
         per_cell_budget = max(budget // (cfg.grid_cols * cfg.grid_rows), 1)
-        cells = {}
-        for kp in keypoints:
-            col = min(int(kp.u * cfg.grid_cols / width), cfg.grid_cols - 1)
-            row = min(int(kp.v * cfg.grid_rows / height), cfg.grid_rows - 1)
-            cells.setdefault((row, col), []).append(kp)
-        kept: List[Keypoint] = []
-        leftovers: List[Keypoint] = []
-        for cell_kps in cells.values():
-            cell_kps.sort(key=lambda k: -k.response)
-            kept.extend(cell_kps[:per_cell_budget])
-            leftovers.extend(cell_kps[per_cell_budget:])
+        col = np.minimum((u * cfg.grid_cols / width).astype(np.intp), cfg.grid_cols - 1)
+        row = np.minimum((v * cfg.grid_rows / height).astype(np.intp), cfg.grid_rows - 1)
+        _, first, cell, counts = np.unique(
+            row * cfg.grid_cols + col, return_index=True, return_inverse=True, return_counts=True
+        )
+        by_cell = np.lexsort((-response, first[cell]))
+        counts = counts[np.argsort(first)]
+        rank_in_cell = np.arange(len(u)) - np.repeat(np.cumsum(counts) - counts, counts)
+        top = rank_in_cell < per_cell_budget
+        kept, leftovers = by_cell[top], by_cell[~top]
         if len(kept) < budget:
-            leftovers.sort(key=lambda k: -k.response)
-            kept.extend(leftovers[: budget - len(kept)])
-        kept.sort(key=lambda k: -k.response)
-        return kept[:budget]
+            strongest = np.argsort(-response[leftovers], kind="stable")
+            kept = np.concatenate([kept, leftovers[strongest[: budget - len(kept)]]])
+        return kept[np.argsort(-response[kept], kind="stable")][:budget]
 
     def extract(self, image: Image) -> FeatureSet:
         """Detect and describe up to ``n_features`` ORB features."""
         cfg = self.config
         pyramid = ImagePyramid(image, cfg.n_levels, cfg.scale_factor)
-        all_kps: List[Keypoint] = []
-        descriptors: List[np.ndarray] = []
         # Distribute the feature budget across levels proportionally to area.
         areas = np.array([lvl.size for lvl in pyramid.levels], dtype=float)
         budgets = np.maximum((cfg.n_features * areas / areas.sum()).astype(int), 1)
+        blocks = []  # per level: u, v, response, level, angle rows
+        descriptors = []
         for level, pixels in enumerate(pyramid.levels):
             kps = self._detect(pixels, cfg.fast_threshold)
             if not kps:
                 # Retry with a permissive threshold in low-texture frames,
                 # matching ORB-SLAM3's two-threshold strategy.
                 kps = self._detect(pixels, cfg.min_fast_threshold)
-            kps = self._grid_cull(kps, pixels.shape[1], pixels.shape[0],
-                                  int(budgets[level]))
-            for kp in kps:
-                angle = brief.intensity_centroid_angle(pixels, kp.u, kp.v)
-                descriptor = brief.compute_descriptor(pixels, kp, angle)
-                if descriptor is None:
-                    continue
-                scale = pyramid.level_scale(level)
-                all_kps.append(
-                    Keypoint(
-                        u=kp.u * scale,
-                        v=kp.v * scale,
-                        response=kp.response,
-                        level=level,
-                        angle=angle,
-                    )
-                )
-                descriptors.append(descriptor)
-        if len(all_kps) > cfg.n_features:
-            order = np.argsort([-kp.response for kp in all_kps])[: cfg.n_features]
-            all_kps = [all_kps[i] for i in order]
-            descriptors = [descriptors[i] for i in order]
-        return FeatureSet(all_kps, brief.descriptors_to_matrix(descriptors))
+            u = np.array([kp.u for kp in kps])
+            v = np.array([kp.v for kp in kps])
+            response = np.array([kp.response for kp in kps])
+            kept = self._grid_cull(u, v, response, *pixels.shape[::-1], int(budgets[level]))
+            inside, angles, described = brief.describe(pixels, u[kept], v[kept])
+            kept = kept[inside]
+            scale = pyramid.level_scale(level)
+            u, v, levels = u[kept] * scale, v[kept] * scale, np.full(len(kept), float(level))
+            blocks.append(np.stack([u, v, response[kept], levels, angles]))
+            descriptors.append(described)
+        rows, descriptors = np.concatenate(blocks, axis=1), np.concatenate(descriptors)
+        if rows.shape[1] > cfg.n_features:
+            order = np.argsort(-rows[2])[: cfg.n_features]
+            rows, descriptors = rows[:, order], descriptors[order]
+        u, v, response, level, angle = rows.tolist()
+        keypoints = list(map(Keypoint, u, v, response, map(int, level), angle))
+        return FeatureSet(keypoints, descriptors, rows[:2].T.copy())

@@ -21,7 +21,6 @@ from repro.vision.brief import (
 )
 from repro.vision.fast import (
     _collect_keypoints,
-    _collect_keypoints_reference,
     detect_fast_vectorized,
 )
 from repro.vision.matching import (
@@ -31,6 +30,7 @@ from repro.vision.matching import (
     search_by_projection_scalar,
     search_by_projection_vectorized,
 )
+from tests.oracles import _collect_keypoints_reference
 from tests.test_slam_system import run_system
 
 

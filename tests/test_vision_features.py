@@ -100,11 +100,12 @@ class TestOrbExtractor:
 
     def test_backends_agree(self):
         img, _, _, _ = self._scene()
-        cfg = OrbExtractorConfig(n_features=60, n_levels=2)
-        a = OrbExtractor(cfg, backend="scalar").extract(img)
-        b = OrbExtractor(cfg, backend="vectorized").extract(img)
-        assert len(a) == len(b)
-        assert np.allclose(a.uv, b.uv)
+        for n_levels in (2, 4):
+            cfg = OrbExtractorConfig(n_features=60, n_levels=n_levels)
+            a = OrbExtractor(cfg, backend="scalar").extract(img)
+            b = OrbExtractor(cfg, backend="vectorized").extract(img)
+            assert a.keypoints == b.keypoints
+            assert np.array_equal(a.descriptors, b.descriptors)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
