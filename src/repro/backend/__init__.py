@@ -1,14 +1,12 @@
-"""Backend tiers and the array-module dispatch layer.
+"""The ``backend`` name and the array-module dispatch layer behind it.
 
-``repro.backend`` owns two related concerns:
-
-* the **registry** of kernel tiers (``scalar`` / ``vectorized`` /
-  ``gpu``) that every kernel entry point validates against, replacing
-  the per-module ``_BACKENDS`` tuples that existed before; and
-* the **dispatch layer** that makes ``backend="gpu"`` real: xp-style
-  array-module resolution (cupy/torch auto-detection with a capability
-  probe), host<->device transfer helpers with accounting, keyed staging
-  so micro-batches pay one upload, and measured kernel wall-time.
+``backend`` is ``"vectorized"`` (the batched numpy kernels) or ``"gpu"``
+(the same bodies on a device array module); :func:`resolve_backend` is
+the one place a name is checked and bound.  The dispatch layer makes
+``"gpu"`` real: xp-style array-module resolution (cupy/torch
+auto-detection with a capability probe), host<->device transfer helpers
+with accounting, keyed staging so micro-batches pay one upload, and
+measured kernel wall-time.
 
 Without a device, ``gpu`` degrades to ``vectorized`` on numpy with a
 single logged warning — results are identical either way.
@@ -26,36 +24,24 @@ from .dispatch import (
     host_array_module,
     probe_array_module,
     register_device_builder,
+    resolve_backend,
     set_array_module_override,
     use_array_module,
-)
-from .registry import (
-    BackendSpec,
-    ResolvedBackend,
-    known_backends,
-    register_backend,
-    resolve_backend,
-    validate_backend,
 )
 
 __all__ = [
     "ArrayModule",
-    "BackendSpec",
     "DeviceStager",
     "KernelTiming",
-    "ResolvedBackend",
     "TransferStats",
     "as_numpy",
     "available_device_modules",
     "clear_detection_cache",
     "get_array_module",
     "host_array_module",
-    "known_backends",
     "probe_array_module",
-    "register_backend",
     "register_device_builder",
     "resolve_backend",
     "set_array_module_override",
     "use_array_module",
-    "validate_backend",
 ]

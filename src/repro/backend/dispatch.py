@@ -13,7 +13,9 @@ adapter).  This module owns that substitution:
   (``cupy`` then ``torch``), graceful numpy fallback when no module or
   no device exists;
 * :class:`DeviceStager` — keyed upload cache so a micro-batch of kernel
-  dispatches pays host->device staging once, not once per dispatch.
+  dispatches pays host->device staging once, not once per dispatch;
+* :func:`resolve_backend` — the one check of a ``backend`` name
+  (``"vectorized"`` or ``"gpu"``) and its binding to a device module.
 
 The capability probe runs every operation the routed kernels use on
 tiny inputs and compares against numpy before a device module is
@@ -45,7 +47,7 @@ class KernelTiming:
 
     name: str
     wall_s: float
-    backend: str
+    module: str                     # ArrayModule.name that ran it
 
 
 @dataclass
@@ -475,3 +477,36 @@ def get_array_module(name: str = "auto") -> Optional[ArrayModule]:
 def clear_detection_cache() -> None:
     """Forget probed modules (test seam for builder registration)."""
     _DETECTED.clear()
+
+
+_BACKENDS = ("vectorized", "gpu")
+_warned_fallback = False
+
+
+def resolve_backend(
+    name: str, array_module: Optional[ArrayModule] = None
+) -> Optional[ArrayModule]:
+    """The device module ``name``'s kernels run on, or ``None`` for numpy.
+
+    ``"vectorized"`` is the batched numpy kernels.  ``"gpu"`` is the
+    same bodies on a device module: the one passed in (tests inject the
+    fake module this way) or the auto-detected one.  Without a device it
+    is ``"vectorized"``, byte for byte, and says so once per process.
+    Any other name raises ``unknown backend {name!r}``.
+    """
+    if name not in _BACKENDS:
+        raise ValueError(f"unknown backend {name!r}")
+    if name == "vectorized":
+        return None
+    if array_module is None:
+        array_module = get_array_module("auto")
+    if array_module.is_device:
+        return array_module
+    global _warned_fallback
+    if not _warned_fallback:
+        _warned_fallback = True
+        _log.warning(
+            "backend 'gpu' requested but no device array module is available "
+            "(cupy/torch with a GPU); falling back to 'vectorized' on numpy"
+        )
+    return None

@@ -557,6 +557,7 @@ class SlamShareServer:
                 self.global_database,
                 self.camera,
                 self.config.merger,
+                backend=self.config.slam.backend,
             )
             merge = merger.merge_maps(
                 process.system.map, process.client_id, process.rejected_pairs

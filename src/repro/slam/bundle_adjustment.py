@@ -14,15 +14,14 @@ and easily bounded — which matters because the paper's architecture
 point (§4.2.1) is precisely that BA-style serial refinement does *not*
 benefit from GPU parallelism and stays on the CPU.
 
-Two equivalent implementations of the intersection step exist:
-
-* ``backend="vectorized"`` (default) flattens every (point, observation)
-  pair into packed arrays, accumulates the per-point 3x3 normal
-  equations with segment sums (``np.bincount`` in observation order, so
-  the floating-point accumulation order matches the scalar loop), and
-  solves all points with one batched ``np.linalg.solve``;
-* ``backend="scalar"`` is the original per-point Python loop, kept as
-  the reference the equivalence suite checks the kernels against.
+The intersection step flattens every (point, observation) pair into
+packed arrays, accumulates the per-point 3x3 normal equations with
+segment sums (``np.bincount`` in observation order, so floating-point
+accumulation follows the per-point loop it replaced) and solves all
+points with one batched ``np.linalg.solve``.  ``backend="gpu"`` runs
+that same body on a device array module.  The per-point loop lives on as
+``tests/oracles.py::local_bundle_adjustment``, which the equivalence
+suite holds this module to within 1e-9.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -47,12 +46,6 @@ _ba_wall = _metrics.histogram(
     "ba.wall_ms", "wall-clock time per bundle-adjustment call", unit="ms"
 )
 
-#: Default implementation for :func:`local_bundle_adjustment`.  The scalar
-#: path is the reference; flip this (or pass ``backend=``) to fall back.
-#: Valid names come from the central registry in :mod:`repro.backend`
-#: ("scalar", "vectorized", "gpu").
-DEFAULT_BACKEND = "vectorized"
-
 
 @dataclass
 class BAStats:
@@ -63,30 +56,6 @@ class BAStats:
     n_points: int
 
 
-def _collect_observations(
-    slam_map: SlamMap, keyframe_ids: Iterable[int]
-) -> Dict[int, List]:
-    """point_id -> list of (keyframe_id, uv, depth) among the keyframes.
-
-    ``depth`` is the measured (stereo/RGB-D) depth of the observing
-    feature, or <= 0 when unavailable.  Scalar reference; the vectorized
-    path uses :func:`_collect_observation_arrays`.
-    """
-    observations: Dict[int, List] = {}
-    for kf_id in keyframe_ids:
-        kf = slam_map.keyframes.get(kf_id)
-        if kf is None:
-            continue
-        for feat_idx, pid in enumerate(kf.point_ids):
-            pid = int(pid)
-            if pid < 0 or pid not in slam_map.mappoints:
-                continue
-            observations.setdefault(pid, []).append(
-                (kf_id, kf.uv[feat_idx], float(kf.depths[feat_idx]))
-            )
-    return observations
-
-
 @dataclass
 class _ObsArrays:
     """All (point, observation) pairs of a BA window, flattened.
@@ -94,7 +63,7 @@ class _ObsArrays:
     ``seg[i]`` indexes ``point_ids``/``point_rows`` and ``kf_idx[i]``
     indexes ``kf_ids`` for observation ``i``; observations appear in
     window order (keyframe, then feature), which is exactly the order
-    the scalar reference accumulates them in.
+    the per-point oracle accumulates them in.
     """
 
     kf_ids: List[int]
@@ -168,7 +137,7 @@ def _segment_sum(
     ``np.bincount`` accumulates sequentially over its input, so each
     segment's partial sums are formed in exactly the order the rows
     appear — the property that keeps the batched normal equations
-    bit-compatible with the scalar reference loop.  ``xp`` selects the
+    bit-compatible with the per-point oracle loop.  ``xp`` selects the
     array namespace (numpy by default; a device namespace under the
     ``"gpu"`` tier, where the scatter-add runs on device-resident rows).
     """
@@ -181,23 +150,6 @@ def _segment_sum(
 
 def _window_pose_stack(slam_map: SlamMap, kf_ids: List[int]):
     return se3_batch.pack([slam_map.keyframes[k].pose_cw for k in kf_ids])
-
-
-def _mean_reprojection_error(
-    slam_map: SlamMap,
-    camera: PinholeCamera,
-    observations: Dict[int, List],
-) -> float:
-    """Scalar reference for :func:`_mean_reprojection_error_vectorized`."""
-    errors = []
-    for pid, obs in observations.items():
-        point = slam_map.mappoints[pid]
-        for kf_id, uv, _depth in obs:
-            kf = slam_map.keyframes[kf_id]
-            proj, _, valid = camera.project_world(point.position[None], kf.pose_cw)
-            if valid[0]:
-                errors.append(float(np.linalg.norm(proj[0] - uv)))
-    return float(np.mean(errors)) if errors else 0.0
 
 
 def _mean_reprojection_error_vectorized(
@@ -216,59 +168,6 @@ def _mean_reprojection_error_vectorized(
     return float(err[valid].mean())
 
 
-def _triangulate_point(
-    position: np.ndarray,
-    observations: List,
-    slam_map: SlamMap,
-    camera: PinholeCamera,
-) -> Optional[np.ndarray]:
-    """Refine one point by Gauss-Newton on reprojection (+ depth) residuals.
-
-    Reprojection alone leaves the point free to slide along the viewing
-    ray when the observing baselines are short; the stereo/RGB-D depth
-    residual (expressed in disparity-like pixel units so the two terms
-    are commensurable) pins it down, exactly as ORB-SLAM3's stereo BA
-    edges do.  Scalar reference for :func:`_refine_points_vectorized`.
-    """
-    point = position.copy()
-    for _ in range(3):
-        h = np.zeros((3, 3))
-        g = np.zeros(3)
-        for kf_id, uv, depth_meas in observations:
-            kf = slam_map.keyframes.get(kf_id)
-            if kf is None:
-                continue
-            pose = kf.pose_cw
-            p_cam = pose.apply(point)
-            z = max(p_cam[2], 1e-6)
-            u_hat = camera.fx * p_cam[0] / z + camera.cx
-            v_hat = camera.fy * p_cam[1] / z + camera.cy
-            r = np.array([u_hat - uv[0], v_hat - uv[1]])
-            j_proj = np.array(
-                [
-                    [camera.fx / z, 0.0, -camera.fx * p_cam[0] / (z * z)],
-                    [0.0, camera.fy / z, -camera.fy * p_cam[1] / (z * z)],
-                ]
-            )
-            j = j_proj @ pose.rotation
-            h += j.T @ j
-            g += j.T @ r
-            if depth_meas > 0 and np.isfinite(depth_meas):
-                # Depth residual in pixel-like units: d(fx/z) ~ disparity.
-                r_d = (z - depth_meas) * camera.fx / max(depth_meas, 1e-6)
-                j_d = (camera.fx / max(depth_meas, 1e-6)) * pose.rotation[2]
-                h += np.outer(j_d, j_d)
-                g += j_d * r_d
-        try:
-            step = np.linalg.solve(h + 1e-6 * np.eye(3), -g)
-        except np.linalg.LinAlgError:
-            return None
-        point = point + step
-        if np.linalg.norm(step) < 1e-10:
-            break
-    return point
-
-
 def _refine_points_vectorized(
     slam_map: SlamMap,
     camera: PinholeCamera,
@@ -278,11 +177,17 @@ def _refine_points_vectorized(
 ) -> None:
     """Batched intersection: all points' normal equations at once.
 
+    Reprojection alone leaves a point free to slide along the viewing
+    ray when the observing baselines are short; the stereo/RGB-D depth
+    residual (expressed in disparity-like pixel units so the two terms
+    are commensurable) pins it down, exactly as ORB-SLAM3's stereo BA
+    edges do.
+
     Per Gauss-Newton iteration the (point, observation) residual rows —
     reprojection plus, where measured, the depth row — are accumulated
     into per-point 3x3 systems by segment sums and solved with a single
     batched ``np.linalg.solve``.  Convergence/failure bookkeeping mirrors
-    the scalar loop: a point whose step drops below 1e-10 freezes, a
+    the oracle loop: a point whose step drops below 1e-10 freezes, a
     point whose system is singular reverts to its original position.
 
     With a device ``am`` the gathered pose rows, positions and
@@ -349,10 +254,11 @@ def _refine_points_vectorized(
             if bool(xp.any(dm)):
                 # Depth rows are spliced in directly after their
                 # reprojection row so the segment sums accumulate in the
-                # scalar loop's order (reproj_1, depth_1, reproj_2, ...),
+                # oracle loop's order (reproj_1, depth_1, reproj_2, ...),
                 # not grouped.
                 inv_dm = inv_d[m][dm]
                 j_d = (fx * inv_dm)[:, None] * rot_g[m][dm][:, 2, :]
+                # Depth residual in pixel-like units: d(fx/z) ~ disparity.
                 r_d = (z[dm] - depth[m][dm]) * fx * inv_dm
                 h_depth = xp.einsum("ni,nj->nij", j_d, j_d)
                 g_depth = j_d * r_d[:, None]
@@ -390,7 +296,6 @@ def _resect_keyframes(
     camera: PinholeCamera,
     keyframe_ids: List[int],
     fixed: Set[int],
-    vectorized: bool,
 ) -> None:
     """Refine each free keyframe pose by PnP against the current points."""
     for kf_id in keyframe_ids:
@@ -401,26 +306,13 @@ def _resect_keyframes(
         mask = pids >= 0
         if mask.sum() < 6:
             continue
-        if vectorized:
-            sel = np.nonzero(mask)[0]
-            rows = slam_map.lookup_point_rows(pids[sel])
-            ok = rows >= 0
-            if int(ok.sum()) < 6:
-                continue
-            pts = slam_map.packed_positions()[rows[ok]]
-            uvs = np.asarray(kf.uv[sel[ok]], dtype=float)
-        else:
-            pts_list, uvs_list = [], []
-            for feat_idx in np.nonzero(mask)[0]:
-                point = slam_map.mappoints.get(int(pids[feat_idx]))
-                if point is None:
-                    continue
-                pts_list.append(point.position)
-                uvs_list.append(kf.uv[feat_idx])
-            if len(pts_list) < 6:
-                continue
-            pts = np.array(pts_list)
-            uvs = np.array(uvs_list)
+        sel = np.nonzero(mask)[0]
+        rows = slam_map.lookup_point_rows(pids[sel])
+        ok = rows >= 0
+        if int(ok.sum()) < 6:
+            continue
+        pts = slam_map.packed_positions()[rows[ok]]
+        uvs = np.asarray(kf.uv[sel[ok]], dtype=float)
         result = solve_pnp(pts, uvs, camera, kf.pose_cw, max_iterations=5)
         if result.n_inliers >= 6:
             kf.pose_cw = result.pose_cw
@@ -433,20 +325,17 @@ def local_bundle_adjustment(
     fixed_keyframe_ids: Optional[Set[int]] = None,
     iterations: int = 3,
     min_observations: int = 2,
-    backend: Optional[str] = None,
+    backend: str = "vectorized",
 ) -> BAStats:
     """Refine the given keyframes and the points they observe.
 
     ``fixed_keyframe_ids`` are included in the error terms but their
     poses are held constant (the standard local-BA gauge anchor).
-    ``backend`` selects the batched kernels (``"vectorized"``, default),
-    the reference per-point loops (``"scalar"``), or the device tier
-    (``"gpu"`` — the vectorized kernels on a cupy/torch device, with an
-    automatic logged fallback to ``"vectorized"`` when none exists).
+    ``backend`` is ``"vectorized"`` (numpy) or ``"gpu"`` (the same body
+    on a cupy/torch device, with a logged fallback to numpy when none
+    exists).
     """
-    backend = backend or DEFAULT_BACKEND
-    plan = resolve_backend(backend)
-    device_am = plan.array_module if plan.on_device else None
+    device_am = resolve_backend(backend)
     keyframe_ids = [k for k in keyframe_ids if k in slam_map.keyframes]
     fixed = set(fixed_keyframe_ids or ())
     if not keyframe_ids:
@@ -455,57 +344,28 @@ def local_bundle_adjustment(
     with _tracer.span(
         "local_ba", n_keyframes=len(keyframe_ids), backend=backend
     ):
-        if plan.kernel in ("vectorized", "gpu"):
-            with _tracer.span("ba.collect"):
-                obs = _collect_observation_arrays(slam_map, keyframe_ids)
-            n_points = len(obs.point_ids)
-            initial_error = _mean_reprojection_error_vectorized(
-                slam_map, camera, obs
-            )
-            for _ in range(iterations):
-                with _tracer.span("ba.intersection"):
-                    _refine_points_vectorized(
-                        slam_map, camera, obs, min_observations, am=device_am
-                    )
-                with _tracer.span("ba.resection"):
-                    _resect_keyframes(
-                        slam_map, camera, keyframe_ids, fixed, vectorized=True
-                    )
-            final_error = _mean_reprojection_error_vectorized(
-                slam_map, camera, obs
-            )
-        else:
-            with _tracer.span("ba.collect"):
-                observations = _collect_observations(slam_map, keyframe_ids)
-            n_points = len(observations)
-            initial_error = _mean_reprojection_error(
-                slam_map, camera, observations
-            )
-            for _ in range(iterations):
-                with _tracer.span("ba.intersection"):
-                    for pid, obs_list in observations.items():
-                        if len(obs_list) < min_observations:
-                            continue
-                        point = slam_map.mappoints[pid]
-                        refined = _triangulate_point(
-                            point.position, obs_list, slam_map, camera
-                        )
-                        if refined is not None and np.isfinite(refined).all():
-                            slam_map.set_point_position(pid, refined)
-                with _tracer.span("ba.resection"):
-                    _resect_keyframes(
-                        slam_map, camera, keyframe_ids, fixed, vectorized=False
-                    )
-            final_error = _mean_reprojection_error(
-                slam_map, camera, observations
-            )
+        with _tracer.span("ba.collect"):
+            obs = _collect_observation_arrays(slam_map, keyframe_ids)
+        initial_error = _mean_reprojection_error_vectorized(
+            slam_map, camera, obs
+        )
+        for _ in range(iterations):
+            with _tracer.span("ba.intersection"):
+                _refine_points_vectorized(
+                    slam_map, camera, obs, min_observations, am=device_am
+                )
+            with _tracer.span("ba.resection"):
+                _resect_keyframes(slam_map, camera, keyframe_ids, fixed)
+        final_error = _mean_reprojection_error_vectorized(
+            slam_map, camera, obs
+        )
     _ba_wall.record((time.perf_counter() - start) * 1e3)
     return BAStats(
         iterations=iterations,
         initial_error_px=initial_error,
         final_error_px=final_error,
         n_keyframes=len(keyframe_ids),
-        n_points=n_points,
+        n_points=len(obs.point_ids),
     )
 
 
@@ -513,7 +373,7 @@ def global_bundle_adjustment(
     slam_map: SlamMap,
     camera: PinholeCamera,
     iterations: int = 3,
-    backend: Optional[str] = None,
+    backend: str = "vectorized",
 ) -> BAStats:
     """BA over the entire map, anchoring the oldest keyframe."""
     all_ids = sorted(slam_map.keyframes)

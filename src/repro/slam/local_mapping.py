@@ -32,7 +32,6 @@ class LocalMappingConfig:
     ba_window: int = 6
     cull_found_ratio: float = 0.25
     cull_min_visible: int = 8
-    backend: str = "vectorized"  # BA kernels: "vectorized" or "scalar"
     # Long-lived-map budgets: ``None`` disables eviction (unbounded, the
     # historical behavior).  When set, every keyframe insertion enforces
     # them via covisibility-aware LRU eviction on the map.
@@ -53,6 +52,7 @@ class LocalMapper:
         point_allocator: IdAllocator,
         config: Optional[LocalMappingConfig] = None,
         client_id: int = 0,
+        backend: str = "vectorized",
     ) -> None:
         self.map = slam_map
         self.camera = camera
@@ -62,6 +62,7 @@ class LocalMapper:
         self.point_allocator = point_allocator
         self.config = config or LocalMappingConfig()
         self.client_id = client_id
+        self.backend = backend
         self._keyframes_since_ba = 0
         self.last_keyframe_id: Optional[int] = None
 
@@ -217,7 +218,7 @@ class LocalMapper:
         fixed = {min(window)} if len(window) > 1 else set()
         return local_bundle_adjustment(
             self.map, self.camera, window, fixed_keyframe_ids=fixed,
-            iterations=2, backend=self.config.backend,
+            iterations=2, backend=self.backend,
         )
 
     def cull_mappoints(self) -> int:

@@ -47,7 +47,6 @@ class LoopCloserConfig:
     min_correspondences: int = 12
     ransac_inlier_threshold: float = 0.3
     min_correction_m: float = 0.0       # close even tiny loops by default
-    backend: str = "vectorized"         # pose-graph kernels ("scalar" to fall back)
 
 
 class LoopCloser:
@@ -60,11 +59,13 @@ class LoopCloser:
         camera: PinholeCamera,
         config: Optional[LoopCloserConfig] = None,
         seed: int = 23,
+        backend: str = "vectorized",
     ) -> None:
         self.map = slam_map
         self.database = database
         self.camera = camera
         self.config = config or LoopCloserConfig()
+        self.backend = backend
         self._rng = np.random.default_rng(seed)
         self.closed_loops: List[LoopClosureResult] = []
 
@@ -131,7 +132,7 @@ class LoopCloser:
             edges = build_essential_graph(self.map, extra_edges=[edge])
             anchor = min(self.map.keyframes)
             stats = optimize_pose_graph(
-                self.map, edges, fixed={anchor}, backend=cfg.backend
+                self.map, edges, fixed={anchor}, backend=self.backend
             )
             result = LoopClosureResult(
                 detected=True,

@@ -86,7 +86,6 @@ class MergerConfig:
     ba_iterations: int = 2
     check_all_keyframes: bool = True   # False models vanilla ORB-SLAM3
     with_scale: bool = True            # Sim3 for mono, SE3 for stereo/inertial
-    backend: str = "vectorized"        # weld-BA kernels ("scalar" to fall back)
 
 
 class MapMerger:
@@ -99,11 +98,13 @@ class MapMerger:
         camera: PinholeCamera,
         config: Optional[MergerConfig] = None,
         seed: int = 99,
+        backend: str = "vectorized",
     ) -> None:
         self.map = global_map
         self.database = database
         self.camera = camera
         self.config = config or MergerConfig()
+        self.backend = backend
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------ ingestion
@@ -290,7 +291,7 @@ class MapMerger:
                 window,
                 fixed_keyframe_ids={global_kf.keyframe_id},
                 iterations=self.config.ba_iterations,
-                backend=self.config.backend,
+                backend=self.backend,
             )
         return replace(
             searched,

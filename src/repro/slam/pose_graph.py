@@ -15,11 +15,12 @@ The solver is damped Jacobi relaxation: every sweep computes, for each
 free pose, the weighted average twist its neighbours' constraints
 predict for it — against the sweep-start poses — and applies all the
 updates together.  The schedule is order-independent, which is what
-makes the batched backend possible: one sweep is two pose-stack
-composes, one batched log over every edge and a pair of segment sums.
-``backend="scalar"`` runs the identical schedule with per-edge
-:class:`~repro.geometry.SE3` arithmetic and is kept as the reference the
-equivalence suite checks the batched kernels against.
+makes batching possible: one sweep is two pose-stack composes, one
+batched log over every edge and a pair of segment sums.
+``backend="gpu"`` runs those sweeps on a device array module.  The same
+schedule in per-edge :class:`~repro.geometry.SE3` arithmetic lives on as
+``tests/oracles.py::optimize_pose_graph``, which the equivalence suite
+holds this module to within 1e-9.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from .bundle_adjustment import _segment_sum
 from .map import SlamMap
 
 MIN_ESSENTIAL_WEIGHT = 20  # covisibility weight for essential-graph edges
-
-#: Default implementation for :func:`optimize_pose_graph`.  Valid names
-#: come from the central registry in :mod:`repro.backend`.
-DEFAULT_BACKEND = "vectorized"
 
 _tracer = get_tracer()
 _metrics = get_metrics()
@@ -105,24 +102,6 @@ def build_essential_graph(
     return edges
 
 
-def _total_residual(poses: Dict[int, SE3], edges: List[PoseGraphEdge]) -> float:
-    """Weighted squared-twist residual over the edges whose endpoints exist.
-
-    Edges naming keyframes absent from ``poses`` (e.g. an ``extra_edges``
-    loop edge referencing a culled keyframe) are skipped, matching the
-    optimization loop — they used to crash this pass with a KeyError.
-    """
-    total = 0.0
-    for edge in edges:
-        if edge.kf_a not in poses or edge.kf_b not in poses:
-            continue
-        delta = edge.relative.inverse() * (
-            poses[edge.kf_a] * poses[edge.kf_b].inverse()
-        )
-        total += float(edge.weight) * float(np.sum(delta.log() ** 2))
-    return total
-
-
 class _EdgeArrays:
     """Edges of a pose graph packed for the batched sweeps."""
 
@@ -146,7 +125,7 @@ class _EdgeArrays:
             (e.weight for e in edges), dtype=float, count=self.n
         )
         # Interleaved (a, b) contribution layout: per-node accumulation
-        # order in the segment sums matches the scalar reference's
+        # order in the segment sums matches the per-edge oracle's
         # edge-scan order exactly.
         self.seg = np.empty(2 * self.n, dtype=np.intp)
         self.seg[0::2] = self.a_idx
@@ -235,47 +214,13 @@ def _sweeps_vectorized(
         trans[update] = nt
 
 
-def _optimize_scalar(
-    poses: Dict[int, SE3],
-    edges: List[PoseGraphEdge],
-    fixed: Set[int],
-    iterations: int,
-    step_scale: float,
-) -> None:
-    """Scalar reference: identical Jacobi schedule, per-edge SE3 math."""
-    by_node: Dict[int, List[Tuple[PoseGraphEdge, bool]]] = {}
-    for edge in edges:
-        by_node.setdefault(edge.kf_a, []).append((edge, True))
-        by_node.setdefault(edge.kf_b, []).append((edge, False))
-    for _ in range(iterations):
-        steps: Dict[int, np.ndarray] = {}
-        for node, node_edges in by_node.items():
-            if node in fixed:
-                continue
-            twist_sum = np.zeros(6)
-            weight_sum = 0.0
-            for edge, node_is_a in node_edges:
-                if node_is_a:
-                    # Predicted pose of a: T_ab_meas * T_b.
-                    predicted = edge.relative * poses[edge.kf_b]
-                else:
-                    predicted = edge.relative.inverse() * poses[edge.kf_a]
-                delta = predicted * poses[node].inverse()
-                twist_sum += edge.weight * delta.log()
-                weight_sum += edge.weight
-            if weight_sum > 0:
-                steps[node] = step_scale * twist_sum / weight_sum
-        for node, step in steps.items():
-            poses[node] = SE3.exp(step) * poses[node]
-
-
 def optimize_pose_graph(
     slam_map: SlamMap,
     edges: List[PoseGraphEdge],
     fixed: Optional[Set[int]] = None,
     iterations: int = 12,
     step_scale: float = 0.7,
-    backend: Optional[str] = None,
+    backend: str = "vectorized",
 ) -> PoseGraphStats:
     """Distribute corrections over the graph by damped relaxation sweeps.
 
@@ -285,8 +230,7 @@ def optimize_pose_graph(
     keyframe's correction.  Edges naming keyframes that are not in the
     map are skipped and excluded from the reported ``n_edges``.
     """
-    backend = backend or DEFAULT_BACKEND
-    plan = resolve_backend(backend)
+    am = resolve_backend(backend)
     fixed = set(fixed or ())
     poses: Dict[int, SE3] = {
         kf_id: kf.pose_cw for kf_id, kf in slam_map.keyframes.items()
@@ -299,91 +243,64 @@ def optimize_pose_graph(
         "pose_graph", n_edges=len(valid_edges), n_poses=len(poses),
         backend=backend,
     ):
-        if plan.kernel in ("vectorized", "gpu"):
-            node_ids = list(poses)
-            index = {kf_id: i for i, kf_id in enumerate(node_ids)}
-            rot, trans = se3_batch.pack([poses[k] for k in node_ids])
-            old_rot, old_trans = rot.copy(), trans.copy()
-            edge_arrays = _EdgeArrays(valid_edges, index)
-            free = np.fromiter(
-                (k not in fixed for k in node_ids), dtype=bool,
-                count=len(node_ids),
-            )
-            initial = edge_arrays.residual(rot, trans)
-            with _tracer.span("pg.sweeps", iterations=iterations):
-                if plan.on_device:
-                    # One staging batch up (poses + packed edges), all
-                    # sweeps on the device, one download back.
-                    am = plan.array_module
-                    rot_d = am.to_device(rot)
-                    trans_d = am.to_device(trans)
-                    with am.kernel("pg_sweeps"):
-                        _sweeps_vectorized(
-                            rot_d, trans_d, edge_arrays.to_device(am),
-                            am.to_device(free), iterations, step_scale, am=am,
-                        )
-                    rot = am.to_host(rot_d)
-                    trans = am.to_host(trans_d)
-                else:
+        node_ids = list(poses)
+        index = {kf_id: i for i, kf_id in enumerate(node_ids)}
+        rot, trans = se3_batch.pack([poses[k] for k in node_ids])
+        old_rot, old_trans = rot.copy(), trans.copy()
+        edge_arrays = _EdgeArrays(valid_edges, index)
+        free = np.fromiter(
+            (k not in fixed for k in node_ids), dtype=bool,
+            count=len(node_ids),
+        )
+        initial = edge_arrays.residual(rot, trans)
+        with _tracer.span("pg.sweeps", iterations=iterations):
+            if am is not None:
+                # One staging batch up (poses + packed edges), all
+                # sweeps on the device, one download back.
+                rot_d = am.to_device(rot)
+                trans_d = am.to_device(trans)
+                with am.kernel("pg_sweeps"):
                     _sweeps_vectorized(
-                        rot, trans, edge_arrays, free, iterations, step_scale
+                        rot_d, trans_d, edge_arrays.to_device(am),
+                        am.to_device(free), iterations, step_scale, am=am,
                     )
-            final = edge_arrays.residual(rot, trans)
-            with _tracer.span("pg.anchor_correction"):
-                # Per-node correction new^-1 * old, applied to each
-                # point's anchor group via one gathered matmul.
-                ir, it = se3_batch.inverse(rot, trans)
-                corr_rot, corr_trans = se3_batch.compose(
-                    ir, it, old_rot, old_trans
+                rot = am.to_host(rot_d)
+                trans = am.to_host(trans_d)
+            else:
+                _sweeps_vectorized(
+                    rot, trans, edge_arrays, free, iterations, step_scale
                 )
-                for i, kf_id in enumerate(node_ids):
-                    slam_map.keyframes[kf_id].pose_cw = SE3(rot[i], trans[i])
-                pids: List[int] = []
-                anchor_rows: List[int] = []
-                pos_rows: List[np.ndarray] = []
-                for pid, point in slam_map.mappoints.items():
-                    for kf_id in point.observations:
-                        row = index.get(kf_id)
-                        if row is not None:
-                            pids.append(pid)
-                            anchor_rows.append(row)
-                            pos_rows.append(point.position)
-                            break
-                if pids:
-                    rows = np.asarray(anchor_rows, dtype=np.intp)
-                    new_pos = se3_batch.apply(
-                        corr_rot[rows], corr_trans[rows], np.array(pos_rows)
+        final = edge_arrays.residual(rot, trans)
+        with _tracer.span("pg.anchor_correction"):
+            # Per-node correction new^-1 * old (x_w' = T_new^-1 * T_old *
+            # x_w keeps a point rigid w.r.t. its anchor camera), applied
+            # to each point's anchor group via one gathered matmul.
+            ir, it = se3_batch.inverse(rot, trans)
+            corr_rot, corr_trans = se3_batch.compose(
+                ir, it, old_rot, old_trans
+            )
+            for i, kf_id in enumerate(node_ids):
+                slam_map.keyframes[kf_id].pose_cw = SE3(rot[i], trans[i])
+            pids: List[int] = []
+            anchor_rows: List[int] = []
+            pos_rows: List[np.ndarray] = []
+            for pid, point in slam_map.mappoints.items():
+                for kf_id in point.observations:
+                    row = index.get(kf_id)
+                    if row is not None:
+                        pids.append(pid)
+                        anchor_rows.append(row)
+                        pos_rows.append(point.position)
+                        break
+            if pids:
+                rows = np.asarray(anchor_rows, dtype=np.intp)
+                new_pos = se3_batch.apply(
+                    corr_rot[rows], corr_trans[rows], np.array(pos_rows)
+                )
+                for pid, pos in zip(pids, new_pos):
+                    slam_map.mappoints[pid].position = np.array(
+                        pos, dtype=float
                     )
-                    for pid, pos in zip(pids, new_pos):
-                        slam_map.mappoints[pid].position = np.array(
-                            pos, dtype=float
-                        )
-        else:
-            old_poses = dict(poses)
-            initial = _total_residual(poses, valid_edges)
-            with _tracer.span("pg.sweeps", iterations=iterations):
-                _optimize_scalar(
-                    poses, valid_edges, fixed, iterations, step_scale
-                )
-            final = _total_residual(poses, valid_edges)
-            with _tracer.span("pg.anchor_correction"):
-                # Write poses back and drag each map point with its
-                # anchor keyframe.
-                corrections: Dict[int, SE3] = {}
-                for kf_id, new_pose in poses.items():
-                    corrections[kf_id] = new_pose.inverse() * old_poses[kf_id]
-                    slam_map.keyframes[kf_id].pose_cw = new_pose
-                for point in slam_map.mappoints.values():
-                    anchor = None
-                    for kf_id in point.observations:
-                        if kf_id in corrections:
-                            anchor = kf_id
-                            break
-                    if anchor is None:
-                        continue
-                    # x_w' = T_new^-1 * T_old * x_w keeps the point rigid
-                    # w.r.t. its anchor camera.
-                    point.position = corrections[anchor].apply(point.position)
         # Bulk position edit: invalidate packed matrices and search caches.
         slam_map.touch()
     _pg_wall.record((time.perf_counter() - start) * 1e3)

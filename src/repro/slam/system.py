@@ -84,9 +84,8 @@ class SlamSystem:
         self.tracker = Tracker(
             self.map, camera, self.config.tracker, backend=self.config.backend
         )
-        # One knob selects the kernels everywhere: front-end, local BA
-        # and pose-graph sweeps all follow ``SlamConfig.backend``.
-        self.config.mapping.backend = self.config.backend
+        # One knob selects the kernels everywhere: projection search,
+        # local BA and pose-graph sweeps all follow ``SlamConfig.backend``.
         self.mapper = LocalMapper(
             self.map,
             camera,
@@ -96,16 +95,16 @@ class SlamSystem:
             point_allocator=IdAllocator(client_id),
             config=self.config.mapping,
             client_id=client_id,
+            backend=self.config.backend,
         )
-        from .loop_closing import LoopCloser, LoopCloserConfig
+        from .loop_closing import LoopCloser
         from .relocalization import Relocalizer
 
         self.relocalizer = Relocalizer(
             self.map, self.database, self.vocabulary, camera
         )
         self.loop_closer = LoopCloser(
-            self.map, self.database, camera,
-            config=LoopCloserConfig(backend=self.config.backend),
+            self.map, self.database, camera, backend=self.config.backend
         )
         self._frame_counter = 0
         self._frames_since_keyframe = 0

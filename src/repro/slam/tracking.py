@@ -26,7 +26,6 @@ from ..vision.camera import PinholeCamera
 from ..vision.matching import (
     FrameGrid,
     Match,
-    search_by_projection_scalar,
     search_by_projection_vectorized,
 )
 from .frame import Frame
@@ -103,13 +102,10 @@ class Tracker:
         self.map = slam_map
         self.camera = camera
         self.config = config or TrackerConfig()
-        # Central registry validation; "gpu" resolves to a device array
-        # module when one exists (or the injected test module), else
-        # degrades to the vectorized numpy kernels with a logged warning.
-        plan = resolve_backend(backend, array_module=array_module)
-        self.backend = backend
-        self._kernel = plan.kernel
-        self._am = plan.array_module if plan.on_device else None
+        # "gpu" resolves to a device array module when one exists (or
+        # the injected test module), else degrades to the numpy kernels
+        # with a logged warning.
+        self._am = resolve_backend(backend, array_module=array_module)
         self.last_pose: Optional[SE3] = None
         self.velocity: SE3 = SE3.identity()
         self.reference_keyframe_id: Optional[int] = None
@@ -197,20 +193,14 @@ class Tracker:
         if len(visible_idx) == 0:
             return [], 0
         descriptors = pack.descriptors[visible_idx]
-        if self._kernel != "scalar":
-            matches = search_by_projection_vectorized(
-                proj_uv, descriptors, frame.uv, frame.descriptors,
-                radius=radius, grid=grid,
-                am=self._am,
-                point_desc_dev=pack.descriptors_dev,
-                point_rows=visible_idx,
-                frame_desc_dev=frame_desc_dev,
-            )
-        else:
-            matches = search_by_projection_scalar(
-                proj_uv, descriptors, frame.uv, frame.descriptors,
-                radius=radius,
-            )
+        matches = search_by_projection_vectorized(
+            proj_uv, descriptors, frame.uv, frame.descriptors,
+            radius=radius, grid=grid,
+            am=self._am,
+            point_desc_dev=pack.descriptors_dev,
+            point_rows=visible_idx,
+            frame_desc_dev=frame_desc_dev,
+        )
         # Re-index matches back to the full candidate list.
         remapped = [Match(int(visible_idx[m.query_idx]), m.train_idx, m.distance)
                     for m in matches]
@@ -232,11 +222,7 @@ class Tracker:
         if len(points) < 4:
             return TrackingResult(frame, False, 0, float("inf"), workload)
 
-        grid = (
-            FrameGrid(frame.uv)
-            if self._kernel != "scalar" and len(frame) > 0
-            else None
-        )
+        grid = FrameGrid(frame.uv) if len(frame) > 0 else None
         frame_desc_dev = None
         kernel_mark = 0
         if self._am is not None:

@@ -18,7 +18,6 @@ from .matching import (
     FrameGrid,
     Match,
     match_descriptors,
-    search_by_projection_dense,
     search_by_projection_scalar,
     search_by_projection_vectorized,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "random_descriptor",
     "render_frame",
     "render_stereo_pair",
-    "search_by_projection_dense",
     "search_by_projection_scalar",
     "search_by_projection_vectorized",
 ]

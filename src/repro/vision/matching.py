@@ -3,12 +3,14 @@
 ``search_by_projection`` is the *search local points* step the paper
 identifies as ~30% of tracking latency (Fig. 5): every map point in the
 local map is projected into the current frame and matched against the
-frame's descriptors inside a window.  The scalar variant loops point by
-point (default ORB-SLAM3); the vectorized variant prunes candidate
-pairs with a spatial frame grid (ORB-SLAM's ``GetFeaturesInArea``)
-before any Hamming work, then resolves the greedy one-to-one assignment
-from the pruned pair list — identical output to the scalar reference,
-at a fraction of the wall-clock cost (the GPU kernel of §4.2.1).
+frame's descriptors inside a window.  The system runs
+:func:`search_by_projection_vectorized`: prune candidate pairs with a
+spatial frame grid (ORB-SLAM's ``GetFeaturesInArea``) before any Hamming
+work, then resolve the greedy one-to-one assignment from the pruned pair
+list (the GPU kernel of §4.2.1).  :func:`search_by_projection_scalar`
+loops point by point (default ORB-SLAM3); it is the CPU-sequential side
+of the paper's A4 kernel comparison (:mod:`repro.gpu.kernels`) and the
+reference the vectorized output must equal.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .brief import (
 
 DEFAULT_MATCH_THRESHOLD = 64  # bits out of 256
 DEFAULT_RATIO = 0.8
-
-_INF_COST = np.int32(1 << 30)
 
 
 @dataclass
@@ -344,41 +344,6 @@ def search_by_projection_vectorized(
     return _greedy_assign(
         pair_point[close], pair_feat[close], dist[close], n_points, n_feats
     )
-
-
-def search_by_projection_dense(
-    projected_uv: np.ndarray,
-    point_descriptors: np.ndarray,
-    frame_uv: np.ndarray,
-    frame_descriptors: np.ndarray,
-    radius: float = 8.0,
-    max_distance: int = DEFAULT_MATCH_THRESHOLD,
-) -> List[Match]:
-    """The pre-grid dense formulation (all-pairs matrices, per-point loop).
-
-    Kept as the naive wall-clock baseline for the perf harness and as a
-    second equivalence reference; new code should use
-    :func:`search_by_projection_vectorized`.
-    """
-    n_points = len(projected_uv)
-    n_feats = len(frame_uv)
-    if n_points == 0 or n_feats == 0:
-        return []
-    diff = projected_uv[:, None, :] - frame_uv[None, :, :]
-    within = (diff ** 2).sum(axis=2) <= radius * radius
-    hamming = hamming_distance_matrix(point_descriptors, frame_descriptors)
-    cost = np.where(within & (hamming <= max_distance), hamming, _INF_COST)
-    matches: List[Match] = []
-    used = np.zeros(n_feats, dtype=bool)
-    # Same greedy order as the scalar loop: by ascending point index.
-    for pi in range(n_points):
-        row = np.where(used, _INF_COST, cost[pi])
-        fi = int(row.argmin())
-        if row[fi] >= _INF_COST:
-            continue
-        used[fi] = True
-        matches.append(Match(pi, fi, int(row[fi])))
-    return matches
 
 
 def match_stats(matches: List[Match]) -> Tuple[int, float]:

@@ -6,9 +6,10 @@ compute the intensity-centroid orientation and a steered BRIEF
 descriptor for every survivor, and report everything in level-0 pixel
 coordinates.
 
-Two backends exist (see §4.2.1 of the paper): ``"scalar"`` runs the
-sequential reference FAST, ``"vectorized"`` runs the data-parallel
-formulation.  They produce identical features.
+FAST runs as the data-parallel formulation of §4.2.1
+(:func:`~repro.vision.fast.detect_fast_vectorized`); the per-keypoint
+extractor loop it must reproduce bit for bit, over either FAST, is
+``tests/oracles.py::extract``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import brief
-from .fast import Keypoint, detect_fast_scalar, detect_fast_vectorized
+from .fast import Keypoint, detect_fast_vectorized
 from .image import Image, ImagePyramid
 
 
@@ -59,25 +60,10 @@ class OrbExtractorConfig:
 
 
 class OrbExtractor:
-    """Pyramid ORB extractor with selectable FAST backend."""
+    """Pyramid ORB extractor."""
 
-    def __init__(
-        self, config: Optional[OrbExtractorConfig] = None, backend: str = "vectorized"
-    ) -> None:
+    def __init__(self, config: Optional[OrbExtractorConfig] = None) -> None:
         self.config = config or OrbExtractorConfig()
-        # FAST has a sequential reference and a data-parallel host
-        # formulation; no device could measure a third tier here, so only
-        # the two host tiers are allowed.
-        from ..backend import validate_backend
-
-        self.backend = validate_backend(
-            backend, allowed=("scalar", "vectorized")
-        )
-
-    def _detect(self, pixels: np.ndarray, threshold: int) -> List[Keypoint]:
-        if self.backend == "scalar":
-            return detect_fast_scalar(pixels, threshold)
-        return detect_fast_vectorized(pixels, threshold)
 
     def _grid_cull(self, u: np.ndarray, v: np.ndarray, response: np.ndarray,
                    width: int, height: int, budget: int) -> np.ndarray:
@@ -116,11 +102,11 @@ class OrbExtractor:
         blocks = []  # per level: u, v, response, level, angle rows
         descriptors = []
         for level, pixels in enumerate(pyramid.levels):
-            kps = self._detect(pixels, cfg.fast_threshold)
+            kps = detect_fast_vectorized(pixels, cfg.fast_threshold)
             if not kps:
                 # Retry with a permissive threshold in low-texture frames,
                 # matching ORB-SLAM3's two-threshold strategy.
-                kps = self._detect(pixels, cfg.min_fast_threshold)
+                kps = detect_fast_vectorized(pixels, cfg.min_fast_threshold)
             u = np.array([kp.u for kp in kps])
             v = np.array([kp.v for kp in kps])
             response = np.array([kp.response for kp in kps])

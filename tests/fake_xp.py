@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dispatch import ArrayModule
+from repro.backend.dispatch import ArrayModule
 
 
 class FakeDeviceArray:

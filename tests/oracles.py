@@ -1,24 +1,41 @@
 """Reference implementations kept out of ``src/`` as test oracles.
 
-Each body here is frozen from the commit before the batch front end
-(PR 17): the per-keypoint rBRIEF, the dict-of-lists grid cull, the
-per-keypoint ``extract`` loop and the shift-loop NMS.  The kernels in
-``repro.vision`` must reproduce them bit for bit; nothing in ``src/``
-imports this module.
+Each body here is frozen from the commit that retired it from the
+runtime: the per-keypoint rBRIEF, the dict-of-lists grid cull, the
+per-keypoint ``extract`` loop and the shift-loop NMS from before the
+batch front end (PR 17); the per-point bundle adjustment, the per-edge
+pose-graph relaxation and the all-pairs projection search from before
+``backend`` lost its ``"scalar"`` name (PR 19).  The kernels in
+``repro.vision`` must reproduce the front-end bodies bit for bit and
+the ones in ``repro.slam`` the back-end bodies to 1e-9; nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.vision.brief import DESCRIPTOR_BYTES, PATCH_RADIUS, sampling_pattern
+from repro.geometry import SE3
+from repro.slam.bundle_adjustment import BAStats
+from repro.slam.map import SlamMap
+from repro.slam.pnp import solve_pnp
+from repro.slam.pose_graph import PoseGraphEdge, PoseGraphStats
+from repro.vision.brief import (
+    DESCRIPTOR_BYTES,
+    PATCH_RADIUS,
+    hamming_distance_matrix,
+    sampling_pattern,
+)
+from repro.vision.camera import PinholeCamera
 from repro.vision.fast import Keypoint, detect_fast_vectorized
 from repro.vision.image import Image, ImagePyramid
+from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, Match
 from repro.vision.orb import FeatureSet, OrbExtractorConfig
 
 _PATTERN = sampling_pattern()
+_INF_COST = np.int32(1 << 30)
 
 
 # ------------------------------------------------------------------ rBRIEF
@@ -171,3 +188,296 @@ def _tie_break(dy: int, dx: int) -> bool:
     order, so one pixel of every tied plateau survives deterministically.
     """
     return dy > 0 or (dy == 0 and dx > 0)
+
+
+# ------------------------------------------------------- projection search
+def search_by_projection_dense(
+    projected_uv: np.ndarray,
+    point_descriptors: np.ndarray,
+    frame_uv: np.ndarray,
+    frame_descriptors: np.ndarray,
+    radius: float = 8.0,
+    max_distance: int = DEFAULT_MATCH_THRESHOLD,
+) -> List[Match]:
+    """The pre-grid dense formulation (all-pairs matrices, per-point loop):
+    a second reference, beside ``search_by_projection_scalar``, for
+    ``repro.vision.matching.search_by_projection_vectorized``."""
+    n_points = len(projected_uv)
+    n_feats = len(frame_uv)
+    if n_points == 0 or n_feats == 0:
+        return []
+    diff = projected_uv[:, None, :] - frame_uv[None, :, :]
+    within = (diff ** 2).sum(axis=2) <= radius * radius
+    hamming = hamming_distance_matrix(point_descriptors, frame_descriptors)
+    cost = np.where(within & (hamming <= max_distance), hamming, _INF_COST)
+    matches: List[Match] = []
+    used = np.zeros(n_feats, dtype=bool)
+    # Same greedy order as the scalar loop: by ascending point index.
+    for pi in range(n_points):
+        row = np.where(used, _INF_COST, cost[pi])
+        fi = int(row.argmin())
+        if row[fi] >= _INF_COST:
+            continue
+        used[fi] = True
+        matches.append(Match(pi, fi, int(row[fi])))
+    return matches
+
+
+# ------------------------------------------------------- bundle adjustment
+def _collect_observations(
+    slam_map: SlamMap, keyframe_ids: Iterable[int]
+) -> Dict[int, List]:
+    """point_id -> list of (keyframe_id, uv, depth) among the keyframes.
+
+    ``depth`` is the measured (stereo/RGB-D) depth of the observing
+    feature, or <= 0 when unavailable.
+    """
+    observations: Dict[int, List] = {}
+    for kf_id in keyframe_ids:
+        kf = slam_map.keyframes.get(kf_id)
+        if kf is None:
+            continue
+        for feat_idx, pid in enumerate(kf.point_ids):
+            pid = int(pid)
+            if pid < 0 or pid not in slam_map.mappoints:
+                continue
+            observations.setdefault(pid, []).append(
+                (kf_id, kf.uv[feat_idx], float(kf.depths[feat_idx]))
+            )
+    return observations
+
+
+def _mean_reprojection_error(
+    slam_map: SlamMap,
+    camera: PinholeCamera,
+    observations: Dict[int, List],
+) -> float:
+    """Mean reprojection error, one projection per observation."""
+    errors = []
+    for pid, obs in observations.items():
+        point = slam_map.mappoints[pid]
+        for kf_id, uv, _depth in obs:
+            kf = slam_map.keyframes[kf_id]
+            proj, _, valid = camera.project_world(point.position[None], kf.pose_cw)
+            if valid[0]:
+                errors.append(float(np.linalg.norm(proj[0] - uv)))
+    return float(np.mean(errors)) if errors else 0.0
+
+
+def _triangulate_point(
+    position: np.ndarray,
+    observations: List,
+    slam_map: SlamMap,
+    camera: PinholeCamera,
+) -> Optional[np.ndarray]:
+    """Refine one point by Gauss-Newton on reprojection (+ depth) residuals.
+
+    Reprojection alone leaves the point free to slide along the viewing
+    ray when the observing baselines are short; the stereo/RGB-D depth
+    residual (expressed in disparity-like pixel units so the two terms
+    are commensurable) pins it down, exactly as ORB-SLAM3's stereo BA
+    edges do.
+    """
+    point = position.copy()
+    for _ in range(3):
+        h = np.zeros((3, 3))
+        g = np.zeros(3)
+        for kf_id, uv, depth_meas in observations:
+            kf = slam_map.keyframes.get(kf_id)
+            if kf is None:
+                continue
+            pose = kf.pose_cw
+            p_cam = pose.apply(point)
+            z = max(p_cam[2], 1e-6)
+            u_hat = camera.fx * p_cam[0] / z + camera.cx
+            v_hat = camera.fy * p_cam[1] / z + camera.cy
+            r = np.array([u_hat - uv[0], v_hat - uv[1]])
+            j_proj = np.array(
+                [
+                    [camera.fx / z, 0.0, -camera.fx * p_cam[0] / (z * z)],
+                    [0.0, camera.fy / z, -camera.fy * p_cam[1] / (z * z)],
+                ]
+            )
+            j = j_proj @ pose.rotation
+            h += j.T @ j
+            g += j.T @ r
+            if depth_meas > 0 and np.isfinite(depth_meas):
+                # Depth residual in pixel-like units: d(fx/z) ~ disparity.
+                r_d = (z - depth_meas) * camera.fx / max(depth_meas, 1e-6)
+                j_d = (camera.fx / max(depth_meas, 1e-6)) * pose.rotation[2]
+                h += np.outer(j_d, j_d)
+                g += j_d * r_d
+        try:
+            step = np.linalg.solve(h + 1e-6 * np.eye(3), -g)
+        except np.linalg.LinAlgError:
+            return None
+        point = point + step
+        if np.linalg.norm(step) < 1e-10:
+            break
+    return point
+
+
+def _resect_keyframes(
+    slam_map: SlamMap,
+    camera: PinholeCamera,
+    keyframe_ids: List[int],
+    fixed: Set[int],
+) -> None:
+    """Refine each free keyframe pose by PnP against the current points."""
+    for kf_id in keyframe_ids:
+        if kf_id in fixed:
+            continue
+        kf = slam_map.keyframes[kf_id]
+        pids = kf.point_ids
+        mask = pids >= 0
+        if mask.sum() < 6:
+            continue
+        pts_list, uvs_list = [], []
+        for feat_idx in np.nonzero(mask)[0]:
+            point = slam_map.mappoints.get(int(pids[feat_idx]))
+            if point is None:
+                continue
+            pts_list.append(point.position)
+            uvs_list.append(kf.uv[feat_idx])
+        if len(pts_list) < 6:
+            continue
+        pts = np.array(pts_list)
+        uvs = np.array(uvs_list)
+        result = solve_pnp(pts, uvs, camera, kf.pose_cw, max_iterations=5)
+        if result.n_inliers >= 6:
+            kf.pose_cw = result.pose_cw
+
+
+def local_bundle_adjustment(
+    slam_map: SlamMap,
+    camera: PinholeCamera,
+    keyframe_ids: Iterable[int],
+    fixed_keyframe_ids: Optional[Set[int]] = None,
+    iterations: int = 3,
+    min_observations: int = 2,
+) -> BAStats:
+    """The per-point, per-observation loops of the retired scalar tier."""
+    keyframe_ids = [k for k in keyframe_ids if k in slam_map.keyframes]
+    fixed = set(fixed_keyframe_ids or ())
+    if not keyframe_ids:
+        return BAStats(0, 0.0, 0.0, 0, 0)
+    observations = _collect_observations(slam_map, keyframe_ids)
+    initial_error = _mean_reprojection_error(slam_map, camera, observations)
+    for _ in range(iterations):
+        for pid, obs_list in observations.items():
+            if len(obs_list) < min_observations:
+                continue
+            point = slam_map.mappoints[pid]
+            refined = _triangulate_point(
+                point.position, obs_list, slam_map, camera
+            )
+            if refined is not None and np.isfinite(refined).all():
+                slam_map.set_point_position(pid, refined)
+        _resect_keyframes(slam_map, camera, keyframe_ids, fixed)
+    final_error = _mean_reprojection_error(slam_map, camera, observations)
+    return BAStats(
+        iterations=iterations,
+        initial_error_px=initial_error,
+        final_error_px=final_error,
+        n_keyframes=len(keyframe_ids),
+        n_points=len(observations),
+    )
+
+
+# -------------------------------------------------------------- pose graph
+def _total_residual(poses: Dict[int, SE3], edges: List[PoseGraphEdge]) -> float:
+    """Weighted squared-twist residual over the edges whose endpoints exist.
+
+    Edges naming keyframes absent from ``poses`` (e.g. an ``extra_edges``
+    loop edge referencing a culled keyframe) are skipped, matching the
+    optimization loop — they used to crash this pass with a KeyError.
+    """
+    total = 0.0
+    for edge in edges:
+        if edge.kf_a not in poses or edge.kf_b not in poses:
+            continue
+        delta = edge.relative.inverse() * (
+            poses[edge.kf_a] * poses[edge.kf_b].inverse()
+        )
+        total += float(edge.weight) * float(np.sum(delta.log() ** 2))
+    return total
+
+
+def _optimize_scalar(
+    poses: Dict[int, SE3],
+    edges: List[PoseGraphEdge],
+    fixed: Set[int],
+    iterations: int,
+    step_scale: float,
+) -> None:
+    """The Jacobi schedule of ``repro.slam.pose_graph``, per-edge SE3 math."""
+    by_node: Dict[int, List[Tuple[PoseGraphEdge, bool]]] = {}
+    for edge in edges:
+        by_node.setdefault(edge.kf_a, []).append((edge, True))
+        by_node.setdefault(edge.kf_b, []).append((edge, False))
+    for _ in range(iterations):
+        steps: Dict[int, np.ndarray] = {}
+        for node, node_edges in by_node.items():
+            if node in fixed:
+                continue
+            twist_sum = np.zeros(6)
+            weight_sum = 0.0
+            for edge, node_is_a in node_edges:
+                if node_is_a:
+                    # Predicted pose of a: T_ab_meas * T_b.
+                    predicted = edge.relative * poses[edge.kf_b]
+                else:
+                    predicted = edge.relative.inverse() * poses[edge.kf_a]
+                delta = predicted * poses[node].inverse()
+                twist_sum += edge.weight * delta.log()
+                weight_sum += edge.weight
+            if weight_sum > 0:
+                steps[node] = step_scale * twist_sum / weight_sum
+        for node, step in steps.items():
+            poses[node] = SE3.exp(step) * poses[node]
+
+
+def optimize_pose_graph(
+    slam_map: SlamMap,
+    edges: List[PoseGraphEdge],
+    fixed: Optional[Set[int]] = None,
+    iterations: int = 12,
+    step_scale: float = 0.7,
+) -> PoseGraphStats:
+    """The per-edge ``SE3`` relaxation of the retired scalar tier."""
+    fixed = set(fixed or ())
+    poses: Dict[int, SE3] = {
+        kf_id: kf.pose_cw for kf_id, kf in slam_map.keyframes.items()
+    }
+    valid_edges = [
+        e for e in edges if e.kf_a in poses and e.kf_b in poses
+    ]
+    old_poses = dict(poses)
+    initial = _total_residual(poses, valid_edges)
+    _optimize_scalar(poses, valid_edges, fixed, iterations, step_scale)
+    final = _total_residual(poses, valid_edges)
+    # Write poses back and drag each map point with its anchor keyframe.
+    corrections: Dict[int, SE3] = {}
+    for kf_id, new_pose in poses.items():
+        corrections[kf_id] = new_pose.inverse() * old_poses[kf_id]
+        slam_map.keyframes[kf_id].pose_cw = new_pose
+    for point in slam_map.mappoints.values():
+        anchor = None
+        for kf_id in point.observations:
+            if kf_id in corrections:
+                anchor = kf_id
+                break
+        if anchor is None:
+            continue
+        # x_w' = T_new^-1 * T_old * x_w keeps the point rigid
+        # w.r.t. its anchor camera.
+        point.position = corrections[anchor].apply(point.position)
+    # Bulk position edit: invalidate packed matrices and search caches.
+    slam_map.touch()
+    return PoseGraphStats(
+        iterations=iterations,
+        initial_residual=initial,
+        final_residual=final,
+        n_edges=len(valid_edges),
+        n_poses=len(poses),
+    )

@@ -2,7 +2,7 @@
 
 Everything here runs without a GPU: the dispatch machinery is exercised
 with the fake device module (numpy wearing an ``is_device=True``
-costume, see :mod:`repro.backend.fake_xp`), which routes the kernels
+costume, see ``tests/fake_xp.py``), which routes the kernels
 through the exact device code paths — staged uploads, counted
 transfers, measured kernel timings — while computing on numpy, so
 "gpu" results must be *bit-exact* against "vectorized".  Real-device
@@ -23,14 +23,11 @@ from repro.backend import (
     clear_detection_cache,
     get_array_module,
     host_array_module,
-    known_backends,
     probe_array_module,
     register_device_builder,
     resolve_backend,
     use_array_module,
-    validate_backend,
 )
-from repro.backend.fake_xp import FakeDeviceArray, make_fake_array_module
 from repro.backend.kernels import (
     hamming_matrix_device,
     stage_descriptors,
@@ -45,6 +42,8 @@ from repro.vision.brief import (
     hamming_distance_pairs,
 )
 from repro.vision.matching import match_descriptors
+from tests.fake_xp import FakeDeviceArray, make_fake_array_module
+from tests.test_backend_vectorized import _drifted_chain, _noisy_scene
 
 HAS_REAL_DEVICE = bool(available_device_modules())
 
@@ -54,43 +53,56 @@ def _rand_descriptors(rng, n):
 
 
 # ---------------------------------------------------------------- registry
-class TestRegistry:
-    def test_three_tiers_registered(self):
-        names = known_backends()
-        for tier in ("scalar", "vectorized", "gpu"):
-            assert tier in names
+def _ba(backend):
+    slam_map, cam = _noisy_scene(n_kfs=2, n_points=20)
+    local_bundle_adjustment(slam_map, cam, list(slam_map.keyframes),
+                            backend=backend)
 
-    def test_validate_accepts_known(self):
-        assert validate_backend("gpu") == "gpu"
+
+def _pose_graph(backend):
+    slam_map, edges, _ = _drifted_chain(n=3)
+    optimize_pose_graph(slam_map, edges, backend=backend)
+
+
+def _tracker(backend):
+    slam_map, cam, _ = _tracking_fixture()
+    Tracker(slam_map, cam, backend=backend)
+
+
+def _slam_system(backend):
+    from repro.slam import SlamConfig, SlamSystem
+    from repro.vision import PinholeCamera
+
+    SlamSystem(PinholeCamera.ideal(320, 240), SlamConfig(backend=backend))
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", ["scalar", "tpu"])
+    @pytest.mark.parametrize(
+        "entry_point", [_ba, _pose_graph, _tracker, _slam_system]
+    )
+    def test_entry_points_reject_retired_and_unknown_names(
+            self, entry_point, name):
+        with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+            entry_point(name)
 
     def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend 'tpu'"):
-            validate_backend("tpu")
-
-    def test_validate_rejects_outside_allowed_subset(self):
-        # orb.py restricts FAST to the host tiers this way.
-        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
-            validate_backend("gpu", allowed=("scalar", "vectorized"))
+        for name in ("tpu", "scalar"):
+            with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+                resolve_backend(name)
 
     def test_host_tiers_resolve_to_themselves(self):
-        for tier in ("scalar", "vectorized"):
-            plan = resolve_backend(tier)
-            assert plan.kernel == tier
-            assert plan.array_module is None
-            assert not plan.on_device
+        assert resolve_backend("vectorized") is None
+        # An injected device does not make the numpy name a device tier.
+        assert resolve_backend(
+            "vectorized", array_module=make_fake_array_module()) is None
 
     def test_gpu_resolves_to_injected_device_module(self):
         am = make_fake_array_module()
-        plan = resolve_backend("gpu", array_module=am)
-        assert plan.kernel == "gpu"
-        assert plan.on_device
-        assert plan.array_module is am
+        assert resolve_backend("gpu", array_module=am) is am
 
     def test_gpu_without_device_falls_back_to_vectorized(self):
-        plan = resolve_backend("gpu", array_module=host_array_module())
-        assert plan.requested == "gpu"
-        assert plan.kernel == "vectorized"
-        assert not plan.on_device
+        assert resolve_backend("gpu", array_module=host_array_module()) is None
 
 
 # ------------------------------------------------------------- ArrayModule
@@ -283,15 +295,11 @@ class TestGeometryEquivalence:
 
 # ----------------------------------------------------- BA and pose graph
 def _ba_scene():
-    from benchmarks.bench_backend import build_ba_scene
-
-    return build_ba_scene(6, 150, seed=0)
+    return _noisy_scene(n_kfs=6, n_points=150, seed=0)
 
 
 def _pg_scene():
-    from benchmarks.bench_backend import build_pose_graph_scene
-
-    return build_pose_graph_scene(24, seed=0)
+    return _drifted_chain(n=24, seed=0)
 
 
 class TestSolverEquivalence:
@@ -479,17 +487,6 @@ class TestTrackerGpuTier:
         assert delta < first.to_device
         assert second.bytes_to_device - first.bytes_to_device < \
             first.bytes_to_device
-
-    def test_scalar_tier_unchanged(self):
-        slam_map, cam, make_frame = _tracking_fixture()
-        pose = SE3.exp(np.array([0.0, 0.0, 0.0, 0.05, 0.0, 0.01]))
-        tracker = Tracker(copy.deepcopy(slam_map), cam,
-                          TrackerConfig(min_matches=8), backend="scalar")
-        tracker.reference_keyframe_id = 0
-        tracker.force_pose(SE3.identity())
-        res = tracker.track(make_frame(pose), pose_prior=pose)
-        assert res.success
-        assert res.workload.measured_kernel_ms is None
 
 
 # ------------------------------------------------- scheduler measured time

@@ -1,10 +1,11 @@
 """Equivalence suite: batched back-end kernels vs their scalar references.
 
-The vectorized bundle-adjustment and pose-graph paths are only allowed
-to differ from the scalar loops by floating-point noise (<= 1e-9); these
-tests pin that on randomized maps, including the awkward cases — fixed
-keyframes, ``min_observations`` filtering, culled map points and
-keyframes, non-finite measured depths and empty edge lists.
+The bundle-adjustment and pose-graph kernels are only allowed to differ
+from the scalar loops in ``tests/oracles.py`` (``"scalar"`` below) by
+floating-point noise (<= 1e-9); these tests pin that on randomized
+maps, including the awkward cases — fixed keyframes,
+``min_observations`` filtering, culled map points and keyframes,
+non-finite measured depths and empty edge lists.
 """
 
 import copy
@@ -22,14 +23,18 @@ from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
 from repro.slam.pose_graph import (
     PoseGraphEdge,
-    _total_residual,
     build_essential_graph,
     optimize_pose_graph,
 )
 from repro.vision import PinholeCamera
 from repro.vision.brief import DESCRIPTOR_BYTES
+from tests import oracles
 
 TOL = 1e-9
+POSE_GRAPH = {
+    "scalar": oracles.optimize_pose_graph,
+    "vectorized": optimize_pose_graph,
+}
 
 
 # --------------------------------------------------------------- geometry
@@ -184,7 +189,7 @@ def _assert_maps_equal(map_a, map_b, tol=TOL):
 def _run_ba_both(slam_map, cam, window=None, **kwargs):
     map_s, map_v = copy.deepcopy(slam_map), copy.deepcopy(slam_map)
     window = list(slam_map.keyframes) if window is None else window
-    stats_s = local_bundle_adjustment(map_s, cam, window, backend="scalar", **kwargs)
+    stats_s = oracles.local_bundle_adjustment(map_s, cam, window, **kwargs)
     stats_v = local_bundle_adjustment(
         map_v, cam, window, backend="vectorized", **kwargs
     )
@@ -244,13 +249,14 @@ class TestBundleAdjustmentEquivalence:
     def test_global_ba(self):
         slam_map, cam = _noisy_scene(seed=7, n_kfs=4)
         map_s, map_v = copy.deepcopy(slam_map), copy.deepcopy(slam_map)
-        global_bundle_adjustment(map_s, cam, backend="scalar")
+        window = sorted(slam_map.keyframes)
+        oracles.local_bundle_adjustment(
+            map_s, cam, window, fixed_keyframe_ids={window[0]}
+        )
         global_bundle_adjustment(map_v, cam, backend="vectorized")
         _assert_maps_equal(map_s, map_v)
 
     def test_unknown_backend_rejected(self):
-        # "gpu" is a registered tier since the dispatch layer landed;
-        # a truly unknown name must still raise from the registry.
         slam_map, cam = _noisy_scene(seed=8, n_kfs=2, n_points=20)
         with pytest.raises(ValueError, match="unknown backend"):
             local_bundle_adjustment(
@@ -289,8 +295,8 @@ class TestPoseGraphEquivalence:
     def test_randomized_graphs(self, seed):
         slam_map, edges, ordered = _drifted_chain(seed=seed)
         map_s, map_v = copy.deepcopy(slam_map), copy.deepcopy(slam_map)
-        stats_s = optimize_pose_graph(
-            map_s, edges, fixed={ordered[0]}, backend="scalar"
+        stats_s = oracles.optimize_pose_graph(
+            map_s, edges, fixed={ordered[0]}
         )
         stats_v = optimize_pose_graph(
             map_v, edges, fixed={ordered[0]}, backend="vectorized"
@@ -309,8 +315,8 @@ class TestPoseGraphEquivalence:
         ghost = PoseGraphEdge(
             kf_a=ordered[-1], kf_b=999_999, relative=SE3.identity(), weight=50.0
         )
-        stats = optimize_pose_graph(
-            slam_map, edges + [ghost], fixed={ordered[0]}, backend=backend
+        stats = POSE_GRAPH[backend](
+            slam_map, edges + [ghost], fixed={ordered[0]}
         )
         assert stats.n_edges == len(edges)  # ghost edge not counted
 
@@ -320,15 +326,15 @@ class TestPoseGraphEquivalence:
         ghost = PoseGraphEdge(
             kf_a=123_456, kf_b=ordered[0], relative=SE3.identity()
         )
-        assert _total_residual(poses, edges + [ghost]) == pytest.approx(
-            _total_residual(poses, edges)
+        assert oracles._total_residual(poses, edges + [ghost]) == pytest.approx(
+            oracles._total_residual(poses, edges)
         )
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_empty_edges_noop(self, backend):
         slam_map, _, ordered = _drifted_chain(n=4)
         before = {k: kf.pose_cw for k, kf in slam_map.keyframes.items()}
-        stats = optimize_pose_graph(slam_map, [], backend=backend)
+        stats = POSE_GRAPH[backend](slam_map, [])
         assert stats.n_edges == 0
         assert stats.initial_residual == 0.0 == stats.final_residual
         for kf_id, pose in before.items():

@@ -11,6 +11,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.backend import use_array_module
 from repro.core import (
     BaselineConfig,
     BaselineSession,
@@ -23,6 +24,7 @@ from repro.core import (
 from repro.datasets import euroc_dataset
 from repro.geometry import Sim3
 from repro.net import PROFILE_DELAY_300MS
+from tests.fake_xp import make_fake_array_module
 from tests.test_shm_multiproc import shm_required
 
 
@@ -167,9 +169,10 @@ class TestHolograms:
         assert np.allclose(perceived_position(h, Sim3.identity()), [1, 2, 3])
 
 
-def _short_session(oracle_seed=7, **serving):
+def _short_session(oracle_seed=7, backend="vectorized", **serving):
     """Two clients, 5 s each, overlapping MH04 passes (they merge)."""
     config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+    config.slam.backend = backend
     for key, value in serving.items():
         setattr(config.serving, key, value)
     mh04 = euroc_dataset("MH04", duration=5.0, rate=10.0)
@@ -194,6 +197,8 @@ class TestSessionDigest:
     def test_same_config_same_digest_other_seed_other_digest(self):
         first = _short_default()[1].digest()
         assert _short_session().run().digest() == first
+        # No device here, so "gpu" is the numpy kernels byte for byte.
+        assert _short_session(backend="gpu").run().digest() == first
         assert _short_session(oracle_seed=8).run().digest() != first
 
     @shm_required
@@ -202,6 +207,41 @@ class TestSessionDigest:
         with _short_session(store_backend="shm") as session:
             assert session.run().digest() == local.digest()
         assert local.server.store.stats().n_keyframes > 0
+
+
+class TestOneBackendField:
+    """``SlamConfig.backend`` is the only knob, and every kernel obeys it."""
+
+    def test_weld_ba_runs_on_the_sessions_backend(self):
+        am = make_fake_array_module()
+        session = _short_session(backend="gpu")
+        try_merge = session.server._try_merge
+        weld_kernels = []
+
+        def recording(process):
+            mark = len(am.kernel_timings)
+            merge, merge_ms = try_merge(process)
+            if merge is not None:
+                weld_kernels.append(
+                    [t.name for t in am.kernel_timings[mark:]])
+            return merge, merge_ms
+
+        session.server._try_merge = recording
+        with use_array_module(am):
+            result = session.run()
+        assert len(result.merges) == len(weld_kernels) == 1
+        assert "ba_refine" in weld_kernels[0]
+
+    def test_slam_system_leaves_callers_config_alone(self):
+        from dataclasses import asdict
+
+        from repro.slam import SlamConfig, SlamSystem
+        from repro.vision import PinholeCamera
+
+        config = SlamConfig(backend="gpu")
+        before = asdict(config)
+        SlamSystem(PinholeCamera.ideal(320, 240), config)
+        assert asdict(config) == before
 
 
 class TestSessionSeams:

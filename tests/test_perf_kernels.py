@@ -13,6 +13,7 @@ from repro.net.simclock import SimClock
 from repro.gpu import GpuScheduler
 from repro.slam import SlamMap
 from repro.slam.mappoint import MapPoint
+from repro.vision import brief
 from repro.vision.brief import (
     DESCRIPTOR_BYTES,
     hamming_distance_matrix,
@@ -26,11 +27,13 @@ from repro.vision.fast import (
 from repro.vision.matching import (
     FrameGrid,
     match_descriptors,
-    search_by_projection_dense,
     search_by_projection_scalar,
     search_by_projection_vectorized,
 )
-from tests.oracles import _collect_keypoints_reference
+from tests.oracles import (
+    _collect_keypoints_reference,
+    search_by_projection_dense,
+)
 from tests.test_slam_system import run_system
 
 
@@ -98,6 +101,14 @@ class TestHammingEquivalence:
         a, b = _descriptors(rng, 4), _descriptors(rng, 4)
         empty = np.zeros(0, dtype=np.intp)
         assert hamming_distance_pairs(a, b, empty, empty).shape == (0,)
+
+
+class TestHammingEquivalenceWithoutBitwiseCount(TestHammingEquivalence):
+    """The numpy < 2 path: the bit-matrix product and the byte-LUT pairs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_bitwise_count(self, monkeypatch):
+        monkeypatch.setattr(brief, "_HAS_BITWISE_COUNT", False)
 
 
 # ---------------------------------------------------------------- search

@@ -5,12 +5,13 @@ import pytest
 
 from repro.datasets import euroc_dataset
 from repro.geometry import SE3
-from repro.slam import Tracker, TrackerConfig
+from repro.slam import Tracker, TrackerConfig, tracking
 from repro.slam.frame import Frame
 from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
 from repro.vision import ObservedFeature
 from repro.vision.brief import DESCRIPTOR_BYTES
+from repro.vision.matching import search_by_projection_scalar
 from tests.test_slam_system import run_system
 
 
@@ -159,17 +160,32 @@ class TestTracker:
         with pytest.raises(ValueError):
             Tracker(SlamMap(), ds.camera, backend="neural")
 
-    def test_scalar_backend_tracks_too(self, mapped):
+    def test_scalar_backend_tracks_too(self, mapped, monkeypatch):
+        # The retired tier rebuilt in place: over the CPU-sequential
+        # search the tracker must land on the same matches and pose.
         ds, system = mapped
-        tracker = Tracker(
-            system.map, ds.camera,
-            TrackerConfig(local_map_size=150), backend="scalar",
-        )
-        tracker.reference_keyframe_id = system.tracker.reference_keyframe_id
         oracle = ds.make_oracle(stereo=True, seed=53)
         idx = 50
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(idx))
-        frame = Frame.from_observations(999, 300.0, obs)
         prior = ds.pose_cw(idx) * ds.pose_cw(0).inverse()
-        result = tracker.track(frame, pose_prior=prior)
-        assert result.success
+
+        def track():
+            tracker = Tracker(
+                system.map, ds.camera, TrackerConfig(local_map_size=150)
+            )
+            tracker.reference_keyframe_id = system.tracker.reference_keyframe_id
+            frame = Frame.from_observations(999, 300.0, obs)
+            return tracker.track(frame, pose_prior=prior)
+
+        vectorized = track()
+        monkeypatch.setattr(
+            tracking, "search_by_projection_vectorized",
+            lambda proj_uv, point_desc, frame_uv, frame_desc, radius, **_:
+                search_by_projection_scalar(
+                    proj_uv, point_desc, frame_uv, frame_desc, radius=radius),
+        )
+        scalar = track()
+        assert scalar.success
+        assert scalar.n_matches == vectorized.n_matches
+        assert scalar.frame.pose_cw.almost_equal(
+            vectorized.frame.pose_cw, 1e-12, 1e-12)

@@ -25,7 +25,8 @@ from repro.vision import (
     search_by_projection_vectorized,
 )
 from repro.vision.brief import DESCRIPTOR_BYTES, compute_descriptor
-from repro.vision.fast import Keypoint
+from repro.vision.fast import Keypoint, detect_fast_scalar
+from tests import oracles
 
 
 class TestBrief:
@@ -102,14 +103,10 @@ class TestOrbExtractor:
         img, _, _, _ = self._scene()
         for n_levels in (2, 4):
             cfg = OrbExtractorConfig(n_features=60, n_levels=n_levels)
-            a = OrbExtractor(cfg, backend="scalar").extract(img)
-            b = OrbExtractor(cfg, backend="vectorized").extract(img)
+            a = oracles.extract(img, cfg, detect=detect_fast_scalar)
+            b = OrbExtractor(cfg).extract(img)
             assert a.keypoints == b.keypoints
             assert np.array_equal(a.descriptors, b.descriptors)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            OrbExtractor(backend="tpu")
 
     def test_features_near_landmarks(self):
         img, pts, ids, cam = self._scene()

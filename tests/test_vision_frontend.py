@@ -249,7 +249,7 @@ class TestLedgerSeam:
             (matching.match_descriptors,
              ["query", "train", "max_distance", "ratio", "cross_check", "am"]),
             (OrbExtractor.extract, ["self", "image"]),
-            (OrbExtractor.__init__, ["self", "config", "backend"]),
+            (OrbExtractor.__init__, ["self", "config"]),
         ],
     )
     def test_signatures(self, function, parameters):
