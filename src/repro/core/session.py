@@ -225,7 +225,8 @@ class ClientOutcome:
 
 
 class FrameAccountingError(RuntimeError):
-    """A finished run left frames unaccounted for or traces open."""
+    """A finished run left frames unaccounted for, traces open or a
+    shard lock of the map store held."""
 
 
 @dataclass
@@ -552,7 +553,8 @@ class SlamShareSession:
         )
 
     def _check_run_end(self) -> None:
-        """Fail the run if a frame vanished or a trace stayed open."""
+        """Fail the run if a frame vanished, a trace stayed open or a
+        shard lock of the map store is still held."""
         problems = [
             f"client {cid}: {outcome.unaccounted_frames()} of "
             f"{outcome.frames_captured} captured frames unaccounted ("
@@ -565,6 +567,13 @@ class SlamShareSession:
             problems.append(
                 f"{_tracer.open_trace_count()} frame traces still open"
             )
+        problems.extend(
+            f"map store shard {idx}: lock still held "
+            f"(readers={shard.lock.active_readers} "
+            f"writer={shard.lock.writer_active})"
+            for idx, shard in enumerate(self.server.store.shards)
+            if shard.lock.active_readers != 0 or shard.lock.writer_active
+        )
         if problems:
             raise FrameAccountingError("; ".join(problems))
 

@@ -1,4 +1,4 @@
-"""GPU substrate: calibrated latency models, sharing scheduler, kernels."""
+"""GPU substrate: the calibrated latency models and the sharing scheduler."""
 
 from .device import (
     CpuCostModel,
@@ -6,7 +6,6 @@ from .device import (
     StageBreakdown,
     TrackingLatencyModel,
 )
-from .kernels import KernelTiming, time_fast_kernels, time_search_kernels
 from .scheduler import BatchingConfig, GpuScheduler, KernelRecord
 
 __all__ = [
@@ -15,9 +14,6 @@ __all__ = [
     "GpuCostModel",
     "GpuScheduler",
     "KernelRecord",
-    "KernelTiming",
     "StageBreakdown",
     "TrackingLatencyModel",
-    "time_fast_kernels",
-    "time_search_kernels",
 ]

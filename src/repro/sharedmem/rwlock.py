@@ -86,7 +86,7 @@ class RWLock:
         self.write_acquisitions = 0
         # Always-on wait accounting (nanoseconds spent blocked acquiring),
         # so per-lock contention is measurable without global metrics —
-        # the scale-out benchmark reads these per shard.
+        # ``ShardedMapStore.shard_stats`` reports these per shard.
         self.read_wait_ns = 0
         self.write_wait_ns = 0
 

@@ -4,7 +4,6 @@ from .brief import (
     DESCRIPTOR_BITS,
     DESCRIPTOR_BYTES,
     compute_descriptor,
-    hamming_distance,
     hamming_distance_matrix,
     hamming_distance_matrix_lut,
     hamming_distance_pairs,
@@ -12,13 +11,12 @@ from .brief import (
     random_descriptor,
 )
 from .camera import PinholeCamera, StereoRig
-from .fast import Keypoint, detect_fast_scalar, detect_fast_vectorized
+from .fast import Keypoint, detect_fast_vectorized
 from .image import Image, ImagePyramid
 from .matching import (
     FrameGrid,
     Match,
     match_descriptors,
-    search_by_projection_scalar,
     search_by_projection_vectorized,
 )
 from .orb import FeatureSet, OrbExtractor, OrbExtractorConfig
@@ -45,9 +43,7 @@ __all__ = [
     "StereoMatcherConfig",
     "StereoRig",
     "compute_descriptor",
-    "detect_fast_scalar",
     "detect_fast_vectorized",
-    "hamming_distance",
     "hamming_distance_matrix",
     "hamming_distance_matrix_lut",
     "hamming_distance_pairs",
@@ -56,6 +52,5 @@ __all__ = [
     "random_descriptor",
     "render_frame",
     "render_stereo_pair",
-    "search_by_projection_scalar",
     "search_by_projection_vectorized",
 ]

@@ -125,11 +125,6 @@ def compute_descriptor(
     return descriptors[0] if inside[0] else None
 
 
-def hamming_distance(desc_a: np.ndarray, desc_b: np.ndarray) -> int:
-    """Number of differing bits between two packed descriptors."""
-    return int(_POPCOUNT[np.bitwise_xor(desc_a, desc_b)].sum())
-
-
 # numpy >= 2.0 ships a native popcount ufunc; older versions fall back
 # to the bit-matrix dot-product formulation below.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")

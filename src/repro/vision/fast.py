@@ -1,18 +1,15 @@
 """FAST-9/16 corner detection.
 
-Two implementations of the same detector live here:
+:func:`detect_fast_vectorized` is a fully data-parallel numpy
+formulation: 16 whole-image shifted views compared against centre ± t
+and OR-ed into two ``uint16`` ring masks, the arc test one lookup in a
+65 536-entry table, the score gathered at corner pixels only.  This is
+the "GPU kernel" of §4.2.1: every pixel's segment test is independent,
+which is exactly the parallelism SLAM-Share exploits on the GPU.
 
-* :func:`detect_fast_scalar` — a straightforward per-pixel loop, the
-  "CPU sequential" reference (this is what the default ORB-SLAM3 path
-  models in the paper's Fig. 5).
-* :func:`detect_fast_vectorized` — a fully data-parallel numpy
-  formulation: 16 whole-image shifted views compared against centre ± t
-  and OR-ed into two ``uint16`` ring masks, the arc test one lookup in a
-  65 536-entry table, the score gathered at corner pixels only.  This is
-  the "GPU kernel" of §4.2.1: every pixel's segment test is independent,
-  which is exactly the parallelism SLAM-Share exploits on the GPU.
-
-Both return identical keypoints in identical order; tests assert this.
+The per-pixel loop it replaced (the "CPU sequential" path of the
+paper's Fig. 5) is the oracle in ``tests/oracles.py``; both return
+identical keypoints in identical order, and tests assert this.
 """
 
 from __future__ import annotations
@@ -45,41 +42,6 @@ class Keypoint:
     response: float
     level: int = 0
     angle: float = 0.0
-
-
-def _ring_values_scalar(pixels: np.ndarray, v: int, u: int) -> np.ndarray:
-    return np.array(
-        [int(pixels[v + dy, u + dx]) for dy, dx in CIRCLE_OFFSETS], dtype=np.int32
-    )
-
-
-def _has_arc(flags: np.ndarray, arc: int) -> bool:
-    """Check for ``arc`` contiguous True values on the circular ring."""
-    doubled = np.concatenate([flags, flags])
-    run = 0
-    for value in doubled:
-        run = run + 1 if value else 0
-        if run >= arc:
-            return True
-    return False
-
-
-def detect_fast_scalar(
-    pixels: np.ndarray, threshold: int = 20, nonmax: bool = True
-) -> List[Keypoint]:
-    """Reference (sequential) FAST-9 detector."""
-    pixels = np.asarray(pixels)
-    h, w = pixels.shape
-    scores = np.zeros((h, w), dtype=np.float32)
-    for v in range(BORDER, h - BORDER):
-        for u in range(BORDER, w - BORDER):
-            center = int(pixels[v, u])
-            ring = _ring_values_scalar(pixels, v, u)
-            brighter = ring > center + threshold
-            darker = ring < center - threshold
-            if _has_arc(brighter, ARC_LENGTH) or _has_arc(darker, ARC_LENGTH):
-                scores[v, u] = float(np.abs(ring - center).sum())
-    return _collect_keypoints(scores, nonmax)
 
 
 def _build_arc_table() -> np.ndarray:

@@ -7,10 +7,10 @@ frame's descriptors inside a window.  The system runs
 :func:`search_by_projection_vectorized`: prune candidate pairs with a
 spatial frame grid (ORB-SLAM's ``GetFeaturesInArea``) before any Hamming
 work, then resolve the greedy one-to-one assignment from the pruned pair
-list (the GPU kernel of §4.2.1).  :func:`search_by_projection_scalar`
-loops point by point (default ORB-SLAM3); it is the CPU-sequential side
-of the paper's A4 kernel comparison (:mod:`repro.gpu.kernels`) and the
-reference the vectorized output must equal.
+list (the GPU kernel of §4.2.1).  The point-by-point loop of default
+ORB-SLAM3 — the CPU-sequential side of the paper's A4 kernel comparison
+(``benchmarks/bench_ablation_kernels.py``) and the reference the
+vectorized output must equal — is the oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .brief import (
-    hamming_distance,
-    hamming_distance_matrix,
-    hamming_distance_pairs,
-)
+from .brief import hamming_distance_matrix, hamming_distance_pairs
 
 DEFAULT_MATCH_THRESHOLD = 64  # bits out of 256
 DEFAULT_RATIO = 0.8
@@ -101,37 +97,6 @@ def match_descriptors(
         Match(int(qi), int(best[qi]), int(best_dist[qi]))
         for qi in np.nonzero(keep)[0]
     ]
-
-
-def search_by_projection_scalar(
-    projected_uv: np.ndarray,
-    point_descriptors: np.ndarray,
-    frame_uv: np.ndarray,
-    frame_descriptors: np.ndarray,
-    radius: float = 8.0,
-    max_distance: int = DEFAULT_MATCH_THRESHOLD,
-) -> List[Match]:
-    """Sequential search-local-points: loop over map points one by one."""
-    matches: List[Match] = []
-    used = set()
-    for pi in range(len(projected_uv)):
-        best_dist = max_distance + 1
-        best_fi = -1
-        for fi in range(len(frame_uv)):
-            if fi in used:
-                continue
-            du = frame_uv[fi, 0] - projected_uv[pi, 0]
-            dv = frame_uv[fi, 1] - projected_uv[pi, 1]
-            if du * du + dv * dv > radius * radius:
-                continue
-            dist = hamming_distance(point_descriptors[pi], frame_descriptors[fi])
-            if dist < best_dist:
-                best_dist = dist
-                best_fi = fi
-        if best_fi >= 0:
-            used.add(best_fi)
-            matches.append(Match(pi, best_fi, best_dist))
-    return matches
 
 
 class FrameGrid:
@@ -241,11 +206,11 @@ def _greedy_assign(
     n_points: int,
     n_feats: int,
 ) -> List[Match]:
-    """One-to-one greedy assignment identical to the scalar reference.
+    """One-to-one greedy assignment identical to the sequential reference.
 
     Pairs are sorted by ``(point, distance, feature)``; walking that
-    order reproduces the scalar loop exactly: points claim features in
-    ascending point order, each taking its lowest-distance unused
+    order reproduces the point-by-point loop exactly: points claim
+    features in ascending point order, each taking its lowest-distance unused
     candidate (ties to the lowest feature index).  When every point's
     first choice is distinct — the common tracking case — the whole
     assignment resolves without the walk.
@@ -294,9 +259,9 @@ def search_by_projection_vectorized(
     the pairs whose cells overlap the search window; the exact radius
     test, pair-sparse Hamming popcount and argsort-based greedy
     assignment then run only on the survivors.  Output is identical to
-    :func:`search_by_projection_scalar` (tests assert this).  Pass a
-    prebuilt ``grid`` to amortize binning across repeated searches of
-    one frame.
+    the point-by-point oracle in ``tests/oracles.py`` (tests assert
+    this).  Pass a prebuilt ``grid`` to amortize binning across
+    repeated searches of one frame.
 
     With a device ``am`` the pair-sparse Hamming work runs on the
     device; ``point_desc_dev`` / ``frame_desc_dev`` are optional

@@ -5,10 +5,14 @@ runtime: the per-keypoint rBRIEF, the dict-of-lists grid cull, the
 per-keypoint ``extract`` loop and the shift-loop NMS from before the
 batch front end (PR 17); the per-point bundle adjustment, the per-edge
 pose-graph relaxation and the all-pairs projection search from before
-``backend`` lost its ``"scalar"`` name (PR 19).  The kernels in
-``repro.vision`` must reproduce the front-end bodies bit for bit and
-the ones in ``repro.slam`` the back-end bodies to 1e-9; nothing in
-``src/`` imports this module.
+``backend`` lost its ``"scalar"`` name (PR 19); the CPU-sequential side
+of ablation A4 — per-pixel FAST (``detect_fast_scalar`` with
+``_ring_values_scalar`` / ``_has_arc``), the point-by-point projection
+search and the one-pair ``hamming_distance`` — once
+``benchmarks/bench_ablation_kernels.py`` was its only caller outside the
+tests (PR 22).  The kernels in ``repro.vision`` must reproduce the
+front-end bodies bit for bit and the ones in ``repro.slam`` the back-end
+bodies to 1e-9; nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -29,16 +33,65 @@ from repro.vision.brief import (
     sampling_pattern,
 )
 from repro.vision.camera import PinholeCamera
-from repro.vision.fast import Keypoint, detect_fast_vectorized
+from repro.vision.fast import (
+    ARC_LENGTH,
+    BORDER,
+    CIRCLE_OFFSETS,
+    Keypoint,
+    _collect_keypoints,
+    detect_fast_vectorized,
+)
 from repro.vision.image import Image, ImagePyramid
 from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, Match
 from repro.vision.orb import FeatureSet, OrbExtractorConfig
 
 _PATTERN = sampling_pattern()
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _INF_COST = np.int32(1 << 30)
 
 
+# -------------------------------------------------------------------- FAST
+def _ring_values_scalar(pixels: np.ndarray, v: int, u: int) -> np.ndarray:
+    return np.array(
+        [int(pixels[v + dy, u + dx]) for dy, dx in CIRCLE_OFFSETS], dtype=np.int32
+    )
+
+
+def _has_arc(flags: np.ndarray, arc: int) -> bool:
+    """Check for ``arc`` contiguous True values on the circular ring."""
+    doubled = np.concatenate([flags, flags])
+    run = 0
+    for value in doubled:
+        run = run + 1 if value else 0
+        if run >= arc:
+            return True
+    return False
+
+
+def detect_fast_scalar(
+    pixels: np.ndarray, threshold: int = 20, nonmax: bool = True
+) -> List[Keypoint]:
+    """Reference (sequential) FAST-9 detector."""
+    pixels = np.asarray(pixels)
+    h, w = pixels.shape
+    scores = np.zeros((h, w), dtype=np.float32)
+    for v in range(BORDER, h - BORDER):
+        for u in range(BORDER, w - BORDER):
+            center = int(pixels[v, u])
+            ring = _ring_values_scalar(pixels, v, u)
+            brighter = ring > center + threshold
+            darker = ring < center - threshold
+            if _has_arc(brighter, ARC_LENGTH) or _has_arc(darker, ARC_LENGTH):
+                scores[v, u] = float(np.abs(ring - center).sum())
+    return _collect_keypoints(scores, nonmax)
+
+
 # ------------------------------------------------------------------ rBRIEF
+def hamming_distance(desc_a: np.ndarray, desc_b: np.ndarray) -> int:
+    """Number of differing bits between two packed descriptors."""
+    return int(_POPCOUNT[np.bitwise_xor(desc_a, desc_b)].sum())
+
+
 def intensity_centroid_angle(pixels: np.ndarray, u: float, v: float,
                              radius: int = 7) -> float:
     """Orientation of the patch by the intensity-centroid method (radians)."""
@@ -191,6 +244,37 @@ def _tie_break(dy: int, dx: int) -> bool:
 
 
 # ------------------------------------------------------- projection search
+def search_by_projection_scalar(
+    projected_uv: np.ndarray,
+    point_descriptors: np.ndarray,
+    frame_uv: np.ndarray,
+    frame_descriptors: np.ndarray,
+    radius: float = 8.0,
+    max_distance: int = DEFAULT_MATCH_THRESHOLD,
+) -> List[Match]:
+    """Sequential search-local-points: loop over map points one by one."""
+    matches: List[Match] = []
+    used = set()
+    for pi in range(len(projected_uv)):
+        best_dist = max_distance + 1
+        best_fi = -1
+        for fi in range(len(frame_uv)):
+            if fi in used:
+                continue
+            du = frame_uv[fi, 0] - projected_uv[pi, 0]
+            dv = frame_uv[fi, 1] - projected_uv[pi, 1]
+            if du * du + dv * dv > radius * radius:
+                continue
+            dist = hamming_distance(point_descriptors[pi], frame_descriptors[fi])
+            if dist < best_dist:
+                best_dist = dist
+                best_fi = fi
+        if best_fi >= 0:
+            used.add(best_fi)
+            matches.append(Match(pi, best_fi, best_dist))
+    return matches
+
+
 def search_by_projection_dense(
     projected_uv: np.ndarray,
     point_descriptors: np.ndarray,

@@ -59,7 +59,12 @@ class TestLossyLinks:
     def test_heavy_loss_still_no_corruption(self):
         lossy = ShapingProfile("terrible link", loss_rate=0.35)
         result = _session(shaping=lossy).run()
-        # The run completes and the global map is structurally sound.
+        # The run completes, the loss is counted and bridged, accuracy
+        # holds and the global map is structurally sound.
+        assert result.outcomes[0].uplink_drops > 0
+        assert result.outcomes[0].frames_recovered > 0
+        for cid in result.outcomes:
+            assert result.client_ate(cid).rmse < 0.15
         gmap = result.server.global_map
         for kf in gmap.keyframes.values():
             for pid in kf.observed_point_ids():
@@ -166,6 +171,9 @@ class TestClientChurn:
         outcome = result.outcomes[0]
         assert outcome.uplink_drops > 0
         assert outcome.frames_recovered > 0
+        assert outcome.disconnects == 1 and outcome.rejoins == 1
+        for cid in result.outcomes:
+            assert result.client_ate(cid).rmse < 0.15
         gmap = result.server.global_map
         for kf in gmap.keyframes.values():
             for pid in kf.observed_point_ids():
@@ -221,6 +229,17 @@ class TestRunEndInvariant:
         session = _session(shaping=lossy, durations=(4.0, 3.0))
         session._on_uplink_dropped = lambda state, message: None
         with pytest.raises(FrameAccountingError, match=r"client 0: \d+ of 40"):
+            session.run()
+
+    def test_run_fails_when_a_shard_lock_is_left_held(self):
+        """A reader that never releases would block the next writer of
+        that shard forever, so it is leaked after the last publish;
+        run() names the shard instead of returning."""
+        session = _session(durations=(2.0, 1.0))
+        leaked = session.server.store.shards[0].lock
+        session.clock.schedule_at(10.0, leaked.acquire_read)
+        with pytest.raises(FrameAccountingError,
+                           match=r"shard 0: lock still held \(readers=1"):
             session.run()
 
 

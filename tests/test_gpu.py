@@ -1,16 +1,16 @@
 """Tests for GPU latency models, the sharing scheduler and real kernels."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.gpu import (
-    GpuScheduler,
-    TrackingLatencyModel,
-    time_fast_kernels,
-    time_search_kernels,
-)
+from repro.gpu import GpuScheduler, TrackingLatencyModel
 from repro.net import SimClock
 from repro.slam.tracking import TrackingWorkload
+from repro.vision.fast import detect_fast_vectorized
+from repro.vision.matching import search_by_projection_vectorized
+from tests import oracles
 
 
 def _workload(stereo_pixels=False):
@@ -146,15 +146,35 @@ class TestGpuScheduler:
         assert sched.mean_latency(0) < sched.mean_latency(1)
 
 
+def _best_of_3(fn) -> float:
+    """One un-repeated sample is scheduler noise on a shared host."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 class TestRealKernels:
     def test_vectorized_fast_is_faster(self):
         rng = np.random.default_rng(0)
         image = rng.integers(0, 256, size=(96, 128), dtype=np.uint8)
-        timing = time_fast_kernels(image, repeats=1)
-        assert timing.speedup > 3.0
+        sequential = _best_of_3(lambda: oracles.detect_fast_scalar(image, 20))
+        parallel = _best_of_3(lambda: detect_fast_vectorized(image, 20))
+        assert sequential > 3.0 * parallel
 
     def test_vectorized_search_is_faster(self):
-        timing = time_search_kernels(n_points=200, n_features=150, repeats=1)
+        rng = np.random.default_rng(3)
+        proj_uv = rng.uniform(0, 320, size=(200, 2))
+        frame_uv = rng.uniform(0, 320, size=(150, 2))
+        point_desc = rng.integers(0, 256, size=(200, 32), dtype=np.uint8)
+        frame_desc = rng.integers(0, 256, size=(150, 32), dtype=np.uint8)
+        args = (proj_uv, point_desc, frame_uv, frame_desc)
+        sequential = _best_of_3(
+            lambda: oracles.search_by_projection_scalar(*args, radius=30.0))
+        parallel = _best_of_3(
+            lambda: search_by_projection_vectorized(*args, radius=30.0))
         # Machine-dependent; the point is a clear win for the
         # data-parallel formulation, not a specific factor.
-        assert timing.speedup > 1.2
+        assert sequential > 1.2 * parallel

@@ -198,6 +198,11 @@ class TestTimedTransferUnderLoss:
         rtts = [timed_transfer(clock, up, down, 100_000) for _ in range(20)]
         assert all(rtt > 0 for rtt in rtts)
         assert up.stats.messages_dropped > 0  # loss actually happened
+        # Retransmissions only add time: the lossless RTT is the floor.
+        clean = timed_transfer(
+            clock, Link(clock, bandwidth_bps=8e6, delay_s=0.05),
+            Link(clock, bandwidth_bps=8e6, delay_s=0.05), 100_000)
+        assert clean <= sorted(rtts)[len(rtts) // 2]
 
     def test_lossless_value_matches_analytic(self):
         clock = SimClock()

@@ -10,6 +10,7 @@ would-be-placement trace emitted even under static policies.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -265,13 +266,80 @@ def _session(policy: str, duration: float = 10.0, shaping=None,
     )
 
 
+def _heal(session, client_id):
+    link = session.clients[client_id].link
+    link.uplink.delay_s = 0.0
+    link.downlink.delay_s = 0.0
+
+
+@pytest.fixture(scope="module")
+def bad_link_result():
+    """One strong device, 10 s behind 300 ms of added delay, adaptive."""
+    return _session("adaptive", shaping=PROFILE_DELAY_300MS).run()
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    """A fleet neither static policy suits, run under all three.
+
+    Client 0 is a weak (default) device on a clean link: ~21 ms round
+    trips against ~310 ms on-device, so the server is right for it.
+    Client 1 is a strong device behind +300 ms that heals at 5 s: ~60 ms
+    on-device against ~640 ms round trips while the link is bad.
+    """
+    results = {}
+    for policy in ("static-server", "static-client", "adaptive"):
+        config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+        config.serving.offload.policy = policy
+        session = SlamShareSession(
+            [
+                ClientScenario(
+                    0, euroc_dataset("MH04", duration=10.0, rate=10.0)),
+                ClientScenario(
+                    1, euroc_dataset("MH05", duration=10.0, rate=10.0),
+                    oracle_seed=9, imu_seed=13,
+                    shaping=PROFILE_DELAY_300MS, device_cpu=STRONG_CPU),
+            ],
+            config,
+        )
+        session.clock.schedule_at(5.0, lambda s=session: _heal(s, 1))
+        results[policy] = session.run()
+    return results
+
+
+def _pooled_rtt_p95(result) -> float:
+    return float(np.percentile(
+        [rtt for o in result.outcomes.values() for rtt in o.pose_rtts_ms],
+        95))
+
+
+class TestMixedFleet:
+    def test_adaptive_beats_both_static_policies(self, fleet):
+        """Pooled pose-RTT p95: each static policy is right for one
+        client and terrible for the other; adaptive is right for both."""
+        assert _pooled_rtt_p95(fleet["adaptive"]) <= min(
+            _pooled_rtt_p95(fleet["static-server"]),
+            _pooled_rtt_p95(fleet["static-client"]))
+
+    def test_handoffs_both_ways_without_a_gap(self, fleet):
+        result = fleet["adaptive"]
+        committed = result.offload.committed_handoffs()
+        assert {h.dst for h in committed} == {PLACEMENT_CLIENT,
+                                             PLACEMENT_SERVER}
+        assert all(h.imu_anchor_ts is not None for h in committed)
+        for cid, outcome in result.outcomes.items():
+            assert outcome.unaccounted_frames() == 0
+            assert outcome.frames_shed == 0
+            assert outcome.uplink_drops == outcome.pose_drops == 0
+            assert result.client_ate(cid).rmse < 0.15
+
+
 class TestSessionIntegration:
-    def test_bad_link_migrates_tracking_to_client(self):
+    def test_bad_link_migrates_tracking_to_client(self, bad_link_result):
         """300 ms of added delay (~640 ms round trips) drives a handoff;
         after it commits frames are tracked on-device and the migration
         carries the IMU anchor."""
-        session = _session("adaptive", shaping=PROFILE_DELAY_300MS)
-        result = session.run()
+        result = bad_link_result
         outcome = result.outcomes[0]
         committed = result.offload.committed_handoffs()
         assert len(committed) >= 1
@@ -284,12 +352,10 @@ class TestSessionIntegration:
         assert result.offload.placement(0) == PLACEMENT_CLIENT
         assert result.client_ate(0).rmse < 0.15
 
-    def test_no_frame_dropped_across_handoff(self):
+    def test_no_frame_dropped_across_handoff(self, bad_link_result):
         """The zero-gap ledger: every captured frame is processed,
         provably superseded, or offline — never silently lost."""
-        session = _session("adaptive", shaping=PROFILE_DELAY_300MS)
-        result = session.run()
-        outcome = result.outcomes[0]
+        outcome = bad_link_result.outcomes[0]
         assert outcome.frames_shed == 0
         assert outcome.uplink_drops == 0
         assert outcome.unaccounted_frames() == 0
@@ -299,13 +365,7 @@ class TestSessionIntegration:
         controller migrates tracking back (both directions exercised)."""
         session = _session("adaptive", duration=14.0,
                            shaping=PROFILE_DELAY_300MS)
-
-        def heal():
-            link = session.clients[0].link
-            link.uplink.delay_s = 0.0
-            link.downlink.delay_s = 0.0
-
-        session.clock.schedule_at(5.0, heal)
+        session.clock.schedule_at(5.0, lambda: _heal(session, 0))
         result = session.run()
         committed = result.offload.committed_handoffs()
         assert {h.dst for h in committed} == {PLACEMENT_CLIENT,
@@ -315,15 +375,15 @@ class TestSessionIntegration:
         assert result.offload.placement(0) == PLACEMENT_SERVER
         assert result.client_ate(0).rmse < 0.15
 
-    def test_static_policies_never_handoff(self):
+    def test_static_policies_never_handoff(self, fleet):
         for policy in ("static-server", "static-client"):
-            result = _session(policy).run()
+            result = fleet[policy]
             assert result.offload.handoffs == []
-            outcome = result.outcomes[0]
-            if policy == "static-client":
-                assert outcome.frames_local == outcome.frames_captured > 0
-            else:
-                assert outcome.frames_local == 0
+            for outcome in result.outcomes.values():
+                if policy == "static-client":
+                    assert outcome.frames_local == outcome.frames_captured > 0
+                else:
+                    assert outcome.frames_local == 0
 
     def test_manual_handoff_any_policy(self):
         session = _session("static-server")
@@ -405,5 +465,6 @@ class TestWouldPlaceTrace:
         outcome = result.outcomes[0]
         assert outcome.frames_shed == 0
         assert outcome.frames_degraded > 0
+        assert outcome.unaccounted_frames() == 0
         committed = result.offload.committed_handoffs()
         assert any(h.reason in ("shed", "load") for h in committed)

@@ -27,12 +27,12 @@ from repro.vision.fast import (
 from repro.vision.matching import (
     FrameGrid,
     match_descriptors,
-    search_by_projection_scalar,
     search_by_projection_vectorized,
 )
 from tests.oracles import (
     _collect_keypoints_reference,
     search_by_projection_dense,
+    search_by_projection_scalar,
 )
 from tests.test_slam_system import run_system
 

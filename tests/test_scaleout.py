@@ -8,6 +8,7 @@ admission control / load shedding in the server and session.
 """
 
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -335,6 +336,54 @@ class TestMicroBatching:
         assert all(r.batch_id == 0 for r in client1)
         # And the flood still fully drains (no lost kernels).
         assert len([r for r in sched.records if r.client_id == 0]) == 40
+
+    def test_batching_and_admission_hold_the_tail_at_32_clients(self):
+        """32 clients x 30 FPS x 6 sim-s on one temporal GPU (0.7 ms
+        kernels, 1.2 ms per dispatch): paying the overhead per frame
+        outruns the GPU and the queue grows without bound; the tuned
+        window + in-flight cap keeps frame p95 near one window and
+        sheds next to nothing."""
+        n_clients, n_frames, fps = 32, 180, 30.0
+
+        def serve(batching, in_flight_cap):
+            clock = SimClock()
+            sched = GpuScheduler(clock, mode="temporal", batching=batching)
+            in_flight = [0] * n_clients
+            latencies_ms, shed = [], []
+
+            def frame(c, i):
+                if in_flight_cap is not None and in_flight[c] >= in_flight_cap:
+                    shed.append((c, i))
+                    return
+                in_flight[c] += 1
+                arrived = clock.now
+
+                def done():
+                    in_flight[c] -= 1
+                    latencies_ms.append((clock.now - arrived) * 1e3)
+
+                # Deterministic per-frame size jitter, no RNG.
+                gpu_s = (0.7 + 0.02 * ((i * 7 + c * 3) % 5)) * 1e-3
+                sched.submit(c, gpu_s, on_done=done)
+
+            for c in range(n_clients):
+                for i in range(n_frames):
+                    clock.schedule_at((c / n_clients + i) / fps,
+                                      partial(frame, c, i))
+            clock.run()
+            return (float(np.percentile(latencies_ms, 95)),
+                    len(shed) / (n_clients * n_frames))
+
+        solo_p95, _ = serve(
+            BatchingConfig(window_s=0.0, dispatch_overhead_s=0.0012), None)
+        # Budget just under window + overhead + kernel: an idle GPU
+        # dispatches solo, a backlogged one batches regardless.
+        tuned_p95, shed_rate = serve(
+            BatchingConfig(window_s=0.008, max_batch=24,
+                           dispatch_overhead_s=0.0012, p99_budget_s=0.009),
+            in_flight_cap=8)
+        assert solo_p95 >= 2.0 * tuned_p95
+        assert shed_rate < 0.10
 
     def test_p99_budget_falls_back_to_solo_on_idle_gpu(self):
         clock = SimClock()

@@ -11,7 +11,7 @@ from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
 from repro.vision import ObservedFeature
 from repro.vision.brief import DESCRIPTOR_BYTES
-from repro.vision.matching import search_by_projection_scalar
+from tests.oracles import search_by_projection_scalar
 from tests.test_slam_system import run_system
 
 

@@ -4,11 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vision.fast import (
-    CIRCLE_OFFSETS,
-    detect_fast_scalar,
-    detect_fast_vectorized,
-)
+from repro.vision.fast import CIRCLE_OFFSETS, detect_fast_vectorized
+from tests.oracles import detect_fast_scalar
 
 
 def _blank(h=40, w=40, value=100):

@@ -15,18 +15,21 @@ from repro.vision import (
     OrbExtractorConfig,
     PinholeCamera,
     StereoRig,
-    hamming_distance,
     hamming_distance_matrix,
     match_descriptors,
     perturb_descriptor,
     random_descriptor,
     render_frame,
-    search_by_projection_scalar,
     search_by_projection_vectorized,
 )
 from repro.vision.brief import DESCRIPTOR_BYTES, compute_descriptor
-from repro.vision.fast import Keypoint, detect_fast_scalar
+from repro.vision.fast import Keypoint
 from tests import oracles
+from tests.oracles import (
+    detect_fast_scalar,
+    hamming_distance,
+    search_by_projection_scalar,
+)
 
 
 class TestBrief:
