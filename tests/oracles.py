@@ -10,8 +10,11 @@ of ablation A4 — per-pixel FAST (``detect_fast_scalar`` with
 ``_ring_values_scalar`` / ``_has_arc``), the point-by-point projection
 search and the one-pair ``hamming_distance`` — once
 ``benchmarks/bench_ablation_kernels.py`` was its only caller outside the
-tests (PR 22).  The kernels in ``repro.vision`` must reproduce the
-front-end bodies bit for bit and the ones in ``repro.slam`` the back-end
+tests (PR 22); the device half from before the padded-reference codec —
+``shift_image`` with the ``np.roll`` / ``np.kron`` block predictor, and
+the ``apply_along_axis`` landmark patch (PR 24).  The kernels in
+``repro.vision`` and ``repro.video`` must reproduce the front-end and
+device bodies bit for bit and the ones in ``repro.slam`` the back-end
 bodies to 1e-9; nothing in ``src/`` imports this module.
 """
 
@@ -26,6 +29,7 @@ from repro.slam.bundle_adjustment import BAStats
 from repro.slam.map import SlamMap
 from repro.slam.pnp import solve_pnp
 from repro.slam.pose_graph import PoseGraphEdge, PoseGraphStats
+from repro.video.h264_like import _candidate_offsets
 from repro.vision.brief import (
     DESCRIPTOR_BYTES,
     PATCH_RADIUS,
@@ -44,6 +48,7 @@ from repro.vision.fast import (
 from repro.vision.image import Image, ImagePyramid
 from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, Match
 from repro.vision.orb import FeatureSet, OrbExtractorConfig
+from repro.vision.render import PATCH_SIZE
 
 _PATTERN = sampling_pattern()
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -565,3 +570,75 @@ def optimize_pose_graph(
         n_edges=len(valid_edges),
         n_poses=len(poses),
     )
+
+
+# ------------------------------------------------------------- device half
+def shift_image(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Shift with edge replication (motion-compensated reference)."""
+    shifted = np.roll(np.roll(image, dy, axis=0), dx, axis=1)
+    if dy > 0:
+        shifted[:dy, :] = shifted[dy : dy + 1, :] if dy < shifted.shape[0] else 0
+    elif dy < 0:
+        shifted[dy:, :] = shifted[dy - 1 : dy, :]
+    if dx > 0:
+        shifted[:, :dx] = shifted[:, dx : dx + 1]
+    elif dx < 0:
+        shifted[:, dx:] = shifted[:, dx - 1 : dx]
+    return shifted
+
+
+def predict_from_mvs(reference: np.ndarray, global_shift, mv_idx,
+                     frame=None, block: int = 16) -> tuple:
+    """``H264LikeCodec._predict_from_mvs`` as it was: one shifted copy per
+    candidate, int16 SAD over a 4-D reshape, strict ``<`` so the first
+    minimum wins, one ``np.kron`` mask per distinct vector."""
+    h, w = reference.shape
+    bh, bw = h // block, w // block
+    crop_h, crop_w = bh * block, bw * block
+    candidates = _candidate_offsets(tuple(global_shift))
+    predicted = shift_image(reference, *global_shift).copy()
+    if mv_idx is None:
+        cur = frame[:crop_h, :crop_w].astype(np.int16)
+        best_sad = None
+        mv_idx = np.zeros((bh, bw), dtype=np.int8)
+        shifted_cache = {}
+        for idx, (dy, dx) in enumerate(candidates):
+            shifted = shift_image(reference, dy, dx)[:crop_h, :crop_w]
+            shifted_cache[idx] = shifted
+            sad = (
+                np.abs(cur - shifted.astype(np.int16))
+                .reshape(bh, block, bw, block)
+                .sum(axis=(1, 3))
+            )
+            if best_sad is None:
+                best_sad = sad
+                mv_idx[:] = idx
+            else:
+                better = sad < best_sad
+                best_sad = np.where(better, sad, best_sad)
+                mv_idx[better] = idx
+    else:
+        shifted_cache = {
+            idx: shift_image(reference, dy, dx)[:crop_h, :crop_w]
+            for idx, (dy, dx) in enumerate(candidates)
+            if idx in np.unique(mv_idx)
+        }
+    for idx in np.unique(mv_idx):
+        mask = np.kron(mv_idx == idx, np.ones((block, block), dtype=bool))
+        predicted[:crop_h, :crop_w][mask] = shifted_cache[int(idx)][mask]
+    return predicted, mv_idx
+
+
+_BINOMIAL = np.array([1.0, 2.0, 1.0]) / 4.0
+
+
+def landmark_patch(landmark_id: int, size: int = PATCH_SIZE) -> np.ndarray:
+    """The per-call landmark patch: ``np.convolve`` along every row, then
+    every column, of a freshly drawn binary pattern."""
+    rng = np.random.default_rng(0xC0FFEE + int(landmark_id))
+    pattern = rng.integers(0, 2, size=(size, size)).astype(np.float64) * 200 + 30
+    for axis in (0, 1):
+        pattern = np.apply_along_axis(
+            lambda row: np.convolve(row, _BINOMIAL, mode="same"), axis, pattern
+        )
+    return np.clip(pattern, 0, 255).astype(np.uint8)

@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.datasets import euroc_dataset
 from repro.geometry import Sim3
-from repro.net import PROFILE_DELAY_300MS
+from repro.net import PROFILE_BW_9_4, PROFILE_DELAY_300MS, PROFILE_IDEAL
 from tests.fake_xp import make_fake_array_module
 from tests.test_shm_multiproc import shm_required
 
@@ -169,9 +169,11 @@ class TestHolograms:
         assert np.allclose(perceived_position(h, Sim3.identity()), [1, 2, 3])
 
 
-def _short_session(oracle_seed=7, backend="vectorized", **serving):
+def _short_session(oracle_seed=7, backend="vectorized", video=False,
+                   shaping=PROFILE_IDEAL, **serving):
     """Two clients, 5 s each, overlapping MH04 passes (they merge)."""
-    config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+    config = SlamShareConfig(camera_fps=10.0, render_video_frames=video,
+                             shaping=shaping)
     config.slam.backend = backend
     for key, value in serving.items():
         setattr(config.serving, key, value)
@@ -200,6 +202,17 @@ class TestSessionDigest:
         # No device here, so "gpu" is the numpy kernels byte for byte.
         assert _short_session(backend="gpu").run().digest() == first
         assert _short_session(oracle_seed=8).run().digest() != first
+
+    def test_video_bytes_reach_the_clock_on_a_shaped_link(self):
+        # On the unconstrained link upload time does not depend on size,
+        # so the digest is blind to what the codec emits; at 9.4 Mbit/s
+        # every encoded byte delays its frame.
+        def digest(video):
+            return _short_session(video=video, shaping=PROFILE_BW_9_4).run().digest()
+
+        with_video = digest(True)
+        assert with_video != digest(False)
+        assert digest(True) == with_video
 
     @shm_required
     def test_store_backends_agree(self):

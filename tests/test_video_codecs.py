@@ -1,8 +1,10 @@
 """Tests for the PNG-like and H.264-like codecs."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import euroc_dataset
@@ -13,10 +15,12 @@ from repro.video import (
     encode_stream,
     psnr,
 )
+from repro.video.h264_like import estimate_global_shift
 from repro.vision import render_frame
+from tests import oracles
 
 
-def _synthetic_frames(n=12, seed=0, size=(120, 160)):
+def _synthetic_frames(n=12, seed=0):
     """Slowly panning view of a landmark field: realistic temporal redundancy."""
     ds = euroc_dataset("MH04", duration=max(n / 10.0, 1.0), rate=10.0)
     frames = []
@@ -112,6 +116,92 @@ class TestH264LikeCodec:
             H264LikeCodec(gop=0)
         with pytest.raises(ValueError):
             H264LikeCodec(quantization=0)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 16), (20, 40)])
+    def test_frames_smaller_than_the_motion_search_round_trip(self, shape):
+        # Too small for the global search window (and, at 8 x 8, for one
+        # block): the P-frames fall back to zero global motion and still
+        # decode to the encoder's own reconstruction.
+        codec = H264LikeCodec(gop=4, quantization=4)
+        base = np.random.default_rng(0).integers(0, 256, size=shape, dtype=np.uint8)
+        types = []
+        for i in range(5):
+            frame = np.roll(base, i, axis=1)
+            encoded = codec.encode(frame)
+            decoded = codec.decode(encoded)
+            types.append(encoded.frame_type)
+            assert decoded.shape == shape
+            assert np.array_equal(decoded, codec._reference)
+            assert psnr(frame, decoded) > 40.0
+        assert types == ["I", "P", "P", "P", "I"]
+
+
+#: SHA-256 of 35 rendered MH04 frames, of their encoded stream and of the
+#: decoded frames, computed on 2240608 — the commit before the codec
+#: searched one padded reference and landmark patches were drawn once.
+GOLDEN_PIXELS = "83e920dae2313948421bd75256d37771afb8ea968d5898f2c7de67ac8de86b57"
+GOLDEN_STREAM = "a25b08879b804d2bcda55f74a33d34429794187503084d798942e7d5267a0e5b"
+GOLDEN_DECODED = "c41da27c03a8a8b65e70815e76b0acd3819a0670b399575bb68b39f8cfb8f82c"
+
+
+class TestDeviceHalfIsBitExact:
+    def test_golden_stream_hashes(self):
+        ds = euroc_dataset("MH04", duration=4.0, rate=10.0)
+        codec = H264LikeCodec(gop=30, quantization=8)
+        pixels, stream, decoded = (hashlib.sha256() for _ in range(3))
+        types = ""
+        for i in range(35):
+            frame = render_frame(
+                ds.world.positions, ds.world.ids, ds.camera, ds.pose_cw(i),
+                rng=np.random.default_rng(1000 + i),
+            ).pixels
+            encoded = codec.encode(frame)
+            types += encoded.frame_type
+            pixels.update(frame.tobytes())
+            stream.update(encoded.frame_type.encode() + encoded.data)
+            decoded.update(codec.decode(encoded).tobytes())
+        assert types == "I" + "P" * 29 + "I" + "P" * 4
+        assert pixels.hexdigest() == GOLDEN_PIXELS
+        assert stream.hexdigest() == GOLDEN_STREAM
+        assert decoded.hexdigest() == GOLDEN_DECODED
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(48, 130), w=st.integers(64, 170),
+        dy=st.integers(-20, 20), dx=st.integers(-20, 20),
+        # One grey level per pixel, or 8 x 8 cells of four levels whose
+        # flat interiors tie many candidates at equal SAD.
+        cell=st.sampled_from([1, 8]), noise=st.sampled_from([0, 6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_search_and_prediction_match_the_shifted_copy_predictor(
+            self, seed, h, w, dy, dx, cell, noise):
+        assume(h % 16 and w % 16)
+        rng = np.random.default_rng(seed)
+        if cell == 1:
+            reference = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        else:
+            coarse = rng.integers(0, 4, size=(h // cell + 1, w // cell + 1)) * 85
+            reference = np.kron(coarse, np.ones((cell, cell), dtype=int))[:h, :w]
+            reference = reference.astype(np.uint8)
+        frame = oracles.shift_image(reference, dy, dx).astype(np.int16)
+        frame += rng.integers(-noise, noise + 1, size=(h, w), dtype=np.int16)
+        frame = np.clip(frame, 0, 255).astype(np.uint8)
+        # Shifts beyond +-12 pin the global vector at its extreme, so the
+        # +-8 ring of ``_candidate_offsets`` reaches +-20.
+        global_shift = estimate_global_shift(reference, frame, 12)
+        codec = H264LikeCodec()
+        want, want_mv = oracles.predict_from_mvs(
+            reference, global_shift, None, frame=frame)
+        got, got_mv = codec._predict(reference, global_shift, frame=frame)
+        assert got_mv.dtype == want_mv.dtype
+        assert np.array_equal(got_mv, want_mv)
+        assert np.array_equal(got, want)
+        decoder_side, _ = codec._predict(reference, global_shift, want_mv)
+        assert np.array_equal(
+            decoder_side,
+            oracles.predict_from_mvs(reference, global_shift, want_mv)[0],
+        )
 
 
 class TestStreamStats:

@@ -24,6 +24,7 @@ from repro.vision import (
 )
 from repro.vision.brief import DESCRIPTOR_BYTES, compute_descriptor
 from repro.vision.fast import Keypoint
+from repro.vision.render import landmark_patch
 from tests import oracles
 from tests.oracles import (
     detect_fast_scalar,
@@ -121,6 +122,24 @@ class TestOrbExtractor:
             if np.min(np.linalg.norm(uv_true - kp_uv, axis=1)) < 5.0:
                 hits += 1
         assert hits >= len(feats) * 0.5
+
+
+class TestLandmarkPatch:
+    def test_matches_the_per_call_convolve_patch(self):
+        ids = list(range(300)) + [10_000_000, 20_000_123]
+        for landmark_id in ids:
+            got = landmark_patch(landmark_id)
+            want = oracles.landmark_patch(landmark_id)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for size in (3, 5, 12):
+            assert np.array_equal(landmark_patch(7, size),
+                                  oracles.landmark_patch(7, size))
+
+    def test_patches_are_shared_and_read_only(self):
+        patch = landmark_patch(42)
+        assert landmark_patch(42) is patch
+        with pytest.raises(ValueError):
+            patch[0, 0] = 0
 
 
 class TestPyramid:
