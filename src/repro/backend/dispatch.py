@@ -1,31 +1,32 @@
-"""Array-module (``xp``-style) dispatch layer for the ``"gpu"`` tier.
+"""Array-module (``xp``-style) dispatch layer: where a kernel body runs.
 
-The vectorized kernels in this repo are written against the numpy API;
-on a machine with a CUDA device the same formulations run on the GPU by
-substituting the array namespace (cupy is a drop-in, torch via a thin
-adapter).  This module owns that substitution:
+Every routed kernel in this repo is written once, against an
+:class:`ArrayModule`.  The host module (numpy itself) runs it for
+``"vectorized"``; for ``"gpu"`` a device module runs the same lines by
+substituting the array namespace (cupy is a numpy drop-in).  This
+module owns that substitution:
 
 * :class:`ArrayModule` — an array namespace plus the non-portable bits
   normalized (dtype coercion, contiguity, host<->device transfers with
-  byte/time accounting, elementwise popcount, fancy-gather, measured
-  kernel timing);
-* :func:`get_array_module` — capability-probed auto-detection
-  (``cupy`` then ``torch``), graceful numpy fallback when no module or
-  no device exists;
-* :class:`DeviceStager` — keyed upload cache so a micro-batch of kernel
-  dispatches pays host->device staging once, not once per dispatch;
+  byte/time accounting, elementwise popcount, measured kernel timing).
+  On the host module transfers are zero-copy pass-throughs and kernel
+  timing is a no-op, so a kernel body run there is plain numpy;
+* :func:`get_array_module` — capability-probed auto-detection of a
+  device module, host fallback when no module or no device exists;
 * :func:`resolve_backend` — the one check of a ``backend`` name
-  (``"vectorized"`` or ``"gpu"``) and its binding to a device module.
+  (``"vectorized"`` or ``"gpu"``) and its binding to a module.
 
 The capability probe runs every operation the routed kernels use on
 tiny inputs and compares against numpy before a device module is
 accepted; a module that fails the probe is rejected (logged) and the
-numpy fallback is used, so a broken or partial adapter can never
-produce wrong results — only slower ones.
+host module is used, so a broken or partial module can never produce
+wrong results — only slower ones.  ``ArrayModule.is_device`` is read
+in this module and nowhere else.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ from ..obs import get_logger
 _log = get_logger("backend")
 
 _POPCOUNT_U8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-_HAS_NP_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
 @dataclass
@@ -59,22 +59,18 @@ class TransferStats:
     bytes_to_device: int = 0
     bytes_to_host: int = 0
     transfer_wall_s: float = 0.0
-    staging_hits: int = 0           # uploads avoided by the stager cache
 
     def snapshot(self) -> "TransferStats":
-        return TransferStats(
-            self.to_device, self.to_host, self.bytes_to_device,
-            self.bytes_to_host, self.transfer_wall_s, self.staging_hits,
-        )
+        return dataclasses.replace(self)
 
 
 class ArrayModule:
     """An array namespace with transfers, popcount and timing normalized.
 
-    ``xp`` is the numpy-compatible namespace (numpy itself, cupy, or
-    the torch adapter).  ``is_device`` is the dispatch predicate: the
-    routed kernels only take their device path when it is true, so the
-    host-numpy instance is a pure passthrough.
+    ``xp`` is the numpy-compatible namespace (numpy itself or cupy).
+    ``is_device`` says whether its arrays live off the host: only then
+    do transfers copy and count and :meth:`kernel` measure, so the host
+    instance runs a kernel body exactly as numpy would.
     """
 
     def __init__(
@@ -87,9 +83,6 @@ class ArrayModule:
         to_device_fn: Optional[Callable] = None,
         to_host_fn: Optional[Callable] = None,
         synchronize_fn: Optional[Callable] = None,
-        gather_fn: Optional[Callable] = None,
-        popcount_fn: Optional[Callable] = None,
-        astype_fn: Optional[Callable] = None,
     ) -> None:
         self.name = name
         self.xp = xp
@@ -98,16 +91,13 @@ class ArrayModule:
         self._to_device = to_device_fn or (lambda a: a)
         self._to_host = to_host_fn or np.asarray
         self._synchronize = synchronize_fn or (lambda: None)
-        self._gather = gather_fn or (lambda a, idx: a[idx])
-        self._popcount = popcount_fn
-        self._astype = astype_fn or (lambda a, dt: a.astype(dt))
         self.transfers = TransferStats()
         self.kernel_timings: List[KernelTiming] = []
         self._lut_dev = None
         # Hamming word layout: uint64 views shrink the popcount input 8x
         # but need a native popcount for that dtype.
         self.hamming_dtype = (
-            np.uint64 if self._supports_u64_popcount() else np.uint8
+            np.uint64 if hasattr(xp, "bitwise_count") else np.uint8
         )
 
     # ------------------------------------------------------------ transfers
@@ -146,33 +136,14 @@ class ArrayModule:
         self.kernel_timings.clear()
 
     # ----------------------------------------------------------- primitives
-    def astype(self, array, dtype):
-        """Dtype cast that works on every namespace (torch lacks .astype)."""
-        return self._astype(array, dtype)
-
-    def gather(self, array, idx):
-        """``array[idx]`` row gather (torch needs long indices)."""
-        return self._gather(array, idx)
-
     def popcount(self, array):
-        """Elementwise popcount of a uint8/uint64 device array."""
-        if self._popcount is not None:
-            return self._popcount(array)
-        if hasattr(self.xp, "bitwise_count"):
+        """Elementwise popcount of a block in :attr:`hamming_dtype` layout."""
+        if self.hamming_dtype == np.uint64:
             return self.xp.bitwise_count(array)
-        # Byte-LUT gather fallback (uint8 input only).
+        # Byte-LUT gather fallback (uint8 layout only).
         if self._lut_dev is None:
             self._lut_dev = self.to_device(_POPCOUNT_U8)
-        return self._gather(self._lut_dev, array)
-
-    def _supports_u64_popcount(self) -> bool:
-        if self._popcount is not None:
-            return False  # custom popcounts declare uint8 layout
-        return hasattr(self.xp, "bitwise_count")
-
-    # -------------------------------------------------------------- staging
-    def stager(self) -> "DeviceStager":
-        return DeviceStager(self)
+        return self._lut_dev[array]
 
     # --------------------------------------------------------------- timing
     @contextmanager
@@ -194,61 +165,26 @@ class ArrayModule:
             KernelTiming(name, time.perf_counter() - start, self.name)
         )
 
-    def drain_kernel_timings(self) -> List[KernelTiming]:
-        out = self.kernel_timings
-        self.kernel_timings = []
-        return out
+    def drain_kernel_ms(self, mark: int) -> Optional[float]:
+        """Total ms of the kernels timed since ``kernel_timings[mark]``.
+
+        Drains those timings.  ``None`` on a host module: there is no
+        measurement, so the caller keeps its calibrated latency model
+        (a summed 0.0 would silently replace it).
+        """
+        if not self.is_device:
+            return None
+        timings = self.kernel_timings[mark:]
+        del self.kernel_timings[mark:]
+        return 1e3 * sum(t.wall_s for t in timings)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ArrayModule({self.name!r}, device={self.is_device}, "
                 f"label={self.device_label!r})")
 
 
-class DeviceStager:
-    """Keyed host->device upload cache: one staging per micro-batch.
-
-    Callers stage each input under an explicit ``(key, version)``; a
-    repeated stage of the same version returns the cached device array
-    without touching the bus.  This is how one frame's three projection
-    searches (narrow / wide-retry / refine) share a single upload of
-    the frame descriptors, and how every client tracking against one
-    shared map version shares a single upload of the packed local map.
-    """
-
-    def __init__(self, am: ArrayModule) -> None:
-        self.am = am
-        self._cache: Dict[object, Tuple[object, object]] = {}
-
-    def stage(self, key, array: np.ndarray, version=0, dtype=None):
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] == version:
-            self.am.transfers.staging_hits += 1
-            return hit[1]
-        dev = self.am.to_device(array, dtype=dtype)
-        self._cache[key] = (version, dev)
-        return dev
-
-    def evict(self, key) -> None:
-        self._cache.pop(key, None)
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-
-def as_numpy(array) -> np.ndarray:
-    """Best-effort device->host conversion without an ArrayModule handle."""
-    if isinstance(array, np.ndarray):
-        return array
-    get = getattr(array, "get", None)          # cupy
-    if callable(get):
-        return np.asarray(get())
-    if hasattr(array, "detach"):               # torch
-        return array.detach().cpu().numpy()
-    return np.asarray(array)
-
-
 # --------------------------------------------------------------- detection
-_OVERRIDE: List[Optional[ArrayModule]] = []
+_OVERRIDE: List[ArrayModule] = []
 _DETECTED: Dict[str, Optional[ArrayModule]] = {}
 _host_module: Optional[ArrayModule] = None
 
@@ -261,24 +197,24 @@ def host_array_module() -> ArrayModule:
     return _host_module
 
 
-def set_array_module_override(am: Optional[ArrayModule]) -> None:
-    """Force :func:`get_array_module` to return ``am`` (None to clear).
+def set_array_module_override(module: Optional[ArrayModule]) -> None:
+    """Force :func:`get_array_module` to return ``module`` (None to clear).
 
     Test seam: sessions built with ``backend="gpu"`` pick up the fake
     device module through the normal auto-detection path.
     """
     _OVERRIDE.clear()
-    if am is not None:
-        _OVERRIDE.append(am)
+    if module is not None:
+        _OVERRIDE.append(module)
 
 
 @contextmanager
-def use_array_module(am: Optional[ArrayModule]):
+def use_array_module(module: Optional[ArrayModule]):
     """Scoped :func:`set_array_module_override`."""
     prev = _OVERRIDE[0] if _OVERRIDE else None
-    set_array_module_override(am)
+    set_array_module_override(module)
     try:
-        yield am
+        yield module
     finally:
         set_array_module_override(prev)
 
@@ -305,34 +241,8 @@ def _build_cupy_module() -> Optional[ArrayModule]:
         return None
 
 
-def _build_torch_module() -> Optional[ArrayModule]:
-    try:
-        import torch
-
-        if not torch.cuda.is_available():
-            return None
-        from .torch_xp import TorchXp
-
-        xp = TorchXp(torch, device="cuda")
-        return ArrayModule(
-            "torch",
-            xp,
-            is_device=True,
-            device_label=torch.cuda.get_device_name(0),
-            to_device_fn=xp._to_device,
-            to_host_fn=xp._to_host,
-            synchronize_fn=torch.cuda.synchronize,
-            gather_fn=xp._gather,
-            popcount_fn=xp._popcount_u8,
-            astype_fn=xp._astype,
-        )
-    except Exception:
-        return None
-
-
 _DEVICE_BUILDERS: Dict[str, Callable[[], Optional[ArrayModule]]] = {
     "cupy": _build_cupy_module,
-    "torch": _build_torch_module,
 }
 
 
@@ -347,10 +257,12 @@ def probe_array_module(am: ArrayModule) -> bool:
     """Run every routed operation on tiny inputs and compare to numpy.
 
     A device module is only accepted when all of: transfers round-trip,
-    popcount/gather agree bit-exactly, and the linear-algebra / segment
-    ops (matmul, einsum, batched solve/det, weighted bincount, stable
-    argsort, partition, trig) agree with numpy to 1e-10.  Any exception
-    or mismatch rejects the module.
+    popcount/row gather agree bit-exactly, and the linear-algebra /
+    segment ops (matmul, einsum, batched solve/det, weighted bincount,
+    stable argsort, partition, trig) agree with numpy to 1e-10.  Any
+    exception or mismatch rejects the module.  An accepted module's
+    transfer counters and kernel timings are reset, so its accounting
+    starts with the caller's first kernel, not with the probe.
     """
     try:
         xp = am.xp
@@ -376,7 +288,7 @@ def probe_array_module(am: ArrayModule) -> bool:
             if int(pc64.sum()) != int(ref.sum()):
                 return False
         idx = np.array([2, 0, 1], dtype=np.intp)
-        g = am.to_host(am.gather(am.to_device(a8), am.to_device(idx)))
+        g = am.to_host(am.to_device(a8)[am.to_device(idx)])
         if not np.array_equal(g, a8[idx]):
             return False
         # linalg / segment / ordering ops used by BA + pose-graph + match
@@ -423,11 +335,12 @@ def probe_array_module(am: ArrayModule) -> bool:
             if not np.allclose(am.to_host(getattr(xp, fn)(argd)),
                                getattr(np, fn)(arg), atol=1e-12):
                 return False
-        return True
     except Exception as exc:  # pragma: no cover - depends on host modules
         _log.warning("array module %r failed the capability probe: %s",
                      am.name, exc)
         return False
+    am.reset_counters()
+    return True
 
 
 def available_device_modules() -> Tuple[str, ...]:
@@ -440,11 +353,12 @@ def available_device_modules() -> Tuple[str, ...]:
 def get_array_module(name: str = "auto") -> Optional[ArrayModule]:
     """Resolve an array module by name.
 
-    ``"numpy"`` always returns the host passthrough.  ``"cupy"`` /
-    ``"torch"`` return a probed device module or ``None``.  ``"auto"``
-    tries every registered device builder in order and falls back to
-    the host module (so it never returns ``None``).  A module set via
-    :func:`set_array_module_override` short-circuits everything.
+    ``"numpy"`` always returns the host passthrough.  ``"cupy"`` (or a
+    registered builder's name) returns a probed device module or
+    ``None``.  ``"auto"`` tries every registered device builder in order
+    and falls back to the host module (so it never returns ``None``).
+    A module set via :func:`set_array_module_override` short-circuits
+    everything.
     """
     if _OVERRIDE:
         return _OVERRIDE[0]
@@ -452,25 +366,25 @@ def get_array_module(name: str = "auto") -> Optional[ArrayModule]:
         return host_array_module()
     if name == "auto":
         for builder_name in _DEVICE_BUILDERS:
-            am = get_array_module(builder_name)
-            if am is not None:
-                return am
+            module = get_array_module(builder_name)
+            if module is not None:
+                return module
         return host_array_module()
     builder = _DEVICE_BUILDERS.get(name)
     if builder is None:
         raise ValueError(f"unknown array module {name!r}")
     if name not in _DETECTED:
-        am = builder()
-        if am is not None and not probe_array_module(am):
+        module = builder()
+        if module is not None and not probe_array_module(module):
             _log.warning(
                 "device array module %r rejected by capability probe; "
                 "ignoring it", name,
             )
-            am = None
-        if am is not None:
+            module = None
+        if module is not None:
             _log.info("device array module %r ready (%s)",
-                      name, am.device_label)
-        _DETECTED[name] = am
+                      name, module.device_label)
+        _DETECTED[name] = module
     return _DETECTED[name]
 
 
@@ -485,19 +399,19 @@ _warned_fallback = False
 
 def resolve_backend(
     name: str, array_module: Optional[ArrayModule] = None
-) -> Optional[ArrayModule]:
-    """The device module ``name``'s kernels run on, or ``None`` for numpy.
+) -> ArrayModule:
+    """The array module ``name``'s kernels run on.
 
-    ``"vectorized"`` is the batched numpy kernels.  ``"gpu"`` is the
-    same bodies on a device module: the one passed in (tests inject the
-    fake module this way) or the auto-detected one.  Without a device it
-    is ``"vectorized"``, byte for byte, and says so once per process.
+    ``"vectorized"`` is the host numpy module.  ``"gpu"`` is a device
+    module: the one passed in (tests inject the fake module this way) or
+    the auto-detected one.  Without a device it is the host module —
+    ``"vectorized"``, byte for byte — and says so once per process.
     Any other name raises ``unknown backend {name!r}``.
     """
     if name not in _BACKENDS:
         raise ValueError(f"unknown backend {name!r}")
     if name == "vectorized":
-        return None
+        return host_array_module()
     if array_module is None:
         array_module = get_array_module("auto")
     if array_module.is_device:
@@ -507,6 +421,6 @@ def resolve_backend(
         _warned_fallback = True
         _log.warning(
             "backend 'gpu' requested but no device array module is available "
-            "(cupy/torch with a GPU); falling back to 'vectorized' on numpy"
+            "(cupy with a GPU); falling back to 'vectorized' on numpy"
         )
-    return None
+    return host_array_module()

@@ -554,7 +554,8 @@ class SlamShareSession:
 
     def _check_run_end(self) -> None:
         """Fail the run if a frame vanished, a trace stayed open or a
-        shard lock of the map store is still held."""
+        lock of the map store (a shard's, or the shm backend's pack
+        lock) is still held."""
         problems = [
             f"client {cid}: {outcome.unaccounted_frames()} of "
             f"{outcome.frames_captured} captured frames unaccounted ("
@@ -567,12 +568,16 @@ class SlamShareSession:
             problems.append(
                 f"{_tracer.open_trace_count()} frame traces still open"
             )
+        store = self.server.store
+        locks = [(f"shard {idx}", shard.lock)
+                 for idx, shard in enumerate(store.shards)]
+        if hasattr(store, "pack"):
+            locks.append(("pack", store.pack.lock))
         problems.extend(
-            f"map store shard {idx}: lock still held "
-            f"(readers={shard.lock.active_readers} "
-            f"writer={shard.lock.writer_active})"
-            for idx, shard in enumerate(self.server.store.shards)
-            if shard.lock.active_readers != 0 or shard.lock.writer_active
+            f"map store {name}: lock still held "
+            f"(readers={lock.active_readers} writer={lock.writer_active})"
+            for name, lock in locks
+            if lock.active_readers != 0 or lock.writer_active
         )
         if problems:
             raise FrameAccountingError("; ".join(problems))

@@ -10,7 +10,10 @@ the corresponding scalar computation (the equivalence suite in
 
 A pose stack is simply a pair ``(rotations, translations)`` of shapes
 ``(n, 3, 3)`` and ``(n, 3)`` — no wrapper class, so slices, gathers and
-segment reductions stay plain numpy.
+segment reductions stay plain numpy.  :func:`inverse`, :func:`exp` and
+:func:`log` take an ``am`` (a :class:`repro.backend.ArrayModule`, the
+host numpy module by default) and run on its arrays; the operator-only
+kernels run on any of them unchanged.
 """
 
 from __future__ import annotations
@@ -19,19 +22,14 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from ..backend import host_array_module
 from . import so3
 from .se3 import SE3
 
 _EPS = 1e-10
+_HOST = host_array_module()
 
 PoseStack = Tuple[np.ndarray, np.ndarray]
-
-
-def _xp_of(am):
-    """Array namespace for an optional device module (numpy default)."""
-    if am is not None and am.is_device:
-        return am.xp
-    return np
 
 
 def pack(poses: Iterable[SE3]) -> PoseStack:
@@ -59,17 +57,17 @@ def compose(
 ) -> PoseStack:
     """Row-wise ``T_a * T_b`` (apply ``T_b`` first), like :meth:`SE3.compose`.
 
-    Pure operator arithmetic — runs unchanged on numpy, cupy, torch or
-    fake device stacks (the ``"gpu"`` tier feeds it device arrays).
+    Pure operator arithmetic — runs unchanged on numpy, cupy or fake
+    device stacks (the ``"gpu"`` tier feeds it device arrays).
     """
     return r_a @ r_b, (r_a @ t_b[..., None])[..., 0] + t_a
 
 
 def inverse(
-    rotations: np.ndarray, translations: np.ndarray, am=None
+    rotations: np.ndarray, translations: np.ndarray, am=_HOST
 ) -> PoseStack:
     """Row-wise pose inverse."""
-    xp = _xp_of(am)
+    xp = am.xp
     r_inv = xp.transpose(rotations, (0, 2, 1))
     return r_inv, -(r_inv @ translations[..., None])[..., 0]
 
@@ -81,13 +79,9 @@ def apply(
     return (rotations @ points[..., None])[..., 0] + translations
 
 
-def exp(xi: np.ndarray, am=None) -> PoseStack:
-    """Batched :meth:`SE3.exp` over ``(n, 6)`` twists ``(rho, omega)``.
-
-    With a device ``am`` the whole map runs on device-resident stacks;
-    the numpy default is byte-identical to the pre-dispatch kernel.
-    """
-    xp = _xp_of(am)
+def exp(xi: np.ndarray, am=_HOST) -> PoseStack:
+    """Batched :meth:`SE3.exp` over ``(n, 6)`` twists ``(rho, omega)``."""
+    xp = am.xp
     xi = xp.atleast_2d(xp.asarray(xi, dtype=float))
     rho, omega = xi[:, :3], xi[:, 3:]
     theta = xp.linalg.norm(omega, axis=1)
@@ -105,9 +99,9 @@ def exp(xi: np.ndarray, am=None) -> PoseStack:
     return rotations, (v @ rho[..., None])[..., 0]
 
 
-def log(rotations: np.ndarray, translations: np.ndarray, am=None) -> np.ndarray:
+def log(rotations: np.ndarray, translations: np.ndarray, am=_HOST) -> np.ndarray:
     """Batched :meth:`SE3.log`: pose stack ``->`` ``(n, 6)`` twists."""
-    xp = _xp_of(am)
+    xp = am.xp
     omega = so3.log_batch(rotations, am=am)
     theta = xp.linalg.norm(omega, axis=1)
     small = theta < _EPS

@@ -6,20 +6,19 @@ vector (rotation vector) into a rotation matrix, and the logarithm map
 (`log`) inverts it.  These are the workhorses of pose optimization:
 bundle adjustment and PnP both parameterize rotation updates as small
 axis-angle increments applied on the left.
+
+The ``*_batch`` maps take an ``am`` (a :class:`repro.backend.ArrayModule`,
+the host numpy module by default) and run on its arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..backend import host_array_module
+
 _EPS = 1e-10
-
-
-def _xp_of(am):
-    """Array namespace for an optional device module (numpy default)."""
-    if am is not None and am.is_device:
-        return am.xp
-    return np
+_HOST = host_array_module()
 
 
 def hat(omega: np.ndarray) -> np.ndarray:
@@ -77,14 +76,9 @@ def log(rotation: np.ndarray) -> np.ndarray:
     return theta / (2.0 * np.sin(theta)) * vee(rotation - rotation.T)
 
 
-def hat_batch(omega: np.ndarray, am=None) -> np.ndarray:
-    """Skew-symmetric matrices for a stack of 3-vectors: ``(n, 3) -> (n, 3, 3)``.
-
-    ``am`` (a device :class:`repro.backend.ArrayModule`) runs the same
-    construction on already-device-resident stacks; the numpy default is
-    unchanged.
-    """
-    xp = _xp_of(am)
+def hat_batch(omega: np.ndarray, am=_HOST) -> np.ndarray:
+    """Skew-symmetric matrices for a stack of 3-vectors: ``(n, 3) -> (n, 3, 3)``."""
+    xp = am.xp
     omega = xp.atleast_2d(xp.asarray(omega, dtype=float))
     out = xp.zeros((len(omega), 3, 3))
     wx, wy, wz = omega[:, 0], omega[:, 1], omega[:, 2]
@@ -97,21 +91,21 @@ def hat_batch(omega: np.ndarray, am=None) -> np.ndarray:
     return out
 
 
-def vee_batch(matrices: np.ndarray, am=None) -> np.ndarray:
+def vee_batch(matrices: np.ndarray, am=_HOST) -> np.ndarray:
     """Inverse of :func:`hat_batch`: ``(n, 3, 3) -> (n, 3)``."""
-    xp = _xp_of(am)
+    xp = am.xp
     m = xp.asarray(matrices, dtype=float)
     return xp.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
-def exp_batch(omega: np.ndarray, am=None) -> np.ndarray:
+def exp_batch(omega: np.ndarray, am=_HOST) -> np.ndarray:
     """Rodrigues' formula over a stack: ``(n, 3) -> (n, 3, 3)``.
 
     Row ``i`` equals ``exp(omega[i])`` (same branch structure as the
     scalar map, so the two agree to the last ulp away from branch
     boundaries).
     """
-    xp = _xp_of(am)
+    xp = am.xp
     omega = xp.atleast_2d(xp.asarray(omega, dtype=float))
     theta = xp.linalg.norm(omega, axis=1)
     small = theta < _EPS
@@ -127,7 +121,7 @@ def exp_batch(omega: np.ndarray, am=None) -> np.ndarray:
     return out
 
 
-def log_batch(rotations: np.ndarray, am=None) -> np.ndarray:
+def log_batch(rotations: np.ndarray, am=_HOST) -> np.ndarray:
     """Logarithm map over a stack: ``(n, 3, 3) -> (n, 3)``.
 
     Regular and small-angle rows are fully vectorized; the (rare)
@@ -135,7 +129,7 @@ def log_batch(rotations: np.ndarray, am=None) -> np.ndarray:
     part axis recovery they need anyway (on a device they round-trip
     through the host — correctness over speed for a measure-zero case).
     """
-    xp = _xp_of(am)
+    xp = am.xp
     rotations = xp.asarray(rotations, dtype=float)
     if rotations.ndim == 2:
         rotations = rotations[None]
@@ -157,13 +151,8 @@ def log_batch(rotations: np.ndarray, am=None) -> np.ndarray:
     if bool(xp.any(small)):
         out[small] = vee_batch(rotations[small] - xp.eye(3), am=am)
     if bool(xp.any(near_pi)):
-        if xp is np:
-            for idx in np.nonzero(near_pi)[0]:
-                out[idx] = log(rotations[idx])
-        else:
-            rows = am.to_host(rotations[near_pi])
-            vals = np.stack([log(r) for r in rows])
-            out[near_pi] = am.to_device(vals)
+        rows = am.to_host(rotations[near_pi])
+        out[near_pi] = am.to_device(np.stack([log(r) for r in rows]))
     return out
 
 

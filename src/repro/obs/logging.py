@@ -70,7 +70,7 @@ def configure(
     root.propagate = False
     for handler in list(root.handlers):
         root.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stdout)
+    handler = logging.StreamHandler(stream or sys.stdout)
     if fmt is None:
         fmt = DEBUG_FORMAT if level == "debug" else PLAIN_FORMAT
     handler.setFormatter(logging.Formatter(fmt))

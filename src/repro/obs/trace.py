@@ -275,14 +275,14 @@ class Tracer:
 
     def flush_stream(self) -> None:
         with self._lock:
-            if self._stream is not None:
+            if self._stream:
                 self._stream.flush()
 
     def close_stream(self) -> int:
         """Flush and close the streaming sink; returns spans streamed."""
         with self._lock:
             count = self._stream_count
-            if self._stream is not None:
+            if self._stream:
                 try:
                     self._stream.flush()
                 finally:
@@ -354,7 +354,7 @@ class Tracer:
 
     def _record(self, span: Span) -> None:
         with self._lock:
-            if self._stream is not None:
+            if self._stream:
                 self._stream.write(json.dumps(span.to_dict(), sort_keys=True))
                 self._stream.write("\n")
                 self._stream_count += 1

@@ -18,8 +18,10 @@ The intersection step flattens every (point, observation) pair into
 packed arrays, accumulates the per-point 3x3 normal equations with
 segment sums (``np.bincount`` in observation order, so floating-point
 accumulation follows the per-point loop it replaced) and solves all
-points with one batched ``np.linalg.solve``.  ``backend="gpu"`` runs
-that same body on a device array module.  The per-point loop lives on as
+points with one batched ``np.linalg.solve``.  That body is written once
+against an :class:`repro.backend.ArrayModule`: ``backend="vectorized"``
+runs it on the host numpy module, ``backend="gpu"`` on a device array
+module.  The per-point loop lives on as
 ``tests/oracles.py::local_bundle_adjustment``, which the equivalence
 suite holds this module to within 1e-9.
 """
@@ -27,7 +29,6 @@ suite holds this module to within 1e-9.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set
 
@@ -152,7 +153,7 @@ def _window_pose_stack(slam_map: SlamMap, kf_ids: List[int]):
     return se3_batch.pack([slam_map.keyframes[k].pose_cw for k in kf_ids])
 
 
-def _mean_reprojection_error_vectorized(
+def _mean_reprojection_error(
     slam_map: SlamMap, camera: PinholeCamera, obs: _ObsArrays
 ) -> float:
     """One batched projection over every (point, observation) pair."""
@@ -168,12 +169,12 @@ def _mean_reprojection_error_vectorized(
     return float(err[valid].mean())
 
 
-def _refine_points_vectorized(
+def _refine_points(
     slam_map: SlamMap,
     camera: PinholeCamera,
     obs: _ObsArrays,
     min_observations: int,
-    am=None,
+    am,
 ) -> None:
     """Batched intersection: all points' normal equations at once.
 
@@ -190,11 +191,11 @@ def _refine_points_vectorized(
     the oracle loop: a point whose step drops below 1e-10 freezes, a
     point whose system is singular reverts to its original position.
 
-    With a device ``am`` the gathered pose rows, positions and
-    observation arrays are staged to the device **once per call** —
-    all three Gauss-Newton iterations run on device-resident data and
-    only the refined positions (plus the two bookkeeping masks) come
-    back, one download at the end.
+    The gathered pose rows, positions and observation arrays are staged
+    on ``am`` **once per call** — all three Gauss-Newton iterations run
+    on ``am``-resident data and only the refined positions (plus the
+    failure mask) come back, one download each at the end.  On the
+    host module staging and download copy nothing.
     """
     n_points = len(obs.point_ids)
     if n_points == 0 or obs.n_obs == 0:
@@ -203,30 +204,21 @@ def _refine_points_vectorized(
     if not active.any():
         return
     rot, trans = _window_pose_stack(slam_map, obs.kf_ids)
-    rot_g = rot[obs.kf_idx]
-    trans_g = trans[obs.kf_idx]
-    positions = slam_map.packed_positions()[obs.point_rows].copy()
     fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
-    dep_ok = (obs.depth > 0) & np.isfinite(obs.depth)
-    inv_d = 1.0 / np.maximum(obs.depth, 1e-6)
-    frozen = ~active
-    failed = np.zeros(n_points, dtype=bool)
-    dev = am is not None and am.is_device
-    xp = am.xp if dev else np
-    if dev:
-        seg = am.to_device(obs.seg, dtype=np.int64)
-        uv = am.to_device(obs.uv, dtype=np.float64)
-        depth = am.to_device(obs.depth, dtype=np.float64)
-        rot_g = am.to_device(rot_g)
-        trans_g = am.to_device(trans_g)
-        positions = am.to_device(positions)
-        dep_ok = am.to_device(dep_ok)
-        inv_d = am.to_device(inv_d)
-        frozen = am.to_device(frozen)
-        failed = am.to_device(failed)
-    else:
-        seg, uv, depth = obs.seg, obs.uv, obs.depth
-    with am.kernel("ba_refine") if dev else _nullcontext():
+    xp = am.xp
+    seg = am.to_device(obs.seg, dtype=np.int64)
+    uv = am.to_device(obs.uv, dtype=np.float64)
+    depth = am.to_device(obs.depth, dtype=np.float64)
+    rot_g = am.to_device(rot[obs.kf_idx])
+    trans_g = am.to_device(trans[obs.kf_idx])
+    positions = am.to_device(
+        slam_map.packed_positions()[obs.point_rows].copy()
+    )
+    dep_ok = am.to_device((obs.depth > 0) & np.isfinite(obs.depth))
+    inv_d = am.to_device(1.0 / np.maximum(obs.depth, 1e-6))
+    frozen = am.to_device(~active)
+    failed = am.to_device(np.zeros(n_points, dtype=bool))
+    with am.kernel("ba_refine"):
         for _ in range(3):
             live = ~frozen & ~failed
             if not bool(xp.any(live)):
@@ -283,9 +275,8 @@ def _refine_points_vectorized(
             update = live & ~bad
             positions[update] += step[update]
             frozen = frozen | (update & (xp.linalg.norm(step, axis=1) < 1e-10))
-    if dev:
-        positions = am.to_host(positions)
-        failed = am.to_host(failed).astype(bool)
+    positions = am.to_host(positions)
+    failed = am.to_host(failed)
     good = active & ~failed & np.isfinite(positions).all(axis=1)
     if good.any():
         slam_map.set_point_positions(obs.point_ids[good], positions[good])
@@ -332,10 +323,10 @@ def local_bundle_adjustment(
     ``fixed_keyframe_ids`` are included in the error terms but their
     poses are held constant (the standard local-BA gauge anchor).
     ``backend`` is ``"vectorized"`` (numpy) or ``"gpu"`` (the same body
-    on a cupy/torch device, with a logged fallback to numpy when none
+    on a cupy device, with a logged fallback to numpy when none
     exists).
     """
-    device_am = resolve_backend(backend)
+    am = resolve_backend(backend)
     keyframe_ids = [k for k in keyframe_ids if k in slam_map.keyframes]
     fixed = set(fixed_keyframe_ids or ())
     if not keyframe_ids:
@@ -346,19 +337,13 @@ def local_bundle_adjustment(
     ):
         with _tracer.span("ba.collect"):
             obs = _collect_observation_arrays(slam_map, keyframe_ids)
-        initial_error = _mean_reprojection_error_vectorized(
-            slam_map, camera, obs
-        )
+        initial_error = _mean_reprojection_error(slam_map, camera, obs)
         for _ in range(iterations):
             with _tracer.span("ba.intersection"):
-                _refine_points_vectorized(
-                    slam_map, camera, obs, min_observations, am=device_am
-                )
+                _refine_points(slam_map, camera, obs, min_observations, am)
             with _tracer.span("ba.resection"):
                 _resect_keyframes(slam_map, camera, keyframe_ids, fixed)
-        final_error = _mean_reprojection_error_vectorized(
-            slam_map, camera, obs
-        )
+        final_error = _mean_reprojection_error(slam_map, camera, obs)
     _ba_wall.record((time.perf_counter() - start) * 1e3)
     return BAStats(
         iterations=iterations,

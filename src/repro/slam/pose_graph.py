@@ -16,8 +16,9 @@ free pose, the weighted average twist its neighbours' constraints
 predict for it — against the sweep-start poses — and applies all the
 updates together.  The schedule is order-independent, which is what
 makes batching possible: one sweep is two pose-stack composes, one
-batched log over every edge and a pair of segment sums.
-``backend="gpu"`` runs those sweeps on a device array module.  The same
+batched log over every edge and a pair of segment sums, written once
+against an :class:`repro.backend.ArrayModule` (the host numpy module
+for ``backend="vectorized"``, a device module for ``"gpu"``).  The same
 schedule in per-edge :class:`~repro.geometry.SE3` arithmetic lives on as
 ``tests/oracles.py::optimize_pose_graph``, which the equivalence suite
 holds this module to within 1e-9.
@@ -133,12 +134,12 @@ class _EdgeArrays:
         self.weight2 = np.repeat(self.weight, 2)
 
     def to_device(self, am) -> SimpleNamespace:
-        """Stage every packed edge array to the device in one batch.
+        """Stage every packed edge array on ``am`` in one batch.
 
         Returned namespace mirrors this object's fields, so
-        :func:`_sweeps_vectorized` runs unchanged against it; uploading
-        here (once per ``optimize_pose_graph`` call) is what keeps the
-        sweep loop transfer-free.
+        :func:`_sweeps` runs against it; staging here (once per
+        ``optimize_pose_graph`` call) is what keeps the sweep loop
+        transfer-free.
         """
         return SimpleNamespace(
             n=self.n,
@@ -165,24 +166,21 @@ class _EdgeArrays:
         return float(np.sum(self.weight * np.sum(twists ** 2, axis=1)))
 
 
-def _sweeps_vectorized(
+def _sweeps(
     rot: np.ndarray,
     trans: np.ndarray,
-    edges: _EdgeArrays,
+    edges: SimpleNamespace,
     free: np.ndarray,
     iterations: int,
     step_scale: float,
-    am=None,
+    am,
 ) -> None:
     """Run the relaxation sweeps in place on the packed pose stack.
 
-    All inputs live in the same namespace: host numpy by default, or
-    device arrays when ``am`` is a device module (see
-    :meth:`_EdgeArrays.to_device`) — the sweep loop itself never
-    transfers.
+    Every input lives on ``am`` (see :meth:`_EdgeArrays.to_device`) —
+    the sweep loop itself never transfers.
     """
-    dev = am is not None and am.is_device
-    xp = am.xp if dev else np
+    xp = am.xp
     n_nodes = len(rot)
     if edges.n == 0 or not bool(xp.any(free)):
         return
@@ -254,22 +252,17 @@ def optimize_pose_graph(
         )
         initial = edge_arrays.residual(rot, trans)
         with _tracer.span("pg.sweeps", iterations=iterations):
-            if am is not None:
-                # One staging batch up (poses + packed edges), all
-                # sweeps on the device, one download back.
-                rot_d = am.to_device(rot)
-                trans_d = am.to_device(trans)
-                with am.kernel("pg_sweeps"):
-                    _sweeps_vectorized(
-                        rot_d, trans_d, edge_arrays.to_device(am),
-                        am.to_device(free), iterations, step_scale, am=am,
-                    )
-                rot = am.to_host(rot_d)
-                trans = am.to_host(trans_d)
-            else:
-                _sweeps_vectorized(
-                    rot, trans, edge_arrays, free, iterations, step_scale
+            # One staging batch up (poses + packed edges), all sweeps
+            # on ``am``, one download back.
+            rot_d = am.to_device(rot)
+            trans_d = am.to_device(trans)
+            with am.kernel("pg_sweeps"):
+                _sweeps(
+                    rot_d, trans_d, edge_arrays.to_device(am),
+                    am.to_device(free), iterations, step_scale, am,
                 )
+            rot = am.to_host(rot_d)
+            trans = am.to_host(trans_d)
         final = edge_arrays.residual(rot, trans)
         with _tracer.span("pg.anchor_correction"):
             # Per-node correction new^-1 * old (x_w' = T_new^-1 * T_old *

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..backend import resolve_backend
 from ..geometry import SE3
+from ..vision.brief import stage_descriptors
 from ..vision.camera import PinholeCamera
 from ..vision.matching import (
     FrameGrid,
@@ -41,16 +42,17 @@ class _LocalMapPack:
     holds, so the narrow, wide-retry and refine searches of one frame —
     and every following frame until the map changes — skip the
     covisibility walk, the point gathering and the matrix packing.
-    Under the ``"gpu"`` tier the packed descriptors are also staged to
-    the device once per key (``descriptors_dev``), so repeated frames
-    tracked against one map version never re-upload the local map.
+    The packed descriptors are also staged on the tracker's array
+    module once per key (``descriptors_dev``), so repeated frames
+    tracked against one map version never re-upload the local map (on
+    the host module the staged block is a view, no copy).
     """
 
     key: tuple
     points: List
     positions: np.ndarray       # (n, 3) world positions
     descriptors: np.ndarray     # (n, 32) packed descriptors
-    descriptors_dev: object = None   # staged device block (gpu tier only)
+    descriptors_dev: object     # the same block staged on the array module
 
 
 @dataclass
@@ -103,7 +105,7 @@ class Tracker:
         self.camera = camera
         self.config = config or TrackerConfig()
         # "gpu" resolves to a device array module when one exists (or
-        # the injected test module), else degrades to the numpy kernels
+        # the injected test module), else degrades to the host module
         # with a logged warning.
         self._am = resolve_backend(backend, array_module=array_module)
         self.last_pose: Optional[SE3] = None
@@ -153,15 +155,11 @@ class Tracker:
         else:
             positions = np.zeros((0, 3))
             descriptors = np.zeros((0, 0), dtype=np.uint8)
-        descriptors_dev = None
-        if self._am is not None and descriptors.size:
-            # One host->device staging per (reference kf, map version):
-            # every frame tracked against this pack reuses the upload.
-            from ..backend.kernels import stage_descriptors
-
-            descriptors_dev = stage_descriptors(self._am, descriptors)
+        # One staging per (reference kf, map version): every frame
+        # tracked against this pack reuses the upload.
         self._local_pack = _LocalMapPack(
-            key, points, positions, descriptors, descriptors_dev
+            key, points, positions, descriptors,
+            stage_descriptors(self._am, descriptors),
         )
         return self._local_pack
 
@@ -186,8 +184,8 @@ class Tracker:
         :meth:`_project` — computed once per pose and shared by the
         narrow and wide-retry searches; ``grid`` is the frame's spatial
         index, built once per frame and shared by all three searches;
-        ``frame_desc_dev`` is the frame's staged descriptor block under
-        the gpu tier, uploaded once per :meth:`track` call.
+        ``frame_desc_dev`` is the frame's staged descriptor block,
+        staged once per :meth:`track` call.
         """
         proj_uv, visible_idx = projection
         if len(visible_idx) == 0:
@@ -223,16 +221,10 @@ class Tracker:
             return TrackingResult(frame, False, 0, float("inf"), workload)
 
         grid = FrameGrid(frame.uv) if len(frame) > 0 else None
-        frame_desc_dev = None
-        kernel_mark = 0
-        if self._am is not None:
-            # One frame-descriptor upload shared by the narrow,
-            # wide-retry and refine searches of this frame.
-            from ..backend.kernels import stage_descriptors
-
-            if frame.descriptors is not None and len(frame.descriptors):
-                frame_desc_dev = stage_descriptors(self._am, frame.descriptors)
-            kernel_mark = len(self._am.kernel_timings)
+        # One frame-descriptor staging shared by the narrow, wide-retry
+        # and refine searches of this frame.
+        frame_desc_dev = stage_descriptors(self._am, frame.descriptors)
+        kernel_mark = len(self._am.kernel_timings)
         prior_projection = self._project(pack, prior)
         matches, pairs = self._search(
             pack, frame, prior_projection, cfg.search_radius_px, grid,
@@ -248,7 +240,7 @@ class Tracker:
             )
             workload.candidate_pairs += pairs
         if len(matches) < 4:
-            workload.measured_kernel_ms = self._measured_ms(kernel_mark)
+            workload.measured_kernel_ms = self._am.drain_kernel_ms(kernel_mark)
             return TrackingResult(frame, False, len(matches), float("inf"), workload)
 
         q_idx = np.array([m.query_idx for m in matches], dtype=np.intp)
@@ -280,7 +272,7 @@ class Tracker:
                     pts_w, uv, self.camera, result.pose_cw, depths=depths
                 )
         workload.pnp_iterations = result.iterations
-        workload.measured_kernel_ms = self._measured_ms(kernel_mark)
+        workload.measured_kernel_ms = self._am.drain_kernel_ms(kernel_mark)
         if result.n_inliers < cfg.min_matches:
             return TrackingResult(
                 frame, False, result.n_inliers, result.mean_error_px, workload
@@ -298,18 +290,6 @@ class Tracker:
         return TrackingResult(
             frame, True, result.n_inliers, result.mean_error_px, workload
         )
-
-    def _measured_ms(self, mark: int) -> Optional[float]:
-        """Drain this track() call's device-kernel timings into one total.
-
-        Returns ``None`` on the host path, so downstream latency
-        accounting falls back to the calibrated model.
-        """
-        if self._am is None:
-            return None
-        timings = self._am.kernel_timings[mark:]
-        del self._am.kernel_timings[mark:]
-        return 1e3 * sum(t.wall_s for t in timings)
 
     def force_pose(self, pose: SE3) -> None:
         """Seed the motion model (bootstrap or after relocalization)."""

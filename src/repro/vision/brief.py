@@ -17,7 +17,10 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..backend import host_array_module
 from .fast import Keypoint
+
+_HOST = host_array_module()
 
 DESCRIPTOR_BITS = 256
 DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
@@ -125,15 +128,22 @@ def compute_descriptor(
     return descriptors[0] if inside[0] else None
 
 
-# numpy >= 2.0 ships a native popcount ufunc; older versions fall back
-# to the bit-matrix dot-product formulation below.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+def stage_descriptors(am, descriptors: np.ndarray):
+    """Stage one descriptor block on ``am`` in its Hamming word layout.
 
-
-def _as_uint64_rows(packed: np.ndarray) -> np.ndarray:
-    """View an ``(n, 8k)`` uint8 descriptor stack as ``(n, k)`` uint64 words."""
-    packed = np.ascontiguousarray(packed, dtype=np.uint8)
-    return packed.view(np.uint64)
+    With a native 64-bit popcount (``am.hamming_dtype``) the ``(n, 8k)``
+    uint8 rows are viewed as ``(n, k)`` uint64 words, 8x fewer
+    popcounts; otherwise, and for widths that are not a multiple of 8
+    bytes, they stay uint8.  The view is pure reinterpretation, so on
+    the host module staging copies nothing and on a device it is one
+    contiguous upload.
+    """
+    descriptors = np.ascontiguousarray(descriptors, dtype=np.uint8)
+    if descriptors.ndim != 2:
+        raise ValueError("descriptors must be 2-D")
+    if am.hamming_dtype == np.uint64 and descriptors.shape[1] % 8 == 0:
+        descriptors = descriptors.view(np.uint64)
+    return am.to_device(descriptors)
 
 
 def hamming_distance_matrix_lut(set_a: np.ndarray, set_b: np.ndarray) -> np.ndarray:
@@ -163,49 +173,47 @@ def _hamming_matrix_bitdot(set_a: np.ndarray, set_b: np.ndarray) -> np.ndarray:
     return pop_a[:, None] + pop_b[None, :] - 2 * cross
 
 
+def _hamming_matrix(am, set_a: np.ndarray, set_b: np.ndarray):
+    """All-pairs Hamming distances as an ``(m, n)`` int32 array on ``am``.
+
+    The uint64-word body needs equal widths that are a multiple of 8
+    bytes and a native 64-bit popcount; otherwise the byte-LUT
+    reference or the bit-matrix product (numpy < 2) runs on the host
+    and its result is staged.
+    """
+    set_a = np.atleast_2d(set_a)
+    set_b = np.atleast_2d(set_b)
+    width = set_a.shape[1]
+    if width != set_b.shape[1] or width % 8 != 0 or width == 0:
+        return am.to_device(hamming_distance_matrix_lut(set_a, set_b))
+    if am.hamming_dtype != np.uint64:
+        return am.to_device(_hamming_matrix_bitdot(set_a, set_b))
+    a64 = stage_descriptors(am, set_a)
+    b64 = stage_descriptors(am, set_b)
+    with am.kernel("hamming_matrix"):
+        # Accumulate word by word: peak intermediate is one (m, n) matrix
+        # rather than the rank-3 (m, n, words) tensor.
+        out = am.popcount(a64[:, 0, None] ^ b64[None, :, 0]).astype(np.int32)
+        for k in range(1, a64.shape[1]):
+            out += am.popcount(a64[:, k, None] ^ b64[None, :, k])
+    return out
+
+
 def hamming_distance_matrix(
-    set_a: np.ndarray, set_b: np.ndarray, am=None
+    set_a: np.ndarray, set_b: np.ndarray, am=_HOST
 ) -> np.ndarray:
     """All-pairs Hamming distances between two descriptor stacks.
 
     ``set_a`` is ``(m, 32)`` and ``set_b`` is ``(n, 32)``; the result is
     an ``(m, n)`` int matrix.  This is the data-parallel form used by
     the GPU matching kernel.  The hot path views each row as four
-    uint64 words and uses the native popcount ufunc (an 8x smaller
+    uint64 words and uses the native popcount (an 8x smaller
     intermediate than the byte-LUT tensor); tests assert bit-exact
-    equivalence with :func:`hamming_distance_matrix_lut`.
-
-    Passing a device ``am`` (:class:`repro.backend.ArrayModule`) runs
-    the same XOR+popcount on the device and downloads the result; hot
-    paths that reuse descriptor blocks should stage once and call
-    :mod:`repro.backend.kernels` directly instead.
+    equivalence with :func:`hamming_distance_matrix_lut`.  It runs on
+    ``am`` (a :class:`repro.backend.ArrayModule`, the host numpy module
+    by default) and the result is downloaded.
     """
-    set_a = np.atleast_2d(set_a)
-    set_b = np.atleast_2d(set_b)
-    if am is not None and am.is_device and set_a.size and set_b.size:
-        from ..backend import kernels as _bk
-
-        a_dev = _bk.stage_descriptors(am, set_a)
-        b_dev = _bk.stage_descriptors(am, set_b)
-        return am.to_host(_bk.hamming_matrix_device(am, a_dev, b_dev)).astype(
-            np.int32
-        )
-    if (
-        set_a.shape[1] != set_b.shape[1]
-        or set_a.shape[1] % 8 != 0
-        or set_a.shape[1] == 0
-    ):
-        return hamming_distance_matrix_lut(set_a, set_b)
-    if not _HAS_BITWISE_COUNT:
-        return _hamming_matrix_bitdot(set_a, set_b)
-    a64 = _as_uint64_rows(set_a)
-    b64 = _as_uint64_rows(set_b)
-    # Accumulate word by word: peak intermediate is one (m, n) matrix
-    # rather than the rank-3 (m, n, words) tensor.
-    out = np.bitwise_count(a64[:, 0, None] ^ b64[None, :, 0]).astype(np.int32)
-    for k in range(1, a64.shape[1]):
-        out += np.bitwise_count(a64[:, k, None] ^ b64[None, :, k])
-    return out
+    return am.to_host(_hamming_matrix(am, set_a, set_b))
 
 
 def hamming_distance_pairs(
@@ -213,7 +221,7 @@ def hamming_distance_pairs(
     set_b: np.ndarray,
     idx_a: np.ndarray,
     idx_b: np.ndarray,
-    am=None,
+    am=_HOST,
     set_a_dev=None,
     set_b_dev=None,
 ) -> np.ndarray:
@@ -223,37 +231,23 @@ def hamming_distance_pairs(
     spatial pruning only the surviving candidate pairs pay for popcount
     work, so cost scales with pairs rather than ``m * n``.
 
-    With a device ``am``, gather + XOR + popcount run on the device;
-    ``set_a_dev`` / ``set_b_dev`` are optional pre-staged descriptor
-    blocks (see :func:`repro.backend.kernels.stage_descriptors`) so
-    repeated searches over the same blocks pay staging once.
+    Gather, XOR and popcount run on ``am``; ``set_a_dev`` /
+    ``set_b_dev`` are optional blocks already staged with
+    :func:`stage_descriptors`, so repeated searches over the same
+    blocks pay staging once.
     """
-    set_a = np.atleast_2d(set_a)
-    set_b = np.atleast_2d(set_b)
     if len(idx_a) == 0:
         return np.zeros(0, dtype=np.int32)
-    if am is not None and am.is_device:
-        from ..backend import kernels as _bk
-
-        if set_a_dev is None:
-            set_a_dev = _bk.stage_descriptors(am, set_a)
-        if set_b_dev is None:
-            set_b_dev = _bk.stage_descriptors(am, set_b)
-        return _bk.gather_pairs_distance_device(
-            am, set_a_dev, set_b_dev, idx_a, idx_b
-        ).astype(np.int32)
-    if (
-        _HAS_BITWISE_COUNT
-        and set_a.shape[1] == set_b.shape[1]
-        and set_a.shape[1] % 8 == 0
-    ):
-        a64 = _as_uint64_rows(set_a)[idx_a]
-        b64 = _as_uint64_rows(set_b)[idx_b]
-        return np.bitwise_count(np.bitwise_xor(a64, b64)).sum(
-            axis=1, dtype=np.int32
-        )
-    xor = np.bitwise_xor(set_a[idx_a], set_b[idx_b])
-    return _POPCOUNT[xor].sum(axis=1).astype(np.int32)
+    if set_a_dev is None:
+        set_a_dev = stage_descriptors(am, np.atleast_2d(set_a))
+    if set_b_dev is None:
+        set_b_dev = stage_descriptors(am, np.atleast_2d(set_b))
+    rows_a = am.to_device(idx_a, dtype=np.intp)
+    rows_b = am.to_device(idx_b, dtype=np.intp)
+    with am.kernel("hamming_pairs"):
+        counts = am.popcount(set_a_dev[rows_a] ^ set_b_dev[rows_b])
+        out = am.xp.sum(counts, axis=1, dtype=np.int32)
+    return am.to_host(out)
 
 
 def random_descriptor(rng: np.random.Generator) -> np.ndarray:

@@ -20,7 +20,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .brief import hamming_distance_matrix, hamming_distance_pairs
+from ..backend import host_array_module
+from .brief import _hamming_matrix, hamming_distance_pairs
+
+_HOST = host_array_module()
 
 DEFAULT_MATCH_THRESHOLD = 64  # bits out of 256
 DEFAULT_RATIO = 0.8
@@ -41,58 +44,38 @@ def match_descriptors(
     max_distance: int = DEFAULT_MATCH_THRESHOLD,
     ratio: float = DEFAULT_RATIO,
     cross_check: bool = True,
-    am=None,
+    am=_HOST,
 ) -> List[Match]:
     """Brute-force Hamming matching with Lowe ratio and cross check.
 
-    With a device ``am`` the distance matrix is built and reduced
-    (argmin / partition / reverse argmin) on the device; only ``O(m+n)``
-    reduction vectors are downloaded, never the ``(m, n)`` matrix.
-    Output is identical to the numpy path (tests assert exactness).
+    The distance matrix is built and reduced (argmin / partition /
+    reverse argmin) on ``am``; only ``O(m+n)`` reduction vectors leave
+    it, so on a device the ``(m, n)`` matrix is never downloaded.
     """
     if len(query) == 0 or len(train) == 0:
         return []
+    xp = am.xp
     qi_all = np.arange(len(query))
-    if am is not None and am.is_device:
-        from ..backend import kernels as _bk
-
-        xp = am.xp
-        q_dev = _bk.stage_descriptors(am, np.atleast_2d(query))
-        t_dev = _bk.stage_descriptors(am, np.atleast_2d(train))
-        dist = _bk.hamming_matrix_device(am, q_dev, t_dev)
-        with am.kernel("match_reduce"):
-            best_d = xp.argmin(dist, axis=1)
-            best_dist_d = xp.min(dist, axis=1)
-            second_d = (
-                xp.partition(dist, 1, axis=1)[:, 1] if len(train) > 1 else None
-            )
-            reverse_d = xp.argmin(dist, axis=0) if cross_check else None
-        best = am.to_host(best_d).astype(np.intp)
-        best_dist = am.to_host(best_dist_d).astype(np.int64)
-        second = (
-            am.to_host(second_d).astype(np.int64)
-            if second_d is not None else None
-        )
-        reverse_best = (
-            am.to_host(reverse_d).astype(np.intp)
-            if reverse_d is not None else None
-        )
-    else:
-        distances = hamming_distance_matrix(query, train)
-        best = distances.argmin(axis=1)
-        best_dist = distances[qi_all, best]
-        second = (
-            np.partition(distances, 1, axis=1)[:, 1]
-            if len(train) > 1 else None
-        )
-        reverse_best = distances.argmin(axis=0) if cross_check else None
-    keep = best_dist <= max_distance
-    if second is not None:
+    rows = am.to_device(qi_all)
+    distances = _hamming_matrix(am, query, train)
+    with am.kernel("match_reduce"):
+        best = xp.argmin(distances, axis=1)
+        best_dist = distances[rows, best]
         # Second-smallest per row in one partition (ties with the best
         # value keep the same semantics as masking the best column).
+        second = (
+            xp.partition(distances, 1, axis=1)[:, 1]
+            if len(train) > 1 else None
+        )
+        reverse_best = xp.argmin(distances, axis=0) if cross_check else None
+    best = am.to_host(best)
+    best_dist = am.to_host(best_dist)
+    keep = best_dist <= max_distance
+    if second is not None:
+        second = am.to_host(second)
         keep &= ~((second > 0) & (best_dist > ratio * second))
     if cross_check:
-        keep &= reverse_best[best] == qi_all
+        keep &= am.to_host(reverse_best)[best] == qi_all
     return [
         Match(int(qi), int(best[qi]), int(best_dist[qi]))
         for qi in np.nonzero(keep)[0]
@@ -248,7 +231,7 @@ def search_by_projection_vectorized(
     radius: float = 8.0,
     max_distance: int = DEFAULT_MATCH_THRESHOLD,
     grid: Optional[FrameGrid] = None,
-    am=None,
+    am=_HOST,
     point_desc_dev=None,
     frame_desc_dev=None,
     point_rows=None,
@@ -263,15 +246,15 @@ def search_by_projection_vectorized(
     this).  Pass a prebuilt ``grid`` to amortize binning across
     repeated searches of one frame.
 
-    With a device ``am`` the pair-sparse Hamming work runs on the
-    device; ``point_desc_dev`` / ``frame_desc_dev`` are optional
-    pre-staged descriptor blocks so the tracker pays one upload per
-    local-map pack and one per frame, shared across the narrow /
-    wide-retry / refine searches (grid pruning and greedy assignment
-    stay on the host — they are index bookkeeping, not FLOPs).  When
-    ``point_desc_dev`` holds a superset of ``point_descriptors`` (the
-    tracker stages the full local-map pack once), ``point_rows[i]``
-    gives the staged-block row of point row ``i``.
+    The pair-sparse Hamming work runs on ``am`` (grid pruning and
+    greedy assignment stay on the host — they are index bookkeeping,
+    not FLOPs).  ``point_desc_dev`` / ``frame_desc_dev`` are optional
+    blocks already staged on ``am``, so the tracker stages once per
+    local-map pack and once per frame, shared across the narrow /
+    wide-retry / refine searches.  When ``point_desc_dev`` holds a
+    superset of ``point_descriptors`` (the tracker stages the full
+    local-map pack once), ``point_rows[i]`` gives the staged-block row
+    of point row ``i``.
     """
     n_points = len(projected_uv)
     n_feats = len(frame_uv)
@@ -291,10 +274,9 @@ def search_by_projection_vectorized(
     if len(pair_point) == 0:
         return []
     idx_a = pair_point
-    on_device = am is not None and am.is_device
-    if on_device and point_rows is not None and point_desc_dev is not None:
+    if point_rows is not None and point_desc_dev is not None:
         # The staged block covers the whole local-map pack; translate
-        # subset rows to staged-block rows before the device gather.
+        # subset rows to staged-block rows before the gather.
         idx_a = np.asarray(point_rows, dtype=np.intp)[pair_point]
     dist = hamming_distance_pairs(
         point_descriptors,

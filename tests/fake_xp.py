@@ -1,6 +1,6 @@
 """Fake device array module: numpy wearing a GPU costume.
 
-CI hosts have no CUDA device, so the real cupy/torch paths can't run
+CI hosts have no CUDA device, so the real cupy path can't run
 there — but the *dispatch* machinery (device routing, staged uploads,
 transfer batching, measured kernel timing, fallback behaviour) is where
 the bugs live, and all of it is exercisable with a module that merely
@@ -214,5 +214,4 @@ def make_fake_array_module(
         device_label="fake device (numpy)",
         to_device_fn=lambda a: FakeDeviceArray(np.array(a, copy=True)),
         to_host_fn=lambda a: np.array(_unwrap(a), copy=True),
-        gather_fn=lambda a, idx: _wrap(_unwrap(a)[_unwrap(idx)]),
     )

@@ -6,17 +6,19 @@ costume, see ``tests/fake_xp.py``), which routes the kernels
 through the exact device code paths — staged uploads, counted
 transfers, measured kernel timings — while computing on numpy, so
 "gpu" results must be *bit-exact* against "vectorized".  Real-device
-cases (cupy/torch) are additionally exercised when the host has one
+cases (cupy) are additionally exercised when the host has one
 (``skipif`` otherwise).
 """
 
 from __future__ import annotations
 
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.backend import (
     ArrayModule,
     available_device_modules,
@@ -28,10 +30,6 @@ from repro.backend import (
     resolve_backend,
     use_array_module,
 )
-from repro.backend.kernels import (
-    hamming_matrix_device,
-    stage_descriptors,
-)
 from repro.geometry import SE3, se3_batch, so3
 from repro.slam.bundle_adjustment import local_bundle_adjustment
 from repro.slam.pose_graph import optimize_pose_graph
@@ -40,6 +38,7 @@ from repro.vision.brief import (
     DESCRIPTOR_BYTES,
     hamming_distance_matrix,
     hamming_distance_pairs,
+    stage_descriptors,
 )
 from repro.vision.matching import match_descriptors
 from tests.fake_xp import FakeDeviceArray, make_fake_array_module
@@ -92,17 +91,19 @@ class TestRegistry:
                 resolve_backend(name)
 
     def test_host_tiers_resolve_to_themselves(self):
-        assert resolve_backend("vectorized") is None
+        assert resolve_backend("vectorized") is host_array_module()
         # An injected device does not make the numpy name a device tier.
         assert resolve_backend(
-            "vectorized", array_module=make_fake_array_module()) is None
+            "vectorized", array_module=make_fake_array_module()
+        ) is host_array_module()
 
     def test_gpu_resolves_to_injected_device_module(self):
         am = make_fake_array_module()
         assert resolve_backend("gpu", array_module=am) is am
 
     def test_gpu_without_device_falls_back_to_vectorized(self):
-        assert resolve_backend("gpu", array_module=host_array_module()) is None
+        host = ArrayModule("numpy-2", np, is_device=False)
+        assert resolve_backend("gpu", array_module=host) is host_array_module()
 
 
 # ------------------------------------------------------------- ArrayModule
@@ -150,18 +151,6 @@ class TestArrayModuleBasics:
         with host.kernel("k2"):
             pass
         assert host.kernel_timings == []
-
-    def test_stager_uploads_once_per_key_version(self):
-        am = make_fake_array_module()
-        stager = am.stager()
-        a = np.zeros((4, 2))
-        d1 = stager.stage("frame", a, version=1)
-        d2 = stager.stage("frame", a, version=1)
-        assert d1 is d2
-        assert am.transfers.to_device == 1
-        assert am.transfers.staging_hits == 1
-        stager.stage("frame", a, version=2)   # version bump re-uploads
-        assert am.transfers.to_device == 2
 
     def test_popcount_matches_reference(self):
         am = make_fake_array_module()
@@ -215,6 +204,21 @@ class TestProbeAndDetection:
             _DEVICE_BUILDERS.pop("testbad", None)
             clear_detection_cache()
 
+    def test_detected_module_starts_with_clean_counters(self):
+        # The probe's own transfers are not the caller's traffic.
+        register_device_builder("testclean", make_fake_array_module)
+        try:
+            clear_detection_cache()
+            am = get_array_module("testclean")
+            assert am.transfers.to_device == 0
+            assert am.transfers.to_host == 0
+            assert am.kernel_timings == []
+        finally:
+            from repro.backend.dispatch import _DEVICE_BUILDERS
+
+            _DEVICE_BUILDERS.pop("testclean", None)
+            clear_detection_cache()
+
     def test_override_short_circuits_detection(self):
         fake = make_fake_array_module("override")
         with use_array_module(fake):
@@ -252,13 +256,23 @@ class TestMatchingEquivalence:
         assert [(m.query_idx, m.train_idx, m.distance) for m in ref] == \
                [(m.query_idx, m.train_idx, m.distance) for m in got]
 
+    def test_match_descriptors_gpu_one_row_train_and_empty_query(self):
+        rng = np.random.default_rng(9)
+        q, t = _rand_descriptors(rng, 12), _rand_descriptors(rng, 1)
+        am = make_fake_array_module()
+        ref = match_descriptors(q, t)
+        got = match_descriptors(q, t, am=am)
+        assert [(m.query_idx, m.train_idx, m.distance) for m in ref] == \
+               [(m.query_idx, m.train_idx, m.distance) for m in got]
+        empty = np.zeros((0, DESCRIPTOR_BYTES), dtype=np.uint8)
+        assert match_descriptors(empty, t, am=am) == []
+
     def test_hamming_matrix_device_uses_uint64_words_when_supported(self):
         am = make_fake_array_module()
         rng = np.random.default_rng(4)
         a, b = _rand_descriptors(rng, 10), _rand_descriptors(rng, 12)
         a_dev = stage_descriptors(am, a)
-        b_dev = stage_descriptors(am, b)
-        dist = am.to_host(hamming_matrix_device(am, a_dev, b_dev))
+        dist = hamming_distance_matrix(a, b, am=am)
         np.testing.assert_array_equal(dist, hamming_distance_matrix(a, b))
         if am.hamming_dtype == np.uint64:
             assert a_dev.shape == (10, DESCRIPTOR_BYTES // 8)
@@ -552,6 +566,22 @@ class TestRealDeviceEquivalence:
                 map_v.mappoints[pid].position, map_g.mappoints[pid].position,
                 atol=1e-6,
             )
+
+
+# --------------------------------------------------------------- one body
+class TestOneBody:
+    def test_device_predicate_is_read_only_in_dispatch(self):
+        # Kernels are written once against an ArrayModule; a host/device
+        # fork outside the dispatch layer is a second body.
+        src = Path(repro.__file__).parent
+        forks = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if path.relative_to(src) != Path("backend", "dispatch.py")
+            and any(name in path.read_text(encoding="utf-8")
+                    for name in ("is_device", "_xp_of"))
+        ]
+        assert forks == []
 
 
 # ----------------------------------------------------------- fake module

@@ -17,14 +17,18 @@ from repro.core import (
 )
 from repro.datasets import euroc_dataset
 from repro.net import ShapingProfile
+from tests.test_shm_multiproc import shm_required
 
 
-def _session(shaping=None, durations=(12.0, 9.0), ate_interval=None):
+def _session(shaping=None, durations=(12.0, 9.0), ate_interval=None,
+             **serving):
     mh04 = euroc_dataset("MH04", duration=durations[0], rate=10.0)
     mh05 = euroc_dataset("MH05", duration=durations[1], rate=10.0)
     config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
     if shaping is not None:
         config.shaping = shaping
+    for key, value in serving.items():
+        setattr(config.serving, key, value)
     return SlamShareSession(
         [
             ClientScenario(0, mh04),
@@ -241,6 +245,17 @@ class TestRunEndInvariant:
         with pytest.raises(FrameAccountingError,
                            match=r"shard 0: lock still held \(readers=1"):
             session.run()
+
+    @shm_required
+    def test_run_fails_when_the_pack_lock_is_left_held(self):
+        """The shm backend's packed-map lock is a store lock too: a
+        leaked reader fails the run, naming the pack."""
+        with _session(durations=(2.0, 1.0), store_backend="shm") as session:
+            leaked = session.server.store.pack.lock
+            session.clock.schedule_at(10.0, leaked.acquire_read)
+            with pytest.raises(FrameAccountingError,
+                               match=r"pack: lock still held \(readers=1"):
+                session.run()
 
 
 class TestUplinkDropAccounting:
