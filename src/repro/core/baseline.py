@@ -123,13 +123,6 @@ class BaselineResult:
         )
         return absolute_trajectory_error(trajectory, state.dataset.ground_truth)
 
-    def missed_update_fraction(self, client_id: int) -> float:
-        rounds = self.clients[client_id].rounds
-        if not rounds:
-            return 0.0
-        return sum(1 for r in rounds if r.missed) / len(rounds)
-
-
 class BaselineSession:
     """Runs the multi-user baseline over the simulated network."""
 

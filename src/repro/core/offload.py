@@ -37,7 +37,7 @@ per-frame waterfalls.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs import get_logger, get_metrics, get_tracer, kv

@@ -288,36 +288,6 @@ class SessionResult:
             estimated, outcome.scenario.dataset.ground_truth
         )
 
-    def global_map_ate_series(
-        self, eval_times: Sequence[float]
-    ) -> List[Tuple[float, float]]:
-        """Cumulative ATE of the *combined* global map over session time.
-
-        All clients' estimated positions (in whatever frame each
-        currently has) are pooled and aligned to the pooled ground
-        truth with a single transform.  Before a client merges, its
-        fragment sits in a private frame, inflating the residual —
-        exactly the paper's Fig. 10a spikes; after the merge the
-        residual collapses.
-        """
-        pooled = []
-        for outcome in self.outcomes.values():
-            start = outcome.scenario.start_time
-            estimated = self.server.client_trajectory(outcome.scenario.client_id)
-            est, gt, times = associate(
-                estimated, outcome.scenario.dataset.ground_truth
-            )
-            for e, g, t in zip(est, gt, times):
-                pooled.append((t + start, e, g))
-        pooled.sort(key=lambda item: item[0])
-        series = []
-        for t in eval_times:
-            prefix = [(e, g) for (ts, e, g) in pooled if ts <= t]
-            est = np.array([e for e, _ in prefix])
-            gt = np.array([g for _, g in prefix])
-            series.append((float(t), _pooled_rmse(est, gt)))
-        return series
-
     def digest(self) -> str:
         """SHA-256 of everything a seeded run determines.
 

@@ -47,12 +47,6 @@ class FpsTracker:
         processing_fps = 1.0 / max(mean_latency_s, 1e-9)
         return min(self.camera_fps, processing_fps)
 
-    def worst_case_fps(self) -> float:
-        """Frame rate implied by the slowest frame (turns, merges...)."""
-        if not self.latencies_ms:
-            return 0.0
-        return min(self.camera_fps, 1000.0 / max(self.latencies_ms))
-
     def percentile_ms(self, q: float) -> float:
         if not self.latencies_ms:
             return 0.0

@@ -180,27 +180,6 @@ class Histogram:
                 for _, (value, trace_id) in sorted(self._exemplars.items())
             }
 
-    def exemplar_near(self, q: float) -> Optional[Any]:
-        """Trace id of an exemplar at/above quantile ``q`` (tail link).
-
-        Returns the exemplar from the lowest captured bucket whose
-        values are ≥ the quantile-``q`` bucket — i.e. the concrete trace
-        behind (or just beyond) that percentile — or the highest
-        captured exemplar when none sit above, or ``None`` when no
-        exemplar was ever captured.
-        """
-        with self._lock:
-            if not self._exemplars:
-                return None
-            value = self.percentile(q)
-            if value <= 0.0:
-                index = min(self._exemplars)
-            else:
-                index = math.floor(math.log(value) / _LOG_GROWTH)
-            at_or_above = [i for i in self._exemplars if i >= index]
-            chosen = min(at_or_above) if at_or_above else max(self._exemplars)
-            return self._exemplars[chosen][1]
-
     def reset(self) -> None:
         """Zero the histogram in place (references stay valid)."""
         with self._lock:

@@ -13,7 +13,7 @@ answer.  Pure post-processing — never imported by the hot path.
 from __future__ import annotations
 
 import html
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
 from .frames import STAGES, FrameLedger, FrameRecord
 

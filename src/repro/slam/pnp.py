@@ -11,6 +11,10 @@ projected into the image, which scales as ``fx / z``.  Without this,
 one very close landmark (huge leverage) with a centimeter-level map
 error can drag the pose estimate tens of centimeters — exactly the
 failure mode we observed on close-clutter fly-bys.
+
+The Levenberg–Marquardt loop linearises lazily: a damping trial costs
+one projection and its robust cost, and only a pose the loop steps from
+gets a Jacobian and normal equations — most trials are rejected.
 """
 
 from __future__ import annotations
@@ -43,35 +47,43 @@ class PnPResult:
         return int(self.inliers.sum())
 
 
-def _project_with_jacobian(
+def _project(
     pose_cw: SE3, points_w: np.ndarray, uv: np.ndarray, camera: PinholeCamera
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals (2n,), Jacobian (2n, 6) wrt a left twist, depths (n,).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Camera-frame points (n, 3) and pixel residuals (2n,) under a pose."""
+    pts_cam = pose_cw.apply(points_w)
+    z_safe = np.maximum(pts_cam[:, 2], 1e-6)
+    u_hat = camera.fx * pts_cam[:, 0] / z_safe + camera.cx
+    v_hat = camera.fy * pts_cam[:, 1] / z_safe + camera.cy
+    residual = np.column_stack([u_hat - uv[:, 0], v_hat - uv[:, 1]])
+    return pts_cam, residual.reshape(-1)
+
+
+def _jacobian(pts_cam: np.ndarray, camera: PinholeCamera) -> np.ndarray:
+    """Jacobian (2n, 6) of the pixel residuals wrt a left twist.
 
     Twist ordering is (translation, rotation), matching
     :meth:`repro.geometry.SE3.exp`.
     """
-    pts_cam = pose_cw.apply(points_w)
-    x, y, z = pts_cam[:, 0], pts_cam[:, 1], pts_cam[:, 2]
-    z_safe = np.maximum(z, 1e-6)
-    u_hat = camera.fx * x / z_safe + camera.cx
-    v_hat = camera.fy * y / z_safe + camera.cy
-    residual = np.column_stack([u_hat - uv[:, 0], v_hat - uv[:, 1]])
-
-    inv_z = 1.0 / z_safe
+    n = len(pts_cam)
+    inv_z = 1.0 / np.maximum(pts_cam[:, 2], 1e-6)
     inv_z2 = inv_z * inv_z
-    n = len(points_w)
     jac = np.zeros((n, 2, 6))
-    du_dp = np.stack([camera.fx * inv_z, np.zeros(n), -camera.fx * x * inv_z2], axis=1)
-    dv_dp = np.stack([np.zeros(n), camera.fy * inv_z, -camera.fy * y * inv_z2], axis=1)
+    jac[:, 0, 0] = camera.fx * inv_z
+    jac[:, 0, 2] = -camera.fx * pts_cam[:, 0] * inv_z2
+    jac[:, 1, 1] = camera.fy * inv_z
+    jac[:, 1, 2] = -camera.fy * pts_cam[:, 1] * inv_z2
     # Left perturbation: p_cam' = p_cam + rho + omega x p_cam, so
     # d p_cam / d rho = I and d p_cam / d omega = -[p_cam]x.
-    # For a row vector a: -a @ hat(p) = cross(p, a).
-    jac[:, 0, :3] = du_dp
-    jac[:, 0, 3:] = np.cross(pts_cam, du_dp)
-    jac[:, 1, :3] = dv_dp
-    jac[:, 1, 3:] = np.cross(pts_cam, dv_dp)
-    return residual.reshape(-1), jac.reshape(-1, 6), z
+    # For a row vector a: -a @ hat(p) = p x a, written out term for
+    # term in the order numpy's cross product evaluates it (zero terms
+    # too, so even signed zeros agree with it).
+    a0, a1, a2 = jac[:, :, 0], jac[:, :, 1], jac[:, :, 2]
+    x, y, z = pts_cam[:, 0:1], pts_cam[:, 1:2], pts_cam[:, 2:3]
+    jac[:, :, 3] = y * a2 - z * a1
+    jac[:, :, 4] = z * a0 - x * a2
+    jac[:, :, 5] = x * a1 - y * a0
+    return jac.reshape(-1, 6)
 
 
 def _whitening_sigmas(
@@ -104,7 +116,8 @@ def _classify(
     inlier_sigma: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(inlier mask, per-point pixel errors) under a pose."""
-    residual, _, depth = _project_with_jacobian(pose, points_w, uv, camera)
+    pts_cam, residual = _project(pose, points_w, uv, camera)
+    depth = pts_cam[:, 2]
     err_px = np.linalg.norm(residual.reshape(-1, 2), axis=1)
     sigma = _whitening_sigmas(depth, camera, pixel_sigma, point_sigma)[::2]
     inliers = (err_px / sigma < inlier_sigma) & (depth > 1e-6)
@@ -151,60 +164,77 @@ def solve_pnp(
                      huber_delta * (a - 0.5 * huber_delta)).sum()
         )
 
-    def _evaluate(pose: SE3):
-        """Robust cost, IRLS hessian and gradient at a pose."""
-        residual, jac, z = _project_with_jacobian(pose, points_w, uv, camera)
+    def _cost(pose: SE3):
+        """Robust cost at a pose, and the state that linearises it there."""
+        pts_cam, residual = _project(pose, points_w, uv, camera)
+        z = pts_cam[:, 2]
         sigma = _whitening_sigmas(z, camera, pixel_sigma, point_sigma)
         whitened = residual / sigma
         valid = np.repeat(z > 1e-6, 2)
         cost = _huber_cost(whitened[valid])
+        depth_term = None
+        if have_depth is not None:
+            mask = have_depth & (z > 1e-6)
+            if mask.any():
+                sigma_d = np.maximum(depth_sigma_rel * depths[mask], 1e-3)
+                r_d = z[mask] - depths[mask]
+                whitened_d = r_d / sigma_d
+                cost += _huber_cost(whitened_d)
+                depth_term = (mask, sigma_d, r_d, whitened_d)
+        return cost, (pose, pts_cam, residual, sigma, whitened, valid, depth_term)
+
+    def _linearise(state):
+        """IRLS hessian and gradient from a :func:`_cost` state."""
+        pose, pts_cam, residual, sigma, whitened, valid, depth_term = state
+        jac = _jacobian(pts_cam, camera)
         weights = _huber_weights(whitened, huber_delta) / (sigma ** 2)
         weights[~valid] = 0.0
         jw = jac * weights[:, None]
         hessian = jw.T @ jac
         gradient = jw.T @ residual
-        if have_depth is not None:
-            mask = have_depth & (z > 1e-6)
-            if mask.any():
-                pts_cam = pose.apply(points_w[mask])
-                sigma_d = np.maximum(depth_sigma_rel * depths[mask], 1e-3)
-                r_d = z[mask] - depths[mask]
-                whitened_d = r_d / sigma_d
-                cost += _huber_cost(whitened_d)
-                # d z / d (rho, omega) for a left twist:
-                # [0, 0, 1, p_y, -p_x, 0].
-                n_d = int(mask.sum())
-                j_d = np.zeros((n_d, 6))
-                j_d[:, 2] = 1.0
-                j_d[:, 3] = pts_cam[:, 1]
-                j_d[:, 4] = -pts_cam[:, 0]
-                w_d = _huber_weights(whitened_d, huber_delta) / (sigma_d ** 2)
-                jw_d = j_d * w_d[:, None]
-                hessian += jw_d.T @ j_d
-                gradient += jw_d.T @ r_d
-        return cost, hessian, gradient
+        if depth_term is not None:
+            mask, sigma_d, r_d, whitened_d = depth_term
+            # Transformed again rather than sliced from pts_cam: a matmul
+            # over fewer rows need not round the same, and this is the
+            # product the pinned poses were computed with.
+            pts_cam_d = pose.apply(points_w[mask])
+            # d z / d (rho, omega) for a left twist:
+            # [0, 0, 1, p_y, -p_x, 0].
+            j_d = np.zeros((len(r_d), 6))
+            j_d[:, 2] = 1.0
+            j_d[:, 3] = pts_cam_d[:, 1]
+            j_d[:, 4] = -pts_cam_d[:, 0]
+            w_d = _huber_weights(whitened_d, huber_delta) / (sigma_d ** 2)
+            jw_d = j_d * w_d[:, None]
+            hessian += jw_d.T @ j_d
+            gradient += jw_d.T @ r_d
+        return hessian, gradient
 
     # Levenberg-Marquardt: accept a step only if the robust cost drops.
     # (Plain Gauss-Newton on the IRLS normal equations can stall at
     # non-minima of the robust cost; we hit exactly that in tracking.)
+    # Each iteration linearises the pose it starts from; a damping
+    # trial only evaluates its cost.
     pose = initial_pose
-    cost, hessian, gradient = _evaluate(pose)
+    cost, state = _cost(pose)
     lam = 1e-4
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
+        hessian, gradient = _linearise(state)
+        damping = np.diag(np.maximum(np.diag(hessian), 1e-9))
         accepted = False
         for _ in range(8):
-            damped = hessian + lam * np.diag(np.maximum(np.diag(hessian), 1e-9))
+            damped = hessian + lam * damping
             try:
                 step = np.linalg.solve(damped, -gradient)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             candidate = pose.perturb(step)
-            new_cost, new_h, new_g = _evaluate(candidate)
+            new_cost, new_state = _cost(candidate)
             if new_cost < cost:
-                pose, cost, hessian, gradient = candidate, new_cost, new_h, new_g
+                pose, cost, state = candidate, new_cost, new_state
                 lam = max(lam * 0.3, 1e-9)
                 accepted = True
                 if np.linalg.norm(step) < convergence_tol:

@@ -126,10 +126,6 @@ class Tracker:
         self.last_pose = new_pose
 
     # ---------------------------------------------------------- local map
-    def _local_map(self) -> List:
-        """Points observed by the reference keyframe and its neighbors."""
-        return self._local_map_pack().points
-
     def _local_map_pack(self) -> _LocalMapPack:
         """The local map with packed matrices, cached on (ref kf, version)."""
         key = (self.reference_keyframe_id, self.map.version)

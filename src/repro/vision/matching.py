@@ -292,9 +292,3 @@ def search_by_projection_vectorized(
         pair_point[close], pair_feat[close], dist[close], n_points, n_feats
     )
 
-
-def match_stats(matches: List[Match]) -> Tuple[int, float]:
-    """Return ``(count, mean_distance)`` of a match list."""
-    if not matches:
-        return 0, 0.0
-    return len(matches), float(np.mean([m.distance for m in matches]))

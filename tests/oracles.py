@@ -16,6 +16,11 @@ the ``apply_along_axis`` landmark patch (PR 24).  The kernels in
 ``repro.vision`` and ``repro.video`` must reproduce the front-end and
 device bodies bit for bit and the ones in ``repro.slam`` the back-end
 bodies to 1e-9; nothing in ``src/`` imports this module.
+
+``solve_pnp_reference`` (with ``_project_with_jacobian`` and
+``_classify_reference``) is the Levenberg–Marquardt PnP that built a
+Jacobian for every damping trial; ``repro.slam.pnp``, which linearises
+only the poses it steps from, must reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +32,17 @@ import numpy as np
 from repro.geometry import SE3
 from repro.slam.bundle_adjustment import BAStats
 from repro.slam.map import SlamMap
-from repro.slam.pnp import solve_pnp
+from repro.slam.pnp import (
+    DEFAULT_DEPTH_SIGMA_REL,
+    DEFAULT_HUBER_DELTA,
+    DEFAULT_INLIER_SIGMA,
+    DEFAULT_PIXEL_SIGMA,
+    DEFAULT_POINT_SIGMA,
+    PnPResult,
+    _huber_weights,
+    _whitening_sigmas,
+    solve_pnp,
+)
 from repro.slam.pose_graph import PoseGraphEdge, PoseGraphStats
 from repro.video.h264_like import _candidate_offsets
 from repro.vision.brief import (
@@ -310,6 +325,165 @@ def search_by_projection_dense(
         used[fi] = True
         matches.append(Match(pi, fi, int(row[fi])))
     return matches
+
+
+# --------------------------------------------------------------------- PnP
+def _project_with_jacobian(
+    pose_cw: SE3, points_w: np.ndarray, uv: np.ndarray, camera: PinholeCamera
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals (2n,), Jacobian (2n, 6) wrt a left twist, depths (n,).
+
+    Twist ordering is (translation, rotation), matching
+    :meth:`repro.geometry.SE3.exp`.
+    """
+    pts_cam = pose_cw.apply(points_w)
+    x, y, z = pts_cam[:, 0], pts_cam[:, 1], pts_cam[:, 2]
+    z_safe = np.maximum(z, 1e-6)
+    u_hat = camera.fx * x / z_safe + camera.cx
+    v_hat = camera.fy * y / z_safe + camera.cy
+    residual = np.column_stack([u_hat - uv[:, 0], v_hat - uv[:, 1]])
+
+    inv_z = 1.0 / z_safe
+    inv_z2 = inv_z * inv_z
+    n = len(points_w)
+    jac = np.zeros((n, 2, 6))
+    du_dp = np.stack([camera.fx * inv_z, np.zeros(n), -camera.fx * x * inv_z2], axis=1)
+    dv_dp = np.stack([np.zeros(n), camera.fy * inv_z, -camera.fy * y * inv_z2], axis=1)
+    # Left perturbation: p_cam' = p_cam + rho + omega x p_cam, so
+    # d p_cam / d rho = I and d p_cam / d omega = -[p_cam]x.
+    # For a row vector a: -a @ hat(p) = cross(p, a).
+    jac[:, 0, :3] = du_dp
+    jac[:, 0, 3:] = np.cross(pts_cam, du_dp)
+    jac[:, 1, :3] = dv_dp
+    jac[:, 1, 3:] = np.cross(pts_cam, dv_dp)
+    return residual.reshape(-1), jac.reshape(-1, 6), z
+
+
+def _classify_reference(
+    pose: SE3,
+    points_w: np.ndarray,
+    uv: np.ndarray,
+    camera: PinholeCamera,
+    pixel_sigma: float,
+    point_sigma: float,
+    inlier_sigma: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(inlier mask, per-point pixel errors) under a pose."""
+    residual, _, depth = _project_with_jacobian(pose, points_w, uv, camera)
+    err_px = np.linalg.norm(residual.reshape(-1, 2), axis=1)
+    sigma = _whitening_sigmas(depth, camera, pixel_sigma, point_sigma)[::2]
+    inliers = (err_px / sigma < inlier_sigma) & (depth > 1e-6)
+    return inliers, err_px
+
+
+def solve_pnp_reference(
+    points_w: np.ndarray,
+    uv: np.ndarray,
+    camera: PinholeCamera,
+    initial_pose: SE3,
+    depths: Optional[np.ndarray] = None,
+    max_iterations: int = 10,
+    pixel_sigma: float = DEFAULT_PIXEL_SIGMA,
+    point_sigma: float = DEFAULT_POINT_SIGMA,
+    depth_sigma_rel: float = DEFAULT_DEPTH_SIGMA_REL,
+    huber_delta: float = DEFAULT_HUBER_DELTA,
+    inlier_sigma: float = DEFAULT_INLIER_SIGMA,
+    convergence_tol: float = 1e-8,
+) -> PnPResult:
+    """Whitened, Huber-robust Gauss-Newton PnP from an initial pose.
+
+    ``depths`` (optional, one per correspondence, <=0 where missing)
+    are stereo/RGB-D depth measurements; they add a depth residual per
+    point.  Without them the forward (optical-axis) translation is
+    only weakly observable from central points and drifts.
+    """
+    points_w = np.asarray(points_w, dtype=float)
+    uv = np.asarray(uv, dtype=float)
+    if len(points_w) < 4:
+        return PnPResult(initial_pose, np.zeros(len(points_w), dtype=bool),
+                         float("inf"), 0, False)
+    have_depth = None
+    if depths is not None:
+        depths = np.asarray(depths, dtype=float)
+        have_depth = depths > 0
+        if not have_depth.any():
+            have_depth = None
+
+    def _huber_cost(whitened: np.ndarray) -> float:
+        a = np.abs(whitened)
+        return float(
+            np.where(a <= huber_delta, 0.5 * a * a,
+                     huber_delta * (a - 0.5 * huber_delta)).sum()
+        )
+
+    def _evaluate(pose: SE3):
+        """Robust cost, IRLS hessian and gradient at a pose."""
+        residual, jac, z = _project_with_jacobian(pose, points_w, uv, camera)
+        sigma = _whitening_sigmas(z, camera, pixel_sigma, point_sigma)
+        whitened = residual / sigma
+        valid = np.repeat(z > 1e-6, 2)
+        cost = _huber_cost(whitened[valid])
+        weights = _huber_weights(whitened, huber_delta) / (sigma ** 2)
+        weights[~valid] = 0.0
+        jw = jac * weights[:, None]
+        hessian = jw.T @ jac
+        gradient = jw.T @ residual
+        if have_depth is not None:
+            mask = have_depth & (z > 1e-6)
+            if mask.any():
+                pts_cam = pose.apply(points_w[mask])
+                sigma_d = np.maximum(depth_sigma_rel * depths[mask], 1e-3)
+                r_d = z[mask] - depths[mask]
+                whitened_d = r_d / sigma_d
+                cost += _huber_cost(whitened_d)
+                # d z / d (rho, omega) for a left twist:
+                # [0, 0, 1, p_y, -p_x, 0].
+                n_d = int(mask.sum())
+                j_d = np.zeros((n_d, 6))
+                j_d[:, 2] = 1.0
+                j_d[:, 3] = pts_cam[:, 1]
+                j_d[:, 4] = -pts_cam[:, 0]
+                w_d = _huber_weights(whitened_d, huber_delta) / (sigma_d ** 2)
+                jw_d = j_d * w_d[:, None]
+                hessian += jw_d.T @ j_d
+                gradient += jw_d.T @ r_d
+        return cost, hessian, gradient
+
+    # Levenberg-Marquardt: accept a step only if the robust cost drops.
+    # (Plain Gauss-Newton on the IRLS normal equations can stall at
+    # non-minima of the robust cost; we hit exactly that in tracking.)
+    pose = initial_pose
+    cost, hessian, gradient = _evaluate(pose)
+    lam = 1e-4
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        accepted = False
+        for _ in range(8):
+            damped = hessian + lam * np.diag(np.maximum(np.diag(hessian), 1e-9))
+            try:
+                step = np.linalg.solve(damped, -gradient)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            candidate = pose.perturb(step)
+            new_cost, new_h, new_g = _evaluate(candidate)
+            if new_cost < cost:
+                pose, cost, hessian, gradient = candidate, new_cost, new_h, new_g
+                lam = max(lam * 0.3, 1e-9)
+                accepted = True
+                if np.linalg.norm(step) < convergence_tol:
+                    converged = True
+                break
+            lam *= 10.0
+        if not accepted or converged:
+            converged = converged or not accepted
+            break
+    inliers, err_px = _classify_reference(
+        pose, points_w, uv, camera, pixel_sigma, point_sigma, inlier_sigma
+    )
+    mean_err = float(err_px[inliers].mean()) if inliers.any() else float("inf")
+    return PnPResult(pose, inliers, mean_err, iterations, converged)
 
 
 # ------------------------------------------------------- bundle adjustment

@@ -1,16 +1,18 @@
 """Tests for PnP pose solving and bundle adjustment."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import SE3, so3
-from repro.slam import solve_pnp, solve_pnp_ransac
+from repro.slam import pnp, solve_pnp, solve_pnp_ransac
 from repro.slam.bundle_adjustment import (
     global_bundle_adjustment,
     local_bundle_adjustment,
 )
 from repro.vision import PinholeCamera
+from tests import oracles
 
 
 def _scene(n=80, seed=0, pose_scale=0.3):
@@ -130,6 +132,160 @@ class TestSolvePnPRansac:
         cam, truth, pts_w, uv, _ = _scene()
         rng = np.random.default_rng(13)
         assert solve_pnp_ransac(pts_w[:4], uv[:4], cam, truth, rng) is None
+
+
+def _pnp_case(name):
+    """(points_w, uv, camera, prior, kwargs) for one seeded PnP problem."""
+    cam, truth, pts_w, uv, z = _scene(n=150, seed=2)
+    rng = np.random.default_rng(3)
+    uv = uv + rng.normal(scale=0.5, size=uv.shape)
+    prior = truth.perturb(rng.normal(scale=0.05, size=6))
+    kwargs = {}
+    if name == "depths":
+        depths = z.copy()
+        depths[::3] = 0.0
+        depths[1::7] = -1.0
+        kwargs["depths"] = depths
+    elif name == "depths_all_missing":
+        kwargs["depths"] = np.zeros(len(z))
+    elif name == "outliers_30":
+        bad = rng.choice(len(uv), size=int(0.3 * len(uv)), replace=False)
+        uv[bad] += rng.normal(scale=40.0, size=(len(bad), 2))
+        kwargs["depths"] = z
+    elif name == "behind_camera":
+        # A fifth of the points pushed behind the camera along its axis.
+        behind = np.arange(0, len(z), 5)
+        pts_cam = truth.apply(pts_w)
+        pts_cam[behind, 2] = -pts_cam[behind, 2]
+        pts_w = truth.inverse().apply(pts_cam)
+        kwargs["depths"] = z
+    elif name == "four_points":
+        pts_w, uv = pts_w[:4], uv[:4]
+    elif name == "three_points":
+        pts_w, uv = pts_w[:3], uv[:3]
+    elif name == "max_iterations_5":
+        # Far enough out that five iterations end the solve unconverged.
+        prior = truth.perturb(rng.normal(scale=0.5, size=6))
+        kwargs["max_iterations"] = 5
+    elif name == "identical_points":
+        pts_w = np.repeat(pts_w[:1], 10, axis=0)
+        uv = np.repeat(uv[:1], 10, axis=0)
+    else:
+        assert name == "plain"
+    return pts_w, uv, cam, prior, kwargs
+
+
+PNP_CASES = ("plain", "depths", "depths_all_missing", "outliers_30",
+             "behind_camera", "four_points", "three_points",
+             "max_iterations_5", "identical_points")
+
+
+def _assert_same_result(live, ref):
+    assert live.pose_cw.rotation.tobytes() == ref.pose_cw.rotation.tobytes()
+    assert live.pose_cw.translation.tobytes() == ref.pose_cw.translation.tobytes()
+    assert live.inliers.dtype == ref.inliers.dtype
+    assert live.inliers.tobytes() == ref.inliers.tobytes()
+    assert live.iterations == ref.iterations
+    assert live.converged == ref.converged
+    assert (np.float64(live.mean_error_px).tobytes()
+            == np.float64(ref.mean_error_px).tobytes())
+
+
+class TestSolvePnPMatchesReference:
+    """Linearising only the kept steps changes no bit of any result."""
+
+    @pytest.mark.parametrize("name", PNP_CASES)
+    def test_byte_equal_result(self, name):
+        pts_w, uv, cam, prior, kwargs = _pnp_case(name)
+        _assert_same_result(
+            solve_pnp(pts_w, uv, cam, prior, **kwargs),
+            oracles.solve_pnp_reference(pts_w, uv, cam, prior, **kwargs),
+        )
+
+    def test_byte_equal_through_singular_solves(self, monkeypatch):
+        # Damping keeps the normal equations positive definite for any
+        # finite input (identical points included), so the LinAlgError
+        # branch is reached by a solve that refuses every other call.
+        solve = np.linalg.solve
+
+        def flaky(calls):
+            def flaky_solve(a, b):
+                calls.append(None)
+                if len(calls) % 2:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(a, b)
+            return flaky_solve
+
+        pts_w, uv, cam, prior, kwargs = _pnp_case("identical_points")
+        live_calls, ref_calls = [], []
+        monkeypatch.setattr(np.linalg, "solve", flaky(live_calls))
+        live = solve_pnp(pts_w, uv, cam, prior, **kwargs)
+        monkeypatch.setattr(np.linalg, "solve", flaky(ref_calls))
+        ref = oracles.solve_pnp_reference(pts_w, uv, cam, prior, **kwargs)
+        _assert_same_result(live, ref)
+        assert len(live_calls) == len(ref_calls) > 2
+
+    @pytest.mark.parametrize("seed", [10, 12])
+    def test_ransac_same_rng_same_result(self, monkeypatch, seed):
+        cam, truth, pts_w, uv, _ = _scene(n=150, seed=9)
+        rng = np.random.default_rng(seed)
+        bad = rng.choice(len(uv), size=int(len(uv) * 0.4), replace=False)
+        uv[bad] = rng.uniform(0, 300, size=(len(bad), 2))
+        prior = truth.perturb(np.full(6, 0.05))
+        live = solve_pnp_ransac(pts_w, uv, cam, prior,
+                                np.random.default_rng(seed))
+        monkeypatch.setattr(pnp, "solve_pnp", oracles.solve_pnp_reference)
+        monkeypatch.setattr(pnp, "_classify", oracles._classify_reference)
+        ref = solve_pnp_ransac(pts_w, uv, cam, prior,
+                               np.random.default_rng(seed))
+        assert live is not None and ref is not None
+        _assert_same_result(live, ref)
+
+    def test_ba_reference_resects_through_the_live_solver(self):
+        assert oracles.solve_pnp is pnp.solve_pnp
+        assert oracles.solve_pnp is not oracles.solve_pnp_reference
+
+
+class TestLinearisationCount:
+    """A rejected damping trial projects; only a kept pose is linearised."""
+
+    def test_jacobians_built_only_for_kept_poses(self, monkeypatch):
+        counts = {"jacobian": 0, "project": 0, "reference": 0}
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(pnp, "_jacobian", counting("jacobian", pnp._jacobian))
+        monkeypatch.setattr(pnp, "_project", counting("project", pnp._project))
+        monkeypatch.setattr(oracles, "_project_with_jacobian",
+                            counting("reference", oracles._project_with_jacobian))
+        pts_w, uv, cam, prior, kwargs = _pnp_case("depths")
+        ref = oracles.solve_pnp_reference(pts_w, uv, cam, prior, **kwargs)
+
+        bases = []  # the pose each damping trial steps from
+        perturb = SE3.perturb
+
+        def recording_perturb(self, xi):
+            bases.append(self)
+            return perturb(self, xi)
+
+        monkeypatch.setattr(SE3, "perturb", recording_perturb)
+        live = solve_pnp(pts_w, uv, cam, prior, **kwargs)
+        _assert_same_result(live, ref)
+        # The solve ends on a fully rejected ladder: its result is the
+        # pose the last trials stepped from.
+        assert live.pose_cw is bases[-1]
+        accepted = len({id(b) for b in bases}) - 1
+        assert accepted >= 1
+        assert counts["jacobian"] == 1 + accepted
+        # One projection per cost evaluation plus the final inlier
+        # classification, exactly as many as the reference made ...
+        assert counts["project"] == counts["reference"]
+        # ... each of which built a Jacobian there.
+        assert counts["reference"] >= counts["jacobian"] + 8
 
 
 class TestBundleAdjustment:
