@@ -128,9 +128,6 @@ class ArrayModule:
         self.transfers.bytes_to_host += out.nbytes
         return out
 
-    def synchronize(self) -> None:
-        self._synchronize()
-
     def reset_counters(self) -> None:
         self.transfers = TransferStats()
         self.kernel_timings.clear()

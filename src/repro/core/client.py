@@ -160,6 +160,3 @@ class SlamShareClient:
     @property
     def merged(self) -> bool:
         return self._merge_transform is not None
-
-    def current_pose_cw(self) -> SE3:
-        return self.motion_model.current_pose_bw()

@@ -619,6 +619,3 @@ class SlamShareServer:
     # ------------------------------------------------------------- queries
     def client_trajectory(self, client_id: int):
         return self.processes[client_id].system.estimated_trajectory()
-
-    def merged_clients(self) -> List[int]:
-        return [cid for cid, p in self.processes.items() if p.merged]

@@ -1022,9 +1022,6 @@ class SlamShareSession:
         )
 
     # ------------------------------------------------------------- extras
-    def place_hologram(self, client_id: int, position, timestamp: float):
-        return self.holograms.place(position, client_id, timestamp)
-
     def close(self) -> None:
         """Release server-owned OS resources (the shm map segment).
 

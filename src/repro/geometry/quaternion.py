@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import so3
-
 _EPS = 1e-12
 
 
@@ -144,8 +142,3 @@ def angle(q: np.ndarray) -> float:
 def integrate_gyro(q: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
     """Advance orientation ``q`` by body-frame angular rate ``omega`` over ``dt``."""
     return normalize(multiply(q, from_axis_angle(np.asarray(omega, dtype=float) * dt)))
-
-
-def rotation_distance(q_a: np.ndarray, q_b: np.ndarray) -> float:
-    """Geodesic distance between two orientations, in radians."""
-    return so3.angle_between(to_matrix(q_a), to_matrix(q_b))

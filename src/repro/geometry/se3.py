@@ -42,10 +42,6 @@ class SE3:
         return SE3(matrix[:3, :3], matrix[:3, 3])
 
     @staticmethod
-    def from_rt(rotation: np.ndarray, translation: np.ndarray) -> "SE3":
-        return SE3(rotation, translation)
-
-    @staticmethod
     def exp(xi: np.ndarray) -> "SE3":
         """Exponential map from a 6-vector ``(rho, omega)``.
 

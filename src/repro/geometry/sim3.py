@@ -39,10 +39,6 @@ class Sim3:
     def from_se3(pose: SE3, scale: float = 1.0) -> "Sim3":
         return Sim3(pose.rotation, pose.translation, scale)
 
-    def to_se3(self) -> SE3:
-        """Drop the scale (valid when scale is ~1, e.g. stereo/inertial maps)."""
-        return SE3(self.rotation, self.translation)
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.scale * self.rotation

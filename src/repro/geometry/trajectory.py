@@ -8,6 +8,7 @@ the ATE metrics compare them.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -39,11 +40,10 @@ class Trajectory:
 
     def __init__(self, points: Optional[Iterable[TrajectoryPoint]] = None) -> None:
         self._points: List[TrajectoryPoint] = list(points or [])
-        self._check_monotonic()
-
-    def _check_monotonic(self) -> None:
-        times = [p.timestamp for p in self._points]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        # The timestamps again, as a list :meth:`sample` can bisect
+        # without building an array per call.
+        self._times: List[float] = [p.timestamp for p in self._points]
+        if any(b <= a for a, b in zip(self._times, self._times[1:])):
             raise ValueError("trajectory timestamps must be strictly increasing")
 
     @staticmethod
@@ -83,10 +83,11 @@ class Trajectory:
                 f"timestamp {point.timestamp} not after {self._points[-1].timestamp}"
             )
         self._points.append(point)
+        self._times.append(point.timestamp)
 
     @property
     def timestamps(self) -> np.ndarray:
-        return np.array([p.timestamp for p in self._points])
+        return np.array(self._times)
 
     @property
     def positions(self) -> np.ndarray:
@@ -114,14 +115,14 @@ class Trajectory:
 
     def sample(self, timestamp: float) -> TrajectoryPoint:
         """Interpolate the pose at an arbitrary time inside the range."""
-        times = self.timestamps
-        if not len(times):
+        times = self._times
+        if not times:
             raise ValueError("cannot sample an empty trajectory")
         if timestamp <= times[0]:
             return self._points[0]
         if timestamp >= times[-1]:
             return self._points[-1]
-        hi = int(np.searchsorted(times, timestamp))
+        hi = bisect.bisect_left(times, timestamp)  # np.searchsorted's "left"
         lo = hi - 1
         span = times[hi] - times[lo]
         alpha = float((timestamp - times[lo]) / span)

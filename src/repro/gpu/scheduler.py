@@ -140,11 +140,6 @@ class GpuScheduler:
         self._batch_size_sum = 0
 
     @property
-    def client_share(self) -> float:
-        """Fraction of the GPU each client gets under spatial sharing."""
-        return 1.0 / self.n_clients if self.mode == "spatial" else 1.0
-
-    @property
     def _slowdown(self) -> float:
         if self.mode == "spatial":
             return max(1.0, self.n_clients / self.saturation_clients)

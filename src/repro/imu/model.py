@@ -103,29 +103,38 @@ def synthesize_imu(
     )
     omega_samples = interp_rows(times, mid_times, omega_mid)
 
-    gyro_bias = np.zeros(3)
-    accel_bias = np.zeros(3)
-    gyro_sigma = noise.gyro_sigma(rate_hz) if with_noise else 0.0
-    accel_sigma = noise.accel_sigma(rate_hz) if with_noise else 0.0
-
-    samples: List[ImuSample] = []
-    for i, t in enumerate(times):
-        r_wb = quaternion.to_matrix(trajectory.sample(float(t)).orientation)
-        specific_force = r_wb.T @ (a_w_samples[i] - GRAVITY_W)
-        omega = omega_samples[i].copy()
-        if with_noise:
-            gyro_bias = gyro_bias + rng.normal(
-                scale=noise.gyro_bias_walk * np.sqrt(dt), size=3
-            )
-            accel_bias = accel_bias + rng.normal(
-                scale=noise.accel_bias_walk * np.sqrt(dt), size=3
-            )
-            omega = omega + gyro_bias + rng.normal(scale=gyro_sigma, size=3)
-            specific_force = (
-                specific_force + accel_bias + rng.normal(scale=accel_sigma, size=3)
-            )
-        samples.append(ImuSample(float(t), omega, specific_force))
-    return samples
+    # Rotate each sample's world acceleration into the body one matrix
+    # product at a time, as the interpolated orientation is sampled.
+    time_list = times.tolist()
+    specific_force = np.array(
+        [
+            quaternion.to_matrix(trajectory.sample(t).orientation).T @ a
+            for t, a in zip(time_list, a_w_samples - GRAVITY_W)
+        ]
+    ).reshape(len(times), 3)
+    omega = omega_samples
+    if with_noise:
+        # One standard-normal block in the per-sample order of the draws:
+        # gyro walk, accel walk, gyro white noise, accel white noise.
+        # ``normal(scale=s)`` is ``0 + s * z``; a bias walk is a running sum.
+        sqrt_dt = np.sqrt(dt)
+        scale = np.repeat(
+            [
+                noise.gyro_bias_walk * sqrt_dt,
+                noise.accel_bias_walk * sqrt_dt,
+                noise.gyro_sigma(rate_hz),
+                noise.accel_sigma(rate_hz),
+            ],
+            3,
+        )
+        draws = 0.0 + scale * rng.standard_normal((len(times), 12))
+        gyro_bias = np.cumsum(draws[:, 0:3], axis=0)
+        accel_bias = np.cumsum(draws[:, 3:6], axis=0)
+        omega = omega + gyro_bias + draws[:, 6:9]
+        specific_force = specific_force + accel_bias + draws[:, 9:12]
+    return [
+        ImuSample(t, w, f) for t, w, f in zip(time_list, omega, specific_force)
+    ]
 
 
 def slice_samples(

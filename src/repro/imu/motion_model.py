@@ -53,10 +53,6 @@ class ClientMotionModel:
         self.corrected_up_to = 0
         self._last_fused: Optional[tuple] = None  # (index, position, timestamp)
 
-    @property
-    def latest_index(self) -> int:
-        return len(self.states) - 1
-
     def current_pose_bw(self) -> SE3:
         """World->body pose of the newest frame (what AR rendering uses)."""
         return self.states[-1].pose_bw()
@@ -111,9 +107,6 @@ class ClientMotionModel:
         would produce a wildly wrong velocity.
         """
         self._last_fused = None
-
-    def pose_bw_at(self, frame_index: int) -> SE3:
-        return self.states[frame_index].pose_bw()
 
     def drift_since_correction(self) -> float:
         """Seconds of pure-IMU propagation since the last server fix."""

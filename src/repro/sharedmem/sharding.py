@@ -303,9 +303,6 @@ class ShardedMapStore:
             return sticky
         return spatial_shard(point.position, self.region_size, self.n_shards)
 
-    def shard_of_position(self, position) -> int:
-        return spatial_shard(position, self.region_size, self.n_shards)
-
     def _sync(self) -> None:
         for shard in self.shards:
             shard.sync()

@@ -76,12 +76,6 @@ class Atlas:
             return None
         return self._entries[self._active_id].slam_map
 
-    @property
-    def active_database(self) -> Optional[KeyframeDatabase]:
-        if self._active_id is None:
-            return None
-        return self._entries[self._active_id].database
-
     def __len__(self) -> int:
         return len(self._entries)
 

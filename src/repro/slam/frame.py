@@ -57,13 +57,10 @@ class Frame:
     ) -> "Frame":
         """Build a frame from oracle/extractor observations."""
         n = len(observations)
-        uv = np.zeros((n, 2))
-        descriptors = np.zeros((n, DESCRIPTOR_BYTES), dtype=np.uint8)
-        depths = np.zeros(n)
-        right_u = np.full(n, -1.0)
-        for i, obs in enumerate(observations):
-            uv[i] = obs.uv
-            descriptors[i] = obs.descriptor
-            depths[i] = obs.depth
-            right_u[i] = obs.right_u
+        uv = np.array([obs.uv for obs in observations], dtype=np.float64).reshape(n, 2)
+        descriptors = np.array(
+            [obs.descriptor for obs in observations], dtype=np.uint8
+        ).reshape(n, DESCRIPTOR_BYTES)
+        depths = np.array([obs.depth for obs in observations], dtype=np.float64)
+        right_u = np.array([obs.right_u for obs in observations], dtype=np.float64)
         return Frame(frame_id, timestamp, uv, descriptors, depths, right_u)

@@ -196,8 +196,8 @@ class Tracker:
             frame_desc_dev=frame_desc_dev,
         )
         # Re-index matches back to the full candidate list.
-        remapped = [Match(int(visible_idx[m.query_idx]), m.train_idx, m.distance)
-                    for m in matches]
+        rows = visible_idx.tolist()
+        remapped = [Match(rows[m.query_idx], m.train_idx, m.distance) for m in matches]
         return remapped, len(visible_idx) * len(frame)
 
     # ---------------------------------------------------------------- track

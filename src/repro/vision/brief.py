@@ -259,9 +259,20 @@ def perturb_descriptor(
     descriptor: np.ndarray, rng: np.random.Generator, flip_bits: int
 ) -> np.ndarray:
     """Flip ``flip_bits`` random bits — models viewpoint/noise variation."""
-    if flip_bits <= 0:
-        return descriptor.copy()
-    bits = np.unpackbits(descriptor)
-    idx = rng.choice(bits.size, size=min(flip_bits, bits.size), replace=False)
-    bits[idx] ^= 1
-    return np.packbits(bits)
+    flipped = descriptor.copy()
+    if flip_bits > 0:
+        n_bits = 8 * descriptor.size
+        flip_packed_bits(flipped, rng.choice(n_bits, size=min(flip_bits, n_bits), replace=False))
+    return flipped
+
+
+def flip_packed_bits(packed: np.ndarray, bits: np.ndarray) -> None:
+    """Flip bits ``bits`` of the packed byte array ``packed`` in place.
+
+    Bit ``i`` is byte ``i >> 3`` (in C order, across rows) under mask
+    ``0x80 >> (i & 7)``, the big-endian order of ``np.unpackbits``;
+    ``bitwise_xor.at`` because two flipped bits can share a byte.
+    """
+    bits = np.asarray(bits, dtype=np.intp)
+    byte = np.unravel_index(bits >> 3, packed.shape)
+    np.bitwise_xor.at(packed, byte, (0x80 >> (bits & 7)).astype(np.uint8))

@@ -13,7 +13,10 @@ so two substitutes exercise the same code paths (see DESIGN.md §2):
   produces per-frame observations (pixel + noise, packed descriptor
   with a few flipped bits, stereo disparity).  The SLAM pipeline
   consumes these exactly like extractor output; the large multi-client
-  experiments use this frontend for speed and determinism.
+  experiments use this frontend for speed and determinism.  Its
+  generator calls, made per feature in a fixed order, are the seeded
+  contract every session digest rests on; all the arithmetic around
+  them is done once per frame on arrays (DESIGN.md §9, "Input side").
 """
 
 from __future__ import annotations
@@ -178,32 +181,55 @@ class FeatureOracle:
         if len(visible) > self.max_features:
             visible = self._rng.choice(visible, size=self.max_features, replace=False)
             visible = np.sort(visible)
-        observations: List[ObservedFeature] = []
-        for idx in visible:
-            noisy_uv = uv[idx] + self._rng.normal(scale=self.pixel_sigma, size=2)
-            if not self.camera.in_image(noisy_uv[None])[0]:
+        # The generator calls below, per feature and in this order, are the
+        # seeded contract: the uv noise, then (only for a feature that
+        # stays in the image) the flipped bits, the depth noise and the
+        # stereo noise.  Everything else is one array expression per frame.
+        rng = self._rng
+        sigma = self.pixel_sigma
+        width, height = self.camera.width, self.camera.height
+        n_flip = min(self.descriptor_flip_bits, brief.DESCRIPTOR_BITS)
+        kept: List[int] = []
+        noisy_uv: List[List[float]] = []
+        flipped: List[np.ndarray] = []
+        depth_noise: List[float] = []
+        right_noise: List[float] = []
+        for idx, (u, v) in zip(visible.tolist(), uv[visible].tolist()):
+            du, dv = rng.normal(scale=sigma, size=2).tolist()
+            u, v = u + du, v + dv
+            if not (0.0 <= u < width and 0.0 <= v < height):  # in_image
                 continue
-            descriptor = brief.perturb_descriptor(
-                self.bank.descriptor(int(landmark_ids[idx])),
-                self._rng,
-                self.descriptor_flip_bits,
-            )
-            noisy_depth = float(
-                depth[idx] * (1.0 + self._rng.normal(scale=self.depth_sigma_rel))
-            )
-            right_u = -1.0
+            kept.append(idx)
+            noisy_uv.append([u, v])
+            if n_flip > 0:
+                flipped.append(rng.choice(brief.DESCRIPTOR_BITS, size=n_flip, replace=False))
+            depth_noise.append(rng.normal(scale=self.depth_sigma_rel))
             if self.stereo is not None:
-                right_u = float(
-                    self.stereo.right_u(noisy_uv[0], depth[idx])
-                    + self._rng.normal(scale=self.pixel_sigma)
-                )
-            observations.append(
-                ObservedFeature(
-                    landmark_id=int(landmark_ids[idx]),
-                    uv=noisy_uv,
-                    depth=max(noisy_depth, 1e-3),
-                    descriptor=descriptor,
-                    right_u=right_u,
-                )
+                right_noise.append(rng.normal(scale=sigma))
+        if not kept:
+            return []
+
+        ids = np.asarray(landmark_ids)[kept].astype(np.int64).tolist()
+        descriptors = np.array([self.bank.descriptor(i) for i in ids])
+        if flipped:
+            row_bits = np.arange(len(kept)) * brief.DESCRIPTOR_BITS
+            brief.flip_packed_bits(
+                descriptors, (row_bits[:, None] + np.array(flipped)).ravel()
             )
-        return observations
+        uv_kept = np.array(noisy_uv)
+        depth_kept = depth[kept]
+        noisy_depth = np.maximum(depth_kept * (1.0 + np.array(depth_noise)), 1e-3)
+        if self.stereo is not None:
+            right_u = (
+                self.stereo.right_u(uv_kept[:, 0], depth_kept) + np.array(right_noise)
+            ).tolist()
+        else:
+            right_u = [-1.0] * len(kept)
+        return [
+            ObservedFeature(
+                landmark_id=i, uv=xy, depth=z, descriptor=desc, right_u=r
+            )
+            for i, xy, z, desc, r in zip(
+                ids, uv_kept, noisy_depth.tolist(), descriptors, right_u
+            )
+        ]

@@ -21,6 +21,16 @@ bodies to 1e-9; nothing in ``src/`` imports this module.
 ``_classify_reference``) is the Levenberg–Marquardt PnP that built a
 Jacobian for every damping trial; ``repro.slam.pnp``, which linearises
 only the poses it steps from, must reproduce it bit for bit.
+
+The session's input side, from before it was batched: ``observe_reference``
+is ``FeatureOracle.observe``'s one-feature-at-a-time loop (with
+``perturb_descriptor_reference``, the ``unpackbits`` / ``packbits`` bit
+flip), ``synthesize_imu_reference`` the per-sample IMU noise loop and
+``sample_reference`` the ``np.searchsorted`` trajectory lookup.  The live
+bodies must return the same bytes *and* leave the generator in the same
+state, since the call sequence is the seeded contract.
+``frame_from_observations_reference`` is ``Frame.from_observations``
+filling its four arrays one feature at a time.
 """
 
 from __future__ import annotations
@@ -29,8 +39,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.geometry import SE3
+from repro.geometry import SE3, Trajectory, TrajectoryPoint, quaternion
+from repro.imu.model import GRAVITY_W, ImuNoiseModel, ImuSample, _angular_velocity_body
 from repro.slam.bundle_adjustment import BAStats
+from repro.slam.frame import Frame
 from repro.slam.map import SlamMap
 from repro.slam.pnp import (
     DEFAULT_DEPTH_SIGMA_REL,
@@ -63,7 +75,7 @@ from repro.vision.fast import (
 from repro.vision.image import Image, ImagePyramid
 from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, Match
 from repro.vision.orb import FeatureSet, OrbExtractorConfig
-from repro.vision.render import PATCH_SIZE
+from repro.vision.render import PATCH_SIZE, FeatureOracle, ObservedFeature
 
 _PATTERN = sampling_pattern()
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -816,3 +828,168 @@ def landmark_patch(landmark_id: int, size: int = PATCH_SIZE) -> np.ndarray:
             lambda row: np.convolve(row, _BINOMIAL, mode="same"), axis, pattern
         )
     return np.clip(pattern, 0, 255).astype(np.uint8)
+
+
+# --------------------------------------------------------------- input side
+def perturb_descriptor_reference(
+    descriptor: np.ndarray, rng: np.random.Generator, flip_bits: int
+) -> np.ndarray:
+    """Flip ``flip_bits`` random bits through an unpacked bit vector."""
+    if flip_bits <= 0:
+        return descriptor.copy()
+    bits = np.unpackbits(descriptor)
+    idx = rng.choice(bits.size, size=min(flip_bits, bits.size), replace=False)
+    bits[idx] ^= 1
+    return np.packbits(bits)
+
+
+def observe_reference(
+    oracle: FeatureOracle,
+    positions: np.ndarray,
+    landmark_ids: np.ndarray,
+    pose_cw: SE3,
+) -> List[ObservedFeature]:
+    """``FeatureOracle.observe`` one feature at a time, on ``oracle._rng``."""
+    if len(positions) == 0:
+        return []
+    uv, depth, valid = oracle.camera.project_world(positions, pose_cw)
+    visible = np.nonzero(valid)[0]
+    if len(visible) == 0:
+        return []
+    if oracle.dropout > 0:
+        keep = oracle._rng.random(len(visible)) >= oracle.dropout
+        visible = visible[keep]
+    if len(visible) > oracle.max_features:
+        visible = oracle._rng.choice(visible, size=oracle.max_features, replace=False)
+        visible = np.sort(visible)
+    observations: List[ObservedFeature] = []
+    for idx in visible:
+        noisy_uv = uv[idx] + oracle._rng.normal(scale=oracle.pixel_sigma, size=2)
+        if not oracle.camera.in_image(noisy_uv[None])[0]:
+            continue
+        descriptor = perturb_descriptor_reference(
+            oracle.bank.descriptor(int(landmark_ids[idx])),
+            oracle._rng,
+            oracle.descriptor_flip_bits,
+        )
+        noisy_depth = float(
+            depth[idx] * (1.0 + oracle._rng.normal(scale=oracle.depth_sigma_rel))
+        )
+        right_u = -1.0
+        if oracle.stereo is not None:
+            right_u = float(
+                oracle.stereo.right_u(noisy_uv[0], depth[idx])
+                + oracle._rng.normal(scale=oracle.pixel_sigma)
+            )
+        observations.append(
+            ObservedFeature(
+                landmark_id=int(landmark_ids[idx]),
+                uv=noisy_uv,
+                depth=max(noisy_depth, 1e-3),
+                descriptor=descriptor,
+                right_u=right_u,
+            )
+        )
+    return observations
+
+
+def sample_reference(trajectory: Trajectory, timestamp: float) -> TrajectoryPoint:
+    """``Trajectory.sample`` through ``np.searchsorted`` on a fresh time array."""
+    times = trajectory.timestamps
+    if not len(times):
+        raise ValueError("cannot sample an empty trajectory")
+    if timestamp <= times[0]:
+        return trajectory[0]
+    if timestamp >= times[-1]:
+        return trajectory[len(trajectory) - 1]
+    hi = int(np.searchsorted(times, timestamp))
+    lo = hi - 1
+    span = times[hi] - times[lo]
+    alpha = float((timestamp - times[lo]) / span)
+    a, b = trajectory[lo], trajectory[hi]
+    return TrajectoryPoint(
+        timestamp,
+        (1.0 - alpha) * a.position + alpha * b.position,
+        quaternion.slerp(a.orientation, b.orientation, alpha),
+    )
+
+
+def synthesize_imu_reference(
+    trajectory: Trajectory,
+    rate_hz: float = 200.0,
+    noise: ImuNoiseModel = ImuNoiseModel(),
+    seed: int = 11,
+    with_noise: bool = True,
+) -> List[ImuSample]:
+    """``synthesize_imu`` drawing four size-3 normals per sample."""
+    if len(trajectory) < 3:
+        raise ValueError("need at least 3 trajectory samples for IMU synthesis")
+    rng = np.random.default_rng(seed)
+    knot_times = trajectory.timestamps
+    positions = trajectory.positions
+    orientations = trajectory.orientations
+    t0, t1 = float(knot_times[0]), float(knot_times[-1])
+    dt = 1.0 / rate_hz
+    seg_dt = np.diff(knot_times)
+    mid_times = (knot_times[:-1] + knot_times[1:]) / 2.0
+    mid_vel = np.diff(positions, axis=0) / seg_dt[:, None]
+    acc_times = knot_times[1:-1]
+    acc = (mid_vel[1:] - mid_vel[:-1]) / (mid_times[1:] - mid_times[:-1])[:, None]
+    omega_mid = np.stack(
+        [
+            _angular_velocity_body(orientations[k], orientations[k + 1], seg_dt[k])
+            for k in range(len(seg_dt))
+        ]
+    )
+
+    def interp_rows(query: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+        return np.column_stack(
+            [np.interp(query, xp, fp[:, axis]) for axis in range(3)]
+        )
+
+    times = np.arange(t0, t1 - dt, dt)
+    a_w_samples = interp_rows(times, acc_times, acc) if len(acc) else np.zeros(
+        (len(times), 3)
+    )
+    omega_samples = interp_rows(times, mid_times, omega_mid)
+
+    gyro_bias = np.zeros(3)
+    accel_bias = np.zeros(3)
+    gyro_sigma = noise.gyro_sigma(rate_hz) if with_noise else 0.0
+    accel_sigma = noise.accel_sigma(rate_hz) if with_noise else 0.0
+
+    samples: List[ImuSample] = []
+    for i, t in enumerate(times):
+        r_wb = quaternion.to_matrix(sample_reference(trajectory, float(t)).orientation)
+        specific_force = r_wb.T @ (a_w_samples[i] - GRAVITY_W)
+        omega = omega_samples[i].copy()
+        if with_noise:
+            gyro_bias = gyro_bias + rng.normal(
+                scale=noise.gyro_bias_walk * np.sqrt(dt), size=3
+            )
+            accel_bias = accel_bias + rng.normal(
+                scale=noise.accel_bias_walk * np.sqrt(dt), size=3
+            )
+            omega = omega + gyro_bias + rng.normal(scale=gyro_sigma, size=3)
+            specific_force = (
+                specific_force + accel_bias + rng.normal(scale=accel_sigma, size=3)
+            )
+        samples.append(ImuSample(float(t), omega, specific_force))
+    return samples
+
+
+def frame_from_observations_reference(
+    frame_id: int, timestamp: float, observations: List[ObservedFeature]
+) -> Frame:
+    """``Frame.from_observations`` with four row assignments per feature."""
+    n = len(observations)
+    uv = np.zeros((n, 2))
+    descriptors = np.zeros((n, DESCRIPTOR_BYTES), dtype=np.uint8)
+    depths = np.zeros(n)
+    right_u = np.full(n, -1.0)
+    for i, obs in enumerate(observations):
+        uv[i] = obs.uv
+        descriptors[i] = obs.descriptor
+        depths[i] = obs.depth
+        right_u[i] = obs.right_u
+    return Frame(frame_id, timestamp, uv, descriptors, depths, right_u)

@@ -1,13 +1,24 @@
-"""Unused imports (ruff's F401) over every linted tree, as a tier-1 test.
+"""ruff's selected rules that an AST can see, over every linted tree.
 
-``pyproject.toml`` selects F401 for ``ruff``, which the test environment
-does not ship; this AST pass applies the same rule wherever the tests
-run.  It follows ruff's reading: an import is used when its bound name
-is read in the scope that imports it (or a scope nested in it), in a
-string annotation there, or — at module level — listed in ``__all__``.
-``import x as x`` / ``from m import x as x`` are explicit re-exports,
-``# noqa: F401`` silences a line and ``**/__init__.py`` is ignored, as
-in the pyproject's ``per-file-ignores``.
+``pyproject.toml`` selects E7, E9, F401, F63, F7 and F82 for ``ruff``,
+which the test environment does not ship; these passes apply the same
+rules wherever the tests run.
+
+* F401, unused imports.  It follows ruff's reading: an import is used
+  when its bound name is read in the scope that imports it (or a scope
+  nested in it), in a string annotation there, or — at module level —
+  listed in ``__all__``.  ``import x as x`` / ``from m import x as x``
+  are explicit re-exports and ``**/__init__.py`` is ignored, as in the
+  pyproject's ``per-file-ignores``.
+* E9 and F70x: every file compiles, which rejects syntax errors and a
+  ``break`` / ``continue`` / ``return`` / ``yield`` out of place.
+* F631 (assert on a tuple), F632 (``is`` against a literal) and
+  E711 / E712 / E713 / E714 / E721 / E722 / E731 / E741 (comparisons to
+  ``None`` / ``True``, ``not x in``, ``not x is``, ``type() ==``, bare
+  ``except``, a named lambda, the names ``l`` / ``O`` / ``I``).
+
+``# noqa: <code>`` silences a line.  F82 (undefined names) needs scope
+resolution across the whole module and is not checked here.
 """
 
 from __future__ import annotations
@@ -15,6 +26,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LINTED = ("src", "tests", "benchmarks", "examples")
@@ -94,12 +107,93 @@ def unused_imports(source: str) -> List[Tuple[int, str]]:
     return sorted(hits)
 
 
-def _linted_files() -> List[Path]:
+_SINGLETONS = (None, True, False, Ellipsis)
+_AMBIGUOUS = {"l", "O", "I"}
+
+
+def _is_constant(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) or (
+        isinstance(node, ast.Tuple) and all(_is_constant(elt) for elt in node.elts))
+
+
+def _is_literal(node: ast.AST) -> bool:
+    """A constant other than a singleton: ``is`` against it is F632."""
+    return _is_constant(node) and not (
+        isinstance(node, ast.Constant) and any(node.value is s for s in _SINGLETONS))
+
+
+def _is_type_call(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "type" and len(node.args) == 1)
+
+
+def _comparison_hits(node: ast.Compare) -> Iterator[str]:
+    operands = [node.left] + node.comparators
+    for op, left, right in zip(node.ops, operands, operands[1:]):
+        if isinstance(op, (ast.Is, ast.IsNot)) and (_is_literal(left) or _is_literal(right)):
+            yield "F632"
+        if isinstance(op, (ast.Eq, ast.NotEq)):
+            for side in (left, right):
+                if isinstance(side, ast.Constant) and side.value is None:
+                    yield "E711"
+                elif isinstance(side, ast.Constant) and isinstance(side.value, bool):
+                    yield "E712"
+            if _is_type_call(left) or _is_type_call(right):
+                yield "E721"
+
+
+def _names_bound(node: ast.AST) -> Iterator[str]:
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        yield node.id
+    elif isinstance(node, ast.arg):
+        yield node.arg
+    elif isinstance(node, ast.ExceptHandler) and node.name:
+        yield node.name
+    elif isinstance(node, (ast.Global, ast.Nonlocal)):
+        yield from node.names
+
+
+def rule_violations(source: str) -> List[Tuple[int, str]]:
+    """(line, code) of every F63 / E7 hit in one module's source."""
+    module = ast.parse(source)
+    lines = source.splitlines()
+    hits = []
+    for node in ast.walk(module):
+        codes: List[str] = []
+        if isinstance(node, ast.Assert) and isinstance(node.test, ast.Tuple) and node.test.elts:
+            codes.append("F631")
+        elif isinstance(node, ast.Compare):
+            codes.extend(_comparison_hits(node))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            inner = node.operand
+            if isinstance(inner, ast.Compare) and len(inner.ops) == 1:
+                if isinstance(inner.ops[0], ast.In):
+                    codes.append("E713")
+                elif isinstance(inner.ops[0], ast.Is):
+                    codes.append("E714")
+        elif isinstance(node, ast.ExceptHandler) and node.type is None:
+            codes.append("E722")
+        elif (isinstance(node, (ast.Assign, ast.AnnAssign))
+              and isinstance(node.value, ast.Lambda)
+              and all(isinstance(t, ast.Name) for t in
+                      (node.targets if isinstance(node, ast.Assign) else [node.target]))):
+            codes.append("E731")
+        if any(name in _AMBIGUOUS for name in _names_bound(node)):
+            codes.append("E741")
+        for code in codes:
+            line = node.lineno
+            if f"noqa: {code}" not in lines[line - 1]:
+                hits.append((line, code))
+    return sorted(hits)
+
+
+def _linted_files(with_init: bool = False) -> List[Path]:
+    """Every module of the linted trees; package ``__init__``s on request."""
     return sorted(
         path
         for tree in LINTED
         for path in (ROOT / tree).rglob("*.py")
-        if path.name != "__init__.py"
+        if with_init or path.name != "__init__.py"
     )
 
 
@@ -133,3 +227,61 @@ class TestUnusedImports:
         )
         assert unused_imports(source) == [(2, "os"), (3, "osp"), (5, "Dict"),
                                           (10, "json")]
+
+
+class TestCompiles:
+    def test_every_file_compiles(self):
+        # E9 and F70x: compile() raises SyntaxError on both.
+        errors = []
+        for path in _linted_files(with_init=True):
+            try:
+                compile(path.read_text(), str(path), "exec")
+            except SyntaxError as exc:
+                errors.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+        assert not errors, "\n".join(errors)
+
+    @pytest.mark.parametrize("body", [
+        "break\n", "def f():\n    continue\n", "return 1\n", "class C:\n    yield 1\n",
+        "x = (\n",
+    ])
+    def test_compile_rejects_what_f70x_and_e9_reject(self, body):
+        with pytest.raises(SyntaxError):
+            compile(body, "<lint>", "exec")
+
+
+class TestComparisonsAndStatements:
+    def test_no_violations(self):
+        files = _linted_files(with_init=True)
+        hits = [
+            f"{path.relative_to(ROOT)}:{line}: {code}"
+            for path in files
+            for line, code in rule_violations(path.read_text())
+        ]
+        assert not hits, "\n".join(hits)
+
+    def test_the_pass_sees_what_ruff_sees(self):
+        source = (
+            "assert (x, 'message')\n"              # 1 F631
+            "assert ()\n"                           # empty tuple: not F631
+            "a = x is 'text' or x is (1, 2)\n"      # 3 F632 twice
+            "a = x is not None and y is True\n"     # singletons: fine
+            "a = x == None\n"                       # 5 E711
+            "a = x != False\n"                      # 6 E712
+            "a = not x in y\n"                      # 7 E713
+            "a = not x is y\n"                      # 8 E714
+            "a = type(x) == type(y)\n"              # 9 E721
+            "a = type(x) is int\n"                  # fine
+            "try:\n    pass\nexcept:\n    pass\n"  # 13 E722
+            "f = lambda: 0\n"                       # 15 E731
+            "obj.f = lambda: 0\n"                   # attribute: fine
+            "l = 1\n"                               # 17 E741
+            "def g(I):\n    return I\n"            # 18 E741
+            "for O in x:\n    pass\n"              # 20 E741
+            "a = x == None  # noqa: E711\n"         # silenced
+            "a = x not in y and x == 0\n"           # fine
+        )
+        assert rule_violations(source) == [
+            (1, "F631"), (3, "F632"), (3, "F632"), (5, "E711"), (6, "E712"), (7, "E713"),
+            (8, "E714"), (9, "E721"), (13, "E722"), (15, "E731"), (17, "E741"),
+            (18, "E741"), (20, "E741"),
+        ]
