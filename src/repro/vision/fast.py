@@ -1,21 +1,25 @@
 """FAST-9/16 corner detection.
 
-:func:`detect_fast_vectorized` is a fully data-parallel numpy
-formulation: 16 whole-image shifted views compared against centre ± t
-and OR-ed into two ``uint16`` ring masks, the arc test one lookup in a
-65 536-entry table, the score gathered at corner pixels only.  This is
-the "GPU kernel" of §4.2.1: every pixel's segment test is independent,
-which is exactly the parallelism SLAM-Share exploits on the GPU.
+:func:`detect_fast_vectorized` is a data-parallel numpy formulation
+whose cost follows its candidates, not its pixels.  A compass pre-test
+over whole-image views (ring pixels 0, 4, 8 and 12 against centre ± t —
+an arc of 9 always covers two neighbouring compass points) keeps about
+one pixel in ten; at those, one ``(16, n)`` gather of the ring feeds the
+two ``uint16`` ring masks, the arc test (one lookup in a 65 536-entry
+table) and the score; non-maximum suppression reads a zero-padded score
+map at the corners only.  The result is an ``(n, 3)`` float64 array of
+``u, v, response`` rows in raster order.  This is the "GPU kernel" of
+§4.2.1: every pixel's segment test is independent, which is exactly the
+parallelism SLAM-Share exploits on the GPU.
 
 The per-pixel loop it replaced (the "CPU sequential" path of the
 paper's Fig. 5) is the oracle in ``tests/oracles.py``; both return
-identical keypoints in identical order, and tests assert this.
+identical rows in identical order, and tests assert this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -63,72 +67,85 @@ def _build_arc_table() -> np.ndarray:
 
 _ARC_TABLE = _build_arc_table()
 
+# Ring indices of the four compass points: north, east, south, west.
+_COMPASS = (0, 4, 8, 12)
+_RING_BITS = (1 << np.arange(16, dtype=np.uint16))[:, None]
+# The 8 neighbours as (dy, dx): the four earlier in raster order, then the four later.
+_NEIGHBOUR_STEPS = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)])
+
 
 def detect_fast_vectorized(
     pixels: np.ndarray, threshold: int = 20, nonmax: bool = True
-) -> List[Keypoint]:
-    """Data-parallel FAST-9 detector (the GPU-kernel formulation)."""
+) -> np.ndarray:
+    """Data-parallel FAST-9 detector (the GPU-kernel formulation).
+
+    Returns an ``(n, 3)`` float64 array of ``u, v, response`` rows in
+    raster order.
+    """
     pixels = np.asarray(pixels)
     h, w = pixels.shape
     if h <= 2 * BORDER or w <= 2 * BORDER:
-        return []
+        return np.zeros((0, 3))
     inner_h, inner_w = h - 2 * BORDER, w - 2 * BORDER
     center = pixels[BORDER : h - BORDER, BORDER : w - BORDER].astype(np.int16)
     upper, lower = center + threshold, center - threshold
-    brighter = np.zeros((inner_h, inner_w), dtype=np.uint16)
-    darker = np.zeros((inner_h, inner_w), dtype=np.uint16)
-    for k, (dy, dx) in enumerate(CIRCLE_OFFSETS):
-        ring = pixels[BORDER + dy : BORDER + dy + inner_h, BORDER + dx : BORDER + dx + inner_w]
-        bit = np.uint16(1 << k)
-        brighter |= (ring > upper) * bit
-        darker |= (ring < lower) * bit
-    corner = np.zeros((h, w), dtype=bool)
-    corner[BORDER : h - BORDER, BORDER : w - BORDER] = _ARC_TABLE.take(brighter)
-    corner[BORDER : h - BORDER, BORDER : w - BORDER] |= _ARC_TABLE.take(darker)
-    # Score = sum |ring - centre|, gathered at the corner pixels only.
-    at = np.flatnonzero(corner)
+
+    def compass(k: int) -> np.ndarray:
+        dy, dx = CIRCLE_OFFSETS[k]
+        return pixels[BORDER + dy : BORDER + dy + inner_h, BORDER + dx : BORDER + dx + inner_w]
+
+    # Compass pre-test: an arc of 9 covers two neighbouring compass points.
+    north, east, south, west = (compass(k) for k in _COMPASS)
+    candidate = np.zeros((h, w), dtype=bool)
+    inner = candidate[BORDER : h - BORDER, BORDER : w - BORDER]
+    np.logical_and((north > upper) | (south > upper), (east > upper) | (west > upper), out=inner)
+    inner |= ((north < lower) | (south < lower)) & ((east < lower) | (west < lower))
+    at = np.flatnonzero(candidate)
+    # Segment test at the candidates: one (16, n) gather of the ring.
     flat = pixels.reshape(-1)
-    ring_at = flat.take(at[:, None] + (CIRCLE_OFFSETS[:, 0] * w + CIRCLE_OFFSETS[:, 1]))
-    spread = ring_at.astype(np.int16) - flat.take(at).astype(np.int16)[:, None]
-    scores = np.zeros(h * w, dtype=np.float32)
-    scores[at] = np.abs(spread).sum(axis=1)
-    return _collect_keypoints(scores.reshape(h, w), nonmax)
+    ring = flat.take(CIRCLE_OFFSETS[:, :1] * w + CIRCLE_OFFSETS[:, 1:] + at)
+    centre = flat.take(at).astype(np.int16)
+    brighter = (_RING_BITS * (ring > centre + threshold)).sum(axis=0, dtype=np.uint16)
+    darker = (_RING_BITS * (ring < centre - threshold)).sum(axis=0, dtype=np.uint16)
+    is_corner = _ARC_TABLE.take(brighter) | _ARC_TABLE.take(darker)
+    # Score = sum |ring - centre|, from the same gather; a corner scores
+    # > 0 unless the threshold is negative.
+    spread = ring.astype(np.int16)
+    spread -= centre
+    scores = np.abs(spread, out=spread).sum(axis=0, dtype=np.int32).astype(np.float32)
+    is_corner &= scores > 0
+    return _suppress(at.compress(is_corner), scores.compress(is_corner), h, w, nonmax)
 
 
-def _collect_keypoints(scores: np.ndarray, nonmax: bool) -> List[Keypoint]:
-    """Apply 3x3 non-maximum suppression and build keypoint objects.
+def _suppress(at: np.ndarray, scores: np.ndarray, h: int, w: int,
+              nonmax: bool) -> np.ndarray:
+    """3x3 non-maximum suppression over the positive scores at flat pixels ``at``.
 
-    Single-pass formulation: one zero-padded copy of the score map, and
-    the eight neighbour comparisons reduce over *views* of it — no
-    per-shift array allocation.  Ties survive against neighbours that
-    precede the pixel in raster order and lose against the ones that
-    follow it, exactly matching the shift-loop reference in
-    ``tests/oracles.py`` (tests assert bit-for-bit identical keypoints).
+    ``at`` is ascending; the neighbours are read from a 1-pixel
+    zero-padded score map, so every pixel not in ``at`` counts as score
+    0.  Ties survive against neighbours that precede the pixel in raster
+    order and lose against the ones that follow it, exactly matching the
+    shift-loop reference in ``tests/oracles.py``.  Returns the
+    survivors' ``u, v, response`` rows, in raster order.
     """
     if nonmax:
-        h, w = scores.shape
-        padded = np.zeros((h + 2, w + 2), dtype=scores.dtype)
-        padded[1:-1, 1:-1] = scores
+        stride = w + 2
+        padded = np.zeros((h + 2) * stride, dtype=scores.dtype)
+        at_padded = at + 2 * (at // w) + (stride + 1)
+        padded[at_padded] = scores
+        neighbours = padded.take(_NEIGHBOUR_STEPS[:, :1] * stride + _NEIGHBOUR_STEPS[:, 1:]
+                                 + at_padded)
+        keep = scores >= np.maximum.reduce(neighbours[:4])
+        keep &= scores > np.maximum.reduce(neighbours[4:])
+        at, scores = at.compress(keep), scores.compress(keep)
+    rows = np.empty((3, len(at)))
+    rows[1], rows[0] = np.divmod(at, w)
+    rows[2] = scores
+    return rows.T
 
-        def nbr(dy: int, dx: int) -> np.ndarray:
-            return padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
 
-        # Max over raster-earlier neighbours (row above + left), then
-        # over raster-later ones (right + row below), accumulated
-        # in-place into a single scratch buffer.
-        keep = scores > 0
-        buf = np.empty_like(scores)
-        np.maximum(nbr(-1, -1), nbr(-1, 0), out=buf)
-        np.maximum(buf, nbr(-1, 1), out=buf)
-        np.maximum(buf, nbr(0, -1), out=buf)
-        keep &= scores >= buf
-        np.maximum(nbr(0, 1), nbr(1, -1), out=buf)
-        np.maximum(buf, nbr(1, 0), out=buf)
-        np.maximum(buf, nbr(1, 1), out=buf)
-        keep &= scores > buf
-        vs, us = np.nonzero(keep)
-    else:
-        vs, us = np.nonzero(scores > 0)
-    responses = scores[vs, us].astype(np.float64)
-    us, vs = us.astype(np.float64).tolist(), vs.astype(np.float64).tolist()
-    return list(map(Keypoint, us, vs, responses.tolist()))
+def _collect_keypoints(scores: np.ndarray, nonmax: bool) -> np.ndarray:
+    """:func:`_suppress` over a dense ``(h, w)`` score map (the scalar oracle's entry)."""
+    h, w = scores.shape
+    at = np.flatnonzero(scores > 0)
+    return _suppress(at, scores.reshape(-1)[at], h, w, nonmax)

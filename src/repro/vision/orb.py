@@ -7,9 +7,11 @@ descriptor for every survivor, and report everything in level-0 pixel
 coordinates.
 
 FAST runs as the data-parallel formulation of §4.2.1
-(:func:`~repro.vision.fast.detect_fast_vectorized`); the per-keypoint
-extractor loop it must reproduce bit for bit, over either FAST, is
-``tests/oracles.py::extract``.
+(:func:`~repro.vision.fast.detect_fast_vectorized`), whose ``u, v,
+response`` columns feed the grid cull and rBRIEF directly; the only
+``Keypoint`` objects built are the ones :class:`FeatureSet` hands out.
+The per-keypoint extractor loop it must reproduce bit for bit, over
+either FAST, is ``tests/oracles.py::extract``.
 """
 
 from __future__ import annotations
@@ -102,14 +104,12 @@ class OrbExtractor:
         blocks = []  # per level: u, v, response, level, angle rows
         descriptors = []
         for level, pixels in enumerate(pyramid.levels):
-            kps = detect_fast_vectorized(pixels, cfg.fast_threshold)
-            if not kps:
+            corners = detect_fast_vectorized(pixels, cfg.fast_threshold)
+            if not len(corners):
                 # Retry with a permissive threshold in low-texture frames,
                 # matching ORB-SLAM3's two-threshold strategy.
-                kps = detect_fast_vectorized(pixels, cfg.min_fast_threshold)
-            u = np.array([kp.u for kp in kps])
-            v = np.array([kp.v for kp in kps])
-            response = np.array([kp.response for kp in kps])
+                corners = detect_fast_vectorized(pixels, cfg.min_fast_threshold)
+            u, v, response = corners.T
             kept = self._grid_cull(u, v, response, *pixels.shape[::-1], int(budgets[level]))
             inside, angles, described = brief.describe(pixels, u[kept], v[kept])
             kept = kept[inside]

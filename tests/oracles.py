@@ -22,6 +22,10 @@ bodies to 1e-9; nothing in ``src/`` imports this module.
 Jacobian for every damping trial; ``repro.slam.pnp``, which linearises
 only the poses it steps from, must reproduce it bit for bit.
 
+``downsample_reference`` is the bilinear pyramid resize with one
+``np.ix_`` gather per corner, from before ``repro.vision.image.downsample``
+blended each source row once; the two must return the same bytes.
+
 The session's input side, from before it was batched: ``observe_reference``
 is ``FeatureOracle.observe``'s one-feature-at-a-time loop (with
 ``perturb_descriptor_reference``, the ``unpackbits`` / ``packbits`` bit
@@ -102,8 +106,8 @@ def _has_arc(flags: np.ndarray, arc: int) -> bool:
 
 def detect_fast_scalar(
     pixels: np.ndarray, threshold: int = 20, nonmax: bool = True
-) -> List[Keypoint]:
-    """Reference (sequential) FAST-9 detector."""
+) -> np.ndarray:
+    """Reference (sequential) FAST-9 detector: ``(n, 3)`` ``u, v, response`` rows."""
     pixels = np.asarray(pixels)
     h, w = pixels.shape
     scores = np.zeros((h, w), dtype=np.float32)
@@ -205,9 +209,9 @@ def extract(image: Image, config: Optional[OrbExtractorConfig] = None,
     areas = np.array([lvl.size for lvl in pyramid.levels], dtype=float)
     budgets = np.maximum((cfg.n_features * areas / areas.sum()).astype(int), 1)
     for level, pixels in enumerate(pyramid.levels):
-        kps = detect(pixels, cfg.fast_threshold)
+        kps = [Keypoint(*row) for row in detect(pixels, cfg.fast_threshold).tolist()]
         if not kps:
-            kps = detect(pixels, cfg.min_fast_threshold)
+            kps = [Keypoint(*row) for row in detect(pixels, cfg.min_fast_threshold).tolist()]
         kps = grid_cull(cfg, kps, pixels.shape[1], pixels.shape[0],
                         int(budgets[level]))
         for kp in kps:
@@ -234,6 +238,32 @@ def extract(image: Image, config: Optional[OrbExtractorConfig] = None,
         return FeatureSet(all_kps,
                           np.zeros((0, DESCRIPTOR_BYTES), dtype=np.uint8))
     return FeatureSet(all_kps, np.stack(descriptors).astype(np.uint8))
+
+
+# ----------------------------------------------------------------- pyramid
+def downsample_reference(pixels: np.ndarray, scale: float) -> np.ndarray:
+    """Bilinear resize by ``1/scale`` with one ``np.ix_`` gather per corner."""
+    if scale <= 1.0:
+        return pixels.copy()
+    h, w = pixels.shape
+    new_h = max(int(round(h / scale)), 8)
+    new_w = max(int(round(w / scale)), 8)
+    # Bilinear sample at the centers of the destination grid.
+    ys = (np.arange(new_h) + 0.5) * (h / new_h) - 0.5
+    xs = (np.arange(new_w) + 0.5) * (w / new_w) - 0.5
+    ys = np.clip(ys, 0, h - 1)
+    xs = np.clip(xs, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    img = pixels.astype(np.float32)
+    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
+    bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
+    out = top * (1 - wy) + bot * wy
+    return np.clip(out, 0, 255).astype(np.uint8)
 
 
 # --------------------------------------------------------------------- NMS

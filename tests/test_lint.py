@@ -17,13 +17,21 @@ rules wherever the tests run.
   ``None`` / ``True``, ``not x in``, ``not x is``, ``type() ==``, bare
   ``except``, a named lambda, the names ``l`` / ``O`` / ``I``).
 
-``# noqa: <code>`` silences a line.  F82 (undefined names) needs scope
-resolution across the whole module and is not checked here.
+* F821, undefined names.  The stdlib ``symtable`` resolves every scope;
+  a name that some scope reads as a global must be bound at module
+  level — by an assignment, import, ``def`` / ``class``, or a
+  ``global`` declaration in a function that binds it — or be a
+  builtin.  Files with ``from m import *`` are skipped, as their
+  globals are unknown.
+
+``# noqa: <code>`` silences a line.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
+import symtable
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
 
@@ -34,13 +42,13 @@ LINTED = ("src", "tests", "benchmarks", "examples")
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _owned(scope: ast.AST) -> Iterator[ast.AST]:
-    """Nodes of ``scope`` outside the function scopes nested in it."""
+def _owned(scope: ast.AST, nested: tuple = _SCOPES) -> Iterator[ast.AST]:
+    """Nodes of ``scope`` outside the ``nested`` scopes (functions) in it."""
     stack = list(ast.iter_child_nodes(scope))
     while stack:
         node = stack.pop()
         yield node
-        if not isinstance(node, _SCOPES):
+        if not isinstance(node, nested):
             stack.extend(ast.iter_child_nodes(node))
 
 
@@ -187,6 +195,68 @@ def rule_violations(source: str) -> List[Tuple[int, str]]:
     return sorted(hits)
 
 
+_MODULE_NAMES = set(dir(builtins)) | {"__file__", "__builtins__", "__path__"}
+
+
+def _tables(top: symtable.SymbolTable) -> Iterator[symtable.SymbolTable]:
+    stack = [top]
+    while stack:
+        table = stack.pop()
+        yield table
+        stack.extend(table.get_children())
+
+
+_SCOPE_NODE_NAMES = {ast.Lambda: "lambda", ast.ListComp: "listcomp", ast.SetComp: "setcomp",
+                     ast.DictComp: "dictcomp", ast.GeneratorExp: "genexpr"}
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, *_SCOPE_NODE_NAMES)
+
+
+def _scope_nodes(module: ast.Module, table: symtable.SymbolTable) -> List[ast.AST]:
+    """The AST node(s) of ``table``'s scope, matched by name and line."""
+    if table.get_type() == "module":
+        return [module]
+    return [node for node in ast.walk(module)
+            if getattr(node, "lineno", None) == table.get_lineno()
+            and (getattr(node, "name", None) or _SCOPE_NODE_NAMES.get(type(node)))
+            == table.get_name()]
+
+
+def _first_read(scopes: List[ast.AST], name: str) -> int:
+    """Line of the first read of ``name`` in ``scopes`` outside their nested
+    scopes, or anywhere under them (a default or decorator) if none."""
+    own = [node for scope in scopes for node in _owned(scope, _NESTED_SCOPES)]
+    everywhere = (node for scope in scopes for node in ast.walk(scope))
+    for nodes in (own, everywhere):
+        lines = [node.lineno for node in nodes if isinstance(node, ast.Name) and node.id == name]
+        if lines:
+            return min(lines)
+    raise AssertionError(f"symtable reads {name!r} where the AST does not")
+
+
+def undefined_names(source: str) -> List[Tuple[int, str]]:
+    """(line, name) of every F821 hit in one module's source."""
+    module = ast.parse(source)
+    if any(isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
+           for node in ast.walk(module)):
+        return []
+    top = symtable.symtable(source, "<lint>", "exec")
+    tables = list(_tables(top))
+    bound = {s.get_name() for s in top.get_symbols() if s.is_local()}
+    bound |= {s.get_name() for table in tables for s in table.get_symbols()
+              if s.is_declared_global() and (s.is_assigned() or s.is_imported())}
+    lines = source.splitlines()
+    hits = set()
+    for table in tables:
+        missing = {s.get_name() for s in table.get_symbols()
+                   if s.is_referenced() and s.is_global()} - bound - _MODULE_NAMES
+        scopes = _scope_nodes(module, table)
+        for name in missing:
+            line = _first_read(scopes, name)
+            if "noqa: F821" not in lines[line - 1]:
+                hits.add((line, name))
+    return sorted(hits)
+
+
 def _linted_files(with_init: bool = False) -> List[Path]:
     """Every module of the linted trees; package ``__init__``s on request."""
     return sorted(
@@ -285,3 +355,39 @@ class TestComparisonsAndStatements:
             (8, "E714"), (9, "E721"), (13, "E722"), (15, "E731"), (17, "E741"),
             (18, "E741"), (20, "E741"),
         ]
+
+
+class TestUndefinedNames:
+    def test_no_undefined_names(self):
+        files = _linted_files(with_init=True)
+        hits = [
+            f"{path.relative_to(ROOT)}:{line}: F821 undefined name {name!r}"
+            for path in files
+            for line, name in undefined_names(path.read_text())
+        ]
+        assert not hits, "\n".join(hits)
+
+    def test_the_pass_sees_what_ruff_sees(self):
+        source = (
+            "import os\n"
+            "def f():\n"
+            "    return os.sep + missing\n"            # 3 F821
+            "def set_counter():\n"
+            "    global counter\n"
+            "    counter = 1\n"
+            "def read_counter():\n"
+            "    return counter + len(__file__)\n"     # bound by `global`: fine
+            "squares = [i * i for i in range(3)]\n"    # comprehension-local i: fine
+            "last = i\n"                               # 10 F821: i is not leaked
+            "class C:\n"
+            "    size = 2\n"
+            "    double = size * 2\n"                  # class-local read: fine
+            "    def area(self):\n"
+            "        return size * self.double\n"      # 15 F821: class body not visible
+            "    def hinted(self) -> 'Later':\n"       # string annotation: not read
+            "        return unknown  # noqa: F821\n"   # silenced
+        )
+        assert undefined_names(source) == [(3, "missing"), (10, "i"), (15, "size")]
+
+    def test_star_import_is_skipped(self):
+        assert undefined_names("from os.path import *\nx = join('a', 'b') + nowhere\n") == []

@@ -200,14 +200,13 @@ class TestNmsEquivalence:
         for nonmax in (True, False):
             new = _collect_keypoints(scores, nonmax)
             ref = _collect_keypoints_reference(scores, nonmax)
-            assert [(k.u, k.v, k.response) for k in new] == [
-                (k.u, k.v, k.response) for k in ref]
+            assert new.tolist() == [[k.u, k.v, k.response] for k in ref]
 
     def test_uniform_plateau_keeps_exactly_last(self):
         scores = np.full((5, 5), 2.0, dtype=np.float32)
         kps = _collect_keypoints(scores, True)
         ref = _collect_keypoints_reference(scores, True)
-        assert [(k.u, k.v) for k in kps] == [(k.u, k.v) for k in ref]
+        assert kps[:, :2].tolist() == [[k.u, k.v] for k in ref]
 
     def test_full_detector_unchanged(self):
         rng = np.random.default_rng(11)
@@ -215,9 +214,9 @@ class TestNmsEquivalence:
         kps = detect_fast_vectorized(img)
         # the detector routes through the new NMS; reference agrees
         scores = np.zeros((40, 56), dtype=np.float32)
-        for k in kps:
-            scores[int(k.v), int(k.u)] = k.response
-        assert all(isinstance(k.u, float) for k in kps)
+        u, v, response = kps.T
+        scores[v.astype(int), u.astype(int)] = response
+        assert kps.dtype == np.float64
         assert len(kps) == len(_collect_keypoints(scores, True))
 
 

@@ -35,15 +35,15 @@ class TestCircleGeometry:
 
 class TestDetection:
     def test_flat_image_has_no_corners(self):
-        assert detect_fast_vectorized(_blank()) == []
-        assert detect_fast_scalar(_blank()) == []
+        assert detect_fast_vectorized(_blank()).shape == (0, 3)
+        assert detect_fast_scalar(_blank()).shape == (0, 3)
 
     def test_single_bright_dot_detected(self):
         img = _bright_dot(_blank(), 20, 20)
         kps = detect_fast_vectorized(img, threshold=20)
         assert len(kps) >= 1
-        best = max(kps, key=lambda k: k.response)
-        assert abs(best.u - 20) <= 2 and abs(best.v - 20) <= 2
+        u, v, _ = kps[np.argmax(kps[:, 2])]
+        assert abs(u - 20) <= 2 and abs(v - 20) <= 2
 
     def test_dark_dot_detected(self):
         img = _blank(value=200)
@@ -54,7 +54,7 @@ class TestDetection:
     def test_threshold_suppresses_weak_corners(self):
         img = _blank()
         img[20, 20] = 115  # only 15 above background
-        assert detect_fast_vectorized(img, threshold=20) == []
+        assert detect_fast_vectorized(img, threshold=20).shape == (0, 3)
         assert len(detect_fast_vectorized(img, threshold=5)) >= 1
 
     def test_edge_is_not_a_corner(self):
@@ -62,18 +62,17 @@ class TestDetection:
         # on one side, so FAST-9 must reject its interior points.
         img = _blank()
         img[:, 20:] = 200
-        kps = detect_fast_vectorized(img, threshold=20)
-        for kp in kps:
-            # No detection far from the image border along the edge interior.
-            assert not (10 < kp.v < 30 and 18 <= kp.u <= 21)
+        u, v, _ = detect_fast_vectorized(img, threshold=20).T
+        # No detection far from the image border along the edge interior.
+        assert not np.any((10 < v) & (v < 30) & (18 <= u) & (u <= 21))
 
     def test_no_detections_inside_border(self):
         img = _bright_dot(_blank(), 3, 3, size=1)
-        for kp in detect_fast_vectorized(img, threshold=10):
-            assert kp.u >= 3 and kp.v >= 3
+        u, v, _ = detect_fast_vectorized(img, threshold=10).T
+        assert np.all(u >= 3) and np.all(v >= 3)
 
     def test_tiny_image_returns_empty(self):
-        assert detect_fast_vectorized(np.zeros((5, 5), dtype=np.uint8)) == []
+        assert detect_fast_vectorized(np.zeros((5, 5), dtype=np.uint8)).shape == (0, 3)
 
     def test_nonmax_reduces_count(self):
         rng = np.random.default_rng(0)
@@ -84,12 +83,12 @@ class TestDetection:
 
 
 class TestScalarVectorizedEquivalence:
-    def _assert_same(self, img, threshold=20):
-        scalar = detect_fast_scalar(img, threshold)
-        vector = detect_fast_vectorized(img, threshold)
-        assert sorted([(k.v, k.u, k.response) for k in scalar]) == sorted(
-            [(k.v, k.u, k.response) for k in vector]
-        )
+    def _assert_same(self, img, threshold=20, nonmax=True):
+        scalar = detect_fast_scalar(img, threshold, nonmax)
+        vector = detect_fast_vectorized(img, threshold, nonmax)
+        assert vector.dtype == np.float64 and vector.shape == (len(vector), 3)
+        # Row for row, in order: raster order is part of the contract.
+        assert vector.tolist() == scalar.tolist()
 
     def test_dots(self):
         img = _bright_dot(_bright_dot(_blank(), 12, 12), 28, 30)
@@ -107,3 +106,21 @@ class TestScalarVectorizedEquivalence:
         rng = np.random.default_rng(seed)
         img = rng.integers(0, 256, size=(24, 24), dtype=np.uint8)
         self._assert_same(img, threshold=30)
+
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from([0, 1, 5, 20, 100, 254, 255]),
+        st.booleans(),
+        st.sampled_from([np.uint8, np.int16, np.int32]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_shapes_thresholds_and_dtypes(self, h, w, threshold, nonmax, dtype, seed):
+        rng = np.random.default_rng(seed)
+        # Few grey levels, so rings tie with the threshold and scores tie in NMS.
+        levels = rng.choice(256, size=int(rng.integers(2, 9)), replace=False)
+        img = rng.choice(levels, size=(h, w)).astype(dtype)
+        self._assert_same(img, threshold, nonmax)
+        if min(h, w) <= 6:
+            assert detect_fast_vectorized(img, threshold, nonmax).shape == (0, 3)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.datasets import euroc_dataset
 from repro.vision import brief, fast, matching, orb
 from repro.vision.fast import Keypoint, detect_fast_vectorized
-from repro.vision.image import Image, ImagePyramid
+from repro.vision.image import Image, ImagePyramid, downsample
 from repro.vision.orb import FeatureSet, OrbExtractor, OrbExtractorConfig
 from repro.vision.render import render_frame
 from tests import oracles
@@ -48,18 +48,51 @@ class TestFast:
         assert fast._ARC_TABLE.dtype == bool
         assert fast._ARC_TABLE.tolist() == expected
 
+    def test_compass_pretest_passes_every_arc(self):
+        # An arc of 9 covers two neighbouring compass points (ring pixels
+        # 0, 4, 8, 12), so the pre-test never drops a corner.
+        masks = np.arange(1 << 16)
+        north, east, south, west = ((masks >> k) & 1 == 1 for k in fast._COMPASS)
+        neighbouring_pair = (north | south) & (east | west)
+        assert fast._ARC_TABLE.any()
+        assert not np.any(fast._ARC_TABLE & ~neighbouring_pair)
+
     @pytest.mark.parametrize("threshold", [5, 20, 40])
     @pytest.mark.parametrize("shape", [(19, 31), (26, 17)])
     def test_vectorized_is_scalar_in_order(self, threshold, shape):
         image = _noise(threshold + shape[0], shape)
         for nonmax in (True, False):
-            assert detect_fast_vectorized(
-                image, threshold, nonmax
-            ) == oracles.detect_fast_scalar(image, threshold, nonmax)
+            got = detect_fast_vectorized(image, threshold, nonmax)
+            assert got.dtype == np.float64 and got.shape[1:] == (3,)
+            assert np.array_equal(got, oracles.detect_fast_scalar(image, threshold, nonmax))
 
     @pytest.mark.parametrize("shape", [(6, 6), (6, 40), (40, 5), (3, 3)])
     def test_no_room_for_a_ring(self, shape):
-        assert detect_fast_vectorized(np.full(shape, 255, dtype=np.uint8)) == []
+        assert detect_fast_vectorized(np.full(shape, 255, dtype=np.uint8)).shape == (0, 3)
+
+
+# --------------------------------------------------------------- pyramid
+class TestDownsample:
+    @given(
+        st.integers(1, 70),
+        st.integers(1, 70),
+        st.sampled_from([0.5, 1.0] + [1.2 ** k for k in range(1, 8)] + [2.5]),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_four_gather_body(self, h, w, scale, seed):
+        # Small shapes make the max(..., 8) clamp upsample.
+        pixels = _noise(seed, (h, w))
+        got = downsample(pixels, scale)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, oracles.downsample_reference(pixels, scale))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (7, 7), (9, 40), (240, 320)])
+    @pytest.mark.parametrize("scale", [1.2 ** k for k in range(1, 8)] + [2.5])
+    def test_clamp_and_rendered_sizes(self, shape, scale):
+        pixels = _noise(shape[0] * shape[1], shape)
+        assert np.array_equal(downsample(pixels, scale),
+                              oracles.downsample_reference(pixels, scale))
 
 
 # ---------------------------------------------------------------- rBRIEF
