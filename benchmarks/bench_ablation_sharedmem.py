@@ -2,8 +2,9 @@
 
 The mechanism behind Table 4's 30x gap, isolated and measured in wall-
 clock time on identical map updates of growing size: SLAM-Share's path
-(write packed records into the arena, read them back in place) against
-the baseline's path (TLV-serialize, ship, rebuild the object graph).
+(append packed records to the store's shard log, read them back in
+place) against the baseline's path (TLV-serialize, ship, rebuild the
+object graph).
 """
 
 import time
@@ -11,17 +12,20 @@ import time
 import pytest
 
 from repro.net import deserialize_map, serialize_map
-from repro.sharedmem import SharedMapStore
+from repro.sharedmem import ShardedMapStore
 from tests.test_net_serialization_transport import make_map
 
 SIZES = (2, 8, 24)
+# Dozens of copies of the largest update: a benchmark that republishes
+# one update round after round fills the log and compacts it on the way.
+CAPACITY = 8 * 1024 * 1024
 
 
 @pytest.mark.parametrize("n_keyframes", SIZES)
 def test_ablation_sharedmem_publish(n_keyframes, benchmark):
     update = make_map(n_keyframes=n_keyframes, n_points_per_kf=40,
                       seed=n_keyframes)
-    store = SharedMapStore(capacity=256 * 1024 * 1024)
+    store = ShardedMapStore(n_shards=1, capacity=CAPACITY)
 
     def publish():
         store.publish_map(update.keyframes.values(), update.mappoints.values())
@@ -47,7 +51,7 @@ def test_ablation_sharedmem_wins_at_every_size(benchmark):
           f"{'ratio':>7}")
     for n_kf in SIZES:
         update = make_map(n_keyframes=n_kf, n_points_per_kf=40, seed=n_kf)
-        store = SharedMapStore(capacity=256 * 1024 * 1024)
+        store = ShardedMapStore(n_shards=1, capacity=CAPACITY)
         t0 = time.perf_counter()
         store.publish_map(update.keyframes.values(), update.mappoints.values())
         shm = time.perf_counter() - t0
@@ -60,7 +64,7 @@ def test_ablation_sharedmem_wins_at_every_size(benchmark):
 
     # And reading back from the store is cheap (zero-copy views).
     update = make_map(n_keyframes=8, n_points_per_kf=40, seed=8)
-    store = SharedMapStore(capacity=256 * 1024 * 1024)
+    store = ShardedMapStore(n_shards=1, capacity=CAPACITY)
     store.publish_map(update.keyframes.values(), update.mappoints.values())
     t0 = time.perf_counter()
     kfs = list(store.iter_keyframes())

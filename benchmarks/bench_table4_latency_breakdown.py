@@ -63,11 +63,11 @@ def test_table4_sharedmem_vs_serialize_wall_clock(benchmark):
     import time
 
     from repro.net import deserialize_map, serialize_map
-    from repro.sharedmem import SharedMapStore
+    from repro.sharedmem import ShardedMapStore
     from tests.test_net_serialization_transport import make_map
 
     update = make_map(n_keyframes=12, n_points_per_kf=40, seed=3)
-    store = SharedMapStore(capacity=64 * 1024 * 1024)
+    store = ShardedMapStore(n_shards=1, capacity=64 * 1024 * 1024)
 
     def shared_memory_path():
         store.publish_map(update.keyframes.values(), update.mappoints.values())

@@ -62,7 +62,8 @@ def main() -> None:
     print("\nServer-side stats:")
     print(f"  shared-memory store: {result.server.store.stats().n_keyframes} "
           f"keyframes, {result.server.store.stats().n_mappoints} map points, "
-          f"{result.server.store.stats().arena.allocated / 1e6:.1f} MB in arena")
+          f"{result.server.store.stats().arena.allocated / 1e6:.1f} MB of "
+          f"shard log (superseded versions stay until compaction)")
     for client_id, outcome in sorted(result.outcomes.items()):
         print(f"  drone {client_id}: GPU tracking "
               f"{np.mean(outcome.tracking_latencies_ms):.1f} ms/frame "

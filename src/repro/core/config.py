@@ -77,10 +77,11 @@ class ServingConfig:
     # --- sharded map store
     map_shards: int = 8
     shard_region_m: float = 8.0          # spatial-hash grid cell edge
-    # --- store backend: "local" keeps the in-process bytearray arena
-    # (default; byte-identical to the pre-PR7 behavior), "shm" places
-    # the store in a named OS shared-memory segment that real worker
-    # processes can attach (repro.sharedmem.ShmShardedMapStore).
+    # --- store backend: where the store's arena (one record log per
+    # shard, repro.sharedmem.arena) lives.  "local" (default) lays it out
+    # in an anonymous mapping of this process; "shm" in a named OS
+    # shared-memory segment that real worker processes can attach
+    # (repro.sharedmem.ShmShardedMapStore).
     store_backend: str = "local"
     shm_pack_capacity: int = 65536       # packed map-matrix rows
     shm_slab_bytes: int = 4 * 1024 * 1024  # per-shard record-log slab
@@ -102,8 +103,9 @@ class ServingConfig:
     # global map stays under budget via covisibility-aware LRU eviction.
     map_max_keyframes: Optional[int] = None
     map_max_points: Optional[int] = None
-    # Store compaction trigger: compact any shard whose arena / log
-    # crosses this utilization after evictions land.  None disables.
+    # Store compaction trigger: compact any shard whose log crosses this
+    # utilization after evictions land.  None disables it; a log that
+    # fills up still compacts itself before it refuses a record.
     store_compact_utilization: Optional[float] = 0.6
     # Snapshot/restore wiring (repro.cli snapshot / restore): restore
     # preloads the global map before any client joins; snapshot saves it

@@ -524,8 +524,7 @@ class SlamShareSession:
 
     def _check_run_end(self) -> None:
         """Fail the run if a frame vanished, a trace stayed open or a
-        lock of the map store (a shard's, or the shm backend's pack
-        lock) is still held."""
+        lock of the map store (a shard's or the pack's) is still held."""
         problems = [
             f"client {cid}: {outcome.unaccounted_frames()} of "
             f"{outcome.frames_captured} captured frames unaccounted ("
@@ -541,8 +540,7 @@ class SlamShareSession:
         store = self.server.store
         locks = [(f"shard {idx}", shard.lock)
                  for idx, shard in enumerate(store.shards)]
-        if hasattr(store, "pack"):
-            locks.append(("pack", store.pack.lock))
+        locks.append(("pack", store.pack.lock))
         problems.extend(
             f"map store {name}: lock still held "
             f"(readers={lock.active_readers} writer={lock.writer_active})"

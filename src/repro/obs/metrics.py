@@ -3,7 +3,7 @@
 A single process-wide :class:`MetricsRegistry` hands out named
 instruments.  Instruments are cheap module-level singletons: an
 ``inc``/``record`` on a disabled registry is one attribute check and a
-return, so instrumented hot paths (arena allocations, link sends) stay
+return, so instrumented hot paths (map publishes, link sends) stay
 near-free until the CLI turns metrics on.
 
 Histograms are HDR-style: values land in geometrically spaced buckets

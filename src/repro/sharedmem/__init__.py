@@ -1,6 +1,12 @@
-"""Shared-memory substrate: arena, packed records, RW lock, map store."""
+"""Shared-memory substrate: the map arena, packed records, RW lock, map store."""
 
-from .arena import ALIGNMENT, Arena, ArenaError, ArenaStats
+from .arena import (
+    ALIGNMENT,
+    ArenaError,
+    ArenaStats,
+    SharedMapPack,
+    ShmMapLayout,
+)
 from .records import (
     keyframe_record_size,
     mappoint_record_size,
@@ -13,7 +19,6 @@ from .rwlock import ProcessRWLock, RWLock
 from .sharding import (
     DEFAULT_CAPACITY,
     ShardedMapStore,
-    SharedMapStore,
     StoreStats,
     spatial_shard,
 )
@@ -27,16 +32,10 @@ from .snapshot import (
     restore_map,
     save_snapshot,
 )
-from .shm_store import (
-    SharedMapPack,
-    ShmMapLayout,
-    ShmShardedMapStore,
-    ShmStoreHandle,
-)
+from .shm_store import ShmShardedMapStore, ShmStoreHandle
 
 __all__ = [
     "ALIGNMENT",
-    "Arena",
     "ArenaError",
     "ArenaStats",
     "DEFAULT_CAPACITY",
@@ -44,7 +43,6 @@ __all__ = [
     "RWLock",
     "ShardedMapStore",
     "SharedMapPack",
-    "SharedMapStore",
     "ShmMapLayout",
     "ShmShardedMapStore",
     "ShmStoreHandle",

@@ -1,9 +1,10 @@
-"""Packed in-arena record layouts for keyframes and map points.
+"""Packed record layouts for keyframes and map points.
 
-A record is written once into arena memory and read back as numpy
-*views* over the same bytes — the zero-copy access pattern §4.3.2
-relies on ("once a data structure is initialized in shared memory, it
-can be accessed by all cooperating client processes").
+A record is written once into a shard log of the map arena
+(:mod:`repro.sharedmem.arena`) and read back as numpy *views* over the
+same bytes — the zero-copy access pattern §4.3.2 relies on ("once a
+data structure is initialized in shared memory, it can be accessed by
+all cooperating client processes").
 
 Layouts (little-endian, 8-byte aligned):
 
@@ -20,8 +21,8 @@ MapPoint record::
     f64[3] position | u8[32] descriptor | u32 visible | u32 found |
     (u64 kf_id, u32 feat_idx, u32 pad)[n_obs]
 
-Where records are stored back to back (the shm shard logs, snapshot
-shard files) each is preceded by a :data:`RECORD_FRAME`::
+Where records are stored back to back (every store's shard logs,
+snapshot shard files) each is preceded by a :data:`RECORD_FRAME`::
 
     u32 kind | u32 flags | u64 entity_id | u64 size
 """

@@ -31,15 +31,17 @@ bundle adjustment nudges its position across a cell boundary — readers
 never race a record migrating between shards.
 
 Routing, locking order, publish, compaction scheduling and stats are
-this module's one store body.  Where the bytes live and how they are
-allocated is a shard's business (:class:`_Shard`): here a free-list
-:class:`Arena` over a ``bytearray``; in :mod:`repro.sharedmem.shm_store`
-a record log inside an OS shared-memory segment.
+this module's one store body, over one shard format: the record logs
+of :mod:`repro.sharedmem.arena`.  ``ShardedMapStore(...)`` lays them out
+in an anonymous mapping of its own, with thread-tier locks;
+:class:`~repro.sharedmem.shm_store.ShmShardedMapStore` lays out the same
+bytes in a named segment that other processes attach.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,7 +50,15 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from ..obs import get_metrics, get_tracer
 from ..slam.keyframe import KeyFrame
 from ..slam.mappoint import MapPoint
-from .arena import Arena, ArenaStats
+from .arena import (
+    ArenaStats,
+    SharedMapPack,
+    ShmMapLayout,
+    _align8,
+    _compactions_total,
+    _LogShard,
+    _reclaimed_bytes,
+)
 from .records import (
     KIND_KEYFRAME,
     KIND_MAPPOINT,
@@ -79,12 +89,6 @@ _multi_shard_writes = _metrics.counter(
 )
 _shards_per_write = _metrics.histogram(
     "sharedmem.shards_per_write", "write-locked shards per publish batch"
-)
-_compactions_total = _metrics.counter(
-    "sharedmem.compactions", "store compaction passes"
-)
-_reclaimed_bytes = _metrics.counter(
-    "sharedmem.reclaimed_bytes", "bytes reclaimed by store compaction"
 )
 
 
@@ -120,140 +124,14 @@ def _check_shape(n_shards: int, region_size: float) -> None:
         raise ValueError("region_size must be positive")
 
 
-def _new_home() -> Dict[int, Dict[int, int]]:
-    """Sticky routing table of one store: kind -> entity id -> shard."""
-    return {KIND_KEYFRAME: {}, KIND_MAPPOINT: {}}
-
-
-class _Shard:
-    """One slice of the map: a lock, a record index, an allocator.
-
-    This is everything the store body knows about where records live.
-    ``records[kind]`` maps entity id to the allocator's ``(offset,
-    size)``; the shard keeps the store's sticky routing table (``home``)
-    in step with it, so an id routes here exactly while it is indexed
-    here.  Except for :meth:`sync`, callers hold :attr:`lock` — the
-    write lock for :meth:`reserve`, :meth:`remove` and :meth:`compact`.
-    """
-
-    def __init__(self, index: int, lock: RWLock,
-                 home: Dict[int, Dict[int, int]]) -> None:
-        self.index = index
-        self.lock = lock
-        self.records: Dict[int, Dict[int, tuple]] = {
-            KIND_KEYFRAME: {}, KIND_MAPPOINT: {},
-        }
-        self._home = home
-        self.writes = 0
-        self.reads = 0
-
-    def _bind(self, kind: int, entity_id: int, entry: tuple) -> None:
-        self.records[kind][entity_id] = entry
-        self._home[kind][entity_id] = self.index
-
-    def _drop(self, kind: int, entity_id: int) -> Optional[tuple]:
-        self._home[kind].pop(entity_id, None)
-        return self.records[kind].pop(entity_id, None)
-
-    def _live(self) -> List[tuple]:
-        """``(offset, size, kind, entity_id)`` of every indexed record,
-        in ascending offset order — the order compaction rewrites in."""
-        return sorted(
-            (offset, size, kind, entity_id)
-            for kind, index in self.records.items()
-            for entity_id, (offset, size) in index.items()
-        )
-
-    def refresh(self) -> None:
-        """Bring the index up to date with what other attachments of
-        the same memory wrote.  Nobody else writes a private arena."""
-
-    def sync(self) -> None:
-        """:meth:`refresh` for a caller that holds no lock."""
-
-    def reserve(self, kind: int, entity_id: int, size: int) -> memoryview:
-        """Make room for a new version of a record, superseding any old
-        one, and return the payload bytes to pack it into."""
-        raise NotImplementedError
-
-    def lookup(self, kind: int, entity_id: int) -> Optional[memoryview]:
-        """The record's payload bytes, or ``None`` if not indexed here."""
-        raise NotImplementedError
-
-    def remove(self, kind: int, entity_id: int) -> None:
-        raise NotImplementedError
-
-    def compact(self) -> int:
-        """Pack the live records together in place; returns the bytes
-        of contiguous space won."""
-        raise NotImplementedError
-
-    def arena_stats(self) -> ArenaStats:
-        """Capacity / used bytes / record count of this shard's memory."""
-        raise NotImplementedError
-
-
-class _ArenaShard(_Shard):
-    """Shard over a process-private buffer with a free-list allocator.
-
-    Superseded and removed records return their block to the free list
-    at once, so the arena holds live bytes only and compaction is pure
-    defragmentation.
-    """
-
-    def __init__(self, index: int, buffer,
-                 home: Dict[int, Dict[int, int]]) -> None:
-        super().__init__(index, RWLock(), home)
-        self.arena = Arena(buffer)
-
-    def reserve(self, kind: int, entity_id: int, size: int) -> memoryview:
-        # The routing entry stays put across an update: lock-free
-        # routing lookups must never see a live entity as missing.
-        old = self.records[kind].pop(entity_id, None)
-        if old is not None:
-            self.arena.free(old[0])
-        offset = self.arena.alloc(size)
-        self._bind(kind, entity_id, (offset, size))
-        self.writes += 1
-        return self.arena.view(offset, size)
-
-    def lookup(self, kind: int, entity_id: int) -> Optional[memoryview]:
-        entry = self.records[kind].get(entity_id)
-        return None if entry is None else self.arena.view(*entry)
-
-    def remove(self, kind: int, entity_id: int) -> None:
-        entry = self._drop(kind, entity_id)
-        if entry is not None:
-            self.arena.free(entry[0])
-
-    def compact(self) -> int:
-        """Live records slide to the front of the buffer in ascending
-        offset order, which coalesces every fragmentation hole the
-        first-fit free list accumulated into one tail block.  Every new
-        offset is <= the old one and each payload is copied out before
-        it is rewritten, so no unread source is clobbered.  Returns the
-        growth of the largest contiguous free span."""
-        before = self.arena.largest_free()
-        fresh = Arena(self.arena.buffer)
-        for offset, size, kind, entity_id in self._live():
-            new_offset = fresh.alloc(size)
-            if new_offset != offset:
-                fresh.view(new_offset, size)[:] = bytes(
-                    self.arena.view(offset, size)
-                )
-                self.records[kind][entity_id] = (new_offset, size)
-        self.arena = fresh
-        return max(0, fresh.largest_free() - before)
-
-    def arena_stats(self) -> ArenaStats:
-        return self.arena.stats()
-
-
 class ShardedMapStore:
     """Region-sharded store of the global map's records.
 
     put/get/remove, ``publish_map``, ``stats``, shard introspection and
-    the ordered multi-shard write transaction used by merges.
+    the ordered multi-shard write transaction used by merges.  Built
+    directly, the store lays its arena out in an anonymous mapping of
+    ``capacity`` bytes split into ``n_shards`` slabs, with
+    ``threading`` locks; only the pages records land on become resident.
     """
 
     def __init__(
@@ -263,31 +141,55 @@ class ShardedMapStore:
         region_size: float = 8.0,
     ) -> None:
         _check_shape(n_shards, region_size)
-        per_shard = max(capacity // n_shards, 1024)
-        home = _new_home()
-        self._adopt(
-            [_ArenaShard(i, bytearray(per_shard), home)
-             for i in range(n_shards)],
-            home, region_size,
+        layout = ShmMapLayout(
+            n_shards=n_shards, region_size=region_size,
+            shard_slab_bytes=_align8(max(capacity // n_shards, 1024)),
         )
+        memory = mmap.mmap(-1, layout.total_bytes)
+        layout.format(memory)
+        self._open(memory, memoryview(memory), layout, RWLock(),
+                   [RWLock() for _ in range(n_shards)])
 
-    def _adopt(self, shards: List[_Shard], home: Dict[int, Dict[int, int]],
-               region_size: float) -> None:
-        self.shards = shards
-        self.n_shards = len(shards)
-        self.region_size = region_size
+    def _open(self, memory, buf: memoryview, layout: ShmMapLayout,
+              pack_lock: RWLock, shard_locks: Sequence[RWLock]) -> None:
+        """Take ``buf`` (the bytes of ``memory``, formatted as ``layout``)
+        as this store's arena, binding each lock to its lock word.
+        ``memory`` (an ``mmap`` or a :class:`SharedMemoryRegion`) is what
+        :meth:`close` unmaps."""
+        if len(shard_locks) != layout.n_shards:
+            raise ValueError("one lock per shard required")
+        self._memory = memory
+        self.layout = layout
+        self.n_shards = layout.n_shards
+        self.region_size = layout.region_size
+        self.pack = SharedMapPack(buf, layout, pack_lock)
         # Sticky routing: entity id -> shard index, maintained by the
         # shards as they index records.  Mutated only while holding the
         # target shard's lock; lookups are plain dict reads (atomic
         # under the GIL) — process-local metadata beside the shared
         # payload bytes.
-        self._home = home
-        self._kf_shard = home[KIND_KEYFRAME]
-        self._mp_shard = home[KIND_MAPPOINT]
+        self._home = {KIND_KEYFRAME: {}, KIND_MAPPOINT: {}}
+        self._kf_shard = self._home[KIND_KEYFRAME]
+        self._mp_shard = self._home[KIND_MAPPOINT]
+        self.shards = [_LogShard(i, buf, layout, lock, self._home)
+                       for i, lock in enumerate(shard_locks)]
 
     def close(self) -> None:
-        """Release what the store holds outside this process's heap
-        (nothing, for private arenas)."""
+        """Detach: drop the numpy and lock views, then the mapping.
+
+        Closing one attachment of a named segment leaves the others
+        live; a view still held elsewhere keeps the mapping until it is
+        collected.
+        """
+        self.pack.lock.unbind()
+        self.pack.release()
+        for shard in self.shards:
+            shard.lock.unbind()
+            shard.buf = None
+        try:
+            self._memory.close()
+        except BufferError:
+            pass
 
     # ----------------------------------------------------------- routing
     def shard_of_keyframe(self, kf: KeyFrame) -> int:
@@ -307,7 +209,7 @@ class ShardedMapStore:
         for shard in self.shards:
             shard.sync()
 
-    def _locate(self, kind: int, entity_id: int) -> Optional[_Shard]:
+    def _locate(self, kind: int, entity_id: int) -> Optional[_LogShard]:
         """The shard an existing entity lives in, looking once more
         after a sync before calling it a miss."""
         home = self._home[kind]
@@ -333,7 +235,7 @@ class ShardedMapStore:
         per-frame waterfall.
         """
         ordered = sorted(set(shard_indices))
-        acquired: List[_Shard] = []
+        acquired: List[_LogShard] = []
         try:
             with _tracer.child_span(
                 trace, "sharedmem.lock_wait", n_shards=len(ordered)
@@ -351,14 +253,14 @@ class ShardedMapStore:
                 shard.lock.release_write()
 
     # ------------------------------------------------------------- writes
-    def _put_keyframe_locked(self, shard: _Shard, kf: KeyFrame) -> int:
+    def _put_keyframe_locked(self, shard: _LogShard, kf: KeyFrame) -> int:
         size = keyframe_record_size(len(kf), len(kf.bow_vector))
         write_keyframe_record(
             shard.reserve(KIND_KEYFRAME, kf.keyframe_id, size), kf
         )
         return size
 
-    def _put_mappoint_locked(self, shard: _Shard, point: MapPoint) -> int:
+    def _put_mappoint_locked(self, shard: _LogShard, point: MapPoint) -> int:
         size = mappoint_record_size(len(point.observations))
         write_mappoint_record(
             shard.reserve(KIND_MAPPOINT, point.point_id, size), point
@@ -488,7 +390,8 @@ class ShardedMapStore:
 
         Returns the bytes reclaimed across all compacted shards and
         bumps the ``sharedmem.compactions`` /
-        ``sharedmem.reclaimed_bytes`` counters.
+        ``sharedmem.reclaimed_bytes`` counters, as a log that fills up
+        does when it compacts itself.
         """
         indices = (list(range(self.n_shards)) if shard_indices is None
                    else list(shard_indices))
@@ -529,9 +432,8 @@ class ShardedMapStore:
                     "shard": shard.index,
                     "n_keyframes": len(shard.records[KIND_KEYFRAME]),
                     "n_mappoints": len(shard.records[KIND_MAPPOINT]),
-                    # live payload only: the same on every backend,
-                    # unlike ``allocated`` (an append-only log keeps
-                    # superseded versions until compaction)
+                    # live payload only, unlike ``allocated`` (the
+                    # log keeps superseded versions until compaction)
                     "record_bytes": sum(
                         size for index in shard.records.values()
                         for _, size in index.values()),
@@ -565,14 +467,3 @@ class ShardedMapStore:
             writes=total("writes"),
             reads=total("reads"),
         )
-
-
-class SharedMapStore(ShardedMapStore):
-    """The unsharded store: one shard, optionally over a caller's
-    buffer (e.g. a :class:`~repro.sharedmem.SharedMemoryRegion`'s)."""
-
-    def __init__(self, buffer=None, capacity: int = DEFAULT_CAPACITY) -> None:
-        home = _new_home()
-        if buffer is None:
-            buffer = bytearray(capacity)
-        self._adopt([_ArenaShard(0, buffer, home)], home, region_size=8.0)

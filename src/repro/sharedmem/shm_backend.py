@@ -1,10 +1,11 @@
 """Real OS shared memory backing for the map store.
 
-The single-process simulation uses a ``bytearray`` arena; this module
-provides the genuine article — a named ``multiprocessing.shared_memory``
-segment that separate Python processes can attach, matching the Boost
-interprocess usage in the paper (an orchestrator allocates the region,
-per-client processes attach it by name, §4.3.2).
+A store on its own lays its arena out in an anonymous mapping that only
+its process sees; this module provides the genuine article — a named
+``multiprocessing.shared_memory`` segment that separate Python processes
+can attach, matching the Boost interprocess usage in the paper (an
+orchestrator allocates the region, per-client processes attach it by
+name, §4.3.2).  The arena layout inside is the same either way.
 
 Lifetime rules (mirroring the paper's orchestrator/worker split):
 

@@ -23,6 +23,9 @@ rules wherever the tests run.
   ``global`` declaration in a function that binds it — or be a
   builtin.  Files with ``from m import *`` are skipped, as their
   globals are unknown.
+* F822, undefined names in ``__all__``: every string listed there must
+  be bound at module level in the same sense (builtins do not count).
+  ``__init__.py`` files are checked too; ``import *`` files skipped.
 
 ``# noqa: <code>`` silences a line.
 """
@@ -233,17 +236,26 @@ def _first_read(scopes: List[ast.AST], name: str) -> int:
     raise AssertionError(f"symtable reads {name!r} where the AST does not")
 
 
+def _star_imports(module: ast.Module) -> bool:
+    return any(isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
+               for node in ast.walk(module))
+
+
+def _module_bound(tables: List[symtable.SymbolTable]) -> Set[str]:
+    """Names bound at module level: locals of the module table, plus
+    names a function's ``global`` declaration assigns or imports."""
+    bound = {s.get_name() for s in tables[0].get_symbols() if s.is_local()}
+    return bound | {s.get_name() for table in tables for s in table.get_symbols()
+                    if s.is_declared_global() and (s.is_assigned() or s.is_imported())}
+
+
 def undefined_names(source: str) -> List[Tuple[int, str]]:
     """(line, name) of every F821 hit in one module's source."""
     module = ast.parse(source)
-    if any(isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
-           for node in ast.walk(module)):
+    if _star_imports(module):
         return []
-    top = symtable.symtable(source, "<lint>", "exec")
-    tables = list(_tables(top))
-    bound = {s.get_name() for s in top.get_symbols() if s.is_local()}
-    bound |= {s.get_name() for table in tables for s in table.get_symbols()
-              if s.is_declared_global() and (s.is_assigned() or s.is_imported())}
+    tables = list(_tables(symtable.symtable(source, "<lint>", "exec")))
+    bound = _module_bound(tables)
     lines = source.splitlines()
     hits = set()
     for table in tables:
@@ -255,6 +267,25 @@ def undefined_names(source: str) -> List[Tuple[int, str]]:
             if "noqa: F821" not in lines[line - 1]:
                 hits.add((line, name))
     return sorted(hits)
+
+
+def undefined_exports(source: str) -> List[Tuple[int, str]]:
+    """(line, name) of every F822 hit: an ``__all__`` entry never bound."""
+    module = ast.parse(source)
+    if _star_imports(module):
+        return []
+    bound = _module_bound(list(_tables(symtable.symtable(source, "<lint>", "exec"))))
+    lines = source.splitlines()
+    return sorted(
+        (elt.lineno, elt.value)
+        for node in module.body
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+        and elt.value not in bound and "noqa: F822" not in lines[elt.lineno - 1]
+    )
 
 
 def _linted_files(with_init: bool = False) -> List[Path]:
@@ -391,3 +422,38 @@ class TestUndefinedNames:
 
     def test_star_import_is_skipped(self):
         assert undefined_names("from os.path import *\nx = join('a', 'b') + nowhere\n") == []
+
+
+class TestUndefinedExports:
+    def test_no_undefined_exports(self):
+        files = _linted_files(with_init=True)
+        hits = [
+            f"{path.relative_to(ROOT)}:{line}: F822 undefined name {name!r} in __all__"
+            for path in files
+            for line, name in undefined_exports(path.read_text())
+        ]
+        assert not hits, "\n".join(hits)
+
+    def test_the_pass_sees_what_ruff_sees(self):
+        source = (
+            "import os.path\n"
+            "from .store import ShardedMapStore\n"
+            "def publish():\n"
+            "    global published\n"
+            "    published = True\n"
+            "class Stats:\n"
+            "    pass\n"
+            "limit = 8\n"
+            "__all__ = [\n"
+            "    'ShardedMapStore', 'Stats', 'limit', 'os', 'publish', 'published',\n"
+            "    'SharedMapStore',\n"                  # 11 F822: a stale export
+            "    'len',\n"                             # 12 F822: builtins are not bound
+            "    'Arena',  # noqa: F822\n"             # silenced
+            "]\n"
+            "__all__ += ['Gone']\n"                    # 15 F822
+        )
+        assert undefined_exports(source) == [(11, "SharedMapStore"), (12, "len"),
+                                             (15, "Gone")]
+
+    def test_star_import_is_skipped(self):
+        assert undefined_exports("from os.path import *\n__all__ = ['join', 'nowhere']\n") == []

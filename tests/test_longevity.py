@@ -11,21 +11,27 @@ import numpy as np
 import pytest
 
 from repro.geometry import SE3, so3
+from repro.obs import get_metrics
 from repro.sharedmem import (
     ShardedMapStore,
     ShmShardedMapStore,
     SnapshotError,
+    keyframe_record_size,
     load_snapshot,
+    mappoint_record_size,
     restore_into_store,
     restore_map,
     save_snapshot,
 )
+from repro.sharedmem.arena import HEADER_BYTES
+from repro.sharedmem.records import RECORD_FRAME
 from repro.slam import IdAllocator, KeyframeDatabase, SlamMap, default_vocabulary
 from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
 from repro.slam.pose_graph import PoseGraphEdge, optimize_pose_graph
 from repro.vision.brief import DESCRIPTOR_BYTES
 from tests.test_net_serialization_transport import make_map
+from tests.test_shm_multiproc import _shm_available
 
 
 def _share_points(slam_map, a_id, b_id, n):
@@ -440,6 +446,61 @@ class TestShmCompaction:
         finally:
             store.close()
             store.unlink()
+
+
+# --------------------------------------------------- log-full compaction
+def _log_bytes(keyframes, points):
+    """Log bytes one copy of these records takes: frames, 8-aligned."""
+    sizes = [keyframe_record_size(len(kf), len(kf.bow_vector))
+             for kf in keyframes]
+    sizes += [mappoint_record_size(len(p.observations)) for p in points]
+    return sum(RECORD_FRAME.size + (size + 7) // 8 * 8 for size in sizes)
+
+
+class TestLogFullCompaction:
+    """A shard log full of superseded versions compacts itself rather
+    than refuse a record its live set leaves room for."""
+
+    @pytest.mark.parametrize("backend", ["local", "shm"])
+    def test_republishing_one_map_wraps_the_log(self, backend):
+        if backend == "shm" and not _shm_available():
+            pytest.skip("OS shared memory unavailable")
+        slam_map = make_map(n_keyframes=4, n_points_per_kf=8)
+        keyframes = list(slam_map.keyframes.values())
+        points = list(slam_map.mappoints.values())
+        one_copy = _log_bytes(keyframes, points)
+        slab = HEADER_BYTES + 5 * one_copy // 2
+        store = (ShardedMapStore(n_shards=1, capacity=slab)
+                 if backend == "local" else
+                 ShmShardedMapStore.create(n_shards=1, pack_capacity=16,
+                                           shard_slab_bytes=slab))
+        metrics = get_metrics()
+        was_enabled = metrics.enabled
+        metrics.reset()
+        metrics.configure(enabled=True)
+        try:
+            for _ in range(12):   # 12 copies through a log of 2.5
+                store.publish_map(keyframes, points)
+            compactions = metrics.snapshot()["counters"]["sharedmem.compactions"]
+            stats = store.stats()
+            assert stats.n_keyframes == len(keyframes)
+            assert stats.n_mappoints == len(points)
+            assert stats.arena.allocated <= stats.arena.capacity
+            for kf in keyframes:
+                got = store.get_keyframe(kf.keyframe_id)
+                assert np.array_equal(got.descriptors, kf.descriptors)
+                assert np.array_equal(got.point_ids, kf.point_ids)
+            for point in points:
+                got = store.get_mappoint(point.point_id)
+                assert np.array_equal(got.position, point.position)
+                assert got.observations == point.observations
+        finally:
+            metrics.reset()
+            metrics.enabled = was_enabled
+            store.close()
+            if backend == "shm":
+                store.unlink()
+        assert compactions >= 3
 
 
 # ------------------------------------------------------ snapshot/restore

@@ -22,11 +22,12 @@ from repro.net import deserialize_map, serialize_map
 from repro.obs import get_metrics
 from repro.sharedmem import (
     ShardedMapStore,
-    SharedMapStore,
     ShmShardedMapStore,
     keyframe_record_size,
     mappoint_record_size,
 )
+from repro.sharedmem.arena import HEADER_BYTES
+from repro.sharedmem.records import RECORD_FRAME
 from tests.test_net_serialization_transport import make_map
 from tests.test_shm_multiproc import _shm_available, make_keyframe, make_mappoint
 
@@ -98,7 +99,7 @@ class TestRoundTrips:
     @settings(max_examples=10, deadline=None)
     def test_shared_store_roundtrip_random_maps(self, seed):
         slam_map = make_map(n_keyframes=3, n_points_per_kf=10, seed=seed)
-        store = SharedMapStore(capacity=8 * 1024 * 1024)
+        store = ShardedMapStore(n_shards=1, capacity=8 * 1024 * 1024)
         store.publish_map(slam_map.keyframes.values(),
                           slam_map.mappoints.values())
         for kf_id, kf in slam_map.keyframes.items():
@@ -113,7 +114,7 @@ class TestRoundTrips:
     @settings(max_examples=10, deadline=None)
     def test_store_update_conserves_entity_count(self, seed):
         slam_map = make_map(n_keyframes=2, n_points_per_kf=6, seed=seed)
-        store = SharedMapStore(capacity=8 * 1024 * 1024)
+        store = ShardedMapStore(n_shards=1, capacity=8 * 1024 * 1024)
         # Publishing twice (an update) must not duplicate entities.
         store.publish_map(slam_map.keyframes.values(),
                           slam_map.mappoints.values())
@@ -131,11 +132,21 @@ position = st.tuples(coord, coord, coord)
 point_id = st.integers(min_value=0, max_value=15)
 keyframe_id = st.integers(min_value=0, max_value=5)
 
+# A one-shard slab that holds the model's largest live set (6 keyframes,
+# 16 points) plus one more keyframe version, so an update always fits
+# once the log is compacted; about ten keyframe updates overflow it.
+TINY_SLAB = HEADER_BYTES + 7 * (
+    RECORD_FRAME.size + keyframe_record_size(8, 4)) + 16 * (
+    RECORD_FRAME.size + (mappoint_record_size(1) + 7) // 8 * 8)
+
 STORE_BACKENDS = {
     "local-1": lambda: ShardedMapStore(n_shards=1, capacity=1024 * 1024),
     "local-8": lambda: ShardedMapStore(n_shards=8, capacity=1024 * 1024),
+    "local-tiny": lambda: ShardedMapStore(n_shards=1, capacity=TINY_SLAB),
     "shm-4": lambda: ShmShardedMapStore.create(
         n_shards=4, pack_capacity=16, shard_slab_bytes=256 * 1024),
+    "shm-tiny": lambda: ShmShardedMapStore.create(
+        n_shards=1, pack_capacity=16, shard_slab_bytes=TINY_SLAB),
 }
 
 

@@ -85,13 +85,13 @@ class TestSpatialSharding:
         kf = next(iter(make_map(seed=12).keyframes.values()))
         shard = store.shards[store.put_keyframe(kf)]
         routed = []
-        alloc = shard.arena.alloc
+        append = shard._append
 
-        def probing_alloc(size):
+        def probing_append(kind, entity_id, size):
             routed.append(kf.keyframe_id in store._kf_shard)
-            return alloc(size)
+            return append(kind, entity_id, size)
 
-        shard.arena.alloc = probing_alloc
+        shard._append = probing_append
         store.put_keyframe(kf)
         assert routed == [True]
 
@@ -102,6 +102,8 @@ class TestSpatialSharding:
         store.put_keyframe(kf)
         store.remove_keyframe(kf.keyframe_id)
         assert store.get_keyframe(kf.keyframe_id) is None
+        # The dead record and its tombstone wait for compaction.
+        store.compact()
         assert store.stats().arena.allocated == 0
 
     def test_publish_map_spans_shards(self):

@@ -1,4 +1,4 @@
-"""Tests for the arena allocator, RW lock, records and map store."""
+"""Tests for the shard record log, RW lock, records and map store."""
 
 import threading
 import time
@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sharedmem import (
-    Arena,
     ArenaError,
     RWLock,
-    SharedMapStore,
+    ShardedMapStore,
     SharedMemoryRegion,
+    ShmShardedMapStore,
     keyframe_record_size,
     mappoint_record_size,
     read_keyframe_record,
@@ -21,90 +21,140 @@ from repro.sharedmem import (
     write_keyframe_record,
     write_mappoint_record,
 )
+from repro.sharedmem.arena import HEADER_BYTES
+from repro.sharedmem.records import KIND_MAPPOINT, RECORD_FRAME
 from tests.test_net_serialization_transport import make_map
 
 
+def _log_shard(capacity=1024):
+    """The one shard of a store whose record log holds ``capacity``
+    bytes (at least 960: the store's smallest slab is 1 KiB)."""
+    store = ShardedMapStore(n_shards=1, capacity=HEADER_BYTES + capacity)
+    return store.shards[0]
+
+
+def _reserve(shard, entity_id, size):
+    with shard.lock.write():
+        shard.reserve(KIND_MAPPOINT, entity_id, size)
+    return shard.records[KIND_MAPPOINT][entity_id][0]
+
+
+def _remove(shard, entity_id):
+    with shard.lock.write():
+        shard.remove(KIND_MAPPOINT, entity_id)
+
+
+def _compact(shard):
+    with shard.lock.write():
+        return shard.compact()
+
+
+def _frame(size):
+    """Log bytes one record of ``size`` payload bytes takes."""
+    return RECORD_FRAME.size + (size + 7) // 8 * 8
+
+
 class TestArena:
+    """The shard record log, the only allocator a store has."""
+
     def test_alloc_returns_disjoint_ranges(self):
-        arena = Arena(bytearray(1024))
-        a = arena.alloc(100)
-        b = arena.alloc(100)
+        shard = _log_shard()
+        a = _reserve(shard, 1, 100)
+        b = _reserve(shard, 2, 100)
         assert a != b
         assert abs(a - b) >= 100
 
     def test_alignment(self):
-        arena = Arena(bytearray(1024))
-        a = arena.alloc(3)
-        b = arena.alloc(3)
+        shard = _log_shard()
+        a = _reserve(shard, 1, 3)
+        b = _reserve(shard, 2, 3)
         assert a % 8 == 0 and b % 8 == 0
 
     def test_exhaustion_raises(self):
-        arena = Arena(bytearray(64))
-        arena.alloc(32)
+        # Live records plus the new one outgrow the log: compaction has
+        # nothing to win, so the append fails and leaves the log as it was.
+        shard = _log_shard(capacity=2 * _frame(480) + _frame(8))
+        _reserve(shard, 1, 480)
+        _reserve(shard, 2, 480)
+        before = shard.arena_stats()
         with pytest.raises(ArenaError):
-            arena.alloc(64)
+            _reserve(shard, 3, 480)
+        assert shard.arena_stats() == before
+        assert sorted(shard.records[KIND_MAPPOINT]) == [1, 2]
 
     def test_free_allows_reuse(self):
-        arena = Arena(bytearray(64))
-        a = arena.alloc(48)
-        with pytest.raises(ArenaError):
-            arena.alloc(48)
-        arena.free(a)
-        assert arena.alloc(48) == a
+        # A removed record's bytes come back once the full log compacts.
+        shard = _log_shard(capacity=_frame(960) + RECORD_FRAME.size)
+        a = _reserve(shard, 1, 960)
+        _remove(shard, 1)
+        assert _reserve(shard, 2, 960) == a
 
     def test_coalescing(self):
-        arena = Arena(bytearray(96))
-        a = arena.alloc(32)
-        b = arena.alloc(32)
-        c = arena.alloc(32)
-        arena.free(a)
-        arena.free(b)
-        # a+b coalesce into a 64-byte block at offset 0.
-        assert arena.alloc(64) == 0
-        arena.free(c)
+        shard = _log_shard()
+        _reserve(shard, 1, 32)
+        _reserve(shard, 2, 32)
+        _reserve(shard, 3, 32)
+        _remove(shard, 1)
+        _remove(shard, 2)
+        # Both dead records and their tombstones close into one run.
+        assert _compact(shard) == 2 * _frame(32) + 2 * RECORD_FRAME.size
+        assert shard.arena_stats().allocated == _frame(32)
+        assert shard.records[KIND_MAPPOINT][3][0] == (
+            shard.log_offset + RECORD_FRAME.size)
 
     def test_double_free_raises(self):
-        arena = Arena(bytearray(64))
-        a = arena.alloc(16)
-        arena.free(a)
-        with pytest.raises(ArenaError):
-            arena.free(a)
+        # Removing what is not indexed appends no second tombstone.
+        shard = _log_shard()
+        _reserve(shard, 1, 16)
+        _remove(shard, 1)
+        before = shard.arena_stats()
+        _remove(shard, 1)
+        assert shard.arena_stats() == before
+        with shard.lock.read():
+            assert shard.lookup(KIND_MAPPOINT, 1) is None
 
     def test_view_roundtrip(self):
-        arena = Arena(bytearray(128))
-        offset = arena.alloc(16)
-        view = arena.view(offset, 16)
-        view[:4] = b"abcd"
-        assert bytes(arena.view(offset, 4)) == b"abcd"
+        shard = _log_shard()
+        with shard.lock.write():
+            view = shard.reserve(KIND_MAPPOINT, 1, 16)
+            view[:4] = b"abcd"
+        with shard.lock.read():
+            assert bytes(shard.lookup(KIND_MAPPOINT, 1)[:4]) == b"abcd"
 
     def test_view_out_of_range(self):
-        arena = Arena(bytearray(64))
+        # A record larger than the whole log never fits, even when empty.
+        shard = _log_shard()
         with pytest.raises(ArenaError):
-            arena.view(60, 16)
+            _reserve(shard, 1, 1024)
+        assert shard.arena_stats().allocated == 0
 
     def test_stats(self):
-        arena = Arena(bytearray(1024))
-        arena.alloc(100)
-        stats = arena.stats()
-        assert stats.allocated == 104  # aligned
+        shard = _log_shard()
+        _reserve(shard, 1, 100)
+        stats = shard.arena_stats()
+        assert stats.allocated == RECORD_FRAME.size + 104  # aligned
         assert stats.n_blocks == 1
         assert 0 < stats.utilization < 1
 
     def test_invalid_size(self):
-        with pytest.raises(ArenaError):
-            Arena(bytearray(64)).alloc(0)
+        with pytest.raises(ValueError):
+            ShardedMapStore(n_shards=0)
+        with pytest.raises(ValueError):
+            ShardedMapStore(region_size=0.0)
 
     @given(st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=30))
     @settings(max_examples=30, deadline=None)
     def test_property_alloc_free_all_restores_capacity(self, sizes):
-        arena = Arena(bytearray(8192))
-        offsets = [arena.alloc(s) for s in sizes]
-        for off in offsets:
-            arena.free(off)
-        stats = arena.stats()
-        assert stats.allocated == 0
-        # One fully coalesced free block.
-        assert arena.alloc(8192 - 8) is not None
+        shard = _log_shard(capacity=8192)
+        for entity_id, size in enumerate(sizes):
+            _reserve(shard, entity_id, size)
+        for entity_id in range(len(sizes)):
+            _remove(shard, entity_id)
+        _compact(shard)
+        assert shard.arena_stats().allocated == 0
+        # The whole log is one free run again.
+        assert _reserve(shard, 0, 8192 - RECORD_FRAME.size) == (
+            shard.log_offset + RECORD_FRAME.size)
 
 
 class LockSemantics:
@@ -329,7 +379,7 @@ class TestRecords:
 
 class TestSharedMapStore:
     def _store(self):
-        return SharedMapStore(capacity=4 * 1024 * 1024)
+        return ShardedMapStore(n_shards=1, capacity=4 * 1024 * 1024)
 
     def test_put_get_keyframe(self):
         store = self._store()
@@ -373,7 +423,8 @@ class TestSharedMapStore:
         store.put_keyframe(kf)
         store.remove_keyframe(kf.keyframe_id)
         assert store.get_keyframe(kf.keyframe_id) is None
-        # Arena space is reclaimed.
+        # The dead record and its tombstone wait for compaction.
+        store.compact()
         assert store.stats().arena.allocated == 0
 
     def test_iter_keyframes_sorted(self):
@@ -394,13 +445,18 @@ class TestSharedMemoryRegion:
             other.close()
 
     def test_store_over_real_shared_memory(self):
-        with SharedMemoryRegion(size=1024 * 1024) as region:
-            store = SharedMapStore(buffer=region.buffer)
+        with ShmShardedMapStore.create(n_shards=1, pack_capacity=16,
+                                       shard_slab_bytes=1024 * 1024) as store:
             slam_map = make_map(seed=10)
             kf = next(iter(slam_map.keyframes.values()))
             store.put_keyframe(kf)
             assert store.get_keyframe(kf.keyframe_id) is not None
-            del store  # release memoryviews before region teardown
+            # The record is in the named segment: another attachment
+            # reads it from there.
+            other = ShmShardedMapStore.attach(store.handle())
+            assert np.array_equal(
+                other.get_keyframe(kf.keyframe_id).descriptors, kf.descriptors)
+            other.close()
 
     def test_invalid_create_args(self):
         with pytest.raises(ValueError):

@@ -13,12 +13,12 @@ import pytest
 
 from repro.geometry import SE3
 from repro.sharedmem import (
-    Arena,
     ProcessRWLock,
     SharedMemoryRegion,
     ShmMapLayout,
     ShmShardedMapStore,
 )
+from repro.sharedmem.records import KIND_MAPPOINT
 from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
 from tests.test_sharedmem import LockSemantics
@@ -121,16 +121,20 @@ class TestRegionLifetime:
             SharedMemoryRegion(name=name, create=False)
 
     def test_arena_over_shm_buffer(self):
-        with SharedMemoryRegion(size=4096) as region:
-            arena = Arena(region.buffer)
-            off = arena.alloc(100)
-            view = arena.view(off, 100)
-            view[:] = bytes(range(100))
-            assert bytes(arena.view(off, 100)) == bytes(range(100))
+        with ShmShardedMapStore.create(n_shards=1, pack_capacity=16,
+                                       shard_slab_bytes=4096) as store:
+            shard = store.shards[0]
+            with shard.lock.write():
+                view = shard.reserve(KIND_MAPPOINT, 1, 100)
+                view[:] = bytes(range(100))
+            offset = shard.records[KIND_MAPPOINT][1][0]
+            # The payload is in the segment itself: a plain second
+            # attachment of the region sees the same bytes in place.
+            region = SharedMemoryRegion(name=store.region.name, create=False)
+            assert bytes(region.buffer[offset : offset + 100]) == bytes(range(100))
             # Release every exported view before the region unmaps.
             view.release()
-            arena.buffer.release()
-            del view, arena
+            region.close()
 
 
 # ------------------------------------------------------------- process lock
