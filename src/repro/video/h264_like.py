@@ -11,12 +11,15 @@ residuals).  The pipeline per P-frame is
     around it  ->  motion-compensated residual  ->  dead-zone
     quantization  ->  DEFLATE entropy coding
 
-with an intra (I) frame opening every GOP.  Block search and prediction
-share one edge-padded copy of the reference: every candidate vector is
-a slice of it, and the predicted frame is one gather of block windows.
-Quantization makes it mildly lossy like real H.264; tests pin the
-reconstruction PSNR high above feature-detection noise, so ATE is
-unaffected (Table 3).
+with an intra (I) frame opening every GOP, and at any change of frame
+size.  Each stage runs as a few whole-array passes: the global search
+scores every ``dy`` of one ``dx`` in one uint8 pass over a strided stack
+of row windows; block search and prediction share one edge-padded copy
+of the reference, so every candidate vector is a slice of it, its block
+SADs land in reused buffers, and the predicted frame is one gather of
+block windows; the quantizer rounds in integers.  Quantization makes it
+mildly lossy like real H.264; tests pin the reconstruction PSNR high
+above feature-detection noise, so ATE is unaffected (Table 3).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import zlib
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .codec import EncodedFrame, VideoCodec
 
@@ -41,31 +44,49 @@ def estimate_global_shift(
     """Integer (dy, dx) minimizing SAD between frame and shifted reference.
 
     The search runs on a decimated pair (cheap) and the result is scaled
-    back up — the classic coarse motion-search shortcut.
+    back up — the classic coarse motion-search shortcut.  Ties go to the
+    first window in (dy, dx) row-major order.
+
+    One pass per ``dx``: the reference columns that ``dx`` lines up with
+    the core are copied once into a contiguous buffer, and its ``dy`` row
+    windows are one zero-copy strided stack over that buffer, so each
+    pass is one uint8 ``|core - window|`` over every ``dy`` and one
+    rows-first reduction.
     """
-    ref = reference[::downsample, ::downsample].astype(np.int16)
-    cur = frame[::downsample, ::downsample].astype(np.int16)
+    ref = reference[::downsample, ::downsample]
+    cur = frame[::downsample, ::downsample]
     r = max(search_range // downsample, 1)
     h, w = cur.shape
-    margin = r
-    core = cur[margin : h - margin, margin : w - margin]
+    core = np.ascontiguousarray(cur[r : h - r, r : w - r])
     if core.size == 0:   # frame too small to search: no global motion
         return 0, 0
-    best = (0, 0)
-    best_sad = None
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            # Content that moved down by dy sits at ref[y - dy]; evaluating
-            # ref[y - dy] against cur[y] makes the winning (dy, dx) the
-            # amount the reference moves down/right in ``_predict``.
-            window = ref[
-                margin - dy : h - margin - dy, margin - dx : w - margin - dx
-            ]
-            sad = int(np.abs(core - window).sum())
-            if best_sad is None or sad < best_sad:
-                best_sad = sad
-                best = (dy, dx)
-    return best[0] * downsample, best[1] * downsample
+    n = 2 * r + 1
+    rows, cols = core.shape
+    # Content that moved down by dy sits at ref[y - dy]; evaluating
+    # ref[y - dy] against cur[y] makes the winning (dy, dx) the amount the
+    # reference moves down/right in ``_predict``.  Window k is ``dy = k - r``
+    # and starts at buffer row ``2r - k``, hence the negative stride.
+    shifted = np.empty((h, cols), dtype=np.uint8)
+    windows = as_strided(
+        shifted[2 * r :], shape=(n, rows, cols),
+        strides=(-shifted.strides[0],) + shifted.strides, writeable=False,
+    )
+    diff = np.empty((n, rows, cols), dtype=np.uint8)
+    low = np.empty_like(diff)
+    # A column of |differences| sums to <= 255 * rows.
+    column_dtype = np.uint16 if 255 * rows <= np.iinfo(np.uint16).max else np.uint32
+    column_sad = np.empty((n, cols), dtype=column_dtype)
+    sad = np.empty((n, n), dtype=np.int64)    # [dy, dx], the scan order
+    for j, dx in enumerate(range(-r, r + 1)):
+        np.copyto(shifted, ref[:, r - dx : w - r - dx])
+        np.maximum(core, windows, out=diff)
+        np.minimum(core, windows, out=low)
+        np.subtract(diff, low, out=diff)
+        np.add.reduce(diff, axis=1, dtype=column_dtype, out=column_sad)
+        np.add.reduce(column_sad, axis=1, dtype=np.int64, out=sad[:, j])
+    # argmin keeps the first minimum of the row-major grid.
+    dy, dx = divmod(int(sad.argmin()), n)
+    return (dy - r) * downsample, (dx - r) * downsample
 
 
 def _candidate_offsets(global_shift: Tuple[int, int]) -> list:
@@ -119,8 +140,19 @@ class H264LikeCodec(VideoCodec):
         return max(self.quantization // 4, 1)
 
     def _quantize(self, values: np.ndarray, intra: bool = False) -> np.ndarray:
+        """``round(values / q)``, halves to even, in integer arithmetic.
+
+        With ``values = q * floor + rem`` and ``0 <= rem < q``, the quotient
+        rounds up when ``rem > q - rem``, and on the tie ``rem == q - rem``
+        only when ``floor`` is odd — exactly what ``np.round`` does to the
+        float quotient.
+        """
         q = self.intra_quantization if intra else self.quantization
-        return np.round(values.astype(np.int16) / q).astype(np.int16)
+        values = values.astype(np.int16 if q <= np.iinfo(np.int16).max else np.int64)
+        floor = values // q
+        rem = values - floor * q   # exact even where floor * q wraps
+        floor += (rem + (floor & 1)) > q - rem
+        return floor.astype(np.int16, copy=False)
 
     def _dequantize(self, values: np.ndarray, intra: bool = False) -> np.ndarray:
         q = self.intra_quantization if intra else self.quantization
@@ -129,6 +161,8 @@ class H264LikeCodec(VideoCodec):
     def encode(self, frame: np.ndarray) -> EncodedFrame:
         frame = np.ascontiguousarray(frame, dtype=np.uint8)
         start = time.perf_counter()
+        if self._reference is not None and frame.shape != self._reference.shape:
+            self._frame_index = 0   # a new resolution opens a new GOP
         intra = self._reference is None or self._frame_index % self.gop == 0
         if intra:
             quantized = self._quantize(frame, intra=True)
@@ -187,14 +221,23 @@ class H264LikeCodec(VideoCodec):
         if mv_idx is None:
             cur = frame[:crop_h, :crop_w]
             # Block SAD, rows first so the strided reduction runs on the
-            # short axis; a block column sums to <= 255 * block.
-            columns = np.empty((len(offsets), bh, crop_w), dtype=np.uint16)
-            for idx, (dy, dx) in enumerate(offsets):
+            # short axis: a block column sums to <= 255 * block and a
+            # block to <= 255 * block**2, which fits uint16 at 16 x 16.
+            n = len(offsets)
+            columns = np.empty((n, bh, crop_w), dtype=np.uint16)
+            diff = np.empty((crop_h, crop_w), dtype=np.uint8)
+            low = np.empty_like(diff)
+            diff_rows = diff.reshape(bh, block, crop_w)
+            for idx, (dy, dx) in enumerate(offsets.tolist()):
                 moved = padded[pad - dy : pad - dy + crop_h,
                                pad - dx : pad - dx + crop_w]
-                diff = np.maximum(cur, moved) - np.minimum(cur, moved)
-                columns[idx] = diff.reshape(bh, block, crop_w).sum(axis=1, dtype=np.uint16)
-            sad = columns.reshape(len(offsets), bh, bw, block).sum(axis=3, dtype=np.uint32)
+                np.maximum(cur, moved, out=diff)
+                np.minimum(cur, moved, out=low)
+                np.subtract(diff, low, out=diff)
+                np.add.reduce(diff_rows, axis=1, dtype=np.uint16, out=columns[idx])
+            block_dtype = np.uint16 if 255 * block**2 <= np.iinfo(np.uint16).max else np.uint32
+            sad = np.add.reduce(columns.reshape(n, bh, bw, block), axis=3,
+                                dtype=block_dtype)
             # argmin keeps the first minimum: earlier candidates win ties.
             mv_idx = sad.argmin(axis=0).astype(np.int8)
         # The global shift covers the right/bottom remainder outside the
@@ -237,6 +280,11 @@ class H264LikeCodec(VideoCodec):
         else:
             if self._decoded_reference is None:
                 raise ValueError("P-frame received before any I-frame")
+            if self._decoded_reference.shape != encoded.original_shape:
+                raise ValueError(
+                    f"P-frame of shape {encoded.original_shape} does not match "
+                    f"the decoded reference of shape {self._decoded_reference.shape}"
+                )
             predicted, _ = self._predict(self._decoded_reference, (dy, dx), mv_idx)
             frame = np.clip(
                 predicted.astype(np.int16) + self._dequantize(quantized), 0, 255

@@ -4,7 +4,8 @@ Real SLAM datasets (EuRoC, KITTI) provide camera images; we have none,
 so two substitutes exercise the same code paths (see DESIGN.md §2):
 
 * :func:`render_frame` draws every visible landmark as a deterministic
-  high-contrast patch on a noisy background.  The *real* FAST/ORB
+  high-contrast patch on a noisy background (all patches in one pass,
+  a later landmark on top where two overlap).  The *real* FAST/ORB
   pipeline runs on these images — used by the vision tests and the
   kernel benchmarks.  A patch is a pure function of its landmark id, so
   :func:`landmark_patch` computes each once per process and hands out
@@ -61,6 +62,24 @@ def landmark_patch(landmark_id: int, size: int = PATCH_SIZE) -> np.ndarray:
     return patch
 
 
+def _paste_patches(pixels: np.ndarray, ids: np.ndarray, y0: np.ndarray,
+                   x0: np.ndarray) -> None:
+    """Paste each id's patch at its top-left corner, in one pass.
+
+    Where patches overlap the later one wins, as if pasted in order: each
+    pixel takes the value of the last patch pixel that covers it (patch
+    pixels are numbered patch by patch), so repeated writes agree.
+    """
+    offsets = np.arange(PATCH_SIZE)
+    # Flat image index of every patch pixel, numbered patch by patch.
+    flat = ((y0 * pixels.shape[1] + x0)[:, None]
+            + (offsets[:, None] * pixels.shape[1] + offsets).ravel()).ravel()
+    last = np.full(pixels.size, -1, dtype=np.int32)
+    np.maximum.at(last, flat, np.arange(flat.size, dtype=np.int32))
+    patches = np.concatenate([landmark_patch(i) for i in ids.astype(np.int64).tolist()])
+    pixels.reshape(-1)[flat] = patches.reshape(-1)[last[flat]]
+
+
 def render_frame(
     positions: np.ndarray,
     landmark_ids: np.ndarray,
@@ -78,14 +97,15 @@ def render_frame(
         pixels += rng.normal(scale=noise_sigma, size=pixels.shape)
     if len(positions):
         uv, _depth, valid = camera.project_world(positions, pose_cw)
-        half = PATCH_SIZE // 2
-        for idx in np.nonzero(valid)[0]:
-            u, v = int(round(uv[idx, 0])), int(round(uv[idx, 1]))
-            y0, y1 = v - half, v + half + 1
-            x0, x1 = u - half, u + half + 1
-            if y0 < 0 or x0 < 0 or y1 > camera.height or x1 > camera.width:
-                continue
-            pixels[y0:y1, x0:x1] = landmark_patch(int(landmark_ids[idx]))
+        drawn = np.flatnonzero(valid)
+        # Patch corners from the rounded (half-to-even) centres; a patch
+        # that would cross the border is not drawn.
+        x0, y0 = (np.rint(uv[drawn]).astype(np.int64) - PATCH_SIZE // 2).T
+        inside = ((y0 >= 0) & (x0 >= 0) & (y0 + PATCH_SIZE <= camera.height)
+                  & (x0 + PATCH_SIZE <= camera.width))
+        drawn, x0, y0 = drawn[inside], x0[inside], y0[inside]
+        if len(drawn):
+            _paste_patches(pixels, np.asarray(landmark_ids)[drawn], y0, x0)
     return Image(np.clip(pixels, 0, 255).astype(np.uint8), timestamp)
 
 

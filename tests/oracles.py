@@ -35,6 +35,13 @@ bodies must return the same bytes *and* leave the generator in the same
 state, since the call sequence is the seeded contract.
 ``frame_from_observations_reference`` is ``Frame.from_observations``
 filling its four arrays one feature at a time.
+
+The device half's loops, from before it ran in whole-array passes:
+``estimate_global_shift_reference`` scores the global motion search one
+(dy, dx) window at a time, and ``render_frame_reference`` pastes one
+landmark patch at a time.  ``repro.video.h264_like.estimate_global_shift``
+must return the same tuple, and ``repro.vision.render_frame`` the same
+pixels with the generator left in the same state.
 """
 
 from __future__ import annotations
@@ -789,6 +796,63 @@ def optimize_pose_graph(
 
 
 # ------------------------------------------------------------- device half
+def estimate_global_shift_reference(
+    reference: np.ndarray, frame: np.ndarray, search_range: int = 8,
+    downsample: int = 2,
+) -> Tuple[int, int]:
+    """``estimate_global_shift`` as it was: one int16 ``abs(...).sum()``
+    per (dy, dx) window, strict ``<`` so the first minimum wins."""
+    ref = reference[::downsample, ::downsample].astype(np.int16)
+    cur = frame[::downsample, ::downsample].astype(np.int16)
+    r = max(search_range // downsample, 1)
+    h, w = cur.shape
+    margin = r
+    core = cur[margin : h - margin, margin : w - margin]
+    if core.size == 0:   # frame too small to search: no global motion
+        return 0, 0
+    best = (0, 0)
+    best_sad = None
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            window = ref[
+                margin - dy : h - margin - dy, margin - dx : w - margin - dx
+            ]
+            sad = int(np.abs(core - window).sum())
+            if best_sad is None or sad < best_sad:
+                best_sad = sad
+                best = (dy, dx)
+    return best[0] * downsample, best[1] * downsample
+
+
+def render_frame_reference(
+    positions: np.ndarray,
+    landmark_ids: np.ndarray,
+    camera: PinholeCamera,
+    pose_cw: SE3,
+    background: int = 110,
+    noise_sigma: float = 1.0,
+    rng: Optional[np.random.Generator] = None,
+    timestamp: float = 0.0,
+) -> Image:
+    """``render_frame`` as it was: one slice assignment per landmark, in
+    landmark order, so a later patch overwrites an earlier one."""
+    rng = rng or np.random.default_rng(0)
+    pixels = np.full((camera.height, camera.width), background, dtype=np.float32)
+    if noise_sigma > 0:
+        pixels += rng.normal(scale=noise_sigma, size=pixels.shape)
+    if len(positions):
+        uv, _depth, valid = camera.project_world(positions, pose_cw)
+        half = PATCH_SIZE // 2
+        for idx in np.nonzero(valid)[0]:
+            u, v = int(round(uv[idx, 0])), int(round(uv[idx, 1]))
+            y0, y1 = v - half, v + half + 1
+            x0, x1 = u - half, u + half + 1
+            if y0 < 0 or x0 < 0 or y1 > camera.height or x1 > camera.width:
+                continue
+            pixels[y0:y1, x0:x1] = landmark_patch(int(landmark_ids[idx]))
+    return Image(np.clip(pixels, 0, 255).astype(np.uint8), timestamp)
+
+
 def shift_image(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
     """Shift with edge replication (motion-compensated reference)."""
     shifted = np.roll(np.roll(image, dy, axis=0), dx, axis=1)

@@ -116,7 +116,7 @@ class TestObservationOutage:
         result = session.run()
         outcome = result.outcomes[0]
         assert outcome.frames_lost > 0  # blackout hurt
-        process = result.server.processes[0]
+        assert 0 in result.server.processes   # the client kept its process
         # Tracking resumed (relocalization or IMU-bridged reacquisition).
         traj = result.server.client_trajectory(0)
         assert traj.timestamps[-1] > blackout[1]

@@ -1,6 +1,6 @@
 """ruff's selected rules that an AST can see, over every linted tree.
 
-``pyproject.toml`` selects E7, E9, F401, F63, F7 and F82 for ``ruff``,
+``pyproject.toml`` selects E7, E9, F401, F63, F7, F82 and F841 for ``ruff``,
 which the test environment does not ship; these passes apply the same
 rules wherever the tests run.
 
@@ -26,6 +26,15 @@ rules wherever the tests run.
 * F822, undefined names in ``__all__``: every string listed there must
   be bound at module level in the same sense (builtins do not count).
   ``__init__.py`` files are checked too; ``import *`` files skipped.
+
+* F841, unused local variables: a name a function binds by plain
+  assignment (``x = ...``, ``x: T = ...``, ``x := ...``), by
+  ``with ... as x`` or by ``except ... as x`` that nothing in the
+  function (nested scopes included) reads.  As in ruff's defaults,
+  tuple-unpacking targets are not flagged, an augmented assignment
+  (``x += 1``) counts as a use, ``global`` / ``nonlocal`` names and
+  dummy names (a leading underscore) are skipped, and so is a function
+  that calls ``locals()``.
 
 ``# noqa: <code>`` silences a line.
 """
@@ -288,6 +297,58 @@ def undefined_exports(source: str) -> List[Tuple[int, str]]:
     )
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_bindings(node: ast.AST) -> Iterator[Tuple[str, int]]:
+    """(name, line) of each binding ``node`` makes that F841 can flag."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    elif isinstance(node, ast.NamedExpr):
+        targets = [node.target]
+    elif isinstance(node, ast.withitem):
+        targets = [node.optional_vars]
+    elif isinstance(node, ast.ExceptHandler) and node.name:
+        yield node.name, node.lineno
+        return
+    else:
+        return
+    for target in targets:    # a Tuple / List target unpacks: not flagged
+        if isinstance(target, ast.Name):
+            yield target.id, target.lineno
+
+
+def unused_variables(source: str) -> List[Tuple[int, str]]:
+    """(line, name) of every F841 hit in one module's source."""
+    module = ast.parse(source)
+    lines = source.splitlines()
+    hits = set()
+    for function in ast.walk(module):
+        if not isinstance(function, _FUNCTIONS):
+            continue
+        used: Set[str] = set()
+        declared: Set[str] = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                used.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        if "locals" in used:
+            continue
+        # A comprehension's ``:=`` binds in the function; a nested
+        # function or class body binds in its own scope.
+        for node in _owned(function, _FUNCTIONS + (ast.ClassDef,)):
+            for name, line in _local_bindings(node):
+                if (name not in used and name not in declared and not name.startswith("_")
+                        and "noqa: F841" not in lines[line - 1]):
+                    hits.add((line, name))
+    return sorted(hits)
+
+
 def _linted_files(with_init: bool = False) -> List[Path]:
     """Every module of the linted trees; package ``__init__``s on request."""
     return sorted(
@@ -457,3 +518,55 @@ class TestUndefinedExports:
 
     def test_star_import_is_skipped(self):
         assert undefined_exports("from os.path import *\n__all__ = ['join', 'nowhere']\n") == []
+
+
+class TestUnusedVariables:
+    def test_no_unused_variables(self):
+        files = _linted_files(with_init=True)
+        hits = [
+            f"{path.relative_to(ROOT)}:{line}: F841 local variable {name!r} "
+            "is assigned to but never used"
+            for path in files
+            for line, name in unused_variables(path.read_text())
+        ]
+        assert not hits, "\n".join(hits)
+
+    def test_the_pass_sees_what_ruff_sees(self):
+        source = (
+            "total = 0\n"                              # module level: not local
+            "def f(a):\n"
+            "    unused = a + 1\n"                     # 3 F841
+            "    first, second = a\n"                  # unpacking: fine
+            "    count = 0\n"
+            "    count += 1\n"                         # augmented: a use
+            "    hinted: int = 2\n"                    # 7 F841
+            "    if (found := a):\n"                   # 8 F841
+            "        pass\n"
+            "    with open(a) as handle:\n"            # 10 F841
+            "        pass\n"
+            "    with open(a) as (x, y):\n"            # unpacking: fine
+            "        pass\n"
+            "    try:\n"
+            "        pass\n"
+            "    except ValueError as error:\n"        # 16 F841
+            "        pass\n"
+            "    _ignored = 1\n"                       # dummy name: fine
+            "    global total\n"
+            "    total = 2\n"                          # global: fine
+            "    kept = 3  # noqa: F841\n"             # silenced
+            "    seen = 4\n"
+            "    a = b = 5\n"                          # 23 F841 for b; a is read
+            "    def inner():\n"
+            "        return seen\n"                    # a closure read is a use
+            "    class Box:\n"
+            "        size = 1\n"                       # class attribute: not local
+            "    return a, inner, Box\n"
+            "def g():\n"
+            "    value = 1\n"                          # locals() reads it
+            "    return locals()\n"
+            "h = lambda: (late := 1)\n"                # 32 F841 in the lambda
+        )
+        assert unused_variables(source) == [
+            (3, "unused"), (7, "hinted"), (8, "found"), (10, "handle"), (16, "error"),
+            (23, "b"), (32, "late"),
+        ]

@@ -251,7 +251,7 @@ class TestSimClockTimerHygiene:
     def test_cancel_after_fire_does_not_corrupt_pending(self):
         clock = SimClock()
         event = clock.schedule(0.1, lambda: None)
-        live = clock.schedule(0.2, lambda: None)
+        clock.schedule(0.2, lambda: None)   # still pending after the run
         clock.run(until=0.15)
         clock.cancel(event)  # already fired: must be a no-op
         assert clock.pending() == 1

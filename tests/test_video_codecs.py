@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import euroc_dataset
@@ -117,6 +117,47 @@ class TestH264LikeCodec:
         with pytest.raises(ValueError):
             H264LikeCodec(quantization=0)
 
+    def test_resolution_change_mid_gop_opens_a_new_gop(self):
+        codec = H264LikeCodec(gop=4)
+        rng = np.random.default_rng(0)
+        large = rng.integers(0, 256, size=(240, 320), dtype=np.uint8)
+        small = rng.integers(0, 256, size=(120, 160), dtype=np.uint8)
+        types = []
+        for frame in (large, large, small, small, small, small, small, large):
+            encoded = codec.encode(frame)
+            types.append(encoded.frame_type)
+            decoded = codec.decode(encoded)
+            assert decoded.shape == frame.shape
+            assert np.array_equal(decoded, codec._reference)
+        # The new resolution starts a full GOP of its own.
+        assert types == ["I", "P", "I", "P", "P", "P", "I", "I"]
+
+    def test_p_frame_of_another_shape_than_the_reference_rejected(self):
+        codec = H264LikeCodec(gop=4)
+        rng = np.random.default_rng(1)
+        codec.encode(rng.integers(0, 256, size=(120, 160), dtype=np.uint8))
+        p = codec.encode(rng.integers(0, 256, size=(120, 160), dtype=np.uint8))
+        decoder = H264LikeCodec(gop=4)
+        decoder.decode(H264LikeCodec(gop=4).encode(
+            rng.integers(0, 256, size=(240, 320), dtype=np.uint8)))
+        with pytest.raises(ValueError, match=r"\(120, 160\).*\(240, 320\)"):
+            decoder.decode(p)
+
+    @pytest.mark.parametrize("intra", [False, True])
+    def test_quantizer_is_float_rounding_for_every_step(self, intra):
+        # Every inter residual and every intra pixel value, every step
+        # 1-32 (intra steps are quantization // 4): round(v / q), halves
+        # to even, as the float64 quantizer computed it.
+        values = (np.arange(256, dtype=np.uint8) if intra
+                  else np.arange(-255, 256, dtype=np.int16))
+        for quantization in range(1, 33):
+            codec = H264LikeCodec(quantization=quantization)
+            q = codec.intra_quantization if intra else quantization
+            want = np.round(values.astype(np.int16) / q).astype(np.int16)
+            got = codec._quantize(values, intra=intra)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, want), q
+
     @pytest.mark.parametrize("shape", [(8, 8), (16, 16), (20, 40)])
     def test_frames_smaller_than_the_motion_search_round_trip(self, shape):
         # Too small for the global search window (and, at 8 x 8, for one
@@ -164,6 +205,51 @@ class TestDeviceHalfIsBitExact:
         assert pixels.hexdigest() == GOLDEN_PIXELS
         assert stream.hexdigest() == GOLDEN_STREAM
         assert decoded.hexdigest() == GOLDEN_DECODED
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        long_side=st.integers(8, 700), short_side=st.integers(8, 90),
+        tall=st.booleans(),
+        search_range=st.integers(1, 16), downsample=st.integers(1, 3),
+        content=st.sampled_from(["uniform", "levels", "flat", "zeros", "full"]),
+        dy=st.integers(-20, 20), dx=st.integers(-20, 20),
+    )
+    @settings(max_examples=80, deadline=None)
+    # Columns of 580 level differences sum to about 2**16, so a uint16
+    # column sum would wrap in some windows and not others.
+    @example(seed=1, long_side=588, short_side=40, tall=True, search_range=4,
+             downsample=1, content="levels", dy=3, dx=-2)
+    # 20 rows leave no core to search at a +-16 window.
+    @example(seed=2, long_side=700, short_side=20, tall=False, search_range=16,
+             downsample=1, content="levels", dy=0, dx=0)
+    def test_global_search_matches_the_window_loop(
+            self, seed, long_side, short_side, tall, search_range, downsample,
+            content, dy, dx):
+        # Tall frames at downsample 1 put 255 * rows past uint16; small
+        # ones leave no core to search.  Few grey levels, flat frames and
+        # constant 0 / 255 pairs tie many windows at equal SAD, so the
+        # first-minimum rule decides.
+        h, w = (long_side, short_side) if tall else (short_side, long_side)
+        rng = np.random.default_rng(seed)
+        if content == "uniform":
+            reference = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        elif content == "levels":
+            reference = (rng.integers(0, 3, size=(h, w)) * 127).astype(np.uint8)
+        elif content == "flat":
+            reference = np.full((h, w), rng.integers(0, 256), dtype=np.uint8)
+        else:
+            reference = np.full((h, w), 0 if content == "zeros" else 255,
+                                dtype=np.uint8)
+        frame = np.roll(reference, (dy, dx), axis=(0, 1))
+        if content == "zeros":
+            frame = 255 - frame     # all 0 against all 255: every SAD maximal
+        elif seed % 2:
+            frame = (rng.integers(0, 3, size=(h, w)) * 127).astype(np.uint8)
+        got = estimate_global_shift(reference, frame, search_range, downsample)
+        want = oracles.estimate_global_shift_reference(
+            reference, frame, search_range, downsample)
+        assert got == want
+        assert all(type(v) is int for v in got)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -142,6 +142,71 @@ class TestLandmarkPatch:
             patch[0, 0] = 0
 
 
+class TestRenderFrame:
+    """``render_frame`` against the per-patch paste it replaced: same pixels,
+    and the generator left in the same state."""
+
+    # fx = fy = 1, no principal-point offset: a landmark at (u, v, 1)
+    # projects to exactly (u, v), so tests place patch centres directly.
+    CAMERA = PinholeCamera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=40, height=30)
+
+    def _assert_same(self, uv, ids, noise_sigma=1.0, seed=0, depth=1.0):
+        positions = np.column_stack([uv, np.full(len(uv), depth)]).reshape(-1, 3)
+        live_rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = render_frame(positions, ids, self.CAMERA, SE3.identity(),
+                           noise_sigma=noise_sigma, rng=live_rng)
+        want = oracles.render_frame_reference(
+            positions, ids, self.CAMERA, SE3.identity(),
+            noise_sigma=noise_sigma, rng=reference_rng)
+        assert got.pixels.dtype == want.pixels.dtype == np.uint8
+        assert np.array_equal(got.pixels, want.pixels)
+        assert live_rng.bit_generator.state == reference_rng.bit_generator.state
+        return got.pixels
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           spread=st.sampled_from([1.0, 3.0, 25.0]), halves=st.booleans(),
+           noise_sigma=st.sampled_from([0.0, 1.0, 300.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_packed_landmarks_overlap_in_landmark_order(
+            self, seed, n, spread, halves, noise_sigma):
+        # Centres a few pixels apart overlap heavily, so which patch lands
+        # on top decides the pixels; half-pixel centres make ``rint`` break
+        # ties, and sigma 300 drives the background into both clip rails.
+        rng = np.random.default_rng(seed)
+        centre = rng.uniform((0, 0), (self.CAMERA.width, self.CAMERA.height))
+        uv = centre + rng.uniform(-spread, spread, size=(n, 2))
+        if halves:
+            uv = np.round(uv * 2) / 2
+        ids = rng.integers(0, 12, size=n)    # repeated ids too
+        self._assert_same(uv, ids, noise_sigma, seed)
+
+    def test_patches_touching_every_border(self):
+        w, h = self.CAMERA.width, self.CAMERA.height
+        # A 9-pixel patch centred at 4 or at size - 5 is flush with a
+        # border; 3.5 and 4.5 round (half to even) to 4, size - 4.5 to
+        # size - 4, which crosses it like 3 and size - 4 do.
+        us = [3.0, 3.5, 4.0, 4.5, 20.0, w - 5.5, w - 5.0, w - 4.5, w - 4.0]
+        vs = [3.0, 3.5, 4.0, 4.5, 15.0, h - 5.5, h - 5.0, h - 4.5, h - 4.0]
+        uv = np.array([(u, v) for u in us for v in vs])
+        pixels = self._assert_same(uv, np.arange(len(uv)), noise_sigma=0.0)
+        blank = np.full_like(pixels, 110)
+        for edge in (pixels[0], pixels[-1], pixels[:, 0], pixels[:, -1]):
+            assert not np.array_equal(edge, blank[0, : len(edge)])
+
+    def test_no_landmarks(self):
+        pixels = self._assert_same(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        assert pixels.shape == (self.CAMERA.height, self.CAMERA.width)
+
+    def test_no_landmark_drawn(self):
+        # Behind the camera, outside the image, or inside it but too close
+        # to the border for a whole patch.
+        uv = np.array([(10.0, 10.0), (-6.0, 10.0), (10.0, 31.0), (1.0, 1.0),
+                       (39.0, 29.0)])
+        self._assert_same(uv[:1], [5], depth=-1.0)
+        self._assert_same(uv[1:], [1, 2, 3, 4])
+        assert np.all(self._assert_same(uv[1:], [1, 2, 3, 4], noise_sigma=0.0) == 110)
+
+
 class TestPyramid:
     def test_level_sizes_shrink(self):
         img = Image(np.zeros((120, 160), dtype=np.uint8))
@@ -247,7 +312,6 @@ class TestFeatureOracle:
         # Subsampling is uniform over the visible set, not depth-biased
         # (depth-ordered selection degenerates to coplanar feature sets).
         depths = [o.depth for o in obs]
-        full = oracle.observe(pts, ids, SE3.identity())
         assert np.mean(depths) > 0
 
     def test_stereo_right_u(self):
