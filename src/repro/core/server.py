@@ -35,7 +35,7 @@ from ..slam import (
     default_vocabulary,
 )
 from ..slam.merging import RejectedPairs
-from ..vision import ObservedFeature, PinholeCamera
+from ..vision import FeatureSet, PinholeCamera
 from .config import SlamShareConfig
 
 STORE_BACKENDS = ("local", "shm")   # ServingConfig.store_backend values
@@ -388,7 +388,7 @@ class SlamShareServer:
         self,
         client_id: int,
         timestamp: float,
-        observations: List[ObservedFeature],
+        observations: FeatureSet,
         imu_delta: Optional[ImuDelta] = None,
         trace_ctx: Optional[TraceContext] = None,
         placement: str = "server",

@@ -44,6 +44,7 @@ from ..metrics.ate import absolute_trajectory_error, associate
 from ..net import DuplexLink, Endpoint, SimClock, connect
 from ..net.tc import ShapingProfile
 from ..obs import get_logger, get_metrics, get_tracer, kv
+from ..vision.orb import FeatureSet
 from ..vision.render import FeatureOracle, render_frame
 from .client import SlamShareClient
 from .config import SlamShareConfig
@@ -158,7 +159,7 @@ class _FramePacket:
 
     frame_no: int
     dataset_ts: float
-    observations: list
+    observations: FeatureSet
     imu_delta: Optional[ImuDelta]
     captured_at: float
     bridged_s: float = 0.0        # lost-interval span this delta recovers

@@ -19,12 +19,12 @@ keep pure-Python runtimes reasonable while preserving geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..geometry import SE3, Trajectory
-from ..vision import FeatureOracle, ObservedFeature, PinholeCamera, StereoRig
+from ..vision import FeatureOracle, FeatureSet, PinholeCamera, StereoRig
 from .trajectory_gen import (
     drone_ellipse_trajectory,
     path_trajectory,
@@ -78,8 +78,8 @@ class SyntheticDataset:
         oracle: Optional[FeatureOracle] = None,
         stride: int = 1,
         limit: Optional[int] = None,
-    ) -> Iterator[Tuple[float, List[ObservedFeature]]]:
-        """Yield ``(timestamp, observations)`` for each (strided) frame."""
+    ) -> Iterator[Tuple[float, FeatureSet]]:
+        """Yield ``(timestamp, features)`` for each (strided) frame."""
         oracle = oracle or self.make_oracle()
         count = 0
         for index in range(0, self.n_frames, stride):

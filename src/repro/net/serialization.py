@@ -67,24 +67,6 @@ class _Reader:
         self.data = data
         self.offset = 0
 
-    def u32(self) -> int:
-        value = _U32.unpack_from(self.data, self.offset)[0]
-        self.offset += 4
-        return value
-
-    def u64(self) -> int:
-        value = _U64.unpack_from(self.data, self.offset)[0]
-        self.offset += 8
-        # Recover negative ids (two's complement round trip).
-        if value >= 1 << 63:
-            value -= 1 << 64
-        return value
-
-    def f64(self) -> float:
-        value = _F64.unpack_from(self.data, self.offset)[0]
-        self.offset += 8
-        return value
-
     def raw(self, n: int) -> bytes:
         chunk = self.data[self.offset : self.offset + n]
         if len(chunk) != n:
@@ -92,8 +74,25 @@ class _Reader:
         self.offset += n
         return chunk
 
+    def u32(self) -> int:
+        return _U32.unpack(self.raw(4))[0]
+
+    def u64(self) -> int:
+        value = _U64.unpack(self.raw(8))[0]
+        # Recover negative ids (two's complement round trip).
+        if value >= 1 << 63:
+            value -= 1 << 64
+        return value
+
+    def f64(self) -> float:
+        return _F64.unpack(self.raw(8))[0]
+
     def array(self) -> np.ndarray:
-        dtype = np.dtype(self.raw(self.u32()).decode())
+        name = self.raw(self.u32()).decode()
+        try:
+            dtype = np.dtype(name)
+        except TypeError:
+            raise ValueError("corrupt map payload") from None
         ndim = self.u32()
         shape = tuple(self.u32() for _ in range(ndim))
         n = self.u64()

@@ -41,9 +41,9 @@ class KeyFrame:
             keyframe_id=keyframe_id,
             timestamp=frame.timestamp,
             pose_cw=frame.pose_cw,
-            uv=frame.uv.copy(),
-            descriptors=frame.descriptors.copy(),
-            depths=frame.depths.copy(),
+            uv=frame.features.uv.copy(),
+            descriptors=frame.features.descriptors.copy(),
+            depths=frame.features.depths.copy(),
             point_ids=frame.matched_point_ids.copy(),
             client_id=client_id,
         )

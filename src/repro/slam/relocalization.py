@@ -65,7 +65,7 @@ class Relocalizer:
         cfg = self.config
         if len(frame) < cfg.min_matches:
             return RelocalizationResult(False)
-        bow = self.vocabulary.transform(frame.descriptors)
+        bow = self.vocabulary.transform(frame.features.descriptors)
         candidates = self.database.query(
             bow, min_score=cfg.min_bow_score, max_results=cfg.max_candidates
         )
@@ -76,7 +76,7 @@ class Relocalizer:
                 continue
             tried += 1
             matches = match_descriptors(
-                frame.descriptors,
+                frame.features.descriptors,
                 keyframe.descriptors,
                 max_distance=cfg.descriptor_max_distance,
             )
@@ -90,7 +90,7 @@ class Relocalizer:
                 if point is None or point.is_bad:
                     continue
                 pts_w.append(point.position)
-                uv.append(frame.uv[m.query_idx])
+                uv.append(frame.features.uv[m.query_idx])
                 feat_of_match.append(m.query_idx)
                 point_of_match.append(pid)
             if len(pts_w) < cfg.min_matches:

@@ -18,8 +18,8 @@ import numpy as np
 
 from ..geometry import SE3, Trajectory, TrajectoryPoint, quaternion
 from ..imu import ImuDelta, ImuState, propagate
-from ..vision import ObservedFeature
 from ..vision.camera import PinholeCamera
+from ..vision.orb import FeatureSet
 from .bow import KeyframeDatabase, Vocabulary, default_vocabulary
 from .frame import Frame
 from .keyframe import KeyFrame
@@ -156,6 +156,12 @@ class SlamSystem:
         return propagate(state, imu_delta, self.gravity_map).pose_bw()
 
     def _bootstrap(self, frame: Frame) -> SlamFrameResult:
+        # A map starts from points; with no feature at a usable depth the
+        # keyframe would hold none and every later frame would be lost.
+        mapping = self.config.mapping
+        depths = frame.features.depths * self.depth_scale
+        if not ((depths >= mapping.min_depth) & (depths <= mapping.max_depth)).any():
+            return SlamFrameResult(TrackingResult(frame, False, 0, float("inf")))
         frame.pose_cw = SE3.identity()
         keyframe = self.mapper.insert_keyframe(frame, depth_scale=self.depth_scale)
         self.tracker.force_pose(frame.pose_cw)
@@ -174,7 +180,7 @@ class SlamSystem:
     def process_frame(
         self,
         timestamp: float,
-        observations: List[ObservedFeature],
+        observations: FeatureSet,
         pose_prior: Optional[SE3] = None,
         imu_delta: Optional[ImuDelta] = None,
     ) -> SlamFrameResult:
@@ -184,7 +190,7 @@ class SlamSystem:
         precedence; otherwise an ``imu_delta`` drives IMU-based
         prediction, falling back to the constant-velocity model.
         """
-        frame = Frame.from_observations(self._frame_counter, timestamp, observations)
+        frame = Frame(self._frame_counter, timestamp, observations)
         self._frame_counter += 1
         if not self._initialized:
             return self._bootstrap(frame)

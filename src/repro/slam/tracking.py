@@ -188,7 +188,7 @@ class Tracker:
             return [], 0
         descriptors = pack.descriptors[visible_idx]
         matches = search_by_projection_vectorized(
-            proj_uv, descriptors, frame.uv, frame.descriptors,
+            proj_uv, descriptors, frame.features.uv, frame.features.descriptors,
             radius=radius, grid=grid,
             am=self._am,
             point_desc_dev=pack.descriptors_dev,
@@ -216,10 +216,11 @@ class Tracker:
         if len(points) < 4:
             return TrackingResult(frame, False, 0, float("inf"), workload)
 
-        grid = FrameGrid(frame.uv) if len(frame) > 0 else None
+        features = frame.features
+        grid = FrameGrid(features.uv) if len(frame) > 0 else None
         # One frame-descriptor staging shared by the narrow, wide-retry
         # and refine searches of this frame.
-        frame_desc_dev = stage_descriptors(self._am, frame.descriptors)
+        frame_desc_dev = stage_descriptors(self._am, features.descriptors)
         kernel_mark = len(self._am.kernel_timings)
         prior_projection = self._project(pack, prior)
         matches, pairs = self._search(
@@ -242,8 +243,8 @@ class Tracker:
         q_idx = np.array([m.query_idx for m in matches], dtype=np.intp)
         t_idx = np.array([m.train_idx for m in matches], dtype=np.intp)
         pts_w = pack.positions[q_idx]
-        uv = frame.uv[t_idx]
-        depths = frame.depths[t_idx]
+        uv = features.uv[t_idx]
+        depths = features.depths[t_idx]
         result = solve_pnp(pts_w, uv, self.camera, prior, depths=depths)
         if result.n_inliers >= 4:
             # Second round: re-associate with the *refined* pose and
@@ -262,8 +263,8 @@ class Tracker:
                 q_idx = np.array([m.query_idx for m in matches], dtype=np.intp)
                 t_idx = np.array([m.train_idx for m in matches], dtype=np.intp)
                 pts_w = pack.positions[q_idx]
-                uv = frame.uv[t_idx]
-                depths = frame.depths[t_idx]
+                uv = features.uv[t_idx]
+                depths = features.depths[t_idx]
                 result = solve_pnp(
                     pts_w, uv, self.camera, result.pose_cw, depths=depths
                 )

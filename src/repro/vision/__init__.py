@@ -20,7 +20,7 @@ from .matching import (
     search_by_projection_vectorized,
 )
 from .orb import FeatureSet, OrbExtractor, OrbExtractorConfig
-from .render import DescriptorBank, FeatureOracle, ObservedFeature, render_frame
+from .render import DescriptorBank, FeatureOracle, render_frame
 from .stereo import StereoMatch, StereoMatcher, StereoMatcherConfig, render_stereo_pair
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ImagePyramid",
     "Keypoint",
     "Match",
-    "ObservedFeature",
     "OrbExtractor",
     "OrbExtractorConfig",
     "PinholeCamera",

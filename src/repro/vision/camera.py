@@ -107,9 +107,9 @@ class PinholeCamera:
 class StereoRig:
     """A rectified stereo pair: left camera plus horizontal baseline (m).
 
-    Following ORB-SLAM conventions, a stereo observation of a point with
-    left-pixel ``(u, v)`` has a matching right-image column
-    ``u_r = u - fx * baseline / depth``.
+    Following ORB-SLAM conventions, a point at ``depth`` appears
+    ``disparity = fx * baseline / depth`` pixels further left in the
+    right image than in the left one.
     """
 
     camera: PinholeCamera
@@ -131,6 +131,3 @@ class StereoRig:
     def depth_from_disparity(self, disparity: np.ndarray) -> np.ndarray:
         disparity = np.asarray(disparity, dtype=float)
         return self.bf / np.maximum(disparity, 1e-12)
-
-    def right_u(self, u_left: np.ndarray, depth: np.ndarray) -> np.ndarray:
-        return np.asarray(u_left, dtype=float) - self.disparity(depth)

@@ -8,46 +8,70 @@ coordinates.
 
 FAST runs as the data-parallel formulation of §4.2.1
 (:func:`~repro.vision.fast.detect_fast_vectorized`), whose ``u, v,
-response`` columns feed the grid cull and rBRIEF directly; the only
-``Keypoint`` objects built are the ones :class:`FeatureSet` hands out.
-The per-keypoint extractor loop it must reproduce bit for bit, over
-either FAST, is ``tests/oracles.py::extract``.
+response`` columns feed the grid cull and rBRIEF directly.  The
+survivors leave as the columns of one :class:`FeatureSet` (``uv``,
+``descriptors``, ``response``, ``level``, ``angle``), the same batch the
+feature oracle returns and a ``Frame`` holds; no ``Keypoint`` is built
+per frame.  The per-keypoint extractor loop it must reproduce bit for
+bit, over either FAST, is ``tests/oracles.py::extract``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import brief
-from .fast import Keypoint, detect_fast_vectorized
+from .fast import detect_fast_vectorized
 from .image import Image, ImagePyramid
 
 
-@dataclass
-class FeatureSet:
-    """Extracted features of one frame, in level-0 pixel coordinates."""
+#: Each column's dtype, row shape and fill when the producer leaves it out
+#: (level and angle fill as a ``Keypoint``'s defaults do).
+_COLUMNS = (
+    ("uv", np.float64, (2,), None),
+    ("descriptors", np.uint8, (brief.DESCRIPTOR_BYTES,), None),
+    ("depths", np.float64, (), -1.0),
+    ("landmark_ids", np.int64, (), -1),
+    ("response", np.float64, (), 0.0),
+    ("level", np.int64, (), 0),
+    ("angle", np.float64, (), 0.0),
+)
 
-    keypoints: List[Keypoint] = field(default_factory=list)
+
+@dataclass(eq=False)
+class FeatureSet:
+    """One frame's features as parallel columns, in level-0 pixel coordinates.
+
+    The one feature batch from sensor to tracker: :meth:`OrbExtractor.extract`
+    and :meth:`repro.vision.FeatureOracle.observe` both return it, and a
+    :class:`repro.slam.Frame` holds it as is.  A producer leaves out the
+    columns it cannot measure; they fill with their "unknown" value.
+    """
+
+    uv: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     descriptors: np.ndarray = field(
         default_factory=lambda: np.zeros((0, brief.DESCRIPTOR_BYTES), dtype=np.uint8)
     )
+    depths: Optional[np.ndarray] = None        # metric depth; <= 0 when unknown
+    landmark_ids: Optional[np.ndarray] = None  # ground truth; -1 when unknown
+    response: Optional[np.ndarray] = None      # FAST score
+    level: Optional[np.ndarray] = None         # pyramid level
+    angle: Optional[np.ndarray] = None         # orientation, radians
 
-    #: ``(n, 2)`` positions, when the producer already holds them as an array.
-    positions: Optional[np.ndarray] = field(default=None, repr=False)
+    def __post_init__(self) -> None:
+        n = len(self.uv)
+        for name, dtype, row, fill in _COLUMNS:
+            value = getattr(self, name)
+            column = np.full(n, fill, dtype) if value is None else np.asarray(value, dtype)
+            if column.shape != (n, *row):
+                raise ValueError(f"{name} must have shape {(n, *row)}, got {column.shape}")
+            setattr(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.keypoints)
-
-    @property
-    def uv(self) -> np.ndarray:
-        if self.positions is not None:
-            return self.positions
-        if not self.keypoints:
-            return np.zeros((0, 2))
-        return np.array([[kp.u, kp.v] for kp in self.keypoints])
+        return len(self.uv)
 
 
 @dataclass
@@ -121,6 +145,5 @@ class OrbExtractor:
         if rows.shape[1] > cfg.n_features:
             order = np.argsort(-rows[2])[: cfg.n_features]
             rows, descriptors = rows[:, order], descriptors[order]
-        u, v, response, level, angle = rows.tolist()
-        keypoints = list(map(Keypoint, u, v, response, map(int, level), angle))
-        return FeatureSet(keypoints, descriptors, rows[:2].T.copy())
+        return FeatureSet(rows[:2].T.copy(), descriptors,
+                          response=rows[2], level=rows[3], angle=rows[4])

@@ -11,19 +11,20 @@ so two substitutes exercise the same code paths (see DESIGN.md §2):
   :func:`landmark_patch` computes each once per process and hands out
   the same read-only array (81 bytes of pixels per landmark ever seen).
 * :class:`FeatureOracle` skips photometric rendering and directly
-  produces per-frame observations (pixel + noise, packed descriptor
-  with a few flipped bits, stereo disparity).  The SLAM pipeline
-  consumes these exactly like extractor output; the large multi-client
-  experiments use this frontend for speed and determinism.  Its
-  generator calls, made per feature in a fixed order, are the seeded
-  contract every session digest rests on; all the arithmetic around
-  them is done once per frame on arrays (DESIGN.md §9, "Input side").
+  produces each frame's :class:`~repro.vision.orb.FeatureSet` (pixel +
+  noise, packed descriptor with a few flipped bits, noisy stereo depth,
+  and the landmark id as ground truth) — the batch the ORB extractor
+  returns, so the SLAM pipeline consumes it exactly like extractor
+  output; the large multi-client experiments use this frontend for
+  speed and determinism.  Its generator calls, made per feature in a
+  fixed order, are the seeded contract every session digest rests on;
+  all the arithmetic around them is done once per frame on arrays
+  (DESIGN.md §9, "Input side").
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ from ..geometry import SE3
 from . import brief
 from .camera import PinholeCamera, StereoRig
 from .image import Image
+from .orb import FeatureSet
 
 PATCH_SIZE = 9
 
@@ -125,17 +127,6 @@ class DescriptorBank:
         return cached
 
 
-@dataclass
-class ObservedFeature:
-    """One oracle observation: where a landmark landed in the frame."""
-
-    landmark_id: int
-    uv: np.ndarray
-    depth: float
-    descriptor: np.ndarray
-    right_u: float = -1.0  # stereo column in the right image; -1 if mono
-
-
 class FeatureOracle:
     """Simulated feature frontend with controlled noise.
 
@@ -183,14 +174,14 @@ class FeatureOracle:
         positions: np.ndarray,
         landmark_ids: np.ndarray,
         pose_cw: SE3,
-    ) -> List[ObservedFeature]:
+    ) -> FeatureSet:
         """Observe the landmark field from one camera pose."""
         if len(positions) == 0:
-            return []
+            return FeatureSet()
         uv, depth, valid = self.camera.project_world(positions, pose_cw)
         visible = np.nonzero(valid)[0]
         if len(visible) == 0:
-            return []
+            return FeatureSet()
         if self.dropout > 0:
             keep = self._rng.random(len(visible)) >= self.dropout
             visible = visible[keep]
@@ -205,6 +196,9 @@ class FeatureOracle:
         # seeded contract: the uv noise, then (only for a feature that
         # stays in the image) the flipped bits, the depth noise and the
         # stereo noise.  Everything else is one array expression per frame.
+        # The stereo draw once jittered a right-image column that nothing
+        # read; the column is gone, but the draw stays, since every seeded
+        # digest downstream rests on the generator's sequence.
         rng = self._rng
         sigma = self.pixel_sigma
         width, height = self.camera.width, self.camera.height
@@ -213,7 +207,6 @@ class FeatureOracle:
         noisy_uv: List[List[float]] = []
         flipped: List[np.ndarray] = []
         depth_noise: List[float] = []
-        right_noise: List[float] = []
         for idx, (u, v) in zip(visible.tolist(), uv[visible].tolist()):
             du, dv = rng.normal(scale=sigma, size=2).tolist()
             u, v = u + du, v + dv
@@ -225,31 +218,16 @@ class FeatureOracle:
                 flipped.append(rng.choice(brief.DESCRIPTOR_BITS, size=n_flip, replace=False))
             depth_noise.append(rng.normal(scale=self.depth_sigma_rel))
             if self.stereo is not None:
-                right_noise.append(rng.normal(scale=sigma))
+                rng.normal(scale=sigma)
         if not kept:
-            return []
+            return FeatureSet()
 
-        ids = np.asarray(landmark_ids)[kept].astype(np.int64).tolist()
-        descriptors = np.array([self.bank.descriptor(i) for i in ids])
+        ids = np.asarray(landmark_ids)[kept].astype(np.int64)
+        descriptors = np.array([self.bank.descriptor(i) for i in ids.tolist()])
         if flipped:
             row_bits = np.arange(len(kept)) * brief.DESCRIPTOR_BITS
             brief.flip_packed_bits(
                 descriptors, (row_bits[:, None] + np.array(flipped)).ravel()
             )
-        uv_kept = np.array(noisy_uv)
-        depth_kept = depth[kept]
-        noisy_depth = np.maximum(depth_kept * (1.0 + np.array(depth_noise)), 1e-3)
-        if self.stereo is not None:
-            right_u = (
-                self.stereo.right_u(uv_kept[:, 0], depth_kept) + np.array(right_noise)
-            ).tolist()
-        else:
-            right_u = [-1.0] * len(kept)
-        return [
-            ObservedFeature(
-                landmark_id=i, uv=xy, depth=z, descriptor=desc, right_u=r
-            )
-            for i, xy, z, desc, r in zip(
-                ids, uv_kept, noisy_depth.tolist(), descriptors, right_u
-            )
-        ]
+        noisy_depth = np.maximum(depth[kept] * (1.0 + np.array(depth_noise)), 1e-3)
+        return FeatureSet(np.array(noisy_uv), descriptors, noisy_depth, ids)

@@ -33,8 +33,12 @@ flip), ``synthesize_imu_reference`` the per-sample IMU noise loop and
 ``sample_reference`` the ``np.searchsorted`` trajectory lookup.  The live
 bodies must return the same bytes *and* leave the generator in the same
 state, since the call sequence is the seeded contract.
-``frame_from_observations_reference`` is ``Frame.from_observations``
-filling its four arrays one feature at a time.
+``observe_reference`` returns one ``ObservedFeature`` per feature, the
+per-object type the oracle handed out before it returned a
+``FeatureSet``; ``frame_from_observations_reference`` is
+``Frame.from_observations`` filling the batch's columns from that list
+one feature at a time, and ``assert_same_batch`` compares two batches
+column by column.
 
 The device half's loops, from before it ran in whole-array passes:
 ``estimate_global_shift_reference`` scores the global motion search one
@@ -46,6 +50,7 @@ pixels with the generator left in the same state.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -53,7 +58,6 @@ import numpy as np
 from repro.geometry import SE3, Trajectory, TrajectoryPoint, quaternion
 from repro.imu.model import GRAVITY_W, ImuNoiseModel, ImuSample, _angular_velocity_body
 from repro.slam.bundle_adjustment import BAStats
-from repro.slam.frame import Frame
 from repro.slam.map import SlamMap
 from repro.slam.pnp import (
     DEFAULT_DEPTH_SIGMA_REL,
@@ -86,7 +90,7 @@ from repro.vision.fast import (
 from repro.vision.image import Image, ImagePyramid
 from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, Match
 from repro.vision.orb import FeatureSet, OrbExtractorConfig
-from repro.vision.render import PATCH_SIZE, FeatureOracle, ObservedFeature
+from repro.vision.render import PATCH_SIZE, FeatureOracle
 
 _PATTERN = sampling_pattern()
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -241,10 +245,25 @@ def extract(image: Image, config: Optional[OrbExtractorConfig] = None,
         order = np.argsort([-kp.response for kp in all_kps])[: cfg.n_features]
         all_kps = [all_kps[i] for i in order]
         descriptors = [descriptors[i] for i in order]
-    if not descriptors:
-        return FeatureSet(all_kps,
-                          np.zeros((0, DESCRIPTOR_BYTES), dtype=np.uint8))
-    return FeatureSet(all_kps, np.stack(descriptors).astype(np.uint8))
+    return FeatureSet(
+        np.array([[kp.u, kp.v] for kp in all_kps]).reshape(-1, 2),
+        np.array(descriptors, dtype=np.uint8).reshape(-1, DESCRIPTOR_BYTES),
+        response=[kp.response for kp in all_kps],
+        level=[kp.level for kp in all_kps],
+        angle=[kp.angle for kp in all_kps],
+    )
+
+
+FEATURE_COLUMNS = ("uv", "descriptors", "depths", "landmark_ids",
+                   "response", "level", "angle")
+
+
+def assert_same_batch(got: FeatureSet, want: FeatureSet) -> None:
+    """Every column of two feature batches: same dtype, shape and bytes."""
+    for name in FEATURE_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 # ----------------------------------------------------------------- pyramid
@@ -937,6 +956,16 @@ def perturb_descriptor_reference(
     return np.packbits(bits)
 
 
+@dataclass
+class ObservedFeature:
+    """One oracle observation: where a landmark landed in the frame."""
+
+    landmark_id: int
+    uv: np.ndarray
+    depth: float
+    descriptor: np.ndarray
+
+
 def observe_reference(
     oracle: FeatureOracle,
     positions: np.ndarray,
@@ -969,19 +998,14 @@ def observe_reference(
         noisy_depth = float(
             depth[idx] * (1.0 + oracle._rng.normal(scale=oracle.depth_sigma_rel))
         )
-        right_u = -1.0
         if oracle.stereo is not None:
-            right_u = float(
-                oracle.stereo.right_u(noisy_uv[0], depth[idx])
-                + oracle._rng.normal(scale=oracle.pixel_sigma)
-            )
+            oracle._rng.normal(scale=oracle.pixel_sigma)  # the stereo draw, kept unused
         observations.append(
             ObservedFeature(
                 landmark_id=int(landmark_ids[idx]),
                 uv=noisy_uv,
                 depth=max(noisy_depth, 1e-3),
                 descriptor=descriptor,
-                right_u=right_u,
             )
         )
     return observations
@@ -1073,17 +1097,17 @@ def synthesize_imu_reference(
 
 
 def frame_from_observations_reference(
-    frame_id: int, timestamp: float, observations: List[ObservedFeature]
-) -> Frame:
-    """``Frame.from_observations`` with four row assignments per feature."""
+    observations: List[ObservedFeature],
+) -> FeatureSet:
+    """The batch of ``observations``, four row assignments per feature."""
     n = len(observations)
     uv = np.zeros((n, 2))
     descriptors = np.zeros((n, DESCRIPTOR_BYTES), dtype=np.uint8)
     depths = np.zeros(n)
-    right_u = np.full(n, -1.0)
+    landmark_ids = np.zeros(n, dtype=np.int64)
     for i, obs in enumerate(observations):
         uv[i] = obs.uv
         descriptors[i] = obs.descriptor
         depths[i] = obs.depth
-        right_u[i] = obs.right_u
-    return Frame(frame_id, timestamp, uv, descriptors, depths, right_u)
+        landmark_ids[i] = obs.landmark_id
+    return FeatureSet(uv, descriptors, depths, landmark_ids)

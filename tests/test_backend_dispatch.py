@@ -412,7 +412,7 @@ def _tracking_fixture():
     from repro.slam.keyframe import KeyFrame
     from repro.slam.map import SlamMap
     from repro.slam.mappoint import MapPoint
-    from repro.vision import PinholeCamera
+    from repro.vision import FeatureSet, PinholeCamera
 
     rng = np.random.default_rng(7)
     cam = PinholeCamera.ideal(320, 240)
@@ -441,9 +441,8 @@ def _tracking_fixture():
     def make_frame(pose):
         uv_f, depth_f, valid_f = cam.project_world(world, pose)
         j = np.nonzero(valid_f)[0]
-        return Frame(frame_id=1, timestamp=1.0, uv=uv_f[j],
-                     descriptors=descs[j], depths=depth_f[j],
-                     right_u=np.full(len(j), -1.0))
+        return Frame(frame_id=1, timestamp=1.0,
+                     features=FeatureSet(uv_f[j], descs[j], depth_f[j], j))
 
     return slam_map, cam, make_frame
 

@@ -24,6 +24,7 @@ from repro.core import (
 from repro.datasets import euroc_dataset
 from repro.geometry import Sim3
 from repro.net import PROFILE_BW_9_4, PROFILE_DELAY_300MS, PROFILE_IDEAL
+from repro.vision import FeatureOracle
 from tests.fake_xp import make_fake_array_module
 from tests.test_shm_multiproc import shm_required
 
@@ -202,6 +203,24 @@ class TestSessionDigest:
         # No device here, so "gpu" is the numpy kernels byte for byte.
         assert _short_session(backend="gpu").run().digest() == first
         assert _short_session(oracle_seed=8).run().digest() != first
+
+    def test_ground_truth_ids_are_inert(self, monkeypatch):
+        # Every batch carries the oracle's landmark ids; no stage may read
+        # them, so scrambling them on every frame leaves the run unchanged.
+        want = _short_default()[1].digest()
+        observe = FeatureOracle.observe
+        shuffle = np.random.default_rng(99).permutation
+        scrambled = []
+
+        def permuted(self, *args):
+            features = observe(self, *args)
+            features.landmark_ids = shuffle(features.landmark_ids)
+            scrambled.append(len(features))
+            return features
+
+        monkeypatch.setattr(FeatureOracle, "observe", permuted)
+        assert _short_session().run().digest() == want
+        assert len(scrambled) == 100 and sum(scrambled) > 1000
 
     def test_video_bytes_reach_the_clock_on_a_shaped_link(self):
         # On the unconstrained link upload time does not depend on size,

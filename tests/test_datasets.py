@@ -168,9 +168,8 @@ class TestNamedDatasets:
                 ds.world.positions, ds.world.ids, ds.pose_cw(i)
             )
             assert len(obs) > 20
-            for o in obs[:5]:
-                assert 0 <= o.uv[0] < ds.camera.width
-                assert o.depth > 0
+            assert ((0 <= obs.uv[:, 0]) & (obs.uv[:, 0] < ds.camera.width)).all()
+            assert (obs.depths > 0).all()
 
     @given(st.sampled_from(["MH04", "MH05", "V202", "KITTI-00", "KITTI-05"]))
     @settings(max_examples=5, deadline=None)

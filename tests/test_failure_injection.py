@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.datasets import euroc_dataset
 from repro.net import ShapingProfile
+from repro.vision import FeatureSet
 from tests.test_shm_multiproc import shm_required
 
 
@@ -104,7 +105,7 @@ class TestObservationOutage:
                 and blackout[0] <= dataset_ts <= blackout[1]
             ):
                 real_observe = state.oracle.observe
-                state.oracle.observe = lambda *a, **k: []
+                state.oracle.observe = lambda *a, **k: FeatureSet()
                 try:
                     original_process(state, frame_idx, dataset_ts)
                 finally:

@@ -1,10 +1,11 @@
 """The session's input side against its one-item-at-a-time references.
 
-``FeatureOracle.observe``, ``perturb_descriptor``, ``synthesize_imu``,
-``Trajectory.sample`` and ``Frame.from_observations`` batch what the
-bodies in ``tests/oracles.py`` did per feature or per sample.  Their
-generator calls are the seeded contract, so each case asserts the same
-bytes, the same Python types and the same generator state afterwards.
+``FeatureOracle.observe``, ``perturb_descriptor``, ``synthesize_imu``
+and ``Trajectory.sample`` batch what the bodies in ``tests/oracles.py``
+did per feature or per sample; ``observe`` returns the columns that
+``Frame.from_observations`` once assembled from one object per feature.
+Their generator calls are the seeded contract, so each case asserts the
+same bytes, the same dtypes and the same generator state afterwards.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import pytest
 from repro.datasets import euroc_dataset
 from repro.geometry import SE3, Trajectory, TrajectoryPoint, quaternion
 from repro.imu import synthesize_imu
-from repro.slam.frame import Frame
 from repro.vision.brief import (
     DESCRIPTOR_BITS,
     flip_packed_bits,
     perturb_descriptor,
     random_descriptor,
 )
+from repro.vision import FeatureSet
 from tests.oracles import (
+    assert_same_batch,
     frame_from_observations_reference,
     observe_reference,
     perturb_descriptor_reference,
@@ -42,19 +44,9 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
-def assert_same_observations(live, reference):
-    assert len(live) == len(reference)
-    for a, b in zip(live, reference):
-        assert type(a.landmark_id) is type(b.landmark_id) is int
-        assert a.landmark_id == b.landmark_id
-        assert a.uv.dtype == b.uv.dtype and a.uv.shape == b.uv.shape
-        assert a.uv.tobytes() == b.uv.tobytes()
-        assert a.descriptor.dtype == b.descriptor.dtype == np.uint8
-        assert a.descriptor.tobytes() == b.descriptor.tobytes()
-        assert type(a.depth) is type(b.depth) is float
-        assert _bits(a.depth) == _bits(b.depth)
-        assert type(a.right_u) is type(b.right_u) is float
-        assert _bits(a.right_u) == _bits(b.right_u)
+def observe_batch_reference(oracle, positions, landmark_ids, pose):
+    return frame_from_observations_reference(
+        observe_reference(oracle, positions, landmark_ids, pose))
 
 
 def _oracles(stereo, **kwargs):
@@ -80,8 +72,8 @@ class TestObserveMatchesReference:
         for index in range(0, ds.n_frames, 3):
             pose = ds.pose_cw(index)
             got = live.observe(ds.world.positions, ds.world.ids, pose)
-            want = observe_reference(ref, ds.world.positions, ds.world.ids, pose)
-            assert_same_observations(got, want)
+            want = observe_batch_reference(ref, ds.world.positions, ds.world.ids, pose)
+            assert_same_batch(got, want)
             assert live._rng.bit_generator.state == ref._rng.bit_generator.state
             n_observed += len(got)
         assert n_observed > 100
@@ -102,17 +94,17 @@ class TestObserveMatchesReference:
         oracle, _ = _oracles(False, max_features=40)
         observed = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(0))
         assert 30 < len(observed) <= 40
-        ids = [o.landmark_id for o in observed]
-        assert ids == sorted(ids)
+        assert (np.diff(observed.landmark_ids) > 0).all()
 
     @pytest.mark.parametrize("stereo", [False, True], ids=["mono", "stereo"])
     def test_empty_field_and_nothing_visible_draw_nothing(self, stereo):
         live, ref = _oracles(stereo)
         before = live._rng.bit_generator.state
         empty = np.zeros((0, 3))
-        assert live.observe(empty, np.zeros(0, dtype=np.int64), SE3()) == []
+        assert_same_batch(live.observe(empty, np.zeros(0, dtype=np.int64), SE3()),
+                          FeatureSet())
         behind = np.array([[0.0, 0.0, -2.0], [0.5, 0.1, -3.0]])
-        assert live.observe(behind, np.array([1, 2]), SE3()) == []
+        assert_same_batch(live.observe(behind, np.array([1, 2]), SE3()), FeatureSet())
         assert observe_reference(ref, behind, np.array([1, 2]), SE3()) == []
         assert live._rng.bit_generator.state == before == ref._rng.bit_generator.state
 
@@ -219,16 +211,17 @@ class TestSynthesizeImuMatchesReference:
 
 
 class TestFrameFromObservations:
+    """``observe``'s batch against the columns built from one object per feature."""
+
     @pytest.mark.parametrize("stereo", [False, True], ids=["mono", "stereo"])
     def test_arrays_byte_equal_with_the_same_dtypes(self, stereo):
         ds = _dataset()
-        oracle, _ = _oracles(stereo)
-        frames = [oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(i))
-                  for i in (0, 5)] + [[]]
-        for observations in frames:
-            got = Frame.from_observations(3, 0.5, observations)
-            want = frame_from_observations_reference(3, 0.5, observations)
-            for name in ("uv", "descriptors", "depths", "right_u", "matched_point_ids"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert a.tobytes() == b.tobytes(), name
+        live, ref = _oracles(stereo)
+        for index in (0, 5):
+            pose = ds.pose_cw(index)
+            got = live.observe(ds.world.positions, ds.world.ids, pose)
+            want = observe_batch_reference(ref, ds.world.positions, ds.world.ids, pose)
+            assert len(got) > 50 and (got.landmark_ids >= 0).all()
+            assert_same_batch(got, want)
+            assert live._rng.bit_generator.state == ref._rng.bit_generator.state
+        assert_same_batch(frame_from_observations_reference([]), FeatureSet())

@@ -107,8 +107,37 @@ class TestMapSerialization:
 
     def test_truncated_rejected(self):
         payload = serialize_map(make_map())
-        with pytest.raises((ValueError, Exception)):
+        with pytest.raises(ValueError):
             deserialize_map(payload[: len(payload) // 2])
+
+    def test_every_prefix_rejected_with_value_error(self):
+        # A cut inside a fixed-width field (a count, an id, a float) must
+        # read as truncation too, not leak a ``struct.error``.
+        payload = serialize_map(make_map())
+        for n in range(0, len(payload), 3):
+            with pytest.raises(ValueError):
+                deserialize_map(payload[:n])
+
+    def test_corrupt_bytes_raise_value_error_or_load(self):
+        payload = serialize_map(make_map())
+        rng = np.random.default_rng(31)
+        loaded = 0
+        for _ in range(400):
+            corrupt = bytearray(payload)
+            corrupt[int(rng.integers(len(corrupt)))] = int(rng.integers(256))
+            try:
+                restored = deserialize_map(bytes(corrupt))
+            except ValueError:
+                continue
+            assert isinstance(restored, SlamMap)
+            loaded += 1
+        assert loaded > 0
+
+    def test_unknown_dtype_string_rejected(self):
+        payload = serialize_map(make_map())
+        assert b"<f8" in payload
+        with pytest.raises(ValueError, match="corrupt map payload"):
+            deserialize_map(payload.replace(b"<f8", b"<q8", 1))
 
     def test_size_grows_with_map(self):
         small = map_payload_size(make_map(n_keyframes=2))

@@ -16,6 +16,7 @@ from repro.slam import (
     optimize_pose_graph,
 )
 from repro.slam.frame import Frame
+from repro.vision import FeatureSet
 from tests.test_slam_system import run_system
 
 
@@ -34,7 +35,7 @@ class TestRelocalizer:
         oracle = ds.make_oracle(stereo=True, seed=77)
         idx = 30
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(idx))
-        frame = Frame.from_observations(9999, 999.0, obs)
+        frame = Frame(9999, 999.0, obs)
         reloc = Relocalizer(system.map, system.database, system.vocabulary,
                             ds.camera)
         result = reloc.relocalize(frame)
@@ -50,7 +51,7 @@ class TestRelocalizer:
         oracle = other.make_oracle(stereo=True, seed=78)
         obs = oracle.observe(other.world.positions, other.world.ids,
                              other.pose_cw(0))
-        frame = Frame.from_observations(9999, 999.0, obs)
+        frame = Frame(9999, 999.0, obs)
         reloc = Relocalizer(system.map, system.database, system.vocabulary,
                             other.camera)
         assert not reloc.relocalize(frame).success
@@ -59,7 +60,7 @@ class TestRelocalizer:
         ds, system = mapped_system
         reloc = Relocalizer(system.map, system.database, system.vocabulary,
                             ds.camera)
-        frame = Frame.from_observations(9999, 999.0, [])
+        frame = Frame(9999, 999.0, FeatureSet())
         assert not reloc.relocalize(frame).success
 
     def test_system_recovers_after_blackout(self):
@@ -80,7 +81,7 @@ class TestRelocalizer:
         for i, (ts, obs) in enumerate(ds.frames(oracle)):
             delta = preintegrate(imu, prev, ts) if prev is not None else None
             if 40 <= i < 55:
-                obs = []  # camera covered: total feature blackout
+                obs = FeatureSet()  # camera covered: total feature blackout
             result = system.process_frame(ts, obs, imu_delta=delta)
             statuses.append(result.tracking.success)
             prev = ts

@@ -85,10 +85,21 @@ class TestDetectCommonRegion:
 
 
 class TestMapMerging:
-    def test_merge_two_stereo_maps(self):
+    @pytest.fixture(scope="class")
+    def merged(self):
+        """One fresh pair, merged once with the default (check-all) policy.
+
+        The tests below only read the merged map and the result, so they
+        share it instead of each rebuilding and re-merging the pair.
+        """
         (ds_a, sys_a), (ds_b, sys_b) = fresh_pair()
+        n_before = sys_a.map.n_mappoints + sys_b.map.n_mappoints
         merger = MapMerger(sys_a.map, sys_a.database, ds_a.camera)
         result = merger.merge_maps(sys_b.map, client_id=1)
+        return ds_a, sys_a, ds_b, result, n_before
+
+    def test_merge_two_stereo_maps(self, merged):
+        _, sys_a, ds_b, result, _ = merged
         assert result.success
         assert result.transform.scale == pytest.approx(1.0, abs=0.02)
         # Client B's keyframes landed in the global map, correctly placed.
@@ -104,10 +115,8 @@ class TestMapMerging:
         # Sim3 alignment must rescale B's 0.75x map into A's metric frame.
         assert result.transform.scale == pytest.approx(1.0 / 0.75, rel=0.05)
 
-    def test_merged_maps_share_one_frame(self):
-        (ds_a, sys_a), (ds_b, sys_b) = fresh_pair()
-        merger = MapMerger(sys_a.map, sys_a.database, ds_a.camera)
-        merger.merge_maps(sys_b.map, client_id=1)
+    def test_merged_maps_share_one_frame(self, merged):
+        ds_a, sys_a, ds_b, _, _ = merged
         # One alignment maps the *combined* keyframe trajectory to the
         # combined ground truth: the frames are truly shared.
         traj_a = sys_a.map.keyframe_trajectory(client_id=0)
@@ -125,11 +134,8 @@ class TestMapMerging:
         residual = np.linalg.norm(gt - transform.apply(est), axis=1)
         assert np.sqrt((residual ** 2).mean()) < 0.10
 
-    def test_merge_fuses_duplicate_points(self):
-        (ds_a, sys_a), (ds_b, sys_b) = fresh_pair()
-        n_before = sys_a.map.n_mappoints + sys_b.map.n_mappoints
-        merger = MapMerger(sys_a.map, sys_a.database, ds_a.camera)
-        result = merger.merge_maps(sys_b.map, client_id=1)
+    def test_merge_fuses_duplicate_points(self, merged):
+        _, sys_a, _, result, n_before = merged
         assert result.n_fused_points > 0
         assert sys_a.map.n_mappoints == n_before - result.n_fused_points
 
@@ -146,16 +152,12 @@ class TestMapMerging:
         assert not result.success
         assert result.n_keyframes_checked > 0
 
-    def test_newest_only_trigger_checks_fewer(self):
+    def test_newest_only_trigger_checks_fewer(self, merged):
         # Ablation A2: vanilla ORB-SLAM3 merge policy checks only the
-        # newest keyframe; SLAM-Share checks all of them (paper §4.3.1).
-        (ds_a, sys_a), (ds_b, sys_b) = fresh_pair()
-        all_kf = MapMerger(
-            sys_a.map, sys_a.database, ds_a.camera,
-            MergerConfig(check_all_keyframes=True),
-        )
-        result = all_kf.merge_maps(sys_b.map, client_id=1)
-        assert result.success
+        # newest keyframe; SLAM-Share checks all of them (paper §4.3.1),
+        # which is the default the shared merge ran with.
+        assert MergerConfig().check_all_keyframes
+        assert merged[3].success
         (ds_a2, sys_a2), (ds_b2, sys_b2) = fresh_pair()
         newest_only = MapMerger(
             sys_a2.map, sys_a2.database, ds_a2.camera,
@@ -164,10 +166,8 @@ class TestMapMerging:
         result2 = newest_only.merge_maps(sys_b2.map, client_id=1)
         assert result2.n_keyframes_checked <= 1
 
-    def test_ba_runs_after_merge(self):
-        (ds_a, sys_a), (ds_b, sys_b) = fresh_pair()
-        merger = MapMerger(sys_a.map, sys_a.database, ds_a.camera)
-        result = merger.merge_maps(sys_b.map, client_id=1)
+    def test_ba_runs_after_merge(self, merged):
+        result = merged[3]
         assert result.success
         assert result.ba_stats is not None
         assert result.ba_stats.n_keyframes >= 2

@@ -6,7 +6,8 @@ import pytest
 from repro.datasets import euroc_dataset, kitti_dataset
 from repro.imu import GRAVITY_W, ImuBuffer, preintegrate, synthesize_imu
 from repro.metrics import absolute_trajectory_error
-from repro.slam import SlamConfig, SlamSystem
+from repro.slam import SlamConfig, SlamSystem, Tracker
+from repro.vision import FeatureSet, OrbExtractor, render_frame
 
 
 def run_system(dataset, duration=None, stereo=True, mono_scale=1.0,
@@ -93,7 +94,7 @@ class TestSingleUserSlam:
         oracle = ds.make_oracle(stereo=True)
         frames = list(ds.frames(oracle))
         system.process_frame(*frames[0])
-        system.process_frame(frames[1][0], [])  # empty observation set
+        system.process_frame(frames[1][0], FeatureSet())  # empty observation set
         assert system.n_lost_frames() == 1
 
     def test_workload_accounting(self):
@@ -130,6 +131,61 @@ class TestSingleUserSlam:
         assert np.allclose(
             new_traj.positions, old_traj.positions + [5.0, 0.0, 0.0]
         )
+
+
+class TestFeatureBatch:
+    """One ``FeatureSet`` from sensor to tracker, ground truth included."""
+
+    def test_tracked_frames_carry_the_oracles_batch(self, monkeypatch):
+        ds = euroc_dataset("MH04", duration=2.0, rate=10.0)
+        observed, tracked = [], []
+        oracle = ds.make_oracle(stereo=True)
+        observe, track = oracle.observe, Tracker.track
+
+        def recording_observe(*args):
+            observed.append(observe(*args))
+            return observed[-1]
+
+        def recording_track(self, frame, **kwargs):
+            tracked.append(frame)
+            return track(self, frame, **kwargs)
+
+        monkeypatch.setattr(oracle, "observe", recording_observe)
+        monkeypatch.setattr(Tracker, "track", recording_track)
+        system = SlamSystem(ds.camera, SlamConfig())
+        for ts, features in ds.frames(oracle):
+            system.process_frame(ts, features)
+        assert len(tracked) == len(observed) - 1 > 10
+        for frame, features in zip(tracked, observed[1:]):
+            assert frame.features is features
+            assert (frame.features.landmark_ids >= 0).all()
+        # The ids are the landmarks the oracle projected.
+        uv, _, _ = ds.camera.project_world(
+            ds.world.positions[np.searchsorted(ds.world.ids, observed[1].landmark_ids)],
+            ds.pose_cw(1))
+        assert np.abs(uv - observed[1].uv).max() < 5 * 0.4
+
+    def test_depthless_batch_does_not_bootstrap(self):
+        # The pixel front end measures no depth: a keyframe made from its
+        # batch would hold no map point, and every later frame would be
+        # lost.  The system stays uninitialised until a frame can map.
+        ds = euroc_dataset("MH04", duration=1.0, rate=10.0)
+        image = render_frame(ds.world.positions, ds.world.ids, ds.camera, ds.pose_cw(0))
+        extracted = OrbExtractor().extract(image)
+        assert len(extracted) > 100 and (extracted.depths <= 0).all()
+        system = SlamSystem(ds.camera, SlamConfig())
+        for features in (extracted, FeatureSet()):
+            result = system.process_frame(0.0, features)
+            assert result.tracking.frame.features is features  # no adapter
+            assert not result.tracking.success and result.keyframe is None
+            assert not system.initialized and system.map.n_keyframes == 0
+        (ts, features), = ds.frames(ds.make_oracle(stereo=True), limit=1)
+        result = system.process_frame(ts, features)
+        fresh = SlamSystem(ds.camera, SlamConfig()).process_frame(ts, features)
+        assert result.tracking.success and system.initialized
+        assert result.keyframe.keyframe_id == fresh.keyframe.keyframe_id
+        assert system.map.n_mappoints > 100
+        assert system.n_lost_frames() == 2
 
 
 class TestLocalMapping:

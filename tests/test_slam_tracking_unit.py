@@ -9,56 +9,55 @@ from repro.slam import Tracker, TrackerConfig, tracking
 from repro.slam.frame import Frame
 from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
-from repro.vision import ObservedFeature
+from repro.vision import FeatureSet
 from repro.vision.brief import DESCRIPTOR_BYTES
 from tests.oracles import search_by_projection_scalar
 from tests.test_slam_system import run_system
 
 
-def _obs(uv, depth=5.0, landmark_id=0, seed=0):
+def _features(n, uv=(5.0, 5.0), depth=5.0, seed=0):
     rng = np.random.default_rng(seed)
-    return ObservedFeature(
-        landmark_id=landmark_id,
-        uv=np.asarray(uv, dtype=float),
-        depth=depth,
-        descriptor=rng.integers(0, 256, DESCRIPTOR_BYTES, dtype=np.uint8),
+    return FeatureSet(
+        np.tile(np.asarray(uv, dtype=float), (n, 1)),
+        rng.integers(0, 256, (n, DESCRIPTOR_BYTES), dtype=np.uint8),
+        depths=np.full(n, depth),
+        landmark_ids=np.arange(n),
     )
 
 
 class TestFrame:
     def test_from_observations(self):
-        obs = [_obs([10.0, 20.0], seed=i, landmark_id=i) for i in range(5)]
-        frame = Frame.from_observations(3, 1.5, obs)
+        features = _features(5, uv=[10.0, 20.0])
+        frame = Frame(3, 1.5, features)
         assert len(frame) == 5
         assert frame.frame_id == 3
+        assert frame.features is features
         assert frame.n_matched == 0
         assert np.all(frame.matched_point_ids == -1)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            Frame(
-                frame_id=0, timestamp=0.0,
+            FeatureSet(
                 uv=np.zeros((3, 2)),
                 descriptors=np.zeros((2, DESCRIPTOR_BYTES), dtype=np.uint8),
                 depths=np.zeros(3),
-                right_u=np.zeros(3),
             )
+        with pytest.raises(ValueError):
+            Frame(0, 0.0, _features(3), matched_point_ids=np.full(2, -1))
 
     def test_empty_frame(self):
-        frame = Frame.from_observations(0, 0.0, [])
-        assert len(frame) == 0
+        frame = Frame(0, 0.0, FeatureSet())
+        assert len(frame) == 0 and frame.matched_point_ids.shape == (0,)
 
 
 class TestKeyFrame:
     def test_from_untracked_frame_rejected(self):
-        frame = Frame.from_observations(0, 0.0, [_obs([5, 5])])
+        frame = Frame(0, 0.0, _features(1))
         with pytest.raises(ValueError):
             KeyFrame.from_frame(0, frame)
 
     def test_observed_point_ids_and_lookup(self):
-        frame = Frame.from_observations(
-            0, 0.0, [_obs([5, 5], seed=i, landmark_id=i) for i in range(4)]
-        )
+        frame = Frame(0, 0.0, _features(4))
         frame.pose_cw = SE3.identity()
         frame.matched_point_ids[:] = [7, -1, 9, 7]
         kf = KeyFrame.from_frame(1, frame)
@@ -68,7 +67,7 @@ class TestKeyFrame:
         assert kf.n_tracked_points == 3
 
     def test_camera_center(self):
-        frame = Frame.from_observations(0, 0.0, [_obs([5, 5])])
+        frame = Frame(0, 0.0, _features(1))
         frame.pose_cw = SE3(np.eye(3), np.array([1.0, 2.0, 3.0]))
         kf = KeyFrame.from_frame(0, frame)
         assert np.allclose(kf.camera_center(), [-1, -2, -3])
@@ -121,7 +120,7 @@ class TestTracker:
         tracker.force_pose(SE3.identity())
         oracle = ds.make_oracle(stereo=True, seed=50)
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(0))
-        frame = Frame.from_observations(0, 0.0, obs)
+        frame = Frame(0, 0.0, obs)
         result = tracker.track(frame)
         assert not result.success
         assert result.workload.n_local_points == 0
@@ -131,7 +130,7 @@ class TestTracker:
         oracle = ds.make_oracle(stereo=True, seed=51)
         idx = 55
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(idx))
-        frame = Frame.from_observations(999, 100.0, obs)
+        frame = Frame(999, 100.0, obs)
         prior = ds.pose_cw(idx) * ds.pose_cw(0).inverse()
         result = system.tracker.track(frame, pose_prior=prior)
         assert result.success
@@ -145,7 +144,7 @@ class TestTracker:
         oracle = ds.make_oracle(stereo=True, seed=52)
         idx = 50
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(idx))
-        frame = Frame.from_observations(999, 200.0, obs)
+        frame = Frame(999, 200.0, obs)
         prior = ds.pose_cw(idx) * ds.pose_cw(0).inverse()
         result = system.tracker.track(frame, pose_prior=prior)
         assert result.success
@@ -174,7 +173,7 @@ class TestTracker:
                 system.map, ds.camera, TrackerConfig(local_map_size=150)
             )
             tracker.reference_keyframe_id = system.tracker.reference_keyframe_id
-            frame = Frame.from_observations(999, 300.0, obs)
+            frame = Frame(999, 300.0, obs)
             return tracker.track(frame, pose_prior=prior)
 
         vectorized = track()

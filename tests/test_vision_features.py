@@ -109,8 +109,7 @@ class TestOrbExtractor:
             cfg = OrbExtractorConfig(n_features=60, n_levels=n_levels)
             a = oracles.extract(img, cfg, detect=detect_fast_scalar)
             b = OrbExtractor(cfg).extract(img)
-            assert a.keypoints == b.keypoints
-            assert np.array_equal(a.descriptors, b.descriptors)
+            oracles.assert_same_batch(b, a)
 
     def test_features_near_landmarks(self):
         img, pts, ids, cam = self._scene()
@@ -290,10 +289,9 @@ class TestFeatureOracle:
         oracle = FeatureOracle(cam, pixel_sigma=0.0, dropout=0.0, seed=1)
         obs = oracle.observe(pts, ids, SE3.identity())
         assert len(obs) > 50
-        for o in obs[:20]:
-            uv, _, valid = cam.project_world(pts[o.landmark_id][None], SE3.identity())
-            assert valid[0]
-            assert np.allclose(uv[0], o.uv, atol=1e-9)
+        uv, _, valid = cam.project_world(pts[obs.landmark_ids], SE3.identity())
+        assert valid.all()
+        assert np.allclose(uv, obs.uv, atol=1e-9)
 
     def test_descriptors_match_bank(self):
         cam, pts, ids = self._setup()
@@ -301,8 +299,9 @@ class TestFeatureOracle:
         oracle = FeatureOracle(cam, descriptor_flip_bits=4, dropout=0.0,
                                descriptor_bank=bank, seed=2)
         obs = oracle.observe(pts, ids, SE3.identity())
-        for o in obs[:20]:
-            assert hamming_distance(o.descriptor, bank.descriptor(o.landmark_id)) == 4
+        assert len(obs) > 20
+        for descriptor, landmark_id in zip(obs.descriptors, obs.landmark_ids.tolist()):
+            assert hamming_distance(descriptor, bank.descriptor(landmark_id)) == 4
 
     def test_max_features_uniform_subsample(self):
         cam, pts, ids = self._setup()
@@ -311,23 +310,12 @@ class TestFeatureOracle:
         assert len(obs) <= 30
         # Subsampling is uniform over the visible set, not depth-biased
         # (depth-ordered selection degenerates to coplanar feature sets).
-        depths = [o.depth for o in obs]
-        assert np.mean(depths) > 0
-
-    def test_stereo_right_u(self):
-        cam, pts, ids = self._setup()
-        rig = StereoRig(cam, baseline=0.11)
-        oracle = FeatureOracle(cam, stereo=rig, pixel_sigma=0.0, dropout=0.0,
-                               depth_sigma_rel=0.0, seed=4)
-        obs = oracle.observe(pts, ids, SE3.identity())
-        for o in obs[:20]:
-            expected = o.uv[0] - rig.bf / o.depth
-            assert o.right_u == pytest.approx(expected, abs=1e-6)
+        assert np.mean(obs.depths) > 0
 
     def test_empty_world(self):
         cam, _, _ = self._setup()
         oracle = FeatureOracle(cam)
-        assert oracle.observe(np.zeros((0, 3)), np.zeros(0), SE3.identity()) == []
+        assert len(oracle.observe(np.zeros((0, 3)), np.zeros(0), SE3.identity())) == 0
 
 
 class TestCamera:

@@ -210,8 +210,9 @@ class TestExtract:
         extractor = OrbExtractor()
         for image in rendered:
             features = extractor.extract(image)
-            rows = [[k.u, k.v, k.response, k.level, k.angle] for k in features.keypoints]
-            digest.update(np.array(rows, dtype=np.float64).tobytes())
+            rows = np.column_stack([features.uv, features.response,
+                                    features.level, features.angle])
+            digest.update(rows.astype(np.float64).tobytes())
             digest.update(features.descriptors.tobytes())
         assert digest.hexdigest() == GOLDEN_DIGEST
 
@@ -219,9 +220,9 @@ class TestExtract:
         for config in (None, OrbExtractorConfig(n_features=40, n_levels=3, grid_cols=5)):
             got = OrbExtractor(config).extract(rendered[0])
             want = oracles.extract(rendered[0], config)
-            assert got.keypoints == want.keypoints
-            assert np.array_equal(got.descriptors, want.descriptors)
-            assert all(type(k.level) is int and type(k.angle) is float for k in got.keypoints)
+            assert len(got) > 0
+            oracles.assert_same_batch(got, want)
+            assert got.level.dtype == np.int64 and got.angle.dtype == np.float64
 
     def test_over_budget_truncation(self):
         # Texture only in the middle, so no corner falls to the descriptor
@@ -233,15 +234,14 @@ class TestExtract:
         assert len(OrbExtractor(OrbExtractorConfig(n_features=3, n_levels=3)).extract(image)) == 3
         config = OrbExtractorConfig(n_features=1, n_levels=3)
         got, want = OrbExtractor(config).extract(image), oracles.extract(image, config)
-        assert len(got) == 1 and got.keypoints == want.keypoints
-        assert np.array_equal(got.descriptors, want.descriptors)
+        assert len(got) == 1
+        oracles.assert_same_batch(got, want)
 
     def test_blank_and_tiny_images(self):
         for pixels in (np.full((48, 64), 90, dtype=np.uint8), _noise(1, (12, 12))):
             features = OrbExtractor().extract(Image(pixels))
             assert len(features) == 0
-            assert features.descriptors.shape == (0, brief.DESCRIPTOR_BYTES)
-            assert features.uv.shape == (0, 2)
+            oracles.assert_same_batch(features, FeatureSet())
 
     def test_describes_once_per_level(self, rendered, monkeypatch):
         calls = []
@@ -259,15 +259,23 @@ class TestFeatureSetUv:
     def test_extract_hands_over_the_array(self, rendered):
         features = OrbExtractor().extract(rendered[0])
         assert features.uv is features.uv  # no rebuild per access
-        listed = np.array([[k.u, k.v] for k in features.keypoints])
-        assert features.uv.shape == (len(features), 2)
-        assert np.array_equal(features.uv, listed)
+        assert features.uv.shape == (len(features), 2) and features.uv.flags.c_contiguous
+        assert np.array_equal(features.uv, oracles.extract(rendered[0]).uv)
+        # The pixel front end measures no depth and knows no landmark.
+        assert (features.depths < 0).all() and (features.landmark_ids == -1).all()
 
-    def test_falls_back_to_the_list(self):
-        keypoints = [Keypoint(1.0, 2.0, 3.0), Keypoint(4.5, 5.5, 1.0)]
-        features = FeatureSet(keypoints, np.zeros((2, 32), dtype=np.uint8))
-        assert np.array_equal(features.uv, [[1.0, 2.0], [4.5, 5.5]])
-        assert FeatureSet().uv.shape == (0, 2)
+    def test_columns_are_validated_once(self):
+        uv = np.array([[1.0, 2.0], [4.5, 5.5]])
+        features = FeatureSet(uv, np.zeros((2, 32), dtype=np.uint8), depths=[3.0, 0.0])
+        assert features.uv is uv
+        assert features.depths.dtype == np.float64 and features.depths.tolist() == [3.0, 0.0]
+        assert features.landmark_ids.tolist() == [-1, -1]
+        assert features.level.dtype == np.int64
+        with pytest.raises(ValueError, match="descriptors"):
+            FeatureSet(uv, np.zeros((3, 32), dtype=np.uint8))
+        with pytest.raises(ValueError, match="landmark_ids"):
+            FeatureSet(uv, np.zeros((2, 32), dtype=np.uint8), landmark_ids=[7])
+        assert len(FeatureSet()) == 0 and FeatureSet().uv.shape == (0, 2)
 
 
 class TestLedgerSeam:
