@@ -107,16 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slo", action="store_true",
                        help="evaluate the default SLOs during the run and "
                             "print the burn-rate table at the end")
-        p.add_argument(
-            "--offload", choices=("static-server", "static-client", "adaptive"),
-            default=None,
-            help="tracking placement policy (default: static-server, the "
-                 "paper's fixed split; adaptive migrates per client at "
-                 "runtime and pairs naturally with --slo)",
-        )
-        p.add_argument("--offload-cooldown", type=float, default=None,
-                       metavar="S",
-                       help="min sim-seconds between committed handoffs")
         add_obs(p)
 
     session = sub.add_parser("session", help="run a SLAM-Share session")
@@ -183,10 +173,6 @@ def _config(args) -> SlamShareConfig:
     config = SlamShareConfig(camera_fps=args.rate, render_video_frames=False)
     if args.shaping is not None:
         config.shaping = PROFILE_BY_NAME[args.shaping]
-    if getattr(args, "offload", None) is not None:
-        config.serving.offload.policy = args.offload
-    if getattr(args, "offload_cooldown", None) is not None:
-        config.serving.offload.cooldown_s = args.offload_cooldown
     return config
 
 
@@ -302,20 +288,6 @@ def cmd_session(args) -> int:
             f"tracking {np.mean(outcome.tracking_latencies_ms):.1f} ms/frame, "
             f"{outcome.frames_lost} lost"
         )
-    if result.offload is not None and result.offload.config.policy != "static-server":
-        summary = result.offload.summary()
-        _log.info(
-            f"offload: policy={summary['policy']} "
-            f"handoffs={summary['handoffs']} "
-            f"(aborted {summary['handoffs_aborted']}) "
-            f"placements={summary['placements']}"
-        )
-        for record in result.offload.committed_handoffs():
-            _log.info(
-                f"  handoff: client {record.client_id} "
-                f"{record.src}->{record.dst} ({record.reason}) at "
-                f"t={record.committed_at:.2f} s"
-            )
     _report_slo(slo_engine)
     _finish_obs(args)
     return 0

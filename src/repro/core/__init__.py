@@ -14,15 +14,6 @@ from .config import (
     SlamShareConfig,
     mobile_cpu_model,
 )
-from .offload import (
-    PLACEMENT_CLIENT,
-    PLACEMENT_SERVER,
-    HandoffRecord,
-    OffloadConfig,
-    OffloadController,
-    OffloadManager,
-    PlacementDecision,
-)
 from .orchestrator import (
     ServingOrchestrator,
     ServingReport,
@@ -53,17 +44,10 @@ __all__ = [
     "ClientScenario",
     "FrameAccountingError",
     "FrameUpload",
-    "HandoffRecord",
     "Hologram",
     "HologramRegistry",
     "MergeCostModel",
     "MergeEvent",
-    "OffloadConfig",
-    "OffloadController",
-    "OffloadManager",
-    "PLACEMENT_CLIENT",
-    "PLACEMENT_SERVER",
-    "PlacementDecision",
     "ServerFrameResult",
     "ServingConfig",
     "ServingOrchestrator",

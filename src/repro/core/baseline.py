@@ -37,7 +37,7 @@ from ..slam import (
     Vocabulary,
     default_vocabulary,
 )
-from .config import BaselineConfig, SlamShareConfig
+from .config import BaselineConfig, SlamShareConfig, mobile_cpu_model
 from .session import client_inputs
 
 
@@ -139,10 +139,8 @@ class BaselineSession:
         self.baseline = baseline or BaselineConfig()
         self.vocabulary = vocabulary or default_vocabulary()
         self.clock = SimClock()
-        # Mobile-class client silicon: ~4x the per-op cost of the server CPU.
         self.client_latency = TrackingLatencyModel(
-            cpu=client_cpu
-            or CpuCostModel(pixel_ns=220.0, pair_ns=100.0, feature_match_ns=3600.0)
+            cpu=client_cpu or mobile_cpu_model()
         )
         self.global_map = SlamMap(map_id=0)
         self.global_db = KeyframeDatabase(self.vocabulary)

@@ -8,19 +8,14 @@ from typing import Optional
 from ..gpu.device import CpuCostModel, GpuCostModel
 from ..gpu.scheduler import BatchingConfig
 from ..net.tc import PROFILE_IDEAL, ShapingProfile
-from ..net.transport import ArqConfig
 from ..slam.merging import MergerConfig
 from ..slam.system import SlamConfig
-from .offload import OffloadConfig
 
 
 def mobile_cpu_model() -> CpuCostModel:
     """Mobile-class client silicon: ~4x the per-op cost of the server CPU.
 
-    The same constants the Edge-SLAM-style baseline uses for its
-    on-device full-SLAM clients; under adaptive offloading this is the
-    default device tracking speed (override per client via
-    ``ClientScenario.device_cpu``).
+    The Edge-SLAM-style baseline's on-device full-SLAM clients run on it.
     """
     return CpuCostModel(pixel_ns=220.0, pair_ns=100.0, feature_match_ns=3600.0)
 
@@ -112,11 +107,6 @@ class ServingConfig:
     # when the session ends.
     restore_path: Optional[str] = None
     snapshot_path: Optional[str] = None
-    # --- adaptive client<->server offloading (repro.core.offload).
-    # The default ``static-server`` policy reproduces the paper's fixed
-    # tracking split and adds no traffic; ``adaptive`` moves tracking
-    # per client at runtime via reliable ``handoff`` messages.
-    offload: OffloadConfig = field(default_factory=OffloadConfig)
 
     def batching_config(self) -> Optional[BatchingConfig]:
         if not self.batching:
@@ -140,17 +130,10 @@ class SlamShareConfig:
     video_gop: int = 30
     video_quantization: int = 8
     shaping: ShapingProfile = PROFILE_IDEAL
-    # ARQ parameters for the session's endpoints.  Frame uploads and pose
-    # downlinks stay best-effort (a stale frame is worthless; IMU bridges
-    # the gap), but control traffic and timed transfers retransmit.
-    reliability: ArqConfig = field(default_factory=ArqConfig)
     slam: SlamConfig = field(default_factory=SlamConfig)
     merger: MergerConfig = field(default_factory=MergerConfig)
     cpu_model: CpuCostModel = field(default_factory=CpuCostModel)
     gpu_model: GpuCostModel = field(default_factory=GpuCostModel)
-    # Device-side tracking speed when tracking is offloaded to a client
-    # (per-client override: ClientScenario.device_cpu).
-    client_cpu_model: CpuCostModel = field(default_factory=mobile_cpu_model)
     merge_cost: MergeCostModel = field(default_factory=MergeCostModel)
     gpu_sharing: str = "spatial"        # GSlice-style spatial sharing
     stereo: bool = True

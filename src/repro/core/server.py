@@ -166,11 +166,6 @@ class SlamShareServer:
         self.latency_model = TrackingLatencyModel(
             self.config.cpu_model, self.config.gpu_model
         )
-        # Device-side tracking speed used when a client's tracking has
-        # been offloaded to it (adaptive offloading, repro.core.offload).
-        self.device_latency_model = TrackingLatencyModel(
-            cpu=self.config.client_cpu_model
-        )
         self.processes: Dict[int, _ClientProcess] = {}
         self.merge_history: List[MergeResult] = []
         # Admission control: per-client count of frames admitted but not
@@ -359,16 +354,6 @@ class SlamShareServer:
             self.frames_shed_overload += 1
             _shed_total.inc()
             _shed_overload.inc()
-            # Emit the would-be placement decision even when the offload
-            # controller is disabled (static policies): the adaptive
-            # policy would degrade this frame to on-device tracking, and
-            # recording that here keeps static-vs-adaptive runs'
-            # per-frame waterfalls comparable.
-            _tracer.instant(
-                "offload.would_place", client_id=client_id,
-                placement="client", reason="overload",
-                adaptive=self.config.serving.offload.is_adaptive,
-            )
             return "overload"
         self._in_flight[client_id] = self._in_flight.get(client_id, 0) + 1
         _load_gauge.set(self.load())
@@ -391,8 +376,6 @@ class SlamShareServer:
         observations: FeatureSet,
         imu_delta: Optional[ImuDelta] = None,
         trace_ctx: Optional[TraceContext] = None,
-        placement: str = "server",
-        device_model: Optional[TrackingLatencyModel] = None,
     ) -> ServerFrameResult:
         """Track one uploaded frame for a client (steps 3-7 of Fig. 3).
 
@@ -400,17 +383,7 @@ class SlamShareServer:
         server side: the ``server.frame`` span (and everything nested
         under it — tracking, the GPU stage breakdown, publishes, merge
         rounds) joins that frame's causal tree.
-
-        ``placement="client"`` runs the frame through the *migrated*
-        tracking front-end: the latency comes from the device CPU model
-        (``device_model`` or the config-wide mobile-class default)
-        instead of the shared server GPU.  Mapping, publication into
-        the shared store and Process-M merging stay server-side —
-        adaptive offloading moves tracking only, exactly the Edge-SLAM
-        split.
         """
-        if placement not in ("server", "client"):
-            raise ValueError(f"unknown placement {placement!r}")
         process = self.processes[client_id]
         if process.parked:
             raise RuntimeError(
@@ -420,30 +393,21 @@ class SlamShareServer:
         wall_start = time.perf_counter()
         with _tracer.child_span(
             trace_ctx, "server.frame", client_id=client_id, t=timestamp,
-            placement=placement,
         ):
             with _tracer.span("tracking", client_id=client_id) as tracking_span:
                 result = process.system.process_frame(
                     timestamp, observations, imu_delta=imu_delta
                 )
-                if placement == "client":
-                    latency = (device_model or self.device_latency_model).breakdown(
-                        result.tracking.workload,
-                        stereo=self.config.stereo,
-                        device="cpu",
-                    )
-                else:
-                    latency = self.latency_model.breakdown(
-                        result.tracking.workload,
-                        stereo=self.config.stereo,
-                        device="gpu",
-                        gpu_share=self.gpu_share(),
-                    )
+                latency = self.latency_model.breakdown(
+                    result.tracking.workload,
+                    stereo=self.config.stereo,
+                    device="gpu",
+                    gpu_share=self.gpu_share(),
+                )
                 tracking_span.set(
                     success=result.tracking.success,
                     n_matches=result.tracking.n_matches,
                     sim_ms=latency.total,
-                    placement=placement,
                 )
             _frames_total.inc()
             if not result.tracking.success:

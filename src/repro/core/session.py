@@ -20,8 +20,9 @@ uploaded frame opens a trace at capture whose context rides the uplink
 re-anchors the server-side spans (admission, tracking, GPU batch,
 shard-lock waits, merges), rides the pose message back down and is
 sealed when the client fuses the pose — or earlier, with an explicit
-terminal status (``uplink_dropped``, ``stale``/``overload`` sheds,
-``parked``, ``no_pose``, ``pose_dropped``, ``offline``).  An optional
+terminal status (``uplink_dropped``, ``superseded``,
+``stale``/``overload`` sheds, ``parked``, ``no_pose``, ``pose_dropped``,
+``offline``).  An optional
 :class:`~repro.obs.slo.SloEngine` attached via ``session.slo`` is fed
 frame RTTs, shed indicators and live ATE samples as they happen.
 """
@@ -37,25 +38,16 @@ import numpy as np
 
 from ..datasets.registry import SyntheticDataset
 from ..geometry import SE3, Sim3, Trajectory, umeyama
-from ..gpu.device import CpuCostModel, TrackingLatencyModel
 from ..gpu.scheduler import GpuScheduler
 from ..imu import GRAVITY_W, ImuBuffer, ImuDelta, preintegrate, synthesize_imu
 from ..metrics.ate import absolute_trajectory_error, associate
 from ..net import DuplexLink, Endpoint, SimClock, connect
-from ..net.tc import ShapingProfile
 from ..obs import get_logger, get_metrics, get_tracer, kv
 from ..vision.orb import FeatureSet
 from ..vision.render import FeatureOracle, render_frame
 from .client import SlamShareClient
 from .config import SlamShareConfig
 from .holograms import HologramRegistry
-from .offload import (
-    PLACEMENT_CLIENT,
-    PLACEMENT_SERVER,
-    OffloadController,
-    OffloadManager,
-    PlacementDecision,
-)
 from .server import SlamShareServer
 
 _log = get_logger("core.session")
@@ -101,12 +93,6 @@ class ClientScenario:
     oracle_seed: int = 7
     imu_seed: int = 11
     offline_windows: Sequence[Tuple[float, float]] = ()
-    # Mixed fleets (adaptive offloading): a per-client link shaping
-    # profile (default: the session-wide config.shaping) and per-client
-    # device silicon for on-device tracking (default: the config-wide
-    # mobile-class model).
-    shaping: Optional[ShapingProfile] = None
-    device_cpu: Optional[CpuCostModel] = None
 
 
 def client_inputs(scenario: ClientScenario, config: SlamShareConfig,
@@ -196,23 +182,20 @@ class ClientOutcome:
     frames_offline: int = 0       # frames captured while disconnected
     frames_shed: int = 0          # deliveries shed by admission control
     frames_parked: int = 0        # deliveries that landed after a disconnect
-    frames_local: int = 0         # frames tracked on-device (offloading)
-    frames_degraded: int = 0      # overload sheds degraded to local tracking
-    frames_superseded: int = 0    # in-flight frames a handoff overtook
-    handoffs: int = 0             # committed placement migrations
+    # delivered after a newer frame of this client was tracked
+    frames_superseded: int = 0
     disconnects: int = 0
     rejoins: int = 0
     pose_rtts_ms: List[float] = field(default_factory=list)
     tracking_latencies_ms: List[float] = field(default_factory=list)
-    local_latencies_ms: List[float] = field(default_factory=list)
 
     def display_trajectory(self) -> Trajectory:
         return self.client.displayed_trajectory()
 
-    #: Where a captured frame can end, exactly one each: tracked
-    #: (``processed`` includes the ``local`` and ``degraded`` ones),
-    #: overtaken by a handoff, never uploaded, shed by admission, lost
-    #: on the uplink, or delivered to a parked process.
+    #: Where a captured frame can end, exactly one each: tracked,
+    #: delivered after a newer frame of this client was tracked, never
+    #: uploaded, shed by admission, lost on the uplink, or delivered to
+    #: a parked process.
     TERMINAL_COUNTERS = (
         "frames_processed", "frames_superseded", "frames_offline",
         "frames_shed", "uplink_drops", "frames_parked",
@@ -232,11 +215,7 @@ class FrameAccountingError(RuntimeError):
 
 @dataclass
 class ClientState:
-    """Everything the session holds for one participant.
-
-    Placement and the in-flight handoff live on ``controller``
-    (``placement`` / ``pending``), which the handoff ledger keeps.
-    """
+    """Everything the session holds for one participant."""
 
     scenario: ClientScenario
     client: SlamShareClient
@@ -246,19 +225,10 @@ class ClientState:
     device_ep: Endpoint
     server_ep: Endpoint
     outcome: ClientOutcome
-    controller: OffloadController
-    device_model: TrackingLatencyModel   # on-device tracking latency
     prev_ts: Optional[float] = None        # last frame the *client* captured
     imu_anchor_ts: Optional[float] = None  # last frame the *tracker* received
     frame_no: int = 0
     connected: bool = True
-
-    def advance_anchor(self, timestamp: float) -> None:
-        """Move the tracker's IMU anchor forward to ``timestamp``."""
-        anchor = self.imu_anchor_ts
-        self.imu_anchor_ts = (
-            timestamp if anchor is None else max(anchor, timestamp)
-        )
 
 
 @dataclass
@@ -273,10 +243,6 @@ class SessionResult:
     # series below, these still see unmerged fragments in their private
     # frames, so the pre-merge ATE spikes are visible.
     live_global_ate: List[Tuple[float, float]] = field(default_factory=list)
-    # Offload ledger: the session's OffloadManager with every committed /
-    # aborted handoff and per-client controllers (None when the session
-    # predates the offload wiring).
-    offload: Optional[OffloadManager] = None
 
     def client_ate(self, client_id: int, use_display: bool = False):
         outcome = self.outcomes[client_id]
@@ -343,21 +309,11 @@ class SlamShareSession:
     ``handler(state, message)``.
     """
 
-    #: ``(endpoint side, message type) -> handler method``.  ``frame`` and
-    #: ``pose`` are the data plane.  Probes measure the link RTT even
-    #: while tracking runs on-device (pose round trips stop under client
-    #: placement, so the controller would otherwise fly blind); map_sync
-    #: carries keyframe publications up from a locally tracking client;
-    #: handoff commits a placement flip at reliable delivery on the
-    #: receiving side, whichever side that is.
+    #: ``(endpoint side, message type) -> handler method``: frames go up
+    #: to the server, poses come back down to the device.
     MESSAGE_HANDLERS = {
         ("server", "frame"): "_on_frame",
         ("device", "pose"): "_on_pose",
-        ("server", "probe"): "_on_probe",
-        ("device", "probe_ack"): "_on_probe_ack",
-        ("server", "map_sync"): "_on_map_sync",
-        ("server", "handoff"): "_on_handoff",
-        ("device", "handoff"): "_on_handoff",
     }
 
     def __init__(
@@ -400,11 +356,6 @@ class SlamShareSession:
         # Optional SLO engine (repro.obs.slo): fed frame RTTs, shed
         # indicators and ATE samples when attached; None costs nothing.
         self.slo = None
-        # Adaptive offloading: one controller per client, a shared
-        # handoff ledger.  Under the default static-server policy no
-        # probes are scheduled and no handoff ever fires, so behavior
-        # is identical to the pre-offload session.
-        self.offload = OffloadManager(self.config.serving.offload)
 
     # -------------------------------------------------------------- setup
     def _setup_client(self, scenario: ClientScenario) -> list:
@@ -417,23 +368,18 @@ class SlamShareSession:
         gravity_map = t0_pose.rotation @ GRAVITY_W
         client = SlamShareClient(cid, self.config, SE3.identity(), gravity_map)
         self.server.add_client(cid, gravity_map)
-        shaping = scenario.shaping or self.config.shaping
-        link = shaping.build(self.clock, seed=50 + cid)
+        link = self.config.shaping.build(self.clock, seed=50 + cid)
         # Session traffic flows through the endpoint layer so transport
         # metrics (net.messages_sent / bytes / latency) see it.
         device_ep, server_ep = connect(
-            f"device-{cid}", "edge-server", self.clock, link,
-            arq=self.config.reliability,
+            f"device-{cid}", "edge-server", self.clock, link
         )
         oracle, imu, frames = client_inputs(scenario, self.config)
         outcome = self.outcomes[cid] = ClientOutcome(scenario, client)
         state = self.clients[cid] = ClientState(
             scenario=scenario, client=client, oracle=oracle, imu=imu,
             link=link, device_ep=device_ep, server_ep=server_ep,
-            outcome=outcome, controller=self.offload.controller(cid),
-            device_model=TrackingLatencyModel(
-                cpu=scenario.device_cpu or self.config.client_cpu_model
-            ),
+            outcome=outcome,
         )
         endpoints = {"device": device_ep, "server": server_ep}
         for (side, msg_type), handler in self.MESSAGE_HANDLERS.items():
@@ -457,21 +403,6 @@ class SlamShareSession:
             events += self._setup_client(scenario)
         events.sort()
         end_time = events[-1][0] if events else 0.0
-
-        # Close the observability loop: SLO breach/recover edges feed
-        # every offload controller (no-op under static policies).
-        if self.slo is not None:
-            self.offload.attach_slo(self.slo)
-        # RTT probes are scheduled up front at fixed times — the clock
-        # drains *all* events, so self-rescheduling probes would spin
-        # the run forever.  Static policies send no probes at all.
-        if config.serving.offload.is_adaptive:
-            interval = config.serving.offload.probe_interval_s
-            for state in self.clients.values():
-                t = state.scenario.start_time + interval
-                while t < end_time:
-                    self.clock.schedule_at(t, partial(self._send_probe, state))
-                    t += interval
 
         for session_time, client_id, frame_idx, dataset_ts in events:
             # _process_frame is looked up when the frame fires, so a
@@ -520,7 +451,6 @@ class SlamShareSession:
             holograms=self.holograms,
             duration=end_time,
             live_global_ate=self.live_global_ate,
-            offload=self.offload,
         )
 
     def _check_run_end(self) -> None:
@@ -581,7 +511,7 @@ class SlamShareSession:
     # ------------------------------------------------------ frame handling
     def _process_frame(self, state: ClientState, frame_idx: int,
                        dataset_ts: float) -> None:
-        """Device side of one camera frame: capture, then upload or track."""
+        """Device side of one camera frame: capture, then upload."""
         scenario = state.scenario
         client = state.client
         dataset = scenario.dataset
@@ -592,12 +522,7 @@ class SlamShareSession:
         if state.prev_ts is not None:
             client_delta = preintegrate(state.imu, state.prev_ts, dataset_ts)
         pixels = None
-        placement = state.controller.placement
-        local = placement == PLACEMENT_CLIENT
-        if self.config.render_video_frames and not local:
-            # Under client placement nothing is uploaded, so no video is
-            # encoded — that bandwidth saving is half the point of
-            # tracking on-device.
+        if self.config.render_video_frames:
             pixels = render_frame(
                 dataset.world.positions,
                 dataset.world.ids,
@@ -655,17 +580,7 @@ class SlamShareSession:
         ctx = _tracer.open_trace(
             "frame.lifecycle", tid=f"client-{scenario.client_id}",
             client_id=scenario.client_id, frame=frame_no,
-            placement=placement,
         )
-
-        if local:
-            # Tracking currently lives on this device: no uplink at all,
-            # the frame goes straight into the migrated front-end.
-            outcome.frames_local += 1
-            self.offload.note_local_frame()
-            self._track(state, packet, ctx, on_device=True)
-            return
-
         _frames_uploaded.inc()
         state.device_ep.send(
             "frame", upload.video_bytes, payload=packet,
@@ -688,12 +603,11 @@ class SlamShareSession:
             _tracer.close_trace(ctx, status="parked")
             return
         packet: _FramePacket = message.payload
-        # A server->client handoff committed while this frame was in
-        # flight.  If a locally tracked frame already overtook it the
-        # tracker's timeline has moved past it — skip it (its IMU
-        # interval folds into the next local delta, so continuity
-        # holds); otherwise it is still the newest frame and tracking
-        # it server-side is both safe and gap-free.
+        # A newer frame of this client overtook this one on the uplink
+        # (the link got faster while it was in flight) and has already
+        # been tracked.  Tracking this one now would step the tracker
+        # back in time, so it is skipped; its IMU interval is already
+        # inside the newer frame's delta.
         anchor = state.imu_anchor_ts
         if anchor is not None and packet.dataset_ts <= anchor + 1e-12:
             outcome.frames_superseded += 1
@@ -710,42 +624,20 @@ class SlamShareSession:
                 cid, age_s=self.clock.now - packet.captured_at,
             )
             admission_span.set(decision=admit)
-        controller = state.controller
-        controller.observe_admission(admit == "ok", self.clock.now)
         if self.slo is not None:
             self.slo.observe(
                 "frames.shed_rate", 0.0 if admit == "ok" else 1.0
             )
-        if admit == "overload" and controller.config.is_adaptive:
-            # Graceful degradation: instead of discarding the frame,
-            # run it through the device front-end.  The admission
-            # queue stays bounded and the client keeps fresh poses —
-            # overload now costs latency, not continuity.
-            outcome.frames_degraded += 1
-            self.offload.note_degraded()
-            self._track(state, packet, ctx, on_device=True)
-            self._evaluate_offload(state)
-            return
         if admit != "ok":
             outcome.frames_shed += 1
             _frames_shed_total.inc()
             _tracer.close_trace(ctx, status=admit)
-            self._evaluate_offload(state)
             return
-        self._track(state, packet, ctx, on_device=False)
+        self._track(state, packet, ctx)
 
-    def _track(self, state: ClientState, packet: _FramePacket, ctx,
-               on_device: bool) -> None:
-        """Track one frame in the client's SLAM process (Fig. 3 steps 3-7).
-
-        The process is the same wherever it runs; ``on_device`` decides
-        what tracking costs and how the pose travels back.  Server side
-        it is the shared GPU, then the downlink.  On the device — a
-        migrated client, or an overload shed borrowing the device
-        front-end for one frame — it is the device CPU model, no
-        admission slot or GPU dispatch, and the pose reaches the display
-        after that local latency with zero network hops.
-        """
+    def _track(self, state: ClientState, packet: _FramePacket, ctx) -> None:
+        """Track one admitted frame in the client's server process
+        (Fig. 3 steps 3-7), then queue its GPU dispatch."""
         cid = state.scenario.client_id
         client = state.client
         outcome = state.outcome
@@ -754,24 +646,17 @@ class SlamShareSession:
             outcome.frames_recovered += 1
             _frames_recovered.inc()
             _gap_hist.record(packet.bridged_s * 1e3)
-        state.advance_anchor(packet.dataset_ts)
+        # _on_frame skips frames at or before the anchor, so this only
+        # ever moves it forward.
+        state.imu_anchor_ts = packet.dataset_ts
         result = self.server.process_frame(
             cid, packet.dataset_ts, packet.observations,
             imu_delta=packet.imu_delta, trace_ctx=ctx,
-            placement=PLACEMENT_CLIENT if on_device else PLACEMENT_SERVER,
-            device_model=state.device_model,
         )
         outcome.frames_processed += 1
         if not result.tracking_success:
             outcome.frames_lost += 1
         outcome.tracking_latencies_ms.append(result.latency.total)
-        if on_device:
-            outcome.local_latencies_ms.append(result.latency.total)
-            # On-device full-SLAM work hits the device CPU budget.
-            client.cpu.add_full_slam_frame(
-                int(self.config.slam.tracker.image_pixels),
-                len(packet.observations),
-            )
         if result.merge is not None:
             self.merges.append(
                 MergeEvent(
@@ -786,26 +671,11 @@ class SlamShareSession:
                 result.merge.transform,
                 result.merge.transform.rotation @ client.motion_model.gravity,
             )
-        if on_device and result.store_bytes_written > 0 and state.connected:
-            # The published keyframe must still reach the shared store:
-            # under client placement that costs uplink bytes (reliable —
-            # map data, unlike a stale frame, is worth retransmitting).
-            state.device_ep.send(
-                "map_sync", result.store_bytes_written, reliable=True,
-            )
         if result.pose_cw is None:
-            if not on_device:
-                self.server.release_frame(cid)
+            self.server.release_frame(cid)
             _tracer.close_trace(ctx, status="no_pose")
             return
         pose = _PosePacket(packet.frame_no, result.pose_cw, packet.captured_at)
-        if on_device:
-            self.clock.schedule(
-                result.latency.total / 1e3,
-                partial(self._fuse_pose, state, pose, ctx,
-                        local_ms=result.latency.total),
-            )
-            return
         # Under backend="gpu" on real hardware the tracker reports a
         # *measured* device-kernel wall time; the scheduler then plays
         # that measurement instead of the calibrated model (which
@@ -819,7 +689,6 @@ class SlamShareSession:
                 else None
             ),
         )
-        self._evaluate_offload(state)
 
     def _send_pose(self, state: ClientState, pose: _PosePacket, ctx) -> None:
         """GPU dispatch (possibly batched with other clients' kernels)
@@ -838,140 +707,22 @@ class SlamShareSession:
         _tracer.close_trace(message.trace, status="pose_dropped")
 
     def _on_pose(self, state: ClientState, message) -> None:
-        """Client side of one delivered ``pose`` message."""
-        self._fuse_pose(state, message.payload, message.trace)
-
-    def _fuse_pose(self, state: ClientState, pose: _PosePacket, ctx,
-                   local_ms: Optional[float] = None) -> None:
-        """Fuse a tracked pose into the client's motion model (Alg. 1).
-
-        ``local_ms`` is the on-device tracking latency when the pose
-        never crossed the network; the controller then learns that
-        instead of a link round trip.
-        """
+        """Client side of one delivered ``pose`` message: fuse the
+        tracked pose into the client's motion model (Alg. 1)."""
+        ctx = message.trace
         if not state.connected:
             # pose became ready while the radio was off
             _tracer.close_trace(ctx, status="offline")
             return
-        outcome = state.outcome
+        pose: _PosePacket = message.payload
         state.client.receive_server_pose(pose.frame_no, pose.pose_cw)
         rtt_ms = (self.clock.now - pose.captured_at) * 1e3
-        outcome.pose_rtts_ms.append(rtt_ms)
+        state.outcome.pose_rtts_ms.append(rtt_ms)
         _pose_rtt_hist.record(rtt_ms, trace_id=ctx.trace_id if ctx else None)
-        # A degraded frame was captured under server placement; its
-        # trace ends saying where it was actually tracked.
-        where = {} if local_ms is None else {"placement": PLACEMENT_CLIENT}
-        _tracer.close_trace(ctx, status="complete", rtt_ms=rtt_ms, **where)
+        _tracer.close_trace(ctx, status="complete", rtt_ms=rtt_ms)
         if self.slo is not None:
             self.slo.observe("frame.p95_ms", rtt_ms)
             self.slo.maybe_evaluate()
-        if local_ms is None:
-            state.controller.observe_rtt(rtt_ms, self.clock.now)
-        else:
-            state.controller.observe_local_ms(local_ms, self.clock.now)
-        self._evaluate_offload(state)
-
-    # ---------------------------------------------------- adaptive offload
-    def _evaluate_offload(self, state: ClientState) -> None:
-        """Ask the client's controller whether tracking should move."""
-        if not self.config.serving.offload.is_adaptive:
-            return
-        if not state.connected or state.controller.pending:
-            return
-        decision = state.controller.decide(self.clock.now, self.server.load())
-        if decision is not None:
-            self._initiate_handoff(state, decision)
-
-    def _initiate_handoff(self, state: ClientState,
-                          decision: PlacementDecision) -> None:
-        """Send the reliable handoff message that migrates tracking.
-
-        The sender is whichever side currently owns tracking (it ships
-        its state); the flip commits on the *receiving* side at ARQ
-        delivery, so frames captured while the message is in flight keep
-        flowing on the old placement and nothing is dropped.  If the
-        message hits the retry cap the migration aborts and the cooldown
-        still arms, so a dead link is not hammered with attempts.
-        """
-        record = self.offload.begin_handoff(
-            decision, imu_anchor_ts=state.imu_anchor_ts
-        )
-        sender = (
-            state.server_ep if decision.placement == PLACEMENT_CLIENT
-            else state.device_ep
-        )
-        _log.info(
-            "handoff initiated: %s",
-            kv(client=decision.client_id, dst=decision.placement,
-               reason=decision.reason, t=self.clock.now),
-        )
-        sender.send(
-            "handoff", record.state_bytes, payload=record, reliable=True,
-            on_dropped=partial(self._on_handoff_dropped, state),
-        )
-
-    def _on_handoff_dropped(self, state: ClientState, message) -> None:
-        self.offload.abort_handoff(message.payload, self.clock.now)
-
-    def _on_handoff(self, state: ClientState, message) -> None:
-        """Receiver-side commit of one delivered ``handoff`` message."""
-        record = message.payload
-        if not state.connected:
-            self.offload.abort_handoff(record, self.clock.now)
-            return
-        # The migrated state carries the sender's IMU anchor; merge
-        # it so preintegration resumes from the newest frame either
-        # side has tracked — the anchor survives the migration.
-        if record.imu_anchor_ts is not None:
-            state.advance_anchor(record.imu_anchor_ts)
-        self.offload.commit_handoff(record, self.clock.now)
-        state.outcome.handoffs += 1
-
-    def request_handoff(self, client_id: int, placement: str,
-                        reason: str = "manual") -> Optional[PlacementDecision]:
-        """Manually migrate one client's tracking (tests, operators).
-
-        Returns the decision if a handoff was initiated, or ``None``
-        when tracking is already at ``placement`` (or a migration is in
-        flight).  Works under any policy — manual moves bypass the
-        adaptive thresholds but still ride the same reliable handoff
-        message and cooldown bookkeeping.
-        """
-        if placement not in (PLACEMENT_SERVER, PLACEMENT_CLIENT):
-            raise ValueError(f"unknown placement {placement!r}")
-        state = self._state(client_id)
-        controller = state.controller
-        if controller.pending or controller.placement == placement:
-            return None
-        decision = PlacementDecision(client_id, placement, reason, self.clock.now)
-        self._initiate_handoff(state, decision)
-        return decision
-
-    def _send_probe(self, state: ClientState) -> None:
-        """One link-RTT probe (adaptive policy only).
-
-        Pose round trips stop once tracking runs on-device, so without
-        probes the controller could never observe the link recovering.
-        """
-        if not state.connected:
-            return
-        # The payload is the send time; the server echoes it back.
-        state.device_ep.send("probe", 64, payload=self.clock.now)
-
-    def _on_probe(self, state: ClientState, message) -> None:
-        if state.connected:
-            state.server_ep.send("probe_ack", 64, payload=message.payload)
-
-    def _on_probe_ack(self, state: ClientState, message) -> None:
-        if not state.connected:
-            return
-        rtt_ms = (self.clock.now - message.payload) * 1e3
-        state.controller.observe_rtt(rtt_ms, self.clock.now)
-        self._evaluate_offload(state)
-
-    def _on_map_sync(self, state: ClientState, message) -> None:
-        """Only the wire cost of a ``map_sync`` is modeled: the keyframe
-        it stands for is already in the shared store."""
 
     # -------------------------------------------------------------- churn
     def _state(self, client_id: int) -> ClientState:

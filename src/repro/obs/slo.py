@@ -20,9 +20,8 @@ the serving pipeline:
     value must stay at or under ``target``.
 
 Subscribers (:meth:`SloEngine.subscribe`) receive :class:`SloEvent`
-edge transitions (``breach`` / ``recover``) — this is the seam the
-adaptive-offloading controller on the roadmap will hook to move
-tracking between device and edge when the frame SLO starts burning.
+edge transitions (``breach`` / ``recover``); ``repro.cli session --slo``
+logs them as they happen.
 The engine never sits on the frame hot path: ``observe`` is an O(1)
 append and evaluation is explicit (or rate-limited via
 ``maybe_evaluate``).

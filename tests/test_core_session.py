@@ -279,40 +279,29 @@ class TestOneBackendField:
 class TestSessionSeams:
     """What benchmarks/perf relies on from outside the package."""
 
-    @pytest.mark.parametrize("policy, placement", [
-        ("static-server", "server"), ("static-client", "client"),
-    ])
-    def test_process_frame_replaced_on_instance_sees_every_frame(
-            self, policy, placement):
+    def test_process_frame_replaced_on_instance_sees_every_frame(self):
         session = _short_session()
-        session.config.serving.offload.policy = policy
         process_frame = session.server.process_frame
         seen = []
 
         def recording(client_id, *args, **kwargs):
-            seen.append((client_id, kwargs.get("placement")))
+            seen.append(client_id)
             return process_frame(client_id, *args, **kwargs)
 
         session.server.process_frame = recording
         result = session.run()
         for cid, outcome in result.outcomes.items():
             assert outcome.frames_processed == 50
-            assert seen.count((cid, placement)) == 50
+            assert seen.count(cid) == 50
         assert len(seen) == 100
 
     def test_handler_table_is_what_the_endpoints_register(self):
         table = SlamShareSession.MESSAGE_HANDLERS
-        assert sorted(table) == [
-            ("device", "handoff"), ("device", "pose"), ("device", "probe_ack"),
-            ("server", "frame"), ("server", "handoff"), ("server", "map_sync"),
-            ("server", "probe"),
-        ]
+        assert sorted(table) == [("device", "pose"), ("server", "frame")]
         session, _ = _short_default()
         for state in session.clients.values():
-            assert sorted(state.device_ep._handlers) == [
-                "handoff", "pose", "probe_ack"]
-            assert sorted(state.server_ep._handlers) == [
-                "frame", "handoff", "map_sync", "probe"]
+            assert sorted(state.device_ep._handlers) == ["pose"]
+            assert sorted(state.server_ep._handlers) == ["frame"]
 
 
 class TestBaselineSession:

@@ -17,6 +17,8 @@ from repro.core import (
 )
 from repro.datasets import euroc_dataset
 from repro.net import ShapingProfile
+from repro.net.tc import PROFILE_DELAY_300MS
+from repro.obs import get_tracer
 from repro.vision import FeatureSet
 from tests.test_shm_multiproc import shm_required
 
@@ -390,102 +392,83 @@ class TestMergeRobustness:
         assert process.system.map.n_keyframes > 0
 
 
-class TestOffloadUnderChurn:
-    """Adaptive offloading on hostile links: the handoff machinery must
-    degrade exactly like the rest of the transport — bounded by the
-    cooldown, aborting cleanly on dead links, and never losing the IMU
-    anchor across migrations."""
+@pytest.fixture
+def tracer():
+    """A fresh, enabled tracer (restores global state afterwards)."""
+    t = get_tracer()
+    was_enabled, old_clock = t.enabled, t.clock
+    t.reset()
+    t.configure(enabled=True)
+    yield t
+    t.reset()
+    t.enabled = was_enabled
+    t.clock = old_clock
 
-    def _adaptive_session(self, duration=12.0, shaping=None,
-                          policy="adaptive"):
-        from repro.core import ClientScenario as CS
-        from repro.gpu.device import CpuCostModel
 
-        dataset = euroc_dataset("MH04", duration=duration, rate=10.0)
-        config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
-        config.serving.offload.policy = policy
-        strong = CpuCostModel(pixel_ns=70.0, pair_ns=40.0,
-                              feature_match_ns=1500.0)
-        return SlamShareSession(
-            [CS(0, dataset, shaping=shaping, device_cpu=strong)], config)
+def _closed_with(tracer, status):
+    return [s for s in tracer.spans
+            if s.name == "frame.lifecycle" and s.attrs.get("status") == status]
 
-    def test_flapping_link_commits_bounded_by_cooldown(self):
-        """The link flips clean<->terrible every second, far faster than
-        the 2 s cooldown: committed migrations stay bounded by
-        duration/cooldown and the frame ledger stays gap-free."""
-        session = self._adaptive_session(duration=12.0)
-        cooldown = session.config.serving.offload.cooldown_s
 
-        def set_delay(delay_s):
+class TestReorderedUplink:
+    """A link whose delay drops mid-run delivers later frames before
+    earlier ones: the tracker must only ever move forward in time."""
+
+    def test_delay_drop_supersedes_overtaken_frames(self, tracer):
+        dataset = euroc_dataset("MH04", duration=8.0, rate=10.0)
+        config = SlamShareConfig(camera_fps=10.0, render_video_frames=False,
+                                 shaping=PROFILE_DELAY_300MS)
+        session = SlamShareSession([ClientScenario(0, dataset)], config)
+
+        def heal():
             link = session.clients[0].link
-            link.uplink.delay_s = delay_s
-            link.downlink.delay_s = delay_s
+            link.uplink.delay_s = link.downlink.delay_s = 0.0
 
-        for i in range(12):
-            session.clock.schedule_at(
-                float(i), lambda d=(0.3 if i % 2 == 0 else 0.0): set_delay(d))
+        session.clock.schedule_at(4.0, heal)
+        process_frame = session.server.process_frame
+        tracked = {}
+
+        def recording(client_id, timestamp, *args, **kwargs):
+            tracked.setdefault(client_id, []).append(timestamp)
+            return process_frame(client_id, timestamp, *args, **kwargs)
+
+        session.server.process_frame = recording
         result = session.run()
-        committed = result.offload.committed_handoffs()
-        assert len(committed) <= 12.0 / cooldown + 1
-        for first, second in zip(committed, committed[1:]):
-            assert (second.committed_at - first.committed_at
-                    >= cooldown - 1e-9)
         outcome = result.outcomes[0]
-        assert outcome.frames_shed == 0 and outcome.uplink_drops == 0
+        assert outcome.frames_superseded >= 1
         assert outcome.unaccounted_frames() == 0
-
-    def test_disconnect_mid_handoff_aborts_cleanly(self):
-        """The client vanishes while the handoff message is in flight on
-        a 300 ms link: the reliable-ARQ drop callback aborts the
-        migration, placement stays put, and the session completes."""
-        from repro.net.tc import PROFILE_DELAY_300MS
-
-        # Static policy: placement is still on the server at t=3.0, so
-        # the manual migration below is the only handoff in play.
-        session = self._adaptive_session(duration=12.0,
-                                         shaping=PROFILE_DELAY_300MS,
-                                         policy="static-server")
-        initiated = []
-        session.clock.schedule_at(
-            3.0,
-            lambda: initiated.append(session.request_handoff(0, "client")))
-        # 300 ms one-way: the handoff is still airborne 50 ms later.
-        session.clock.schedule_at(3.05,
-                                  lambda: session.disconnect_client(0))
-        session.clock.schedule_at(6.0, lambda: session.rejoin_client(0))
-        result = session.run()
-        assert initiated and initiated[0] is not None
-        aborted = [h for h in result.offload.handoffs if h.aborted]
-        assert len(aborted) >= 1
-        assert aborted[0].dst == "client"
-        assert not aborted[0].committed
-        outcome = result.outcomes[0]
-        assert outcome.disconnects == 1 and outcome.rejoins == 1
-
-    def test_handoff_preserves_imu_anchor_across_churn(self):
-        """Disconnect/rejoin, then migrate: the handoff payload carries
-        the IMU anchor so the device-side tracker resumes from the exact
-        timestamp the server-side tracker had integrated to — tracking
-        stays continuous and accurate."""
-        session = self._adaptive_session(duration=14.0,
-                                         policy="static-server")
-        session.clock.schedule_at(4.0, lambda: session.disconnect_client(0))
-        session.clock.schedule_at(6.0, lambda: session.rejoin_client(0))
-        anchors = []
-
-        def migrate():
-            anchors.append(session.clients[0].imu_anchor_ts)
-            session.request_handoff(0, "client")
-
-        session.clock.schedule_at(8.0, migrate)
-        result = session.run()
-        committed = result.offload.committed_handoffs()
-        assert len(committed) == 1
-        record = committed[0]
-        assert record.imu_anchor_ts is not None
-        # The anchor in the payload is the one tracking had reached.
-        assert record.imu_anchor_ts == anchors[0]
-        # Post-rejoin anchor: the offline window was already bridged.
-        assert record.imu_anchor_ts > 4.0
-        assert result.outcomes[0].frames_local > 0
+        assert len(_closed_with(tracer, "superseded")) == \
+            outcome.frames_superseded
+        for timestamps in tracked.values():
+            assert all(a < b for a, b in zip(timestamps, timestamps[1:]))
+        assert len(tracked[0]) == outcome.frames_processed
         assert result.client_ate(0).rmse < 0.15
+
+
+class TestOverloadShed:
+    def test_full_admission_queue_sheds_and_recovers(self, tracer):
+        """Every admission slot is taken from t = 1 s to t = 2 s: frames
+        delivered meanwhile are shed as ``overload``, each one closing
+        its trace, and tracking resumes once the slots come back."""
+        dataset = euroc_dataset("MH04", duration=4.0, rate=10.0)
+        config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+        session = SlamShareSession([ClientScenario(0, dataset)], config)
+        depth = config.serving.queue_depth
+
+        def hog():
+            for _ in range(depth):
+                session.server.try_admit(0)
+
+        def release():
+            for _ in range(depth):
+                session.server.release_frame(0)
+
+        session.clock.schedule_at(1.0, hog)
+        session.clock.schedule_at(2.0, release)
+        result = session.run()
+        outcome = result.outcomes[0]
+        assert outcome.frames_shed > 0
+        assert outcome.unaccounted_frames() == 0
+        assert len(_closed_with(tracer, "overload")) == outcome.frames_shed
+        assert outcome.frames_processed > 0
+        assert tracer.open_trace_count() == 0
