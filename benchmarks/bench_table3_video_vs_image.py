@@ -57,7 +57,7 @@ def test_table3_video_vs_image(trace, stereo_factor, benchmark):
           f"(enc {video.mean_encode_ms:.2f} ms, dec {video.mean_decode_ms:.2f} ms)")
     print(f"  bandwidth ratio: {i_mbps / v_mbps:.1f}x")
 
-    assert v_mbps < i_mbps / 3          # video ≪ images (paper: ~70x)
+    assert v_mbps < i_mbps / 4          # video ≪ images (paper: ~70x)
     assert video.mean_encode_ms < 40.0  # pure-Python; paper: <3 ms native
 
 

@@ -597,12 +597,15 @@ class SlamShareSession:
         cid = state.scenario.client_id
         outcome = state.outcome
         ctx = message.trace
+        # The endpoints keep every message for the session's life; taking
+        # the packet off it lets the frame's features go once handled.
+        packet: _FramePacket = message.payload
+        message.payload = None
         if not state.connected or self.server.is_parked(cid):
             # in-flight frame landed after the disconnect
             outcome.frames_parked += 1
             _tracer.close_trace(ctx, status="parked")
             return
-        packet: _FramePacket = message.payload
         # A newer frame of this client overtook this one on the uplink
         # (the link got faster while it was in flight) and has already
         # been tracked.  Tracking this one now would step the tracker

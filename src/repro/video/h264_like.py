@@ -9,7 +9,8 @@ residuals).  The pipeline per P-frame is
     global motion search (SAD over a +-search_range pixel window,
     evaluated on a downsampled pair)  ->  per-block motion search
     around it  ->  motion-compensated residual  ->  dead-zone
-    quantization  ->  DEFLATE entropy coding
+    quantization  ->  DEFLATE entropy coding of the plane at the width
+    the quantizer guarantees (bytes under run-length DEFLATE from q = 3)
 
 with an intra (I) frame opening every GOP, and at any change of frame
 size.  Each stage runs as a few whole-array passes: the global search
@@ -158,6 +159,32 @@ class H264LikeCodec(VideoCodec):
         q = self.intra_quantization if intra else self.quantization
         return values.astype(np.int16) * q
 
+    def _plane_dtype(self, intra: bool) -> np.dtype:
+        """The narrowest dtype that holds every quantized value of a plane.
+
+        Both sides derive it from the shared step, so the stream carries no
+        width flag.  An I plane quantizes ``uint8`` pixels by a step >= 1,
+        so it stays in 0..255.  A P residual lies in -255..255, so its
+        quantized values lie within +-round(255 / q): ``int8`` from q = 3.
+        """
+        if intra:
+            return np.dtype(np.uint8)
+        return np.dtype(np.int8 if round(255 / self.quantization) <= 127 else "<i2")
+
+    def _deflate(self, plane: np.ndarray) -> bytes:
+        """DEFLATE one plane; byte planes use the run-length strategy.
+
+        Z_RLE finds the zero runs of a byte plane at a fraction of the
+        default strategy's cost and in fewer bytes; on 16-bit planes it
+        does worse, so they keep the default.
+        """
+        if plane.dtype.itemsize == 1:
+            packer = zlib.compressobj(
+                self.compression_level, zlib.DEFLATED, 15, 8, zlib.Z_RLE
+            )
+            return packer.compress(plane) + packer.flush()
+        return zlib.compress(plane, self.compression_level)
+
     def encode(self, frame: np.ndarray) -> EncodedFrame:
         frame = np.ascontiguousarray(frame, dtype=np.uint8)
         start = time.perf_counter()
@@ -183,8 +210,8 @@ class H264LikeCodec(VideoCodec):
             ).astype(np.uint8)
             header = _SHIFT_HEADER.pack(*global_shift) + mv_idx.tobytes()
             frame_type = "P"
-        data = header + zlib.compress(
-            quantized.astype("<i2").tobytes(), self.compression_level
+        data = header + self._deflate(
+            quantized.astype(self._plane_dtype(intra), copy=False)
         )
         # Closed-loop prediction: reference is the *decoded* frame, so the
         # encoder and decoder never drift apart.
@@ -259,21 +286,33 @@ class H264LikeCodec(VideoCodec):
         return (h // self.block) * (w // self.block)
 
     def decode(self, encoded: EncodedFrame) -> np.ndarray:
-        dy, dx = _SHIFT_HEADER.unpack_from(encoded.data, 0)
+        """Decode one frame; a damaged payload raises ``ValueError``."""
+        if encoded.frame_type not in ("I", "P"):
+            raise ValueError(f"unknown frame type {encoded.frame_type!r}")
+        data = encoded.data
+        shape = encoded.original_shape
+        intra = encoded.frame_type == "I"
         offset = _SHIFT_HEADER.size
-        if encoded.frame_type == "P":
-            n_mv = self._mv_bytes(encoded.original_shape)
-            mv_idx = np.frombuffer(
-                encoded.data, dtype=np.int8, count=n_mv, offset=offset
-            ).reshape(
-                encoded.original_shape[0] // self.block,
-                encoded.original_shape[1] // self.block,
-            )
+        n_mv = 0 if intra else self._mv_bytes(shape)
+        if len(data) < offset + n_mv:
+            raise ValueError("corrupt video payload: truncated header")
+        dy, dx = _SHIFT_HEADER.unpack_from(data, 0)
+        if not intra:
+            mv_idx = np.frombuffer(data, dtype=np.int8, count=n_mv, offset=offset)
+            mv_idx = mv_idx.reshape(shape[0] // self.block, shape[1] // self.block)
+            n_candidates = len(_candidate_offsets((dy, dx)))
+            if mv_idx.size and (mv_idx.min() < 0 or mv_idx.max() >= n_candidates):
+                raise ValueError("corrupt video payload: motion vector out of range")
             offset += n_mv
-        quantized = np.frombuffer(
-            zlib.decompress(encoded.data[offset:]), dtype="<i2"
-        ).reshape(encoded.original_shape)
-        if encoded.frame_type == "I":
+        dtype = self._plane_dtype(intra)
+        try:
+            plane = zlib.decompress(data[offset:])
+        except zlib.error as err:
+            raise ValueError("corrupt video payload") from err
+        if len(plane) != shape[0] * shape[1] * dtype.itemsize:
+            raise ValueError("corrupt video payload: wrong plane size")
+        quantized = np.frombuffer(plane, dtype=dtype).reshape(shape)
+        if intra:
             frame = np.clip(self._dequantize(quantized, intra=True), 0, 255).astype(
                 np.uint8
             )

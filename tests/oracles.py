@@ -46,10 +46,18 @@ The device half's loops, from before it ran in whole-array passes:
 landmark patch at a time.  ``repro.video.h264_like.estimate_global_shift``
 must return the same tuple, and ``repro.vision.render_frame`` the same
 pixels with the generator left in the same state.
+
+``H264LikeCodecReference`` is ``H264LikeCodec`` with the ``encode`` /
+``decode`` bodies from before planes were packed at their quantizer's
+width: every plane as little-endian ``int16`` under zlib's default
+strategy.  The live codec must decode every stream to the same frames,
+and its q <= 2 P-frames, still 16-bit, to the same bytes.
 """
 
 from __future__ import annotations
 
+import time
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -71,7 +79,13 @@ from repro.slam.pnp import (
     solve_pnp,
 )
 from repro.slam.pose_graph import PoseGraphEdge, PoseGraphStats
-from repro.video.h264_like import _candidate_offsets
+from repro.video.codec import EncodedFrame
+from repro.video.h264_like import (
+    _SHIFT_HEADER,
+    H264LikeCodec,
+    _candidate_offsets,
+    estimate_global_shift,
+)
 from repro.vision.brief import (
     DESCRIPTOR_BYTES,
     PATCH_RADIUS,
@@ -926,6 +940,81 @@ def predict_from_mvs(reference: np.ndarray, global_shift, mv_idx,
         mask = np.kron(mv_idx == idx, np.ones((block, block), dtype=bool))
         predicted[:crop_h, :crop_w][mask] = shifted_cache[int(idx)][mask]
     return predicted, mv_idx
+
+
+class H264LikeCodecReference(H264LikeCodec):
+    """The codec with its ``int16`` / default-strategy entropy stage."""
+
+    def encode(self, frame: np.ndarray) -> EncodedFrame:
+        frame = np.ascontiguousarray(frame, dtype=np.uint8)
+        start = time.perf_counter()
+        if self._reference is not None and frame.shape != self._reference.shape:
+            self._frame_index = 0   # a new resolution opens a new GOP
+        intra = self._reference is None or self._frame_index % self.gop == 0
+        if intra:
+            quantized = self._quantize(frame, intra=True)
+            reconstructed = np.clip(
+                self._dequantize(quantized, intra=True), 0, 255
+            ).astype(np.uint8)
+            header = _SHIFT_HEADER.pack(0, 0)
+            frame_type = "I"
+        else:
+            global_shift = estimate_global_shift(
+                self._reference, frame, self.search_range
+            )
+            predicted, mv_idx = self._predict(self._reference, global_shift, frame=frame)
+            residual = frame.astype(np.int16) - predicted.astype(np.int16)
+            quantized = self._quantize(residual)
+            reconstructed = np.clip(
+                predicted.astype(np.int16) + self._dequantize(quantized), 0, 255
+            ).astype(np.uint8)
+            header = _SHIFT_HEADER.pack(*global_shift) + mv_idx.tobytes()
+            frame_type = "P"
+        data = header + zlib.compress(
+            quantized.astype("<i2").tobytes(), self.compression_level
+        )
+        self._reference = reconstructed
+        self._frame_index += 1
+        return EncodedFrame(
+            data=data,
+            frame_type=frame_type,
+            encode_time_s=time.perf_counter() - start,
+            original_shape=frame.shape,
+        )
+
+    def decode(self, encoded: EncodedFrame) -> np.ndarray:
+        dy, dx = _SHIFT_HEADER.unpack_from(encoded.data, 0)
+        offset = _SHIFT_HEADER.size
+        if encoded.frame_type == "P":
+            n_mv = self._mv_bytes(encoded.original_shape)
+            mv_idx = np.frombuffer(
+                encoded.data, dtype=np.int8, count=n_mv, offset=offset
+            ).reshape(
+                encoded.original_shape[0] // self.block,
+                encoded.original_shape[1] // self.block,
+            )
+            offset += n_mv
+        quantized = np.frombuffer(
+            zlib.decompress(encoded.data[offset:]), dtype="<i2"
+        ).reshape(encoded.original_shape)
+        if encoded.frame_type == "I":
+            frame = np.clip(self._dequantize(quantized, intra=True), 0, 255).astype(
+                np.uint8
+            )
+        else:
+            if self._decoded_reference is None:
+                raise ValueError("P-frame received before any I-frame")
+            if self._decoded_reference.shape != encoded.original_shape:
+                raise ValueError(
+                    f"P-frame of shape {encoded.original_shape} does not match "
+                    f"the decoded reference of shape {self._decoded_reference.shape}"
+                )
+            predicted, _ = self._predict(self._decoded_reference, (dy, dx), mv_idx)
+            frame = np.clip(
+                predicted.astype(np.int16) + self._dequantize(quantized), 0, 255
+            ).astype(np.uint8)
+        self._decoded_reference = frame
+        return frame
 
 
 _BINOMIAL = np.array([1.0, 2.0, 1.0]) / 4.0

@@ -7,6 +7,8 @@ session results are shared across read-only tests.
 """
 
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -233,12 +235,43 @@ class TestSessionDigest:
         assert with_video != digest(False)
         assert digest(True) == with_video
 
+    def test_codec_bytes_reach_the_clock_only_on_a_shaped_link(self):
+        # On the unconstrained link the run is blind to the video stream,
+        # so rendering and encoding every frame leaves the digest alone.
+        video = _short_session(video=True).run().digest()
+        assert video == _short_default()[1].digest()
+
     @shm_required
     def test_store_backends_agree(self):
         local = _short_default()[1]
         with _short_session(store_backend="shm") as session:
             assert session.run().digest() == local.digest()
         assert local.server.store.stats().n_keyframes > 0
+
+
+class TestFramePayloadRelease:
+    def test_handled_frames_release_their_features(self, monkeypatch):
+        # The endpoints keep every message; once the server has handled a
+        # frame, only a keyframe of the map may still hold its features.
+        observe = FeatureOracle.observe
+        refs = []
+
+        def recording(self, *args):
+            features = observe(self, *args)
+            refs.append(weakref.ref(features))
+            return features
+
+        monkeypatch.setattr(FeatureOracle, "observe", recording)
+        session = _short_session()
+        session.run()
+        gc.collect()
+        frames = [m for state in session.clients.values()
+                  for m in state.server_ep.received if m.msg_type == "frame"]
+        assert len(frames) == len(refs) == 100
+        assert all(m.payload is None for m in frames)
+        alive = sum(ref() is not None for ref in refs)
+        assert alive <= session.server.store.stats().n_keyframes
+        assert refs[-1]() is None
 
 
 class TestOneBackendField:
