@@ -44,7 +44,7 @@ def _replay(mode: str) -> GpuScheduler:
     return scheduler
 
 
-def test_ablation_gpu_sharing_modes(benchmark):
+def test_ablation_spatial_vs_temporal_sharing(benchmark):
     spatial, temporal = benchmark.pedantic(
         lambda: (_replay("spatial"), _replay("temporal")),
         rounds=1, iterations=1,

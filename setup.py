@@ -16,6 +16,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis", "scipy"]},
 )

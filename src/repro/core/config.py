@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..gpu.device import CpuCostModel, GpuCostModel
-from ..gpu.scheduler import BatchingConfig
 from ..net.tc import PROFILE_IDEAL, ShapingProfile
 from ..slam.merging import MergerConfig
 from ..slam.system import SlamConfig
@@ -58,15 +57,13 @@ class MergeCostModel:
 
 @dataclass
 class ServingConfig:
-    """Scale-out serving policy: sharding, batching, admission control.
+    """Scale-out serving policy: sharding and admission control.
 
     The defaults keep small sessions byte-for-byte compatible with the
-    pre-scale-out behavior (no batching window, no staleness shedding,
-    a queue deep enough that 4-client sessions never shed) while the
-    sharded store and admission bookkeeping are always on.  Set
-    ``map_shards=1`` and ``admission=False`` for the unsharded /
-    unadmitted A/B baseline; ``batching=True`` turns on cross-client
-    micro-batching (see :class:`repro.gpu.BatchingConfig`).
+    pre-scale-out behavior (no staleness shedding, a queue deep enough
+    that 4-client sessions never shed) while the sharded store and
+    admission bookkeeping are always on.  Set ``map_shards=1`` and
+    ``admission=False`` for the unsharded / unadmitted A/B baseline.
     """
 
     # --- sharded map store
@@ -81,13 +78,6 @@ class ServingConfig:
     shm_pack_capacity: int = 65536       # packed map-matrix rows
     shm_slab_bytes: int = 4 * 1024 * 1024  # per-shard record-log slab
     shm_lock_timeout_s: float = 30.0     # cross-process lock deadline
-    # --- cross-client GPU micro-batching
-    batching: bool = False
-    batch_window_ms: float = 8.0
-    batch_max: int = 24
-    dispatch_overhead_ms: float = 1.2
-    p99_budget_ms: Optional[float] = 50.0
-    batch_max_per_client: Optional[int] = None
     # --- admission control / load shedding
     admission: bool = True
     queue_depth: int = 8                 # in-flight frames per client
@@ -108,18 +98,6 @@ class ServingConfig:
     restore_path: Optional[str] = None
     snapshot_path: Optional[str] = None
 
-    def batching_config(self) -> Optional[BatchingConfig]:
-        if not self.batching:
-            return None
-        return BatchingConfig(
-            window_s=self.batch_window_ms * 1e-3,
-            max_batch=self.batch_max,
-            dispatch_overhead_s=self.dispatch_overhead_ms * 1e-3,
-            p99_budget_s=(None if self.p99_budget_ms is None
-                          else self.p99_budget_ms * 1e-3),
-            max_per_client=self.batch_max_per_client,
-        )
-
 
 @dataclass
 class SlamShareConfig:
@@ -135,7 +113,6 @@ class SlamShareConfig:
     cpu_model: CpuCostModel = field(default_factory=CpuCostModel)
     gpu_model: GpuCostModel = field(default_factory=GpuCostModel)
     merge_cost: MergeCostModel = field(default_factory=MergeCostModel)
-    gpu_sharing: str = "spatial"        # GSlice-style spatial sharing
     stereo: bool = True
     # Merge attempt policy: try aligning an unmerged client's map after
     # it has contributed at least this many keyframes.

@@ -318,9 +318,7 @@ class SlamShareServer:
 
     def gpu_share(self) -> float:
         """GSlice-style spatial share each client's kernels receive."""
-        if self.config.gpu_sharing == "spatial" and self.n_clients > 0:
-            return 1.0 / self.n_clients
-        return 1.0
+        return 1.0 / max(1, self.n_clients)
 
     # ---------------------------------------------------------- admission
     def load(self) -> float:

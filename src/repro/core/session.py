@@ -17,7 +17,7 @@ display/server trajectories, merge events, stream stats, CPU samples.
 **Frame-lifecycle tracing** (when the tracer is enabled): every
 uploaded frame opens a trace at capture whose context rides the uplink
 :class:`~repro.net.transport.Message` (surviving ARQ retransmits),
-re-anchors the server-side spans (admission, tracking, GPU batch,
+re-anchors the server-side spans (admission, tracking, GPU kernel,
 shard-lock waits, merges), rides the pose message back down and is
 sealed when the client fuses the pose — or earlier, with an explicit
 terminal status (``uplink_dropped``, ``superseded``,
@@ -335,16 +335,11 @@ class SlamShareSession:
         # relocalizes into the persisted world via the merge path.
         if self.config.serving.restore_path:
             self.server.load_snapshot(self.config.serving.restore_path)
-        # One GPU dispatch queue for the whole server.  Spatial sharing
-        # is already modeled inside the latency model (gpu_share), so
-        # the scheduler's own slowdown is pinned to 1 here; its job is
-        # dispatch serialization and (optionally) cross-client
-        # micro-batching of tracking kernels.
-        n = len(self.scenarios)
-        self.scheduler = GpuScheduler(
-            self.clock, mode="spatial", n_clients=n, saturation_clients=n,
-            batching=self.config.serving.batching_config(),
-        )
+        # The server's one GPU.  Spatial sharing is already modeled
+        # inside the latency model (gpu_share), so the scheduler runs
+        # at slowdown 1: it books each frame's kernel on the clock at
+        # its modeled (or measured) duration and fires the pose return.
+        self.scheduler = GpuScheduler(self.clock)
         # Stats from any prior run of a reused scheduler must not leak
         # into this session's mean/p99 latencies.
         self.scheduler.reset()
@@ -588,6 +583,8 @@ class SlamShareSession:
         )
 
     def _on_uplink_dropped(self, state: ClientState, message) -> None:
+        # The endpoint keeps the lost message; its features go now.
+        message.payload = None
         state.outcome.uplink_drops += 1
         _uplink_drops_total.inc()
         _tracer.close_trace(message.trace, status="uplink_dropped")
@@ -694,8 +691,8 @@ class SlamShareSession:
         )
 
     def _send_pose(self, state: ClientState, pose: _PosePacket, ctx) -> None:
-        """GPU dispatch (possibly batched with other clients' kernels)
-        completed: free the admission slot and return the pose downstream."""
+        """The frame's GPU kernel finished: free the admission slot and
+        return the pose downstream."""
         self.server.release_frame(state.scenario.client_id)
         if not state.connected:
             _tracer.close_trace(ctx, status="offline")

@@ -11,7 +11,7 @@ the corresponding scalar computation (the equivalence suite in
 A pose stack is simply a pair ``(rotations, translations)`` of shapes
 ``(n, 3, 3)`` and ``(n, 3)`` — no wrapper class, so slices, gathers and
 segment reductions stay plain numpy.  :func:`inverse`, :func:`exp` and
-:func:`log` take an ``am`` (a :class:`repro.backend.ArrayModule`, the
+:func:`log` take an ``am`` (a :class:`repro.gpu.ArrayModule`, the
 host numpy module by default) and run on its arrays; the operator-only
 kernels run on any of them unchanged.
 """
@@ -22,7 +22,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from ..backend import host_array_module
+from ..gpu.array import host_array_module
 from . import so3
 from .se3 import SE3
 

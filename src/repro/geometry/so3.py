@@ -7,7 +7,7 @@ vector (rotation vector) into a rotation matrix, and the logarithm map
 bundle adjustment and PnP both parameterize rotation updates as small
 axis-angle increments applied on the left.
 
-The ``*_batch`` maps take an ``am`` (a :class:`repro.backend.ArrayModule`,
+The ``*_batch`` maps take an ``am`` (a :class:`repro.gpu.ArrayModule`,
 the host numpy module by default) and run on its arrays.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import host_array_module
+from ..gpu.array import host_array_module
 
 _EPS = 1e-10
 _HOST = host_array_module()

@@ -19,10 +19,12 @@ from wall-clock benchmarking (see DESIGN.md §5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from ..obs import get_metrics
-from ..slam.tracking import TrackingWorkload
+
+if TYPE_CHECKING:  # the slam kernels import this package for .array
+    from ..slam.tracking import TrackingWorkload
 
 _metrics = get_metrics()
 _breakdowns_total = _metrics.counter(

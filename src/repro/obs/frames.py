@@ -12,9 +12,8 @@ stage             source span
 ================  =====================================================
 ``uplink``        ``net.frame`` — send-to-delivery incl. retransmits
 ``admission``     ``server.admission`` (wall) — try_admit decision
-``tracking``      ``tracking`` sim event — CPU+GPU tracking model
-``queue_wait``    ``gpu.queue_wait`` — coalescing window + GPU busy
-``kernel``        ``gpu.kernel`` — batched dispatch span
+``tracking``      ``gpu.kernel`` — the tracking kernel's window on the
+                  clock: the modeled latency, or the measured one
 ``lock_wait``     ``sharedmem.lock_wait`` (wall) — shard write locks
 ``merge``         ``map_merging`` — Alg. 2 round charged to this frame
 ``downlink``      ``net.pose`` — pose return trip
@@ -26,6 +25,11 @@ records every frame's stage latencies into registry histograms with the
 frame's ``trace_id`` as exemplar — a p99 bucket then links to one
 concrete trace.  The ledger is pure post-processing: it reads span
 dicts (live tracer or reloaded JSONL) and never sits on the hot path.
+
+The server's ``tracking`` sim event (and its Fig. 5/8 stage events)
+stays in the trace as a lane of its own but is no stage here: it
+covers the same window as ``gpu.kernel``, and counting both would book
+the tracking time twice.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ ROOT_SPAN = "frame.lifecycle"
 
 #: Stage order used by breakdowns and waterfalls.
 STAGES = (
-    "uplink", "admission", "tracking", "queue_wait",
-    "kernel", "lock_wait", "merge", "downlink",
+    "uplink", "admission", "tracking", "lock_wait", "merge", "downlink",
 )
 
 #: span name -> (stage, timebase); "sim" durations come from sim_dur_ms,
@@ -53,9 +56,7 @@ STAGES = (
 _STAGE_OF = {
     "net.frame": ("uplink", "sim"),
     "server.admission": ("admission", "wall"),
-    "tracking": ("tracking", "sim"),
-    "gpu.queue_wait": ("queue_wait", "sim"),
-    "gpu.kernel": ("kernel", "sim"),
+    "gpu.kernel": ("tracking", "sim"),
     "sharedmem.lock_wait": ("lock_wait", "wall"),
     "map_merging": ("merge", "sim"),
     "net.pose": ("downlink", "sim"),
@@ -75,7 +76,6 @@ class FrameRecord:
     total_ms: Optional[float] = None
     stages: Dict[str, float] = field(default_factory=dict)   # stage -> ms
     timeline: List[Tuple[str, float, float]] = field(default_factory=list)
-    batch_id: Optional[int] = None
     attempts: int = 1                        # uplink transmissions
     n_spans: int = 0
     _span_ids: set = field(default_factory=set, repr=False)
@@ -106,7 +106,17 @@ class FrameRecord:
 
 
 class FrameLedger:
-    """Folds trace spans into per-frame, per-stage records."""
+    """Folds trace spans into per-frame, per-stage records.
+
+    On the ideal link a complete frame's sim-time stages add up to its
+    lifecycle: ``uplink + tracking + downlink == total_ms``.
+    ``admission`` and ``lock_wait`` are wall time spent inside one sim
+    instant, so they sit beside that sum, not in it.  ``merge`` does
+    not add up either: the frame that triggers a map merge carries the
+    whole modeled Alg. 2 round (~150 ms against a ~16 ms frame on the
+    short two-client run), although the merge runs off the pose path
+    and the pose returns without waiting for it.
+    """
 
     def __init__(self) -> None:
         self.frames: Dict[int, FrameRecord] = {}
@@ -168,8 +178,6 @@ class FrameLedger:
             frame.timeline.append((stage, start_s, dur_ms))
         if stage == "uplink":
             frame.attempts = attrs.get("attempts", frame.attempts)
-        if stage == "kernel" and attrs.get("batch_id", -1) >= 0:
-            frame.batch_id = attrs["batch_id"]
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:

@@ -3,11 +3,11 @@
 Renders a :class:`~repro.obs.frames.FrameLedger` into a single HTML
 file with no external assets: a per-stage breakdown table (the paper's
 Table-4 shape), and a waterfall per frame — absolutely positioned bars
-on a shared sim-time axis so retransmit-inflated uplinks and batch
-waits are visible at a glance.  The slowest frames are rendered first;
-the p95 exemplar frame (when the ledger was folded into a registry with
-exemplars) is flagged so "where did the p95 go?" has a one-click
-answer.  Pure post-processing — never imported by the hot path.
+on a shared sim-time axis so retransmit-inflated uplinks and slow
+tracking kernels are visible at a glance.  The slowest frames are
+rendered first; the p95 exemplar frame (when the ledger was folded
+into a registry with exemplars) is flagged so "where did the p95 go?"
+has a one-click answer.  Pure post-processing — never imported by the hot path.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ _STAGE_COLORS = {
     "uplink": "#4e79a7",
     "admission": "#bab0ab",
     "tracking": "#f28e2b",
-    "queue_wait": "#e15759",
-    "kernel": "#76b7b2",
     "lock_wait": "#edc948",
     "merge": "#59a14f",
     "downlink": "#af7aa1",
@@ -99,7 +97,6 @@ def _waterfall(frame: FrameRecord, exemplar: bool = False) -> List[str]:
         f"{frame.client_id} · frame {frame.frame_no} · "
         f"{_fmt(frame.total_ms)} ms · status {html.escape(frame.status)}"
         f"{' · ' + str(frame.attempts) + ' tx' if frame.attempts > 1 else ''}"
-        f"{' · batch ' + str(frame.batch_id) if frame.batch_id is not None else ''}"
         f"{tag}</div>",
         '<div class="lane">',
     ]

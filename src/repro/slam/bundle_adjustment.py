@@ -19,7 +19,7 @@ packed arrays, accumulates the per-point 3x3 normal equations with
 segment sums (``np.bincount`` in observation order, so floating-point
 accumulation follows the per-point loop it replaced) and solves all
 points with one batched ``np.linalg.solve``.  That body is written once
-against an :class:`repro.backend.ArrayModule`: ``backend="vectorized"``
+against an :class:`repro.gpu.ArrayModule`: ``backend="vectorized"``
 runs it on the host numpy module, ``backend="gpu"`` on a device array
 module.  The per-point loop lives on as
 ``tests/oracles.py::local_bundle_adjustment``, which the equivalence
@@ -34,8 +34,8 @@ from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
-from ..backend import resolve_backend
 from ..geometry import se3_batch
+from ..gpu.array import resolve_backend
 from ..obs import get_metrics, get_tracer
 from ..vision.camera import PinholeCamera
 from .map import SlamMap

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..geometry import Trajectory, TrajectoryPoint, quaternion
@@ -150,6 +149,10 @@ class _PackedPointArrays:
 class SlamMap:
     """Keyframes + map points + covisibility, with basic bookkeeping.
 
+    ``covisibility`` is the undirected covisibility graph as an
+    adjacency dict, ``{kf_id: {other_kf_id: shared_points}}``, with
+    both directions stored.  Nodes and neighbours keep insertion order.
+
     Every mutation bumps ``version``; caches keyed on it (packed point
     matrices here, the tracker's local-map cache) invalidate exactly
     when the map actually changed rather than once per query.
@@ -159,7 +162,7 @@ class SlamMap:
         self.map_id = map_id
         self.keyframes: Dict[int, KeyFrame] = {}
         self.mappoints: Dict[int, MapPoint] = {}
-        self.covisibility = nx.Graph()
+        self.covisibility: Dict[int, Dict[int, int]] = {}
         self._version = 0
         self._packed = _PackedPointArrays()
         self._packed_dirty = True
@@ -254,7 +257,7 @@ class SlamMap:
         if keyframe.keyframe_id in self.keyframes:
             raise ValueError(f"duplicate keyframe id {keyframe.keyframe_id}")
         self.keyframes[keyframe.keyframe_id] = keyframe
-        self.covisibility.add_node(keyframe.keyframe_id)
+        self.covisibility.setdefault(keyframe.keyframe_id, {})
         self._update_covisibility(keyframe)
         self._use_tick += 1
         self._kf_last_use[keyframe.keyframe_id] = self._use_tick
@@ -278,13 +281,15 @@ class SlamMap:
             for other_kf in point.observations:
                 if other_kf != keyframe.keyframe_id and other_kf in self.keyframes:
                     shared[other_kf] = shared.get(other_kf, 0) + 1
+        covis = self.covisibility
+        kf_id = keyframe.keyframe_id
         for other_kf, weight in shared.items():
-            self.covisibility.add_edge(keyframe.keyframe_id, other_kf, weight=weight)
+            covis.setdefault(kf_id, {})[other_kf] = weight
+            covis.setdefault(other_kf, {})[kf_id] = weight
 
     def rebuild_covisibility(self) -> None:
         """Recompute the whole covisibility graph from observations."""
-        self.covisibility = nx.Graph()
-        self.covisibility.add_nodes_from(self.keyframes)
+        self.covisibility = {kf_id: {} for kf_id in self.keyframes}
         for kf in self.keyframes.values():
             self._update_covisibility(kf)
         self._version += 1
@@ -298,8 +303,8 @@ class SlamMap:
             point = self.mappoints.get(int(pid))
             if point is not None:
                 point.remove_observation(keyframe_id)
-        if self.covisibility.has_node(keyframe_id):
-            self.covisibility.remove_node(keyframe_id)
+        for other in self.covisibility.pop(keyframe_id, {}):
+            del self.covisibility[other][keyframe_id]
         self._kf_last_use.pop(keyframe_id, None)
         self._version += 1
 
@@ -361,13 +366,7 @@ class SlamMap:
         """Least-covisible, least-recently-used first."""
 
         def score(kf_id: int):
-            if self.covisibility.has_node(kf_id):
-                weight = sum(
-                    data.get("weight", 0)
-                    for data in self.covisibility[kf_id].values()
-                )
-            else:
-                weight = 0
+            weight = sum(self.covisibility.get(kf_id, {}).values())
             return (weight, self._kf_last_use.get(kf_id, 0), kf_id)
 
         return sorted(candidates, key=score)
@@ -521,12 +520,10 @@ class SlamMap:
 
     def covisible_keyframes(self, keyframe_id: int, min_weight: int = 1) -> List[int]:
         """Keyframe ids sharing at least ``min_weight`` points, best first."""
-        if not self.covisibility.has_node(keyframe_id):
-            return []
         neighbors = [
-            (other, data.get("weight", 0))
-            for other, data in self.covisibility[keyframe_id].items()
-            if data.get("weight", 0) >= min_weight
+            (other, weight)
+            for other, weight in self.covisibility.get(keyframe_id, {}).items()
+            if weight >= min_weight
         ]
         neighbors.sort(key=lambda item: -item[1])
         return [other for other, _ in neighbors]

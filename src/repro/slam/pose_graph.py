@@ -17,7 +17,7 @@ predict for it — against the sweep-start poses — and applies all the
 updates together.  The schedule is order-independent, which is what
 makes batching possible: one sweep is two pose-stack composes, one
 batched log over every edge and a pair of segment sums, written once
-against an :class:`repro.backend.ArrayModule` (the host numpy module
+against an :class:`repro.gpu.ArrayModule` (the host numpy module
 for ``backend="vectorized"``, a device module for ``"gpu"``).  The same
 schedule in per-edge :class:`~repro.geometry.SE3` arithmetic lives on as
 ``tests/oracles.py::optimize_pose_graph``, which the equivalence suite
@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..backend import resolve_backend
 from ..geometry import SE3, se3_batch
+from ..gpu.array import resolve_backend
 from ..obs import get_metrics, get_tracer
 from .bundle_adjustment import _segment_sum
 from .map import SlamMap
@@ -92,9 +92,14 @@ def build_essential_graph(
     ordered = sorted(slam_map.keyframes)
     for a, b in zip(ordered, ordered[1:]):
         add(a, b, weight=float(MIN_ESSENTIAL_WEIGHT))
-    for kf_a, kf_b, data in slam_map.covisibility.edges(data=True):
-        if data.get("weight", 0) >= min_weight:
-            add(kf_a, kf_b, weight=float(data["weight"]))
+    # Each undirected covisibility edge once, seen from whichever of its
+    # endpoints entered the graph first: edge order is insertion order.
+    done = set()
+    for kf_a, neighbours in slam_map.covisibility.items():
+        for kf_b, weight in neighbours.items():
+            if kf_b not in done and weight >= min_weight:
+                add(kf_a, kf_b, weight=float(weight))
+        done.add(kf_a)
     for edge in extra_edges or []:
         key = (min(edge.kf_a, edge.kf_b), max(edge.kf_a, edge.kf_b))
         if key not in seen:

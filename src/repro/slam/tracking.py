@@ -20,8 +20,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..backend import resolve_backend
 from ..geometry import SE3
+from ..gpu.array import resolve_backend
 from ..vision.brief import stage_descriptors
 from ..vision.camera import PinholeCamera
 from ..vision.matching import (

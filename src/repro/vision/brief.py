@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..backend import host_array_module
+from ..gpu.array import host_array_module
 from .fast import Keypoint
 
 _HOST = host_array_module()
@@ -210,7 +210,7 @@ def hamming_distance_matrix(
     uint64 words and uses the native popcount (an 8x smaller
     intermediate than the byte-LUT tensor); tests assert bit-exact
     equivalence with :func:`hamming_distance_matrix_lut`.  It runs on
-    ``am`` (a :class:`repro.backend.ArrayModule`, the host numpy module
+    ``am`` (a :class:`repro.gpu.ArrayModule`, the host numpy module
     by default) and the result is downloaded.
     """
     return am.to_host(_hamming_matrix(am, set_a, set_b))

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..backend import host_array_module
+from ..gpu.array import host_array_module
 from .brief import _hamming_matrix, hamming_distance_pairs
 
 _HOST = host_array_module()

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend.dispatch import ArrayModule
+from repro.gpu.array import ArrayModule
 
 
 class FakeDeviceArray:

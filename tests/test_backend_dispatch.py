@@ -19,17 +19,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backend import (
+from repro.gpu import (
     ArrayModule,
-    available_device_modules,
-    clear_detection_cache,
-    get_array_module,
     host_array_module,
     probe_array_module,
-    register_device_builder,
     resolve_backend,
     use_array_module,
 )
+from repro.gpu import array as gpu_array
 from repro.geometry import SE3, se3_batch, so3
 from repro.slam.bundle_adjustment import local_bundle_adjustment
 from repro.slam.pose_graph import optimize_pose_graph
@@ -44,7 +41,7 @@ from repro.vision.matching import match_descriptors
 from tests.fake_xp import FakeDeviceArray, make_fake_array_module
 from tests.test_backend_vectorized import _drifted_chain, _noisy_scene
 
-HAS_REAL_DEVICE = bool(available_device_modules())
+HAS_REAL_DEVICE = gpu_array._detected_device() is not None
 
 
 def _rand_descriptors(rng, n):
@@ -171,59 +168,54 @@ class TestProbeAndDetection:
         assert not probe_array_module(broken)
 
     def test_auto_detection_never_returns_none(self):
-        am = get_array_module("auto")
+        am = resolve_backend("gpu")
         assert am is not None
 
-    def test_registered_builder_goes_through_probe(self):
+    @pytest.fixture
+    def fresh_detection(self, monkeypatch):
+        """Forget the process's detection and count builder calls."""
+        monkeypatch.setattr(gpu_array, "_DETECTED", [])
         calls = []
 
-        def good_builder():
-            calls.append("good")
-            return make_fake_array_module("registered-good")
+        def install(module):
+            def build():
+                calls.append(module.name)
+                return module
+            monkeypatch.setattr(gpu_array, "_build_cupy_module", build)
 
-        def bad_builder():
-            calls.append("bad")
-            return make_fake_array_module("registered-bad",
-                                          fail_ops={"bincount"})
+        return install, calls
 
-        register_device_builder("testgood", good_builder)
-        register_device_builder("testbad", bad_builder)
-        try:
-            clear_detection_cache()
-            assert get_array_module("testbad") is None
-            am = get_array_module("testgood")
-            assert am is not None and am.name == "registered-good"
-            # detection result is cached: no rebuild on second lookup
-            n_calls = len(calls)
-            get_array_module("testgood")
-            assert len(calls) == n_calls
-        finally:
-            from repro.backend.dispatch import _DEVICE_BUILDERS
+    def test_registered_builder_goes_through_probe(self, fresh_detection):
+        install, calls = fresh_detection
+        install(make_fake_array_module("cupy-bad", fail_ops={"bincount"}))
+        assert gpu_array._detected_device() is None
+        assert resolve_backend("gpu") is host_array_module()
+        # detection result is cached: no rebuild on a second lookup
+        resolve_backend("gpu")
+        assert calls == ["cupy-bad"]
 
-            _DEVICE_BUILDERS.pop("testgood", None)
-            _DEVICE_BUILDERS.pop("testbad", None)
-            clear_detection_cache()
+        gpu_array._DETECTED.clear()
+        install(make_fake_array_module("cupy-good"))
+        am = resolve_backend("gpu")
+        assert am.name == "cupy-good"
+        assert resolve_backend("gpu") is am
+        assert calls == ["cupy-bad", "cupy-good"]
 
-    def test_detected_module_starts_with_clean_counters(self):
+    def test_detected_module_starts_with_clean_counters(self, fresh_detection):
         # The probe's own transfers are not the caller's traffic.
-        register_device_builder("testclean", make_fake_array_module)
-        try:
-            clear_detection_cache()
-            am = get_array_module("testclean")
-            assert am.transfers.to_device == 0
-            assert am.transfers.to_host == 0
-            assert am.kernel_timings == []
-        finally:
-            from repro.backend.dispatch import _DEVICE_BUILDERS
-
-            _DEVICE_BUILDERS.pop("testclean", None)
-            clear_detection_cache()
+        install, _ = fresh_detection
+        install(make_fake_array_module("cupy-clean"))
+        am = resolve_backend("gpu")
+        assert am.name == "cupy-clean"
+        assert am.transfers.to_device == 0
+        assert am.transfers.to_host == 0
+        assert am.kernel_timings == []
 
     def test_override_short_circuits_detection(self):
         fake = make_fake_array_module("override")
         with use_array_module(fake):
-            assert get_array_module("auto") is fake
-        assert get_array_module("auto") is not fake
+            assert resolve_backend("gpu") is fake
+        assert resolve_backend("gpu") is not fake
 
 
 # --------------------------------------------------- Hamming + matching
@@ -520,28 +512,12 @@ class TestMeasuredKernelRecords:
             0.004
         )
 
-    def test_batched_submit_preserves_measured_flag(self):
-        from repro.gpu.scheduler import BatchingConfig, GpuScheduler
-        from repro.net.simclock import SimClock
-
-        clock = SimClock()
-        sched = GpuScheduler(
-            clock, mode="temporal",
-            batching=BatchingConfig(window_s=0.004, p99_budget_s=None),
-        )
-        sched.submit(0, 0.010, measured_s=0.002)
-        sched.submit(1, 0.010)
-        clock.run(until=1.0)
-        by_client = {r.client_id: r for r in sched.records}
-        assert by_client[0].measured
-        assert not by_client[1].measured
-
 
 # ---------------------------------------------------------- real hardware
 @pytest.mark.skipif(not HAS_REAL_DEVICE, reason="no GPU array module")
 class TestRealDeviceEquivalence:
     def test_hamming_matrix_real_device(self):
-        am = get_array_module("auto")
+        am = resolve_backend("gpu")
         assert am.is_device
         rng = np.random.default_rng(8)
         a, b = _rand_descriptors(rng, 64), _rand_descriptors(rng, 64)
@@ -576,7 +552,7 @@ class TestOneBody:
         forks = [
             str(path.relative_to(src))
             for path in sorted(src.rglob("*.py"))
-            if path.relative_to(src) != Path("backend", "dispatch.py")
+            if path.relative_to(src) != Path("gpu", "array.py")
             and any(name in path.read_text(encoding="utf-8")
                     for name in ("is_device", "_xp_of"))
         ]

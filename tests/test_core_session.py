@@ -13,7 +13,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.backend import use_array_module
 from repro.core import (
     BaselineConfig,
     BaselineSession,
@@ -25,7 +24,13 @@ from repro.core import (
 )
 from repro.datasets import euroc_dataset
 from repro.geometry import Sim3
-from repro.net import PROFILE_BW_9_4, PROFILE_DELAY_300MS, PROFILE_IDEAL
+from repro.gpu import GpuCostModel, use_array_module
+from repro.net import (
+    PROFILE_BW_9_4,
+    PROFILE_DELAY_300MS,
+    PROFILE_IDEAL,
+    ShapingProfile,
+)
 from repro.vision import FeatureOracle
 from tests.fake_xp import make_fake_array_module
 from tests.test_shm_multiproc import shm_required
@@ -272,6 +277,49 @@ class TestFramePayloadRelease:
         alive = sum(ref() is not None for ref in refs)
         assert alive <= session.server.store.stats().n_keyframes
         assert refs[-1]() is None
+
+    def test_dropped_frames_release_their_features(self):
+        # A frame the uplink loses never reaches _on_frame; the endpoint
+        # keeps the message, so the drop handler lets its features go.
+        session = _short_session(
+            shaping=ShapingProfile("10% loss", loss_rate=0.10))
+        session.run()
+        dropped = [m for state in session.clients.values()
+                   for m in state.device_ep.dropped if m.msg_type == "frame"]
+        assert dropped
+        assert all(m.payload is None for m in dropped)
+
+
+class TestGpuSharingAppliedOnce:
+    def test_kernels_take_the_modeled_latency_past_saturation(self):
+        # Six clients oversubscribe the GPU: the latency model already
+        # slows each stream by its 1/6 share, so the scheduler must book
+        # the kernel at exactly that modeled time, not slow it again.
+        n = GpuCostModel().saturation_clients + 2
+        mh04 = euroc_dataset("MH04", duration=1.0, rate=10.0)
+        session = SlamShareSession(
+            [ClientScenario(cid, mh04, oracle_seed=7 + cid,
+                            imu_seed=11 + cid) for cid in range(n)],
+            SlamShareConfig(camera_fps=10.0, render_video_frames=False),
+        )
+        process_frame = session.server.process_frame
+        modeled = {cid: [] for cid in range(n)}
+
+        def recording(client_id, *args, **kwargs):
+            result = process_frame(client_id, *args, **kwargs)
+            if result.pose_cw is not None:       # only these reach the GPU
+                modeled[client_id].append(result.latency.total / 1e3)
+            return result
+
+        session.server.process_frame = recording
+        session.run()
+        assert session.config.gpu_model.sharing_slowdown(
+            session.server.gpu_share()) == pytest.approx(n / 4)
+        for cid in range(n):
+            booked = [r.finished_at - r.started_at
+                      for r in session.scheduler.records if r.client_id == cid]
+            assert len(booked) == len(modeled[cid]) >= 5
+            assert booked == pytest.approx(modeled[cid], rel=1e-12)
 
 
 class TestOneBackendField:

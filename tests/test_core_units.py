@@ -115,11 +115,11 @@ class TestSlamShareServer:
 
     def test_gpu_share_modes(self):
         ds, server = self._server()
+        assert server.gpu_share() == 1.0
         server.add_client(0, GRAVITY_W)
+        assert server.gpu_share() == 1.0
         server.add_client(1, GRAVITY_W)
         assert server.gpu_share() == pytest.approx(0.5)
-        server.config.gpu_sharing = "temporal"
-        assert server.gpu_share() == 1.0
 
     def test_process_frame_publishes_keyframes(self):
         ds, server = self._server()

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.gpu import GpuScheduler, TrackingLatencyModel
+from repro.gpu import GpuCostModel, GpuScheduler, TrackingLatencyModel
 from repro.net import SimClock
 from repro.slam.tracking import TrackingWorkload
 from repro.vision.fast import detect_fast_vectorized
@@ -92,10 +92,11 @@ class TestGpuScheduler:
         assert r1.started_at == r2.started_at == 0.0
         # Below saturation both run at full per-stream rate, concurrently.
         assert r1.finished_at == pytest.approx(0.010)
-        # Past saturation, rates degrade.
+        # Past saturation, rates degrade by the cost model's one formula.
         crowded = GpuScheduler(clock, mode="spatial", n_clients=8)
         r3 = crowded.submit(0, 0.010)
         assert r3.finished_at - r3.started_at == pytest.approx(0.020)
+        assert GpuCostModel().sharing_slowdown(1.0 / 8) == 2.0
 
     def test_temporal_sharing_queues(self):
         clock = SimClock()
@@ -144,6 +145,29 @@ class TestGpuScheduler:
         sched.submit(0, 0.010)
         sched.submit(1, 0.010)
         assert sched.mean_latency(0) < sched.mean_latency(1)
+
+    def test_temporal_fifo_finishes_back_to_back(self):
+        clock = SimClock()
+        sched = GpuScheduler(clock, mode="temporal")
+        r1 = sched.submit(0, 0.010)
+        r2 = sched.submit(1, 0.010)
+        assert r1.finished_at == pytest.approx(0.010)
+        assert r2.finished_at == pytest.approx(0.020)
+
+    def test_reset_clears_stats(self):
+        clock = SimClock()
+        sched = GpuScheduler(clock, mode="temporal")
+        sched.submit(0, 0.004)
+        sched.submit(1, 0.004)
+        clock.run()
+        assert sched.mean_latency() > 0
+        sched.reset()
+        assert sched.records == []
+        assert sched.mean_latency() == 0.0
+        assert sched.mean_latency(1) == 0.0
+        assert sched.p99_latency() == 0.0
+        # The FIFO is empty again: the next kernel starts at once.
+        assert sched.submit(2, 0.004).queue_delay == 0.0
 
 
 def _best_of_3(fn) -> float:

@@ -215,7 +215,9 @@ class TestEviction:
         _share_points(slam_map, kfs[2], kfs[3], 3)
         evicted = slam_map.evict_keyframes(2)
         for kf_id in evicted:
-            assert not slam_map.covisibility.has_node(kf_id)
+            assert kf_id not in slam_map.covisibility
+            assert all(kf_id not in neighbours
+                       for neighbours in slam_map.covisibility.values())
 
 
 # ----------------------------------------------- store compaction (local)

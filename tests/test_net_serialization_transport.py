@@ -99,7 +99,7 @@ class TestMapSerialization:
     def test_covisibility_rebuilt(self):
         original = make_map()
         restored = deserialize_map(serialize_map(original))
-        assert set(restored.covisibility.nodes) == set(original.covisibility.nodes)
+        assert set(restored.covisibility) == set(original.covisibility)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,9 @@ caches must invalidate whenever the map changes under them.
 import numpy as np
 import pytest
 
-from repro.backend import host_array_module
 from repro.datasets import euroc_dataset
+from repro.gpu import GpuScheduler, host_array_module
 from repro.net.simclock import SimClock
-from repro.gpu import GpuScheduler
 from repro.slam import SlamMap
 from repro.slam.mappoint import MapPoint
 from repro.vision.brief import (

@@ -1,14 +1,12 @@
-"""Scale-out serving layer: sharded store, micro-batching, admission.
+"""Scale-out serving layer: sharded store and admission.
 
-Covers the PR-4 tentpole: spatial sharding with per-shard RW locks and
-ordered multi-shard write transactions (deadlock-freedom under real
-threads and under SimClock-driven interleavings), cross-client GPU
-micro-batching (coalescing, fairness, p99-budget fallback, reset), and
-admission control / load shedding in the server and session.
+Covers spatial sharding with per-shard RW locks and ordered multi-shard
+write transactions (deadlock-freedom under real threads and under
+SimClock-driven interleavings), and admission control / load shedding
+in the server and session.
 """
 
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ import pytest
 from repro.core import ClientScenario, ServingConfig, SlamShareConfig, SlamShareSession
 from repro.core.server import SlamShareServer
 from repro.datasets import euroc_dataset
-from repro.gpu import BatchingConfig, GpuScheduler
 from repro.net.simclock import SimClock
 from repro.sharedmem import ShardedMapStore, spatial_shard
 from tests.test_net_serialization_transport import make_map
@@ -273,165 +270,6 @@ class TestOrderedShardLocking:
         assert not errors
 
 
-class TestMicroBatching:
-    def _scheduler(self, clock, **overrides):
-        defaults = dict(window_s=0.010, max_batch=8,
-                        dispatch_overhead_s=0.001, p99_budget_s=None)
-        defaults.update(overrides)
-        return GpuScheduler(clock, mode="temporal",
-                            batching=BatchingConfig(**defaults))
-
-    def test_frames_within_window_coalesce_into_one_dispatch(self):
-        clock = SimClock()
-        sched = self._scheduler(clock)
-        for c in range(4):
-            clock.schedule_at(0.002 * c, lambda c=c: sched.submit(c, 0.002))
-        clock.run()
-        assert sched.batches_dispatched == 1
-        assert all(r.batch_size == 4 for r in sched.records)
-        # One dispatch: overhead paid once, all four finish together.
-        finish = {r.finished_at for r in sched.records}
-        assert len(finish) == 1
-        assert finish.pop() == pytest.approx(0.010 + 0.001 + 4 * 0.002)
-
-    def test_solo_mode_pays_overhead_per_kernel(self):
-        clock = SimClock()
-        sched = self._scheduler(clock, window_s=0.0)
-        for c in range(4):
-            sched.submit(c, 0.002)
-        clock.run()
-        assert sched.batches_dispatched == 0
-        assert sched.solo_dispatches == 4
-        # FIFO serialization, each dispatch pays its own overhead.
-        assert sched.records[-1].finished_at == pytest.approx(4 * 0.003)
-
-    def test_on_done_fires_at_batch_finish(self):
-        clock = SimClock()
-        sched = self._scheduler(clock)
-        finished = []
-        sched.submit(0, 0.004, on_done=lambda: finished.append(clock.now))
-        sched.submit(1, 0.004, on_done=lambda: finished.append(clock.now))
-        clock.run()
-        assert finished == [pytest.approx(0.010 + 0.001 + 0.008)] * 2
-
-    def test_fairness_quota_prevents_starvation_at_full_load(self):
-        """A flooding client cannot crowd a trickle client out."""
-        clock = SimClock()
-        sched = self._scheduler(clock, max_batch=4)
-        # Client 0 floods 40 kernels at t=0; client 1 submits 2.
-        for _ in range(40):
-            sched.submit(0, 0.001)
-        for _ in range(2):
-            sched.submit(1, 0.001)
-        clock.run()
-        by_batch = {}
-        for r in sched.records:
-            by_batch.setdefault(r.batch_id, []).append(r)
-        first = by_batch[0]
-        # Even split: the flooder gets at most ceil(4/2)=2 of the first
-        # batch despite having 40 queued.
-        assert sum(1 for r in first if r.client_id == 0) <= 2
-        assert sum(1 for r in first if r.client_id == 1) == 2
-        # The trickle client's kernels complete in the first dispatch —
-        # it never waits behind the flood.
-        client1 = [r for r in sched.records if r.client_id == 1]
-        assert all(r.batch_id == 0 for r in client1)
-        # And the flood still fully drains (no lost kernels).
-        assert len([r for r in sched.records if r.client_id == 0]) == 40
-
-    def test_batching_and_admission_hold_the_tail_at_32_clients(self):
-        """32 clients x 30 FPS x 6 sim-s on one temporal GPU (0.7 ms
-        kernels, 1.2 ms per dispatch): paying the overhead per frame
-        outruns the GPU and the queue grows without bound; the tuned
-        window + in-flight cap keeps frame p95 near one window and
-        sheds next to nothing."""
-        n_clients, n_frames, fps = 32, 180, 30.0
-
-        def serve(batching, in_flight_cap):
-            clock = SimClock()
-            sched = GpuScheduler(clock, mode="temporal", batching=batching)
-            in_flight = [0] * n_clients
-            latencies_ms, shed = [], []
-
-            def frame(c, i):
-                if in_flight_cap is not None and in_flight[c] >= in_flight_cap:
-                    shed.append((c, i))
-                    return
-                in_flight[c] += 1
-                arrived = clock.now
-
-                def done():
-                    in_flight[c] -= 1
-                    latencies_ms.append((clock.now - arrived) * 1e3)
-
-                # Deterministic per-frame size jitter, no RNG.
-                gpu_s = (0.7 + 0.02 * ((i * 7 + c * 3) % 5)) * 1e-3
-                sched.submit(c, gpu_s, on_done=done)
-
-            for c in range(n_clients):
-                for i in range(n_frames):
-                    clock.schedule_at((c / n_clients + i) / fps,
-                                      partial(frame, c, i))
-            clock.run()
-            return (float(np.percentile(latencies_ms, 95)),
-                    len(shed) / (n_clients * n_frames))
-
-        solo_p95, _ = serve(
-            BatchingConfig(window_s=0.0, dispatch_overhead_s=0.0012), None)
-        # Budget just under window + overhead + kernel: an idle GPU
-        # dispatches solo, a backlogged one batches regardless.
-        tuned_p95, shed_rate = serve(
-            BatchingConfig(window_s=0.008, max_batch=24,
-                           dispatch_overhead_s=0.0012, p99_budget_s=0.009),
-            in_flight_cap=8)
-        assert solo_p95 >= 2.0 * tuned_p95
-        assert shed_rate < 0.10
-
-    def test_p99_budget_falls_back_to_solo_on_idle_gpu(self):
-        clock = SimClock()
-        sched = self._scheduler(clock, p99_budget_s=0.008)
-        record = sched.submit(0, 0.002)
-        assert record is not None          # dispatched solo immediately
-        assert sched.solo_dispatches == 1
-        assert record.finished_at == pytest.approx(0.003)
-
-    def test_p99_budget_still_batches_when_gpu_backlogged(self):
-        clock = SimClock()
-        sched = self._scheduler(clock, p99_budget_s=0.008)
-        # Saturate the GPU: a long solo kernel occupies it well past the
-        # window, so batching adds no extra wait and must be chosen.
-        sched.submit(0, 0.050)
-        assert sched.submit(1, 0.002) is None
-        assert sched.pending_kernels() == 1
-        clock.run()
-        assert sched.batches_dispatched == 1
-
-    def test_reset_clears_stats_and_pending(self):
-        clock = SimClock()
-        sched = self._scheduler(clock)
-        sched.submit(0, 0.004)
-        sched.submit(1, 0.004)
-        clock.run()
-        assert sched.mean_latency() > 0
-        sched.submit(2, 0.004)             # left pending on purpose
-        sched.reset()
-        assert sched.records == []
-        assert sched.mean_latency() == 0.0
-        assert sched.p99_latency() == 0.0
-        assert sched.pending_kernels() == 0
-        assert sched.mean_batch_size == 0.0
-        clock.run()                        # cancelled flush: no dispatch
-        assert sched.batches_dispatched == 0
-
-    def test_unbatched_scheduler_unchanged(self):
-        clock = SimClock()
-        sched = GpuScheduler(clock, mode="temporal")
-        r1 = sched.submit(0, 0.010)
-        r2 = sched.submit(1, 0.010)
-        assert r1.finished_at == pytest.approx(0.010)
-        assert r2.finished_at == pytest.approx(0.020)
-
-
 class TestAdmissionControl:
     def _server(self, **serving_kw):
         from repro.vision import PinholeCamera
@@ -517,19 +355,13 @@ class TestSessionScaleOut:
                                             rate=10.0), n_frames=20),
         ]
 
-    def test_session_runs_with_sharded_store_and_batching(self):
-        config = SlamShareConfig(
-            render_video_frames=False,
-            serving=ServingConfig(batching=True, batch_window_ms=4.0,
-                                  p99_budget_ms=None),
-        )
+    def test_session_runs_with_sharded_store(self):
+        config = SlamShareConfig(render_video_frames=False)
         session = SlamShareSession(self._scenarios(), config=config)
         result = session.run()
         outcome = result.outcomes[0]
         assert outcome.frames_processed > 0
-        assert session.scheduler.batching is not None
-        assert (session.scheduler.batches_dispatched
-                + session.scheduler.solo_dispatches) > 0
+        assert len(session.scheduler.records) > 0
         assert isinstance(session.server.store, ShardedMapStore)
         # Every admitted frame's slot was released.
         assert session.server.in_flight(0) == 0

@@ -60,8 +60,9 @@ class TestSlamMap:
             kf1.point_ids[i] = pid
             slam_map.mappoints[pid].add_observation(kf1.keyframe_id, i)
         slam_map.rebuild_covisibility()
-        assert slam_map.covisibility.has_edge(kfs[0], kfs[1])
-        assert slam_map.covisibility[kfs[0]][kfs[1]]["weight"] == 3
+        assert kfs[1] in slam_map.covisibility[kfs[0]]
+        assert slam_map.covisibility[kfs[0]][kfs[1]] == 3
+        assert slam_map.covisibility[kfs[1]][kfs[0]] == 3
         assert slam_map.covisible_keyframes(kfs[0]) == [kfs[1]]
 
     def test_remove_keyframe_clears_observations(self):
