@@ -31,8 +31,6 @@ Observability flags (session/baseline/stats)::
     --metrics-out m.json    write the metrics snapshot as JSON
     --metrics-prom m.prom   write Prometheus text exposition (with
                             trace-id exemplars on histogram tails)
-    --slo                   evaluate the default SLOs live and print
-                            the burn-rate table after the run
     --log-level debug       structured logging verbosity
 """
 
@@ -104,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="tc-style link shaping profile",
         )
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--slo", action="store_true",
-                       help="evaluate the default SLOs during the run and "
-                            "print the burn-rate table at the end")
         add_obs(p)
 
     session = sub.add_parser("session", help="run a SLAM-Share session")
@@ -243,38 +238,10 @@ def _finish_obs(args) -> None:
         _log.info("metrics snapshot:\n%s", metrics.render_text())
 
 
-def _attach_slo(args, session):
-    """Attach the default SLO set to a session when ``--slo`` was given."""
-    if not getattr(args, "slo", False) or not hasattr(session, "slo"):
-        return None
-    from .obs.slo import SloEngine, default_slos
-
-    engine = default_slos(SloEngine(clock=session.clock))
-    engine.subscribe(
-        lambda event: _log.warning(
-            "slo %s: %s at t=%.2f s (burn %.2f)",
-            event.kind, event.status.spec.name, event.t,
-            event.status.burn_rate,
-        )
-    )
-    session.slo = engine
-    return engine
-
-
-def _report_slo(engine) -> None:
-    if engine is None:
-        return
-    _log.info("SLO summary:\n%s", engine.render_text())
-    breaches = sum(1 for e in engine.events if e.kind == "breach")
-    if breaches:
-        _log.warning("SLO breaches during run: %d", breaches)
-
-
 # --------------------------------------------------------------- subcommands
 def cmd_session(args) -> int:
     session = SlamShareSession(_scenarios(args), _config(args),
                                ate_sample_interval=1.0)
-    slo_engine = _attach_slo(args, session)
     result = session.run()
     _log.info(f"session: {result.duration:.1f} s simulated, "
               f"{result.server.global_map.summary()}")
@@ -288,7 +255,6 @@ def cmd_session(args) -> int:
             f"tracking {np.mean(outcome.tracking_latencies_ms):.1f} ms/frame, "
             f"{outcome.frames_lost} lost"
         )
-    _report_slo(slo_engine)
     _finish_obs(args)
     return 0
 
@@ -313,7 +279,6 @@ def cmd_baseline(args) -> int:
 def cmd_stats(args) -> int:
     """Run a session with full observability and print the aggregates."""
     session = SlamShareSession(_scenarios(args), _config(args))
-    slo_engine = _attach_slo(args, session)
     result = session.run()
     tracer = get_tracer()
     metrics = get_metrics()
@@ -332,7 +297,6 @@ def cmd_stats(args) -> int:
     ledger = FrameLedger.from_tracer(tracer)
     if len(ledger):
         _log.info("frame-lifecycle breakdown:\n%s", ledger.summary_text())
-    _report_slo(slo_engine)
     _finish_obs(args)
     return 0
 
@@ -383,7 +347,6 @@ def cmd_restore(args) -> int:
     config = _config(args)
     config.serving.restore_path = args.snapshot
     session = SlamShareSession([scenario], config, ate_sample_interval=1.0)
-    slo_engine = _attach_slo(args, session)
     result = session.run()
     info = snap.info
     _log.info(f"restore: loaded {info.n_keyframes} keyframes / "
@@ -398,7 +361,6 @@ def cmd_restore(args) -> int:
     ate = result.client_ate(client_id)
     _log.info(f"restore: client {client_id} ATE {ate.rmse * 100:.2f} cm "
               f"over {result.duration:.1f} s")
-    _report_slo(slo_engine)
     _finish_obs(args)
     return 0 if merged else 1
 

@@ -22,9 +22,7 @@ shard-lock waits, merges), rides the pose message back down and is
 sealed when the client fuses the pose — or earlier, with an explicit
 terminal status (``uplink_dropped``, ``superseded``,
 ``stale``/``overload`` sheds, ``parked``, ``no_pose``, ``pose_dropped``,
-``offline``).  An optional
-:class:`~repro.obs.slo.SloEngine` attached via ``session.slo`` is fed
-frame RTTs, shed indicators and live ATE samples as they happen.
+``offline``).
 """
 
 from __future__ import annotations
@@ -348,9 +346,6 @@ class SlamShareSession:
         self.outcomes: Dict[int, ClientOutcome] = {}
         self.merges: List[MergeEvent] = []
         self.live_global_ate: List[Tuple[float, float]] = []
-        # Optional SLO engine (repro.obs.slo): fed frame RTTs, shed
-        # indicators and ATE samples when attached; None costs nothing.
-        self.slo = None
 
     # -------------------------------------------------------------- setup
     def _setup_client(self, scenario: ClientScenario) -> list:
@@ -500,8 +495,6 @@ class SlamShareSession:
             return
         rmse = _pooled_rmse(est, np.vstack(gt_rows))
         self.live_global_ate.append((self.clock.now, rmse))
-        if self.slo is not None and np.isfinite(rmse):
-            self.slo.observe("tracking.ate_m", rmse)
 
     # ------------------------------------------------------ frame handling
     def _process_frame(self, state: ClientState, frame_idx: int,
@@ -624,10 +617,6 @@ class SlamShareSession:
                 cid, age_s=self.clock.now - packet.captured_at,
             )
             admission_span.set(decision=admit)
-        if self.slo is not None:
-            self.slo.observe(
-                "frames.shed_rate", 0.0 if admit == "ok" else 1.0
-            )
         if admit != "ok":
             outcome.frames_shed += 1
             _frames_shed_total.inc()
@@ -720,9 +709,6 @@ class SlamShareSession:
         state.outcome.pose_rtts_ms.append(rtt_ms)
         _pose_rtt_hist.record(rtt_ms, trace_id=ctx.trace_id if ctx else None)
         _tracer.close_trace(ctx, status="complete", rtt_ms=rtt_ms)
-        if self.slo is not None:
-            self.slo.observe("frame.p95_ms", rtt_ms)
-            self.slo.maybe_evaluate()
 
     # -------------------------------------------------------------- churn
     def _state(self, client_id: int) -> ClientState:

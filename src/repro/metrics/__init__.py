@@ -1,4 +1,4 @@
-"""Evaluation metrics: ATE (cumulative & short-term), latency, FPS, CPU."""
+"""Evaluation metrics: ATE (cumulative & short-term), latency, CPU."""
 
 from .ate import (
     ATEResult,
@@ -14,8 +14,7 @@ from .cpu import (
     CpuAccountant,
     CpuSample,
 )
-from .fps import FpsTracker
-from .plots import ascii_series, ascii_xy_plot, trajectory_topdown
+from .plots import ascii_xy_plot
 from .latency import (
     TABLE4_COMPONENTS,
     LatencyBreakdown,
@@ -29,17 +28,14 @@ __all__ = [
     "ClientOpCosts",
     "CpuAccountant",
     "CpuSample",
-    "FpsTracker",
     "LatencyBreakdown",
     "SERVER_CORES",
     "TABLE4_COMPONENTS",
     "absolute_trajectory_error",
-    "ascii_series",
     "ascii_xy_plot",
     "associate",
     "average_breakdowns",
     "cumulative_ate_series",
     "format_table4",
     "short_term_ate_series",
-    "trajectory_topdown",
 ]

@@ -1,17 +1,15 @@
-"""Terminal plotting: ASCII renderings of trajectories and series.
+"""Terminal plotting: an ASCII top-down rendering of trajectories.
 
 The paper's figures are matplotlib plots; a dependency-light release
-still wants *some* way to eyeball a trajectory or an ATE series from a
-terminal, so the examples and benches use these.
+still wants *some* way to eyeball a trajectory from a terminal, so the
+Fig. 10a bench prints its client tracks with :func:`ascii_xy_plot`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
-
-from ..geometry import Trajectory
 
 
 def ascii_xy_plot(
@@ -47,42 +45,3 @@ def ascii_xy_plot(
     frame += ["+" + "-" * width + "+", legend]
     return "\n".join(frame)
 
-
-def ascii_series(
-    series: Sequence[Tuple[float, float]],
-    width: int = 50,
-    label: str = "",
-    log_bar: bool = False,
-) -> str:
-    """One line per (t, value): a horizontal bar chart of a time series."""
-    finite = [v for _, v in series if np.isfinite(v)]
-    if not finite:
-        return "(no data)"
-    top = max(finite)
-    lines = [label] if label else []
-    for t, v in series:
-        if not np.isfinite(v):
-            lines.append(f"  t={t:7.2f}  {'inf':>10}")
-            continue
-        if log_bar and top > 0 and v > 0:
-            frac = np.log1p(v) / np.log1p(top)
-        else:
-            frac = v / top if top > 0 else 0.0
-        bar = "#" * max(int(frac * width), 1 if v > 0 else 0)
-        lines.append(f"  t={t:7.2f}  {v:10.4f}  {bar}")
-    return "\n".join(lines)
-
-
-def trajectory_topdown(
-    estimated: Trajectory,
-    ground_truth: Optional[Trajectory] = None,
-    width: int = 60,
-    height: int = 22,
-) -> str:
-    """Fig. 10b-style overlay: estimated path over ground truth."""
-    tracks: Dict[str, np.ndarray] = {}
-    if ground_truth is not None and len(ground_truth):
-        tracks["ground truth"] = ground_truth.positions
-    if len(estimated):
-        tracks["estimated"] = estimated.positions
-    return ascii_xy_plot(tracks, width=width, height=height)

@@ -2,7 +2,7 @@
 
 The paper's whole evaluation is a latency/throughput story (Tables 1-4,
 Figs. 5-13); this package is the runtime instrumentation layer the rest
-of the pipeline reports into.  Three pieces:
+of the pipeline reports into.  Five pieces:
 
 * :mod:`repro.obs.logging` — per-component named loggers with one
   ``configure()`` entry point;
@@ -13,8 +13,6 @@ of the pipeline reports into.  Three pieces:
   snapshots;
 * :mod:`repro.obs.frames` — FrameLedger folding each frame's span tree
   into per-stage records (post-processing, not hot path);
-* :mod:`repro.obs.slo` — declarative SLOs over sliding sim-time
-  windows with burn-rate alerts and a subscription seam;
 * :mod:`repro.obs.report` — self-contained HTML waterfall report.
 
 Everything is disabled by default and near-free while disabled; the CLI
@@ -29,7 +27,6 @@ from .logging import configure as configure_logging
 from .logging import get_logger, kv
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_metrics
 from .report import render_report_html, write_report
-from .slo import SloEngine, SloEvent, SloSpec, default_slos
 from .trace import Span, TraceContext, Tracer, get_tracer, load_jsonl, traced
 
 __all__ = [
@@ -39,14 +36,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SloEngine",
-    "SloEvent",
-    "SloSpec",
     "Span",
     "TraceContext",
     "Tracer",
     "configure_logging",
-    "default_slos",
     "get_logger",
     "get_metrics",
     "get_tracer",

@@ -20,11 +20,9 @@ stage             source span
 ================  =====================================================
 
 Aggregation gives the Table-4-style per-stage breakdown
-(:meth:`FrameLedger.stage_breakdown`), and :meth:`FrameLedger.fold_into`
-records every frame's stage latencies into registry histograms with the
-frame's ``trace_id`` as exemplar — a p99 bucket then links to one
-concrete trace.  The ledger is pure post-processing: it reads span
-dicts (live tracer or reloaded JSONL) and never sits on the hot path.
+(:meth:`FrameLedger.stage_breakdown`).  The ledger is pure
+post-processing: it reads span dicts (live tracer or reloaded JSONL)
+and never sits on the hot path.
 
 The server's ``tracking`` sim event (and its Fig. 5/8 stage events)
 stays in the trace as a lane of its own but is no stage here: it
@@ -37,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .metrics import MetricsRegistry
 from .trace import Tracer, load_jsonl
 
 __all__ = ["FrameLedger", "FrameRecord", "ROOT_SPAN", "STAGES"]
@@ -218,27 +215,6 @@ class FrameLedger:
                 "max_ms": float(arr.max()),
             }
         return out
-
-    def fold_into(self, registry: MetricsRegistry,
-                  prefix: str = "frames") -> None:
-        """Record per-frame stage latencies as exemplar-carrying
-        histograms: tail buckets keep the frame's ``trace_id``."""
-        total_hist = registry.histogram(
-            f"{prefix}.total_ms", "end-to-end frame lifecycle", unit="ms"
-        )
-        stage_hists = {
-            stage: registry.histogram(
-                f"{prefix}.{stage}_ms", f"frame {stage} stage", unit="ms"
-            )
-            for stage in STAGES
-        }
-        for frame in self.complete_frames():
-            if frame.total_ms is not None:
-                total_hist.record(frame.total_ms, trace_id=frame.trace_id)
-            for stage, dur_ms in frame.stages.items():
-                hist = stage_hists.get(stage)
-                if hist is not None:
-                    hist.record(dur_ms, trace_id=frame.trace_id)
 
     def summary_text(self) -> str:
         """Aligned per-stage breakdown (the `repro report` text view)."""

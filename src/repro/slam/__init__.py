@@ -1,6 +1,5 @@
 """SLAM core: maps, tracking, mapping, place recognition and merging."""
 
-from .atlas import Atlas, AtlasEntry
 from .bow import KeyframeDatabase, QueryResult, Vocabulary, default_vocabulary
 from .bundle_adjustment import (
     BAStats,
@@ -27,8 +26,6 @@ from .system import SlamConfig, SlamFrameResult, SlamSystem
 from .tracking import Tracker, TrackerConfig, TrackingResult, TrackingWorkload
 
 __all__ = [
-    "Atlas",
-    "AtlasEntry",
     "BAStats",
     "CLIENT_ID_STRIDE",
     "CommonRegion",

@@ -1,83 +1,11 @@
-"""Tests for the Atlas, real stereo matching, and terminal plots."""
+"""Tests for real stereo matching and the terminal trajectory plot."""
 
 import numpy as np
 import pytest
 
 from repro.datasets import euroc_dataset
-from repro.geometry import Trajectory
-from repro.metrics import ascii_series, ascii_xy_plot, trajectory_topdown
-from repro.slam import Atlas, default_vocabulary
+from repro.metrics import ascii_xy_plot
 from repro.vision import StereoMatcher, StereoRig, render_stereo_pair
-from tests.test_slam_merging import build_two_clients
-
-VOCAB = default_vocabulary()
-
-
-class TestAtlas:
-    def test_create_and_activate(self):
-        atlas = Atlas(VOCAB)
-        m0 = atlas.create_map("first")
-        m1 = atlas.create_map("second")
-        assert len(atlas) == 2
-        assert atlas.active_map is m1
-        atlas.set_active(m0.map_id)
-        assert atlas.active_map is m0
-
-    def test_unknown_map_rejected(self):
-        atlas = Atlas(VOCAB)
-        with pytest.raises(KeyError):
-            atlas.set_active(99)
-
-    def test_lookup_by_entity(self):
-        atlas = Atlas(VOCAB)
-        (ds_a, sys_a), (ds_b, sys_b) = build_two_clients(duration=8.0)
-        id_a = atlas.adopt(sys_a.map, sys_a.database, "client-a")
-        id_b = atlas.adopt(sys_b.map, sys_b.database, "client-b")
-        kf_a = next(iter(sys_a.map.keyframes))
-        kf_b = next(iter(sys_b.map.keyframes))
-        assert atlas.map_of_keyframe(kf_a) == id_a
-        assert atlas.map_of_keyframe(kf_b) == id_b
-        assert atlas.map_of_keyframe(10**9 + 5) is None
-        pid_b = next(iter(sys_b.map.mappoints))
-        assert atlas.map_of_point(pid_b) == id_b
-
-    def test_merge_members_removes_source(self):
-        atlas = Atlas(VOCAB)
-        (ds_a, sys_a), (ds_b, sys_b) = build_two_clients(duration=10.0)
-        id_a = atlas.adopt(sys_a.map, sys_a.database, "client-a")
-        id_b = atlas.adopt(sys_b.map, sys_b.database, "client-b")
-        total_before = atlas.total_keyframes()
-        result = atlas.merge_members(id_a, id_b, ds_a.camera, source_client=1)
-        assert result.success
-        assert len(atlas) == 1
-        assert atlas.active_map is sys_a.map
-        assert atlas.total_keyframes() == total_before
-
-    def test_merge_failure_leaves_members(self):
-        atlas = Atlas(VOCAB)
-        (ds_a, sys_a), _ = build_two_clients(duration=8.0)
-        from tests.test_slam_system import run_system
-
-        ds_v = euroc_dataset("V202", duration=5.0, rate=10.0)
-        sys_v, _ = run_system(ds_v, client_id=1)
-        id_a = atlas.adopt(sys_a.map, sys_a.database, "a")
-        id_v = atlas.adopt(sys_v.map, sys_v.database, "v")
-        result = atlas.merge_members(id_a, id_v, ds_a.camera, source_client=1)
-        assert not result.success
-        assert len(atlas) == 2
-        assert not sys_a.map.keyframes_of_client(1)
-
-    def test_self_merge_rejected(self):
-        atlas = Atlas(VOCAB)
-        m = atlas.create_map()
-        cam = euroc_dataset("MH04", duration=1.0, rate=10.0).camera
-        with pytest.raises(ValueError):
-            atlas.merge_members(m.map_id, m.map_id, cam, 0)
-
-    def test_summary_mentions_labels(self):
-        atlas = Atlas(VOCAB)
-        atlas.create_map("hall")
-        assert "hall" in atlas.summary()
 
 
 class TestStereoMatcher:
@@ -141,19 +69,3 @@ class TestAsciiPlots:
 
     def test_xy_plot_empty(self):
         assert ascii_xy_plot({}) == "(no data)"
-
-    def test_series_bars_scale(self):
-        art = ascii_series([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)])
-        lines = art.splitlines()
-        assert lines[-1].count("#") > lines[0].count("#")
-
-    def test_series_handles_inf(self):
-        art = ascii_series([(0.0, float("inf")), (1.0, 1.0)])
-        assert "inf" in art
-
-    def test_trajectory_topdown(self):
-        times = np.arange(10) * 0.1
-        pos = np.column_stack([times, times ** 2, np.zeros(10)])
-        traj = Trajectory.from_arrays(times, pos)
-        art = trajectory_topdown(traj, traj)
-        assert "estimated" in art and "ground truth" in art

@@ -1,12 +1,12 @@
-"""Tests for end-to-end frame-lifecycle tracing, the frame ledger, the
-SLO engine, and Prometheus exposition.
+"""Tests for end-to-end frame-lifecycle tracing, the frame ledger, and
+Prometheus exposition.
 
 The tentpole invariant: one uploaded frame == one causally-linked span
 tree whose ``trace_id`` survives serialization, ARQ retransmission,
 admission, the GPU kernel, shard locking and the pose downlink.  These
 tests pin that propagation at every boundary, plus the export formats
 (Chrome/Perfetto JSON, streaming JSONL) and the derived views
-(FrameLedger, SLO burn rates, Prometheus text with exemplars).
+(FrameLedger, Prometheus text with exemplars).
 """
 
 import json
@@ -28,10 +28,7 @@ from repro.net import (
 from repro.net.link import DuplexLink
 from repro.obs import (
     FrameLedger,
-    SloEngine,
-    SloSpec,
     TraceContext,
-    default_slos,
     get_metrics,
     get_tracer,
     load_jsonl,
@@ -221,7 +218,7 @@ class TestSessionEndToEnd:
         assert lossy_terminal > 0
         assert tracer.open_trace_count() == 0
 
-    def test_stage_breakdown_and_fold_into(self, tracer, metrics):
+    def test_stage_breakdown_and_exemplars(self, tracer, metrics):
         _run_traced_session(duration=3.0)
         ledger = FrameLedger.from_tracer(tracer)
         breakdown = ledger.stage_breakdown()
@@ -230,10 +227,11 @@ class TestSessionEndToEnd:
             stats = breakdown[stage]
             assert stats["p50_ms"] <= stats["p95_ms"] <= stats["max_ms"]
             assert stats["count"] > 0
-        ledger.fold_into(metrics)
+        # The live pose-RTT histogram links its buckets to frame traces.
         text = metrics.render_prometheus()
-        assert "repro_frames_total_ms_bucket" in text
-        assert 'trace_id="' in text  # exemplars survived the fold
+        bucket_lines = [line for line in text.splitlines()
+                        if line.startswith("repro_session_pose_rtt_ms_bucket")]
+        assert any('trace_id="' in line for line in bucket_lines)
         summary = ledger.summary_text()
         assert "uplink" in summary and "tracking" in summary
 
@@ -297,100 +295,6 @@ class TestFrameLedgerUnit:
             assert a.stages.keys() == b.stages.keys()
             assert a.total_ms == pytest.approx(b.total_ms)
             assert b.linked
-
-
-class TestSloEngine:
-    def _latency_spec(self, **kw):
-        defaults = dict(name="lat", kind="latency", target=100.0,
-                        description="p95 latency", percentile=0.95,
-                        objective=0.99, window_s=10.0, min_count=3,
-                        burn_alert=2.0)
-        defaults.update(kw)
-        return SloSpec(**defaults)
-
-    def test_latency_breach_and_burn_rate(self):
-        engine = SloEngine()
-        engine.register(self._latency_spec())
-        for i in range(10):
-            engine.observe("lat", 200.0, t=float(i))  # all bad
-        (status,) = engine.evaluate(t=10.0)
-        assert status.breached
-        assert status.value == pytest.approx(200.0)
-        assert status.bad_fraction == pytest.approx(1.0)
-        # All-bad traffic burns the 1% error budget 100x over.
-        assert status.burn_rate == pytest.approx(100.0)
-
-    def test_min_count_gates_judgement(self):
-        engine = SloEngine()
-        engine.register(self._latency_spec(min_count=5))
-        engine.observe("lat", 500.0, t=0.0)
-        (status,) = engine.evaluate(t=1.0)
-        assert not status.breached and status.count == 1
-
-    def test_window_prunes_old_samples(self):
-        engine = SloEngine()
-        engine.register(self._latency_spec(window_s=5.0, min_count=1))
-        for i in range(5):
-            engine.observe("lat", 500.0, t=float(i))  # old + bad
-        for i in range(5):
-            engine.observe("lat", 10.0, t=20.0 + i)   # recent + good
-        (status,) = engine.evaluate(t=25.0)
-        assert not status.breached
-        assert status.count == 5  # the old breaching samples aged out
-
-    def test_breach_recover_events_fire_on_edges(self):
-        engine = SloEngine()
-        engine.register(self._latency_spec(min_count=1, window_s=5.0))
-        seen = []
-        engine.subscribe(lambda event: seen.append(event.kind))
-        for t in (0.0, 1.0, 2.0):
-            engine.observe("lat", 500.0, t=t)
-            engine.evaluate(t=t)
-        for t in (8.0, 9.0):
-            engine.observe("lat", 1.0, t=t)
-            engine.evaluate(t=t)
-        # One breach edge, one recover edge -- not one event per tick.
-        assert seen == ["breach", "recover"]
-        assert engine.breached_names() == []
-        kinds = [e.kind for e in engine.events]
-        assert kinds == ["breach", "recover"]
-
-    def test_ratio_and_gauge_kinds(self):
-        engine = SloEngine()
-        engine.register(SloSpec(name="shed", kind="ratio", target=0.10,
-                                description="shed rate", objective=0.95,
-                                window_s=10.0, min_count=2))
-        engine.register(SloSpec(name="ate", kind="gauge", target=0.5,
-                                description="ATE", window_s=10.0,
-                                min_count=1))
-        for i in range(10):
-            engine.observe("shed", 1.0 if i < 4 else 0.0, t=float(i))
-        engine.observe("ate", 0.7, t=5.0)
-        statuses = {s.spec.name: s for s in engine.evaluate(t=9.0)}
-        assert statuses["shed"].value == pytest.approx(0.4)
-        assert statuses["shed"].breached
-        assert statuses["ate"].breached  # gauge: value > target suffices
-        engine.observe("ate", 0.1, t=9.5)
-        statuses = {s.spec.name: s for s in engine.evaluate(t=9.5)}
-        assert not statuses["ate"].breached  # gauge judges the last value
-
-    def test_unknown_metric_is_ignored(self):
-        engine = SloEngine()
-        engine.observe("nope", 1.0, t=0.0)  # must not raise
-        assert engine.evaluate(t=1.0) == []
-
-    def test_default_slos_register_and_render(self):
-        engine = default_slos(SloEngine())
-        names = {spec.name for spec in engine.specs()}
-        assert {"frame.p95_ms", "frames.shed_rate", "tracking.ate_m"} <= names
-        assert "frame.p95_ms" in engine.render_text()
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            SloSpec(name="x", kind="bogus", target=1.0, description="")
-        with pytest.raises(ValueError):
-            SloSpec(name="x", kind="latency", target=1.0, description="",
-                    objective=1.5)
 
 
 class TestPrometheusExposition:

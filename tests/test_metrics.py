@@ -1,4 +1,4 @@
-"""Tests for ATE, latency breakdowns, FPS and CPU accounting."""
+"""Tests for ATE, latency breakdowns and CPU accounting."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.geometry import SE3, Trajectory, so3
 from repro.metrics import (
     CpuAccountant,
-    FpsTracker,
     LatencyBreakdown,
     absolute_trajectory_error,
     associate,
@@ -147,32 +146,6 @@ class TestLatencyBreakdown:
         b.set("map_merging", 190.0)
         table = format_table4({"Baseline": a, "SLAM-Share": b})
         assert "Hold-down" in table and "N/A" in table and "190.0" in table
-
-
-class TestFpsTracker:
-    def test_realtime_when_fast(self):
-        tracker = FpsTracker(camera_fps=30.0)
-        for _ in range(100):
-            tracker.record(20.0)
-        assert tracker.achieved_fps() == 30.0
-        assert tracker.realtime_fraction() == 1.0
-
-    def test_capped_when_slow(self):
-        tracker = FpsTracker(camera_fps=30.0)
-        for _ in range(100):
-            tracker.record(66.7)  # 15 FPS processing
-        assert tracker.achieved_fps() == pytest.approx(15.0, rel=0.01)
-
-    def test_percentiles(self):
-        tracker = FpsTracker()
-        for v in range(1, 101):
-            tracker.record(float(v))
-        assert tracker.percentile_ms(50) == pytest.approx(50.5)
-
-    def test_empty(self):
-        tracker = FpsTracker()
-        assert tracker.achieved_fps() == 0.0
-        assert tracker.realtime_fraction() == 0.0
 
 
 class TestCpuAccountant:

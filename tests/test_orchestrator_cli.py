@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import get_metrics, get_tracer
 
 
 class TestCli:
@@ -49,3 +50,38 @@ class TestCli:
     def test_unknown_trace_fails(self):
         with pytest.raises(ValueError):
             main(["session", "--traces", "MH99", "--duration", "2"])
+
+
+@pytest.fixture
+def restore_obs():
+    """``stats`` switches the global tracer and metrics on; put them back."""
+    tracer, metrics = get_tracer(), get_metrics()
+    tracer_state = (tracer.enabled, tracer.clock, tracer.capacity)
+    metrics_enabled = metrics.enabled
+    yield
+    tracer.reset()
+    tracer.enabled, tracer.clock, tracer.capacity = tracer_state
+    tracer.output_path = None
+    metrics.reset()
+    metrics.enabled = metrics_enabled
+    metrics.output_path = None
+
+
+class TestMapAndStatsCommands:
+    # The ``repro`` logger does not propagate to the root logger, so its
+    # records reach capsys (stdout), not caplog.
+    def test_stats_logs_frame_lifecycle(self, capsys, restore_obs):
+        assert main(["stats", "--duration", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "frame-lifecycle breakdown" in out
+        assert "uplink" in out and "tracking" in out
+
+    def test_snapshot_then_restore_relocalizes(self, capsys, tmp_path):
+        snap = str(tmp_path / "map.snap")
+        assert main(["snapshot", "--duration", "6", "--out", snap]) == 0
+        out = capsys.readouterr().out
+        assert f"to {snap}" in out
+        code = main(["restore", snap, "--traces", "MH05", "--duration", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "relocalized into the restored map" in out
