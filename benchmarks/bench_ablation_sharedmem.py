@@ -3,16 +3,15 @@
 The mechanism behind Table 4's 30x gap, isolated and measured in wall-
 clock time on identical map updates of growing size: SLAM-Share's path
 (append packed records to the store's shard log, read them back in
-place) against the baseline's path (TLV-serialize, ship, rebuild the
-object graph).
+place) against the baseline's path (frame the same records into one
+buffer, ship it, walk it and rebuild the object graph).
 """
 
 import time
 
 import pytest
 
-from repro.net import deserialize_map, serialize_map
-from repro.sharedmem import ShardedMapStore
+from repro.sharedmem import ShardedMapStore, deserialize_map, serialize_map
 from tests.test_net_serialization_transport import make_map
 
 SIZES = (2, 8, 24)

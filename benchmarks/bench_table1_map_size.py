@@ -9,7 +9,7 @@ monotone growth, roughly constant MB-per-keyframe slope.
 import pytest
 
 from repro.datasets import euroc_dataset
-from repro.net import map_payload_size, serialize_map
+from repro.sharedmem import map_payload_size, serialize_map
 from repro.slam import SlamMap
 from tests.test_slam_system import run_system
 

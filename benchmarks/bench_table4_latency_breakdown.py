@@ -62,8 +62,7 @@ def test_table4_sharedmem_vs_serialize_wall_clock(benchmark):
     of the same entities (the baseline's path)."""
     import time
 
-    from repro.net import deserialize_map, serialize_map
-    from repro.sharedmem import ShardedMapStore
+    from repro.sharedmem import ShardedMapStore, deserialize_map, serialize_map
     from tests.test_net_serialization_transport import make_map
 
     update = make_map(n_keyframes=12, n_points_per_kf=40, seed=3)

@@ -28,7 +28,8 @@ from ..imu import GRAVITY_W, ImuBuffer, preintegrate
 from ..metrics.ate import absolute_trajectory_error
 from ..metrics.cpu import CpuAccountant
 from ..metrics.latency import LatencyBreakdown
-from ..net import DuplexLink, SimClock, deserialize_map, serialize_map
+from ..net import DuplexLink, SimClock
+from ..sharedmem import deserialize_map, map_payload_size, serialize_map
 from ..slam import (
     KeyframeDatabase,
     MapMerger,
@@ -327,9 +328,9 @@ class BaselineSession:
                 point = self.global_map.mappoints.get(int(pid))
                 if point is not None and point.point_id not in partial.mappoints:
                     partial.add_mappoint(point)
-        payload_bytes = len(serialize_map(partial)) + sum(
-            kf.nbytes() for kf in kfs
-        )
+        for kf in kfs:
+            partial.add_keyframe(kf)
+        payload_bytes = map_payload_size(partial)
         sent_at = self.clock.now
 
         def on_downloaded() -> None:

@@ -68,16 +68,13 @@ class ServingConfig:
 
     # --- sharded map store
     map_shards: int = 8
-    shard_region_m: float = 8.0          # spatial-hash grid cell edge
     # --- store backend: where the store's arena (one record log per
     # shard, repro.sharedmem.arena) lives.  "local" (default) lays it out
     # in an anonymous mapping of this process; "shm" in a named OS
     # shared-memory segment that real worker processes can attach
-    # (repro.sharedmem.ShmShardedMapStore).
+    # (repro.sharedmem.ShmShardedMapStore).  Either is built with the
+    # store's own region size, pack capacity and slab size.
     store_backend: str = "local"
-    shm_pack_capacity: int = 65536       # packed map-matrix rows
-    shm_slab_bytes: int = 4 * 1024 * 1024  # per-shard record-log slab
-    shm_lock_timeout_s: float = 30.0     # cross-process lock deadline
     # --- admission control / load shedding
     admission: bool = True
     queue_depth: int = 8                 # in-flight frames per client
@@ -114,9 +111,6 @@ class SlamShareConfig:
     gpu_model: GpuCostModel = field(default_factory=GpuCostModel)
     merge_cost: MergeCostModel = field(default_factory=MergeCostModel)
     stereo: bool = True
-    # Merge attempt policy: try aligning an unmerged client's map after
-    # it has contributed at least this many keyframes.
-    merge_min_keyframes: int = 4
     render_video_frames: bool = True    # real codec on rendered frames
     serving: ServingConfig = field(default_factory=ServingConfig)
 

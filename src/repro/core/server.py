@@ -23,7 +23,7 @@ from ..gpu.device import StageBreakdown, TrackingLatencyModel
 from ..imu import ImuDelta
 from ..obs import get_logger, get_metrics, get_tracer, kv
 from ..obs.trace import TraceContext
-from ..sharedmem import ShardedMapStore, ShmShardedMapStore
+from ..sharedmem import ShardedMapStore, ShmShardedMapStore, restore_map
 from ..slam import (
     IdAllocator,
     KeyframeDatabase,
@@ -39,6 +39,11 @@ from ..vision import FeatureSet, PinholeCamera
 from .config import SlamShareConfig
 
 STORE_BACKENDS = ("local", "shm")   # ServingConfig.store_backend values
+# Deadline of a cross-process shard-lock wait on the "shm" store.
+SHM_LOCK_TIMEOUT_S = 30.0
+# Try aligning an unmerged client's map once it has contributed at
+# least this many keyframes.
+MERGE_MIN_KEYFRAMES = 4
 
 _log = get_logger("core.server")
 _tracer = get_tracer()
@@ -152,17 +157,10 @@ class SlamShareServer:
         elif serving.store_backend == "shm":
             # Real OS shared memory: one named segment workers can attach.
             self.store = ShmShardedMapStore.create(
-                n_shards=n_shards,
-                pack_capacity=serving.shm_pack_capacity,
-                shard_slab_bytes=serving.shm_slab_bytes,
-                region_size=serving.shard_region_m,
-                lock_timeout_s=serving.shm_lock_timeout_s,
+                n_shards=n_shards, lock_timeout_s=SHM_LOCK_TIMEOUT_S,
             )
         else:
-            self.store = ShardedMapStore(
-                n_shards=n_shards,
-                region_size=serving.shard_region_m,
-            )
+            self.store = ShardedMapStore(n_shards=n_shards)
         self.latency_model = TrackingLatencyModel(
             self.config.cpu_model, self.config.gpu_model
         )
@@ -219,7 +217,7 @@ class SlamShareServer:
         that is multi-session relocalization.
         """
         from ..sharedmem.snapshot import (
-            LoadedSnapshot, load_snapshot, restore_into_store, restore_map,
+            LoadedSnapshot, load_snapshot, restore_into_store,
         )
 
         if self.processes or self.global_map.n_keyframes:
@@ -227,7 +225,8 @@ class SlamShareServer:
         snap = (snapshot if isinstance(snapshot, LoadedSnapshot)
                 else load_snapshot(snapshot))
         restore_into_store(snap, self.store)
-        restore_map(snap, self.global_map, self.global_database)
+        restore_map(snap.keyframes, snap.mappoints, self.global_map,
+                    self.global_database)
         _log.info(
             "snapshot restored: %s",
             kv(keyframes=self.global_map.n_keyframes,
@@ -453,7 +452,7 @@ class SlamShareServer:
                 if (
                     not process.merged
                     and process.system.map.n_keyframes
-                    >= self.config.merge_min_keyframes
+                    >= MERGE_MIN_KEYFRAMES
                 ):
                     merge_result, merge_ms = self._try_merge(process)
                 self._reconcile_evictions(process)

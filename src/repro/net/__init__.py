@@ -1,13 +1,11 @@
-"""Network substrate: simulated clock, shaped links, transport, map codec."""
+"""Network substrate: simulated clock, shaped links, transport, pose and
+trace-context codecs (the map codec is :mod:`repro.sharedmem.records`)."""
 
 from .link import DuplexLink, Link, LinkStats
 from .serialization import (
     TRACE_CONTEXT_BYTES,
-    deserialize_map,
     deserialize_pose,
     deserialize_trace_context,
-    map_payload_size,
-    serialize_map,
     serialize_pose,
     serialize_trace_context,
 )
@@ -56,11 +54,8 @@ __all__ = [
     "SimClock",
     "TRACE_CONTEXT_BYTES",
     "connect",
-    "deserialize_map",
     "deserialize_pose",
     "deserialize_trace_context",
-    "map_payload_size",
-    "serialize_map",
     "serialize_pose",
     "serialize_trace_context",
     "timed_transfer",

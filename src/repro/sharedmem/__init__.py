@@ -1,4 +1,5 @@
-"""Shared-memory substrate: the map arena, packed records, RW lock, map store."""
+"""Shared-memory substrate: the map arena, the map's one byte format
+(packed records, framed streams, the wire codec), RW lock, map store."""
 
 from .arena import (
     ALIGNMENT,
@@ -8,10 +9,16 @@ from .arena import (
     ShmMapLayout,
 )
 from .records import (
+    deserialize_map,
+    frame_records,
     keyframe_record_size,
+    map_payload_size,
     mappoint_record_size,
     read_keyframe_record,
     read_mappoint_record,
+    restore_map,
+    serialize_map,
+    walk_records,
     write_keyframe_record,
     write_mappoint_record,
 )
@@ -29,7 +36,6 @@ from .snapshot import (
     SnapshotInfo,
     load_snapshot,
     restore_into_store,
-    restore_map,
     save_snapshot,
 )
 from .shm_store import ShmShardedMapStore, ShmStoreHandle
@@ -56,10 +62,15 @@ __all__ = [
     "restore_into_store",
     "restore_map",
     "save_snapshot",
+    "deserialize_map",
+    "frame_records",
     "keyframe_record_size",
+    "map_payload_size",
     "mappoint_record_size",
     "read_keyframe_record",
     "read_mappoint_record",
+    "serialize_map",
+    "walk_records",
     "write_keyframe_record",
     "write_mappoint_record",
 ]

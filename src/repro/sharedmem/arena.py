@@ -59,7 +59,8 @@ from .rwlock import RWLock
 ALIGNMENT = 8
 
 MAGIC = 0x534C4D53  # "SLMS"
-LAYOUT_VERSION = 1
+# 2: keyframe records carry uv / depths as <f8 (v1 wrote <f4).
+LAYOUT_VERSION = 2
 _GLOBAL_HEADER = struct.Struct("<IIIIQQd")
 HEADER_BYTES = 64
 _SLAB_COUNTS = struct.Struct("<QQQ")     # count/bytes_used, version, capacity

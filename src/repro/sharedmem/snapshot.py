@@ -14,10 +14,13 @@ later read) independently::
         shard-0001.bin
         ...
 
-Each shard file is a sequence of ``(kind u32 | flags u32 | entity_id
-u64 | size u64)`` frames followed by the packed keyframe / map-point
-record from :mod:`repro.sharedmem.records` — byte-compatible with the
-shm shard logs, minus tombstones (a snapshot holds only live records).
+Each shard file is one framed stream of
+:mod:`repro.sharedmem.records` (:func:`~repro.sharedmem.records.frame_records`):
+``(kind u32 | flags u32 | entity_id u64 | size u64)`` frames, each
+followed by its packed keyframe / map-point record.  The records are
+those of the store's shard logs, but the files hold only live records
+(no tombstones, no superseded versions) and do not pad a record to 8
+bytes as the logs do.
 
 Writes are atomic at the directory level: everything lands in
 ``<path>.tmp`` first, the manifest is written last (a directory without
@@ -37,20 +40,11 @@ from typing import Dict, Iterable, List, Optional
 
 from ..slam.keyframe import KeyFrame
 from ..slam.mappoint import MapPoint
-from .records import (
-    KIND_KEYFRAME,
-    KIND_MAPPOINT,
-    RECORD_FRAME,
-    keyframe_record_size,
-    mappoint_record_size,
-    read_keyframe_record,
-    read_mappoint_record,
-    write_keyframe_record,
-    write_mappoint_record,
-)
+from .records import frame_records, walk_records
 
 SNAPSHOT_MAGIC = "slam-share-map-snapshot"
-SNAPSHOT_VERSION = 1
+# 2: keyframe records carry uv / depths as <f8 (v1 wrote <f4).
+SNAPSHOT_VERSION = 2
 MANIFEST_NAME = "MANIFEST.json"
 
 
@@ -88,22 +82,6 @@ class LoadedSnapshot:
         )
 
 
-def _frame_keyframe(kf: KeyFrame) -> bytes:
-    size = keyframe_record_size(len(kf), len(kf.bow_vector))
-    buf = bytearray(RECORD_FRAME.size + size)
-    RECORD_FRAME.pack_into(buf, 0, KIND_KEYFRAME, 0, kf.keyframe_id, size)
-    write_keyframe_record(memoryview(buf)[RECORD_FRAME.size:], kf)
-    return bytes(buf)
-
-
-def _frame_mappoint(point: MapPoint) -> bytes:
-    size = mappoint_record_size(len(point.observations))
-    buf = bytearray(RECORD_FRAME.size + size)
-    RECORD_FRAME.pack_into(buf, 0, KIND_MAPPOINT, 0, point.point_id, size)
-    write_mappoint_record(memoryview(buf)[RECORD_FRAME.size:], point)
-    return bytes(buf)
-
-
 def save_snapshot(
     store,
     path: str,
@@ -120,7 +98,7 @@ def save_snapshot(
     n_shards = store.n_shards
     kf_filter = None if keyframe_ids is None else {int(i) for i in keyframe_ids}
     mp_filter = None if mappoint_ids is None else {int(i) for i in mappoint_ids}
-    per_shard: Dict[int, bytearray] = {i: bytearray() for i in range(n_shards)}
+    per_shard = {i: ([], []) for i in range(n_shards)}
     n_kf = n_mp = 0
     for kf_id in store.keyframe_ids():
         if kf_filter is not None and int(kf_id) not in kf_filter:
@@ -128,7 +106,7 @@ def save_snapshot(
         kf = store.get_keyframe(kf_id)
         if kf is None:
             continue
-        per_shard[store.shard_of_keyframe(kf)] += _frame_keyframe(kf)
+        per_shard[store.shard_of_keyframe(kf)][0].append(kf)
         n_kf += 1
     for pid in store.mappoint_ids():
         if mp_filter is not None and int(pid) not in mp_filter:
@@ -136,7 +114,7 @@ def save_snapshot(
         point = store.get_mappoint(pid)
         if point is None:
             continue
-        per_shard[store.shard_of_mappoint(point)] += _frame_mappoint(point)
+        per_shard[store.shard_of_mappoint(point)][1].append(point)
         n_mp += 1
 
     tmp = path.rstrip(os.sep) + ".tmp"
@@ -146,7 +124,7 @@ def save_snapshot(
     shards_meta = []
     total = 0
     for index in range(n_shards):
-        data = bytes(per_shard[index])
+        data = frame_records(*per_shard[index])
         name = f"shard-{index:04d}.bin"
         with open(os.path.join(tmp, name), "wb") as fh:
             fh.write(data)
@@ -201,20 +179,14 @@ def load_snapshot(path: str) -> LoadedSnapshot:
             data = fh.read()
         if len(data) != meta["bytes"] or zlib.crc32(data) != meta["crc32"]:
             raise SnapshotError(f"corrupt snapshot shard {meta['file']}")
-        view = memoryview(data)
-        cursor = 0
-        while cursor < len(data):
-            kind, _flags, entity_id, size = RECORD_FRAME.unpack_from(view, cursor)
-            payload = view[cursor + RECORD_FRAME.size : cursor + RECORD_FRAME.size + size]
-            if kind == KIND_KEYFRAME:
-                keyframes.append(read_keyframe_record(payload))
-            elif kind == KIND_MAPPOINT:
-                mappoints.append(read_mappoint_record(payload))
-            else:
-                raise SnapshotError(
-                    f"corrupt snapshot record kind {kind} in {meta['file']}"
-                )
-            cursor += RECORD_FRAME.size + size
+        try:
+            shard_kfs, shard_points = walk_records(data)
+        except ValueError as err:
+            raise SnapshotError(
+                f"corrupt snapshot shard {meta['file']}: {err}"
+            ) from err
+        keyframes += shard_kfs
+        mappoints += shard_points
     return LoadedSnapshot(manifest=manifest, keyframes=keyframes,
                           mappoints=mappoints)
 
@@ -222,21 +194,3 @@ def load_snapshot(path: str) -> LoadedSnapshot:
 def restore_into_store(snapshot: LoadedSnapshot, store) -> int:
     """Publish every snapshot entity into a (fresh) store; returns bytes."""
     return store.publish_map(snapshot.keyframes, snapshot.mappoints)
-
-
-def restore_map(snapshot: LoadedSnapshot, slam_map, database=None) -> None:
-    """Rebuild a :class:`SlamMap` (and BoW database) from a snapshot.
-
-    Observations are carried inside the records, so the covisibility
-    graph regrows exactly; adding the keyframes' stored BoW vectors to
-    ``database`` re-arms place recognition — the path a later session's
-    fresh client relocalizes through.
-    """
-    for point in snapshot.mappoints:
-        slam_map.add_mappoint(point)
-    for kf in snapshot.keyframes:
-        slam_map.add_keyframe(kf)
-    slam_map.rebuild_covisibility()
-    if database is not None:
-        for kf in snapshot.keyframes:
-            database.add(kf.keyframe_id, kf.bow_vector)

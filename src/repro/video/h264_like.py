@@ -21,6 +21,11 @@ SADs land in reused buffers, and the predicted frame is one gather of
 block windows; the quantizer rounds in integers.  Quantization makes it
 mildly lossy like real H.264; tests pin the reconstruction PSNR high
 above feature-detection noise, so ATE is unaffected (Table 3).
+
+A payload is the ``(dy, dx)`` shift header, a P-frame's per-block
+motion-vector indices, a CRC-32 of those bytes and the DEFLATE stream,
+whose own Adler-32 covers the plane: :meth:`H264LikeCodec.decode`
+refuses a damaged header or vector instead of predicting from it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .codec import EncodedFrame, VideoCodec
 
 _SHIFT_HEADER = struct.Struct("<hh")
+# CRC-32 of everything before the DEFLATE stream (shift header and, on a
+# P-frame, the motion vectors); the stream carries its own Adler-32.
+_HEAD_CRC = struct.Struct("<I")
 
 
 def estimate_global_shift(
@@ -210,7 +218,7 @@ class H264LikeCodec(VideoCodec):
             ).astype(np.uint8)
             header = _SHIFT_HEADER.pack(*global_shift) + mv_idx.tobytes()
             frame_type = "P"
-        data = header + self._deflate(
+        data = header + _HEAD_CRC.pack(zlib.crc32(header)) + self._deflate(
             quantized.astype(self._plane_dtype(intra), copy=False)
         )
         # Closed-loop prediction: reference is the *decoded* frame, so the
@@ -292,18 +300,21 @@ class H264LikeCodec(VideoCodec):
         data = encoded.data
         shape = encoded.original_shape
         intra = encoded.frame_type == "I"
-        offset = _SHIFT_HEADER.size
         n_mv = 0 if intra else self._mv_bytes(shape)
-        if len(data) < offset + n_mv:
+        offset = _SHIFT_HEADER.size + n_mv
+        if len(data) < offset + _HEAD_CRC.size:
             raise ValueError("corrupt video payload: truncated header")
+        if _HEAD_CRC.unpack_from(data, offset)[0] != zlib.crc32(data[:offset]):
+            raise ValueError("corrupt video payload: header checksum mismatch")
         dy, dx = _SHIFT_HEADER.unpack_from(data, 0)
         if not intra:
-            mv_idx = np.frombuffer(data, dtype=np.int8, count=n_mv, offset=offset)
-            mv_idx = mv_idx.reshape(shape[0] // self.block, shape[1] // self.block)
+            mv_idx = np.frombuffer(
+                data, dtype=np.int8, count=n_mv, offset=_SHIFT_HEADER.size
+            ).reshape(shape[0] // self.block, shape[1] // self.block)
             n_candidates = len(_candidate_offsets((dy, dx)))
             if mv_idx.size and (mv_idx.min() < 0 or mv_idx.max() >= n_candidates):
                 raise ValueError("corrupt video payload: motion vector out of range")
-            offset += n_mv
+        offset += _HEAD_CRC.size
         dtype = self._plane_dtype(intra)
         try:
             plane = zlib.decompress(data[offset:])

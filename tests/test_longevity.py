@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import time
+import zlib
 from itertools import chain
 from types import SimpleNamespace
 
@@ -528,7 +529,7 @@ class TestSnapshotRoundTrip:
         assert sorted(fresh_store.keyframe_ids()) == sorted(slam_map.keyframes)
         fresh_map = SlamMap()
         database = KeyframeDatabase(default_vocabulary())
-        restore_map(snap, fresh_map, database)
+        restore_map(snap.keyframes, snap.mappoints, fresh_map, database)
         assert sorted(fresh_map.keyframes) == sorted(slam_map.keyframes)
         assert sorted(fresh_map.mappoints) == sorted(slam_map.mappoints)
         for kf_id, kf in slam_map.keyframes.items():
@@ -581,6 +582,44 @@ class TestSnapshotRoundTrip:
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
         with pytest.raises(SnapshotError):
+            load_snapshot(path)
+
+    def test_version_1_snapshot_refused(self, tmp_path):
+        # v1 wrote uv / depths as <f4; reading one as <f8 would misplace
+        # every later field, so the manifest version alone refuses it.
+        _, store = self._store_with_map()
+        path = str(tmp_path / "v1.snap")
+        save_snapshot(store, path)
+        manifest_path = os.path.join(path, "MANIFEST.json")
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["version"] = 1
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(SnapshotError, match="version 1"):
+            load_snapshot(path)
+
+    def test_frame_size_past_the_end_refused(self, tmp_path):
+        # The shard's CRC matches (it is recomputed over the damage), so
+        # only the frame walk can catch a size that runs off the file.
+        _, store = self._store_with_map()
+        path = str(tmp_path / "oversized.snap")
+        save_snapshot(store, path)
+        manifest_path = os.path.join(path, "MANIFEST.json")
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        meta = next(m for m in manifest["shards"] if m["bytes"])
+        shard_path = os.path.join(path, meta["file"])
+        with open(shard_path, "rb") as fh:
+            data = bytearray(fh.read())
+        kind, flags, entity_id, _ = RECORD_FRAME.unpack_from(data, 0)
+        RECORD_FRAME.pack_into(data, 0, kind, flags, entity_id, len(data))
+        with open(shard_path, "wb") as fh:
+            fh.write(data)
+        meta["crc32"] = zlib.crc32(bytes(data))
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(SnapshotError, match="claims"):
             load_snapshot(path)
 
     def test_save_is_atomic_replace(self, tmp_path):

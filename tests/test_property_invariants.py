@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
@@ -18,16 +19,20 @@ from hypothesis.stateful import (
 )
 
 from repro.geometry import SE3, Sim3, so3, umeyama
-from repro.net import deserialize_map, serialize_map
 from repro.obs import get_metrics
 from repro.sharedmem import (
     ShardedMapStore,
     ShmShardedMapStore,
+    deserialize_map,
     keyframe_record_size,
     mappoint_record_size,
+    serialize_map,
 )
 from repro.sharedmem.arena import HEADER_BYTES
 from repro.sharedmem.records import RECORD_FRAME
+from repro.slam import SlamMap
+from repro.slam.keyframe import KeyFrame
+from repro.slam.mappoint import MapPoint
 from tests.test_net_serialization_transport import make_map
 from tests.test_shm_multiproc import _shm_available, make_keyframe, make_mappoint
 
@@ -80,6 +85,119 @@ class TestGroupLaws:
             np.linalg.norm(before) * np.linalg.norm(after)
         )
         assert cos > 1.0 - 1e-9
+
+
+# Any float64 bit pattern for the per-feature arrays (NaN payloads, -0.0,
+# subnormals, infinities); finite geometry, since the store routes an
+# entity by the grid cell of its position or camera centre.
+any_f64 = st.floats(width=64)
+geometry = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+scalar = st.floats(allow_nan=False)
+u32 = st.integers(0, 2**32 - 1)
+u63 = st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def slam_maps(draw):
+    """A map whose every record field takes arbitrary values; observations
+    agree with the keyframes' point ids, so covisibility is well defined."""
+    point_ids = draw(st.lists(u63, max_size=10, unique=True))
+    kf_ids = draw(st.lists(u63, max_size=4, unique=True))
+    slam_map = SlamMap(map_id=draw(st.integers(-2**63, 2**63 - 1)))
+    points = [
+        MapPoint(
+            point_id=pid,
+            position=np.array(draw(st.tuples(geometry, geometry, geometry))),
+            descriptor=draw(arrays(np.uint8, 32)),
+            client_id=draw(u63),
+            times_visible=draw(u32),
+            times_found=draw(u32),
+        )
+        for pid in point_ids
+    ]
+    for point in points:
+        slam_map.add_mappoint(point)
+    for kf_id in kf_ids:
+        n = draw(st.integers(0, 6))
+        ids = draw(st.lists(st.sampled_from([-1] + point_ids), min_size=n,
+                            max_size=n))
+        kf = KeyFrame(
+            keyframe_id=kf_id,
+            timestamp=draw(scalar),
+            pose_cw=SE3(draw(arrays(np.float64, (3, 3), elements=geometry)),
+                        draw(arrays(np.float64, 3, elements=geometry))),
+            uv=draw(arrays(np.float64, (n, 2), elements=any_f64)),
+            descriptors=draw(arrays(np.uint8, (n, 32))),
+            depths=draw(arrays(np.float64, n, elements=any_f64)),
+            point_ids=np.array(ids, dtype=np.int64),
+            client_id=draw(u63),
+            bow_vector=draw(st.dictionaries(u32, scalar, max_size=5)),
+        )
+        for idx, pid in enumerate(ids):
+            if pid >= 0:
+                slam_map.mappoints[pid].add_observation(kf_id, idx)
+        slam_map.add_keyframe(kf)
+    return slam_map
+
+
+def _bits(value):
+    """Bytes of a float or array, so NaN payloads and -0.0 compare."""
+    array = np.asarray(value)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def assert_same_keyframe(got, want):
+    assert (got.keyframe_id, got.client_id) == (want.keyframe_id, want.client_id)
+    assert _bits(got.timestamp) == _bits(want.timestamp)
+    for name in ("uv", "descriptors", "depths", "point_ids"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert _bits(got.pose_cw.rotation) == _bits(want.pose_cw.rotation)
+    assert _bits(got.pose_cw.translation) == _bits(want.pose_cw.translation)
+    assert ([(w, _bits(x)) for w, x in got.bow_vector.items()]
+            == [(w, _bits(x)) for w, x in want.bow_vector.items()])
+
+
+def assert_same_mappoint(got, want):
+    assert (got.point_id, got.client_id) == (want.point_id, want.client_id)
+    assert _bits(got.position) == _bits(want.position)
+    assert _bits(got.descriptor) == _bits(want.descriptor)
+    assert list(got.observations.items()) == list(want.observations.items())
+    assert ((got.times_visible, got.times_found)
+            == (want.times_visible, want.times_found))
+
+
+def _edges(slam_map):
+    return {(a, b, w) for a, row in slam_map.covisibility.items()
+            for b, w in row.items()}
+
+
+class TestBitExactRoundTrips:
+    """The map's one byte format gives back exactly what was written,
+    on the wire and through the store."""
+
+    @given(slam_maps())
+    @settings(max_examples=60, deadline=None)
+    def test_serialize_deserialize(self, original):
+        restored = deserialize_map(serialize_map(original))
+        assert restored.map_id == original.map_id
+        assert sorted(restored.keyframes) == sorted(original.keyframes)
+        assert sorted(restored.mappoints) == sorted(original.mappoints)
+        for kf_id, kf in original.keyframes.items():
+            assert_same_keyframe(restored.keyframes[kf_id], kf)
+        for pid, point in original.mappoints.items():
+            assert_same_mappoint(restored.mappoints[pid], point)
+        assert _edges(restored) == _edges(original)
+
+    @given(slam_maps())
+    @settings(max_examples=60, deadline=None)
+    def test_publish_get(self, original):
+        store = ShardedMapStore(n_shards=3, capacity=3 * 1024 * 1024)
+        store.publish_map(original.keyframes.values(),
+                          original.mappoints.values())
+        for kf_id, kf in original.keyframes.items():
+            assert_same_keyframe(store.get_keyframe(kf_id), kf)
+        for pid, point in original.mappoints.items():
+            assert_same_mappoint(store.get_mappoint(pid), point)
 
 
 class TestRoundTrips:

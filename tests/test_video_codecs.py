@@ -19,7 +19,7 @@ from repro.video import (
     encode_stream,
     psnr,
 )
-from repro.video.h264_like import _candidate_offsets, estimate_global_shift
+from repro.video.h264_like import _HEAD_CRC, _candidate_offsets, estimate_global_shift
 from repro.vision import render_frame
 from tests import oracles
 
@@ -185,9 +185,12 @@ class TestH264LikeCodec:
 #: decoded frames, computed on 2240608 — the commit before the codec
 #: searched one padded reference and landmark patches were drawn once.
 #: The stream hash was re-pinned when planes became 8-bit under Z_RLE
-#: (it was a25b0887…); the pixel and decoded hashes did not move.
+#: (it was a25b0887…), and again when every payload gained its 4-byte
+#: header CRC (it was 0374ff3e…, which the stream still hashes to with
+#: those 4 bytes cut from each frame); the pixel and decoded hashes did
+#: not move.
 GOLDEN_PIXELS = "83e920dae2313948421bd75256d37771afb8ea968d5898f2c7de67ac8de86b57"
-GOLDEN_STREAM = "0374ff3e70df79d287b4f97be9b11c0ed9459693a09e468ac7e879e026f6b072"
+GOLDEN_STREAM = "49c53c23b4251eadfc16a86618a31d922e28159b6138d46eed2689369acce0c3"
 GOLDEN_DECODED = "c41da27c03a8a8b65e70815e76b0acd3819a0670b399575bb68b39f8cfb8f82c"
 
 
@@ -296,11 +299,17 @@ class TestDeviceHalfIsBitExact:
         )
 
 
-def _split(encoded, block=16):
-    """``(header + motion vectors, compressed plane)`` of one payload."""
+def _split(encoded, block=16, crc=_HEAD_CRC.size):
+    """``(header + motion vectors, compressed plane)`` of one payload,
+    without the ``crc`` bytes between them (none in the reference's)."""
     h, w = encoded.original_shape
     n_mv = 0 if encoded.frame_type == "I" else (h // block) * (w // block)
-    return encoded.data[: 4 + n_mv], encoded.data[4 + n_mv :]
+    return encoded.data[: 4 + n_mv], encoded.data[4 + n_mv + crc :]
+
+
+def _seal(head, plane):
+    """A payload from its parts with a matching header CRC."""
+    return bytes(head) + _HEAD_CRC.pack(zlib.crc32(bytes(head))) + plane
 
 
 def _clip(content, seed, h, w, n):
@@ -353,7 +362,7 @@ class TestPlaneWidth:
             assert got.frame_type == want.frame_type
             assert np.array_equal(live.decode(got), reference.decode(want))
             got_head, got_plane = _split(got)
-            want_head, want_plane = _split(want)
+            want_head, want_plane = _split(want, crc=0)
             assert got_head == want_head
             intra = got.frame_type == "I"
             width = np.uint8 if intra else (np.int8 if q >= 3 else "<i2")
@@ -362,18 +371,21 @@ class TestPlaneWidth:
             assert np.array_equal(
                 values, np.frombuffer(zlib.decompress(want_plane), dtype="<i2"))
             if not intra and q <= 2:
-                assert got.data == want.data
+                assert got.data == _seal(want_head, want_plane)
 
     @pytest.mark.parametrize("trace", ["MH04", "V202", "KITTI-00"])
     def test_no_frame_type_grows_on_rendered_clips(self, trace):
         frames = _rendered(trace)
         for q in (2, 4, 8):
             sizes = {}
-            for codec in (H264LikeCodec(gop=6, quantization=q),
-                          oracles.H264LikeCodecReference(gop=6, quantization=q)):
+            for codec, crc in (
+                    (H264LikeCodec(gop=6, quantization=q), _HEAD_CRC.size),
+                    (oracles.H264LikeCodecReference(gop=6, quantization=q), 0)):
+                # The entropy stage is compared; the header CRC the live
+                # codec adds is a fixed 4 bytes the reference lacks.
                 for encoded in map(codec.encode, frames):
                     sizes.setdefault((type(codec), encoded.frame_type), []).append(
-                        encoded.n_bytes)
+                        encoded.n_bytes - crc)
             for frame_type in "IP":
                 got = np.mean(sizes[H264LikeCodec, frame_type])
                 want = np.mean(sizes[oracles.H264LikeCodecReference, frame_type])
@@ -416,7 +428,27 @@ class TestDamagedPayload:
             values = values[:-1] if damage == "plane_short" else values + b"\0"
             plane = zlib.compress(values)
         with pytest.raises(ValueError, match="corrupt video payload"):
-            decoder.decode(dataclasses.replace(p_frame, data=bytes(head) + plane))
+            decoder.decode(dataclasses.replace(p_frame, data=_seal(head, plane)))
+
+    def test_every_bit_flip_in_the_header_is_rejected(self):
+        # Without the CRC, 32 flips of the shift header and 68 of the
+        # vectors of this P-frame decoded silently to a wrong picture.
+        decoder, _, p_frame = _i_and_p()
+        head, _ = _split(p_frame)
+        checked = len(head) + _HEAD_CRC.size
+        for byte in range(checked):
+            for bit in range(8):
+                damaged = bytearray(p_frame.data)
+                damaged[byte] ^= 1 << bit
+                with pytest.raises(ValueError, match="checksum mismatch"):
+                    decoder.decode(dataclasses.replace(p_frame, data=bytes(damaged)))
+        # A rejected payload leaves the decoder's reference alone.
+        decoder.decode(p_frame)
+
+    def test_header_crc_costs_four_bytes_a_frame(self):
+        for encoded in _i_and_p()[1:]:
+            head, plane = _split(encoded)
+            assert len(encoded.data) == len(head) + 4 + len(plane)
 
 
 class TestStreamStats:
