@@ -307,8 +307,8 @@ def cmd_snapshot(args) -> int:
 
     config = _config(args)
     config.serving.snapshot_path = args.out
-    config.serving.map_max_keyframes = args.max_keyframes
-    config.serving.map_max_points = args.max_points
+    config.slam.mapping.max_keyframes = args.max_keyframes
+    config.slam.mapping.max_mappoints = args.max_points
     session = SlamShareSession(_scenarios(args), config,
                                ate_sample_interval=1.0)
     result = session.run()

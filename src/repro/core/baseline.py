@@ -6,7 +6,9 @@ frame drops whenever the (modeled) device tracking latency exceeds the
 camera budget.  Every ``hold_down_frames`` frames the client serializes
 its new map entities, ships them to the merge server, the server merges
 them into the global map and returns a partial global map (~6
-keyframes) that the client loads as its global-frame correction.
+keyframes) that the client loads as its global-frame correction.  Both
+maps travel as reliable (ARQ) messages on the client's endpoint pair,
+as Edge-SLAM's ride TCP: a lost copy is resent, not lost with the round.
 
 The client's *global-frame* pose is its local pose pushed through the
 last correction it received — which is stale by up to a hold-down
@@ -28,7 +30,7 @@ from ..imu import GRAVITY_W, ImuBuffer, preintegrate
 from ..metrics.ate import absolute_trajectory_error
 from ..metrics.cpu import CpuAccountant
 from ..metrics.latency import LatencyBreakdown
-from ..net import DuplexLink, SimClock
+from ..net import Endpoint, SimClock, connect
 from ..sharedmem import deserialize_map, map_payload_size, serialize_map
 from ..slam import (
     KeyframeDatabase,
@@ -79,7 +81,8 @@ class BaselineClientState:
     imu: ImuBuffer
     oracle: object
     cpu: CpuAccountant
-    link: DuplexLink
+    device_ep: Endpoint
+    server_ep: Endpoint
     start_time: float
     correction: Sim3 = field(default_factory=Sim3.identity)
     correction_fresh_at: float = -1.0
@@ -164,6 +167,10 @@ class BaselineSession:
             scenario, self.config,
             max_features=self.baseline.client_feature_budget,
         )
+        link = self.config.shaping.build(self.clock, seed=80 + scenario.client_id)
+        device_ep, server_ep = connect(
+            f"device-{scenario.client_id}", "merge-server", self.clock, link
+        )
         state = BaselineClientState(
             client_id=scenario.client_id,
             dataset=dataset,
@@ -171,9 +178,8 @@ class BaselineSession:
             imu=imu,
             oracle=oracle,
             cpu=CpuAccountant(),
-            link=self.config.shaping.build(
-                self.clock, seed=80 + scenario.client_id
-            ),
+            device_ep=device_ep,
+            server_ep=server_ep,
             start_time=scenario.start_time,
         )
         # Client 0 defines the global frame.
@@ -268,17 +274,19 @@ class BaselineSession:
         sync.serialization_ms = 40.0 * mb + 4.0
         sync.deserialization_ms = 200.0 * mb + 20.0
         state.cpu.add_serialization(len(payload))
-        send_at = self.clock.now
 
-        def on_uploaded() -> None:
-            sync.transfer1_ms = (self.clock.now - send_at) * 1e3
+        def on_uploaded(message) -> None:
+            sync.transfer1_ms = message.latency * 1e3
             merge_compute_s = self._server_merge(state, payload, sync)
             self.clock.schedule(
                 sync.deserialization_ms / 1e3 + merge_compute_s,
                 lambda: self._send_partial_map(state, sync),
             )
 
-        state.link.uplink.send(len(payload) + 40, on_uploaded)
+        state.device_ep.send(
+            "map", len(payload), reliable=True, on_delivered=on_uploaded,
+            on_dropped=partial(self._abandon_round, state),
+        )
 
     def _server_merge(self, state: BaselineClientState, payload: bytes,
                       sync: SyncRound) -> float:
@@ -319,22 +327,20 @@ class BaselineSession:
     def _send_partial_map(self, state: BaselineClientState,
                           sync: SyncRound) -> None:
         # ~6 keyframes of the global map head back to the client.
-        partial = SlamMap(map_id=999)
+        partial_map = SlamMap(map_id=999)
         kfs = sorted(
             self.global_map.keyframes.values(), key=lambda kf: -kf.timestamp
         )[: self.baseline.partial_map_keyframes]
         for kf in kfs:
             for pid in kf.observed_point_ids():
                 point = self.global_map.mappoints.get(int(pid))
-                if point is not None and point.point_id not in partial.mappoints:
-                    partial.add_mappoint(point)
+                if point is not None and point.point_id not in partial_map.mappoints:
+                    partial_map.add_mappoint(point)
         for kf in kfs:
-            partial.add_keyframe(kf)
-        payload_bytes = map_payload_size(partial)
-        sent_at = self.clock.now
+            partial_map.add_keyframe(kf)
 
-        def on_downloaded() -> None:
-            sync.transfer2_ms = (self.clock.now - sent_at) * 1e3
+        def on_downloaded(message) -> None:
+            sync.transfer2_ms = message.latency * 1e3
             sync.load_ms = 15.0 + 0.8 * self.baseline.partial_map_keyframes
             sync.completed_at = self.clock.now + sync.load_ms / 1e3
             state.correction_fresh_at = sync.completed_at
@@ -345,4 +351,14 @@ class BaselineSession:
             state.rounds.append(sync)
             state.pending_round = None
 
-        state.link.downlink.send(payload_bytes + 40, on_downloaded)
+        state.server_ep.send(
+            "partial_map", map_payload_size(partial_map), reliable=True,
+            on_delivered=on_downloaded,
+            on_dropped=partial(self._abandon_round, state),
+        )
+
+    @staticmethod
+    def _abandon_round(state: BaselineClientState, message) -> None:
+        # ARQ gave up on a map transfer: the round is lost, and the next
+        # hold-down starts a fresh one.
+        state.pending_round = None

@@ -79,12 +79,9 @@ class ServingConfig:
     admission: bool = True
     queue_depth: int = 8                 # in-flight frames per client
     stale_ms: Optional[float] = None     # shed frames older than this
-    # --- long-lived maps: eviction budgets, compaction, persistence.
-    # ``None`` budgets keep the historical unbounded behavior; when set
-    # they are pushed into every client's LocalMappingConfig so the
-    # global map stays under budget via covisibility-aware LRU eviction.
-    map_max_keyframes: Optional[int] = None
-    map_max_points: Optional[int] = None
+    # --- long-lived maps: compaction and persistence (the map's
+    # eviction budgets are ``SlamConfig.mapping.max_keyframes`` /
+    # ``max_mappoints``).
     # Store compaction trigger: compact any shard whose log crosses this
     # utilization after evictions land.  None disables it; a log that
     # fills up still compacts itself before it refuses a record.

@@ -139,12 +139,6 @@ class SlamShareServer:
         self.global_map = SlamMap(map_id=0)
         self.global_database = KeyframeDatabase(self.vocabulary)
         serving = self.config.serving
-        # Long-lived-map budgets flow into every client's local-mapping
-        # config, where keyframe insertion enforces them on the map.
-        if serving.map_max_keyframes is not None:
-            self.config.slam.mapping.max_keyframes = serving.map_max_keyframes
-        if serving.map_max_points is not None:
-            self.config.slam.mapping.max_mappoints = serving.map_max_points
         if serving.store_backend not in STORE_BACKENDS:
             raise ValueError(
                 f"unknown store_backend {serving.store_backend!r}; "

@@ -16,13 +16,12 @@ display/server trajectories, merge events, stream stats, CPU samples.
 
 **Frame-lifecycle tracing** (when the tracer is enabled): every
 uploaded frame opens a trace at capture whose context rides the uplink
-:class:`~repro.net.transport.Message` (surviving ARQ retransmits),
-re-anchors the server-side spans (admission, tracking, GPU kernel,
-shard-lock waits, merges), rides the pose message back down and is
-sealed when the client fuses the pose — or earlier, with an explicit
-terminal status (``uplink_dropped``, ``superseded``,
-``stale``/``overload`` sheds, ``parked``, ``no_pose``, ``pose_dropped``,
-``offline``).
+:class:`~repro.net.transport.Message`, re-anchors the server-side spans
+(admission, tracking, GPU kernel, shard-lock waits, merges), rides the
+pose message back down and is sealed when the client fuses the pose —
+or earlier, with an explicit terminal status (``uplink_dropped``,
+``superseded``, ``stale``/``overload`` sheds, ``parked``, ``no_pose``,
+``pose_dropped``, ``offline``).
 """
 
 from __future__ import annotations
@@ -47,6 +46,9 @@ from .client import SlamShareClient
 from .config import SlamShareConfig
 from .holograms import HologramRegistry
 from .server import SlamShareServer
+
+#: Wire size of the downlink pose: a 4x4 float64 matrix.
+POSE_BYTES = 4 * 4 * 8
 
 _log = get_logger("core.session")
 _tracer = get_tracer()
@@ -78,9 +80,9 @@ class ClientScenario:
     """One participant: which dataset it follows and when it joins.
 
     ``offline_windows`` lists ``(disconnect_at, rejoin_at)`` session
-    times during which the client's radio is off: uploads stop, pending
-    transfers are cancelled and the server parks its process; on rejoin
-    the first upload bridges the window with accumulated IMU.
+    times during which the client's radio is off: uploads stop, frames
+    and poses in flight are discarded and the server parks its process;
+    on rejoin the first upload bridges the window with accumulated IMU.
     """
 
     client_id: int
@@ -338,9 +340,6 @@ class SlamShareSession:
         # at slowdown 1: it books each frame's kernel on the clock at
         # its modeled (or measured) duration and fires the pose return.
         self.scheduler = GpuScheduler(self.clock)
-        # Stats from any prior run of a reused scheduler must not leak
-        # into this session's mean/p99 latencies.
-        self.scheduler.reset()
         self.holograms = HologramRegistry()
         self.clients: Dict[int, ClientState] = {}
         self.outcomes: Dict[int, ClientOutcome] = {}
@@ -576,8 +575,6 @@ class SlamShareSession:
         )
 
     def _on_uplink_dropped(self, state: ClientState, message) -> None:
-        # The endpoint keeps the lost message; its features go now.
-        message.payload = None
         state.outcome.uplink_drops += 1
         _uplink_drops_total.inc()
         _tracer.close_trace(message.trace, status="uplink_dropped")
@@ -587,10 +584,7 @@ class SlamShareSession:
         cid = state.scenario.client_id
         outcome = state.outcome
         ctx = message.trace
-        # The endpoints keep every message for the session's life; taking
-        # the packet off it lets the frame's features go once handled.
         packet: _FramePacket = message.payload
-        message.payload = None
         if not state.connected or self.server.is_parked(cid):
             # in-flight frame landed after the disconnect
             outcome.frames_parked += 1
@@ -687,7 +681,7 @@ class SlamShareSession:
             _tracer.close_trace(ctx, status="offline")
             return
         state.server_ep.send(
-            "pose", 128, payload=pose,
+            "pose", POSE_BYTES, payload=pose,
             on_dropped=partial(self._on_pose_dropped, state), trace=ctx,
         )
 
@@ -720,23 +714,18 @@ class SlamShareSession:
     def disconnect_client(self, client_id: int) -> None:
         """Take a client offline mid-session (radio off).
 
-        Pending reliable transfers on both endpoints are cancelled (and
-        their retransmission timers removed from the clock), the server
-        parks the per-client process, and the device falls back to IMU
-        dead-reckoning until :meth:`rejoin_client`.
+        The server parks the per-client process and the device falls
+        back to IMU dead-reckoning until :meth:`rejoin_client`; frames
+        and poses still in flight are discarded where they land.
         """
         state = self._state(client_id)
         if not state.connected:
             return
         state.connected = False
-        cancelled = (
-            state.device_ep.cancel_pending() + state.server_ep.cancel_pending()
-        )
         self.server.park_client(client_id)
         state.outcome.disconnects += 1
         _log.info(
-            "client disconnect: %s",
-            kv(client=client_id, t=self.clock.now, cancelled=cancelled),
+            "client disconnect: %s", kv(client=client_id, t=self.clock.now)
         )
 
     def rejoin_client(self, client_id: int) -> None:

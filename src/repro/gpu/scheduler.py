@@ -94,11 +94,11 @@ class GpuScheduler:
         )
 
     def reset(self) -> None:
-        """Clear all stats for a fresh session.
+        """Clear all stats and the FIFO, as on a newly built scheduler.
 
-        Back-to-back sessions reusing one scheduler previously saw the
-        prior run's records pollute ``mean_latency``/``p99_latency``;
-        :mod:`repro.core.session` calls this at setup.
+        Each session builds its own scheduler, so this is for a caller
+        that reuses one across runs: without it the earlier run's
+        records would pollute ``mean_latency``/``p99_latency``.
         """
         self.records.clear()
         self._busy_until = 0.0

@@ -1,14 +1,7 @@
-"""Network substrate: simulated clock, shaped links, transport, pose and
-trace-context codecs (the map codec is :mod:`repro.sharedmem.records`)."""
+"""Network substrate: simulated clock, shaped links and the framed
+transport (the map codec is :mod:`repro.sharedmem.records`)."""
 
 from .link import DuplexLink, Link, LinkStats
-from .serialization import (
-    TRACE_CONTEXT_BYTES,
-    deserialize_pose,
-    deserialize_trace_context,
-    serialize_pose,
-    serialize_trace_context,
-)
 from .simclock import SimClock
 from .tc import (
     ALL_PROFILES,
@@ -25,11 +18,11 @@ from .transport import (
     MSG_DELIVERED,
     MSG_DROPPED,
     MSG_PENDING,
+    TRACE_CONTEXT_BYTES,
     ArqConfig,
     Endpoint,
     Message,
     connect,
-    timed_transfer,
 )
 
 __all__ = [
@@ -54,9 +47,4 @@ __all__ = [
     "SimClock",
     "TRACE_CONTEXT_BYTES",
     "connect",
-    "deserialize_pose",
-    "deserialize_trace_context",
-    "serialize_pose",
-    "serialize_trace_context",
-    "timed_transfer",
 ]

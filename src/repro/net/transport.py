@@ -21,26 +21,27 @@ and survives retransmits and receiver-side dedup because the same
 terminal drop is then recorded as a span/instant on that trace, so the
 per-frame waterfall shows the uplink exactly as the ARQ saw it.
 
-The data transfer times of Table 4 are measured "from when the data
-transmission starts at the sender to when the final ACK is received
-back" — the :meth:`timed_transfer` helper reproduces that definition
-over the reliable path, so it now completes under packet loss instead
-of crashing on the first lost copy.
+The SLAM-Share session sends best-effort (frames up, poses down); the
+Edge-SLAM-style baseline ships its map upload and partial-map download
+reliably, as the paper's TCP transfers (Table 4 rows 4 and 8).
+
+An endpoint keeps counters, not messages: once a message is handled or
+dropped, nothing in the transport holds it.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..obs import get_metrics, get_tracer
 from ..obs.trace import TraceContext
 from .link import DuplexLink, Link
-from .serialization import TRACE_CONTEXT_BYTES
 from .simclock import SimClock
 
 FRAME_HEADER_BYTES = 40       # type tag + length + seq + timestamps
 ACK_BYTES = 64                # TCP ACK-ish
+TRACE_CONTEXT_BYTES = 16      # trace rider: two u64s (trace_id, span_id)
 
 #: Message lifecycle states.
 MSG_PENDING = "pending"
@@ -144,10 +145,11 @@ class _PendingSend:
 class Endpoint:
     """One side of a channel: registers handlers, sends messages.
 
-    ``sent`` / ``received`` / ``dropped`` hold the application messages
-    this endpoint originated, delivered, and terminally lost.  ACKs are
-    control traffic: they consume link bytes but never appear in those
-    lists nor dispatch handlers.
+    ``n_sent`` / ``n_received`` / ``n_dropped`` count the application
+    messages this endpoint originated, delivered, and terminally lost;
+    ``bytes_sent`` sums the wire bytes of the first copy of each sent
+    message.  ACKs are control traffic: they consume link bytes but are
+    never counted there nor dispatch handlers.
     """
 
     def __init__(
@@ -159,9 +161,10 @@ class Endpoint:
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._peer: Optional["Endpoint"] = None
         self._tx_link: Optional[Link] = None
-        self.sent: List[Message] = []
-        self.received: List[Message] = []
-        self.dropped: List[Message] = []
+        self.n_sent = 0
+        self.n_received = 0
+        self.n_dropped = 0
+        self.bytes_sent = 0
         self.retransmits = 0
         self.acks_sent = 0
         self._next_seq = itertools.count()
@@ -203,7 +206,8 @@ class Endpoint:
             reliable=reliable,
             trace=trace,
         )
-        self.sent.append(message)
+        self.n_sent += 1
+        self.bytes_sent += message.wire_bytes
         if _metrics.enabled:
             _messages_sent.inc()
             _bytes_sent.inc(message.wire_bytes)
@@ -274,7 +278,7 @@ class Endpoint:
         if message.status != MSG_PENDING:
             return
         message.status = MSG_DROPPED
-        self.dropped.append(message)
+        self.n_dropped += 1
         _endpoint_drops.inc()
         if _tracer.enabled and message.trace is not None:
             _tracer.instant(
@@ -307,7 +311,7 @@ class Endpoint:
                 seq=message.seq, attempts=message.attempts,
                 bytes=message.wire_bytes,
             )
-        self.received.append(message)
+        self.n_received += 1
         if entry.on_delivered is not None:
             entry.on_delivered(message)
         handler = self._handlers.get(message.msg_type)
@@ -336,29 +340,10 @@ class Endpoint:
         message.acked_at = self.clock.now
         _rtt_hist.record((message.acked_at - message.sent_at) * 1e3)
 
-    # ----------------------------------------------------------- lifecycle
-    def cancel_pending(self) -> int:
-        """Cancel every in-flight reliable send (client disconnect).
-
-        Retransmission timers are cancelled on the clock and the
-        messages are terminally dropped.  Returns how many were culled.
-        """
-        entries = list(self._pending.values())
-        self._pending.clear()
-        for entry in entries:
-            if entry.timer is not None:
-                self.clock.cancel(entry.timer)
-                entry.timer = None
-            self._terminate(entry)
-        return len(entries)
-
     @property
     def n_pending(self) -> int:
         """Reliable sends still awaiting an ACK."""
         return len(self._pending)
-
-    def bytes_sent(self) -> int:
-        return sum(m.wire_bytes for m in self.sent)
 
 
 def connect(
@@ -377,44 +362,3 @@ def connect(
     server._tx_link = link.downlink
     return client, server
 
-
-def timed_transfer(
-    clock: SimClock,
-    link: Link,
-    reverse: Link,
-    n_bytes: int,
-    arq: Optional[ArqConfig] = None,
-) -> float:
-    """Sender-start to final-ACK-received duration for one transfer.
-
-    Matches the paper's Table 4 measurement definition.  Runs on the
-    simulated clock synchronously and rides the reliable (ARQ) path, so
-    a lossy link costs retransmissions rather than a crash.  Raises
-    ``RuntimeError`` only when the retry cap is exhausted — a clean,
-    bounded failure.
-    """
-    sender = Endpoint("xfer-sender", clock, arq)
-    receiver = Endpoint("xfer-receiver", clock, arq)
-    sender._peer = receiver
-    sender._tx_link = link
-    receiver._peer = sender
-    receiver._tx_link = reverse
-    start = clock.now
-    message = sender.send("transfer", n_bytes, reliable=True)
-    while message.acked_at is None and not message.is_dropped:
-        if not clock.step():
-            raise RuntimeError(
-                "transfer stalled: event queue drained before completion"
-            )
-    if message.is_dropped:
-        raise RuntimeError(
-            f"transfer failed: retry cap exhausted after "
-            f"{message.attempts} attempts"
-        )
-    rtt = message.acked_at - start
-    if _tracer.enabled:
-        _tracer.sim_event(
-            "net.timed_transfer", rtt * 1e3, start_s=start, tid="net",
-            bytes=n_bytes, attempts=message.attempts,
-        )
-    return rtt

@@ -32,8 +32,7 @@ from .tracking import Tracker, TrackerConfig, TrackingResult
 class SlamConfig:
     keyframe_interval: int = 8          # max frames between keyframes
     keyframe_min_matches: int = 40      # force a keyframe below this
-    mono: bool = False                  # monocular: unknown map scale
-    mono_scale: float = 1.0             # the (unknown to SLAM) scale factor
+    mono_scale: float = 1.0             # monocular map scale, unknown to SLAM (1 = metric)
     backend: str = "vectorized"
     relocalize_on_loss: bool = True     # BoW recovery when tracking fails
     loop_closing: bool = False          # within-map loop detection
@@ -121,7 +120,7 @@ class SlamSystem:
     @property
     def depth_scale(self) -> float:
         """Scale applied to measured depths (models monocular ambiguity)."""
-        return self.config.mono_scale if self.config.mono else 1.0
+        return self.config.mono_scale
 
     def _record_pose(self, timestamp: float, pose_cw: SE3) -> None:
         pose_wc = pose_cw.inverse()

@@ -26,6 +26,7 @@ from repro.datasets import euroc_dataset
 from repro.geometry import Sim3
 from repro.gpu import GpuCostModel, use_array_module
 from repro.net import (
+    FRAME_HEADER_BYTES,
     PROFILE_BW_9_4,
     PROFILE_DELAY_300MS,
     PROFILE_IDEAL,
@@ -256,7 +257,7 @@ class TestSessionDigest:
 
 class TestFramePayloadRelease:
     def test_handled_frames_release_their_features(self, monkeypatch):
-        # The endpoints keep every message; once the server has handled a
+        # The endpoints keep no message; once the server has handled a
         # frame, only a keyframe of the map may still hold its features.
         observe = FeatureOracle.observe
         refs = []
@@ -270,24 +271,31 @@ class TestFramePayloadRelease:
         session = _short_session()
         session.run()
         gc.collect()
-        frames = [m for state in session.clients.values()
-                  for m in state.server_ep.received if m.msg_type == "frame"]
-        assert len(frames) == len(refs) == 100
-        assert all(m.payload is None for m in frames)
+        received = sum(state.server_ep.n_received
+                       for state in session.clients.values())
+        assert received == len(refs) == 100
         alive = sum(ref() is not None for ref in refs)
         assert alive <= session.server.store.stats().n_keyframes
         assert refs[-1]() is None
 
     def test_dropped_frames_release_their_features(self):
-        # A frame the uplink loses never reaches _on_frame; the endpoint
-        # keeps the message, so the drop handler lets its features go.
+        # A frame the uplink loses never reaches _on_frame; nothing holds
+        # the lost message, so its features go with it.
         session = _short_session(
             shaping=ShapingProfile("10% loss", loss_rate=0.10))
-        session.run()
-        dropped = [m for state in session.clients.values()
-                   for m in state.device_ep.dropped if m.msg_type == "frame"]
-        assert dropped
-        assert all(m.payload is None for m in dropped)
+        on_dropped = session._on_uplink_dropped
+        refs = []
+
+        def recording(state, message):
+            refs.append(weakref.ref(message.payload.observations))
+            on_dropped(state, message)
+
+        session._on_uplink_dropped = recording
+        result = session.run()
+        gc.collect()
+        assert len(refs) == sum(o.uplink_drops
+                                for o in result.outcomes.values()) > 0
+        assert all(ref() is None for ref in refs)
 
 
 class TestGpuSharingAppliedOnce:
@@ -416,3 +424,44 @@ class TestBaselineSession:
             assert r.serialization_ms > 0
             assert r.deserialization_ms > r.serialization_ms
             assert r.merge_ms > 0
+
+
+def _baseline(shaping):
+    config = SlamShareConfig(camera_fps=10.0, render_video_frames=False,
+                             shaping=shaping)
+    baseline = BaselineConfig(hold_down_frames=15)
+    return BaselineSession(_scenarios(), config, baseline).run()
+
+
+class TestBaselineMapTransfer:
+    """The baseline's maps ride reliable (ARQ) messages, as over TCP."""
+
+    def test_lossless_value_matches_analytic(self):
+        # Each upload has the uplink to itself, so its transfer time is
+        # the framed payload's transmission time at 9.4 Mbit/s.
+        result = _baseline(PROFILE_BW_9_4)
+        rounds = [r for st in result.clients.values() for r in st.rounds]
+        assert len(rounds) >= 4
+        for r in rounds:
+            wire_bits = 8 * (r.map_bytes + FRAME_HEADER_BYTES)
+            assert r.transfer1_ms == pytest.approx(
+                wire_bits / PROFILE_BW_9_4.bandwidth_bps * 1e3, rel=1e-9)
+
+    def test_lost_map_copies_do_not_wedge_the_client(self):
+        # At 30 % loss some map copy is lost in nearly every round; ARQ
+        # resends it, so every client keeps syncing to the end.
+        result = _baseline(ShapingProfile("30% loss", loss_rate=0.30))
+        for state in result.clients.values():
+            assert len(state.rounds) >= 2
+            assert state.pending_round is None
+        assert sum(st.device_ep.retransmits + st.server_ep.retransmits
+                   for st in result.clients.values()) > 0
+
+    def test_a_transfer_given_up_frees_the_round(self):
+        # Near-total loss exhausts the retry cap: the round is abandoned
+        # rather than left pending forever.
+        result = _baseline(ShapingProfile("dead link", loss_rate=0.999))
+        for state in result.clients.values():
+            assert state.pending_round is None
+            assert state.rounds == []
+            assert state.device_ep.n_dropped >= 1

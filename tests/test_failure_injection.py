@@ -273,10 +273,10 @@ class TestUplinkDropAccounting:
             link = session.clients[cid].link
             device_ep = session.clients[cid].device_ep
             assert outcome.uplink_drops == link.uplink.stats.messages_dropped
-            assert outcome.uplink_drops == len(device_ep.dropped)
+            assert outcome.uplink_drops == device_ep.n_dropped
             assert outcome.uplink_drops > 0
             # Frames either processed or dropped; none silently vanish.
-            uploaded = len(device_ep.sent)
+            uploaded = device_ep.n_sent
             assert outcome.frames_processed + outcome.uplink_drops == uploaded
 
 

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.session import POSE_BYTES
 from repro.geometry import SE3, so3
-from repro.net import (
-    SimClock,
-    connect,
-    deserialize_pose,
-    serialize_pose,
-    timed_transfer,
-)
+from repro.net import SimClock, connect
 from repro.net.link import DuplexLink, Link
 from repro.sharedmem import deserialize_map, map_payload_size, serialize_map
 from repro.slam import IdAllocator, SlamMap
@@ -145,14 +140,9 @@ class TestMapSerialization:
 
 
 class TestPoseSerialization:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(1)
-        pose = SE3(so3.random_rotation(rng), rng.normal(size=3))
-        assert deserialize_pose(serialize_pose(pose)).almost_equal(pose, 1e-12, 1e-12)
-
     def test_wire_size_is_tiny(self):
         # The paper's point: pose updates are a small 4x4 matrix.
-        assert len(serialize_pose(SE3.identity())) == 128
+        assert POSE_BYTES == np.eye(4).nbytes == 128
 
 
 class TestTransport:
@@ -189,8 +179,11 @@ class TestTransport:
         clock = SimClock()
         up = Link(clock, bandwidth_bps=8e6, delay_s=0.05)
         down = Link(clock, bandwidth_bps=8e6, delay_s=0.05)
+        client, _ = connect("c", "s", clock, DuplexLink(up, down))
         n = 1_000_000
-        measured = timed_transfer(clock, up, down, n)
+        message = client.send("transfer", n, reliable=True)
+        clock.run()
+        measured = message.acked_at - message.sent_at
         # payload tx + prop + ack tx + prop
         expected = (n + 40) * 8 / 8e6 + 0.05 + 64 * 8 / 8e6 + 0.05
         assert measured == pytest.approx(expected, rel=1e-6)
@@ -201,4 +194,4 @@ class TestTransport:
         client, _ = connect("c", "s", clock, link)
         client.send("frame", 1000)
         clock.run()
-        assert client.bytes_sent() == 1040
+        assert client.bytes_sent == 1040

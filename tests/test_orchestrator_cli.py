@@ -77,10 +77,14 @@ class TestMapAndStatsCommands:
         assert "uplink" in out and "tracking" in out
 
     def test_snapshot_then_restore_relocalizes(self, capsys, tmp_path):
+        from repro.sharedmem import load_snapshot
+
         snap = str(tmp_path / "map.snap")
-        assert main(["snapshot", "--duration", "6", "--out", snap]) == 0
+        assert main(["snapshot", "--duration", "6", "--max-keyframes", "6",
+                     "--out", snap]) == 0
         out = capsys.readouterr().out
         assert f"to {snap}" in out
+        assert 0 < load_snapshot(snap).info.n_keyframes <= 6
         code = main(["restore", snap, "--traces", "MH05", "--duration", "4"])
         out = capsys.readouterr().out
         assert code == 0

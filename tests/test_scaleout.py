@@ -385,8 +385,9 @@ class TestSessionScaleOut:
             self._scenarios(),
             config=SlamShareConfig(render_video_frames=False),
         )
-        # Pollute, then rebuild a session around the same scheduler via
-        # reset: stats must be clean before the run starts.
+        # Each session builds its own scheduler, so its stats start
+        # clean; a polluted one is clean again after reset.
+        assert session.scheduler.records == []
         session.scheduler.submit(0, 1.0)
         session.scheduler.reset()
         assert session.scheduler.mean_latency() == 0.0

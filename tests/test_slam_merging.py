@@ -24,7 +24,7 @@ def build_two_clients(duration=12.0, mono_scale_b=1.0):
     ds_a = euroc_dataset("MH04", duration=duration, rate=10.0)
     ds_b = euroc_dataset("MH05", duration=duration, rate=10.0)
     cfg_a = SlamConfig()
-    cfg_b = SlamConfig(mono=(mono_scale_b != 1.0), mono_scale=mono_scale_b)
+    cfg_b = SlamConfig(mono_scale=mono_scale_b)
     from repro.imu import GRAVITY_W, ImuBuffer, preintegrate, synthesize_imu
 
     systems = []

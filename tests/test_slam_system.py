@@ -14,9 +14,7 @@ def run_system(dataset, duration=None, stereo=True, mono_scale=1.0,
                oracle_seed=7, imu_seed=11, config=None, client_id=0):
     """Drive a SlamSystem through a dataset with IMU priors."""
     t0_pose = dataset.pose_cw(0)
-    config = config or SlamConfig(
-        mono=(mono_scale != 1.0), mono_scale=mono_scale
-    )
+    config = config or SlamConfig(mono_scale=mono_scale)
     system = SlamSystem(
         dataset.camera, config, client_id=client_id,
         gravity=t0_pose.rotation @ GRAVITY_W,
