@@ -34,7 +34,7 @@ def _run_pair(profile):
     baseline = BaselineSession(
         euroc_scenarios(duration_a=16.0, duration_b=12.0),
         share_config(shaping=profile),
-        BaselineConfig(hold_down_frames=50, hold_down_s=5.0),
+        BaselineConfig(hold_down_frames=50),
     ).run()
     return share, baseline
 
@@ -81,7 +81,7 @@ def test_fig12c_baseline_misses_updates_at_low_bandwidth(benchmark):
             result = BaselineSession(
                 euroc_scenarios(duration_a=16.0, duration_b=12.0),
                 share_config(shaping=profile),
-                BaselineConfig(hold_down_frames=35, hold_down_s=3.5),
+                BaselineConfig(hold_down_frames=35),
             ).run()
             rounds = [r for st in result.clients.values() for st_r in [st.rounds]
                       for r in st_r]

@@ -100,6 +100,6 @@ def baseline_session_result():
     session = BaselineSession(
         euroc_scenarios(),
         share_config(),
-        BaselineConfig(hold_down_frames=50, hold_down_s=5.0),
+        BaselineConfig(hold_down_frames=50),
     )
     return session.run()

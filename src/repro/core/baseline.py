@@ -40,8 +40,16 @@ from ..slam import (
     Vocabulary,
     default_vocabulary,
 )
-from .config import BaselineConfig, SlamShareConfig, mobile_cpu_model
+from .config import (
+    BaselineConfig,
+    MergeCostModel,
+    SlamShareConfig,
+    mobile_cpu_model,
+)
 from .session import client_inputs
+
+PARTIAL_MAP_KEYFRAMES = 6      # global-map slice returned to a client
+CLIENT_FEATURE_BUDGET = 150    # the device's weaker extractor
 
 
 @dataclass
@@ -146,6 +154,7 @@ class BaselineSession:
         self.client_latency = TrackingLatencyModel(
             cpu=client_cpu or mobile_cpu_model()
         )
+        self.merge_cost = MergeCostModel()
         self.global_map = SlamMap(map_id=0)
         self.global_db = KeyframeDatabase(self.vocabulary)
         self.states: Dict[int, BaselineClientState] = {}
@@ -165,7 +174,7 @@ class BaselineSession:
         )
         oracle, imu, frames = client_inputs(
             scenario, self.config,
-            max_features=self.baseline.client_feature_budget,
+            max_features=CLIENT_FEATURE_BUDGET,
         )
         link = self.config.shaping.build(self.clock, seed=80 + scenario.client_id)
         device_ep, server_ep = connect(
@@ -229,7 +238,7 @@ class BaselineSession:
         )
         state.frames_processed += 1
         latency = self.client_latency.breakdown(
-            result.tracking.workload, stereo=self.config.stereo, device="cpu"
+            result.tracking.workload, stereo=True, device="cpu"
         )
         state.busy_until = now + latency.total / 1e3
         state.cpu.add_full_slam_frame(
@@ -304,7 +313,7 @@ class BaselineSession:
             # transform to the update, then ingest it.
             shipped.apply_transform_to_client(state.correction, state.client_id)
             merger.ingest_client_map(shipped)
-            sync.merge_ms = self.config.merge_cost.baseline_merge_ms(
+            sync.merge_ms = self.merge_cost.baseline_merge_ms(
                 shipped.n_keyframes, 0, self.global_map.n_keyframes
             )
         else:
@@ -312,13 +321,13 @@ class BaselineSession:
             if merge.success:
                 state.merged = True
                 state.correction = merge.transform
-                sync.merge_ms = self.config.merge_cost.baseline_merge_ms(
+                sync.merge_ms = self.merge_cost.baseline_merge_ms(
                     merge.n_keyframes_checked,
                     merge.n_fused_points,
                     self.global_map.n_keyframes,
                 )
             else:
-                sync.merge_ms = self.config.merge_cost.baseline_merge_ms(
+                sync.merge_ms = self.merge_cost.baseline_merge_ms(
                     shipped.n_keyframes, 0, max(self.global_map.n_keyframes, 1)
                 )
         sync.processing_ms = 18.0 + 1.5 * shipped.n_keyframes
@@ -330,7 +339,7 @@ class BaselineSession:
         partial_map = SlamMap(map_id=999)
         kfs = sorted(
             self.global_map.keyframes.values(), key=lambda kf: -kf.timestamp
-        )[: self.baseline.partial_map_keyframes]
+        )[:PARTIAL_MAP_KEYFRAMES]
         for kf in kfs:
             for pid in kf.observed_point_ids():
                 point = self.global_map.mappoints.get(int(pid))
@@ -341,13 +350,12 @@ class BaselineSession:
 
         def on_downloaded(message) -> None:
             sync.transfer2_ms = message.latency * 1e3
-            sync.load_ms = 15.0 + 0.8 * self.baseline.partial_map_keyframes
+            sync.load_ms = 15.0 + 0.8 * PARTIAL_MAP_KEYFRAMES
             sync.completed_at = self.clock.now + sync.load_ms / 1e3
             state.correction_fresh_at = sync.completed_at
-            hold_down_s = self.baseline.hold_down_s
             sync.missed = (
                 sync.completed_at - sync.started_at
-            ) > hold_down_s
+            ) > self.baseline.hold_down_frames / self.config.camera_fps
             state.rounds.append(sync)
             state.pending_round = None
 

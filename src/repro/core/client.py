@@ -22,6 +22,7 @@ import numpy as np
 from ..geometry import SE3, Sim3, Trajectory, TrajectoryPoint, quaternion
 from ..imu import ClientMotionModel, FusionConfig, ImuDelta, ImuState
 from ..metrics.cpu import CpuAccountant
+from ..slam.tracking import IMAGE_PIXELS
 from ..video import H264LikeCodec, StreamStats
 from .config import SlamShareConfig
 
@@ -87,7 +88,7 @@ class SlamShareClient:
             n_pixels = pixels.size
         else:
             video_bytes = nominal_bytes
-            n_pixels = int(self.config.slam.tracker.image_pixels)
+            n_pixels = IMAGE_PIXELS
         self.cpu.add_lightweight_frame(n_pixels, n_imu)
         self._record_display_pose(timestamp)
         upload = FrameUpload(self._frame_count, timestamp, video_bytes)

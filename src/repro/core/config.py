@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..gpu.device import CpuCostModel, GpuCostModel
+from ..gpu.device import CpuCostModel
 from ..net.tc import PROFILE_IDEAL, ShapingProfile
 from ..slam.merging import MergerConfig
 from ..slam.system import SlamConfig
@@ -104,20 +104,17 @@ class SlamShareConfig:
     shaping: ShapingProfile = PROFILE_IDEAL
     slam: SlamConfig = field(default_factory=SlamConfig)
     merger: MergerConfig = field(default_factory=MergerConfig)
-    cpu_model: CpuCostModel = field(default_factory=CpuCostModel)
-    gpu_model: GpuCostModel = field(default_factory=GpuCostModel)
-    merge_cost: MergeCostModel = field(default_factory=MergeCostModel)
-    stereo: bool = True
     render_video_frames: bool = True    # real codec on rendered frames
     serving: ServingConfig = field(default_factory=ServingConfig)
 
 
 @dataclass
 class BaselineConfig:
-    """The Edge-SLAM-style multi-user baseline (paper §5.1)."""
+    """The Edge-SLAM-style multi-user baseline (paper §5.1).
+
+    A round is late (``SyncRound.missed``) when it completes more than
+    one hold-down period, ``hold_down_frames / camera_fps``, after it
+    started.
+    """
 
     hold_down_frames: int = 150          # batch size between map uploads
-    hold_down_s: float = 5.0
-    partial_map_keyframes: int = 6       # global-map slice returned to client
-    client_feature_budget: int = 150     # weaker client extractor
-    client_realtime_budget_ms: float = 66.7  # drops frames beyond this

@@ -36,7 +36,7 @@ from ..slam import (
 )
 from ..slam.merging import RejectedPairs
 from ..vision import FeatureSet, PinholeCamera
-from .config import SlamShareConfig
+from .config import MergeCostModel, SlamShareConfig
 
 STORE_BACKENDS = ("local", "shm")   # ServingConfig.store_backend values
 # Deadline of a cross-process shard-lock wait on the "shm" store.
@@ -53,9 +53,6 @@ _frames_lost = _metrics.counter("server.frames_lost", "frames that failed tracki
 _keyframes_total = _metrics.counter("server.keyframes", "keyframes inserted")
 _merges_total = _metrics.counter("server.merges", "successful map merges")
 _merge_attempts = _metrics.counter("server.merge_attempts", "merge attempts")
-_store_bytes = _metrics.counter(
-    "server.store_bytes_written", "bytes published to the shared map store"
-)
 _tracking_hist = _metrics.histogram(
     "server.tracking_ms", "per-frame simulated tracking latency", unit="ms"
 )
@@ -155,9 +152,8 @@ class SlamShareServer:
             )
         else:
             self.store = ShardedMapStore(n_shards=n_shards)
-        self.latency_model = TrackingLatencyModel(
-            self.config.cpu_model, self.config.gpu_model
-        )
+        self.latency_model = TrackingLatencyModel()
+        self.merge_cost = MergeCostModel()
         self.processes: Dict[int, _ClientProcess] = {}
         self.merge_history: List[MergeResult] = []
         # Admission control: per-client count of frames admitted but not
@@ -391,7 +387,7 @@ class SlamShareServer:
                 )
                 latency = self.latency_model.breakdown(
                     result.tracking.workload,
-                    stereo=self.config.stereo,
+                    stereo=True,
                     device="gpu",
                     gpu_share=self.gpu_share(),
                 )
@@ -442,7 +438,6 @@ class SlamShareServer:
                 store_bytes = self.store.publish_map(
                     [result.keyframe], new_points
                 )
-                _store_bytes.inc(store_bytes)
                 if (
                     not process.merged
                     and process.system.map.n_keyframes
@@ -544,10 +539,9 @@ class SlamShareServer:
                 for pid in kf.observed_point_ids()
                 if int(pid) in self.global_map.mappoints
             }.values())
-            republished = self.store.publish_map(merged_kfs, merged_points)
-            _store_bytes.inc(republished)
+            self.store.publish_map(merged_kfs, merged_points)
             self.merge_history.append(merge)
-            merge_ms = self.config.merge_cost.slam_share_merge_ms(
+            merge_ms = self.merge_cost.slam_share_merge_ms(
                 merge.n_keyframes_checked, merge.n_fused_points
             )
             attempt_span.set(success=True, sim_ms=merge_ms,

@@ -70,9 +70,6 @@ _uplink_drops_total = _metrics.counter(
 _gap_hist = _metrics.histogram(
     "net.gap_ms", "IMU-bridged uplink gap recovered at delivery", unit="ms"
 )
-_frames_shed_total = _metrics.counter(
-    "session.frames_shed", "delivered frames shed by admission control"
-)
 
 
 @dataclass
@@ -106,7 +103,7 @@ def client_inputs(scenario: ClientScenario, config: SlamShareConfig,
     """
     dataset = scenario.dataset
     oracle = dataset.make_oracle(
-        stereo=config.stereo, seed=scenario.oracle_seed, **oracle_kwargs
+        stereo=True, seed=scenario.oracle_seed, **oracle_kwargs
     )
     imu = ImuBuffer(
         synthesize_imu(
@@ -613,7 +610,6 @@ class SlamShareSession:
             admission_span.set(decision=admit)
         if admit != "ok":
             outcome.frames_shed += 1
-            _frames_shed_total.inc()
             _tracer.close_trace(ctx, status=admit)
             return
         self._track(state, packet, ctx)

@@ -12,10 +12,9 @@ is what the GPU-sharing ablation measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..obs import get_metrics, get_tracer
-from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.trace import TraceContext
 from .device import GpuCostModel
 
@@ -24,9 +23,6 @@ if TYPE_CHECKING:  # the slam kernels import this package for .array
 
 _tracer = get_tracer()
 _metrics = get_metrics()
-# Private always-on registry backing per-scheduler latency histograms,
-# independent of whether the CLI enabled global metrics.
-_scheduler_stats = MetricsRegistry().configure(True)
 _kernels_total = _metrics.counter("gpu.kernels", "kernels submitted")
 _queue_delay_hist = _metrics.histogram(
     "gpu.queue_delay_ms", "kernel queueing delay (sim)", unit="ms"
@@ -81,31 +77,10 @@ class GpuScheduler:
             GpuCostModel().sharing_slowdown(1.0 / n_clients)
             if mode == "spatial" else 1.0
         )
+        #: Every kernel played, in submission order: the one record a
+        #: caller reads latencies from.
         self.records: List[KernelRecord] = []
         self._busy_until = 0.0  # temporal mode FIFO
-        # Running aggregates: latency queries are O(1)/O(buckets) rather
-        # than a rescan or sort of the full record list per call.
-        self._latency_sum = 0.0
-        self._latency_sums_by_client: Dict[int, float] = {}
-        self._counts_by_client: Dict[int, int] = {}
-        self._latency_hist = Histogram(
-            "gpu.scheduler.latency", "per-scheduler kernel latency",
-            _scheduler_stats, unit="s",
-        )
-
-    def reset(self) -> None:
-        """Clear all stats and the FIFO, as on a newly built scheduler.
-
-        Each session builds its own scheduler, so this is for a caller
-        that reuses one across runs: without it the earlier run's
-        records would pollute ``mean_latency``/``p99_latency``.
-        """
-        self.records.clear()
-        self._busy_until = 0.0
-        self._latency_sum = 0.0
-        self._latency_sums_by_client.clear()
-        self._counts_by_client.clear()
-        self._latency_hist.reset()
 
     def submit(self, client_id: int, duration_full_gpu: float,
                on_done: Optional[callable] = None,
@@ -151,14 +126,6 @@ class GpuScheduler:
                  trace: Optional[TraceContext] = None) -> None:
         client_id = record.client_id
         self.records.append(record)
-        self._latency_sum += record.latency
-        self._latency_sums_by_client[client_id] = (
-            self._latency_sums_by_client.get(client_id, 0.0) + record.latency
-        )
-        self._counts_by_client[client_id] = (
-            self._counts_by_client.get(client_id, 0) + 1
-        )
-        self._latency_hist.record(record.latency)
         _kernels_total.inc()
         trace_id = trace.trace_id if trace is not None else None
         _queue_delay_hist.record(record.queue_delay * 1e3, trace_id=trace_id)
@@ -180,22 +147,3 @@ class GpuScheduler:
                 mode=self.mode,
                 queue_delay_ms=record.queue_delay * 1e3,
             )
-
-    def mean_latency(self, client_id: Optional[int] = None) -> float:
-        """Mean kernel latency, from running sums (no record rescans)."""
-        if client_id is None:
-            if not self.records:
-                return 0.0
-            return self._latency_sum / len(self.records)
-        count = self._counts_by_client.get(client_id, 0)
-        if count == 0:
-            return 0.0
-        return self._latency_sums_by_client[client_id] / count
-
-    def p99_latency(self) -> float:
-        """Approximate p99 from the running histogram (~5% relative error).
-
-        The geometric-bucket histogram answers percentiles in O(buckets)
-        instead of sorting the full record list on every call.
-        """
-        return self._latency_hist.p99

@@ -42,6 +42,7 @@ from .simclock import SimClock
 FRAME_HEADER_BYTES = 40       # type tag + length + seq + timestamps
 ACK_BYTES = 64                # TCP ACK-ish
 TRACE_CONTEXT_BYTES = 16      # trace rider: two u64s (trace_id, span_id)
+ARQ_BACKOFF = 2.0             # retransmission slack grows by this per attempt
 
 #: Message lifecycle states.
 MSG_PENDING = "pending"
@@ -81,13 +82,12 @@ class ArqConfig:
     own delivery estimate (current queue backlog + transmission +
     propagation, plus the ACK's return trip) so a large payload on a
     thin pipe never triggers a spurious retransmission, then adds
-    ``initial_timeout_s * backoff**attempt`` of slack.
+    ``initial_timeout_s * ARQ_BACKOFF**attempt`` of slack.  ACKs are
+    tiny control packets and always bypass the link's FIFO.
     """
 
     initial_timeout_s: float = 0.05
-    backoff: float = 2.0
     max_retries: int = 10           # retransmissions after the first copy
-    ack_priority: bool = True       # ACKs bypass the FIFO (tiny control pkts)
 
 
 @dataclass
@@ -255,7 +255,7 @@ class Endpoint:
         ack_link = self._peer._tx_link if self._peer is not None else None
         ack_s = ack_link.one_way_latency(ACK_BYTES) if ack_link else 0.0
         slack = self.arq.initial_timeout_s * (
-            self.arq.backoff ** (message.attempts - 1)
+            ARQ_BACKOFF ** (message.attempts - 1)
         )
         entry.timer = self.clock.schedule(
             data_s + ack_s + slack, lambda: self._on_timeout(entry)
@@ -327,7 +327,7 @@ class Endpoint:
         self._tx_link.send(
             ACK_BYTES,
             lambda: sender._on_ack(message, entry),
-            priority_bypass=self.arq.ack_priority,
+            priority_bypass=True,
         )
 
     def _on_ack(self, message: Message, entry: _PendingSend) -> None:

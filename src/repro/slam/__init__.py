@@ -20,7 +20,7 @@ from .pose_graph import (
     build_essential_graph,
     optimize_pose_graph,
 )
-from .relocalization import RelocalizationResult, Relocalizer, RelocalizerConfig
+from .relocalization import RelocalizationResult, Relocalizer
 from .pnp import PnPResult, solve_pnp, solve_pnp_ransac
 from .system import SlamConfig, SlamFrameResult, SlamSystem
 from .tracking import Tracker, TrackerConfig, TrackingResult, TrackingWorkload
@@ -48,7 +48,6 @@ __all__ = [
     "QueryResult",
     "RelocalizationResult",
     "Relocalizer",
-    "RelocalizerConfig",
     "SlamConfig",
     "SlamFrameResult",
     "SlamMap",

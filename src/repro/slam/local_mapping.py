@@ -4,7 +4,7 @@ Mirrors the ORB-SLAM3 local-mapping thread (paper Fig. 3 "Local
 Mapping"): when tracking promotes a frame to a keyframe, new map points
 are created from its unmatched features ("Mappoint creation"), the BoW
 vector is computed for place recognition, and local bundle adjustment
-periodically refines the surrounding map.
+refines the surrounding map on every keyframe.
 """
 
 from __future__ import annotations
@@ -24,14 +24,19 @@ from .map import IdAllocator, SlamMap
 from .mappoint import MapPoint
 
 
+# Depths (m) at which a feature may create or refine a map point.
+MIN_DEPTH = 0.05
+MAX_DEPTH = 80.0
+# Keyframes in a local-BA window: the new one and its best covisible.
+BA_WINDOW = 6
+# A point seen at least CULL_MIN_VISIBLE times but re-found in under
+# CULL_FOUND_RATIO of them is culled.
+CULL_FOUND_RATIO = 0.25
+CULL_MIN_VISIBLE = 8
+
+
 @dataclass
 class LocalMappingConfig:
-    min_depth: float = 0.05
-    max_depth: float = 80.0
-    ba_every_n_keyframes: int = 1
-    ba_window: int = 6
-    cull_found_ratio: float = 0.25
-    cull_min_visible: int = 8
     # Long-lived-map budgets: ``None`` disables eviction (unbounded, the
     # historical behavior).  When set, every keyframe insertion enforces
     # them via covisibility-aware LRU eviction on the map.
@@ -63,7 +68,6 @@ class LocalMapper:
         self.config = config or LocalMappingConfig()
         self.client_id = client_id
         self.backend = backend
-        self._keyframes_since_ba = 0
         self.last_keyframe_id: Optional[int] = None
 
     def _fuse_unmatched(self, keyframe: KeyFrame) -> int:
@@ -114,7 +118,6 @@ class LocalMapper:
         ``depth_scale`` rescales the measured depths; monocular clients
         use it to model the unknown map scale (Sim3 merging recovers it).
         """
-        cfg = self.config
         keyframe = KeyFrame.from_frame(
             self.kf_allocator.allocate(), frame, client_id=self.client_id
         )
@@ -130,7 +133,7 @@ class LocalMapper:
             if keyframe.point_ids[feat_idx] >= 0:
                 continue
             depth = float(keyframe.depths[feat_idx])
-            if not (cfg.min_depth <= depth <= cfg.max_depth):
+            if not (MIN_DEPTH <= depth <= MAX_DEPTH):
                 continue
             point_cam = self.camera.unproject(
                 keyframe.uv[feat_idx][None], np.array([depth])
@@ -155,7 +158,7 @@ class LocalMapper:
             point = self.map.mappoints[pid]
             point.add_observation(keyframe.keyframe_id, feat_idx)
             depth = float(keyframe.depths[feat_idx])
-            if cfg.min_depth <= depth <= cfg.max_depth:
+            if MIN_DEPTH <= depth <= MAX_DEPTH:
                 observed = pose_wc.apply(
                     self.camera.unproject(
                         keyframe.uv[feat_idx][None], np.array([depth])
@@ -171,11 +174,7 @@ class LocalMapper:
         self.map.add_keyframe(keyframe)
         self.database.add(keyframe.keyframe_id, keyframe.bow_vector)
         self.last_keyframe_id = keyframe.keyframe_id
-
-        self._keyframes_since_ba += 1
-        if self._keyframes_since_ba >= cfg.ba_every_n_keyframes:
-            self._keyframes_since_ba = 0
-            self.run_local_ba(keyframe.keyframe_id)
+        self.run_local_ba(keyframe.keyframe_id)
         self.enforce_budgets(keyframe)
         return keyframe
 
@@ -212,7 +211,7 @@ class LocalMapper:
         """Local bundle adjustment around a keyframe (fixing the oldest)."""
         window = [center_keyframe_id] + self.map.covisible_keyframes(
             center_keyframe_id
-        )[: self.config.ba_window - 1]
+        )[: BA_WINDOW - 1]
         for kf_id in window:
             self.map.touch_keyframe(kf_id)
         fixed = {min(window)} if len(window) > 1 else set()
@@ -223,13 +222,12 @@ class LocalMapper:
 
     def cull_mappoints(self) -> int:
         """Remove rarely re-found points (tracking outliers, ghosts)."""
-        cfg = self.config
         doomed = [
             pid
             for pid, point in self.map.mappoints.items()
             if point.client_id == self.client_id
-            and point.times_visible >= cfg.cull_min_visible
-            and point.found_ratio() < cfg.cull_found_ratio
+            and point.times_visible >= CULL_MIN_VISIBLE
+            and point.found_ratio() < CULL_FOUND_RATIO
         ]
         for pid in doomed:
             self.map.remove_mappoint(pid)

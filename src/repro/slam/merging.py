@@ -60,6 +60,15 @@ RejectedPairs = Dict[Tuple[int, int], Tuple[int, int]]
 # name so trace output lines up with the latency-table vocabulary.
 MERGE_SPAN = "map_merging"
 
+# DetectCommonRegion's BoW-score floor for a candidate global keyframe.
+MIN_BOW_SCORE = 0.08
+# Hamming bound on a descriptor match between the two keyframes.
+FUSE_DESCRIPTOR_DISTANCE = 64
+# RANSAC Sim(3) inlier distance (m) between aligned map points.
+RANSAC_INLIER_THRESHOLD = 0.35
+# Gauss-Newton iterations of the weld-local BA.
+WELD_BA_ITERATIONS = 2
+
 
 @dataclass
 class MergeResult:
@@ -77,11 +86,7 @@ class MergeResult:
 
 @dataclass
 class MergerConfig:
-    min_bow_score: float = 0.08
     min_correspondences: int = 8
-    ransac_inlier_threshold: float = 0.35
-    fuse_descriptor_distance: int = 64
-    ba_iterations: int = 2
     check_all_keyframes: bool = True   # False models vanilla ORB-SLAM3
     with_scale: bool = True            # Sim3 for mono, SE3 for stereo/inertial
 
@@ -129,7 +134,7 @@ class MapMerger:
         matches = match_descriptors(
             client_kf.descriptors,
             global_kf.descriptors,
-            max_distance=self.config.fuse_descriptor_distance,
+            max_distance=FUSE_DESCRIPTOR_DISTANCE,
         )
         src, dst, id_pairs = [], [], []
         for m in matches:
@@ -165,7 +170,7 @@ class MapMerger:
                 dst,
                 self._rng,
                 with_scale=cfg.with_scale,
-                inlier_threshold=cfg.ransac_inlier_threshold,
+                inlier_threshold=RANSAC_INLIER_THRESHOLD,
                 min_inliers=cfg.min_correspondences,
             )
         if transform is None:
@@ -198,7 +203,7 @@ class MapMerger:
                     kf,
                     self.map,
                     self.database,
-                    min_score=cfg.min_bow_score,
+                    min_score=MIN_BOW_SCORE,
                     exclude=own,
                 )
             n_tracked = kf.n_tracked_points
@@ -288,7 +293,7 @@ class MapMerger:
                 self.camera,
                 window,
                 fixed_keyframe_ids={global_kf.keyframe_id},
-                iterations=self.config.ba_iterations,
+                iterations=WELD_BA_ITERATIONS,
                 backend=self.backend,
             )
         return replace(

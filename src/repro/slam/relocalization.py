@@ -22,6 +22,14 @@ from .frame import Frame
 from .map import SlamMap
 from .pnp import solve_pnp_ransac
 
+# Keyframe-database query: the best few candidates above a BoW score.
+MIN_BOW_SCORE = 0.05
+MAX_CANDIDATES = 5
+# Matches needed to try a candidate, inliers needed to accept its pose.
+MIN_MATCHES = 15
+MIN_INLIERS = 12
+DESCRIPTOR_MAX_DISTANCE = 64
+
 
 @dataclass
 class RelocalizationResult:
@@ -30,15 +38,6 @@ class RelocalizationResult:
     anchor_keyframe_id: Optional[int] = None
     n_inliers: int = 0
     n_candidates_tried: int = 0
-
-
-@dataclass
-class RelocalizerConfig:
-    min_bow_score: float = 0.05
-    max_candidates: int = 5
-    min_matches: int = 15
-    min_inliers: int = 12
-    descriptor_max_distance: int = 64
 
 
 class Relocalizer:
@@ -50,24 +49,21 @@ class Relocalizer:
         database: KeyframeDatabase,
         vocabulary: Vocabulary,
         camera: PinholeCamera,
-        config: Optional[RelocalizerConfig] = None,
         seed: int = 17,
     ) -> None:
         self.map = slam_map
         self.database = database
         self.vocabulary = vocabulary
         self.camera = camera
-        self.config = config or RelocalizerConfig()
         self._rng = np.random.default_rng(seed)
 
     def relocalize(self, frame: Frame) -> RelocalizationResult:
         """Attempt to localize a frame with no pose prior."""
-        cfg = self.config
-        if len(frame) < cfg.min_matches:
+        if len(frame) < MIN_MATCHES:
             return RelocalizationResult(False)
         bow = self.vocabulary.transform(frame.features.descriptors)
         candidates = self.database.query(
-            bow, min_score=cfg.min_bow_score, max_results=cfg.max_candidates
+            bow, min_score=MIN_BOW_SCORE, max_results=MAX_CANDIDATES
         )
         tried = 0
         for candidate in candidates:
@@ -78,7 +74,7 @@ class Relocalizer:
             matches = match_descriptors(
                 frame.features.descriptors,
                 keyframe.descriptors,
-                max_distance=cfg.descriptor_max_distance,
+                max_distance=DESCRIPTOR_MAX_DISTANCE,
             )
             pts_w: List[np.ndarray] = []
             uv: List[np.ndarray] = []
@@ -93,7 +89,7 @@ class Relocalizer:
                 uv.append(frame.features.uv[m.query_idx])
                 feat_of_match.append(m.query_idx)
                 point_of_match.append(pid)
-            if len(pts_w) < cfg.min_matches:
+            if len(pts_w) < MIN_MATCHES:
                 continue
             # No prior: seed RANSAC hypotheses from the anchor keyframe's
             # pose (the camera saw the same place from *somewhere* nearby).
@@ -103,7 +99,7 @@ class Relocalizer:
                 self.camera,
                 keyframe.pose_cw,
                 self._rng,
-                min_inliers=cfg.min_inliers,
+                min_inliers=MIN_INLIERS,
             )
             if result is None:
                 continue

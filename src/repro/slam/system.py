@@ -23,7 +23,7 @@ from ..vision.orb import FeatureSet
 from .bow import KeyframeDatabase, Vocabulary, default_vocabulary
 from .frame import Frame
 from .keyframe import KeyFrame
-from .local_mapping import LocalMapper, LocalMappingConfig
+from .local_mapping import MAX_DEPTH, MIN_DEPTH, LocalMapper, LocalMappingConfig
 from .map import IdAllocator, SlamMap
 from .tracking import Tracker, TrackerConfig, TrackingResult
 
@@ -157,9 +157,8 @@ class SlamSystem:
     def _bootstrap(self, frame: Frame) -> SlamFrameResult:
         # A map starts from points; with no feature at a usable depth the
         # keyframe would hold none and every later frame would be lost.
-        mapping = self.config.mapping
         depths = frame.features.depths * self.depth_scale
-        if not ((depths >= mapping.min_depth) & (depths <= mapping.max_depth)).any():
+        if not ((depths >= MIN_DEPTH) & (depths <= MAX_DEPTH)).any():
             return SlamFrameResult(TrackingResult(frame, False, 0, float("inf")))
         frame.pose_cw = SE3.identity()
         keyframe = self.mapper.insert_keyframe(frame, depth_scale=self.depth_scale)

@@ -80,14 +80,22 @@ class TrackingResult:
     workload: TrackingWorkload = field(default_factory=TrackingWorkload)
 
 
+# Projection-search windows: the narrow one around the prior, the wide
+# retry when it finds too few matches (the refine search uses 0.8x the
+# narrow one around the solved pose).
+SEARCH_RADIUS_PX = 10.0
+WIDE_SEARCH_RADIUS_PX = 30.0
+# Covisible keyframes beside the reference whose points form the local map.
+COVISIBLE_NEIGHBORS = 10
+# The paper's EuRoC frame (752x480), for latency accounting: the latency
+# models charge extraction per pixel of this frame, not of the render.
+IMAGE_PIXELS = 752 * 480
+
+
 @dataclass
 class TrackerConfig:
-    search_radius_px: float = 10.0
-    wide_search_radius_px: float = 30.0
     min_matches: int = 12
     local_map_size: int = 600
-    covisible_neighbors: int = 10
-    image_pixels: int = 752 * 480   # EuRoC-sized frames, for latency accounting
 
 
 class Tracker:
@@ -138,9 +146,8 @@ class Tracker:
             # eviction never pulls the local map out from under us.
             self.map.touch_keyframe(self.reference_keyframe_id)
             kf_ids = [self.reference_keyframe_id]
-            kf_ids += self.map.covisible_keyframes(self.reference_keyframe_id)[
-                : self.config.covisible_neighbors
-            ]
+            kf_ids += self.map.covisible_keyframes(
+                self.reference_keyframe_id)[:COVISIBLE_NEIGHBORS]
             points = self.map.local_map_points(
                 kf_ids, limit=self.config.local_map_size
             )
@@ -205,7 +212,7 @@ class Tracker:
         """Track one frame; sets ``frame.pose_cw`` on success."""
         cfg = self.config
         workload = TrackingWorkload(
-            image_pixels=cfg.image_pixels, n_features=len(frame)
+            image_pixels=IMAGE_PIXELS, n_features=len(frame)
         )
         prior = pose_prior if pose_prior is not None else self.predict_pose()
         if prior is None:
@@ -224,7 +231,7 @@ class Tracker:
         kernel_mark = len(self._am.kernel_timings)
         prior_projection = self._project(pack, prior)
         matches, pairs = self._search(
-            pack, frame, prior_projection, cfg.search_radius_px, grid,
+            pack, frame, prior_projection, SEARCH_RADIUS_PX, grid,
             frame_desc_dev,
         )
         workload.candidate_pairs += pairs
@@ -232,7 +239,7 @@ class Tracker:
             # Wide-window retry: the prior may be poor (high RTT, fast
             # turn).  Same pose, so the projection is reused as-is.
             matches, pairs = self._search(
-                pack, frame, prior_projection, cfg.wide_search_radius_px, grid,
+                pack, frame, prior_projection, WIDE_SEARCH_RADIUS_PX, grid,
                 frame_desc_dev,
             )
             workload.candidate_pairs += pairs
@@ -255,7 +262,7 @@ class Tracker:
             # within a few tens of frames.
             matches2, pairs2 = self._search(
                 pack, frame, self._project(pack, result.pose_cw),
-                cfg.search_radius_px * 0.8, grid, frame_desc_dev,
+                SEARCH_RADIUS_PX * 0.8, grid, frame_desc_dev,
             )
             workload.candidate_pairs += pairs2
             if len(matches2) >= 4:

@@ -21,7 +21,7 @@ from .matching import (
 )
 from .orb import FeatureSet, OrbExtractor, OrbExtractorConfig
 from .render import DescriptorBank, FeatureOracle, render_frame
-from .stereo import StereoMatch, StereoMatcher, StereoMatcherConfig, render_stereo_pair
+from .stereo import StereoMatch, StereoMatcher, render_stereo_pair
 
 __all__ = [
     "DESCRIPTOR_BITS",
@@ -39,7 +39,6 @@ __all__ = [
     "PinholeCamera",
     "StereoMatch",
     "StereoMatcher",
-    "StereoMatcherConfig",
     "StereoRig",
     "compute_descriptor",
     "detect_fast_vectorized",

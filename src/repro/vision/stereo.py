@@ -21,6 +21,11 @@ from .image import Image
 from .orb import OrbExtractor, OrbExtractorConfig
 from .render import render_frame
 
+ROW_TOLERANCE_PX = 2.0       # rectification slack
+MAX_HAMMING = 60
+MIN_DISPARITY = 0.5
+MAX_DISPARITY = 150.0
+
 
 @dataclass
 class StereoMatch:
@@ -34,14 +39,6 @@ class StereoMatch:
     hamming: int
 
 
-@dataclass
-class StereoMatcherConfig:
-    row_tolerance_px: float = 2.0       # rectification slack
-    max_hamming: int = 60
-    min_disparity: float = 0.5
-    max_disparity: float = 150.0
-
-
 class StereoMatcher:
     """Epipolar ORB matching over a rectified pair."""
 
@@ -49,17 +46,14 @@ class StereoMatcher:
         self,
         rig: StereoRig,
         extractor: Optional[OrbExtractor] = None,
-        config: Optional[StereoMatcherConfig] = None,
     ) -> None:
         self.rig = rig
         self.extractor = extractor or OrbExtractor(
             OrbExtractorConfig(n_features=200, n_levels=2)
         )
-        self.config = config or StereoMatcherConfig()
 
     def match(self, left: Image, right: Image) -> List[StereoMatch]:
         """Match features between a rectified pair and compute depths."""
-        cfg = self.config
         feats_l = self.extractor.extract(left)
         feats_r = self.extractor.extract(right)
         if len(feats_l) == 0 or len(feats_r) == 0:
@@ -72,18 +66,16 @@ class StereoMatcher:
         for li in range(len(feats_l)):
             # Epipolar constraint: same row (within tolerance); the right
             # feature sits LEFT of the left feature (positive disparity).
-            row_ok = np.abs(uv_r[:, 1] - uv_l[li, 1]) <= cfg.row_tolerance_px
+            row_ok = np.abs(uv_r[:, 1] - uv_l[li, 1]) <= ROW_TOLERANCE_PX
             disparity = uv_l[li, 0] - uv_r[:, 0]
-            disp_ok = (disparity >= cfg.min_disparity) & (
-                disparity <= cfg.max_disparity
-            )
+            disp_ok = (disparity >= MIN_DISPARITY) & (disparity <= MAX_DISPARITY)
             candidates = np.nonzero(row_ok & disp_ok)[0]
             candidates = [c for c in candidates if c not in taken]
             if not candidates:
                 continue
             dists = hamming[li, candidates]
             best = int(np.argmin(dists))
-            if dists[best] > cfg.max_hamming:
+            if dists[best] > MAX_HAMMING:
                 continue
             ri = int(candidates[best])
             taken.add(ri)

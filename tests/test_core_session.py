@@ -321,7 +321,7 @@ class TestGpuSharingAppliedOnce:
 
         session.server.process_frame = recording
         session.run()
-        assert session.config.gpu_model.sharing_slowdown(
+        assert session.server.latency_model.gpu.sharing_slowdown(
             session.server.gpu_share()) == pytest.approx(n / 4)
         for cid in range(n):
             booked = [r.finished_at - r.started_at
@@ -396,7 +396,7 @@ class TestSessionSeams:
 class TestBaselineSession:
     def test_baseline_runs_and_merges(self):
         config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
-        baseline = BaselineConfig(hold_down_frames=40, hold_down_s=4.0)
+        baseline = BaselineConfig(hold_down_frames=40)
         session = BaselineSession(_scenarios(), config, baseline)
         result = session.run()
         assert all(st.merged for st in result.clients.values())

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core import ClientScenario, SlamShareConfig, SlamShareSession
+from repro.datasets import make_dataset
 from repro.geometry import SE3, so3
 from repro.obs import get_metrics
 from repro.sharedmem import (
@@ -26,7 +28,13 @@ from repro.sharedmem import (
 )
 from repro.sharedmem.arena import HEADER_BYTES
 from repro.sharedmem.records import RECORD_FRAME
-from repro.slam import IdAllocator, KeyframeDatabase, SlamMap, default_vocabulary
+from repro.slam import (
+    CLIENT_ID_STRIDE,
+    IdAllocator,
+    KeyframeDatabase,
+    SlamMap,
+    default_vocabulary,
+)
 from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
 from repro.slam.pose_graph import PoseGraphEdge, optimize_pose_graph
@@ -633,35 +641,38 @@ class TestSnapshotRoundTrip:
         assert load_snapshot(path).info.n_keyframes == first.n_keyframes
 
 
+def _snapshot_one_client(tmp_path) -> str:
+    """Run client 0 over 8 s of MH04 and snapshot the map it built."""
+    snap_path = str(tmp_path / "session.snap")
+    config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+    config.serving.snapshot_path = snap_path
+    scenario = ClientScenario(
+        client_id=0,
+        dataset=make_dataset("MH04", duration=8.0, rate=10.0),
+        start_time=0.0, oracle_seed=7, imu_seed=8,
+    )
+    SlamShareSession([scenario], config, ate_sample_interval=1.0).run()
+    return snap_path
+
+
+def _restored_session(snap_path, client_id, oracle_seed=21):
+    config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
+    config.serving.restore_path = snap_path
+    scenario = ClientScenario(
+        client_id=client_id,
+        dataset=make_dataset("MH04", duration=6.0, rate=10.0),
+        start_time=0.0, oracle_seed=oracle_seed, imu_seed=oracle_seed + 1,
+    )
+    return SlamShareSession([scenario], config, ate_sample_interval=1.0)
+
+
 class TestMultiSessionRelocalization:
     def test_restored_client_relocalizes(self, tmp_path):
-        from repro.core import (
-            ClientScenario,
-            SlamShareConfig,
-            SlamShareSession,
-        )
-        from repro.datasets import make_dataset
-
-        snap_path = str(tmp_path / "session.snap")
-        config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
-        config.serving.snapshot_path = snap_path
-        scenario = ClientScenario(
-            client_id=0,
-            dataset=make_dataset("MH04", duration=8.0, rate=10.0),
-            start_time=0.0, oracle_seed=7, imu_seed=8,
-        )
-        SlamShareSession([scenario], config, ate_sample_interval=1.0).run()
+        snap_path = _snapshot_one_client(tmp_path)
         info = load_snapshot(snap_path).info
         assert info.n_keyframes > 0
 
-        config2 = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
-        config2.serving.restore_path = snap_path
-        fresh = ClientScenario(
-            client_id=4,
-            dataset=make_dataset("MH04", duration=6.0, rate=10.0),
-            start_time=0.0, oracle_seed=21, imu_seed=22,
-        )
-        session = SlamShareSession([fresh], config2, ate_sample_interval=1.0)
+        session = _restored_session(snap_path, client_id=4)
         # The restored map preloads before the client joins...
         assert session.server.global_map.n_keyframes == info.n_keyframes
         result = session.run()
@@ -670,3 +681,38 @@ class TestMultiSessionRelocalization:
         merges = [m for m in result.merges if m.client_id == 4]
         assert merges, "fresh client did not relocalize into restored map"
         assert result.client_ate(4).rmse < 0.15
+
+    def test_rejoining_client_id_mints_past_its_restored_ids(
+        self, tmp_path, monkeypatch
+    ):
+        """Client 0 minted the snapshot's entities; joining a restored
+        session as client 0 again must allocate above every one of them."""
+        snap_path = _snapshot_one_client(tmp_path)
+        snap = load_snapshot(snap_path)
+        restored_kfs = [kf.keyframe_id for kf in snap.keyframes
+                        if IdAllocator.owner_of(kf.keyframe_id) == 0]
+        restored_pts = [p.point_id for p in snap.mappoints
+                        if IdAllocator.owner_of(p.point_id) == 0]
+        assert restored_kfs and restored_pts
+
+        minted = {}
+        allocate = IdAllocator.allocate
+
+        def recording(allocator):
+            value = allocate(allocator)
+            minted.setdefault(id(allocator), []).append(value)
+            return value
+
+        monkeypatch.setattr(IdAllocator, "allocate", recording)
+        session = _restored_session(snap_path, client_id=0)
+        result = session.run()
+        assert result.outcomes[0].frames_processed > 0
+
+        mapper = session.server.processes[0].system.mapper
+        new_kfs = minted[id(mapper.kf_allocator)]
+        new_pts = minted[id(mapper.point_allocator)]
+        assert min(new_kfs) > max(restored_kfs)
+        assert min(new_pts) > max(restored_pts)
+        assert all(IdAllocator.owner_of(i) == 0 for i in new_kfs + new_pts)
+        with pytest.raises(ValueError):
+            mapper.kf_allocator.reserve_until(CLIENT_ID_STRIDE + 1)

@@ -427,3 +427,68 @@ class TestEndToEnd:
         assert snap["counters"]["server.frames"] > 0
         assert snap["counters"]["server.merges"] >= 1
         assert snap["histograms"]["server.tracking_ms"]["count"] > 0
+
+    def test_each_event_counted_once(self, metrics):
+        """Admission shedding and store writes each have one counter, and
+        it agrees with what the session reports: a 300 ms link sheds
+        stale frames until it heals at 1.5 s, and the two clients merge."""
+        from repro.core import (
+            ClientScenario,
+            ServingConfig,
+            SlamShareConfig,
+            SlamShareSession,
+        )
+        from repro.datasets import euroc_dataset
+        from repro.net import PROFILE_DELAY_300MS
+
+        mh04 = euroc_dataset("MH04", duration=5.0, rate=10.0)
+        session = SlamShareSession(
+            [
+                ClientScenario(0, mh04, oracle_seed=7),
+                ClientScenario(1, mh04, start_time=1.0, oracle_seed=21,
+                               imu_seed=23),
+            ],
+            SlamShareConfig(camera_fps=10.0, render_video_frames=False,
+                            shaping=PROFILE_DELAY_300MS,
+                            serving=ServingConfig(stale_ms=150.0)),
+        )
+
+        def heal():
+            for state in session.clients.values():
+                state.link.uplink.delay_s = state.link.downlink.delay_s = 0.0
+
+        session.clock.schedule_at(1.5, heal)
+        # Per frame: the bytes the store's publishes returned, split into
+        # the frame's own keyframe publish and a merge's republish.
+        store = session.server.store
+        publish_map = store.publish_map
+        published = []
+
+        def recording_publish(*args, **kwargs):
+            published.append(publish_map(*args, **kwargs))
+            return published[-1]
+
+        process_frame = session.server.process_frame
+        frame_bytes, merge_bytes = [], []
+
+        def recording_frame(*args, **kwargs):
+            mark = len(published)
+            result = process_frame(*args, **kwargs)
+            frame_bytes.append(result.store_bytes_written)
+            if result.merge is not None and result.merge.success:
+                merge_bytes.extend(published[mark + 1:])
+            return result
+
+        store.publish_map = recording_publish
+        session.server.process_frame = recording_frame
+        result = session.run()
+
+        counters = metrics.snapshot()["counters"]
+        shed = sum(o.frames_shed for o in result.outcomes.values())
+        assert shed > 0
+        assert counters["server.frames_shed"] == shed
+        assert "session.frames_shed" not in counters
+        assert len(merge_bytes) == len(result.merges) == 1
+        assert sum(published) == sum(frame_bytes) + sum(merge_bytes)
+        assert counters["sharedmem.publish_bytes"] == sum(published)
+        assert "server.store_bytes_written" not in counters

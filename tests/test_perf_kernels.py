@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import euroc_dataset
-from repro.gpu import GpuScheduler, host_array_module
-from repro.net.simclock import SimClock
+from repro.gpu import host_array_module
 from repro.slam import SlamMap
 from repro.slam.mappoint import MapPoint
 from repro.vision.brief import (
@@ -376,35 +375,3 @@ class TestTrackerLocalMapCache:
         finally:
             tracker.reference_keyframe_id = old_ref
             tracker._local_pack = None
-
-
-# -------------------------------------------------- scheduler statistics
-class TestSchedulerRunningStats:
-    def test_mean_latency_exact(self):
-        clock = SimClock()
-        sched = GpuScheduler(clock, mode="temporal", n_clients=2)
-        durations = [0.004, 0.002, 0.006, 0.001]
-        for i, d in enumerate(durations):
-            sched.submit(i % 2, d)
-        expected = np.mean([r.latency for r in sched.records])
-        assert sched.mean_latency() == pytest.approx(expected)
-        for cid in (0, 1):
-            per = [r.latency for r in sched.records if r.client_id == cid]
-            assert sched.mean_latency(cid) == pytest.approx(np.mean(per))
-
-    def test_mean_latency_empty(self):
-        sched = GpuScheduler(SimClock(), n_clients=1)
-        assert sched.mean_latency() == 0.0
-        assert sched.mean_latency(7) == 0.0
-
-    def test_p99_within_histogram_tolerance(self):
-        rng = np.random.default_rng(0)
-        clock = SimClock()
-        sched = GpuScheduler(clock, mode="spatial", n_clients=1)
-        durations = rng.uniform(0.001, 0.050, 500)
-        for d in durations:
-            sched.submit(0, float(d))
-        exact = float(np.percentile([r.latency for r in sched.records], 99))
-        approx = sched.p99_latency()
-        # Geometric buckets guarantee ~5% relative error; allow slack.
-        assert approx == pytest.approx(exact, rel=0.15)
