@@ -306,7 +306,7 @@ class BaselineSession:
         shipped = deserialize_map(payload)
         merger = MapMerger(
             self.global_map, self.global_db, state.dataset.camera,
-            self.config.merger, backend=self.config.slam.backend,
+            self.config.merger,
         )
         if state.merged:
             # Already aligned: apply the established client->global

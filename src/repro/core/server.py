@@ -101,10 +101,6 @@ class ServerFrameResult:
     merge: Optional[MergeResult] = None
     merge_ms: float = 0.0
     store_bytes_written: int = 0
-    #: Measured device-kernel wall time for this frame's tracking search
-    #: (``backend="gpu"`` on real hardware); ``None`` means tracking ran
-    #: on the host and ``latency`` is purely the calibrated model.
-    measured_kernel_ms: Optional[float] = None
 
 
 class _ClientProcess:
@@ -462,7 +458,6 @@ class SlamShareServer:
             merge=merge_result,
             merge_ms=merge_ms,
             store_bytes_written=store_bytes,
-            measured_kernel_ms=result.tracking.workload.measured_kernel_ms,
         )
 
     # ------------------------------------------------------------ eviction
@@ -507,7 +502,6 @@ class SlamShareServer:
                 self.global_database,
                 self.camera,
                 self.config.merger,
-                backend=self.config.slam.backend,
             )
             merge = merger.merge_maps(
                 process.system.map, process.client_id, process.rejected_pairs

@@ -335,7 +335,7 @@ class SlamShareSession:
         # The server's one GPU.  Spatial sharing is already modeled
         # inside the latency model (gpu_share), so the scheduler runs
         # at slowdown 1: it books each frame's kernel on the clock at
-        # its modeled (or measured) duration and fires the pose return.
+        # its modeled duration and fires the pose return.
         self.scheduler = GpuScheduler(self.clock)
         self.holograms = HologramRegistry()
         self.clients: Dict[int, ClientState] = {}
@@ -655,18 +655,9 @@ class SlamShareSession:
             _tracer.close_trace(ctx, status="no_pose")
             return
         pose = _PosePacket(packet.frame_no, result.pose_cw, packet.captured_at)
-        # Under backend="gpu" on real hardware the tracker reports a
-        # *measured* device-kernel wall time; the scheduler then plays
-        # that measurement instead of the calibrated model (which
-        # remains the no-hardware simulation path).
         self.scheduler.submit(
             cid, result.latency.total / 1e3,
             on_done=partial(self._send_pose, state, pose, ctx), trace=ctx,
-            measured_s=(
-                result.measured_kernel_ms / 1e3
-                if result.measured_kernel_ms is not None
-                else None
-            ),
         )
 
     def _send_pose(self, state: ClientState, pose: _PosePacket, ctx) -> None:

@@ -10,10 +10,7 @@ the corresponding scalar computation (the equivalence suite in
 
 A pose stack is simply a pair ``(rotations, translations)`` of shapes
 ``(n, 3, 3)`` and ``(n, 3)`` — no wrapper class, so slices, gathers and
-segment reductions stay plain numpy.  :func:`inverse`, :func:`exp` and
-:func:`log` take an ``am`` (a :class:`repro.gpu.ArrayModule`, the
-host numpy module by default) and run on its arrays; the operator-only
-kernels run on any of them unchanged.
+segment reductions stay plain numpy.
 """
 
 from __future__ import annotations
@@ -22,12 +19,10 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from ..gpu.array import host_array_module
 from . import so3
 from .se3 import SE3
 
 _EPS = 1e-10
-_HOST = host_array_module()
 
 PoseStack = Tuple[np.ndarray, np.ndarray]
 
@@ -55,20 +50,13 @@ def identity(n: int) -> PoseStack:
 def compose(
     r_a: np.ndarray, t_a: np.ndarray, r_b: np.ndarray, t_b: np.ndarray
 ) -> PoseStack:
-    """Row-wise ``T_a * T_b`` (apply ``T_b`` first), like :meth:`SE3.compose`.
-
-    Pure operator arithmetic — runs unchanged on numpy, cupy or fake
-    device stacks (the ``"gpu"`` tier feeds it device arrays).
-    """
+    """Row-wise ``T_a * T_b`` (apply ``T_b`` first), like :meth:`SE3.compose`."""
     return r_a @ r_b, (r_a @ t_b[..., None])[..., 0] + t_a
 
 
-def inverse(
-    rotations: np.ndarray, translations: np.ndarray, am=_HOST
-) -> PoseStack:
+def inverse(rotations: np.ndarray, translations: np.ndarray) -> PoseStack:
     """Row-wise pose inverse."""
-    xp = am.xp
-    r_inv = xp.transpose(rotations, (0, 2, 1))
+    r_inv = np.transpose(rotations, (0, 2, 1))
     return r_inv, -(r_inv @ translations[..., None])[..., 0]
 
 
@@ -79,43 +67,41 @@ def apply(
     return (rotations @ points[..., None])[..., 0] + translations
 
 
-def exp(xi: np.ndarray, am=_HOST) -> PoseStack:
+def exp(xi: np.ndarray) -> PoseStack:
     """Batched :meth:`SE3.exp` over ``(n, 6)`` twists ``(rho, omega)``."""
-    xp = am.xp
-    xi = xp.atleast_2d(xp.asarray(xi, dtype=float))
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
     rho, omega = xi[:, :3], xi[:, 3:]
-    theta = xp.linalg.norm(omega, axis=1)
-    rotations = so3.exp_batch(omega, am=am)
+    theta = np.linalg.norm(omega, axis=1)
+    rotations = so3.exp_batch(omega)
     small = theta < _EPS
-    safe = xp.where(small, 1.0, theta)
-    k = so3.hat_batch(omega / safe[:, None], am=am)
+    safe = np.where(small, 1.0, theta)
+    k = so3.hat_batch(omega / safe[:, None])
     v = (
-        xp.eye(3)
-        + ((1.0 - xp.cos(theta)) / safe)[:, None, None] * k
-        + ((theta - xp.sin(theta)) / safe)[:, None, None] * (k @ k)
+        np.eye(3)
+        + ((1.0 - np.cos(theta)) / safe)[:, None, None] * k
+        + ((theta - np.sin(theta)) / safe)[:, None, None] * (k @ k)
     )
-    if bool(xp.any(small)):
-        v[small] = xp.eye(3) + 0.5 * so3.hat_batch(omega[small], am=am)
+    if small.any():
+        v[small] = np.eye(3) + 0.5 * so3.hat_batch(omega[small])
     return rotations, (v @ rho[..., None])[..., 0]
 
 
-def log(rotations: np.ndarray, translations: np.ndarray, am=_HOST) -> np.ndarray:
+def log(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
     """Batched :meth:`SE3.log`: pose stack ``->`` ``(n, 6)`` twists."""
-    xp = am.xp
-    omega = so3.log_batch(rotations, am=am)
-    theta = xp.linalg.norm(omega, axis=1)
+    omega = so3.log_batch(rotations)
+    theta = np.linalg.norm(omega, axis=1)
     small = theta < _EPS
-    safe = xp.where(small, 1.0, theta)
-    k = so3.hat_batch(omega / safe[:, None], am=am)
+    safe = np.where(small, 1.0, theta)
+    k = so3.hat_batch(omega / safe[:, None])
     half = safe / 2.0
-    cot_half = 1.0 / xp.tan(half)
+    cot_half = 1.0 / np.tan(half)
     v_inv = (
-        xp.eye(3)
-        - xp.where(small, 0.0, half)[:, None, None] * k
-        + xp.where(small, 0.0, 1.0 - half * cot_half)[:, None, None] * (k @ k)
+        np.eye(3)
+        - np.where(small, 0.0, half)[:, None, None] * k
+        + np.where(small, 0.0, 1.0 - half * cot_half)[:, None, None] * (k @ k)
     )
-    if bool(xp.any(small)):
-        v_inv[small] = xp.eye(3) - 0.5 * so3.hat_batch(omega[small], am=am)
-    translations = xp.atleast_2d(xp.asarray(translations, dtype=float))
+    if small.any():
+        v_inv[small] = np.eye(3) - 0.5 * so3.hat_batch(omega[small])
+    translations = np.atleast_2d(np.asarray(translations, dtype=float))
     rho = (v_inv @ translations[..., None])[..., 0]
-    return xp.concatenate([rho, omega], axis=1)
+    return np.concatenate([rho, omega], axis=1)

@@ -6,19 +6,13 @@ vector (rotation vector) into a rotation matrix, and the logarithm map
 (`log`) inverts it.  These are the workhorses of pose optimization:
 bundle adjustment and PnP both parameterize rotation updates as small
 axis-angle increments applied on the left.
-
-The ``*_batch`` maps take an ``am`` (a :class:`repro.gpu.ArrayModule`,
-the host numpy module by default) and run on its arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.array import host_array_module
-
 _EPS = 1e-10
-_HOST = host_array_module()
 
 
 def hat(omega: np.ndarray) -> np.ndarray:
@@ -76,11 +70,10 @@ def log(rotation: np.ndarray) -> np.ndarray:
     return theta / (2.0 * np.sin(theta)) * vee(rotation - rotation.T)
 
 
-def hat_batch(omega: np.ndarray, am=_HOST) -> np.ndarray:
+def hat_batch(omega: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrices for a stack of 3-vectors: ``(n, 3) -> (n, 3, 3)``."""
-    xp = am.xp
-    omega = xp.atleast_2d(xp.asarray(omega, dtype=float))
-    out = xp.zeros((len(omega), 3, 3))
+    omega = np.atleast_2d(np.asarray(omega, dtype=float))
+    out = np.zeros((len(omega), 3, 3))
     wx, wy, wz = omega[:, 0], omega[:, 1], omega[:, 2]
     out[:, 0, 1] = -wz
     out[:, 0, 2] = wy
@@ -91,68 +84,62 @@ def hat_batch(omega: np.ndarray, am=_HOST) -> np.ndarray:
     return out
 
 
-def vee_batch(matrices: np.ndarray, am=_HOST) -> np.ndarray:
+def vee_batch(matrices: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hat_batch`: ``(n, 3, 3) -> (n, 3)``."""
-    xp = am.xp
-    m = xp.asarray(matrices, dtype=float)
-    return xp.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
+    m = np.asarray(matrices, dtype=float)
+    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
-def exp_batch(omega: np.ndarray, am=_HOST) -> np.ndarray:
+def exp_batch(omega: np.ndarray) -> np.ndarray:
     """Rodrigues' formula over a stack: ``(n, 3) -> (n, 3, 3)``.
 
     Row ``i`` equals ``exp(omega[i])`` (same branch structure as the
     scalar map, so the two agree to the last ulp away from branch
     boundaries).
     """
-    xp = am.xp
-    omega = xp.atleast_2d(xp.asarray(omega, dtype=float))
-    theta = xp.linalg.norm(omega, axis=1)
+    omega = np.atleast_2d(np.asarray(omega, dtype=float))
+    theta = np.linalg.norm(omega, axis=1)
     small = theta < _EPS
-    safe = xp.where(small, 1.0, theta)
-    k = hat_batch(omega / safe[:, None], am=am)
+    safe = np.where(small, 1.0, theta)
+    k = hat_batch(omega / safe[:, None])
     out = (
-        xp.eye(3)
-        + xp.sin(theta)[:, None, None] * k
-        + (1.0 - xp.cos(theta))[:, None, None] * (k @ k)
+        np.eye(3)
+        + np.sin(theta)[:, None, None] * k
+        + (1.0 - np.cos(theta))[:, None, None] * (k @ k)
     )
-    if bool(xp.any(small)):
-        out[small] = xp.eye(3) + hat_batch(omega[small], am=am)
+    if small.any():
+        out[small] = np.eye(3) + hat_batch(omega[small])
     return out
 
 
-def log_batch(rotations: np.ndarray, am=_HOST) -> np.ndarray:
+def log_batch(rotations: np.ndarray) -> np.ndarray:
     """Logarithm map over a stack: ``(n, 3, 3) -> (n, 3)``.
 
     Regular and small-angle rows are fully vectorized; the (rare)
     near-pi rows fall back to the scalar :func:`log`, whose symmetric-
-    part axis recovery they need anyway (on a device they round-trip
-    through the host — correctness over speed for a measure-zero case).
+    part axis recovery they need anyway.
     """
-    xp = am.xp
-    rotations = xp.asarray(rotations, dtype=float)
+    rotations = np.asarray(rotations, dtype=float)
     if rotations.ndim == 2:
         rotations = rotations[None]
     n = len(rotations)
     trace = rotations[:, 0, 0] + rotations[:, 1, 1] + rotations[:, 2, 2]
-    cos_theta = xp.clip((trace - 1.0) / 2.0, -1.0, 1.0)
-    theta = xp.arccos(cos_theta)
+    cos_theta = np.clip((trace - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
     small = theta < _EPS
-    near_pi = (xp.pi - theta) < 1e-6
-    out = xp.zeros((n, 3))
+    near_pi = (np.pi - theta) < 1e-6
+    out = np.zeros((n, 3))
     regular = ~small & ~near_pi
-    if bool(xp.any(regular)):
+    if regular.any():
         asym = vee_batch(
-            rotations[regular] - xp.transpose(rotations[regular], (0, 2, 1)),
-            am=am,
+            rotations[regular] - np.transpose(rotations[regular], (0, 2, 1))
         )
-        scale = theta[regular] / (2.0 * xp.sin(theta[regular]))
+        scale = theta[regular] / (2.0 * np.sin(theta[regular]))
         out[regular] = scale[:, None] * asym
-    if bool(xp.any(small)):
-        out[small] = vee_batch(rotations[small] - xp.eye(3), am=am)
-    if bool(xp.any(near_pi)):
-        rows = am.to_host(rotations[near_pi])
-        out[near_pi] = am.to_device(np.stack([log(r) for r in rows]))
+    if small.any():
+        out[small] = vee_batch(rotations[small] - np.eye(3))
+    if near_pi.any():
+        out[near_pi] = np.stack([log(r) for r in rotations[near_pi]])
     return out
 
 

@@ -38,9 +38,9 @@ class KernelRecord:
     submitted_at: float
     started_at: float
     finished_at: float
-    #: True when the kernel duration came from a *measured* device wall
-    #: time (``backend="gpu"`` on real hardware) rather than the
-    #: calibrated latency model.
+    #: True when the kernel duration is a *measured* host wall time of
+    #: the stage (ROADMAP item 10's seam) rather than the calibrated
+    #: latency model.
     measured: bool = False
 
     @property
@@ -97,9 +97,9 @@ class GpuScheduler:
         ``trace`` joins this kernel to a frame-lifecycle trace: the
         queue wait and the kernel span are recorded against it.
 
-        ``measured_s`` is a *measured* device-kernel wall time (the
-        ``backend="gpu"`` tier on real hardware).  When given, it
-        replaces ``duration_full_gpu`` — the calibrated model — as the
+        ``measured_s`` is the stage's *measured* host wall time (ROADMAP
+        item 10's seam: let measured time drive the clock).  When given,
+        it replaces ``duration_full_gpu`` — the calibrated model — as the
         kernel's duration, and the resulting record carries
         ``measured=True``.  The sharing policy still applies on top, so
         measured kernels contend for the GPU exactly like modeled ones.

@@ -18,10 +18,7 @@ The intersection step flattens every (point, observation) pair into
 packed arrays, accumulates the per-point 3x3 normal equations with
 segment sums (``np.bincount`` in observation order, so floating-point
 accumulation follows the per-point loop it replaced) and solves all
-points with one batched ``np.linalg.solve``.  That body is written once
-against an :class:`repro.gpu.ArrayModule`: ``backend="vectorized"``
-runs it on the host numpy module, ``backend="gpu"`` on a device array
-module.  The per-point loop lives on as
+points with one batched ``np.linalg.solve``.  The per-point loop lives on as
 ``tests/oracles.py::local_bundle_adjustment``, which the equivalence
 suite holds this module to within 1e-9.
 """
@@ -35,7 +32,6 @@ from typing import Iterable, List, Optional, Set
 import numpy as np
 
 from ..geometry import se3_batch
-from ..gpu.array import resolve_backend
 from ..obs import get_metrics, get_tracer
 from ..vision.camera import PinholeCamera
 from .map import SlamMap
@@ -130,22 +126,18 @@ def _collect_observation_arrays(
     )
 
 
-def _segment_sum(
-    values: np.ndarray, seg: np.ndarray, n: int, xp=np
-) -> np.ndarray:
+def _segment_sum(values: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
     """Sum ``values`` rows into ``n`` segments, in input order per segment.
 
     ``np.bincount`` accumulates sequentially over its input, so each
     segment's partial sums are formed in exactly the order the rows
     appear — the property that keeps the batched normal equations
-    bit-compatible with the per-point oracle loop.  ``xp`` selects the
-    array namespace (numpy by default; a device namespace under the
-    ``"gpu"`` tier, where the scatter-add runs on device-resident rows).
+    bit-compatible with the per-point oracle loop.
     """
     flat = values.reshape((len(values), -1))
-    out = xp.empty((n, flat.shape[1]))
+    out = np.empty((n, flat.shape[1]))
     for col in range(flat.shape[1]):
-        out[:, col] = xp.bincount(seg, weights=flat[:, col], minlength=n)
+        out[:, col] = np.bincount(seg, weights=flat[:, col], minlength=n)
     return out.reshape((n,) + tuple(values.shape[1:]))
 
 
@@ -174,7 +166,6 @@ def _refine_points(
     camera: PinholeCamera,
     obs: _ObsArrays,
     min_observations: int,
-    am,
 ) -> None:
     """Batched intersection: all points' normal equations at once.
 
@@ -190,12 +181,6 @@ def _refine_points(
     batched ``np.linalg.solve``.  Convergence/failure bookkeeping mirrors
     the oracle loop: a point whose step drops below 1e-10 freezes, a
     point whose system is singular reverts to its original position.
-
-    The gathered pose rows, positions and observation arrays are staged
-    on ``am`` **once per call** — all three Gauss-Newton iterations run
-    on ``am``-resident data and only the refined positions (plus the
-    failure mask) come back, one download each at the end.  On the
-    host module staging and download copy nothing.
     """
     n_points = len(obs.point_ids)
     if n_points == 0 or obs.n_obs == 0:
@@ -205,78 +190,72 @@ def _refine_points(
         return
     rot, trans = _window_pose_stack(slam_map, obs.kf_ids)
     fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
-    xp = am.xp
-    seg = am.to_device(obs.seg, dtype=np.int64)
-    uv = am.to_device(obs.uv, dtype=np.float64)
-    depth = am.to_device(obs.depth, dtype=np.float64)
-    rot_g = am.to_device(rot[obs.kf_idx])
-    trans_g = am.to_device(trans[obs.kf_idx])
-    positions = am.to_device(
-        slam_map.packed_positions()[obs.point_rows].copy()
-    )
-    dep_ok = am.to_device((obs.depth > 0) & np.isfinite(obs.depth))
-    inv_d = am.to_device(1.0 / np.maximum(obs.depth, 1e-6))
-    frozen = am.to_device(~active)
-    failed = am.to_device(np.zeros(n_points, dtype=bool))
-    with am.kernel("ba_refine"):
-        for _ in range(3):
-            live = ~frozen & ~failed
-            if not bool(xp.any(live)):
-                break
-            m = live[seg]
-            seg_m = seg[m]
-            p_cam = se3_batch.apply(rot_g[m], trans_g[m], positions[seg_m])
-            x, y = p_cam[:, 0], p_cam[:, 1]
-            z = xp.maximum(p_cam[:, 2], 1e-6)
-            uv_m = uv[m]
-            r = xp.stack(
-                [fx * x / z + cx - uv_m[:, 0], fy * y / z + cy - uv_m[:, 1]],
-                axis=1,
+    seg = np.asarray(obs.seg, dtype=np.int64)
+    uv = np.asarray(obs.uv, dtype=np.float64)
+    depth = np.asarray(obs.depth, dtype=np.float64)
+    rot_g = rot[obs.kf_idx]
+    trans_g = trans[obs.kf_idx]
+    positions = slam_map.packed_positions()[obs.point_rows].copy()
+    dep_ok = (obs.depth > 0) & np.isfinite(obs.depth)
+    inv_d = 1.0 / np.maximum(obs.depth, 1e-6)
+    frozen = ~active
+    failed = np.zeros(n_points, dtype=bool)
+    for _ in range(3):
+        live = ~frozen & ~failed
+        if not live.any():
+            break
+        m = live[seg]
+        seg_m = seg[m]
+        p_cam = se3_batch.apply(rot_g[m], trans_g[m], positions[seg_m])
+        x, y = p_cam[:, 0], p_cam[:, 1]
+        z = np.maximum(p_cam[:, 2], 1e-6)
+        uv_m = uv[m]
+        r = np.stack(
+            [fx * x / z + cx - uv_m[:, 0], fy * y / z + cy - uv_m[:, 1]],
+            axis=1,
+        )
+        n_m = len(z)
+        j_proj = np.zeros((n_m, 2, 3))
+        j_proj[:, 0, 0] = fx / z
+        j_proj[:, 0, 2] = -fx * x / (z * z)
+        j_proj[:, 1, 1] = fy / z
+        j_proj[:, 1, 2] = -fy * y / (z * z)
+        j = j_proj @ rot_g[m]
+        h_rows = np.einsum("nki,nkj->nij", j, j)
+        g_rows = np.einsum("nki,nk->ni", j, r)
+        dm = dep_ok[m]
+        if dm.any():
+            # Depth rows are spliced in directly after their
+            # reprojection row so the segment sums accumulate in the
+            # oracle loop's order (reproj_1, depth_1, reproj_2, ...),
+            # not grouped.
+            inv_dm = inv_d[m][dm]
+            j_d = (fx * inv_dm)[:, None] * rot_g[m][dm][:, 2, :]
+            # Depth residual in pixel-like units: d(fx/z) ~ disparity.
+            r_d = (z[dm] - depth[m][dm]) * fx * inv_dm
+            h_depth = np.einsum("ni,nj->nij", j_d, j_d)
+            g_depth = j_d * r_d[:, None]
+            keys = np.concatenate(
+                [np.arange(n_m) * 2, np.nonzero(dm)[0] * 2 + 1]
             )
-            n_m = len(z)
-            j_proj = xp.zeros((n_m, 2, 3))
-            j_proj[:, 0, 0] = fx / z
-            j_proj[:, 0, 2] = -fx * x / (z * z)
-            j_proj[:, 1, 1] = fy / z
-            j_proj[:, 1, 2] = -fy * y / (z * z)
-            j = j_proj @ rot_g[m]
-            h_rows = xp.einsum("nki,nkj->nij", j, j)
-            g_rows = xp.einsum("nki,nk->ni", j, r)
-            dm = dep_ok[m]
-            if bool(xp.any(dm)):
-                # Depth rows are spliced in directly after their
-                # reprojection row so the segment sums accumulate in the
-                # oracle loop's order (reproj_1, depth_1, reproj_2, ...),
-                # not grouped.
-                inv_dm = inv_d[m][dm]
-                j_d = (fx * inv_dm)[:, None] * rot_g[m][dm][:, 2, :]
-                # Depth residual in pixel-like units: d(fx/z) ~ disparity.
-                r_d = (z[dm] - depth[m][dm]) * fx * inv_dm
-                h_depth = xp.einsum("ni,nj->nij", j_d, j_d)
-                g_depth = j_d * r_d[:, None]
-                keys = xp.concatenate(
-                    [xp.arange(n_m) * 2, xp.nonzero(dm)[0] * 2 + 1]
-                )
-                order = xp.argsort(keys, kind="stable")
-                h_entries = xp.concatenate([h_rows, h_depth])[order]
-                g_entries = xp.concatenate([g_rows, g_depth])[order]
-                entry_seg = xp.concatenate([seg_m, seg_m[dm]])[order]
-            else:
-                h_entries, g_entries, entry_seg = h_rows, g_rows, seg_m
-            h = _segment_sum(h_entries, entry_seg, n_points, xp=xp)
-            g = _segment_sum(g_entries, entry_seg, n_points, xp=xp)
-            h += 1e-6 * xp.eye(3)
-            det = xp.linalg.det(h)
-            bad = ~xp.isfinite(det) | (det == 0.0)
-            if bool(xp.any(bad)):
-                h[bad] = xp.eye(3)
-                failed = failed | (bad & live)
-            step = xp.linalg.solve(h, -g[..., None])[..., 0]
-            update = live & ~bad
-            positions[update] += step[update]
-            frozen = frozen | (update & (xp.linalg.norm(step, axis=1) < 1e-10))
-    positions = am.to_host(positions)
-    failed = am.to_host(failed)
+            order = np.argsort(keys, kind="stable")
+            h_entries = np.concatenate([h_rows, h_depth])[order]
+            g_entries = np.concatenate([g_rows, g_depth])[order]
+            entry_seg = np.concatenate([seg_m, seg_m[dm]])[order]
+        else:
+            h_entries, g_entries, entry_seg = h_rows, g_rows, seg_m
+        h = _segment_sum(h_entries, entry_seg, n_points)
+        g = _segment_sum(g_entries, entry_seg, n_points)
+        h += 1e-6 * np.eye(3)
+        det = np.linalg.det(h)
+        bad = ~np.isfinite(det) | (det == 0.0)
+        if bad.any():
+            h[bad] = np.eye(3)
+            failed = failed | (bad & live)
+        step = np.linalg.solve(h, -g[..., None])[..., 0]
+        update = live & ~bad
+        positions[update] += step[update]
+        frozen = frozen | (update & (np.linalg.norm(step, axis=1) < 1e-10))
     good = active & ~failed & np.isfinite(positions).all(axis=1)
     if good.any():
         slam_map.set_point_positions(obs.point_ids[good], positions[good])
@@ -316,31 +295,24 @@ def local_bundle_adjustment(
     fixed_keyframe_ids: Optional[Set[int]] = None,
     iterations: int = 3,
     min_observations: int = 2,
-    backend: str = "vectorized",
 ) -> BAStats:
     """Refine the given keyframes and the points they observe.
 
     ``fixed_keyframe_ids`` are included in the error terms but their
     poses are held constant (the standard local-BA gauge anchor).
-    ``backend`` is ``"vectorized"`` (numpy) or ``"gpu"`` (the same body
-    on a cupy device, with a logged fallback to numpy when none
-    exists).
     """
-    am = resolve_backend(backend)
     keyframe_ids = [k for k in keyframe_ids if k in slam_map.keyframes]
     fixed = set(fixed_keyframe_ids or ())
     if not keyframe_ids:
         return BAStats(0, 0.0, 0.0, 0, 0)
     start = time.perf_counter()
-    with _tracer.span(
-        "local_ba", n_keyframes=len(keyframe_ids), backend=backend
-    ):
+    with _tracer.span("local_ba", n_keyframes=len(keyframe_ids)):
         with _tracer.span("ba.collect"):
             obs = _collect_observation_arrays(slam_map, keyframe_ids)
         initial_error = _mean_reprojection_error(slam_map, camera, obs)
         for _ in range(iterations):
             with _tracer.span("ba.intersection"):
-                _refine_points(slam_map, camera, obs, min_observations, am)
+                _refine_points(slam_map, camera, obs, min_observations)
             with _tracer.span("ba.resection"):
                 _resect_keyframes(slam_map, camera, keyframe_ids, fixed)
         final_error = _mean_reprojection_error(slam_map, camera, obs)
@@ -358,7 +330,6 @@ def global_bundle_adjustment(
     slam_map: SlamMap,
     camera: PinholeCamera,
     iterations: int = 3,
-    backend: str = "vectorized",
 ) -> BAStats:
     """BA over the entire map, anchoring the oldest keyframe."""
     all_ids = sorted(slam_map.keyframes)
@@ -369,5 +340,4 @@ def global_bundle_adjustment(
         all_ids,
         fixed_keyframe_ids=fixed,
         iterations=iterations,
-        backend=backend,
     )

@@ -57,7 +57,6 @@ class LocalMapper:
         point_allocator: IdAllocator,
         config: Optional[LocalMappingConfig] = None,
         client_id: int = 0,
-        backend: str = "vectorized",
     ) -> None:
         self.map = slam_map
         self.camera = camera
@@ -67,7 +66,6 @@ class LocalMapper:
         self.point_allocator = point_allocator
         self.config = config or LocalMappingConfig()
         self.client_id = client_id
-        self.backend = backend
         self.last_keyframe_id: Optional[int] = None
 
     def _fuse_unmatched(self, keyframe: KeyFrame) -> int:
@@ -217,7 +215,7 @@ class LocalMapper:
         fixed = {min(window)} if len(window) > 1 else set()
         return local_bundle_adjustment(
             self.map, self.camera, window, fixed_keyframe_ids=fixed,
-            iterations=2, backend=self.backend,
+            iterations=2,
         )
 
     def cull_mappoints(self) -> int:

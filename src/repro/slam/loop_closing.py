@@ -59,13 +59,11 @@ class LoopCloser:
         camera: PinholeCamera,
         config: Optional[LoopCloserConfig] = None,
         seed: int = 23,
-        backend: str = "vectorized",
     ) -> None:
         self.map = slam_map
         self.database = database
         self.camera = camera
         self.config = config or LoopCloserConfig()
-        self.backend = backend
         self._rng = np.random.default_rng(seed)
         self.closed_loops: List[LoopClosureResult] = []
 
@@ -131,9 +129,7 @@ class LoopCloser:
             )
             edges = build_essential_graph(self.map, extra_edges=[edge])
             anchor = min(self.map.keyframes)
-            stats = optimize_pose_graph(
-                self.map, edges, fixed={anchor}, backend=self.backend
-            )
+            stats = optimize_pose_graph(self.map, edges, fixed={anchor})
             result = LoopClosureResult(
                 detected=True,
                 query_keyframe_id=keyframe.keyframe_id,

@@ -101,13 +101,11 @@ class MapMerger:
         camera: PinholeCamera,
         config: Optional[MergerConfig] = None,
         seed: int = 99,
-        backend: str = "vectorized",
     ) -> None:
         self.map = global_map
         self.database = database
         self.camera = camera
         self.config = config or MergerConfig()
-        self.backend = backend
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------ ingestion
@@ -294,7 +292,6 @@ class MapMerger:
                 window,
                 fixed_keyframe_ids={global_kf.keyframe_id},
                 iterations=WELD_BA_ITERATIONS,
-                backend=self.backend,
             )
         return replace(
             searched,

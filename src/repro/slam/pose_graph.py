@@ -16,9 +16,7 @@ free pose, the weighted average twist its neighbours' constraints
 predict for it — against the sweep-start poses — and applies all the
 updates together.  The schedule is order-independent, which is what
 makes batching possible: one sweep is two pose-stack composes, one
-batched log over every edge and a pair of segment sums, written once
-against an :class:`repro.gpu.ArrayModule` (the host numpy module
-for ``backend="vectorized"``, a device module for ``"gpu"``).  The same
+batched log over every edge and a pair of segment sums.  The same
 schedule in per-edge :class:`~repro.geometry.SE3` arithmetic lives on as
 ``tests/oracles.py::optimize_pose_graph``, which the equivalence suite
 holds this module to within 1e-9.
@@ -28,13 +26,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..geometry import SE3, se3_batch
-from ..gpu.array import resolve_backend
 from ..obs import get_metrics, get_tracer
 from .bundle_adjustment import _segment_sum
 from .map import SlamMap
@@ -138,27 +134,6 @@ class _EdgeArrays:
         self.seg[1::2] = self.b_idx
         self.weight2 = np.repeat(self.weight, 2)
 
-    def to_device(self, am) -> SimpleNamespace:
-        """Stage every packed edge array on ``am`` in one batch.
-
-        Returned namespace mirrors this object's fields, so
-        :func:`_sweeps` runs against it; staging here (once per
-        ``optimize_pose_graph`` call) is what keeps the sweep loop
-        transfer-free.
-        """
-        return SimpleNamespace(
-            n=self.n,
-            a_idx=am.to_device(self.a_idx, dtype=np.int64),
-            b_idx=am.to_device(self.b_idx, dtype=np.int64),
-            rel_rot=am.to_device(self.rel_rot),
-            rel_trans=am.to_device(self.rel_trans),
-            inv_rot=am.to_device(self.inv_rot),
-            inv_trans=am.to_device(self.inv_trans),
-            weight=am.to_device(self.weight),
-            seg=am.to_device(self.seg, dtype=np.int64),
-            weight2=am.to_device(self.weight2),
-        )
-
     def residual(self, rot: np.ndarray, trans: np.ndarray) -> float:
         if self.n == 0:
             return 0.0
@@ -174,44 +149,38 @@ class _EdgeArrays:
 def _sweeps(
     rot: np.ndarray,
     trans: np.ndarray,
-    edges: SimpleNamespace,
+    edges: _EdgeArrays,
     free: np.ndarray,
     iterations: int,
     step_scale: float,
-    am,
 ) -> None:
-    """Run the relaxation sweeps in place on the packed pose stack.
-
-    Every input lives on ``am`` (see :meth:`_EdgeArrays.to_device`) —
-    the sweep loop itself never transfers.
-    """
-    xp = am.xp
+    """Run the relaxation sweeps in place on the packed pose stack."""
     n_nodes = len(rot)
-    if edges.n == 0 or not bool(xp.any(free)):
+    if edges.n == 0 or not free.any():
         return
-    weight_sum = xp.bincount(edges.seg, weights=edges.weight2, minlength=n_nodes)
+    weight_sum = np.bincount(edges.seg, weights=edges.weight2, minlength=n_nodes)
     update = free & (weight_sum > 0)
-    if not bool(xp.any(update)):
+    if not update.any():
         return
-    twists = xp.empty((2 * edges.n, 6))
+    twists = np.empty((2 * edges.n, 6))
     for _ in range(iterations):
         # Node a's prediction from each edge: rel * T_b, and node b's:
         # rel^-1 * T_a; the residual twist is log(predicted * T_node^-1).
         pr, pt = se3_batch.compose(
             edges.rel_rot, edges.rel_trans, rot[edges.b_idx], trans[edges.b_idx]
         )
-        ira, ita = se3_batch.inverse(rot[edges.a_idx], trans[edges.a_idx], am=am)
+        ira, ita = se3_batch.inverse(rot[edges.a_idx], trans[edges.a_idx])
         dra, dta = se3_batch.compose(pr, pt, ira, ita)
         qr, qt = se3_batch.compose(
             edges.inv_rot, edges.inv_trans, rot[edges.a_idx], trans[edges.a_idx]
         )
-        irb, itb = se3_batch.inverse(rot[edges.b_idx], trans[edges.b_idx], am=am)
+        irb, itb = se3_batch.inverse(rot[edges.b_idx], trans[edges.b_idx])
         drb, dtb = se3_batch.compose(qr, qt, irb, itb)
-        twists[0::2] = edges.weight[:, None] * se3_batch.log(dra, dta, am=am)
-        twists[1::2] = edges.weight[:, None] * se3_batch.log(drb, dtb, am=am)
-        twist_sum = _segment_sum(twists, edges.seg, n_nodes, xp=xp)
+        twists[0::2] = edges.weight[:, None] * se3_batch.log(dra, dta)
+        twists[1::2] = edges.weight[:, None] * se3_batch.log(drb, dtb)
+        twist_sum = _segment_sum(twists, edges.seg, n_nodes)
         steps = step_scale * twist_sum[update] / weight_sum[update][:, None]
-        er, et = se3_batch.exp(steps, am=am)
+        er, et = se3_batch.exp(steps)
         nr, nt = se3_batch.compose(er, et, rot[update], trans[update])
         rot[update] = nr
         trans[update] = nt
@@ -223,7 +192,6 @@ def optimize_pose_graph(
     fixed: Optional[Set[int]] = None,
     iterations: int = 12,
     step_scale: float = 0.7,
-    backend: str = "vectorized",
 ) -> PoseGraphStats:
     """Distribute corrections over the graph by damped relaxation sweeps.
 
@@ -233,7 +201,6 @@ def optimize_pose_graph(
     keyframe's correction.  Edges naming keyframes that are not in the
     map are skipped and excluded from the reported ``n_edges``.
     """
-    am = resolve_backend(backend)
     fixed = set(fixed or ())
     poses: Dict[int, SE3] = {
         kf_id: kf.pose_cw for kf_id, kf in slam_map.keyframes.items()
@@ -243,8 +210,7 @@ def optimize_pose_graph(
     ]
     start = time.perf_counter()
     with _tracer.span(
-        "pose_graph", n_edges=len(valid_edges), n_poses=len(poses),
-        backend=backend,
+        "pose_graph", n_edges=len(valid_edges), n_poses=len(poses)
     ):
         node_ids = list(poses)
         index = {kf_id: i for i, kf_id in enumerate(node_ids)}
@@ -257,17 +223,7 @@ def optimize_pose_graph(
         )
         initial = edge_arrays.residual(rot, trans)
         with _tracer.span("pg.sweeps", iterations=iterations):
-            # One staging batch up (poses + packed edges), all sweeps
-            # on ``am``, one download back.
-            rot_d = am.to_device(rot)
-            trans_d = am.to_device(trans)
-            with am.kernel("pg_sweeps"):
-                _sweeps(
-                    rot_d, trans_d, edge_arrays.to_device(am),
-                    am.to_device(free), iterations, step_scale, am,
-                )
-            rot = am.to_host(rot_d)
-            trans = am.to_host(trans_d)
+            _sweeps(rot, trans, edge_arrays, free, iterations, step_scale)
         final = edge_arrays.residual(rot, trans)
         with _tracer.span("pg.anchor_correction"):
             # Per-node correction new^-1 * old (x_w' = T_new^-1 * T_old *

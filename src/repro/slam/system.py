@@ -33,7 +33,6 @@ class SlamConfig:
     keyframe_interval: int = 8          # max frames between keyframes
     keyframe_min_matches: int = 40      # force a keyframe below this
     mono_scale: float = 1.0             # monocular map scale, unknown to SLAM (1 = metric)
-    backend: str = "vectorized"
     relocalize_on_loss: bool = True     # BoW recovery when tracking fails
     loop_closing: bool = False          # within-map loop detection
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
@@ -80,11 +79,7 @@ class SlamSystem:
         self.database = database if database is not None else KeyframeDatabase(
             self.vocabulary
         )
-        self.tracker = Tracker(
-            self.map, camera, self.config.tracker, backend=self.config.backend
-        )
-        # One knob selects the kernels everywhere: projection search,
-        # local BA and pose-graph sweeps all follow ``SlamConfig.backend``.
+        self.tracker = Tracker(self.map, camera, self.config.tracker)
         self.mapper = LocalMapper(
             self.map,
             camera,
@@ -94,7 +89,6 @@ class SlamSystem:
             point_allocator=IdAllocator(client_id),
             config=self.config.mapping,
             client_id=client_id,
-            backend=self.config.backend,
         )
         from .loop_closing import LoopCloser
         from .relocalization import Relocalizer
@@ -102,9 +96,7 @@ class SlamSystem:
         self.relocalizer = Relocalizer(
             self.map, self.database, self.vocabulary, camera
         )
-        self.loop_closer = LoopCloser(
-            self.map, self.database, camera, backend=self.config.backend
-        )
+        self.loop_closer = LoopCloser(self.map, self.database, camera)
         self._frame_counter = 0
         self._frames_since_keyframe = 0
         self._initialized = False

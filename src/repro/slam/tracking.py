@@ -21,8 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..geometry import SE3
-from ..gpu.array import resolve_backend
-from ..vision.brief import stage_descriptors
+from ..vision.brief import descriptor_words
 from ..vision.camera import PinholeCamera
 from ..vision.matching import (
     FrameGrid,
@@ -42,17 +41,15 @@ class _LocalMapPack:
     holds, so the narrow, wide-retry and refine searches of one frame —
     and every following frame until the map changes — skip the
     covisibility walk, the point gathering and the matrix packing.
-    The packed descriptors are also staged on the tracker's array
-    module once per key (``descriptors_dev``), so repeated frames
-    tracked against one map version never re-upload the local map (on
-    the host module the staged block is a view, no copy).
+    The packed descriptors' Hamming word view (``descriptor_words``) is
+    built once per key too.
     """
 
     key: tuple
     points: List
     positions: np.ndarray       # (n, 3) world positions
     descriptors: np.ndarray     # (n, 32) packed descriptors
-    descriptors_dev: object     # the same block staged on the array module
+    descriptor_words: np.ndarray  # the same block in the Hamming word layout
 
 
 @dataclass
@@ -65,10 +62,6 @@ class TrackingWorkload:
     candidate_pairs: int = 0        # point x feature pairs evaluated
     pnp_iterations: int = 0
     n_matches: int = 0
-    #: Measured device-kernel wall time for this frame's search work, or
-    #: ``None`` when tracking ran on the host (then latency is modeled
-    #: by :class:`repro.gpu.TrackingLatencyModel` as before).
-    measured_kernel_ms: Optional[float] = None
 
 
 @dataclass
@@ -106,16 +99,10 @@ class Tracker:
         slam_map: SlamMap,
         camera: PinholeCamera,
         config: Optional[TrackerConfig] = None,
-        backend: str = "vectorized",
-        array_module=None,
     ) -> None:
         self.map = slam_map
         self.camera = camera
         self.config = config or TrackerConfig()
-        # "gpu" resolves to a device array module when one exists (or
-        # the injected test module), else degrades to the host module
-        # with a logged warning.
-        self._am = resolve_backend(backend, array_module=array_module)
         self.last_pose: Optional[SE3] = None
         self.velocity: SE3 = SE3.identity()
         self.reference_keyframe_id: Optional[int] = None
@@ -158,11 +145,8 @@ class Tracker:
         else:
             positions = np.zeros((0, 3))
             descriptors = np.zeros((0, 0), dtype=np.uint8)
-        # One staging per (reference kf, map version): every frame
-        # tracked against this pack reuses the upload.
         self._local_pack = _LocalMapPack(
-            key, points, positions, descriptors,
-            stage_descriptors(self._am, descriptors),
+            key, points, positions, descriptors, descriptor_words(descriptors)
         )
         return self._local_pack
 
@@ -179,7 +163,7 @@ class Tracker:
         projection,
         radius: float,
         grid: Optional[FrameGrid] = None,
-        frame_desc_dev=None,
+        frame_words: Optional[np.ndarray] = None,
     ):
         """Match projected local points against frame features.
 
@@ -187,8 +171,8 @@ class Tracker:
         :meth:`_project` — computed once per pose and shared by the
         narrow and wide-retry searches; ``grid`` is the frame's spatial
         index, built once per frame and shared by all three searches;
-        ``frame_desc_dev`` is the frame's staged descriptor block,
-        staged once per :meth:`track` call.
+        ``frame_words`` is the frame's descriptor word view, built once
+        per :meth:`track` call.
         """
         proj_uv, visible_idx = projection
         if len(visible_idx) == 0:
@@ -197,10 +181,9 @@ class Tracker:
         matches = search_by_projection_vectorized(
             proj_uv, descriptors, frame.features.uv, frame.features.descriptors,
             radius=radius, grid=grid,
-            am=self._am,
-            point_desc_dev=pack.descriptors_dev,
+            point_words=pack.descriptor_words,
+            frame_words=frame_words,
             point_rows=visible_idx,
-            frame_desc_dev=frame_desc_dev,
         )
         # Re-index matches back to the full candidate list.
         rows = visible_idx.tolist()
@@ -225,14 +208,13 @@ class Tracker:
 
         features = frame.features
         grid = FrameGrid(features.uv) if len(frame) > 0 else None
-        # One frame-descriptor staging shared by the narrow, wide-retry
-        # and refine searches of this frame.
-        frame_desc_dev = stage_descriptors(self._am, features.descriptors)
-        kernel_mark = len(self._am.kernel_timings)
+        # One word view shared by the narrow, wide-retry and refine
+        # searches of this frame.
+        frame_words = descriptor_words(features.descriptors)
         prior_projection = self._project(pack, prior)
         matches, pairs = self._search(
             pack, frame, prior_projection, SEARCH_RADIUS_PX, grid,
-            frame_desc_dev,
+            frame_words,
         )
         workload.candidate_pairs += pairs
         if len(matches) < cfg.min_matches:
@@ -240,11 +222,10 @@ class Tracker:
             # turn).  Same pose, so the projection is reused as-is.
             matches, pairs = self._search(
                 pack, frame, prior_projection, WIDE_SEARCH_RADIUS_PX, grid,
-                frame_desc_dev,
+                frame_words,
             )
             workload.candidate_pairs += pairs
         if len(matches) < 4:
-            workload.measured_kernel_ms = self._am.drain_kernel_ms(kernel_mark)
             return TrackingResult(frame, False, len(matches), float("inf"), workload)
 
         q_idx = np.array([m.query_idx for m in matches], dtype=np.intp)
@@ -262,7 +243,7 @@ class Tracker:
             # within a few tens of frames.
             matches2, pairs2 = self._search(
                 pack, frame, self._project(pack, result.pose_cw),
-                SEARCH_RADIUS_PX * 0.8, grid, frame_desc_dev,
+                SEARCH_RADIUS_PX * 0.8, grid, frame_words,
             )
             workload.candidate_pairs += pairs2
             if len(matches2) >= 4:
@@ -276,7 +257,6 @@ class Tracker:
                     pts_w, uv, self.camera, result.pose_cw, depths=depths
                 )
         workload.pnp_iterations = result.iterations
-        workload.measured_kernel_ms = self._am.drain_kernel_ms(kernel_mark)
         if result.n_inliers < cfg.min_matches:
             return TrackingResult(
                 frame, False, result.n_inliers, result.mean_error_px, workload

@@ -7,7 +7,8 @@ intensity-centroid orientation before the comparisons are made, as in
 the original ORB paper.
 
 Descriptors are stored packed as ``(32,)`` uint8 arrays; Hamming
-distances are computed with a precomputed popcount table.
+distances popcount them as uint64 words where numpy has a native
+popcount, and through a byte table where it has not.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..gpu.array import host_array_module
 from .fast import Keypoint
-
-_HOST = host_array_module()
 
 DESCRIPTOR_BITS = 256
 DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
@@ -28,6 +26,11 @@ PATCH_RADIUS = 15
 CENTROID_RADIUS = 7
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+# Hamming word layout, chosen once for the platform: numpy >= 2 has a
+# native popcount, so descriptor rows are viewed as uint64 words (8x
+# fewer popcounts); numpy < 2 keeps uint8 bytes and the popcount table.
+HAMMING_DTYPE = np.uint64 if hasattr(np, "bitwise_count") else np.uint8
 
 
 def sampling_pattern(rng_seed: int = 0xB12F) -> np.ndarray:
@@ -128,22 +131,20 @@ def compute_descriptor(
     return descriptors[0] if inside[0] else None
 
 
-def stage_descriptors(am, descriptors: np.ndarray):
-    """Stage one descriptor block on ``am`` in its Hamming word layout.
+def descriptor_words(descriptors: np.ndarray) -> np.ndarray:
+    """One descriptor block in its Hamming word layout.
 
-    With a native 64-bit popcount (``am.hamming_dtype``) the ``(n, 8k)``
-    uint8 rows are viewed as ``(n, k)`` uint64 words, 8x fewer
-    popcounts; otherwise, and for widths that are not a multiple of 8
-    bytes, they stay uint8.  The view is pure reinterpretation, so on
-    the host module staging copies nothing and on a device it is one
-    contiguous upload.
+    Under the uint64 layout the ``(n, 8k)`` uint8 rows are viewed as
+    ``(n, k)`` uint64 words; otherwise, and for widths that are not a
+    multiple of 8 bytes, they stay uint8.  The view is pure
+    reinterpretation, so it copies nothing.
     """
     descriptors = np.ascontiguousarray(descriptors, dtype=np.uint8)
     if descriptors.ndim != 2:
         raise ValueError("descriptors must be 2-D")
-    if am.hamming_dtype == np.uint64 and descriptors.shape[1] % 8 == 0:
+    if HAMMING_DTYPE == np.uint64 and descriptors.shape[1] % 8 == 0:
         descriptors = descriptors.view(np.uint64)
-    return am.to_device(descriptors)
+    return descriptors
 
 
 def hamming_distance_matrix_lut(set_a: np.ndarray, set_b: np.ndarray) -> np.ndarray:
@@ -173,47 +174,32 @@ def _hamming_matrix_bitdot(set_a: np.ndarray, set_b: np.ndarray) -> np.ndarray:
     return pop_a[:, None] + pop_b[None, :] - 2 * cross
 
 
-def _hamming_matrix(am, set_a: np.ndarray, set_b: np.ndarray):
-    """All-pairs Hamming distances as an ``(m, n)`` int32 array on ``am``.
+def hamming_distance_matrix(set_a: np.ndarray, set_b: np.ndarray) -> np.ndarray:
+    """All-pairs Hamming distances between two descriptor stacks.
 
-    The uint64-word body needs equal widths that are a multiple of 8
-    bytes and a native 64-bit popcount; otherwise the byte-LUT
-    reference or the bit-matrix product (numpy < 2) runs on the host
-    and its result is staged.
+    ``set_a`` is ``(m, 32)`` and ``set_b`` is ``(n, 32)``; the result is
+    an ``(m, n)`` int32 matrix.  This is the data-parallel form used by
+    the GPU matching kernel.  Under the uint64 layout each row is four
+    words and the matrix is accumulated word by word, so the peak
+    intermediate is one ``(m, n)`` matrix rather than the byte-LUT
+    reference's rank-3 tensor; under the uint8 layout (numpy < 2) it is
+    the bit-matrix product.  Unequal widths, or widths that are not a
+    multiple of 8 bytes, take the byte-LUT reference.  Tests assert
+    bit-exact equivalence with :func:`hamming_distance_matrix_lut`.
     """
     set_a = np.atleast_2d(set_a)
     set_b = np.atleast_2d(set_b)
     width = set_a.shape[1]
     if width != set_b.shape[1] or width % 8 != 0 or width == 0:
-        return am.to_device(hamming_distance_matrix_lut(set_a, set_b))
-    if am.hamming_dtype != np.uint64:
-        return am.to_device(_hamming_matrix_bitdot(set_a, set_b))
-    a64 = stage_descriptors(am, set_a)
-    b64 = stage_descriptors(am, set_b)
-    with am.kernel("hamming_matrix"):
-        # Accumulate word by word: peak intermediate is one (m, n) matrix
-        # rather than the rank-3 (m, n, words) tensor.
-        out = am.popcount(a64[:, 0, None] ^ b64[None, :, 0]).astype(np.int32)
-        for k in range(1, a64.shape[1]):
-            out += am.popcount(a64[:, k, None] ^ b64[None, :, k])
+        return hamming_distance_matrix_lut(set_a, set_b)
+    if HAMMING_DTYPE != np.uint64:
+        return _hamming_matrix_bitdot(set_a, set_b)
+    a64 = descriptor_words(set_a)
+    b64 = descriptor_words(set_b)
+    out = np.bitwise_count(a64[:, 0, None] ^ b64[None, :, 0]).astype(np.int32)
+    for k in range(1, a64.shape[1]):
+        out += np.bitwise_count(a64[:, k, None] ^ b64[None, :, k])
     return out
-
-
-def hamming_distance_matrix(
-    set_a: np.ndarray, set_b: np.ndarray, am=_HOST
-) -> np.ndarray:
-    """All-pairs Hamming distances between two descriptor stacks.
-
-    ``set_a`` is ``(m, 32)`` and ``set_b`` is ``(n, 32)``; the result is
-    an ``(m, n)`` int matrix.  This is the data-parallel form used by
-    the GPU matching kernel.  The hot path views each row as four
-    uint64 words and uses the native popcount (an 8x smaller
-    intermediate than the byte-LUT tensor); tests assert bit-exact
-    equivalence with :func:`hamming_distance_matrix_lut`.  It runs on
-    ``am`` (a :class:`repro.gpu.ArrayModule`, the host numpy module
-    by default) and the result is downloaded.
-    """
-    return am.to_host(_hamming_matrix(am, set_a, set_b))
 
 
 def hamming_distance_pairs(
@@ -221,9 +207,8 @@ def hamming_distance_pairs(
     set_b: np.ndarray,
     idx_a: np.ndarray,
     idx_b: np.ndarray,
-    am=_HOST,
-    set_a_dev=None,
-    set_b_dev=None,
+    words_a: Optional[np.ndarray] = None,
+    words_b: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Hamming distances for explicit index pairs ``(idx_a[i], idx_b[i])``.
 
@@ -231,23 +216,21 @@ def hamming_distance_pairs(
     spatial pruning only the surviving candidate pairs pay for popcount
     work, so cost scales with pairs rather than ``m * n``.
 
-    Gather, XOR and popcount run on ``am``; ``set_a_dev`` /
-    ``set_b_dev`` are optional blocks already staged with
-    :func:`stage_descriptors`, so repeated searches over the same
-    blocks pay staging once.
+    ``words_a`` / ``words_b`` are optional blocks already in the word
+    layout (:func:`descriptor_words`), so repeated searches over the
+    same blocks build the view once.
     """
     if len(idx_a) == 0:
         return np.zeros(0, dtype=np.int32)
-    if set_a_dev is None:
-        set_a_dev = stage_descriptors(am, np.atleast_2d(set_a))
-    if set_b_dev is None:
-        set_b_dev = stage_descriptors(am, np.atleast_2d(set_b))
-    rows_a = am.to_device(idx_a, dtype=np.intp)
-    rows_b = am.to_device(idx_b, dtype=np.intp)
-    with am.kernel("hamming_pairs"):
-        counts = am.popcount(set_a_dev[rows_a] ^ set_b_dev[rows_b])
-        out = am.xp.sum(counts, axis=1, dtype=np.int32)
-    return am.to_host(out)
+    if words_a is None:
+        words_a = descriptor_words(np.atleast_2d(set_a))
+    if words_b is None:
+        words_b = descriptor_words(np.atleast_2d(set_b))
+    rows_a = np.asarray(idx_a, dtype=np.intp)
+    rows_b = np.asarray(idx_b, dtype=np.intp)
+    xor = words_a[rows_a] ^ words_b[rows_b]
+    counts = np.bitwise_count(xor) if HAMMING_DTYPE == np.uint64 else _POPCOUNT[xor]
+    return np.sum(counts, axis=1, dtype=np.int32)
 
 
 def random_descriptor(rng: np.random.Generator) -> np.ndarray:

@@ -20,10 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..gpu.array import host_array_module
-from .brief import _hamming_matrix, hamming_distance_pairs
-
-_HOST = host_array_module()
+from .brief import hamming_distance_matrix, hamming_distance_pairs
 
 DEFAULT_MATCH_THRESHOLD = 64  # bits out of 256
 DEFAULT_RATIO = 0.8
@@ -44,38 +41,23 @@ def match_descriptors(
     max_distance: int = DEFAULT_MATCH_THRESHOLD,
     ratio: float = DEFAULT_RATIO,
     cross_check: bool = True,
-    am=_HOST,
+    am=None,  # unread; kept while the perf ledger pins it (ROADMAP 21)
 ) -> List[Match]:
-    """Brute-force Hamming matching with Lowe ratio and cross check.
-
-    The distance matrix is built and reduced (argmin / partition /
-    reverse argmin) on ``am``; only ``O(m+n)`` reduction vectors leave
-    it, so on a device the ``(m, n)`` matrix is never downloaded.
-    """
+    """Brute-force Hamming matching with Lowe ratio and cross check."""
     if len(query) == 0 or len(train) == 0:
         return []
-    xp = am.xp
     qi_all = np.arange(len(query))
-    rows = am.to_device(qi_all)
-    distances = _hamming_matrix(am, query, train)
-    with am.kernel("match_reduce"):
-        best = xp.argmin(distances, axis=1)
-        best_dist = distances[rows, best]
+    distances = hamming_distance_matrix(query, train)
+    best = np.argmin(distances, axis=1)
+    best_dist = distances[qi_all, best]
+    keep = best_dist <= max_distance
+    if len(train) > 1:
         # Second-smallest per row in one partition (ties with the best
         # value keep the same semantics as masking the best column).
-        second = (
-            xp.partition(distances, 1, axis=1)[:, 1]
-            if len(train) > 1 else None
-        )
-        reverse_best = xp.argmin(distances, axis=0) if cross_check else None
-    best = am.to_host(best)
-    best_dist = am.to_host(best_dist)
-    keep = best_dist <= max_distance
-    if second is not None:
-        second = am.to_host(second)
+        second = np.partition(distances, 1, axis=1)[:, 1]
         keep &= ~((second > 0) & (best_dist > ratio * second))
     if cross_check:
-        keep &= am.to_host(reverse_best)[best] == qi_all
+        keep &= np.argmin(distances, axis=0)[best] == qi_all
     return [
         Match(int(qi), int(best[qi]), int(best_dist[qi]))
         for qi in np.nonzero(keep)[0]
@@ -231,10 +213,9 @@ def search_by_projection_vectorized(
     radius: float = 8.0,
     max_distance: int = DEFAULT_MATCH_THRESHOLD,
     grid: Optional[FrameGrid] = None,
-    am=_HOST,
-    point_desc_dev=None,
-    frame_desc_dev=None,
-    point_rows=None,
+    point_words: Optional[np.ndarray] = None,
+    frame_words: Optional[np.ndarray] = None,
+    point_rows: Optional[np.ndarray] = None,
 ) -> List[Match]:
     """Data-parallel search-local-points (the GPU kernel formulation).
 
@@ -246,15 +227,14 @@ def search_by_projection_vectorized(
     this).  Pass a prebuilt ``grid`` to amortize binning across
     repeated searches of one frame.
 
-    The pair-sparse Hamming work runs on ``am`` (grid pruning and
-    greedy assignment stay on the host — they are index bookkeeping,
-    not FLOPs).  ``point_desc_dev`` / ``frame_desc_dev`` are optional
-    blocks already staged on ``am``, so the tracker stages once per
-    local-map pack and once per frame, shared across the narrow /
-    wide-retry / refine searches.  When ``point_desc_dev`` holds a
-    superset of ``point_descriptors`` (the tracker stages the full
-    local-map pack once), ``point_rows[i]`` gives the staged-block row
-    of point row ``i``.
+    ``point_words`` / ``frame_words`` are optional descriptor blocks
+    already in the Hamming word layout
+    (:func:`repro.vision.brief.descriptor_words`), so the tracker builds
+    them once per local-map pack and once per frame, shared across the
+    narrow / wide-retry / refine searches.  When ``point_words`` holds a
+    superset of ``point_descriptors`` (the tracker views the full
+    local-map pack once), ``point_rows[i]`` gives its row of point row
+    ``i``.
     """
     n_points = len(projected_uv)
     n_feats = len(frame_uv)
@@ -274,18 +254,17 @@ def search_by_projection_vectorized(
     if len(pair_point) == 0:
         return []
     idx_a = pair_point
-    if point_rows is not None and point_desc_dev is not None:
-        # The staged block covers the whole local-map pack; translate
-        # subset rows to staged-block rows before the gather.
+    if point_rows is not None and point_words is not None:
+        # The word block covers the whole local-map pack; translate
+        # subset rows to its rows before the gather.
         idx_a = np.asarray(point_rows, dtype=np.intp)[pair_point]
     dist = hamming_distance_pairs(
         point_descriptors,
         frame_descriptors,
         idx_a,
         pair_feat,
-        am=am,
-        set_a_dev=point_desc_dev,
-        set_b_dev=frame_desc_dev,
+        words_a=point_words,
+        words_b=frame_words,
     )
     close = dist <= max_distance
     return _greedy_assign(

@@ -190,9 +190,7 @@ def _run_ba_both(slam_map, cam, window=None, **kwargs):
     map_s, map_v = copy.deepcopy(slam_map), copy.deepcopy(slam_map)
     window = list(slam_map.keyframes) if window is None else window
     stats_s = oracles.local_bundle_adjustment(map_s, cam, window, **kwargs)
-    stats_v = local_bundle_adjustment(
-        map_v, cam, window, backend="vectorized", **kwargs
-    )
+    stats_v = local_bundle_adjustment(map_v, cam, window, **kwargs)
     return map_s, map_v, stats_s, stats_v
 
 
@@ -253,15 +251,8 @@ class TestBundleAdjustmentEquivalence:
         oracles.local_bundle_adjustment(
             map_s, cam, window, fixed_keyframe_ids={window[0]}
         )
-        global_bundle_adjustment(map_v, cam, backend="vectorized")
+        global_bundle_adjustment(map_v, cam)
         _assert_maps_equal(map_s, map_v)
-
-    def test_unknown_backend_rejected(self):
-        slam_map, cam = _noisy_scene(seed=8, n_kfs=2, n_points=20)
-        with pytest.raises(ValueError, match="unknown backend"):
-            local_bundle_adjustment(
-                slam_map, cam, list(slam_map.keyframes), backend="neural"
-            )
 
 
 # ------------------------------------------------- pose-graph equivalence
@@ -298,9 +289,7 @@ class TestPoseGraphEquivalence:
         stats_s = oracles.optimize_pose_graph(
             map_s, edges, fixed={ordered[0]}
         )
-        stats_v = optimize_pose_graph(
-            map_v, edges, fixed={ordered[0]}, backend="vectorized"
-        )
+        stats_v = optimize_pose_graph(map_v, edges, fixed={ordered[0]})
         assert stats_v.final_residual < stats_v.initial_residual
         assert abs(stats_s.initial_residual - stats_v.initial_residual) < 1e-6
         assert abs(stats_s.final_residual - stats_v.final_residual) < 1e-6
@@ -346,14 +335,7 @@ class TestPoseGraphEquivalence:
         slam_map, edges, ordered = _drifted_chain(n=8)
         anchor = ordered[0]
         before = slam_map.keyframes[anchor].pose_cw
-        optimize_pose_graph(
-            slam_map, edges, fixed={anchor}, backend="vectorized"
-        )
+        optimize_pose_graph(slam_map, edges, fixed={anchor})
         assert slam_map.keyframes[anchor].pose_cw.almost_equal(
             before, 1e-12, 1e-12
         )
-
-    def test_unknown_backend_rejected(self):
-        slam_map, edges, _ = _drifted_chain(n=3)
-        with pytest.raises(ValueError, match="unknown backend"):
-            optimize_pose_graph(slam_map, edges, backend="cuda")

@@ -24,7 +24,7 @@ from repro.core import (
 )
 from repro.datasets import euroc_dataset
 from repro.geometry import Sim3
-from repro.gpu import GpuCostModel, use_array_module
+from repro.gpu import GpuCostModel
 from repro.net import (
     FRAME_HEADER_BYTES,
     PROFILE_BW_9_4,
@@ -33,7 +33,6 @@ from repro.net import (
     ShapingProfile,
 )
 from repro.vision import FeatureOracle
-from tests.fake_xp import make_fake_array_module
 from tests.test_shm_multiproc import shm_required
 
 
@@ -178,12 +177,11 @@ class TestHolograms:
         assert np.allclose(perceived_position(h, Sim3.identity()), [1, 2, 3])
 
 
-def _short_session(oracle_seed=7, backend="vectorized", video=False,
-                   shaping=PROFILE_IDEAL, **serving):
+def _short_session(oracle_seed=7, video=False, shaping=PROFILE_IDEAL,
+                   **serving):
     """Two clients, 5 s each, overlapping MH04 passes (they merge)."""
     config = SlamShareConfig(camera_fps=10.0, render_video_frames=video,
                              shaping=shaping)
-    config.slam.backend = backend
     for key, value in serving.items():
         setattr(config.serving, key, value)
     mh04 = euroc_dataset("MH04", duration=5.0, rate=10.0)
@@ -208,8 +206,6 @@ class TestSessionDigest:
     def test_same_config_same_digest_other_seed_other_digest(self):
         first = _short_default()[1].digest()
         assert _short_session().run().digest() == first
-        # No device here, so "gpu" is the numpy kernels byte for byte.
-        assert _short_session(backend="gpu").run().digest() == first
         assert _short_session(oracle_seed=8).run().digest() != first
 
     def test_ground_truth_ids_are_inert(self, monkeypatch):
@@ -330,28 +326,8 @@ class TestGpuSharingAppliedOnce:
             assert booked == pytest.approx(modeled[cid], rel=1e-12)
 
 
-class TestOneBackendField:
-    """``SlamConfig.backend`` is the only knob, and every kernel obeys it."""
-
-    def test_weld_ba_runs_on_the_sessions_backend(self):
-        am = make_fake_array_module()
-        session = _short_session(backend="gpu")
-        try_merge = session.server._try_merge
-        weld_kernels = []
-
-        def recording(process):
-            mark = len(am.kernel_timings)
-            merge, merge_ms = try_merge(process)
-            if merge is not None:
-                weld_kernels.append(
-                    [t.name for t in am.kernel_timings[mark:]])
-            return merge, merge_ms
-
-        session.server._try_merge = recording
-        with use_array_module(am):
-            result = session.run()
-        assert len(result.merges) == len(weld_kernels) == 1
-        assert "ba_refine" in weld_kernels[0]
+class TestCallersConfig:
+    """A system reads its config and never writes to it."""
 
     def test_slam_system_leaves_callers_config_alone(self):
         from dataclasses import asdict
@@ -359,7 +335,7 @@ class TestOneBackendField:
         from repro.slam import SlamConfig, SlamSystem
         from repro.vision import PinholeCamera
 
-        config = SlamConfig(backend="gpu")
+        config = SlamConfig(keyframe_interval=5, mono_scale=0.5)
         before = asdict(config)
         SlamSystem(PinholeCamera.ideal(320, 240), config)
         assert asdict(config) == before

@@ -160,6 +160,23 @@ class TestGpuScheduler:
         assert r2.finished_at == pytest.approx(0.020)
 
 
+class TestMeasuredKernelRecords:
+    """The measured-time seam: a stage's host wall time replaces the model."""
+
+    def test_submit_uses_measured_duration_and_flags_record(self):
+        clock = SimClock()
+        sched = GpuScheduler(clock, mode="temporal")
+        modeled = sched.submit(0, 0.010)
+        assert not modeled.measured
+        assert modeled.latency == pytest.approx(0.010)
+        measured = sched.submit(0, 0.010, measured_s=0.004)
+        assert measured.measured
+        # measured wall time replaces the model as the kernel duration
+        assert measured.finished_at - measured.started_at == pytest.approx(
+            0.004
+        )
+
+
 def _best_of_3(fn) -> float:
     """One un-repeated sample is scheduler noise on a shared host."""
     best = float("inf")

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import euroc_dataset
-from repro.gpu import host_array_module
 from repro.slam import SlamMap
 from repro.slam.mappoint import MapPoint
+from repro.vision import brief
 from repro.vision.brief import (
     DESCRIPTOR_BYTES,
     hamming_distance_matrix,
@@ -27,7 +27,6 @@ from repro.vision.matching import (
     match_descriptors,
     search_by_projection_vectorized,
 )
-from tests.fake_xp import make_fake_array_module
 from tests.oracles import (
     _collect_keypoints_reference,
     search_by_projection_dense,
@@ -46,14 +45,12 @@ def _as_tuples(matches):
 
 # --------------------------------------------------------------- hamming
 class TestHammingEquivalence:
-    am = host_array_module()
-
     @pytest.mark.parametrize("m,n", [(1, 1), (7, 13), (64, 64), (120, 250)])
     def test_fast_matches_lut(self, m, n):
         rng = np.random.default_rng(m * 1000 + n)
         a, b = _descriptors(rng, m), _descriptors(rng, n)
         np.testing.assert_array_equal(
-            hamming_distance_matrix(a, b, am=self.am),
+            hamming_distance_matrix(a, b),
             hamming_distance_matrix_lut(a, b),
         )
 
@@ -62,7 +59,7 @@ class TestHammingEquivalence:
         a = _descriptors(rng, 1)[0]
         b = _descriptors(rng, 9)
         np.testing.assert_array_equal(
-            hamming_distance_matrix(a, b, am=self.am),
+            hamming_distance_matrix(a, b),
             hamming_distance_matrix_lut(a, b),
         )
 
@@ -72,7 +69,7 @@ class TestHammingEquivalence:
         a = big[::2, ::2]  # non-contiguous view, still 32 bytes wide
         b = _descriptors(rng, 11)
         np.testing.assert_array_equal(
-            hamming_distance_matrix(a, b, am=self.am),
+            hamming_distance_matrix(a, b),
             hamming_distance_matrix_lut(a, b),
         )
 
@@ -81,14 +78,14 @@ class TestHammingEquivalence:
         a = _descriptors(rng, 6, width=5)
         b = _descriptors(rng, 8, width=5)
         np.testing.assert_array_equal(
-            hamming_distance_matrix(a, b, am=self.am),
+            hamming_distance_matrix(a, b),
             hamming_distance_matrix_lut(a, b),
         )
 
     def test_extreme_values(self):
         a = np.array([[0] * 32, [255] * 32], dtype=np.uint8)
         np.testing.assert_array_equal(
-            hamming_distance_matrix(a, a, am=self.am), [[0, 256], [256, 0]]
+            hamming_distance_matrix(a, a), [[0, 256], [256, 0]]
         )
 
     def test_pairs_match_dense(self):
@@ -98,7 +95,7 @@ class TestHammingEquivalence:
         idx_b = rng.integers(0, 30, 50)
         dense = hamming_distance_matrix_lut(a, b)
         np.testing.assert_array_equal(
-            hamming_distance_pairs(a, b, idx_a, idx_b, am=self.am),
+            hamming_distance_pairs(a, b, idx_a, idx_b),
             dense[idx_a, idx_b],
         )
 
@@ -106,8 +103,7 @@ class TestHammingEquivalence:
         rng = np.random.default_rng(7)
         a, b = _descriptors(rng, 4), _descriptors(rng, 4)
         empty = np.zeros(0, dtype=np.intp)
-        assert hamming_distance_pairs(
-            a, b, empty, empty, am=self.am).shape == (0,)
+        assert hamming_distance_pairs(a, b, empty, empty).shape == (0,)
 
 
 class TestHammingEquivalenceWithoutBitwiseCount(TestHammingEquivalence):
@@ -115,13 +111,7 @@ class TestHammingEquivalenceWithoutBitwiseCount(TestHammingEquivalence):
 
     @pytest.fixture(autouse=True)
     def _no_bitwise_count(self, monkeypatch):
-        monkeypatch.setattr(self.am, "hamming_dtype", np.uint8)
-
-
-class TestHammingEquivalenceOnDevice(TestHammingEquivalence):
-    """The same cases on the fake device module: one body, device arrays."""
-
-    am = make_fake_array_module()
+        monkeypatch.setattr(brief, "HAMMING_DTYPE", np.uint8)
 
 
 # ---------------------------------------------------------------- search

@@ -152,13 +152,6 @@ class TestTracker:
         for pid in frame.matched_point_ids[frame.matched_point_ids >= 0][:10]:
             assert int(pid) in system.map.mappoints
 
-    def test_invalid_backend(self, mapped):
-        ds, _ = mapped
-        from repro.slam import SlamMap
-
-        with pytest.raises(ValueError):
-            Tracker(SlamMap(), ds.camera, backend="neural")
-
     def test_scalar_backend_tracks_too(self, mapped, monkeypatch):
         # The retired tier rebuilt in place: over the CPU-sequential
         # search the tracker must land on the same matches and pose.
