@@ -27,7 +27,7 @@ def _run(with_imu: bool, duration=20.0, rate=10.0):
         SlamConfig(relocalize_on_loss=False),
         gravity=ds.pose_cw(0).rotation @ GRAVITY_W,
     )
-    oracle = ds.make_oracle(stereo=True)
+    oracle = ds.make_oracle()
     imu = ImuBuffer(synthesize_imu(ds.ground_truth, rate_hz=200.0))
     prev = None
     lost = 0

@@ -20,7 +20,7 @@ def _mean_workloads(name, duration=6.0):
     ds = make_dataset(name, duration=duration, rate=10.0)
     system, _ = run_system(ds)
     # Re-run a handful of frames to collect workloads.
-    oracle = ds.make_oracle(stereo=True, seed=31)
+    oracle = ds.make_oracle(seed=31)
     workloads = []
     from repro.imu import ImuBuffer, preintegrate, synthesize_imu
 

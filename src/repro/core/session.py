@@ -102,9 +102,7 @@ def client_inputs(scenario: ClientScenario, config: SlamShareConfig,
     for every frame the camera produces.
     """
     dataset = scenario.dataset
-    oracle = dataset.make_oracle(
-        stereo=True, seed=scenario.oracle_seed, **oracle_kwargs
-    )
+    oracle = dataset.make_oracle(seed=scenario.oracle_seed, **oracle_kwargs)
     imu = ImuBuffer(
         synthesize_imu(
             dataset.ground_truth,

@@ -24,7 +24,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..geometry import SE3, Trajectory
-from ..vision import FeatureOracle, FeatureSet, PinholeCamera, StereoRig
+from ..vision import DescriptorBank, FeatureOracle, FeatureSet, PinholeCamera
+from ..vision.render import DESCRIPTOR_SEED
 from .trajectory_gen import (
     drone_ellipse_trajectory,
     path_trajectory,
@@ -44,16 +45,22 @@ PAPER_TRACES = {
 EUROC_WORLD_SEED = 1042
 KITTI_WORLD_SEED = 2043
 
+#: The world each trace's landmarks belong to.  World ``k``'s descriptor
+#: bank is seeded ``DESCRIPTOR_SEED + k * 2**32``; landmark ids stay far
+#: below ``2**32``, so no two worlds share a descriptor, and the machine
+#: hall (world 0) keeps the rows every trace drew before worlds had
+#: their own.  KITTI-00 and KITTI-05 are different street circuits.
+TRACE_WORLDS = {"MH04": 0, "MH05": 0, "V202": 1, "KITTI-00": 2, "KITTI-05": 3}
+
 
 @dataclass
 class SyntheticDataset:
-    """A world + ground-truth trajectory + camera rig, with an oracle."""
+    """A world + ground-truth trajectory + camera, with an oracle."""
 
     name: str
     world: World
     ground_truth: Trajectory
     camera: PinholeCamera
-    stereo: Optional[StereoRig] = None
     rate: float = 30.0
 
     @property
@@ -68,10 +75,13 @@ class SyntheticDataset:
         """Ground-truth world->camera pose of frame ``index``."""
         return self.ground_truth[index].pose_bw()
 
-    def make_oracle(self, stereo: bool = False, seed: int = 7,
-                    **kwargs) -> FeatureOracle:
-        rig = self.stereo if stereo else None
-        return FeatureOracle(self.camera, stereo=rig, seed=seed, **kwargs)
+    def descriptor_bank(self) -> DescriptorBank:
+        """The appearance of this dataset's world (see ``TRACE_WORLDS``)."""
+        return DescriptorBank(DESCRIPTOR_SEED + (TRACE_WORLDS[self.name] << 32))
+
+    def make_oracle(self, seed: int = 7, **kwargs) -> FeatureOracle:
+        kwargs.setdefault("descriptor_bank", self.descriptor_bank())
+        return FeatureOracle(self.camera, seed=seed, **kwargs)
 
     def frames(
         self,
@@ -105,7 +115,6 @@ def euroc_dataset(
     name: str = "MH04",
     duration: Optional[float] = None,
     rate: float = 30.0,
-    stereo_baseline: float = 0.11,
     n_landmarks: int = 1600,
 ) -> SyntheticDataset:
     """EuRoC-like drone dataset; MH04/MH05/V202 share per-hall worlds."""
@@ -139,7 +148,6 @@ def euroc_dataset(
         world=world,
         ground_truth=trajectory,
         camera=camera,
-        stereo=StereoRig(camera, stereo_baseline),
         rate=rate,
     )
 
@@ -150,7 +158,6 @@ def kitti_dataset(
     rate: float = 30.0,
     speed: float = 8.0,
     start_arclength: float = 0.0,
-    stereo_baseline: float = 0.54,
 ) -> SyntheticDataset:
     """KITTI-like vehicle dataset on a shared street circuit."""
     if name not in ("KITTI-00", "KITTI-05"):
@@ -169,7 +176,6 @@ def kitti_dataset(
         world=world,
         ground_truth=trajectory,
         camera=camera,
-        stereo=StereoRig(camera, stereo_baseline),
         rate=rate,
     )
 

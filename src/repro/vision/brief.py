@@ -238,14 +238,33 @@ def random_descriptor(rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8)
 
 
+def random_bit_subsets(
+    rng: np.random.Generator, n_rows: int, k: int, n_bits: int = DESCRIPTOR_BITS
+) -> np.ndarray:
+    """``k`` distinct indices in ``[0, n_bits)`` for each of ``n_rows`` rows.
+
+    Floyd's algorithm, one column for all rows at a time: column ``c``
+    draws ``t`` uniform in ``[0, j]``, ``j = n_bits - k + c``, and keeps
+    ``t`` unless its row already holds it, in which case it takes ``j``,
+    which no earlier column can hold.  Each row is a uniform ``k``-subset,
+    for ``k`` ``integers`` calls of size ``n_rows``.  ``k`` is clamped to
+    ``[0, n_bits]``; the result is ``(n_rows, k)``.
+    """
+    k = max(0, min(k, n_bits))
+    subsets = np.empty((n_rows, k), dtype=np.intp)
+    for col, j in enumerate(range(n_bits - k, n_bits)):
+        t = rng.integers(0, j + 1, size=n_rows)
+        taken = (subsets[:, :col] == t[:, None]).any(axis=1)
+        subsets[:, col] = np.where(taken, j, t)
+    return subsets
+
+
 def perturb_descriptor(
     descriptor: np.ndarray, rng: np.random.Generator, flip_bits: int
 ) -> np.ndarray:
     """Flip ``flip_bits`` random bits — models viewpoint/noise variation."""
     flipped = descriptor.copy()
-    if flip_bits > 0:
-        n_bits = 8 * descriptor.size
-        flip_packed_bits(flipped, rng.choice(n_bits, size=min(flip_bits, n_bits), replace=False))
+    flip_packed_bits(flipped, random_bit_subsets(rng, 1, flip_bits, 8 * descriptor.size)[0])
     return flipped
 
 

@@ -16,26 +16,31 @@ so two substitutes exercise the same code paths (see DESIGN.md §2):
   and the landmark id as ground truth) — the batch the ORB extractor
   returns, so the SLAM pipeline consumes it exactly like extractor
   output; the large multi-client experiments use this frontend for
-  speed and determinism.  Its generator calls, made per feature in a
-  fixed order, are the seeded contract every session digest rests on;
-  all the arithmetic around them is done once per frame on arrays
-  (DESIGN.md §9, "Input side").
+  speed and determinism.  Its generator calls, a fixed number of
+  whole-array blocks per frame in a fixed order, are the seeded contract
+  every session digest rests on (DESIGN.md §9, "Input side").  A
+  landmark's descriptor comes from its :class:`DescriptorBank`, one per
+  world, so two worlds that number their landmarks alike still look
+  different.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..geometry import SE3
 from . import brief
-from .camera import PinholeCamera, StereoRig
+from .camera import PinholeCamera
 from .image import Image
 from .orb import FeatureSet
 
 PATCH_SIZE = 9
+#: The machine hall's descriptor-bank seed: landmark ``id`` of that world
+#: has the descriptor drawn by ``default_rng(DESCRIPTOR_SEED + id)``.
+DESCRIPTOR_SEED = 0xD5C
 
 
 @functools.cache
@@ -112,19 +117,34 @@ def render_frame(
 
 
 class DescriptorBank:
-    """Canonical packed descriptor per landmark id (lazily generated)."""
+    """Canonical packed descriptor per landmark id of one world.
 
-    def __init__(self, seed: int = 0xD5C) -> None:
+    Row ``id`` is drawn from ``default_rng(seed + id)`` the first time it
+    is asked for and kept in one table, so a frame's rows are one gather.
+    Each world has its own ``seed`` (``repro.datasets`` derives it from
+    the trace); the default is the machine hall's.
+    """
+
+    def __init__(self, seed: int = DESCRIPTOR_SEED) -> None:
         self._seed = seed
-        self._bank: Dict[int, np.ndarray] = {}
+        self._table = np.zeros((0, brief.DESCRIPTOR_BYTES), dtype=np.uint8)
+        self._filled = np.zeros(0, dtype=bool)
 
-    def descriptor(self, landmark_id: int) -> np.ndarray:
-        cached = self._bank.get(landmark_id)
-        if cached is None:
-            rng = np.random.default_rng(self._seed + int(landmark_id))
-            cached = brief.random_descriptor(rng)
-            self._bank[landmark_id] = cached
-        return cached
+    def rows(self, landmark_ids: np.ndarray) -> np.ndarray:
+        """The descriptors of ``landmark_ids`` (ids >= 0), as a new array."""
+        ids = np.asarray(landmark_ids, dtype=np.int64)
+        if len(ids) and ids.min() < 0:
+            raise ValueError("landmark ids must be non-negative")
+        size = int(ids.max()) + 1 if len(ids) else 0
+        if size > len(self._filled):
+            grow = size - len(self._filled)
+            empty = np.zeros((grow, brief.DESCRIPTOR_BYTES), dtype=np.uint8)
+            self._table = np.vstack([self._table, empty])
+            self._filled = np.concatenate([self._filled, np.zeros(grow, dtype=bool)])
+        for i in np.unique(ids[~self._filled[ids]]).tolist():
+            self._table[i] = brief.random_descriptor(np.random.default_rng(self._seed + i))
+            self._filled[i] = True
+        return self._table[ids]
 
 
 class FeatureOracle:
@@ -150,7 +170,6 @@ class FeatureOracle:
     def __init__(
         self,
         camera: PinholeCamera,
-        stereo: Optional[StereoRig] = None,
         pixel_sigma: float = 0.4,
         descriptor_flip_bits: int = 8,
         dropout: float = 0.05,
@@ -160,7 +179,6 @@ class FeatureOracle:
         descriptor_bank: Optional[DescriptorBank] = None,
     ) -> None:
         self.camera = camera
-        self.stereo = stereo
         self.pixel_sigma = pixel_sigma
         self.descriptor_flip_bits = descriptor_flip_bits
         self.dropout = dropout
@@ -179,55 +197,34 @@ class FeatureOracle:
         if len(positions) == 0:
             return FeatureSet()
         uv, depth, valid = self.camera.project_world(positions, pose_cw)
-        visible = np.nonzero(valid)[0]
+        visible = np.flatnonzero(valid)
         if len(visible) == 0:
             return FeatureSet()
+        # The seeded contract: per frame, in this order, the dropout draw,
+        # the over-budget subsample, one (n, 2) block of pixel noise, then
+        # for the features whose noisy pixel stays in the image the k
+        # columns of flipped bits and one block of depth noise.  The
+        # number of calls does not depend on the number of features.
+        rng = self._rng
         if self.dropout > 0:
-            keep = self._rng.random(len(visible)) >= self.dropout
-            visible = visible[keep]
+            visible = visible[rng.random(len(visible)) >= self.dropout]
         # Subsample uniformly when over budget.  (Selecting the *nearest*
         # landmarks instead is tempting but degenerate: close to a wall
         # the whole feature set becomes coplanar and PnP turns ambiguous.
         # Real FAST responses are not depth-ordered either.)
         if len(visible) > self.max_features:
-            visible = self._rng.choice(visible, size=self.max_features, replace=False)
-            visible = np.sort(visible)
-        # The generator calls below, per feature and in this order, are the
-        # seeded contract: the uv noise, then (only for a feature that
-        # stays in the image) the flipped bits, the depth noise and the
-        # stereo noise.  Everything else is one array expression per frame.
-        # The stereo draw once jittered a right-image column that nothing
-        # read; the column is gone, but the draw stays, since every seeded
-        # digest downstream rests on the generator's sequence.
-        rng = self._rng
-        sigma = self.pixel_sigma
-        width, height = self.camera.width, self.camera.height
-        n_flip = min(self.descriptor_flip_bits, brief.DESCRIPTOR_BITS)
-        kept: List[int] = []
-        noisy_uv: List[List[float]] = []
-        flipped: List[np.ndarray] = []
-        depth_noise: List[float] = []
-        for idx, (u, v) in zip(visible.tolist(), uv[visible].tolist()):
-            du, dv = rng.normal(scale=sigma, size=2).tolist()
-            u, v = u + du, v + dv
-            if not (0.0 <= u < width and 0.0 <= v < height):  # in_image
-                continue
-            kept.append(idx)
-            noisy_uv.append([u, v])
-            if n_flip > 0:
-                flipped.append(rng.choice(brief.DESCRIPTOR_BITS, size=n_flip, replace=False))
-            depth_noise.append(rng.normal(scale=self.depth_sigma_rel))
-            if self.stereo is not None:
-                rng.normal(scale=sigma)
-        if not kept:
+            visible = np.sort(rng.choice(visible, size=self.max_features, replace=False))
+        noisy_uv = uv[visible] + rng.normal(scale=self.pixel_sigma, size=(len(visible), 2))
+        u, v = noisy_uv.T
+        inside = (u >= 0.0) & (u < self.camera.width) & (v >= 0.0) & (v < self.camera.height)
+        kept = visible[inside]
+        if len(kept) == 0:
             return FeatureSet()
-
         ids = np.asarray(landmark_ids)[kept].astype(np.int64)
-        descriptors = np.array([self.bank.descriptor(i) for i in ids.tolist()])
-        if flipped:
-            row_bits = np.arange(len(kept)) * brief.DESCRIPTOR_BITS
-            brief.flip_packed_bits(
-                descriptors, (row_bits[:, None] + np.array(flipped)).ravel()
-            )
-        noisy_depth = np.maximum(depth[kept] * (1.0 + np.array(depth_noise)), 1e-3)
-        return FeatureSet(np.array(noisy_uv), descriptors, noisy_depth, ids)
+        descriptors = self.bank.rows(ids)
+        flipped = brief.random_bit_subsets(rng, len(kept), self.descriptor_flip_bits)
+        row_bits = np.arange(len(kept))[:, None] * brief.DESCRIPTOR_BITS
+        brief.flip_packed_bits(descriptors, (row_bits + flipped).ravel())
+        depth_noise = rng.normal(scale=self.depth_sigma_rel, size=len(kept))
+        noisy_depth = np.maximum(depth[kept] * (1.0 + depth_noise), 1e-3)
+        return FeatureSet(noisy_uv[inside], descriptors, noisy_depth, ids)

@@ -26,19 +26,12 @@ only the poses it steps from, must reproduce it bit for bit.
 ``np.ix_`` gather per corner, from before ``repro.vision.image.downsample``
 blended each source row once; the two must return the same bytes.
 
-The session's input side, from before it was batched: ``observe_reference``
-is ``FeatureOracle.observe``'s one-feature-at-a-time loop (with
-``perturb_descriptor_reference``, the ``unpackbits`` / ``packbits`` bit
-flip), ``synthesize_imu_reference`` the per-sample IMU noise loop and
+The session's input side, from before it was batched:
+``synthesize_imu_reference`` is the per-sample IMU noise loop and
 ``sample_reference`` the ``np.searchsorted`` trajectory lookup.  The live
 bodies must return the same bytes *and* leave the generator in the same
 state, since the call sequence is the seeded contract.
-``observe_reference`` returns one ``ObservedFeature`` per feature, the
-per-object type the oracle handed out before it returned a
-``FeatureSet``; ``frame_from_observations_reference`` is
-``Frame.from_observations`` filling the batch's columns from that list
-one feature at a time, and ``assert_same_batch`` compares two batches
-column by column.
+``assert_same_batch`` compares two feature batches column by column.
 
 The device half's loops, from before it ran in whole-array passes:
 ``estimate_global_shift_reference`` scores the global motion search one
@@ -58,7 +51,6 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -104,7 +96,7 @@ from repro.vision.fast import (
 from repro.vision.image import Image, ImagePyramid
 from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, Match
 from repro.vision.orb import FeatureSet, OrbExtractorConfig
-from repro.vision.render import PATCH_SIZE, FeatureOracle
+from repro.vision.render import PATCH_SIZE
 
 _PATTERN = sampling_pattern()
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -1033,73 +1025,6 @@ def landmark_patch(landmark_id: int, size: int = PATCH_SIZE) -> np.ndarray:
 
 
 # --------------------------------------------------------------- input side
-def perturb_descriptor_reference(
-    descriptor: np.ndarray, rng: np.random.Generator, flip_bits: int
-) -> np.ndarray:
-    """Flip ``flip_bits`` random bits through an unpacked bit vector."""
-    if flip_bits <= 0:
-        return descriptor.copy()
-    bits = np.unpackbits(descriptor)
-    idx = rng.choice(bits.size, size=min(flip_bits, bits.size), replace=False)
-    bits[idx] ^= 1
-    return np.packbits(bits)
-
-
-@dataclass
-class ObservedFeature:
-    """One oracle observation: where a landmark landed in the frame."""
-
-    landmark_id: int
-    uv: np.ndarray
-    depth: float
-    descriptor: np.ndarray
-
-
-def observe_reference(
-    oracle: FeatureOracle,
-    positions: np.ndarray,
-    landmark_ids: np.ndarray,
-    pose_cw: SE3,
-) -> List[ObservedFeature]:
-    """``FeatureOracle.observe`` one feature at a time, on ``oracle._rng``."""
-    if len(positions) == 0:
-        return []
-    uv, depth, valid = oracle.camera.project_world(positions, pose_cw)
-    visible = np.nonzero(valid)[0]
-    if len(visible) == 0:
-        return []
-    if oracle.dropout > 0:
-        keep = oracle._rng.random(len(visible)) >= oracle.dropout
-        visible = visible[keep]
-    if len(visible) > oracle.max_features:
-        visible = oracle._rng.choice(visible, size=oracle.max_features, replace=False)
-        visible = np.sort(visible)
-    observations: List[ObservedFeature] = []
-    for idx in visible:
-        noisy_uv = uv[idx] + oracle._rng.normal(scale=oracle.pixel_sigma, size=2)
-        if not oracle.camera.in_image(noisy_uv[None])[0]:
-            continue
-        descriptor = perturb_descriptor_reference(
-            oracle.bank.descriptor(int(landmark_ids[idx])),
-            oracle._rng,
-            oracle.descriptor_flip_bits,
-        )
-        noisy_depth = float(
-            depth[idx] * (1.0 + oracle._rng.normal(scale=oracle.depth_sigma_rel))
-        )
-        if oracle.stereo is not None:
-            oracle._rng.normal(scale=oracle.pixel_sigma)  # the stereo draw, kept unused
-        observations.append(
-            ObservedFeature(
-                landmark_id=int(landmark_ids[idx]),
-                uv=noisy_uv,
-                depth=max(noisy_depth, 1e-3),
-                descriptor=descriptor,
-            )
-        )
-    return observations
-
-
 def sample_reference(trajectory: Trajectory, timestamp: float) -> TrajectoryPoint:
     """``Trajectory.sample`` through ``np.searchsorted`` on a fresh time array."""
     times = trajectory.timestamps
@@ -1184,19 +1109,3 @@ def synthesize_imu_reference(
         samples.append(ImuSample(float(t), omega, specific_force))
     return samples
 
-
-def frame_from_observations_reference(
-    observations: List[ObservedFeature],
-) -> FeatureSet:
-    """The batch of ``observations``, four row assignments per feature."""
-    n = len(observations)
-    uv = np.zeros((n, 2))
-    descriptors = np.zeros((n, DESCRIPTOR_BYTES), dtype=np.uint8)
-    depths = np.zeros(n)
-    landmark_ids = np.zeros(n, dtype=np.int64)
-    for i, obs in enumerate(observations):
-        uv[i] = obs.uv
-        descriptors[i] = obs.descriptor
-        depths[i] = obs.depth
-        landmark_ids[i] = obs.landmark_id
-    return FeatureSet(uv, descriptors, depths, landmark_ids)

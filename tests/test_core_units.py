@@ -124,7 +124,7 @@ class TestSlamShareServer:
     def test_process_frame_publishes_keyframes(self):
         ds, server = self._server()
         server.add_client(0, ds.pose_cw(0).rotation @ GRAVITY_W)
-        oracle = ds.make_oracle(stereo=True)
+        oracle = ds.make_oracle()
         wrote = 0
         for ts, obs in ds.frames(oracle):
             result = server.process_frame(0, ts, obs)
@@ -135,7 +135,7 @@ class TestSlamShareServer:
     def test_tracking_latency_reported(self):
         ds, server = self._server()
         server.add_client(0, ds.pose_cw(0).rotation @ GRAVITY_W)
-        oracle = ds.make_oracle(stereo=True)
+        oracle = ds.make_oracle()
         ts, obs = next(iter(ds.frames(oracle)))
         result = server.process_frame(0, ts, obs)
         assert result.latency.total > 0

@@ -320,9 +320,21 @@ class TestMergeRobustness:
         retry = merger.merge_maps(process.system.map, client_id=1)
         assert retry.success
 
-    def test_disjoint_client_never_merges_but_tracks(self):
+    def test_disjoint_client_never_merges_but_tracks(self, monkeypatch):
         """A client in a different room keeps its own map and keeps
-        tracking; the session must not force a bogus merge."""
+        tracking; the session must not force a bogus merge.  The room
+        looks nothing like the hall, so no candidate pair carries the
+        descriptor matches to reach Sim3 RANSAC."""
+        from repro.slam import merging
+
+        hypotheses = []
+        ransac = merging.ransac_umeyama
+
+        def counting(*args, **kwargs):
+            hypotheses.append(args)
+            return ransac(*args, **kwargs)
+
+        monkeypatch.setattr(merging, "ransac_umeyama", counting)
         mh04 = euroc_dataset("MH04", duration=10.0, rate=10.0)
         v202 = euroc_dataset("V202", duration=8.0, rate=10.0)
         config = SlamShareConfig(camera_fps=10.0, render_video_frames=False)
@@ -336,6 +348,7 @@ class TestMergeRobustness:
         )
         result = session.run()
         assert not result.merges
+        assert hypotheses == []
         # Both clients track fine in their own frames.
         for cid in (0, 1):
             assert result.client_ate(cid).rmse < 0.10

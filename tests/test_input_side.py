@@ -1,11 +1,14 @@
-"""The session's input side against its one-item-at-a-time references.
+"""The session's input side: the feature oracle's seeded contract, and
+``synthesize_imu`` / ``Trajectory.sample`` against their one-item-at-a-time
+references.
 
-``FeatureOracle.observe``, ``perturb_descriptor``, ``synthesize_imu``
-and ``Trajectory.sample`` batch what the bodies in ``tests/oracles.py``
-did per feature or per sample; ``observe`` returns the columns that
-``Frame.from_observations`` once assembled from one object per feature.
-Their generator calls are the seeded contract, so each case asserts the
-same bytes, the same dtypes and the same generator state afterwards.
+``FeatureOracle.observe`` draws a fixed number of whole-array blocks per
+frame, whatever its feature count; its cases check what each block
+models (noise statistics, exact flip counts, dropout rate, budget) and
+that a seeded rerun repeats the frames and the generator state.
+``synthesize_imu`` and ``Trajectory.sample`` batch what the bodies in
+``tests/oracles.py`` did per sample, so those cases assert the same
+bytes, the same dtypes and the same generator state afterwards.
 """
 
 from __future__ import annotations
@@ -15,24 +18,18 @@ import functools
 import numpy as np
 import pytest
 
-from repro.datasets import euroc_dataset
+from repro.datasets import euroc_dataset, kitti_dataset
 from repro.geometry import SE3, Trajectory, TrajectoryPoint, quaternion
 from repro.imu import synthesize_imu
+from repro.vision import FeatureOracle, FeatureSet, PinholeCamera
 from repro.vision.brief import (
     DESCRIPTOR_BITS,
     flip_packed_bits,
     perturb_descriptor,
+    random_bit_subsets,
     random_descriptor,
 )
-from repro.vision import FeatureSet
-from tests.oracles import (
-    assert_same_batch,
-    frame_from_observations_reference,
-    observe_reference,
-    perturb_descriptor_reference,
-    sample_reference,
-    synthesize_imu_reference,
-)
+from tests.oracles import assert_same_batch, sample_reference, synthesize_imu_reference
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,69 +41,162 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
-def observe_batch_reference(oracle, positions, landmark_ids, pose):
-    return frame_from_observations_reference(
-        observe_reference(oracle, positions, landmark_ids, pose))
+def _distance_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.unpackbits(a ^ b, axis=-1).sum(axis=-1)
 
 
-def _oracles(stereo, **kwargs):
-    ds = _dataset()
-    return (ds.make_oracle(stereo=stereo, seed=5, **kwargs),
-            ds.make_oracle(stereo=stereo, seed=5, **kwargs))
+def _field(n=20_000, seed=10):
+    """A camera and ``n`` landmarks well inside its view from the origin."""
+    camera = PinholeCamera.ideal(320, 240)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(3.0, 10.0, n)
+    positions = np.column_stack([rng.uniform(-0.5, 0.5, n) * z,
+                                 rng.uniform(-0.4, 0.4, n) * z, z])
+    return camera, positions, np.arange(n)
 
 
-class TestObserveMatchesReference:
-    @pytest.mark.parametrize("stereo", [False, True], ids=["mono", "stereo"])
-    @pytest.mark.parametrize("kwargs", [
-        {},
-        {"descriptor_flip_bits": 0},
-        {"descriptor_flip_bits": 300},
-        {"dropout": 0.0},
-        {"max_features": 40},
-        {"pixel_sigma": 5.0},
-    ], ids=["default", "flip0", "flip300", "no-dropout", "subsample", "sigma5"])
-    def test_frames_byte_equal_and_same_generator_state(self, stereo, kwargs):
-        ds = _dataset()
-        live, ref = _oracles(stereo, **kwargs)
-        n_observed = 0
-        for index in range(0, ds.n_frames, 3):
-            pose = ds.pose_cw(index)
-            got = live.observe(ds.world.positions, ds.world.ids, pose)
-            want = observe_batch_reference(ref, ds.world.positions, ds.world.ids, pose)
-            assert_same_batch(got, want)
-            assert live._rng.bit_generator.state == ref._rng.bit_generator.state
-            n_observed += len(got)
-        assert n_observed > 100
+class _CountingGenerator:
+    """Forwards to a generator and counts the calls made through it."""
 
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestObserveContract:
     def test_wide_pixel_noise_takes_the_out_of_image_exit(self):
-        # At sigma 5 px some features land outside the image; they stop
-        # after their uv draw, which the reference comparison above
-        # covers only if the exit is actually taken.
         ds = _dataset()
-        oracle, _ = _oracles(False, pixel_sigma=5.0, dropout=0.0, max_features=10_000)
+        oracle = ds.make_oracle(seed=5, pixel_sigma=5.0, dropout=0.0, max_features=10_000)
         pose = ds.pose_cw(0)
         _, _, valid = ds.camera.project_world(ds.world.positions, pose)
         observed = oracle.observe(ds.world.positions, ds.world.ids, pose)
         assert 0 < len(observed) < int(valid.sum())
+        assert ((observed.uv >= 0) & (observed.uv < [ds.camera.width, ds.camera.height])).all()
 
     def test_subsample_keeps_the_budget(self):
         ds = _dataset()
-        oracle, _ = _oracles(False, max_features=40)
+        oracle = ds.make_oracle(seed=5, max_features=40)
         observed = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(0))
         assert 30 < len(observed) <= 40
         assert (np.diff(observed.landmark_ids) > 0).all()
 
-    @pytest.mark.parametrize("stereo", [False, True], ids=["mono", "stereo"])
-    def test_empty_field_and_nothing_visible_draw_nothing(self, stereo):
-        live, ref = _oracles(stereo)
-        before = live._rng.bit_generator.state
+    def test_empty_field_and_nothing_visible_draw_nothing(self):
+        oracle = _dataset().make_oracle(seed=5)
+        before = oracle._rng.bit_generator.state
         empty = np.zeros((0, 3))
-        assert_same_batch(live.observe(empty, np.zeros(0, dtype=np.int64), SE3()),
+        assert_same_batch(oracle.observe(empty, np.zeros(0, dtype=np.int64), SE3()),
                           FeatureSet())
         behind = np.array([[0.0, 0.0, -2.0], [0.5, 0.1, -3.0]])
-        assert_same_batch(live.observe(behind, np.array([1, 2]), SE3()), FeatureSet())
-        assert observe_reference(ref, behind, np.array([1, 2]), SE3()) == []
-        assert live._rng.bit_generator.state == before == ref._rng.bit_generator.state
+        assert_same_batch(oracle.observe(behind, np.array([1, 2]), SE3()), FeatureSet())
+        assert oracle._rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("flip_bits", [0, 8, 300])
+    def test_kept_descriptors_are_exactly_k_bits_from_their_bank_rows(self, flip_bits):
+        ds = _dataset()
+        oracle = ds.make_oracle(seed=5, descriptor_flip_bits=flip_bits)
+        n_observed = 0
+        for index in range(0, ds.n_frames, 3):
+            got = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(index))
+            rows = oracle.bank.rows(got.landmark_ids)
+            assert (_distance_bits(got.descriptors, rows) == min(flip_bits, 256)).all()
+            n_observed += len(got)
+        assert n_observed > 100
+
+    def test_pixel_and_depth_noise_statistics(self):
+        camera, positions, ids = _field()
+        oracle = FeatureOracle(camera, pixel_sigma=0.4, depth_sigma_rel=0.01,
+                               dropout=0.0, max_features=len(ids), seed=3)
+        got = oracle.observe(positions, ids, SE3())
+        uv, depth, _ = camera.project_world(positions[got.landmark_ids], SE3())
+        assert len(got) == len(ids)   # nothing is near enough the border to leave
+        du = got.uv - uv
+        rel = got.depths / depth - 1.0
+        n = len(got)
+        # Means within 4 standard errors, std-devs within 4 % (≈ 5.6 of
+        # theirs at n = 20 000).
+        assert np.abs(du.mean(axis=0)).max() < 4 * 0.4 / np.sqrt(n)
+        assert np.allclose(du.std(axis=0), 0.4, rtol=0.04)
+        assert abs(rel.mean()) < 4 * 0.01 / np.sqrt(n)
+        assert rel.std() == pytest.approx(0.01, rel=0.04)
+        # The axes and the two noises are drawn independently.
+        assert abs(np.corrcoef(du[:, 0], du[:, 1])[0, 1]) < 4 / np.sqrt(n)
+        assert abs(np.corrcoef(du[:, 0], rel)[0, 1]) < 4 / np.sqrt(n)
+
+    def test_dropout_rate(self):
+        camera, positions, ids = _field()
+        oracle = FeatureOracle(camera, pixel_sigma=0.0, dropout=0.2,
+                               max_features=len(ids), seed=4)
+        kept = len(oracle.observe(positions, ids, SE3()))
+        expected = 0.8 * len(ids)
+        assert abs(kept - expected) < 4 * np.sqrt(len(ids) * 0.2 * 0.8)
+
+    def test_feature_budget_is_met_exactly_and_uniformly(self):
+        camera, positions, ids = _field(n=2_000)
+        oracle = FeatureOracle(camera, pixel_sigma=0.0, dropout=0.0, max_features=300, seed=5)
+        chosen = np.concatenate([oracle.observe(positions, ids, SE3()).landmark_ids
+                                 for _ in range(20)])
+        assert len(chosen) == 20 * 300
+        # Every landmark is picked with probability 0.15 a frame: none is
+        # favoured by depth, and the first and second halves draw alike.
+        counts = np.bincount(chosen, minlength=len(ids))
+        assert abs(counts[:1000].sum() - counts[1000:].sum()) < 4 * np.sqrt(len(chosen) / 4)
+
+    def test_seeded_rerun_gives_equal_frames_and_generator_state(self):
+        ds = _dataset()
+        first, second = ds.make_oracle(seed=5), ds.make_oracle(seed=5)
+        for index in range(0, ds.n_frames, 4):
+            pose = ds.pose_cw(index)
+            assert_same_batch(first.observe(ds.world.positions, ds.world.ids, pose),
+                              second.observe(ds.world.positions, ds.world.ids, pose))
+            assert first._rng.bit_generator.state == second._rng.bit_generator.state
+
+    @pytest.mark.parametrize("flip_bits", [0, 8])
+    def test_draws_per_frame_do_not_depend_on_the_feature_count(self, flip_bits):
+        camera, positions, ids = _field(n=2_000)
+        oracle = FeatureOracle(camera, descriptor_flip_bits=flip_bits, max_features=300)
+        oracle._rng = counting = _CountingGenerator(oracle._rng)
+        for n in (50, 250, 2_000):
+            counting.calls.clear()
+            assert len(oracle.observe(positions[:n], ids[:n], SE3())) > 0.8 * min(n, 300)
+            budget = ["choice"] if n > 300 else []
+            assert counting.calls == (["random"] + budget + ["normal"]
+                                      + ["integers"] * flip_bits + ["normal"])
+
+
+class TestWorldAppearance:
+    def test_the_machine_hall_keeps_its_rows_and_other_worlds_get_their_own(self):
+        ids = np.arange(0, 1440, 37)
+        hall = [euroc_dataset(n, duration=1.0).descriptor_bank().rows(ids)
+                for n in ("MH04", "MH05")]
+        for i, row in zip(ids.tolist(), hall[0]):
+            assert row.tobytes() == random_descriptor(np.random.default_rng(0xD5C + i)).tobytes()
+        assert hall[0].tobytes() == hall[1].tobytes()
+        others = [euroc_dataset("V202", duration=1.0).descriptor_bank().rows(ids)]
+        others += [kitti_dataset(n, duration=1.0).descriptor_bank().rows(ids)
+                   for n in ("KITTI-00", "KITTI-05")]
+        banks = [hall[0]] + others
+        for a in range(len(banks)):
+            for b in range(a + 1, len(banks)):
+                # Unrelated descriptors sit about 128 bits apart.
+                assert _distance_bits(banks[a], banks[b]).min() > 80
+
+    def test_bank_rows_are_a_copy_and_negative_ids_are_refused(self):
+        bank = _dataset().descriptor_bank()
+        rows = bank.rows([3, 1, 3])
+        assert rows[0].tobytes() == rows[2].tobytes()
+        rows[0] ^= 0xFF
+        assert bank.rows([3])[0].tobytes() == rows[2].tobytes()
+        with pytest.raises(ValueError):
+            bank.rows([-1])
 
 
 class TestDescriptorFlips:
@@ -116,11 +206,27 @@ class TestDescriptorFlips:
         for _ in range(20):
             d = random_descriptor(np.random.default_rng(9))
             got = perturb_descriptor(d, rng_live, flip_bits)
-            want = perturb_descriptor_reference(d, rng_ref, flip_bits)
+            bits = np.unpackbits(d)
+            bits[random_bit_subsets(rng_ref, 1, flip_bits)[0]] ^= 1
+            want = np.packbits(bits)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            assert _distance_bits(got, d) == max(0, min(flip_bits, 256))
             assert got is not d
         assert rng_live.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 8, 100, 256])
+    def test_subsets_are_distinct_and_uniform(self, k):
+        n_rows = 4_000
+        subsets = random_bit_subsets(np.random.default_rng(k), n_rows, k)
+        assert subsets.shape == (n_rows, k)
+        assert subsets.min() >= 0 and subsets.max() < DESCRIPTOR_BITS
+        ordered = np.sort(subsets, axis=1)
+        assert (np.diff(ordered, axis=1) > 0).all()
+        # Each bit is in a row's subset with probability k / 256.
+        counts = np.bincount(subsets.ravel(), minlength=DESCRIPTOR_BITS)
+        p = k / DESCRIPTOR_BITS
+        assert np.abs(counts - n_rows * p).max() <= 5 * np.sqrt(n_rows * p * (1 - p)) + 1e-9
 
     def test_rows_flip_in_unpackbits_order_with_shared_bytes(self):
         rng = np.random.default_rng(12)
@@ -208,20 +314,3 @@ class TestSynthesizeImuMatchesReference:
             assert a.accel.tobytes() == b.accel.tobytes()
         assert len(made) == 2
         assert made[0].bit_generator.state == made[1].bit_generator.state
-
-
-class TestFrameFromObservations:
-    """``observe``'s batch against the columns built from one object per feature."""
-
-    @pytest.mark.parametrize("stereo", [False, True], ids=["mono", "stereo"])
-    def test_arrays_byte_equal_with_the_same_dtypes(self, stereo):
-        ds = _dataset()
-        live, ref = _oracles(stereo)
-        for index in (0, 5):
-            pose = ds.pose_cw(index)
-            got = live.observe(ds.world.positions, ds.world.ids, pose)
-            want = observe_batch_reference(ref, ds.world.positions, ds.world.ids, pose)
-            assert len(got) > 50 and (got.landmark_ids >= 0).all()
-            assert_same_batch(got, want)
-            assert live._rng.bit_generator.state == ref._rng.bit_generator.state
-        assert_same_batch(frame_from_observations_reference([]), FeatureSet())

@@ -32,7 +32,7 @@ class TestRelocalizer:
     def test_relocalizes_revisit_frame(self, mapped_system):
         ds, system = mapped_system
         # A fresh observation of a place already in the map, no prior.
-        oracle = ds.make_oracle(stereo=True, seed=77)
+        oracle = ds.make_oracle(seed=77)
         idx = 30
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(idx))
         frame = Frame(9999, 999.0, obs)
@@ -48,7 +48,7 @@ class TestRelocalizer:
     def test_fails_on_unseen_place(self, mapped_system):
         ds, system = mapped_system
         other = euroc_dataset("V202", duration=2.0, rate=10.0)
-        oracle = other.make_oracle(stereo=True, seed=78)
+        oracle = other.make_oracle(seed=78)
         obs = oracle.observe(other.world.positions, other.world.ids,
                              other.pose_cw(0))
         frame = Frame(9999, 999.0, obs)
@@ -74,7 +74,7 @@ class TestRelocalizer:
             ds.camera, SlamConfig(relocalize_on_loss=True),
             gravity=ds.pose_cw(0).rotation @ GRAVITY_W,
         )
-        oracle = ds.make_oracle(stereo=True)
+        oracle = ds.make_oracle()
         imu = ImuBuffer(synthesize_imu(ds.ground_truth, rate_hz=200.0))
         prev = None
         statuses = []
@@ -178,7 +178,7 @@ class TestLoopCloser:
         # Ensure a generous temporal gap requirement is satisfiable: the
         # lap period is 40 s.
         system.loop_closer.config = LoopCloserConfig(min_temporal_gap_s=15.0)
-        oracle = ds.make_oracle(stereo=True)
+        oracle = ds.make_oracle()
         imu = ImuBuffer(synthesize_imu(ds.ground_truth, rate_hz=200.0))
         prev = None
         for ts, obs in ds.frames(oracle):

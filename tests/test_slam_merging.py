@@ -14,6 +14,7 @@ from repro.slam import (
     default_vocabulary,
     detect_common_region,
 )
+from repro.vision import DescriptorBank
 from tests.test_slam_system import run_system
 
 VOCAB = default_vocabulary()
@@ -35,7 +36,7 @@ def build_two_clients(duration=12.0, mono_scale_b=1.0):
             ds.camera, cfg, client_id=client_id, vocabulary=VOCAB,
             gravity=ds.pose_cw(0).rotation @ GRAVITY_W,
         )
-        oracle = ds.make_oracle(stereo=True, seed=seeds[0])
+        oracle = ds.make_oracle(seed=seeds[0])
         imu = ImuBuffer(synthesize_imu(ds.ground_truth, rate_hz=200.0,
                                        seed=seeds[1]))
         prev = None
@@ -139,18 +140,30 @@ class TestMapMerging:
         assert result.n_fused_points > 0
         assert sys_a.map.n_mappoints == n_before - result.n_fused_points
 
-    def test_merge_fails_for_disjoint_maps(self):
-        # A V202 (small Vicon room) map shares no landmarks with MH04.
+    def test_merge_fails_for_disjoint_maps(self, monkeypatch):
+        # A V202 (small Vicon room) map shares no landmarks and no
+        # appearance with MH04: place recognition may still propose
+        # pairs, but no descriptor matches, so none reaches Sim3 RANSAC.
         from repro.datasets import euroc_dataset as make
+        from repro.slam import merging
 
         ds_v = make("V202", duration=6.0, rate=10.0)
         sys_v, _ = run_system(ds_v, client_id=1)
         # A failed attempt is read-only, so the shared template will do.
         sys_a = _SYS_A_TEMPLATE
         merger = MapMerger(sys_a.map, sys_a.database, _DS_A.camera)
+        hypotheses = []
+        ransac = merging.ransac_umeyama
+
+        def counting(*args, **kwargs):
+            hypotheses.append(args)
+            return ransac(*args, **kwargs)
+
+        monkeypatch.setattr(merging, "ransac_umeyama", counting)
         result = merger.merge_maps(sys_v.map, client_id=1)
         assert not result.success
         assert result.n_keyframes_checked > 0
+        assert hypotheses == []
 
     def test_newest_only_trigger_checks_fewer(self, merged):
         # Ablation A2: vanilla ORB-SLAM3 merge policy checks only the
@@ -206,9 +219,13 @@ class TestRejectedPairMemo:
 
     @pytest.fixture(scope="class")
     def disjoint(self):
-        # A V202 (small Vicon room) map shares no landmarks with MH04.
+        """A V202 (small Vicon room) map that shares no landmarks with MH04
+        but, on purpose, the machine hall's appearance: its descriptors
+        match the hall's id for id, so every pair it is offered carries
+        enough correspondences to reach Sim3 RANSAC and fails on
+        geometry, which is the failure the memo has to remember."""
         ds_v = euroc_dataset("V202", duration=6.0, rate=10.0)
-        sys_v, _ = run_system(ds_v, client_id=1)
+        sys_v, _ = run_system(ds_v, client_id=1, descriptor_bank=DescriptorBank())
         assert sys_v.map.n_keyframes >= 4
         return sys_v
 

@@ -10,8 +10,8 @@ from repro.slam import SlamConfig, SlamSystem, Tracker
 from repro.vision import FeatureSet, OrbExtractor, render_frame
 
 
-def run_system(dataset, duration=None, stereo=True, mono_scale=1.0,
-               oracle_seed=7, imu_seed=11, config=None, client_id=0):
+def run_system(dataset, duration=None, mono_scale=1.0, oracle_seed=7,
+               imu_seed=11, config=None, client_id=0, **oracle_kwargs):
     """Drive a SlamSystem through a dataset with IMU priors."""
     t0_pose = dataset.pose_cw(0)
     config = config or SlamConfig(mono_scale=mono_scale)
@@ -19,7 +19,7 @@ def run_system(dataset, duration=None, stereo=True, mono_scale=1.0,
         dataset.camera, config, client_id=client_id,
         gravity=t0_pose.rotation @ GRAVITY_W,
     )
-    oracle = dataset.make_oracle(stereo=stereo, seed=oracle_seed)
+    oracle = dataset.make_oracle(seed=oracle_seed, **oracle_kwargs)
     imu = ImuBuffer(
         synthesize_imu(dataset.ground_truth, rate_hz=200.0, seed=imu_seed)
     )
@@ -79,7 +79,7 @@ class TestSingleUserSlam:
     def test_tracking_without_prior_fails_gracefully(self):
         ds = euroc_dataset("MH04", duration=2.0, rate=10.0)
         system = SlamSystem(ds.camera, SlamConfig())
-        oracle = ds.make_oracle(stereo=True)
+        oracle = ds.make_oracle()
         frames = list(ds.frames(oracle))
         system.process_frame(*frames[0])  # bootstrap
         # No IMU, no gravity: constant-velocity still tracks short term.
@@ -89,7 +89,7 @@ class TestSingleUserSlam:
     def test_lost_frames_counted(self):
         ds = euroc_dataset("MH04", duration=2.0, rate=10.0)
         system = SlamSystem(ds.camera, SlamConfig())
-        oracle = ds.make_oracle(stereo=True)
+        oracle = ds.make_oracle()
         frames = list(ds.frames(oracle))
         system.process_frame(*frames[0])
         system.process_frame(frames[1][0], FeatureSet())  # empty observation set
@@ -99,7 +99,7 @@ class TestSingleUserSlam:
         ds = euroc_dataset("MH04", duration=3.0, rate=10.0)
         system, _ = run_system(ds, duration=3.0)
         # Exercise one more frame to check the workload fields.
-        oracle = ds.make_oracle(stereo=True, seed=99)
+        oracle = ds.make_oracle(seed=99)
         ts, obs = next(iter(ds.frames(oracle)))
         result = system.process_frame(ts + 100.0, obs)
         w = result.tracking.workload
@@ -137,7 +137,7 @@ class TestFeatureBatch:
     def test_tracked_frames_carry_the_oracles_batch(self, monkeypatch):
         ds = euroc_dataset("MH04", duration=2.0, rate=10.0)
         observed, tracked = [], []
-        oracle = ds.make_oracle(stereo=True)
+        oracle = ds.make_oracle()
         observe, track = oracle.observe, Tracker.track
 
         def recording_observe(*args):
@@ -177,7 +177,7 @@ class TestFeatureBatch:
             assert result.tracking.frame.features is features  # no adapter
             assert not result.tracking.success and result.keyframe is None
             assert not system.initialized and system.map.n_keyframes == 0
-        (ts, features), = ds.frames(ds.make_oracle(stereo=True), limit=1)
+        (ts, features), = ds.frames(ds.make_oracle(), limit=1)
         result = system.process_frame(ts, features)
         fresh = SlamSystem(ds.camera, SlamConfig()).process_frame(ts, features)
         assert result.tracking.success and system.initialized

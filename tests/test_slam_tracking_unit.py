@@ -118,7 +118,7 @@ class TestTracker:
 
         tracker = Tracker(SlamMap(), ds.camera)
         tracker.force_pose(SE3.identity())
-        oracle = ds.make_oracle(stereo=True, seed=50)
+        oracle = ds.make_oracle(seed=50)
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(0))
         frame = Frame(0, 0.0, obs)
         result = tracker.track(frame)
@@ -127,7 +127,7 @@ class TestTracker:
 
     def test_track_populates_workload(self, mapped):
         ds, system = mapped
-        oracle = ds.make_oracle(stereo=True, seed=51)
+        oracle = ds.make_oracle(seed=51)
         idx = 55
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(idx))
         frame = Frame(999, 100.0, obs)
@@ -141,7 +141,7 @@ class TestTracker:
 
     def test_track_marks_inlier_points(self, mapped):
         ds, system = mapped
-        oracle = ds.make_oracle(stereo=True, seed=52)
+        oracle = ds.make_oracle(seed=52)
         idx = 50
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(idx))
         frame = Frame(999, 200.0, obs)
@@ -156,7 +156,7 @@ class TestTracker:
         # The retired tier rebuilt in place: over the CPU-sequential
         # search the tracker must land on the same matches and pose.
         ds, system = mapped
-        oracle = ds.make_oracle(stereo=True, seed=53)
+        oracle = ds.make_oracle(seed=53)
         idx = 50
         obs = oracle.observe(ds.world.positions, ds.world.ids, ds.pose_cw(idx))
         prior = ds.pose_cw(idx) * ds.pose_cw(0).inverse()

@@ -300,8 +300,8 @@ class TestFeatureOracle:
                                descriptor_bank=bank, seed=2)
         obs = oracle.observe(pts, ids, SE3.identity())
         assert len(obs) > 20
-        for descriptor, landmark_id in zip(obs.descriptors, obs.landmark_ids.tolist()):
-            assert hamming_distance(descriptor, bank.descriptor(landmark_id)) == 4
+        for descriptor, row in zip(obs.descriptors, bank.rows(obs.landmark_ids)):
+            assert hamming_distance(descriptor, row) == 4
 
     def test_max_features_uniform_subsample(self):
         cam, pts, ids = self._setup()
