@@ -157,7 +157,3 @@ class SlamShareClient:
     # ------------------------------------------------------------- metrics
     def displayed_trajectory(self) -> Trajectory:
         return Trajectory(list(self.display_trajectory))
-
-    @property
-    def merged(self) -> bool:
-        return self._merge_transform is not None

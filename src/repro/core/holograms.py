@@ -49,12 +49,6 @@ class HologramRegistry:
     def get(self, hologram_id: int) -> Optional[Hologram]:
         return self._holograms.get(hologram_id)
 
-    def __len__(self) -> int:
-        return len(self._holograms)
-
-    def all(self):
-        return list(self._holograms.values())
-
 
 def perceived_position(
     hologram: Hologram, frame_of_viewer: Sim3

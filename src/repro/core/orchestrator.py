@@ -274,22 +274,6 @@ class ServingReport:
     store: Dict[str, object] = field(default_factory=dict)
     lock_wait_ms: Dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "mode": self.mode,
-            "n_workers": self.n_workers,
-            "frames": self.frames,
-            "wall_s": round(self.wall_s, 3),
-            "throughput_fps": round(self.throughput_fps, 2),
-            "matches": self.matches,
-            "reloc_matches": self.reloc_matches,
-            "publishes": self.publishes,
-            "merges": self.merges,
-            "per_worker": self.per_worker,
-            "store": self.store,
-            "lock_wait_ms": self.lock_wait_ms,
-        }
-
 
 class ServingOrchestrator:
     """Spawns N serving workers over one shared-memory arena.

@@ -348,9 +348,6 @@ class SlamShareServer:
         self._in_flight[client_id] = max(0, count - 1)
         _load_gauge.set(self.load())
 
-    def in_flight(self, client_id: int) -> int:
-        return self._in_flight.get(client_id, 0)
-
     # --------------------------------------------------------------- frame
     def process_frame(
         self,
@@ -377,7 +374,7 @@ class SlamShareServer:
         with _tracer.child_span(
             trace_ctx, "server.frame", client_id=client_id, t=timestamp,
         ):
-            with _tracer.span("tracking", client_id=client_id) as tracking_span:
+            with _tracer.span("server.tracking", client_id=client_id) as tracking_span:
                 result = process.system.process_frame(
                     timestamp, observations, imu_delta=imu_delta
                 )

@@ -67,10 +67,6 @@ class SyntheticDataset:
     def n_frames(self) -> int:
         return len(self.ground_truth)
 
-    @property
-    def duration(self) -> float:
-        return self.ground_truth.duration()
-
     def pose_cw(self, index: int) -> SE3:
         """Ground-truth world->camera pose of frame ``index``."""
         return self.ground_truth[index].pose_bw()

@@ -34,14 +34,6 @@ class World:
         if len(np.unique(self.ids)) != len(self.ids):
             raise ValueError("landmark ids must be unique")
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def extent(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounding box ``(min_corner, max_corner)``."""
-        return self.positions.min(axis=0), self.positions.max(axis=0)
-
 
 def drone_room_world(
     seed: int = 42,

@@ -2,8 +2,8 @@
 point-set alignment and timestamped trajectories."""
 
 from . import quaternion, se3_batch, so3
-from .alignment import alignment_rmse, horn_se3, ransac_umeyama, umeyama
-from .se3 import SE3, interpolate, random_se3
+from .alignment import ransac_umeyama, umeyama
+from .se3 import SE3, random_se3
 from .sim3 import Sim3
 from .trajectory import Trajectory, TrajectoryPoint
 
@@ -12,9 +12,6 @@ __all__ = [
     "Sim3",
     "Trajectory",
     "TrajectoryPoint",
-    "alignment_rmse",
-    "horn_se3",
-    "interpolate",
     "quaternion",
     "random_se3",
     "ransac_umeyama",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .se3 import SE3
 from .sim3 import Sim3
 
 
@@ -58,18 +57,6 @@ def umeyama(
 
     translation = mu_tgt - scale * (rotation @ mu_src)
     return Sim3(rotation, translation, scale)
-
-
-def horn_se3(source: np.ndarray, target: np.ndarray) -> SE3:
-    """Rigid (no scale) least-squares alignment of ``source`` onto ``target``."""
-    sim = umeyama(source, target, with_scale=False)
-    return SE3(sim.rotation, sim.translation)
-
-
-def alignment_rmse(source: np.ndarray, target: np.ndarray, transform: Sim3) -> float:
-    """Root-mean-square residual of ``transform`` applied to ``source``."""
-    residual = np.asarray(target, dtype=float) - transform.apply(source)
-    return float(np.sqrt((residual ** 2).sum(axis=1).mean()))
 
 
 def _umeyama_batch(source: np.ndarray, target: np.ndarray, with_scale: bool):

@@ -1,9 +1,8 @@
 """Unit quaternions for orientation representation.
 
 Quaternions are stored as ``(w, x, y, z)`` numpy arrays with ``w`` the
-scalar part.  They are used by the IMU motion model (`repro.imu`), where
-incremental gyro integration is numerically better behaved on the
-quaternion manifold than on rotation matrices.
+scalar part.  Trajectories (`repro.geometry.trajectory`) keep their
+orientations as quaternions and interpolate them with :func:`slerp`.
 """
 
 from __future__ import annotations
@@ -49,22 +48,6 @@ def conjugate(q: np.ndarray) -> np.ndarray:
     """Inverse rotation for a unit quaternion."""
     w, x, y, z = q
     return np.array([w, -x, -y, -z])
-
-
-def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate 3-vector ``v`` by unit quaternion ``q``."""
-    return to_matrix(q) @ np.asarray(v, dtype=float)
-
-
-def from_axis_angle(omega: np.ndarray) -> np.ndarray:
-    """Convert a rotation vector to a unit quaternion."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega)
-    if theta < _EPS:
-        # sin(x/2)/x ~ 1/2 near zero.
-        return normalize(np.concatenate([[1.0], omega / 2.0]))
-    axis = omega / theta
-    return np.concatenate([[np.cos(theta / 2.0)], np.sin(theta / 2.0) * axis])
 
 
 def to_axis_angle(q: np.ndarray) -> np.ndarray:
@@ -132,13 +115,3 @@ def slerp(q_a: np.ndarray, q_b: np.ndarray, t: float) -> np.ndarray:
     return normalize(
         (np.sin((1.0 - t) * theta) / sin_theta) * q_a + (np.sin(t * theta) / sin_theta) * q_b
     )
-
-
-def angle(q: np.ndarray) -> float:
-    """Rotation angle (radians) encoded by a unit quaternion."""
-    return float(np.linalg.norm(to_axis_angle(q)))
-
-
-def integrate_gyro(q: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """Advance orientation ``q`` by body-frame angular rate ``omega`` over ``dt``."""
-    return normalize(multiply(q, from_axis_angle(np.asarray(omega, dtype=float) * dt)))

@@ -36,12 +36,6 @@ class SE3:
         return SE3()
 
     @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "SE3":
-        """Build from a 4x4 homogeneous matrix."""
-        matrix = np.asarray(matrix, dtype=float)
-        return SE3(matrix[:3, :3], matrix[:3, 3])
-
-    @staticmethod
     def exp(xi: np.ndarray) -> "SE3":
         """Exponential map from a 6-vector ``(rho, omega)``.
 
@@ -77,13 +71,6 @@ class SE3:
             v_inv = np.eye(3) - half * k + (1.0 - half * cot_half) * (k @ k)
         return np.concatenate([v_inv @ self.translation, omega])
 
-    def matrix(self) -> np.ndarray:
-        """Return the 4x4 homogeneous matrix."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def inverse(self) -> "SE3":
         r_inv = self.rotation.T
         return SE3(r_inv, -r_inv @ self.translation)
@@ -116,9 +103,8 @@ class SE3:
     def distance(self, other: "SE3") -> tuple:
         """Return ``(rotation_angle_rad, translation_norm)`` to ``other``."""
         delta = self.inverse() * other
-        return so3.angle_between(np.eye(3), delta.rotation), float(
-            np.linalg.norm(delta.translation)
-        )
+        return (float(np.linalg.norm(so3.log(delta.rotation))),
+                float(np.linalg.norm(delta.translation)))
 
     def almost_equal(self, other: "SE3", rot_tol: float = 1e-6, trans_tol: float = 1e-6) -> bool:
         rot_err, trans_err = self.distance(other)
@@ -127,12 +113,6 @@ class SE3:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         t = np.array2string(self.translation, precision=3, suppress_small=True)
         return f"SE3(t={t})"
-
-
-def interpolate(pose_a: SE3, pose_b: SE3, t: float) -> SE3:
-    """Geodesic interpolation between two poses (t in [0, 1])."""
-    delta = pose_a.inverse() * pose_b
-    return pose_a * SE3.exp(t * delta.log())
 
 
 def random_se3(rng: np.random.Generator, trans_scale: float = 1.0) -> SE3:

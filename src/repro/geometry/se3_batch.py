@@ -42,11 +42,6 @@ def unpack(rotations: np.ndarray, translations: np.ndarray) -> List[SE3]:
     return [SE3(r, t) for r, t in zip(rotations, translations)]
 
 
-def identity(n: int) -> PoseStack:
-    """``n`` identity poses."""
-    return np.broadcast_to(np.eye(3), (n, 3, 3)).copy(), np.zeros((n, 3))
-
-
 def compose(
     r_a: np.ndarray, t_a: np.ndarray, r_b: np.ndarray, t_b: np.ndarray
 ) -> PoseStack:

@@ -39,28 +39,6 @@ class Sim3:
     def from_se3(pose: SE3, scale: float = 1.0) -> "Sim3":
         return Sim3(pose.rotation, pose.translation, scale)
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.scale * self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    def inverse(self) -> "Sim3":
-        inv_scale = 1.0 / self.scale
-        r_inv = self.rotation.T
-        return Sim3(r_inv, -inv_scale * (r_inv @ self.translation), inv_scale)
-
-    def compose(self, other: "Sim3") -> "Sim3":
-        """Return ``self * other`` (apply ``other`` first)."""
-        return Sim3(
-            self.rotation @ other.rotation,
-            self.scale * (self.rotation @ other.translation) + self.translation,
-            self.scale * other.scale,
-        )
-
-    def __mul__(self, other: "Sim3") -> "Sim3":
-        return self.compose(other)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point ``(3,)`` or many points ``(n, 3)``."""
         points = np.asarray(points, dtype=float)

@@ -143,31 +143,6 @@ def log_batch(rotations: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_rotation(matrix: np.ndarray, tol: float = 1e-6) -> bool:
-    """Check orthonormality and unit determinant."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (3, 3):
-        return False
-    if not np.allclose(matrix @ matrix.T, np.eye(3), atol=tol):
-        return False
-    return bool(abs(np.linalg.det(matrix) - 1.0) < tol)
-
-
-def project_to_so3(matrix: np.ndarray) -> np.ndarray:
-    """Project an arbitrary 3x3 matrix to the nearest rotation (Frobenius)."""
-    u, _, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
-    rotation = u @ vt
-    if np.linalg.det(rotation) < 0:
-        u[:, -1] *= -1.0
-        rotation = u @ vt
-    return rotation
-
-
-def angle_between(r_a: np.ndarray, r_b: np.ndarray) -> float:
-    """Geodesic angle (radians) between two rotations."""
-    return float(np.linalg.norm(log(np.asarray(r_a).T @ np.asarray(r_b))))
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Draw a uniformly distributed random rotation matrix."""
     # Uniform quaternion on S^3 then convert; avoids axis-angle bias.

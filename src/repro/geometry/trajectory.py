@@ -74,17 +74,6 @@ class Trajectory:
     def __getitem__(self, index: int) -> TrajectoryPoint:
         return self._points[index]
 
-    def __iter__(self):
-        return iter(self._points)
-
-    def append(self, point: TrajectoryPoint) -> None:
-        if self._points and point.timestamp <= self._points[-1].timestamp:
-            raise ValueError(
-                f"timestamp {point.timestamp} not after {self._points[-1].timestamp}"
-            )
-        self._points.append(point)
-        self._times.append(point.timestamp)
-
     @property
     def timestamps(self) -> np.ndarray:
         return np.array(self._times)
@@ -100,18 +89,6 @@ class Trajectory:
         if not self._points:
             return np.zeros((0, 4))
         return np.stack([p.orientation for p in self._points])
-
-    def duration(self) -> float:
-        if len(self._points) < 2:
-            return 0.0
-        return self._points[-1].timestamp - self._points[0].timestamp
-
-    def path_length(self) -> float:
-        """Total arc length travelled."""
-        pos = self.positions
-        if len(pos) < 2:
-            return 0.0
-        return float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum())
 
     def sample(self, timestamp: float) -> TrajectoryPoint:
         """Interpolate the pose at an arbitrary time inside the range."""
@@ -148,20 +125,6 @@ class Trajectory:
     def slice_time(self, start: float, end: float) -> "Trajectory":
         """Sub-trajectory with timestamps in ``[start, end]``."""
         return Trajectory(p for p in self._points if start <= p.timestamp <= end)
-
-    def transformed(self, pose: SE3) -> "Trajectory":
-        """Apply a rigid transform to every pose (world-frame change)."""
-        out = []
-        for p in self._points:
-            new_wb = pose * p.pose_wb()
-            out.append(
-                TrajectoryPoint(
-                    p.timestamp,
-                    new_wb.translation,
-                    quaternion.from_matrix(new_wb.rotation),
-                )
-            )
-        return Trajectory(out)
 
     def velocities(self) -> np.ndarray:
         """Finite-difference linear velocities, shape ``(n, 3)``."""

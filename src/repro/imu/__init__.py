@@ -4,7 +4,6 @@ from .model import (
     GRAVITY_W,
     ImuNoiseModel,
     ImuSample,
-    slice_samples,
     synthesize_imu,
 )
 from .motion_model import ClientMotionModel, FusionConfig
@@ -21,6 +20,5 @@ __all__ = [
     "ImuState",
     "preintegrate",
     "propagate",
-    "slice_samples",
     "synthesize_imu",
 ]

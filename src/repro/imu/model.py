@@ -135,10 +135,3 @@ def synthesize_imu(
     return [
         ImuSample(t, w, f) for t, w, f in zip(time_list, omega, specific_force)
     ]
-
-
-def slice_samples(
-    samples: List[ImuSample], t_start: float, t_end: float
-) -> List[ImuSample]:
-    """Samples with timestamps in ``[t_start, t_end)``."""
-    return [s for s in samples if t_start <= s.timestamp < t_end]

@@ -107,9 +107,3 @@ class ClientMotionModel:
         would produce a wildly wrong velocity.
         """
         self._last_fused = None
-
-    def drift_since_correction(self) -> float:
-        """Seconds of pure-IMU propagation since the last server fix."""
-        return (
-            self.states[-1].timestamp - self.states[self.corrected_up_to].timestamp
-        )

@@ -81,9 +81,6 @@ class ImuBuffer:
         self._samples = sorted(samples, key=lambda s: s.timestamp)
         self._times = np.array([s.timestamp for s in self._samples])
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
     def between(self, t_start: float, t_end: float) -> List[ImuSample]:
         lo = int(np.searchsorted(self._times, t_start, side="left"))
         hi = int(np.searchsorted(self._times, t_end, side="left"))

@@ -33,12 +33,6 @@ class LinkStats:
     bytes_sent: int = 0
     total_queue_delay: float = 0.0
 
-    @property
-    def mean_queue_delay(self) -> float:
-        if self.messages_sent == 0:
-            return 0.0
-        return self.total_queue_delay / self.messages_sent
-
 
 class Link:
     """One direction of a shaped network path."""
@@ -139,10 +133,4 @@ class DuplexLink:
         return DuplexLink(
             uplink=Link(clock, uplink_bps, delay_s, loss_rate, seed),
             downlink=Link(clock, downlink_bps, delay_s, loss_rate, seed + 1),
-        )
-
-    def rtt(self, up_bytes: int = 0, down_bytes: int = 0) -> float:
-        """Idle round-trip time for a request/response pair."""
-        return self.uplink.one_way_latency(up_bytes) + self.downlink.one_way_latency(
-            down_bytes
         )

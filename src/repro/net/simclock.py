@@ -30,8 +30,8 @@ class SimClock:
     Cancelled events are flagged rather than removed (heap deletion is
     O(n)); they are skipped on pop and lazily purged in bulk once they
     outnumber live events, so long-running sims that cancel heavily
-    (e.g. timeout timers rearmed every frame) keep the heap — and
-    :meth:`pending`, which is O(1) — proportional to *live* events.
+    (e.g. timeout timers rearmed every frame) keep the heap
+    proportional to *live* events.
     """
 
     #: Lazy purge triggers only beyond this many cancelled entries, so
@@ -106,7 +106,3 @@ class SimClock:
             executed += 1
             if executed > max_events:
                 raise RuntimeError("simulation exceeded event budget (runaway loop?)")
-
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events; O(1)."""
-        return len(self._queue) - self._n_cancelled

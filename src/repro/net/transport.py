@@ -112,10 +112,6 @@ class Message:
         return self.payload_bytes + FRAME_HEADER_BYTES + extra
 
     @property
-    def is_delivered(self) -> bool:
-        return self.status == MSG_DELIVERED
-
-    @property
     def is_dropped(self) -> bool:
         return self.status == MSG_DROPPED
 
@@ -339,11 +335,6 @@ class Endpoint:
             pending.timer = None
         message.acked_at = self.clock.now
         _rtt_hist.record((message.acked_at - message.sent_at) * 1e3)
-
-    @property
-    def n_pending(self) -> int:
-        """Reliable sends still awaiting an ACK."""
-        return len(self._pending)
 
 
 def connect(

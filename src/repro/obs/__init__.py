@@ -27,7 +27,7 @@ from .logging import configure as configure_logging
 from .logging import get_logger, kv
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_metrics
 from .report import render_report_html, write_report
-from .trace import Span, TraceContext, Tracer, get_tracer, load_jsonl, traced
+from .trace import Span, TraceContext, Tracer, get_tracer, load_jsonl
 
 __all__ = [
     "Counter",
@@ -46,6 +46,5 @@ __all__ = [
     "kv",
     "load_jsonl",
     "render_report_html",
-    "traced",
     "write_report",
 ]

@@ -98,9 +98,6 @@ class FrameRecord:
                 return False
         return roots == 1
 
-    def stage_ms(self, stage: str) -> float:
-        return self.stages.get(stage, 0.0)
-
 
 class FrameLedger:
     """Folds trace spans into per-frame, per-stage records.

@@ -73,10 +73,6 @@ class Gauge:
         if self._reg.enabled:
             self.value = value
 
-    def add(self, delta: float) -> None:
-        if self._reg.enabled:
-            self.value += delta
-
 
 class Histogram:
     """Geometric-bucket (HDR-style) histogram with percentile queries."""
@@ -171,14 +167,6 @@ class Histogram:
             "p95": self.p95,
             "p99": self.p99,
         }
-
-    def exemplars(self) -> Dict[float, Any]:
-        """Captured exemplars as ``{value: trace_id}`` (ascending value)."""
-        with self._lock:
-            return {
-                value: trace_id
-                for _, (value, trace_id) in sorted(self._exemplars.items())
-            }
 
     def reset(self) -> None:
         """Zero the histogram in place (references stay valid)."""

@@ -12,8 +12,7 @@ time bases:
   every span with ``clock.now``; model-computed durations (GPU stage
   costs, merge budgets) are recorded with :meth:`Tracer.sim_event`.
 
-Spans nest through context managers (or the :func:`traced` decorator)
-and export to JSONL (one span per line) or to the Chrome
+Spans nest through context managers and export to JSONL (one span per line) or to the Chrome
 ``chrome://tracing`` / Perfetto JSON format, with wall-clock spans and
 sim-time spans on two separate pseudo-processes.
 
@@ -52,7 +51,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from .metrics import get_metrics
 
 __all__ = [
-    "Span", "TraceContext", "Tracer", "get_tracer", "load_jsonl", "traced",
+    "Span", "TraceContext", "Tracer", "get_tracer", "load_jsonl",
 ]
 
 _spans_dropped = get_metrics().counter(
@@ -107,16 +106,6 @@ class TraceContext:
     def __repr__(self) -> str:
         return f"TraceContext(trace_id={self.trace_id}, span_id={self.span_id})"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TraceContext)
-            and other.trace_id == self.trace_id
-            and other.span_id == self.span_id
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id))
-
 
 class Span:
     """One traced operation; use as a context manager for nesting."""
@@ -159,13 +148,6 @@ class Span:
         """Attach attributes to the span (chainable)."""
         self.attrs.update(attrs)
         return self
-
-    @property
-    def context(self) -> Optional[TraceContext]:
-        """This span's own context, for parenting remote children."""
-        if self.trace_id is None:
-            return None
-        return TraceContext(self.trace_id, self.span_id)
 
     # ------------------------------------------------------------ derived
     @property
@@ -272,11 +254,6 @@ class Tracer:
     def stream_path(self) -> Optional[str]:
         """Path of the active streaming sink, or ``None``."""
         return self._stream_path
-
-    def flush_stream(self) -> None:
-        with self._lock:
-            if self._stream:
-                self._stream.flush()
 
     def close_stream(self) -> int:
         """Flush and close the streaming sink; returns spans streamed."""
@@ -629,25 +606,3 @@ _TRACER = Tracer()
 def get_tracer() -> Tracer:
     """The process-wide tracer singleton."""
     return _TRACER
-
-
-def traced(name: Optional[str] = None, **span_attrs: Any):
-    """Decorator tracing every call of the wrapped function."""
-
-    def decorate(func):
-        span_name = name or func.__qualname__
-
-        def wrapper(*args: Any, **kwargs: Any):
-            tracer = _TRACER
-            if not tracer.enabled:
-                return func(*args, **kwargs)
-            with tracer.span(span_name, **span_attrs):
-                return func(*args, **kwargs)
-
-        wrapper.__name__ = func.__name__
-        wrapper.__qualname__ = func.__qualname__
-        wrapper.__doc__ = func.__doc__
-        wrapper.__wrapped__ = func
-        return wrapper
-
-    return decorate

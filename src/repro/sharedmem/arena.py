@@ -245,17 +245,6 @@ class SharedMapPack:
             self._set_counts(count + n, version + 1)
             return count, count + n
 
-    def set_positions(self, rows, positions) -> None:
-        """Nudge existing rows (a BA update) in place under the write lock."""
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-        with self.lock.write():
-            count, version, _ = self._counts()
-            if len(rows) and int(rows.max()) >= count:
-                raise IndexError("set_positions beyond the appended range")
-            self.positions[rows] = positions
-            self._set_counts(count, version + 1)
-
     # --------------------------------------------------------------- read
     @contextmanager
     def read(self):
@@ -265,11 +254,6 @@ class SharedMapPack:
             count, version, _ = self._counts()
             yield (self.positions[:count], self.descriptors[:count],
                    self.point_ids[:count], version)
-
-    def snapshot(self):
-        """Copy of the appended rows (safe to use after the lock drops)."""
-        with self.read() as (pos, desc, ids, version):
-            return pos.copy(), desc.copy(), ids.copy(), version
 
     def release(self) -> None:
         """Drop every view of the block (before it is unmapped)."""

@@ -127,8 +127,9 @@ def _check_shape(n_shards: int, region_size: float) -> None:
 class ShardedMapStore:
     """Region-sharded store of the global map's records.
 
-    put/get/remove, ``publish_map``, ``stats``, shard introspection and
-    the ordered multi-shard write transaction used by merges.  Built
+    ``publish_map`` (the one write path), get/remove, ``stats``, shard
+    introspection and the ordered multi-shard write transaction used by
+    merges.  Built
     directly, the store lays its arena out in an anonymous mapping of
     ``capacity`` bytes split into ``n_shards`` slabs, with
     ``threading`` locks; only the pages records land on become resident.
@@ -266,30 +267,6 @@ class ShardedMapStore:
             shard.reserve(KIND_MAPPOINT, point.point_id, size), point
         )
         return size
-
-    def _put(self, kind: int, entity_id: int, idx: int, put_locked,
-             entity) -> int:
-        while True:
-            shard = self.shards[idx]
-            with shard.lock.write():
-                shard.refresh()
-                # Another attachment may have created it elsewhere first.
-                owner = self._home[kind].get(entity_id, idx)
-                if owner == idx:
-                    put_locked(shard, entity)
-                    return idx
-            idx = owner
-
-    def put_keyframe(self, kf: KeyFrame) -> int:
-        """Insert or update a keyframe record; returns its shard."""
-        return self._put(KIND_KEYFRAME, kf.keyframe_id,
-                         self.shard_of_keyframe(kf),
-                         self._put_keyframe_locked, kf)
-
-    def put_mappoint(self, point: MapPoint) -> int:
-        return self._put(KIND_MAPPOINT, point.point_id,
-                         self.shard_of_mappoint(point),
-                         self._put_mappoint_locked, point)
 
     def _remove(self, kind: int, entity_id: int) -> None:
         shard = self._locate(kind, entity_id)

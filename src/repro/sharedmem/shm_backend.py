@@ -81,23 +81,10 @@ class SharedMemoryRegion:
         return self._shm.name
 
     @property
-    def owner(self) -> bool:
-        """True in the creating process, False in attaching workers."""
-        return self._owner
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def buffer(self) -> memoryview:
         if self._closed:
             raise ValueError("region is closed")
         return self._shm.buf
-
-    @property
-    def size(self) -> int:
-        return self._shm.size
 
     def close(self) -> None:
         """Detach from the segment (all processes; safe to call twice)."""

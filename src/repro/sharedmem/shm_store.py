@@ -41,16 +41,14 @@ class ShmStoreHandle:
     """Picklable attach ticket: segment name + layout + shared locks.
 
     Pass it to a worker ``Process`` at spawn time (the conditions inside
-    the locks only pickle on that path) and call :meth:`attach` there.
+    the locks only pickle on that path) and hand it to
+    :meth:`ShmShardedMapStore.attach` there.
     """
 
     segment_name: str
     layout: ShmMapLayout
     pack_lock: ProcessRWLock
     shard_locks: List[ProcessRWLock]
-
-    def attach(self) -> "ShmShardedMapStore":
-        return ShmShardedMapStore.attach(self)
 
 
 class ShmShardedMapStore(ShardedMapStore):

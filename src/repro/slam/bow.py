@@ -81,18 +81,6 @@ class Vocabulary:
             node.children.append(child)
             self._split(child, members, level + 1, rng, kmeans_iterations)
 
-    def word_of(self, descriptor: np.ndarray) -> int:
-        """Quantize one descriptor to its leaf word id."""
-        if self._root is None:
-            raise RuntimeError("vocabulary is not trained")
-        node = self._root
-        desc = descriptor[None]
-        while node.children:
-            centers = np.stack([c.center for c in node.children])
-            dists = hamming_distance_matrix(desc, centers)[0]
-            node = node.children[int(dists.argmin())]
-        return node.word_id
-
     def words_of(self, descriptors: np.ndarray) -> np.ndarray:
         """Quantize a descriptor stack to word ids (batched tree descent)."""
         if self._root is None:

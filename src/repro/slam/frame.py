@@ -40,7 +40,3 @@ class Frame:
 
     def __len__(self) -> int:
         return len(self.features)
-
-    @property
-    def n_matched(self) -> int:
-        return int((self.matched_point_ids >= 0).sum())

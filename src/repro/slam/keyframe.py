@@ -63,11 +63,6 @@ class KeyFrame:
         ids = self.point_ids[self.point_ids >= 0]
         return np.unique(ids)
 
-    def feature_index_of(self, point_id: int) -> int:
-        """Index of the feature observing ``point_id``, or -1."""
-        hits = np.nonzero(self.point_ids == point_id)[0]
-        return int(hits[0]) if len(hits) else -1
-
     def nbytes(self) -> int:
         """Approximate footprint for map-size accounting (Table 1)."""
         return (

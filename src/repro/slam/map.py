@@ -196,11 +196,6 @@ class SlamMap:
         pk = self._packed_arrays()
         return pk.positions[: pk.n]
 
-    def packed_descriptors(self) -> np.ndarray:
-        """The ``(n_mappoints, 32)`` descriptor matrix (insertion order)."""
-        pk = self._packed_arrays()
-        return pk.descriptors[: pk.n]
-
     def gather_point_arrays(self, point_ids) -> "Tuple[np.ndarray, np.ndarray]":
         """Packed ``(positions, descriptors)`` rows for the given ids."""
         ids = [int(pid) for pid in point_ids]
@@ -492,31 +487,6 @@ class SlamMap:
 
     def keyframes_of_client(self, client_id: int) -> List[KeyFrame]:
         return [kf for kf in self.keyframes.values() if kf.client_id == client_id]
-
-    def point_positions(
-        self, point_ids: Iterable[int], strict: bool = False
-    ) -> "Tuple[np.ndarray, List[int]]":
-        """Positions for ``point_ids`` plus the ids that actually resolved.
-
-        Ids can go missing under the caller's feet (culling, fusion and
-        now eviction all delete points), so the matrix alone cannot be
-        assumed to line up row-for-row with the requested list.  The
-        surviving ids are returned alongside it; row ``i`` of the matrix
-        is the position of ``surviving[i]``.  With ``strict=True`` a
-        missing id raises instead of being skipped.
-        """
-        surviving = [int(pid) for pid in point_ids if int(pid) in self.mappoints]
-        if strict:
-            requested = [int(pid) for pid in point_ids]
-            if len(requested) != len(surviving):
-                missing = [p for p in requested if p not in self.mappoints]
-                raise KeyError(f"unknown map-point ids {missing}")
-        positions = (
-            np.array([self.mappoints[pid].position for pid in surviving])
-            if surviving
-            else np.zeros((0, 3), dtype=float)
-        )
-        return positions, surviving
 
     def covisible_keyframes(self, keyframe_id: int, min_weight: int = 1) -> List[int]:
         """Keyframe ids sharing at least ``min_weight`` points, best first."""

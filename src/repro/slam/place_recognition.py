@@ -24,13 +24,6 @@ class CommonRegion:
     query_keyframe_id: int
     candidates: List[QueryResult]
 
-    def __bool__(self) -> bool:
-        return bool(self.candidates)
-
-    @property
-    def best(self) -> Optional[QueryResult]:
-        return self.candidates[0] if self.candidates else None
-
 
 def detect_common_region(
     keyframe: KeyFrame,

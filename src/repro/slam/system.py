@@ -106,10 +106,6 @@ class SlamSystem:
         self.n_relocalizations = 0
 
     @property
-    def initialized(self) -> bool:
-        return self._initialized
-
-    @property
     def depth_scale(self) -> float:
         """Scale applied to measured depths (models monocular ambiguity)."""
         return self.config.mono_scale
@@ -252,6 +248,3 @@ class SlamSystem:
     def estimated_trajectory(self) -> Trajectory:
         """Per-frame estimated camera trajectory (world = first camera)."""
         return Trajectory(list(self._trajectory_points))
-
-    def n_lost_frames(self) -> int:
-        return self._frame_counter - len(self._trajectory_points)

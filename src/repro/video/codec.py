@@ -79,10 +79,6 @@ class StreamStats:
     def mean_decode_ms(self) -> float:
         return 1e3 * self.total_decode_s / max(self.n_frames, 1)
 
-    @property
-    def mean_frame_bytes(self) -> float:
-        return self.total_bytes / max(self.n_frames, 1)
-
 
 def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Peak signal-to-noise ratio (dB) of a reconstruction."""

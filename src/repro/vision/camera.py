@@ -40,13 +40,6 @@ class PinholeCamera:
         return PinholeCamera(fx=fx, fy=fx, cx=width / 2.0, cy=height / 2.0,
                              width=width, height=height)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 3x3 intrinsic matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def project(self, points_cam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Project camera-frame points to pixels.
 
@@ -86,21 +79,6 @@ class PinholeCamera:
         x = (uv[:, 0] - self.cx) / self.fx * depth
         y = (uv[:, 1] - self.cy) / self.fy * depth
         return np.column_stack([x, y, depth])
-
-    def bearing(self, uv: np.ndarray) -> np.ndarray:
-        """Unit bearing vectors in the camera frame for pixels ``uv``."""
-        rays = self.unproject(uv, np.ones(np.atleast_2d(uv).shape[0]))
-        return rays / np.linalg.norm(rays, axis=1, keepdims=True)
-
-    def in_image(self, uv: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Boolean mask of pixels inside the image with an optional margin."""
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        return (
-            (uv[:, 0] >= margin)
-            & (uv[:, 0] < self.width - margin)
-            & (uv[:, 1] >= margin)
-            & (uv[:, 1] < self.height - margin)
-        )
 
 
 @dataclass(frozen=True)

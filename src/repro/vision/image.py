@@ -35,21 +35,6 @@ class Image:
             pixels = np.clip(pixels, 0, 255).astype(np.uint8)
         self.pixels = pixels
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def shape(self) -> tuple:
-        return self.pixels.shape
-
-    def nbytes(self) -> int:
-        return int(self.pixels.nbytes)
-
 
 def downsample(pixels: np.ndarray, scale: float) -> np.ndarray:
     """Resize an image by ``1/scale`` using bilinear interpolation."""
@@ -100,13 +85,5 @@ class ImagePyramid:
             if min(self.levels[-1].shape) <= 16 and level + 1 < n_levels:
                 break
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
     def level_scale(self, level: int) -> float:
         return self.scales[level]
-
-    def to_base_coords(self, uv: np.ndarray, level: int) -> np.ndarray:
-        """Map level-``level`` pixel coordinates back to level-0 pixels."""
-        return np.asarray(uv, dtype=float) * self.scales[level]

@@ -45,6 +45,9 @@ pixels with the generator left in the same state.
 width: every plane as little-endian ``int16`` under zlib's default
 strategy.  The live codec must decode every stream to the same frames,
 and its q <= 2 P-frames, still 16-bit, to the same bytes.
+
+``word_of_reference`` descends the vocabulary tree one descriptor at a
+time; ``Vocabulary.words_of`` must pick the same leaf for every row.
 """
 
 from __future__ import annotations
@@ -143,6 +146,17 @@ def detect_fast_scalar(
 def hamming_distance(desc_a: np.ndarray, desc_b: np.ndarray) -> int:
     """Number of differing bits between two packed descriptors."""
     return int(_POPCOUNT[np.bitwise_xor(desc_a, desc_b)].sum())
+
+
+def word_of_reference(vocabulary, descriptor: np.ndarray) -> int:
+    """One descriptor's leaf word: the per-descriptor tree descent that
+    ``Vocabulary.words_of`` batches."""
+    node = vocabulary._root
+    desc = descriptor[None]
+    while node.children:
+        centers = np.stack([c.center for c in node.children])
+        node = node.children[int(hamming_distance_matrix(desc, centers)[0].argmin())]
+    return node.word_id
 
 
 def intensity_centroid_angle(pixels: np.ndarray, u: float, v: float,

@@ -1,9 +1,15 @@
-"""The settable-value census as a ratchet (``tools/census.py settable``).
+"""The two censuses of ``tools/census.py`` as ratchets.
 
-A config field that no run code sets is a variant no run takes: it
-either earns a recorded reason in ``tools/settable_allowlist.txt`` or
-becomes a constant.  The allowlist cannot go stale either: an entry for
-a field that is gone, or that run code now sets, fails here too.
+``settable``: a config field that no run code sets is a variant no run
+takes: it either earns a recorded reason in
+``tools/settable_allowlist.txt`` or becomes a constant.  The allowlist
+cannot go stale either: an entry for a field that is gone, or that run
+code now sets, fails here too.
+
+``reach``: running the whole run set takes minutes, so the CI job
+``reach-census`` runs ``reach --check``; here the allowlist is checked
+statically (every entry names a def that exists, once, with a listed
+reason) and the hook is driven over a toy tree.
 """
 
 import importlib.util
@@ -24,14 +30,8 @@ _spec.loader.exec_module(census)
 
 
 def _allowlist():
-    entries = []
-    for line in ALLOWLIST.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            key, _, reason = line.partition(" ")
-            cls, _, field = key.partition(".")
-            entries.append(((cls, field), reason.strip()))
-    return entries
+    return [(tuple(key.split(".", 1)), reason)
+            for key, reason in census.read_allowlist(ALLOWLIST)]
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +131,107 @@ class TestSettableWalk:
         assert tree[("InnerConfig", "unset")] == []
         assert tree[("OuterConfig", "inner")] == []
         assert ("InnerConfig", "seed") not in tree
+
+
+class TestReachAllowlist:
+    def test_every_entry_names_a_def_that_exists(self):
+        defs = census.src_defs(ROOT)
+        assert [key for key, _ in census.read_allowlist() if key not in defs] == []
+
+    def test_every_entry_carries_a_listed_reason(self):
+        entries = census.read_allowlist()
+        assert entries
+        assert [key for key, reason in entries
+                if not re.match(census.REACH_REASON, reason)] == []
+
+    def test_no_entry_is_duplicated(self):
+        keys = [key for key, _ in census.read_allowlist()]
+        assert len(set(keys)) == len(keys)
+
+
+class TestReachHook:
+    @pytest.fixture
+    def tree(self, tmp_path):
+        _write(tmp_path, "src/repro/__init__.py", "")
+        _write(tmp_path, "src/repro/mod.py", """
+            import functools
+
+
+            def deco(func):
+                @functools.wraps(func)
+                def wrapper(*args):
+                    return func(*args)
+                return wrapper
+
+
+            @deco
+            def decorated():
+                return 1
+
+
+            def in_thread():
+                return 2
+
+
+            def in_child():
+                return 3
+
+
+            def never():
+                return 4
+
+
+            class K:
+                def method(self):
+                    def nested():
+                        return 5
+                    return nested()
+
+                def unused(self):
+                    return 6
+            """)
+        _write(tmp_path, "probe.py", """
+            import os
+            import threading
+
+            from repro import mod
+
+            mod.decorated()
+            mod.K().method()
+            thread = threading.Thread(target=mod.in_thread)
+            thread.start()
+            thread.join()
+            if hasattr(os, "fork"):
+                pid = os.fork()
+                if pid == 0:
+                    mod.in_child()
+                    os._exit(0)
+                os.waitpid(pid, 0)
+            else:
+                mod.in_child()
+            """)
+        return tmp_path
+
+    def test_never_run_defs_of_a_toy_run(self, tree):
+        seen = census.reached(tree, runs=lambda work: [("probe", [sys.executable, "probe.py"])],
+                              log=lambda line: None)
+        defs = census.src_defs(tree)
+        dead = census.never_run(defs, seen, tree)
+        assert sorted(d.qualname for d in dead) == ["K.unused", "never"]
+        # A decorated def starts at its decorator, as its code object does.
+        assert defs["repro.mod:decorated"].first == defs["repro.mod:deco"].last + 3
+        assert defs["repro.mod:K.method.nested"].outer == "K.method"
+
+    def test_problems_name_unclaimed_gone_and_running_entries(self, tree):
+        defs = census.src_defs(tree)
+        dead = [defs["repro.mod:never"], defs["repro.mod:K.unused"]]
+        entries = [("repro.mod:never", "ROADMAP 4"), ("repro.mod:gone", "oracle"),
+                   ("repro.mod:in_thread", "test tool")]
+        assert census.reach_problems(defs, dead, entries) == [
+            "never run, no allowlist entry: repro.mod:K.unused",
+            "allowlisted but gone: repro.mod:gone",
+            "allowlisted but now runs: repro.mod:in_thread",
+        ]
+        # Line counts add up outermost defs only: a nested def is inside.
+        method, nested = defs["repro.mod:K.method"], defs["repro.mod:K.method.nested"]
+        assert census.outermost([method, nested]) == [method]

@@ -168,7 +168,6 @@ class TestHolograms:
         h = registry.place(np.array([1.0, 2.0, 3.0]), client_id=1, timestamp=5.0)
         assert registry.get(h.hologram_id) is h
         assert registry.get(99) is None
-        assert len(registry) == 1
 
     def test_perceived_position_identity(self):
         from repro.core.holograms import Hologram

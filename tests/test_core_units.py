@@ -72,7 +72,6 @@ class TestSlamShareClient:
         client.apply_merge_transform(shift, GRAVITY_W)
         after = client.displayed_trajectory().positions
         assert np.allclose(after, before + [2.0, -1.0, 0.5], atol=1e-9)
-        assert client.merged
 
     def test_merge_transform_rotates_gravity(self):
         client = _client()

@@ -23,14 +23,14 @@ from repro.geometry import quaternion
 class TestWorlds:
     def test_drone_room_extent(self):
         world = drone_room_world(size=(20.0, 15.0, 8.0))
-        lo, hi = world.extent
+        lo, hi = world.positions.min(axis=0), world.positions.max(axis=0)
         assert np.allclose(lo, [-10, -7.5, 0], atol=0.5)
         assert np.allclose(hi, [10, 7.5, 8], atol=0.5)
 
     def test_landmark_count_and_unique_ids(self):
         world = drone_room_world(n_landmarks=800)
-        assert len(world) == pytest.approx(800, abs=10)
-        assert len(np.unique(world.ids)) == len(world)
+        assert len(world.ids) == pytest.approx(800, abs=10)
+        assert len(np.unique(world.ids)) == len(world.ids)
 
     def test_deterministic_by_seed(self):
         a = drone_room_world(seed=5)
@@ -39,7 +39,7 @@ class TestWorlds:
 
     def test_street_world_follows_circuit(self):
         world = street_world(circuit=(100.0, 80.0))
-        lo, hi = world.extent
+        lo, hi = world.positions.min(axis=0), world.positions.max(axis=0)
         assert hi[0] - lo[0] > 90
         assert (world.positions[:, 2] >= 0).all()
 
@@ -129,13 +129,14 @@ class TestNamedDatasets:
     def test_v202_separate_world(self):
         a = euroc_dataset("MH04", duration=2.0)
         v = euroc_dataset("V202", duration=2.0)
-        assert len(a.world) != len(v.world) or not np.allclose(
-            a.world.positions[: len(v.world)], v.world.positions
+        assert len(a.world.ids) != len(v.world.ids) or not np.allclose(
+            a.world.positions[: len(v.world.ids)], v.world.positions
         )
 
     def test_default_duration_matches_paper(self):
         ds = euroc_dataset("MH04", rate=30.0)
-        assert ds.duration == pytest.approx(68.0, abs=0.2)
+        times = ds.ground_truth.timestamps
+        assert times[-1] - times[0] == pytest.approx(68.0, abs=0.2)
         assert ds.n_frames == pytest.approx(2032, abs=10)
 
     def test_kitti_split_overlaps_spatially(self):

@@ -10,6 +10,7 @@ tests pin that propagation at every boundary, plus the export formats
 """
 
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -77,6 +78,43 @@ def _run_traced_session(duration=4.0, shaping=None):
         config,
     )
     return session.run()
+
+
+class TestOneNameOneTimeBase:
+    """A span name is a wall span or a sim event, never both: the
+    server's wall spans are ``server.tracking`` and ``merge_maps``, and
+    ``tracking`` / ``map_merging`` are the modelled sim events."""
+
+    def test_each_span_name_carries_one_time_base(self, tracer):
+        result = _run_traced_session()
+        assert result.merges
+        bases = defaultdict(set)
+        for span in tracer.spans:
+            bases[span.name].add("sim" if span.sim_dur_ms is not None else "wall")
+        assert {name: b for name, b in bases.items() if len(b) > 1} == {}
+        assert bases["tracking"] == bases["map_merging"] == {"sim"}
+        assert bases["server.tracking"] == bases["merge_maps"] == {"wall"}
+
+    def test_merge_stage_counts_the_merges(self, tracer):
+        result = _run_traced_session()
+        breakdown = FrameLedger.from_tracer(tracer).stage_breakdown()
+        assert breakdown["merge"]["count"] == len(result.merges) >= 1
+
+    def test_failed_merge_attempts_book_no_merge_stage(self, tracer):
+        """V202 is another room: its client attempts merges every
+        keyframe and never welds, so no frame carries a merge stage."""
+        session = SlamShareSession(
+            [
+                ClientScenario(0, euroc_dataset("MH04", duration=4.0, rate=10.0)),
+                ClientScenario(1, euroc_dataset("V202", duration=4.0, rate=10.0),
+                               start_time=1.0, oracle_seed=9, imu_seed=13),
+            ],
+            SlamShareConfig(camera_fps=10.0, render_video_frames=False),
+        )
+        result = session.run()
+        assert not result.merges
+        assert tracer.find("merge_maps")       # attempts were made
+        assert "merge" not in FrameLedger.from_tracer(tracer).stage_breakdown()
 
 
 class TestTraceContextWire:
@@ -254,10 +292,10 @@ class TestFrameLedgerUnit:
         ledger = FrameLedger.from_spans(spans)
         (record,) = ledger.records()
         assert record.complete and record.linked
-        assert record.stage_ms("uplink") == pytest.approx(12.0)
+        assert record.stages["uplink"] == pytest.approx(12.0)
         # The GPU kernel is the tracking stage; the server's tracking
         # sim event covers the same window and is not counted again.
-        assert record.stage_ms("tracking") == pytest.approx(9.0)
+        assert record.stages["tracking"] == pytest.approx(9.0)
         assert record.attempts == 2
 
     def test_orphan_span_breaks_linkage(self):
@@ -376,7 +414,6 @@ class TestExportRoundTrips:
         with tracer.span("finished"):
             pass
         ctx = tracer.open_trace("frame.lifecycle", frame=0)  # never closed
-        tracer.flush_stream()
         rows = load_jsonl(str(stream_path))
         assert [r["name"] for r in rows] == ["finished"]
         tracer.close_trace(ctx, status="complete")

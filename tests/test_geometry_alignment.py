@@ -10,8 +10,6 @@ from repro.geometry import (
     Sim3,
     Trajectory,
     TrajectoryPoint,
-    alignment_rmse,
-    horn_se3,
     quaternion,
     ransac_umeyama,
     so3,
@@ -21,6 +19,16 @@ from repro.geometry import (
 
 def _random_points(rng, n=30):
     return rng.normal(scale=2.0, size=(n, 3))
+
+
+def _rmse(source, target, transform):
+    residual = target - transform.apply(source)
+    return float(np.sqrt((residual ** 2).sum(axis=1).mean()))
+
+
+def _same_sim3(got, want, tol=1e-12):
+    return (np.abs(got.scale * got.rotation - want.scale * want.rotation).max() <= tol
+            and np.abs(got.translation - want.translation).max() <= tol)
 
 
 class TestUmeyama:
@@ -35,8 +43,10 @@ class TestUmeyama:
         rng = np.random.default_rng(1)
         src = _random_points(rng)
         truth = SE3(so3.random_rotation(rng), rng.normal(size=3))
-        est = horn_se3(src, truth.apply(src))
-        assert est.almost_equal(truth, rot_tol=1e-8, trans_tol=1e-8)
+        est = umeyama(src, truth.apply(src), with_scale=False)
+        assert est.scale == 1.0
+        assert SE3(est.rotation, est.translation).almost_equal(
+            truth, rot_tol=1e-8, trans_tol=1e-8)
 
     def test_scale_fixed_to_one_without_scale(self):
         rng = np.random.default_rng(2)
@@ -51,7 +61,7 @@ class TestUmeyama:
         truth = Sim3(so3.random_rotation(rng), rng.normal(size=3), 1.2)
         tgt = truth.apply(src) + rng.normal(scale=0.01, size=src.shape)
         est = umeyama(src, tgt)
-        assert alignment_rmse(src, tgt, est) < 0.05
+        assert _rmse(src, tgt, est) < 0.05
         assert abs(est.scale - truth.scale) < 0.01
 
     def test_rejects_too_few_points(self):
@@ -75,7 +85,7 @@ class TestUmeyama:
         # Guard against degenerate draws (collinear sets are measure-zero).
         truth = Sim3(so3.random_rotation(rng), rng.normal(size=3), float(rng.uniform(0.5, 2.0)))
         est = umeyama(src, truth.apply(src))
-        assert alignment_rmse(src, truth.apply(src), est) < 1e-8
+        assert _rmse(src, truth.apply(src), est) < 1e-8
 
 
 class TestRansacUmeyama:
@@ -199,7 +209,7 @@ class TestRansacBatchedMatchesSequential:
                 continue
             found += 1
             assert np.array_equal(got_mask, want_mask), (kind, seed)
-            assert np.abs(got.matrix() - want.matrix()).max() <= 1e-12
+            assert _same_sim3(got, want)
         if kind in ("clean", "minimal", "rigid", "outliers"):
             assert found >= 30   # the comparison is not vacuous
         if kind in ("identical", "garbage"):
@@ -215,7 +225,7 @@ class TestRansacBatchedMatchesSequential:
             src, tgt, np.random.default_rng(3))
         got, got_mask = ransac_umeyama(src, tgt, np.random.default_rng(3))
         assert want_mask.all() and np.array_equal(got_mask, want_mask)
-        assert np.abs(got.matrix() - want.matrix()).max() <= 1e-12
+        assert _same_sim3(got, want)
 
 
 class TestTrajectory:
@@ -238,11 +248,6 @@ class TestTrajectory:
                 ]
             )
 
-    def test_append_enforces_order(self):
-        traj = self._make(3)
-        with pytest.raises(ValueError):
-            traj.append(TrajectoryPoint(0.0, np.zeros(3), quaternion.identity()))
-
     def test_sample_interpolates_linearly(self):
         traj = self._make()
         p = traj.sample(0.05)
@@ -252,11 +257,6 @@ class TestTrajectory:
         traj = self._make()
         assert traj.sample(-1.0).timestamp == 0.0
         assert traj.sample(99.0).timestamp == pytest.approx(0.9)
-
-    def test_duration_and_path_length(self):
-        traj = self._make()
-        assert traj.duration() == pytest.approx(0.9)
-        assert traj.path_length() == pytest.approx(0.9)
 
     def test_slice_time(self):
         traj = self._make()
@@ -268,12 +268,6 @@ class TestTrajectory:
         re = traj.resample([0.05, 0.15, 0.25])
         assert len(re) == 3
         assert np.allclose(re.positions[:, 0], [0.05, 0.15, 0.25])
-
-    def test_transformed_moves_positions(self):
-        traj = self._make()
-        shift = SE3(np.eye(3), np.array([0.0, 5.0, 0.0]))
-        moved = traj.transformed(shift)
-        assert np.allclose(moved.positions[:, 1], 5.0)
 
     def test_velocities_constant_speed(self):
         traj = self._make()

@@ -6,6 +6,13 @@ from hypothesis import strategies as st
 
 from repro.geometry import so3
 
+
+def _is_rotation(matrix, tol=1e-6):
+    """Orthonormal with unit determinant."""
+    return (np.allclose(matrix @ matrix.T, np.eye(3), atol=tol)
+            and abs(np.linalg.det(matrix) - 1.0) < tol)
+
+
 finite_vec3 = st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=3, max_size=3
 ).map(np.array)
@@ -40,7 +47,7 @@ def test_log_of_identity_is_zero():
 @given(finite_vec3)
 @settings(max_examples=50, deadline=None)
 def test_exp_produces_valid_rotation(omega):
-    assert so3.is_rotation(so3.exp(omega))
+    assert _is_rotation(so3.exp(omega))
 
 
 @given(finite_vec3)
@@ -61,39 +68,13 @@ def test_log_near_pi():
     assert abs(np.linalg.norm(recovered) - (np.pi - 1e-8)) < 1e-5
 
 
-def test_project_to_so3_recovers_noisy_rotation():
-    rng = np.random.default_rng(1)
-    r = so3.random_rotation(rng)
-    noisy = r + rng.normal(scale=1e-3, size=(3, 3))
-    projected = so3.project_to_so3(noisy)
-    assert so3.is_rotation(projected)
-    assert so3.angle_between(r, projected) < 1e-2
-
-
-def test_project_to_so3_fixes_reflection():
-    reflection = np.diag([1.0, 1.0, -1.0])
-    projected = so3.project_to_so3(reflection)
-    assert so3.is_rotation(projected)
-
-
-def test_angle_between_self_is_zero():
-    rng = np.random.default_rng(2)
-    r = so3.random_rotation(rng)
-    assert so3.angle_between(r, r) < 1e-9
-
-
 def test_random_rotation_is_valid():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        assert so3.is_rotation(so3.random_rotation(rng))
-
-
-def test_is_rotation_rejects_scale():
-    assert not so3.is_rotation(2.0 * np.eye(3))
-    assert not so3.is_rotation(np.eye(2))
+        assert _is_rotation(so3.random_rotation(rng))
 
 
 @given(finite_vec3, finite_vec3)
 @settings(max_examples=30, deadline=None)
 def test_composition_is_rotation(w1, w2):
-    assert so3.is_rotation(so3.exp(w1) @ so3.exp(w2))
+    assert _is_rotation(so3.exp(w1) @ so3.exp(w2))

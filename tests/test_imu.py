@@ -12,7 +12,6 @@ from repro.imu import (
     ImuState,
     preintegrate,
     propagate,
-    slice_samples,
     synthesize_imu,
 )
 
@@ -76,11 +75,6 @@ class TestSynthesis:
         assert noise.gyro_sigma(400.0) == pytest.approx(
             noise.gyro_sigma(100.0) * 2.0
         )
-
-    def test_slice_samples(self):
-        samples = synthesize_imu(_line_trajectory(), rate_hz=100.0)
-        part = slice_samples(samples, 1.0, 2.0)
-        assert all(1.0 <= s.timestamp < 2.0 for s in part)
 
 
 class TestPreintegration:
@@ -188,16 +182,6 @@ class TestClientMotionModel:
     def test_invalid_fusion_weight(self):
         with pytest.raises(ValueError):
             FusionConfig(server_weight=1.5)
-
-    def test_drift_since_correction(self):
-        traj = _circle_trajectory(duration=2.0)
-        model, samples = self._model(traj)
-        for i in range(1, 30):
-            delta = preintegrate(samples, traj[i - 1].timestamp, traj[i].timestamp)
-            model.advance(delta)
-        model.receive_slam_pose(10, traj[10].pose_bw())
-        expected = traj[29].timestamp - traj[10].timestamp
-        assert model.drift_since_correction() == pytest.approx(expected)
 
     def test_rtt_tolerance_table2_shape(self):
         """Increasing correction delay degrades accuracy only mildly

@@ -11,6 +11,7 @@ import math
 
 from repro.net import ArqConfig, Link, SimClock, connect
 from repro.net.link import DuplexLink
+from repro.net.transport import MSG_DELIVERED
 from repro.obs import get_metrics
 
 
@@ -30,7 +31,7 @@ class TestBestEffortLossAccounting:
         sent = [client.send("frame", 100) for _ in range(200)]
         clock.run()
         n_dropped = sum(1 for m in sent if m.is_dropped)
-        n_delivered = sum(1 for m in sent if m.is_delivered)
+        n_delivered = sum(1 for m in sent if m.status == MSG_DELIVERED)
         assert n_dropped > 0 and n_delivered > 0
         assert n_dropped + n_delivered == len(sent)
         # Endpoint-side counters agree with per-message state.
@@ -104,7 +105,7 @@ class TestReliableDelivery:
         client, server = connect("c", "s", clock, link)
         sent = [client.send("data", 1000, reliable=True) for _ in range(50)]
         clock.run()
-        assert all(m.is_delivered for m in sent)
+        assert all(m.status == MSG_DELIVERED for m in sent)
         assert all(m.acked_at is not None for m in sent)
         assert client.retransmits > 0
         assert any(m.attempts > 1 for m in sent)
@@ -115,7 +116,7 @@ class TestReliableDelivery:
         clock.run()
         # Every message reaches the peer (an unlucky one may stay un-ACKed
         # when every ACK of every attempt is lost, but delivery holds).
-        assert all(m.is_delivered for m in sent)
+        assert all(m.status == MSG_DELIVERED for m in sent)
         assert client.retransmits > 0
 
     def test_delivery_is_exactly_once(self):
@@ -126,7 +127,7 @@ class TestReliableDelivery:
         server.on("data", lambda m: got.append(m.seq))
         sent = [client.send("data", 100, reliable=True) for _ in range(50)]
         clock.run()
-        assert all(m.is_delivered for m in sent)
+        assert all(m.status == MSG_DELIVERED for m in sent)
         assert sorted(got) == sorted(m.seq for m in sent)
         assert len(set(got)) == len(got)
 
@@ -143,13 +144,13 @@ class TestReliableDelivery:
         assert message.attempts == 3          # first copy + 2 retries
         assert dropped == [message]
         assert delivered == [] and server.n_received == 0
-        assert client.n_pending == 0
+        assert not client._pending
 
     def test_no_loss_costs_no_retransmission(self):
         clock, link, client, server = _lossy_pair(0.0)
         sent = [client.send("data", 100, reliable=True) for _ in range(20)]
         clock.run()
-        assert all(m.is_delivered and m.attempts == 1 for m in sent)
+        assert all(m.status == MSG_DELIVERED and m.attempts == 1 for m in sent)
         assert client.retransmits == 0
         assert server.acks_sent == 20
 
@@ -164,7 +165,7 @@ class TestReliableDelivery:
         client, server = connect("c", "s", clock, link)
         message = client.send("data", 4_000_000, reliable=True)  # ~4 s of tx
         clock.run()
-        assert message.is_delivered
+        assert message.status == MSG_DELIVERED
         assert message.attempts == 1
         assert client.retransmits == 0
 
@@ -214,7 +215,7 @@ class TestSimClockTimerHygiene:
                 clock.schedule(0.0001, lambda: fired.append("tick"))
                 clock.run(until=clock.now + 0.001)
         assert fired.count("tick") == 20
-        assert clock.pending() == 1   # exactly the live timer remains
+        assert len(clock._queue) - clock._n_cancelled == 1   # exactly the live timer remains
         # The lazy purge kept the heap proportional to live events.
         assert len(clock._queue) < 200
         clock.cancel(timer)
@@ -227,6 +228,6 @@ class TestSimClockTimerHygiene:
         clock.schedule(0.2, lambda: None)   # still pending after the run
         clock.run(until=0.15)
         clock.cancel(event)  # already fired: must be a no-op
-        assert clock.pending() == 1
+        assert len(clock._queue) - clock._n_cancelled == 1
         clock.run()
-        assert clock.pending() == 0
+        assert len(clock._queue) - clock._n_cancelled == 0

@@ -15,7 +15,7 @@ from repro.obs import (
     kv,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, traced
+from repro.obs.trace import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -98,14 +98,6 @@ class TestSpans:
         span = tracer.find("boom")[0]
         assert span.attrs["error"] == "ValueError"
         assert span.wall_end_us is not None
-
-    def test_traced_decorator(self, tracer):
-        @traced("decorated")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert len(tracer.find("decorated")) == 1
 
     def test_capacity_drops_not_grows(self, tracer):
         tracer.configure(capacity=10)

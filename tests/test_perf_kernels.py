@@ -271,7 +271,6 @@ class TestPackedMapArrays:
             m.add_mappoint(_point(pid, rng))
         assert m.version > v0
         assert m.packed_positions().shape == (5, 3)
-        assert m.packed_descriptors().shape == (5, DESCRIPTOR_BYTES)
         for pid in range(5):
             pos, desc = m.gather_point_arrays([pid])
             np.testing.assert_allclose(pos[0], m.mappoints[pid].position)

@@ -55,20 +55,6 @@ class TestGroupLaws:
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
-    def test_sim3_associativity(self, seed):
-        rng = np.random.default_rng(seed)
-        sims = [
-            Sim3(so3.random_rotation(rng), rng.normal(size=3),
-                 float(rng.uniform(0.5, 2.0)))
-            for _ in range(3)
-        ]
-        p = rng.normal(size=3)
-        lhs = ((sims[0] * sims[1]) * sims[2]).apply(p)
-        rhs = (sims[0] * (sims[1] * sims[2])).apply(p)
-        assert np.allclose(lhs, rhs, atol=1e-9)
-
-    @given(seeds)
-    @settings(max_examples=25, deadline=None)
     def test_sim3_transform_pose_projection_invariance(self, seed):
         """The defining property of the merge pose correction: a world
         point and its transform land on the same image ray."""
@@ -298,14 +284,16 @@ class StoreContract(RuleBasedStateMachine):
         model[entity_id] = (where, shard)
 
     @rule(pid=point_id, pos=position)
-    def put_mappoint(self, pid, pos):
-        shard = self.store.put_mappoint(make_mappoint(pid, pos))
-        self._placed(self.points, pid, pos, shard)
+    def publish_mappoint(self, pid, pos):
+        point = make_mappoint(pid, pos)
+        self.store.publish_map([], [point])
+        self._placed(self.points, pid, pos, self.store.shard_of_mappoint(point))
 
     @rule(kid=keyframe_id, center=position)
-    def put_keyframe(self, kid, center):
-        shard = self.store.put_keyframe(make_keyframe(kid, center))
-        self._placed(self.keyframes, kid, center, shard)
+    def publish_keyframe(self, kid, center):
+        kf = make_keyframe(kid, center)
+        self.store.publish_map([kf], [])
+        self._placed(self.keyframes, kid, center, self.store.shard_of_keyframe(kf))
 
     @rule(pid=point_id)
     def remove_mappoint(self, pid):
@@ -461,9 +449,8 @@ class TestAlignmentProperties:
         est_pos = gt_pos + rng.normal(scale=0.02, size=(n, 3))
         gt = Trajectory.from_arrays(times, gt_pos)
         est = Trajectory.from_arrays(times, est_pos)
-        moved = est.transformed(
-            SE3(so3.random_rotation(rng), rng.normal(size=3) * 5)
-        )
+        shift = SE3(so3.random_rotation(rng), rng.normal(size=3) * 5)
+        moved = Trajectory.from_arrays(times, shift.apply(est_pos))
         a = absolute_trajectory_error(est, gt).rmse
         b = absolute_trajectory_error(moved, gt).rmse
         assert a == pytest.approx(b, rel=1e-6)

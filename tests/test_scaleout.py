@@ -48,8 +48,8 @@ class TestSpatialSharding:
         slam_map = make_map(n_keyframes=4, seed=5)
         kf = next(iter(slam_map.keyframes.values()))
         point = next(iter(slam_map.mappoints.values()))
-        store.put_keyframe(kf)
-        store.put_mappoint(point)
+        store.publish_map([kf], [])
+        store.publish_map([], [point])
         restored = store.get_keyframe(kf.keyframe_id)
         assert restored is not None
         assert np.array_equal(restored.descriptors, kf.descriptors)
@@ -65,11 +65,11 @@ class TestSpatialSharding:
         store = _sharded(region=1.0)
         slam_map = make_map(seed=6)
         point = next(iter(slam_map.mappoints.values()))
-        store.put_mappoint(point)
+        store.publish_map([], [point])
         original_shard = store._mp_shard[point.point_id]
         # Bundle adjustment moves the point far across cell boundaries.
         point.position = point.position + 500.0
-        store.put_mappoint(point)
+        store.publish_map([], [point])
         assert store._mp_shard[point.point_id] == original_shard
         assert np.allclose(store.get_mappoint(point.point_id).position,
                            point.position)
@@ -80,7 +80,8 @@ class TestSpatialSharding:
         leave a window in which the entity looks absent."""
         store = _sharded()
         kf = next(iter(make_map(seed=12).keyframes.values()))
-        shard = store.shards[store.put_keyframe(kf)]
+        store.publish_map([kf], [])
+        shard = store.shards[store._kf_shard[kf.keyframe_id]]
         routed = []
         append = shard._append
 
@@ -89,14 +90,14 @@ class TestSpatialSharding:
             return append(kind, entity_id, size)
 
         shard._append = probing_append
-        store.put_keyframe(kf)
+        store.publish_map([kf], [])
         assert routed == [True]
 
     def test_remove_reclaims_space(self):
         store = _sharded()
         slam_map = make_map(seed=7)
         kf = next(iter(slam_map.keyframes.values()))
-        store.put_keyframe(kf)
+        store.publish_map([kf], [])
         store.remove_keyframe(kf.keyframe_id)
         assert store.get_keyframe(kf.keyframe_id) is None
         # The dead record and its tombstone wait for compaction.
@@ -242,13 +243,13 @@ class TestOrderedShardLocking:
         store = _sharded(n_shards=4)
         slam_map = make_map(n_keyframes=2, n_points_per_kf=6, seed=13)
         kf = next(iter(slam_map.keyframes.values()))
-        store.put_keyframe(kf)
+        store.publish_map([kf], [])
         stop = threading.Event()
         errors = []
 
         def writer():
             while not stop.is_set():
-                store.put_keyframe(kf)
+                store.publish_map([kf], [])
 
         def reader():
             while not stop.is_set():
@@ -364,7 +365,7 @@ class TestSessionScaleOut:
         assert len(session.scheduler.records) > 0
         assert isinstance(session.server.store, ShardedMapStore)
         # Every admitted frame's slot was released.
-        assert session.server.in_flight(0) == 0
+        assert session.server._in_flight.get(0, 0) == 0
 
     def test_session_sheds_stale_frames_and_bridges_gaps(self):
         # stale_ms=0 sheds every delivered frame: degenerate by design,

@@ -385,7 +385,7 @@ class TestSharedMapStore:
         store = self._store()
         slam_map = make_map(seed=5)
         kf = next(iter(slam_map.keyframes.values()))
-        store.put_keyframe(kf)
+        store.publish_map([kf], [])
         restored = store.get_keyframe(kf.keyframe_id)
         assert restored is not None
         assert np.array_equal(restored.descriptors, kf.descriptors)
@@ -399,9 +399,9 @@ class TestSharedMapStore:
         store = self._store()
         slam_map = make_map(seed=6)
         point = next(iter(slam_map.mappoints.values()))
-        store.put_mappoint(point)
+        store.publish_map([], [point])
         point.position = np.array([9.0, 9.0, 9.0])
-        store.put_mappoint(point)
+        store.publish_map([], [point])
         assert np.allclose(store.get_mappoint(point.point_id).position, 9.0)
         assert len(store.mappoint_ids()) == 1
 
@@ -420,7 +420,7 @@ class TestSharedMapStore:
         store = self._store()
         slam_map = make_map(seed=8)
         kf = next(iter(slam_map.keyframes.values()))
-        store.put_keyframe(kf)
+        store.publish_map([kf], [])
         store.remove_keyframe(kf.keyframe_id)
         assert store.get_keyframe(kf.keyframe_id) is None
         # The dead record and its tombstone wait for compaction.
@@ -449,7 +449,7 @@ class TestSharedMemoryRegion:
                                        shard_slab_bytes=1024 * 1024) as store:
             slam_map = make_map(seed=10)
             kf = next(iter(slam_map.keyframes.values()))
-            store.put_keyframe(kf)
+            store.publish_map([kf], [])
             assert store.get_keyframe(kf.keyframe_id) is not None
             # The record is in the named segment: another attachment
             # reads it from there.

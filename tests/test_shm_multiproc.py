@@ -85,10 +85,10 @@ def make_mappoint(point_id: int, position) -> MapPoint:
 class TestRegionLifetime:
     def test_close_and_unlink_are_idempotent(self):
         region = SharedMemoryRegion(size=256)
-        assert region.owner
         region.close()
         region.close()          # second close: no-op, no raise
-        assert region.closed
+        with pytest.raises(ValueError):
+            region.buffer
         region.unlink()
         region.unlink()         # second unlink: no-op, no raise
 
@@ -96,7 +96,6 @@ class TestRegionLifetime:
         owner = SharedMemoryRegion(size=256)
         owner.buffer[:4] = b"abcd"
         attached = SharedMemoryRegion(name=owner.name, create=False)
-        assert not attached.owner
         assert bytes(attached.buffer[:4]) == b"abcd"
         attached.close()
         attached.unlink()       # no-op: segment must survive
@@ -144,7 +143,7 @@ class TestProcessRWLockLocal(LockSemantics):
 
 # ---------------------------------------------------- cross-process helpers
 def _hold_write(handle, hold_s, acquired, release):
-    store = handle.attach()
+    store = ShmShardedMapStore.attach(handle)
     try:
         with store.pack.lock.write():
             acquired.set()
@@ -153,32 +152,46 @@ def _hold_write(handle, hold_s, acquired, release):
         store.close()
 
 
-def _pack_writer(handle, n_rounds, rows):
-    store = handle.attach()
+def _pack_writer(handle, writer_id, n_rounds, rows, start):
+    """Append ``n_rounds`` blocks of ``rows`` rows, each one tag.
+
+    The writers pass ``start`` together and then share the pack's tail:
+    without the write lock they read the same ``count`` and copy over
+    each other's rows.
+    """
+    store = ShmShardedMapStore.attach(handle)
     try:
+        start.wait(timeout=30.0)
         for k in range(1, n_rounds + 1):
-            store.pack.set_positions(
-                np.arange(rows), np.full((rows, 3), float(k))
-            )
+            tag = writer_id * 100_000 + k
+            store.pack.append(np.full((rows, 3), float(tag)),
+                              np.zeros((rows, 32), dtype=np.uint8),
+                              np.full(rows, tag, dtype=np.int64))
     finally:
         store.close()
 
 
+def _torn_blocks(pos, rows):
+    """Row blocks of the pack whose rows do not all carry one tag."""
+    blocks = pos.reshape(-1, rows, 3)
+    return np.nonzero(~(blocks == blocks[:, :1, :1]).all(axis=(1, 2)))[0]
+
+
 def _torn_read_probe(handle, rows, stop, failures):
-    store = handle.attach()
+    store = ShmShardedMapStore.attach(handle)
     try:
         while not stop.is_set():
-            with store.pack.read() as (pos, _desc, _ids, _version):
-                block = pos[:rows].copy()
-            if not (block == block[0, 0]).all():
-                failures.put(block[:2].tolist())
+            with store.pack.read() as (pos, _desc, _ids, version):
+                snap = pos.copy()
+            if len(snap) != rows * version or len(_torn_blocks(snap, rows)):
+                failures.put((len(snap), version))
                 return
     finally:
         store.close()
 
 
 def _publish_worker(handle, worker_id, n_keyframes):
-    store = handle.attach()
+    store = ShmShardedMapStore.attach(handle)
     try:
         for i in range(n_keyframes):
             kf_id = worker_id * 1000 + i
@@ -242,34 +255,53 @@ class TestCrossProcess:
             store.unlink()
 
     def test_no_torn_reads_under_process_writer(self, ctx):
-        rows = 64
+        """Two writer processes append tagged blocks while a third reads.
+
+        A lock that fails to exclude across processes lets the writers
+        land on the same rows (a mixed or lost block) and lets the
+        reader see a count that disagrees with the version.
+        """
+        rows, rounds, n_writers = 16, 2000, 2
+        total = rows * (n_writers * rounds + 1)
         store = ShmShardedMapStore.create(
-            n_shards=2, pack_capacity=rows, shard_slab_bytes=16 * 1024,
+            n_shards=2, pack_capacity=total, shard_slab_bytes=16 * 1024,
             ctx=ctx, lock_timeout_s=20.0,
         )
         try:
             store.pack.append(
                 np.zeros((rows, 3)),
                 np.zeros((rows, 32), dtype=np.uint8),
-                np.arange(rows, dtype=np.int64),
+                np.zeros(rows, dtype=np.int64),
             )
             stop, failures = ctx.Event(), ctx.Queue()
-            writer = ctx.Process(target=_pack_writer,
-                                 args=(store.handle(), 60, rows))
+            start = ctx.Barrier(n_writers)
+            writers = [ctx.Process(target=_pack_writer,
+                                   args=(store.handle(), w + 1, rounds, rows,
+                                         start))
+                       for w in range(n_writers)]
             reader = ctx.Process(target=_torn_read_probe,
                                  args=(store.handle(), rows, stop, failures))
             reader.start()
-            writer.start()
-            writer.join(timeout=60.0)
+            for w in writers:
+                w.start()
+            for w in writers:
+                w.join(timeout=60.0)
             stop.set()
             reader.join(timeout=60.0)
-            assert writer.exitcode == 0
+            assert all(w.exitcode == 0 for w in writers)
             assert reader.exitcode == 0
             assert failures.empty(), f"torn read: {failures.get()}"
-            # The final state is the last writer round, everywhere.
-            pos, _, _, version = store.pack.snapshot()
-            assert (pos == 60.0).all()
-            assert version >= 61  # initial append + 60 rounds
+            # Every block of every writer landed whole, exactly once.
+            with store.pack.read() as (pos, desc, ids, version):
+                snap = pos.copy()
+                del pos, desc, ids      # no view may outlive the mapping
+            assert version == n_writers * rounds + 1
+            assert len(snap) == total
+            assert len(_torn_blocks(snap, rows)) == 0
+            tags = sorted(snap[::rows, 0].astype(int).tolist())
+            assert tags == [0] + sorted(w * 100_000 + k
+                                        for w in range(1, n_writers + 1)
+                                        for k in range(1, rounds + 1))
         finally:
             store.close()
             store.unlink()
@@ -316,7 +348,7 @@ class TestShmStoreSingleProcess:
         )
         try:
             kf = make_keyframe(5, center=(1.0, 2.0, 3.0))
-            store.put_keyframe(kf)
+            store.publish_map([kf], [])
             other = ShmShardedMapStore.attach(store.handle())
             got = other.get_keyframe(5)
             assert got is not None
@@ -336,7 +368,7 @@ class TestShmStoreSingleProcess:
         )
         try:
             other = ShmShardedMapStore.attach(store.handle())
-            store.put_mappoint(make_mappoint(77, (0.5, 0.5, 0.5)))
+            store.publish_map([], [make_mappoint(77, (0.5, 0.5, 0.5))])
             assert other.get_mappoint(77) is not None
             store.remove_mappoint(77)
             assert other.get_mappoint(77) is None
@@ -352,7 +384,7 @@ class TestShmStoreSingleProcess:
         )
         try:
             worker = ShmShardedMapStore.attach(store.handle())
-            worker.put_keyframe(make_keyframe(1, center=(0, 0, 0)))
+            worker.publish_map([make_keyframe(1, center=(0, 0, 0))], [])
             snap = worker.metrics_snapshot()
             assert sum(s["write_acquisitions"] for s in snap["shards"]) == 1
             before = sum(s.lock.write_acquisitions for s in store.shards)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.slam.bow import KeyframeDatabase, Vocabulary, default_vocabulary
 from repro.vision.brief import DESCRIPTOR_BYTES, perturb_descriptor
+from tests import oracles
 
 
 def _descriptors(n, seed=0):
@@ -20,16 +21,11 @@ class TestVocabulary:
         vocab.train(_descriptors(500), np.random.default_rng(0))
         assert vocab.n_words > 4
 
-    def test_word_of_is_deterministic(self):
-        vocab = default_vocabulary()
-        d = _descriptors(1, seed=1)[0]
-        assert vocab.word_of(d) == vocab.word_of(d)
-
     def test_words_of_matches_word_of(self):
         vocab = default_vocabulary()
         descs = _descriptors(50, seed=2)
         batch = vocab.words_of(descs)
-        assert list(batch) == [vocab.word_of(d) for d in descs]
+        assert list(batch) == [oracles.word_of_reference(vocab, d) for d in descs]
 
     def test_default_vocabulary_reproducible(self):
         # All processes must regenerate the identical tree (stands in for
@@ -60,7 +56,7 @@ class TestVocabulary:
 
     def test_untrained_raises(self):
         with pytest.raises(RuntimeError):
-            Vocabulary().word_of(_descriptors(1)[0])
+            Vocabulary().words_of(_descriptors(1))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -20,10 +20,12 @@ from tests.test_slam_system import run_system
 VOCAB = default_vocabulary()
 
 
-def build_two_clients(duration=12.0, mono_scale_b=1.0):
-    """Two clients exploring the same hall on overlapping paths."""
+def build_two_clients(duration=12.0, mono_scale_b=1.0, duration_b=None):
+    """Two clients exploring the same hall on overlapping paths (client B
+    flies ``duration_b`` seconds, ``duration`` unless given)."""
     ds_a = euroc_dataset("MH04", duration=duration, rate=10.0)
-    ds_b = euroc_dataset("MH05", duration=duration, rate=10.0)
+    ds_b = euroc_dataset("MH05", duration=duration if duration_b is None else duration_b,
+                         rate=10.0)
     cfg_a = SlamConfig()
     cfg_b = SlamConfig(mono_scale=mono_scale_b)
     from repro.imu import GRAVITY_W, ImuBuffer, preintegrate, synthesize_imu
@@ -63,7 +65,7 @@ class TestDetectCommonRegion:
         hits = 0
         for kf in list(sys_b.map.keyframes.values())[:10]:
             region = detect_common_region(kf, sys_a.map, sys_a.database)
-            if region:
+            if region.candidates:
                 hits += 1
         assert hits >= 5
 
@@ -74,13 +76,13 @@ class TestDetectCommonRegion:
         region = detect_common_region(
             kf, sys_a.map, sys_a.database, exclude=own
         )
-        assert not region
+        assert not region.candidates
 
     def test_best_is_highest_score(self):
         sys_a, sys_b = _SYS_A_TEMPLATE, _SYS_B_TEMPLATE
         kf = next(iter(sys_b.map.keyframes.values()))
         region = detect_common_region(kf, sys_a.map, sys_a.database)
-        if region:
+        if region.candidates:
             scores = [c.score for c in region.candidates]
             assert scores == sorted(scores, reverse=True)
 

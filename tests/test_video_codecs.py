@@ -460,7 +460,7 @@ class TestStreamStats:
         assert stats.n_frames == 5
         # bitrate = mean bytes * 8 * fps
         assert stats.bitrate_bps(30.0) == pytest.approx(
-            stats.mean_frame_bytes * 8 * 30.0
+            stats.total_bytes / stats.n_frames * 8 * 30.0
         )
 
     def test_video_vs_image_bandwidth_gap(self):

@@ -2,6 +2,8 @@
 
     python3 tools/census.py settable            # every *Config field and its setters
     python3 tools/census.py settable --unset    # only fields no run code sets
+    python3 tools/census.py reach               # every def of src/repro that no run executes
+    python3 tools/census.py reach --check       # ... and fail on one without an allowlist entry
 
 ``settable`` walks ``src``, ``tests``, ``benchmarks`` and ``examples``
 with :mod:`ast` and reports, for each field of each ``*Config``
@@ -20,13 +22,30 @@ from a nested config field (``config.serving`` is a ``ServingConfig``),
 or, failing that, from a name that says ``config`` / ``cfg``: then every
 config class with a field of that name counts as set.  It is a static
 walk, so a setter built by name at run time is not seen.
+
+``reach`` runs a fixed set of programs (:func:`run_set`: the perf smoke,
+every figure bench, every example and each CLI subcommand) with a
+generated ``sitecustomize`` first on ``PYTHONPATH``.  It installs a
+``sys.setprofile`` / ``threading.setprofile`` hook in every process,
+spawned workers included, that records the ``(file, first line)`` of
+each code object under ``src/repro`` it sees called, and dumps that set
+when the process exits.  A ``def`` of ``src/repro`` (found with
+:mod:`ast`; its first line is its first decorator's) that no process
+called is *never run*.  Line counts add up outermost never-run defs
+only.  ``--check`` fails when a never-run def is missing from
+``tools/reach_allowlist.txt``, or when an entry there names a def that
+is gone or that now runs.  Whether a bench's asserts pass does not
+matter: reach counts what ran.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import os
+import subprocess
 import sys
+import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +53,11 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 WALKED = ("src", "tests", "benchmarks", "examples")
+REACH_ALLOWLIST = ROOT / "tools" / "reach_allowlist.txt"
+# The reasons a never-run def may stay: an open ROADMAP item, or one of
+# the roles below (see the allowlist's header).
+REACH_REASON = (r"(ROADMAP \d+|lifecycle|observation point|oracle|test tool"
+                r"|platform|TestLedgerSeam|interface|repr)\b")
 
 Field = Tuple[str, str]          # (config class, field name)
 
@@ -307,15 +331,241 @@ def _print_settable(census: Dict[Field, List[Setter]], unset_only: bool) -> None
           f"{len(nowhere)} set nowhere, {len(tests_only)} set only by tests")
 
 
+# ------------------------------------------------------------------ reach
+
+@dataclass(frozen=True)
+class Def:
+    module: str                  # "repro.slam.map"
+    qualname: str                # "SlamMap.add_keyframe"; nested defs "outer.inner"
+    path: str                    # relative to the root
+    first: int                   # first decorator's line, else the def line
+    last: int
+    outer: Optional[str]         # qualname of the enclosing def, if any
+
+    @property
+    def key(self) -> str:
+        return f"{self.module}:{self.qualname}"
+
+    @property
+    def lines(self) -> int:
+        return self.last - self.first + 1
+
+
+def src_defs(root: Path = ROOT) -> Dict[str, Def]:
+    """Every ``def`` under ``src/repro`` keyed by ``module:qualname``."""
+    found: Dict[str, Def] = {}
+    src = root / "src"
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = list(path.relative_to(src).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        module = ".".join(parts)
+        rel = path.relative_to(root).as_posix()
+
+        def walk(node: ast.AST, prefix: str, outer: Optional[str]) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qual = prefix + child.name
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[f"{module}:{qual}"] = Def(module, qual, rel, first,
+                                                   child.end_lineno, outer)
+                    walk(child, qual + ".", qual)
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, prefix + child.name + ".", outer)
+                else:
+                    walk(child, prefix, outer)
+
+        walk(_parse(path), "", None)
+    return found
+
+
+# Installed in every process of the run set.  Everything the hook and
+# the dump touch is bound in a closure, so neither depends on module
+# globals that interpreter teardown sets to None (a weakref callback
+# during pytest shutdown still calls the profiler then).
+_HOOK = """\
+import os, sys, threading
+
+def _install(out, sep=os.sep, getpid=os.getpid, real_exit=os._exit):
+    seen = set()
+    add = seen.add
+    dumped = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            try:
+                code = frame.f_code
+                name = code.co_filename
+                if name.endswith(".py") and "repro" in name:
+                    add((name, code.co_firstlineno))
+            except Exception:
+                pass
+
+    def dump():
+        try:
+            dumped[0] += 1
+            path = out + sep + str(getpid()) + "-" + str(dumped[0]) + ".txt"
+            with open(path, "w") as fh:
+                for name, line in list(seen):
+                    fh.write(name + "\\t" + str(line) + "\\n")
+        except Exception:
+            pass
+
+    def _exit(code=0):
+        dump()
+        real_exit(code)
+
+    import atexit
+    atexit.register(dump)
+    os._exit = _exit            # forked children leave through os._exit
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+"""
+
+
+def _cli(*args: str) -> List[str]:
+    return [sys.executable, "-m", "repro.cli", *args]
+
+
+def run_set(work: Path) -> List[Tuple[str, List[str]]]:
+    """The programs whose reach defines "run": (label, argv), in order."""
+    short = ["--traces", "MH04", "MH05", "--duration", "4"]
+    snap = str(work / "map.snap")
+    spans = str(work / "spans.jsonl")
+    runs = [
+        ("perf smoke", [sys.executable, "benchmarks/perf/run.py", "--smoke", "--trace"]),
+        ("figure benches", [sys.executable, "-m", "pytest", "benchmarks",
+                            "--ignore=benchmarks/perf", "--benchmark-disable", "-q",
+                            "-p", "no:cacheprovider"]),
+    ]
+    runs += [(f"example {p.name}", [sys.executable, f"examples/{p.name}"])
+             for p in sorted((ROOT / "examples").glob("*.py"))]
+    runs += [
+        ("cli session", _cli("session", *short, "--trace", str(work / "trace.json"),
+                             "--trace-jsonl", spans, "--metrics",
+                             "--metrics-out", str(work / "metrics.json"),
+                             "--metrics-prom", str(work / "metrics.prom"))),
+        ("cli session stream", _cli("session", *short, "--trace-jsonl",
+                                    str(work / "stream.jsonl"), "--trace-stream",
+                                    "--trace-capacity", "64")),
+        ("cli baseline", _cli("baseline", *short)),
+        ("cli stats", _cli("stats", *short)),
+        ("cli info", _cli("info")),
+        ("cli snapshot", _cli("snapshot", *short, "--out", snap,
+                              "--max-keyframes", "6", "--max-points", "300")),
+        # Client 0 wrote the snapshot: restoring as it reserves its old ids.
+        ("cli restore", _cli("restore", snap, "--traces", "MH05", "--duration", "3",
+                             "--client-id", "0")),
+        ("cli report", _cli("report", spans, "--html", str(work / "report.html"))),
+    ]
+    return runs
+
+
+def reached(root: Path = ROOT, runs=run_set, log=print) -> Set[Tuple[str, int]]:
+    """Run ``runs(work_dir)`` under the hook, from ``root`` with its
+    ``src`` on the path: the ``(realpath, first line)`` of each code
+    object called."""
+    with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
+        tmp_path = Path(tmp)
+        hook, out, work = (tmp_path / d for d in ("hook", "out", "work"))
+        for d in (hook, out, work):
+            d.mkdir()
+        (hook / "sitecustomize.py").write_text(
+            f"{_HOOK}\n_install({str(out)!r})\ndel _install\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(hook), str(root / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        for label, argv in runs(work):
+            done = subprocess.run(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL)
+            log(f"# ran {label}: exit {done.returncode}")
+        seen: Set[Tuple[str, int]] = set()
+        real: Dict[str, str] = {}
+        for dump in out.iterdir():
+            for row in dump.read_text().splitlines():
+                name, _, line = row.rpartition("\t")
+                if name not in real:
+                    real[name] = os.path.realpath(os.path.join(root, name))
+                seen.add((real[name], int(line)))
+    return seen
+
+
+def never_run(defs: Dict[str, Def], seen: Set[Tuple[str, int]],
+              root: Path = ROOT) -> List[Def]:
+    return [d for d in defs.values()
+            if (os.path.realpath(root / d.path), d.first) not in seen]
+
+
+def read_allowlist(path: Path = REACH_ALLOWLIST) -> List[Tuple[str, str]]:
+    """``(key, reason)`` for each entry of an allowlist, in file order."""
+    entries = []
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, reason = line.partition(" ")
+            entries.append((key, reason.strip()))
+    return entries
+
+
+def outermost(dead: List[Def]) -> List[Def]:
+    """The never-run defs whose enclosing def (if any) runs."""
+    keys = {(d.module, d.qualname) for d in dead}
+    return [d for d in dead if d.outer is None or (d.module, d.outer) not in keys]
+
+
+def _print_reach(defs: Dict[str, Def], dead: List[Def],
+                 allowed: Dict[str, str]) -> None:
+    by_module: Dict[str, List[Def]] = defaultdict(list)
+    for d in dead:
+        by_module[d.module].append(d)
+    for module in sorted(by_module):
+        print(module)
+        for d in sorted(by_module[module], key=lambda d: d.first):
+            reason = allowed.get(d.key, "NOT ALLOWLISTED")
+            print(f"    {d.qualname}  {d.path}:{d.first}  {d.lines} lines  [{reason}]")
+    unclaimed = [d for d in dead if d.key not in allowed]
+    print(f"{len(defs)} defs in src/repro: {len(dead)} never run, "
+          f"{sum(d.lines for d in outermost(dead))} lines (outermost defs only); "
+          f"{len(unclaimed)} without an allowlist entry, "
+          f"{sum(d.lines for d in outermost(unclaimed))} lines")
+
+
+def reach_problems(defs: Dict[str, Def], dead: List[Def],
+                   entries: List[Tuple[str, str]]) -> List[str]:
+    allowed = dict(entries)
+    dead_keys = {d.key for d in dead}
+    problems = [f"never run, no allowlist entry: {d.key}"
+                for d in dead if d.key not in allowed]
+    problems += [f"allowlisted but gone: {key}" for key, _ in entries if key not in defs]
+    problems += [f"allowlisted but now runs: {key}" for key, _ in entries
+                 if key in defs and key not in dead_keys]
+    return problems
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     cmd = sub.add_parser("settable", help="where each *Config field is set")
     cmd.add_argument("--unset", action="store_true",
                      help="list only the fields no run code sets")
+    cmd = sub.add_parser("reach", help="the defs of src/repro that no run executes")
+    cmd.add_argument("--check", action="store_true",
+                     help="fail on a never-run def without an allowlist entry, "
+                          "or on a stale entry")
     args = parser.parse_args(argv)
     if args.command == "settable":
         _print_settable(settable(), args.unset)
+    elif args.command == "reach":
+        defs = src_defs()
+        dead = never_run(defs, reached())
+        entries = read_allowlist()
+        _print_reach(defs, dead, dict(entries))
+        if args.check:
+            problems = reach_problems(defs, dead, entries)
+            for problem in problems:
+                print(problem)
+            return 1 if problems else 0
     return 0
 
 
