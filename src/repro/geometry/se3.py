@@ -16,6 +16,8 @@ import numpy as np
 from . import so3
 
 _EPS = 1e-10
+_I3 = np.eye(3)
+_I3.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -46,16 +48,18 @@ class SE3:
         xi = np.asarray(xi, dtype=float)
         rho, omega = xi[:3], xi[3:]
         theta = np.linalg.norm(omega)
-        rotation = so3.exp(omega)
+        # The rotation is so3.exp(omega), term for term; its Rodrigues
+        # terms are shared with V rather than computed twice.
         if theta < _EPS:
-            v = np.eye(3) + 0.5 * so3.hat(omega)
+            k = so3.hat(omega)
+            rotation = _I3 + k
+            v = _I3 + 0.5 * k
         else:
             k = so3.hat(omega / theta)
-            v = (
-                np.eye(3)
-                + ((1.0 - np.cos(theta)) / theta) * k
-                + ((theta - np.sin(theta)) / theta) * (k @ k)
-            )
+            kk = k @ k
+            sin, one_minus_cos = np.sin(theta), 1.0 - np.cos(theta)
+            rotation = _I3 + sin * k + one_minus_cos * kk
+            v = _I3 + (one_minus_cos / theta) * k + ((theta - sin) / theta) * kk
         return SE3(rotation, v @ rho)
 
     def log(self) -> np.ndarray:

@@ -17,10 +17,16 @@ the ``apply_along_axis`` landmark patch (PR 24).  The kernels in
 device bodies bit for bit and the ones in ``repro.slam`` the back-end
 bodies to 1e-9; nothing in ``src/`` imports this module.
 
-``solve_pnp_reference`` (with ``_project_with_jacobian`` and
-``_classify_reference``) is the Levenberg–Marquardt PnP that built a
-Jacobian for every damping trial; ``repro.slam.pnp``, which linearises
-only the poses it steps from, must reproduce it bit for bit.
+``solve_pnp_reference`` (with ``_project_with_jacobian``,
+``_classify_reference``, ``_whitening_sigmas_reference`` and
+``_huber_weights_reference``) is the Levenberg–Marquardt PnP that built a
+Jacobian for every damping trial and tried the damping ladder one trial
+at a time, stepping with ``perturb_reference`` (``SE3.exp`` from before
+it shared its Rodrigues terms with ``so3.exp``: the rotation from
+``so3.exp``, V built again, then composed).  ``repro.slam.pnp``, which
+linearises only the poses it steps from and scores the rest of a
+rejected ladder in one stacked pass, must reproduce it bit for bit, and
+``SE3.perturb`` must equal ``perturb_reference``.
 
 ``downsample_reference`` is the bilinear pyramid resize with one
 ``np.ix_`` gather per corner, from before ``repro.vision.image.downsample``
@@ -58,7 +64,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.geometry import SE3, Trajectory, TrajectoryPoint, quaternion
+from repro.geometry import SE3, Trajectory, TrajectoryPoint, quaternion, so3
 from repro.imu.model import GRAVITY_W, ImuNoiseModel, ImuSample, _angular_velocity_body
 from repro.slam.bundle_adjustment import BAStats
 from repro.slam.map import SlamMap
@@ -69,8 +75,6 @@ from repro.slam.pnp import (
     DEFAULT_PIXEL_SIGMA,
     DEFAULT_POINT_SIGMA,
     PnPResult,
-    _huber_weights,
-    _whitening_sigmas,
     solve_pnp,
 )
 from repro.slam.pose_graph import PoseGraphEdge, PoseGraphStats
@@ -416,6 +420,45 @@ def search_by_projection_dense(
 
 
 # --------------------------------------------------------------------- PnP
+def perturb_reference(pose: SE3, xi: np.ndarray) -> SE3:
+    """``SE3.exp(xi) * pose`` with the exponential computed as before it
+    shared its Rodrigues terms: ``so3.exp`` for the rotation, V again."""
+    xi = np.asarray(xi, dtype=float)
+    rho, omega = xi[:3], xi[3:]
+    theta = np.linalg.norm(omega)
+    rotation = so3.exp(omega)
+    if theta < 1e-10:
+        v = np.eye(3) + 0.5 * so3.hat(omega)
+    else:
+        k = so3.hat(omega / theta)
+        v = (
+            np.eye(3)
+            + ((1.0 - np.cos(theta)) / theta) * k
+            + ((theta - np.sin(theta)) / theta) * (k @ k)
+        )
+    return SE3(rotation, v @ rho) * pose
+
+
+def _whitening_sigmas_reference(
+    depths: np.ndarray,
+    camera: PinholeCamera,
+    pixel_sigma: float,
+    point_sigma: float,
+) -> np.ndarray:
+    """Per-correspondence residual std-dev (px), repeated for u and v."""
+    leverage = camera.fx / np.maximum(depths, 1e-3)
+    sigma = np.sqrt(pixel_sigma ** 2 + (leverage * point_sigma) ** 2)
+    return np.repeat(sigma, 2)
+
+
+def _huber_weights_reference(whitened: np.ndarray, delta: float) -> np.ndarray:
+    abs_r = np.abs(whitened)
+    weights = np.ones_like(whitened)
+    outside = abs_r > delta
+    weights[outside] = delta / abs_r[outside]
+    return weights
+
+
 def _project_with_jacobian(
     pose_cw: SE3, points_w: np.ndarray, uv: np.ndarray, camera: PinholeCamera
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -459,7 +502,7 @@ def _classify_reference(
     """(inlier mask, per-point pixel errors) under a pose."""
     residual, _, depth = _project_with_jacobian(pose, points_w, uv, camera)
     err_px = np.linalg.norm(residual.reshape(-1, 2), axis=1)
-    sigma = _whitening_sigmas(depth, camera, pixel_sigma, point_sigma)[::2]
+    sigma = _whitening_sigmas_reference(depth, camera, pixel_sigma, point_sigma)[::2]
     inliers = (err_px / sigma < inlier_sigma) & (depth > 1e-6)
     return inliers, err_px
 
@@ -507,11 +550,11 @@ def solve_pnp_reference(
     def _evaluate(pose: SE3):
         """Robust cost, IRLS hessian and gradient at a pose."""
         residual, jac, z = _project_with_jacobian(pose, points_w, uv, camera)
-        sigma = _whitening_sigmas(z, camera, pixel_sigma, point_sigma)
+        sigma = _whitening_sigmas_reference(z, camera, pixel_sigma, point_sigma)
         whitened = residual / sigma
         valid = np.repeat(z > 1e-6, 2)
         cost = _huber_cost(whitened[valid])
-        weights = _huber_weights(whitened, huber_delta) / (sigma ** 2)
+        weights = _huber_weights_reference(whitened, huber_delta) / (sigma ** 2)
         weights[~valid] = 0.0
         jw = jac * weights[:, None]
         hessian = jw.T @ jac
@@ -531,7 +574,7 @@ def solve_pnp_reference(
                 j_d[:, 2] = 1.0
                 j_d[:, 3] = pts_cam[:, 1]
                 j_d[:, 4] = -pts_cam[:, 0]
-                w_d = _huber_weights(whitened_d, huber_delta) / (sigma_d ** 2)
+                w_d = _huber_weights_reference(whitened_d, huber_delta) / (sigma_d ** 2)
                 jw_d = j_d * w_d[:, None]
                 hessian += jw_d.T @ j_d
                 gradient += jw_d.T @ r_d
@@ -554,7 +597,7 @@ def solve_pnp_reference(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            candidate = pose.perturb(step)
+            candidate = perturb_reference(pose, step)
             new_cost, new_h, new_g = _evaluate(candidate)
             if new_cost < cost:
                 pose, cost, hessian, gradient = candidate, new_cost, new_h, new_g

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import SE3, Sim3, quaternion, so3
 from repro.geometry.se3 import random_se3
+from tests import oracles
 
 small_floats = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 twist6 = st.lists(small_floats, min_size=6, max_size=6).map(np.array)
@@ -65,6 +66,23 @@ class TestSE3:
         t = random_se3(rng)
         perturbed = t.perturb(np.full(6, 1e-9))
         assert perturbed.almost_equal(t, rot_tol=1e-7, trans_tol=1e-7)
+
+    @given(xi=twist6, log_theta=st.floats(min_value=-14.0, max_value=0.5),
+           seed=st.integers(min_value=0, max_value=10_000))
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    def test_exp_shares_so3_exp_to_the_bit(self, xi, log_theta, seed):
+        # exp computes the Rodrigues terms once for the rotation and V;
+        # the rotation is still so3.exp's, and perturb still composes
+        # what the two-pass exponential gave, first-order twists
+        # (theta < 1e-10) included.
+        omega = xi[3:]
+        if np.linalg.norm(omega) > 0:
+            xi = np.concatenate([xi[:3], omega / np.linalg.norm(omega) * 10.0 ** log_theta])
+        assert SE3.exp(xi).rotation.tobytes() == so3.exp(xi[3:]).tobytes()
+        pose = random_se3(np.random.default_rng(seed))
+        got, want = pose.perturb(xi), oracles.perturb_reference(pose, xi)
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+        assert got.translation.tobytes() == want.translation.tobytes()
 
 
 class TestSim3:
