@@ -101,9 +101,9 @@ class LocalMapper:
             radius=6.0,
         )
         fused = 0
-        for m in matches:
-            feat_idx = int(unmatched[m.train_idx])
-            point = points[int(visible[m.query_idx])]
+        for feat_idx, row in zip(unmatched[matches.train_idx].tolist(),
+                                 visible[matches.query_idx].tolist()):
+            point = points[row]
             if point.point_id in keyframe.point_ids:
                 continue  # already observed by another feature
             keyframe.point_ids[feat_idx] = point.point_id

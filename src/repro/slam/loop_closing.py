@@ -93,9 +93,8 @@ class LoopCloser:
                 keyframe.descriptors, loop_kf.descriptors, max_distance=64
             )
             src, dst = [], []
-            for m in matches:
-                pid_q = int(keyframe.point_ids[m.query_idx])
-                pid_l = int(loop_kf.point_ids[m.train_idx])
+            for pid_q, pid_l in zip(keyframe.point_ids[matches.query_idx].tolist(),
+                                    loop_kf.point_ids[matches.train_idx].tolist()):
                 pq = self.map.mappoints.get(pid_q) if pid_q >= 0 else None
                 pl = self.map.mappoints.get(pid_l) if pid_l >= 0 else None
                 if pq is None or pl is None or pid_q == pid_l:

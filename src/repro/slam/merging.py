@@ -136,9 +136,8 @@ class MapMerger:
             max_distance=FUSE_DESCRIPTOR_DISTANCE,
         )
         src, dst, id_pairs = [], [], []
-        for m in matches:
-            pid_c = int(client_kf.point_ids[m.query_idx])
-            pid_g = int(global_kf.point_ids[m.train_idx])
+        for pid_c, pid_g in zip(client_kf.point_ids[matches.query_idx].tolist(),
+                                global_kf.point_ids[matches.train_idx].tolist()):
             if pid_c < 0 or pid_g < 0 or pid_c == pid_g:
                 continue
             pc = client_map.mappoints.get(pid_c)

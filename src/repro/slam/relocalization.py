@@ -80,14 +80,14 @@ class Relocalizer:
             uv: List[np.ndarray] = []
             feat_of_match: List[int] = []
             point_of_match: List[int] = []
-            for m in matches:
-                pid = int(keyframe.point_ids[m.train_idx])
+            for qi, pid in zip(matches.query_idx.tolist(),
+                               keyframe.point_ids[matches.train_idx].tolist()):
                 point = self.map.mappoints.get(pid) if pid >= 0 else None
                 if point is None or point.is_bad:
                     continue
                 pts_w.append(point.position)
-                uv.append(frame.features.uv[m.query_idx])
-                feat_of_match.append(m.query_idx)
+                uv.append(frame.features.uv[qi])
+                feat_of_match.append(qi)
                 point_of_match.append(pid)
             if len(pts_w) < MIN_MATCHES:
                 continue

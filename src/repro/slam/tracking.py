@@ -25,7 +25,7 @@ from ..vision.brief import descriptor_words
 from ..vision.camera import PinholeCamera
 from ..vision.matching import (
     FrameGrid,
-    Match,
+    Matches,
     search_by_projection_vectorized,
 )
 from .frame import Frame
@@ -175,19 +175,20 @@ class Tracker:
         per :meth:`track` call.
         """
         proj_uv, visible_idx = projection
-        if len(visible_idx) == 0:
-            return [], 0
-        descriptors = pack.descriptors[visible_idx]
+        # The search reads the pack's word view through ``point_rows``,
+        # so it is handed the whole pack, not a gather of visible rows.
         matches = search_by_projection_vectorized(
-            proj_uv, descriptors, frame.features.uv, frame.features.descriptors,
+            proj_uv, pack.descriptors, frame.features.uv,
+            frame.features.descriptors,
             radius=radius, grid=grid,
             point_words=pack.descriptor_words,
             frame_words=frame_words,
             point_rows=visible_idx,
         )
         # Re-index matches back to the full candidate list.
-        rows = visible_idx.tolist()
-        remapped = [Match(rows[m.query_idx], m.train_idx, m.distance) for m in matches]
+        remapped = Matches(
+            visible_idx[matches.query_idx], matches.train_idx, matches.distance
+        )
         return remapped, len(visible_idx) * len(frame)
 
     # ---------------------------------------------------------------- track
@@ -228,12 +229,10 @@ class Tracker:
         if len(matches) < 4:
             return TrackingResult(frame, False, len(matches), float("inf"), workload)
 
-        q_idx = np.array([m.query_idx for m in matches], dtype=np.intp)
-        t_idx = np.array([m.train_idx for m in matches], dtype=np.intp)
-        pts_w = pack.positions[q_idx]
-        uv = features.uv[t_idx]
-        depths = features.depths[t_idx]
-        result = solve_pnp(pts_w, uv, self.camera, prior, depths=depths)
+        result = solve_pnp(
+            pack.positions[matches.query_idx], features.uv[matches.train_idx],
+            self.camera, prior, depths=features.depths[matches.train_idx],
+        )
         if result.n_inliers >= 4:
             # Second round: re-associate with the *refined* pose and
             # re-optimize (ORB-SLAM3's TrackLocalMap after
@@ -248,13 +247,10 @@ class Tracker:
             workload.candidate_pairs += pairs2
             if len(matches2) >= 4:
                 matches = matches2
-                q_idx = np.array([m.query_idx for m in matches], dtype=np.intp)
-                t_idx = np.array([m.train_idx for m in matches], dtype=np.intp)
-                pts_w = pack.positions[q_idx]
-                uv = features.uv[t_idx]
-                depths = features.depths[t_idx]
                 result = solve_pnp(
-                    pts_w, uv, self.camera, result.pose_cw, depths=depths
+                    pack.positions[matches.query_idx],
+                    features.uv[matches.train_idx], self.camera,
+                    result.pose_cw, depths=features.depths[matches.train_idx],
                 )
         workload.pnp_iterations = result.iterations
         if result.n_inliers < cfg.min_matches:
@@ -263,11 +259,13 @@ class Tracker:
             )
 
         frame.pose_cw = result.pose_cw
-        for m, inlier in zip(matches, result.inliers):
-            point = points[m.query_idx]
+        for qi, ti, inlier in zip(matches.query_idx.tolist(),
+                                  matches.train_idx.tolist(),
+                                  result.inliers.tolist()):
+            point = points[qi]
             point.times_visible += 1
             if inlier:
-                frame.matched_point_ids[m.train_idx] = point.point_id
+                frame.matched_point_ids[ti] = point.point_id
                 point.times_found += 1
         workload.n_matches = result.n_inliers
         self._update_motion_model(result.pose_cw)

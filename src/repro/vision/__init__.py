@@ -15,7 +15,7 @@ from .fast import Keypoint, detect_fast_vectorized
 from .image import Image, ImagePyramid
 from .matching import (
     FrameGrid,
-    Match,
+    Matches,
     match_descriptors,
     search_by_projection_vectorized,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "Image",
     "ImagePyramid",
     "Keypoint",
-    "Match",
+    "Matches",
     "OrbExtractor",
     "OrbExtractorConfig",
     "PinholeCamera",

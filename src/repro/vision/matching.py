@@ -5,18 +5,22 @@ identifies as ~30% of tracking latency (Fig. 5): every map point in the
 local map is projected into the current frame and matched against the
 frame's descriptors inside a window.  The system runs
 :func:`search_by_projection_vectorized`: prune candidate pairs with a
-spatial frame grid (ORB-SLAM's ``GetFeaturesInArea``) before any Hamming
-work, then resolve the greedy one-to-one assignment from the pruned pair
-list (the GPU kernel of §4.2.1).  The point-by-point loop of default
-ORB-SLAM3 — the CPU-sequential side of the paper's A4 kernel comparison
+spatial frame grid (ORB-SLAM's ``GetFeaturesInArea``, one broadcast over
+every centre's cell box) before any Hamming work, then resolve the
+greedy one-to-one assignment from the pruned pair list (the GPU kernel
+of §4.2.1).  Both matchers return one :class:`Matches`: parallel int
+arrays, never one object per match, so the tracker gathers PnP's inputs
+straight from them.  The point-by-point loop of default ORB-SLAM3 — the
+CPU-sequential side of the paper's A4 kernel comparison
 (``benchmarks/bench_ablation_kernels.py``) and the reference the
-vectorized output must equal — is the oracle in ``tests/oracles.py``.
+vectorized output must equal — is the oracle in ``tests/oracles.py``,
+beside the per-cell span loop the grid replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +31,24 @@ DEFAULT_RATIO = 0.8
 
 
 @dataclass
-class Match:
-    """A correspondence between a query index and a train index."""
+class Matches:
+    """Correspondences as parallel int arrays, in ascending query order.
 
-    query_idx: int
-    train_idx: int
-    distance: int
+    Row ``i`` matches query (map point) ``query_idx[i]`` to train
+    (frame feature) ``train_idx[i]`` at Hamming ``distance[i]``;
+    ``len()`` is the number of matches.
+    """
+
+    query_idx: np.ndarray
+    train_idx: np.ndarray
+    distance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.query_idx)
+
+
+_NONE = np.zeros(0, dtype=np.intp)
+NO_MATCHES = Matches(_NONE, _NONE, _NONE)
 
 
 def match_descriptors(
@@ -42,10 +58,10 @@ def match_descriptors(
     ratio: float = DEFAULT_RATIO,
     cross_check: bool = True,
     am=None,  # unread; kept while the perf ledger pins it (ROADMAP 21)
-) -> List[Match]:
+) -> Matches:
     """Brute-force Hamming matching with Lowe ratio and cross check."""
     if len(query) == 0 or len(train) == 0:
-        return []
+        return NO_MATCHES
     qi_all = np.arange(len(query))
     distances = hamming_distance_matrix(query, train)
     best = np.argmin(distances, axis=1)
@@ -58,10 +74,8 @@ def match_descriptors(
         keep &= ~((second > 0) & (best_dist > ratio * second))
     if cross_check:
         keep &= np.argmin(distances, axis=0)[best] == qi_all
-    return [
-        Match(int(qi), int(best[qi]), int(best_dist[qi]))
-        for qi in np.nonzero(keep)[0]
-    ]
+    rows = np.flatnonzero(keep)
+    return Matches(rows, best[rows], best_dist[rows])
 
 
 class FrameGrid:
@@ -82,27 +96,22 @@ class FrameGrid:
         uv = np.atleast_2d(np.asarray(uv, dtype=float))
         self.n_features = len(uv)
         if self.n_features == 0:
-            self.u0 = self.v0 = 0.0
+            self.origin = np.zeros(2)
             self.n_cu = self.n_cv = 1
             self.order = np.zeros(0, dtype=np.intp)
-            self.starts = np.zeros(1, dtype=np.intp)
-            self.counts = np.zeros(1, dtype=np.intp)
+            self.starts = np.zeros(2, dtype=np.intp)
             return
-        self.u0 = float(uv[:, 0].min())
-        self.v0 = float(uv[:, 1].min())
-        cu = ((uv[:, 0] - self.u0) / self.cell_size).astype(np.intp)
-        cv = ((uv[:, 1] - self.v0) / self.cell_size).astype(np.intp)
+        self.origin = uv.min(axis=0)
+        cu = ((uv[:, 0] - self.origin[0]) / self.cell_size).astype(np.intp)
+        cv = ((uv[:, 1] - self.origin[1]) / self.cell_size).astype(np.intp)
         self.n_cu = int(cu.max()) + 1
         self.n_cv = int(cv.max()) + 1
         cells = cv * self.n_cu + cu
-        # CSR layout: features sorted by cell, plus per-cell offsets.
+        # CSR layout: features sorted by cell (row-major), and cell c's
+        # features at order[starts[c]:starts[c + 1]].
         self.order = np.argsort(cells, kind="stable").astype(np.intp)
-        self.counts = np.bincount(cells, minlength=self.n_cu * self.n_cv).astype(
-            np.intp
-        )
-        self.starts = np.concatenate(
-            [[0], np.cumsum(self.counts)[:-1]]
-        ).astype(np.intp)
+        counts = np.bincount(cells, minlength=self.n_cu * self.n_cv)
+        self.starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
     def candidate_pairs(
         self, centers: np.ndarray, radius: float
@@ -111,7 +120,8 @@ class FrameGrid:
 
         The returned pairs cover every feature whose cell overlaps the
         ``2 radius`` square around each center — a superset of the true
-        radius neighbours; callers apply the exact circular test.
+        radius neighbours; callers apply the exact circular test.  Each
+        pair occurs once; their order is unspecified.
         """
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         n_centers = len(centers)
@@ -119,58 +129,65 @@ class FrameGrid:
         if n_centers == 0 or self.n_features == 0:
             return empty
         cs = self.cell_size
-        cu_lo = np.floor((centers[:, 0] - radius - self.u0) / cs).astype(np.intp)
-        cu_hi = np.floor((centers[:, 0] + radius - self.u0) / cs).astype(np.intp)
-        cv_lo = np.floor((centers[:, 1] - radius - self.v0) / cs).astype(np.intp)
-        cv_hi = np.floor((centers[:, 1] + radius - self.v0) / cs).astype(np.intp)
-        np.clip(cu_lo, 0, self.n_cu - 1, out=cu_lo)
-        np.clip(cv_lo, 0, self.n_cv - 1, out=cv_lo)
-        cu_hi_c = np.minimum(cu_hi, self.n_cu - 1)
-        cv_hi_c = np.minimum(cv_hi, self.n_cv - 1)
         span = int(np.ceil(2.0 * radius / cs)) + 1
-        pts_parts: List[np.ndarray] = []
-        starts_parts: List[np.ndarray] = []
-        counts_parts: List[np.ndarray] = []
-        center_idx = np.arange(n_centers, dtype=np.intp)
-        for dv in range(span):
-            cv = cv_lo + dv
-            for du in range(span):
-                cu = cu_lo + du
-                ok = (cu <= cu_hi_c) & (cv <= cv_hi_c) & (cu_hi >= 0) & (cv_hi >= 0)
-                if not ok.any():
-                    continue
-                cells = cv[ok] * self.n_cu + cu[ok]
-                counts = self.counts[cells]
-                nonempty = counts > 0
-                if not nonempty.any():
-                    continue
-                pts_parts.append(center_idx[ok][nonempty])
-                starts_parts.append(self.starts[cells][nonempty])
-                counts_parts.append(counts[nonempty])
-        if not pts_parts:
-            return empty
-        pts = np.concatenate(pts_parts)
-        starts = np.concatenate(starts_parts)
-        counts = np.concatenate(counts_parts)
+        last = np.array([self.n_cu - 1, self.n_cv - 1])
+        # Each center's box of cells, as (u, v) columns: first cell
+        # clipped into the grid, last cell at most span - 1 past it.
+        lo = np.floor((centers - radius - self.origin) / cs).astype(np.intp)
+        hi = np.floor((centers + radius - self.origin) / cs).astype(np.intp)
+        off = (hi < 0).any(axis=1)  # wholly before the grid on an axis
+        np.clip(lo, 0, last, out=lo)
+        np.minimum(hi, np.minimum(lo + (span - 1), last), out=hi)
+        np.maximum(hi, lo, out=hi)
+        # One broadcast over every (center, dv) row of every box: a box
+        # row's cells are adjacent in the row-major CSR, so it is one
+        # range of ``order``; rows past the box's end are empty.
+        rows = lo[:, 1, None] + np.arange(span, dtype=np.intp)
+        inside = rows <= hi[:, 1, None]
+        inside[off] = False
+        row_first = np.minimum(rows, hi[:, 1, None]) * self.n_cu + lo[:, 0, None]
+        begins = self.starts[row_first].ravel()
+        ends = self.starts[row_first + (hi[:, 0, None] - lo[:, 0, None] + 1)]
+        counts = ((ends.ravel() - begins) * inside.ravel())
         # Expand the CSR ranges into flat (center, feature) pairs.
-        total = int(counts.sum())
-        ends = np.cumsum(counts)
-        begins = ends - counts
-        flat = (
-            np.arange(total, dtype=np.intp)
-            - np.repeat(begins, counts)
-            + np.repeat(starts, counts)
+        offsets = np.cumsum(counts)
+        total = int(offsets[-1])
+        if total == 0:
+            return empty
+        flat = np.arange(total, dtype=np.intp) + np.repeat(
+            begins - (offsets - counts), counts
         )
-        return np.repeat(pts, counts), self.order[flat]
+        center_of_row = np.arange(n_centers * span, dtype=np.intp) // span
+        return np.repeat(center_of_row, counts), self.order[flat]
+
+
+def _walk_conflicts(
+    pair_feat: np.ndarray, begins: np.ndarray, ends: np.ndarray, n_feats: int
+) -> list:
+    """The sequential greedy walk over the given point runs, in order.
+
+    ``begins[j]:ends[j]`` are one point's pair rows, best first; the
+    point keeps its first row whose feature no earlier walked point
+    took.  Returns the kept rows.
+    """
+    feats = pair_feat.tolist()
+    used = bytearray(n_feats)
+    kept = []
+    for lo, hi in zip(begins.tolist(), ends.tolist()):
+        for k in range(lo, hi):
+            if not used[feats[k]]:
+                used[feats[k]] = 1
+                kept.append(k)
+                break
+    return kept
 
 
 def _greedy_assign(
     pair_point: np.ndarray,
     pair_feat: np.ndarray,
     pair_dist: np.ndarray,
-    n_points: int,
     n_feats: int,
-) -> List[Match]:
+) -> Matches:
     """One-to-one greedy assignment identical to the sequential reference.
 
     Pairs are sorted by ``(point, distance, feature)``; walking that
@@ -178,31 +195,31 @@ def _greedy_assign(
     features in ascending point order, each taking its lowest-distance unused
     candidate (ties to the lowest feature index).  When every point's
     first choice is distinct — the common tracking case — the whole
-    assignment resolves without the walk.
+    assignment resolves without the walk.  Otherwise a point whose first
+    choice no other point lists keeps it and touches no other point, so
+    only the rest are walked.
     """
     if len(pair_point) == 0:
-        return []
-    order = np.lexsort((pair_feat, pair_dist, pair_point))
+        return NO_MATCHES
+    # The pairs are unique, so one sort of a packed key is the full
+    # (point, distance, feature) order.
+    n_dist = int(pair_dist.max()) + 1
+    key = (pair_point.astype(np.int64) * n_dist + pair_dist) * n_feats + pair_feat
+    order = np.argsort(key, kind="stable")
     pp = pair_point[order]
     pf = pair_feat[order]
     pd = pair_dist[order]
-    uniq_points, first_idx = np.unique(pp, return_index=True)
-    best_feats = pf[first_idx]
-    if len(np.unique(best_feats)) == len(best_feats):
-        return [
-            Match(int(pi), int(fi), int(di))
-            for pi, fi, di in zip(uniq_points, best_feats, pd[first_idx])
-        ]
-    matches: List[Match] = []
-    assigned = np.zeros(n_points, dtype=bool)
-    used = np.zeros(n_feats, dtype=bool)
-    for pi, fi, di in zip(pp.tolist(), pf.tolist(), pd.tolist()):
-        if assigned[pi] or used[fi]:
-            continue
-        assigned[pi] = True
-        used[fi] = True
-        matches.append(Match(int(pi), int(fi), int(di)))
-    return matches
+    begins = np.flatnonzero(np.diff(pp, prepend=-1))  # each point's first row
+    best_feats = pf[begins]
+    if np.bincount(best_feats).max() == 1:
+        return Matches(pp[begins], best_feats, pd[begins])
+    contested = np.bincount(pf, minlength=n_feats)[best_feats] > 1
+    ends = np.append(begins[1:], len(pp))
+    walked = _walk_conflicts(pf, begins[contested], ends[contested], n_feats)
+    kept = np.sort(
+        np.concatenate([begins[~contested], np.asarray(walked, dtype=np.intp)])
+    )
+    return Matches(pp[kept], pf[kept], pd[kept])
 
 
 def search_by_projection_vectorized(
@@ -216,47 +233,48 @@ def search_by_projection_vectorized(
     point_words: Optional[np.ndarray] = None,
     frame_words: Optional[np.ndarray] = None,
     point_rows: Optional[np.ndarray] = None,
-) -> List[Match]:
+) -> Matches:
     """Data-parallel search-local-points (the GPU kernel formulation).
 
     The frame grid prunes the ``points x features`` cross product to
     the pairs whose cells overlap the search window; the exact radius
-    test, pair-sparse Hamming popcount and argsort-based greedy
+    test, pair-sparse Hamming popcount and sort-based greedy
     assignment then run only on the survivors.  Output is identical to
     the point-by-point oracle in ``tests/oracles.py`` (tests assert
-    this).  Pass a prebuilt ``grid`` to amortize binning across
-    repeated searches of one frame.
+    this): a :class:`Matches` in ascending point order.  Pass a
+    prebuilt ``grid`` to amortize binning across repeated searches of
+    one frame.
 
     ``point_words`` / ``frame_words`` are optional descriptor blocks
     already in the Hamming word layout
     (:func:`repro.vision.brief.descriptor_words`), so the tracker builds
     them once per local-map pack and once per frame, shared across the
-    narrow / wide-retry / refine searches.  When ``point_words`` holds a
-    superset of ``point_descriptors`` (the tracker views the full
-    local-map pack once), ``point_rows[i]`` gives its row of point row
-    ``i``.
+    narrow / wide-retry / refine searches.  When ``point_descriptors``
+    (and ``point_words``) hold more rows than ``projected_uv`` (the
+    tracker passes the full local-map pack), ``point_rows[i]`` gives the
+    descriptor row of projected point ``i``.
     """
     n_points = len(projected_uv)
     n_feats = len(frame_uv)
     if n_points == 0 or n_feats == 0:
-        return []
+        return NO_MATCHES
     projected_uv = np.atleast_2d(np.asarray(projected_uv, dtype=float))
     frame_uv = np.atleast_2d(np.asarray(frame_uv, dtype=float))
     if grid is None:
         grid = FrameGrid(frame_uv)
     pair_point, pair_feat = grid.candidate_pairs(projected_uv, radius)
     if len(pair_point) == 0:
-        return []
-    diff = projected_uv[pair_point] - frame_uv[pair_feat]
-    within = (diff * diff).sum(axis=1) <= radius * radius
+        return NO_MATCHES
+    # 1-D gathers per axis; du² + dv² is the row sum of squares to the bit.
+    du = projected_uv[:, 0][pair_point] - frame_uv[:, 0][pair_feat]
+    dv = projected_uv[:, 1][pair_point] - frame_uv[:, 1][pair_feat]
+    within = du * du + dv * dv <= radius * radius
     pair_point = pair_point[within]
     pair_feat = pair_feat[within]
     if len(pair_point) == 0:
-        return []
+        return NO_MATCHES
     idx_a = pair_point
-    if point_rows is not None and point_words is not None:
-        # The word block covers the whole local-map pack; translate
-        # subset rows to its rows before the gather.
+    if point_rows is not None:
         idx_a = np.asarray(point_rows, dtype=np.intp)[pair_point]
     dist = hamming_distance_pairs(
         point_descriptors,
@@ -268,6 +286,5 @@ def search_by_projection_vectorized(
     )
     close = dist <= max_distance
     return _greedy_assign(
-        pair_point[close], pair_feat[close], dist[close], n_points, n_feats
+        pair_point[close], pair_feat[close], dist[close], n_feats
     )
-

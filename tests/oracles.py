@@ -54,6 +54,13 @@ and its q <= 2 P-frames, still 16-bit, to the same bytes.
 
 ``word_of_reference`` descends the vocabulary tree one descriptor at a
 time; ``Vocabulary.words_of`` must pick the same leaf for every row.
+
+The projection search's oracles return plain ``(point, feature,
+distance)`` tuples; ``as_tuples`` reads a live ``Matches`` the same way
+and ``as_matches`` builds one from tuples.  ``candidate_pairs_reference``
+is ``FrameGrid.candidate_pairs`` from before it read every search box in
+one broadcast: one pass per (dv, du) cell offset of the box.  The two
+must return the same pair set.
 """
 
 from __future__ import annotations
@@ -101,7 +108,7 @@ from repro.vision.fast import (
     detect_fast_vectorized,
 )
 from repro.vision.image import Image, ImagePyramid
-from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, Match
+from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, FrameGrid, Matches
 from repro.vision.orb import FeatureSet, OrbExtractorConfig
 from repro.vision.render import PATCH_SIZE
 
@@ -356,6 +363,78 @@ def _tie_break(dy: int, dx: int) -> bool:
 
 
 # ------------------------------------------------------- projection search
+MatchTuple = Tuple[int, int, int]
+
+
+def as_tuples(matches: Matches) -> List[MatchTuple]:
+    """A live ``Matches`` as the oracles' ordered ``(q, t, d)`` tuples."""
+    return list(zip(matches.query_idx.tolist(), matches.train_idx.tolist(),
+                    matches.distance.tolist()))
+
+
+def as_matches(tuples: List[MatchTuple]) -> Matches:
+    """The oracles' tuples as a live ``Matches`` (for patched callers)."""
+    columns = np.array(tuples, dtype=np.intp).reshape(-1, 3)
+    return Matches(columns[:, 0].copy(), columns[:, 1].copy(),
+                   columns[:, 2].copy())
+
+
+def candidate_pairs_reference(
+    grid: FrameGrid, centers: np.ndarray, radius: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``FrameGrid.candidate_pairs`` one (dv, du) cell offset at a time."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    n_centers = len(centers)
+    empty = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+    if n_centers == 0 or grid.n_features == 0:
+        return empty
+    cs = grid.cell_size
+    u0, v0 = grid.origin
+    counts_of_cell = np.diff(grid.starts)
+    cu_lo = np.floor((centers[:, 0] - radius - u0) / cs).astype(np.intp)
+    cu_hi = np.floor((centers[:, 0] + radius - u0) / cs).astype(np.intp)
+    cv_lo = np.floor((centers[:, 1] - radius - v0) / cs).astype(np.intp)
+    cv_hi = np.floor((centers[:, 1] + radius - v0) / cs).astype(np.intp)
+    np.clip(cu_lo, 0, grid.n_cu - 1, out=cu_lo)
+    np.clip(cv_lo, 0, grid.n_cv - 1, out=cv_lo)
+    cu_hi_c = np.minimum(cu_hi, grid.n_cu - 1)
+    cv_hi_c = np.minimum(cv_hi, grid.n_cv - 1)
+    span = int(np.ceil(2.0 * radius / cs)) + 1
+    pts_parts: List[np.ndarray] = []
+    starts_parts: List[np.ndarray] = []
+    counts_parts: List[np.ndarray] = []
+    center_idx = np.arange(n_centers, dtype=np.intp)
+    for dv in range(span):
+        cv = cv_lo + dv
+        for du in range(span):
+            cu = cu_lo + du
+            ok = (cu <= cu_hi_c) & (cv <= cv_hi_c) & (cu_hi >= 0) & (cv_hi >= 0)
+            if not ok.any():
+                continue
+            cells = cv[ok] * grid.n_cu + cu[ok]
+            counts = counts_of_cell[cells]
+            nonempty = counts > 0
+            if not nonempty.any():
+                continue
+            pts_parts.append(center_idx[ok][nonempty])
+            starts_parts.append(grid.starts[cells][nonempty])
+            counts_parts.append(counts[nonempty])
+    if not pts_parts:
+        return empty
+    pts = np.concatenate(pts_parts)
+    starts = np.concatenate(starts_parts)
+    counts = np.concatenate(counts_parts)
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    flat = (
+        np.arange(total, dtype=np.intp)
+        - np.repeat(begins, counts)
+        + np.repeat(starts, counts)
+    )
+    return np.repeat(pts, counts), grid.order[flat]
+
+
 def search_by_projection_scalar(
     projected_uv: np.ndarray,
     point_descriptors: np.ndarray,
@@ -363,9 +442,9 @@ def search_by_projection_scalar(
     frame_descriptors: np.ndarray,
     radius: float = 8.0,
     max_distance: int = DEFAULT_MATCH_THRESHOLD,
-) -> List[Match]:
+) -> List[MatchTuple]:
     """Sequential search-local-points: loop over map points one by one."""
-    matches: List[Match] = []
+    matches: List[MatchTuple] = []
     used = set()
     for pi in range(len(projected_uv)):
         best_dist = max_distance + 1
@@ -383,7 +462,7 @@ def search_by_projection_scalar(
                 best_fi = fi
         if best_fi >= 0:
             used.add(best_fi)
-            matches.append(Match(pi, best_fi, best_dist))
+            matches.append((pi, best_fi, int(best_dist)))
     return matches
 
 
@@ -394,7 +473,7 @@ def search_by_projection_dense(
     frame_descriptors: np.ndarray,
     radius: float = 8.0,
     max_distance: int = DEFAULT_MATCH_THRESHOLD,
-) -> List[Match]:
+) -> List[MatchTuple]:
     """The pre-grid dense formulation (all-pairs matrices, per-point loop):
     a second reference, beside ``search_by_projection_scalar``, for
     ``repro.vision.matching.search_by_projection_vectorized``."""
@@ -406,7 +485,7 @@ def search_by_projection_dense(
     within = (diff ** 2).sum(axis=2) <= radius * radius
     hamming = hamming_distance_matrix(point_descriptors, frame_descriptors)
     cost = np.where(within & (hamming <= max_distance), hamming, _INF_COST)
-    matches: List[Match] = []
+    matches: List[MatchTuple] = []
     used = np.zeros(n_feats, dtype=bool)
     # Same greedy order as the scalar loop: by ascending point index.
     for pi in range(n_points):
@@ -415,7 +494,7 @@ def search_by_projection_dense(
         if row[fi] >= _INF_COST:
             continue
         used[fi] = True
-        matches.append(Match(pi, fi, int(row[fi])))
+        matches.append((pi, fi, int(row[fi])))
     return matches
 
 

@@ -222,6 +222,20 @@ class TestReachHook:
         assert defs["repro.mod:decorated"].first == defs["repro.mod:deco"].last + 3
         assert defs["repro.mod:K.method.nested"].outer == "K.method"
 
+    def test_a_failed_run_shows_its_last_output_lines(self, tree):
+        _write(tree, "fails.py", """
+            import sys
+
+            print("setting up", flush=True)
+            sys.exit("the bench assert stopped here")
+            """)
+        logged = []
+        census.reached(tree, runs=lambda work: [("fails", [sys.executable, "fails.py"]),
+                                                ("probe", [sys.executable, "probe.py"])],
+                       log=logged.append)
+        assert logged == ["# ran fails: exit 1", "#   setting up",
+                          "#   the bench assert stopped here", "# ran probe: exit 0"]
+
     def test_problems_name_unclaimed_gone_and_running_entries(self, tree):
         defs = census.src_defs(tree)
         dead = [defs["repro.mod:never"], defs["repro.mod:K.unused"]]

@@ -7,6 +7,8 @@ caches must invalidate whenever the map changes under them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import euroc_dataset
 from repro.slam import SlamMap
@@ -22,6 +24,7 @@ from repro.vision.fast import (
     _collect_keypoints,
     detect_fast_vectorized,
 )
+from repro.vision import matching
 from repro.vision.matching import (
     FrameGrid,
     match_descriptors,
@@ -29,6 +32,8 @@ from repro.vision.matching import (
 )
 from tests.oracles import (
     _collect_keypoints_reference,
+    as_tuples,
+    candidate_pairs_reference,
     search_by_projection_dense,
     search_by_projection_scalar,
 )
@@ -37,10 +42,6 @@ from tests.test_slam_system import run_system
 
 def _descriptors(rng, n, width=DESCRIPTOR_BYTES, low=0, high=256):
     return rng.integers(low, high, (n, width), dtype=np.uint8)
-
-
-def _as_tuples(matches):
-    return [(m.query_idx, m.train_idx, m.distance) for m in matches]
 
 
 # --------------------------------------------------------------- hamming
@@ -128,14 +129,14 @@ class TestSearchEquivalence:
         point_desc = _descriptors(rng, n_pts, high=4)
         frame_desc = _descriptors(rng, n_feats, high=4)
         kwargs = dict(radius=radius, max_distance=300)
-        scalar = _as_tuples(search_by_projection_scalar(
-            proj_uv, point_desc, frame_uv, frame_desc, **kwargs))
-        dense = _as_tuples(search_by_projection_dense(
-            proj_uv, point_desc, frame_uv, frame_desc, **kwargs))
-        vec = _as_tuples(search_by_projection_vectorized(
+        scalar = search_by_projection_scalar(
+            proj_uv, point_desc, frame_uv, frame_desc, **kwargs)
+        dense = search_by_projection_dense(
+            proj_uv, point_desc, frame_uv, frame_desc, **kwargs)
+        vec = as_tuples(search_by_projection_vectorized(
             proj_uv, point_desc, frame_uv, frame_desc, **kwargs))
         grid = FrameGrid(frame_uv)
-        vec_grid = _as_tuples(search_by_projection_vectorized(
+        vec_grid = as_tuples(search_by_projection_vectorized(
             proj_uv, point_desc, frame_uv, frame_desc, grid=grid, **kwargs))
         assert scalar == dense == vec == vec_grid
 
@@ -145,10 +146,10 @@ class TestSearchEquivalence:
         empty_desc = np.zeros((0, DESCRIPTOR_BYTES), dtype=np.uint8)
         uv = rng.uniform(0, 50, (5, 2))
         desc = _descriptors(rng, 5)
-        assert search_by_projection_vectorized(
-            empty_uv, empty_desc, uv, desc, radius=10.0) == []
-        assert search_by_projection_vectorized(
-            uv, desc, empty_uv, empty_desc, radius=10.0) == []
+        assert len(search_by_projection_vectorized(
+            empty_uv, empty_desc, uv, desc, radius=10.0)) == 0
+        assert len(search_by_projection_vectorized(
+            uv, desc, empty_uv, empty_desc, radius=10.0)) == 0
 
     def test_max_distance_filter(self):
         rng = np.random.default_rng(1)
@@ -161,7 +162,7 @@ class TestSearchEquivalence:
         tight = search_by_projection_vectorized(
             proj_uv, point_desc, proj_uv, frame_desc,
             radius=5.0, max_distance=80)
-        assert all(m.distance <= 80 for m in tight)
+        assert (tight.distance <= 80).all()
         assert len(tight) <= len(loose)
 
     def test_grid_candidate_pairs_superset_of_radius(self):
@@ -176,6 +177,118 @@ class TestSearchEquivalence:
         qs, ts = np.nonzero(d2 <= radius * radius)
         for pair in zip(qs.tolist(), ts.tolist()):
             assert pair in candidate
+
+
+    def test_box_ends_at_its_span_when_rounding_adds_a_cell(self):
+        # (u + r) / cell rounds up to 26.0 here although the box's real
+        # end, 259.99..., lies in cell 25: the box is cells 23..25, as in
+        # the span loop.
+        frame_uv = np.array([[0.0, 5.0], [235.0, 5.0], [245.0, 5.0],
+                             [255.0, 5.0], [265.0, 5.0]])
+        grid = FrameGrid(frame_uv, cell_size=10.0)
+        center = np.array([[249.99999999999997, 5.0]])
+        assert np.floor((center[0, 0] + 10.0) / 10.0) == 26.0
+        got = grid.candidate_pairs(center, 10.0)
+        want = candidate_pairs_reference(grid, center, 10.0)
+        assert sorted(got[1].tolist()) == sorted(want[1].tolist()) == [1, 2, 3]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_feats=st.integers(0, 60),
+        n_centers=st.integers(0, 40),
+        cell_size=st.sampled_from([1.0, 5.5, 16.0, 37.0]),
+        radius_cells=st.sampled_from([0.0, 0.3, 1.0, 1.5, 2.0, 3.7]),
+    )
+    def test_property_candidate_pairs_equal_the_span_loop(
+        self, seed, n_feats, n_centers, cell_size, radius_cells
+    ):
+        # Centres lie partly outside the grid, before its first cell and
+        # past its last on both axes; the radius is below, at and above
+        # one cell.
+        rng = np.random.default_rng(seed)
+        frame_uv = rng.uniform(0.0, 200.0, (n_feats, 2))
+        centers = rng.uniform(-120.0, 320.0, (n_centers, 2))
+        grid = FrameGrid(frame_uv, cell_size=cell_size)
+        radius = radius_cells * cell_size
+        got = grid.candidate_pairs(centers, radius)
+        want = candidate_pairs_reference(grid, centers, radius)
+        pairs = list(zip(got[0].tolist(), got[1].tolist()))
+        assert len(set(pairs)) == len(pairs)
+        assert sorted(pairs) == sorted(zip(want[0].tolist(), want[1].tolist()))
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(2, 50),
+        n_feats=st.integers(1, 12),
+        alphabet=st.sampled_from([1, 2, 4]),
+        radius=st.sampled_from([4.0, 12.0, 40.0]),
+    )
+    def test_property_greedy_conflicts_equal_the_scalar_loop(
+        self, seed, n_points, n_feats, alphabet, radius
+    ):
+        # Many points crowd a few features with a tiny descriptor
+        # alphabet, so first choices collide.  Points i < j sit on one
+        # feature with the same descriptor, so they always do, and the
+        # points before i keep their first choices.
+        rng = np.random.default_rng(seed)
+        proj_uv = rng.uniform(0.0, 30.0, (n_points, 2))
+        frame_uv = rng.uniform(0.0, 30.0, (n_feats, 2))
+        point_desc = _descriptors(rng, n_points, high=alphabet)
+        frame_desc = _descriptors(rng, n_feats, high=alphabet)
+        i, j = np.sort(rng.choice(n_points, 2, replace=False))
+        proj_uv[[i, j]] = frame_uv[rng.integers(n_feats)]
+        point_desc[j] = point_desc[i]
+        walks = []
+        walk = matching._walk_conflicts
+        kwargs = dict(radius=radius, max_distance=300)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matching, "_walk_conflicts",
+                          lambda *args: walks.append(1) or walk(*args))
+            got = as_tuples(search_by_projection_vectorized(
+                proj_uv, point_desc, frame_uv, frame_desc, **kwargs))
+        assert walks
+        assert got == search_by_projection_scalar(
+            proj_uv, point_desc, frame_uv, frame_desc, **kwargs)
+
+
+class TestShadowSession:
+    """Every projection search of the short scenario, the tracker's and
+    local mapping's fuse, returns the scalar oracle's matches in order."""
+
+    def test_every_search_matches_the_scalar_oracle(self, monkeypatch):
+        from repro.slam import local_mapping, tracking
+        from tests.test_core_session import _short_default, _short_session
+
+        live = matching.search_by_projection_vectorized
+        calls = {"tracking": 0, "local_mapping": 0}
+
+        def shadowed(caller):
+            def search(projected_uv, point_descriptors, frame_uv,
+                       frame_descriptors, radius=8.0,
+                       max_distance=matching.DEFAULT_MATCH_THRESHOLD,
+                       point_rows=None, **kwargs):
+                result = live(projected_uv, point_descriptors, frame_uv,
+                              frame_descriptors, radius=radius,
+                              max_distance=max_distance,
+                              point_rows=point_rows, **kwargs)
+                rows = (point_descriptors if point_rows is None
+                        else point_descriptors[point_rows])
+                assert as_tuples(result) == search_by_projection_scalar(
+                    projected_uv, rows, frame_uv, frame_descriptors,
+                    radius=radius, max_distance=max_distance)
+                calls[caller] += 1
+                return result
+            return search
+
+        monkeypatch.setattr(tracking, "search_by_projection_vectorized",
+                            shadowed("tracking"))
+        monkeypatch.setattr(local_mapping, "search_by_projection_vectorized",
+                            shadowed("local_mapping"))
+        digest = _short_session().run().digest()
+        assert calls["tracking"] > 100 and calls["local_mapping"] > 10
+        assert digest == _short_default()[1].digest()
 
 
 # ------------------------------------------------------------------- nms
@@ -240,7 +353,7 @@ class TestMatchDescriptorsEquivalence:
         rng = np.random.default_rng(seed)
         query = _descriptors(rng, 25, high=8)  # tie-heavy
         train = _descriptors(rng, 30, high=8)
-        got = _as_tuples(match_descriptors(
+        got = as_tuples(match_descriptors(
             query, train, max_distance=200, cross_check=cross_check))
         want = self._reference(
             query, train, max_distance=200, cross_check=cross_check)
@@ -250,7 +363,7 @@ class TestMatchDescriptorsEquivalence:
         rng = np.random.default_rng(20)
         query = _descriptors(rng, 5)
         train = query[:1].copy()
-        got = _as_tuples(match_descriptors(query, train, max_distance=256))
+        got = as_tuples(match_descriptors(query, train, max_distance=256))
         assert self._reference(query, train, max_distance=256) == got
 
 

@@ -11,7 +11,7 @@ from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
 from repro.vision import FeatureSet
 from repro.vision.brief import DESCRIPTOR_BYTES
-from tests.oracles import search_by_projection_scalar
+from tests.oracles import as_matches, search_by_projection_scalar
 from tests.test_slam_system import run_system
 
 
@@ -169,9 +169,11 @@ class TestTracker:
         vectorized = track()
         monkeypatch.setattr(
             tracking, "search_by_projection_vectorized",
-            lambda proj_uv, point_desc, frame_uv, frame_desc, radius, **_:
-                search_by_projection_scalar(
-                    proj_uv, point_desc, frame_uv, frame_desc, radius=radius),
+            lambda proj_uv, point_desc, frame_uv, frame_desc, radius,
+                   point_rows, **_:
+                as_matches(search_by_projection_scalar(
+                    proj_uv, point_desc[point_rows], frame_uv, frame_desc,
+                    radius=radius)),
         )
         scalar = track()
         assert scalar.success

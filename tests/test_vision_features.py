@@ -27,6 +27,7 @@ from repro.vision.fast import Keypoint
 from repro.vision.render import landmark_patch
 from tests import oracles
 from tests.oracles import (
+    as_tuples,
     detect_fast_scalar,
     hamming_distance,
     search_by_projection_scalar,
@@ -238,20 +239,19 @@ class TestMatching:
         base, noisy = self._descriptor_sets()
         matches = match_descriptors(base, noisy)
         assert len(matches) >= 25
-        for m in matches:
-            assert m.query_idx == m.train_idx
+        np.testing.assert_array_equal(matches.query_idx, matches.train_idx)
 
     def test_empty_inputs(self):
         base, _ = self._descriptor_sets(5)
-        assert match_descriptors(base, np.zeros((0, DESCRIPTOR_BYTES), np.uint8)) == []
-        assert match_descriptors(np.zeros((0, DESCRIPTOR_BYTES), np.uint8), base) == []
+        assert len(match_descriptors(base, np.zeros((0, DESCRIPTOR_BYTES), np.uint8))) == 0
+        assert len(match_descriptors(np.zeros((0, DESCRIPTOR_BYTES), np.uint8), base)) == 0
 
     def test_max_distance_filters(self):
         rng = np.random.default_rng(7)
         a = np.stack([random_descriptor(rng) for _ in range(10)])
         b = np.stack([random_descriptor(rng) for _ in range(10)])
         # Random 256-bit strings differ by ~128 bits on average.
-        assert match_descriptors(a, b, max_distance=40) == []
+        assert len(match_descriptors(a, b, max_distance=40)) == 0
 
     def test_search_by_projection_variants_agree(self):
         rng = np.random.default_rng(8)
@@ -262,9 +262,7 @@ class TestMatching:
         frame_desc = np.stack([perturb_descriptor(d, rng, 5) for d in base])
         scalar = search_by_projection_scalar(proj_uv, base, frame_uv, frame_desc)
         vector = search_by_projection_vectorized(proj_uv, base, frame_uv, frame_desc)
-        assert [(m.query_idx, m.train_idx, m.distance) for m in scalar] == [
-            (m.query_idx, m.train_idx, m.distance) for m in vector
-        ]
+        assert scalar == as_tuples(vector)
         assert len(scalar) >= n * 0.8
 
     def test_search_radius_enforced(self):
@@ -273,7 +271,7 @@ class TestMatching:
         proj_uv = np.array([[50.0, 50.0]])
         frame_uv = np.array([[80.0, 80.0]])  # 42 px away
         out = search_by_projection_vectorized(proj_uv, base, frame_uv, base, radius=8.0)
-        assert out == []
+        assert len(out) == 0
 
 
 class TestFeatureOracle:

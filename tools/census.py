@@ -461,6 +461,10 @@ def run_set(work: Path) -> List[Tuple[str, List[str]]]:
     return runs
 
 
+# Output lines shown for a run that exits non-zero.
+FAILED_RUN_TAIL = 20
+
+
 def reached(root: Path = ROOT, runs=run_set, log=print) -> Set[Tuple[str, int]]:
     """Run ``runs(work_dir)`` under the hook, from ``root`` with its
     ``src`` on the path: the ``(realpath, first line)`` of each code
@@ -477,9 +481,14 @@ def reached(root: Path = ROOT, runs=run_set, log=print) -> Set[Tuple[str, int]]:
             [str(hook), str(root / "src")]
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         for label, argv in runs(work):
-            done = subprocess.run(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL)
+            done = subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.STDOUT, text=True, errors="replace")
             log(f"# ran {label}: exit {done.returncode}")
+            if done.returncode != 0:
+                # A run that stopped early leaves its later defs unreached:
+                # show why, so they are not read as dead code.
+                for line in done.stdout.splitlines()[-FAILED_RUN_TAIL:]:
+                    log(f"#   {line}")
         seen: Set[Tuple[str, int]] = set()
         real: Dict[str, str] = {}
         for dump in out.iterdir():
