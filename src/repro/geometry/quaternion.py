@@ -3,6 +3,12 @@
 Quaternions are stored as ``(w, x, y, z)`` numpy arrays with ``w`` the
 scalar part.  Trajectories (`repro.geometry.trajectory`) keep their
 orientations as quaternions and interpolate them with :func:`slerp`.
+
+The ``*_rows`` functions apply the one-quaternion functions to every row
+of an ``(n, 4)`` stack and return the same bytes row for row: each dot
+product (the squared norm included) is one ``(1, 4) @ (4, 1)`` product
+of a stacked matmul, which numpy computes with the ``np.dot`` of two
+4-vectors, and everything else is elementwise.
 """
 
 from __future__ import annotations
@@ -28,6 +34,21 @@ def normalize(q: np.ndarray) -> np.ndarray:
     if q[0] < 0:
         q = -q
     return q
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for every row, as one stacked matmul."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def normalize_rows(q: np.ndarray) -> np.ndarray:
+    """:func:`normalize` of every row of an ``(n, 4)`` stack."""
+    q = np.asarray(q, dtype=float)
+    norm = np.sqrt(_row_dots(q, q))
+    if (norm < _EPS).any():
+        raise ValueError("cannot normalize a zero quaternion")
+    q = q / norm[:, None]
+    return np.where(q[:, :1] < 0, -q, q)
 
 
 def multiply(q_a: np.ndarray, q_b: np.ndarray) -> np.ndarray:
@@ -100,6 +121,19 @@ def to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
+def to_matrix_rows(q: np.ndarray) -> np.ndarray:
+    """:func:`to_matrix` of every row: an ``(n, 3, 3)`` stack."""
+    w, x, y, z = normalize_rows(q).T
+    return np.stack(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=1,
+    ).reshape(-1, 3, 3)
+
+
 def slerp(q_a: np.ndarray, q_b: np.ndarray, t: float) -> np.ndarray:
     """Spherical linear interpolation between two unit quaternions."""
     q_a = normalize(q_a)
@@ -115,3 +149,29 @@ def slerp(q_a: np.ndarray, q_b: np.ndarray, t: float) -> np.ndarray:
     return normalize(
         (np.sin((1.0 - t) * theta) / sin_theta) * q_a + (np.sin(t * theta) / sin_theta) * q_b
     )
+
+
+def slerp_rows(q_a: np.ndarray, q_b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`slerp` of every row pair ``(q_a[i], q_b[i], t[i])``."""
+    q_a = normalize_rows(q_a)
+    q_b = normalize_rows(q_b)
+    t = np.asarray(t, dtype=float)
+    dot = _row_dots(q_a, q_b)
+    flip = dot < 0.0
+    q_b = np.where(flip[:, None], -q_b, q_b)
+    dot = np.where(flip, -dot, dot)
+    out = np.empty_like(q_a)
+    near = dot > 1.0 - 1e-9
+    if near.any():
+        a, b = q_a[near], q_b[near]
+        out[near] = normalize_rows(a + t[near, None] * (b - a))
+    far = ~near
+    if far.any():
+        theta = np.arccos(np.clip(dot[far], -1.0, 1.0))
+        sin_theta = np.sin(theta)
+        tf = t[far]
+        out[far] = normalize_rows(
+            (np.sin((1.0 - tf) * theta) / sin_theta)[:, None] * q_a[far]
+            + (np.sin(tf * theta) / sin_theta)[:, None] * q_b[far]
+        )
+    return out

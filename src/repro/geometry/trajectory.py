@@ -110,6 +110,23 @@ class Trajectory:
             quaternion.slerp(a.orientation, b.orientation, alpha),
         )
 
+    def orientations_at(self, timestamps: np.ndarray) -> np.ndarray:
+        """:meth:`sample`'s orientation at each of ``timestamps``, as one
+        ``(n, 4)`` stack (the same bytes row for row)."""
+        if not self._points:
+            raise ValueError("cannot sample an empty trajectory")
+        timestamps = np.asarray(timestamps, dtype=float)
+        knots = np.array(self._times)
+        orientations = self.orientations
+        hi = np.searchsorted(knots, timestamps)  # bisect_left
+        out = np.where((hi == 0)[:, None], orientations[0], orientations[-1])
+        inside = (timestamps > knots[0]) & (timestamps < knots[-1])
+        hi = hi[inside]
+        lo = hi - 1
+        alpha = (timestamps[inside] - knots[lo]) / (knots[hi] - knots[lo])
+        out[inside] = quaternion.slerp_rows(orientations[lo], orientations[hi], alpha)
+        return out
+
     def resample(self, timestamps: Sequence[float]) -> "Trajectory":
         """Return a new trajectory interpolated at the given times."""
         samples = []

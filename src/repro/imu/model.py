@@ -103,15 +103,14 @@ def synthesize_imu(
     )
     omega_samples = interp_rows(times, mid_times, omega_mid)
 
-    # Rotate each sample's world acceleration into the body one matrix
-    # product at a time, as the interpolated orientation is sampled.
+    # Rotate each sample's world acceleration into the body: one stacked
+    # ``(n, 3, 3) @ (n, 3, 1)`` product, each row the matrix-vector
+    # product of the one-sample rotation.
     time_list = times.tolist()
-    specific_force = np.array(
-        [
-            quaternion.to_matrix(trajectory.sample(t).orientation).T @ a
-            for t, a in zip(time_list, a_w_samples - GRAVITY_W)
-        ]
-    ).reshape(len(times), 3)
+    r_wb = quaternion.to_matrix_rows(trajectory.orientations_at(times))
+    specific_force = (
+        r_wb.transpose(0, 2, 1) @ (a_w_samples - GRAVITY_W)[:, :, None]
+    )[:, :, 0]
     omega = omega_samples
     if with_noise:
         # One standard-normal block in the per-sample order of the draws:

@@ -1,11 +1,12 @@
 """Bag-of-binary-words place recognition (DBoW-style, from scratch).
 
 A vocabulary is a k-ary tree built by k-medoids clustering of binary
-descriptors under Hamming distance.  Leaves are *words*; an image's BoW
-vector is the tf weight of each word among its descriptors.  A keyframe
-database keeps an inverted index word -> keyframes, so querying touches
-only keyframes sharing words with the query — this is the
-``DetectCommonRegion`` substrate of merge Alg. 2.
+descriptors under Hamming distance, held as one flat node table and
+descended one level at a time for a whole descriptor stack.  Leaves are
+*words*; an image's BoW vector is the tf weight of each word among its
+descriptors.  A keyframe database keeps an inverted index word ->
+keyframes, so querying touches only keyframes sharing words with the
+query — this is the ``DetectCommonRegion`` substrate of merge Alg. 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..vision.brief import DESCRIPTOR_BYTES, hamming_distance_matrix
+from ..vision.brief import (
+    DESCRIPTOR_BYTES,
+    descriptor_words,
+    hamming_distance_matrix,
+    hamming_distance_pairs,
+)
 
 
 def _bitwise_medoid(descriptors: np.ndarray) -> np.ndarray:
@@ -25,24 +31,25 @@ def _bitwise_medoid(descriptors: np.ndarray) -> np.ndarray:
     return np.packbits(majority)
 
 
-class _Node:
-    __slots__ = ("center", "children", "word_id")
-
-    def __init__(self, center: np.ndarray) -> None:
-        self.center = center
-        self.children: List["_Node"] = []
-        self.word_id: int = -1
-
-
 class Vocabulary:
-    """k-ary Hamming k-medoids tree over binary descriptors."""
+    """k-ary Hamming k-medoids tree over binary descriptors.
+
+    The tree is one flat node table: node ``i`` has the center
+    ``_centers[i]``, its children are the ``_n_children[i]`` consecutive
+    nodes from ``_first_child[i]`` (in cluster order), and a leaf
+    (``_n_children[i] == 0``) carries the word id ``_word[i]``.  Node 0
+    is the root.
+    """
 
     def __init__(self, branching: int = 8, depth: int = 3) -> None:
         if branching < 2 or depth < 1:
             raise ValueError("need branching >= 2 and depth >= 1")
         self.branching = branching
         self.depth = depth
-        self._root: Optional[_Node] = None
+        self._centers: Optional[np.ndarray] = None
+        self._first_child = np.zeros(0, dtype=np.intp)
+        self._n_children = np.zeros(0, dtype=np.intp)
+        self._word = np.zeros(0, dtype=np.int64)
         self.n_words = 0
 
     def train(self, descriptors: np.ndarray, rng: np.random.Generator,
@@ -51,15 +58,24 @@ class Vocabulary:
         descriptors = np.asarray(descriptors, dtype=np.uint8)
         if len(descriptors) < self.branching:
             raise ValueError("not enough training descriptors")
-        self._root = _Node(_bitwise_medoid(descriptors))
+        # Node columns, grown while splitting: center, first child,
+        # child count, word id.
+        table: List[list] = [[_bitwise_medoid(descriptors)], [0], [0], [-1]]
         self.n_words = 0
-        self._split(self._root, descriptors, level=0, rng=rng,
+        self._split(table, 0, descriptors, level=0, rng=rng,
                     kmeans_iterations=kmeans_iterations)
+        centers, first, count, word = table
+        self._centers = np.array(centers, dtype=np.uint8)
+        self._first_child = np.array(first, dtype=np.intp)
+        self._n_children = np.array(count, dtype=np.intp)
+        self._word = np.array(word, dtype=np.int64)
 
-    def _split(self, node: _Node, descriptors: np.ndarray, level: int,
-               rng: np.random.Generator, kmeans_iterations: int) -> None:
+    def _split(self, table: List[list], node: int, descriptors: np.ndarray,
+               level: int, rng: np.random.Generator,
+               kmeans_iterations: int) -> None:
+        centers_col, first_col, count_col, word_col = table
         if level >= self.depth or len(descriptors) <= self.branching:
-            node.word_id = self.n_words
+            word_col[node] = self.n_words
             self.n_words += 1
             return
         # k-medoids under Hamming distance.
@@ -73,34 +89,54 @@ class Vocabulary:
                 members = descriptors[assignment == c]
                 if len(members):
                     centers[c] = _bitwise_medoid(members)
-        for c in range(self.branching):
-            members = descriptors[assignment == c]
-            if len(members) == 0:
-                continue
-            child = _Node(centers[c].copy())
-            node.children.append(child)
-            self._split(child, members, level + 1, rng, kmeans_iterations)
+        # Empty clusters make no child; a node's children are added
+        # together, so they are consecutive rows, and then split depth
+        # first in cluster order (the order words are numbered in).
+        groups = [(centers[c].copy(), descriptors[assignment == c])
+                  for c in range(self.branching)]
+        groups = [(center, members) for center, members in groups if len(members)]
+        first_col[node] = len(centers_col)
+        count_col[node] = len(groups)
+        for center, _ in groups:
+            centers_col.append(center)
+            first_col.append(0)
+            count_col.append(0)
+            word_col.append(-1)
+        for i, (_, members) in enumerate(groups):
+            self._split(table, first_col[node] + i, members, level + 1, rng,
+                        kmeans_iterations)
 
     def words_of(self, descriptors: np.ndarray) -> np.ndarray:
-        """Quantize a descriptor stack to word ids (batched tree descent)."""
-        if self._root is None:
+        """Quantize a descriptor stack to word ids.
+
+        The descent goes one tree level at a time: every descriptor still
+        at an inner node is scored against that node's children in one
+        pair-sparse Hamming pass, and the first child at the smallest
+        distance wins, as in the per-node ``argmin``.
+        """
+        if self._centers is None:
             raise RuntimeError("vocabulary is not trained")
         descriptors = np.atleast_2d(np.asarray(descriptors, dtype=np.uint8))
-        words = np.empty(len(descriptors), dtype=np.int64)
-
-        def descend(node: _Node, idx: np.ndarray) -> None:
-            if not node.children:
-                words[idx] = node.word_id
-                return
-            centers = np.stack([c.center for c in node.children])
-            choice = hamming_distance_matrix(descriptors[idx], centers).argmin(axis=1)
-            for c, child in enumerate(node.children):
-                sub = idx[choice == c]
-                if len(sub):
-                    descend(child, sub)
-
-        descend(self._root, np.arange(len(descriptors)))
-        return words
+        desc_words = descriptor_words(descriptors)
+        center_words = descriptor_words(self._centers)
+        slots = np.arange(self.branching)
+        node = np.zeros(len(descriptors), dtype=np.intp)
+        live = np.flatnonzero(self._n_children[node])
+        while len(live):
+            at = node[live]
+            count = self._n_children[at]
+            # Slots past a node's child count repeat its last child and
+            # are masked out of the argmin.
+            child = self._first_child[at][:, None] + np.minimum(
+                slots, count[:, None] - 1)
+            dist = hamming_distance_pairs(
+                descriptors, self._centers, np.repeat(live, self.branching),
+                child.ravel(), desc_words, center_words,
+            ).reshape(len(live), self.branching)
+            dist[slots >= count[:, None]] = np.iinfo(np.int32).max
+            node[live] = child[np.arange(len(live)), dist.argmin(axis=1)]
+            live = live[self._n_children[node[live]] > 0]
+        return self._word[node]
 
     def transform(self, descriptors: np.ndarray) -> Dict[int, float]:
         """BoW vector (word -> normalized tf weight) of a descriptor set."""

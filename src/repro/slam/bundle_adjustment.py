@@ -16,11 +16,16 @@ benefit from GPU parallelism and stays on the CPU.
 
 The intersection step flattens every (point, observation) pair into
 packed arrays, accumulates the per-point 3x3 normal equations with
-segment sums (``np.bincount`` in observation order, so floating-point
-accumulation follows the per-point loop it replaced) and solves all
-points with one batched ``np.linalg.solve``.  The per-point loop lives on as
+segment sums (``np.bincount`` in observation order, each depth row in
+the slot right after its reprojection row, so floating-point
+accumulation follows the per-point loop it replaced), solves all points
+with one batched ``np.linalg.solve`` and writes them back through their
+packed rows.  Resection solves each free keyframe's PnP on its block of
+the same arrays.  The per-point loop lives on as
 ``tests/oracles.py::local_bundle_adjustment``, which the equivalence
-suite holds this module to within 1e-9.
+suite holds this module to within 1e-9; the array body from before the
+slots and blocks is ``local_bundle_adjustment_arrays_reference``, which
+it must match byte for byte.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ class _ObsArrays:
     ``seg[i]`` indexes ``point_ids``/``point_rows`` and ``kf_idx[i]``
     indexes ``kf_ids`` for observation ``i``; observations appear in
     window order (keyframe, then feature), which is exactly the order
-    the per-point oracle accumulates them in.
+    the per-point oracle accumulates them in.  Keyframe ``k``'s
+    observations are the block ``kf_starts[k]:kf_starts[k + 1]``.
     """
 
     kf_ids: List[int]
@@ -71,6 +77,7 @@ class _ObsArrays:
     uv: np.ndarray            # (M, 2) observed pixels
     depth: np.ndarray         # (M,) measured depth (<= 0 when absent)
     counts: np.ndarray        # (P,) observations per point
+    kf_starts: np.ndarray     # (K + 1,) block offsets per window keyframe
 
     @property
     def n_obs(self) -> int:
@@ -86,7 +93,9 @@ def _collect_observation_arrays(
     kf_parts: List[np.ndarray] = []
     uv_parts: List[np.ndarray] = []
     depth_parts: List[np.ndarray] = []
+    kf_starts = np.zeros(len(keyframe_ids) + 1, dtype=np.intp)
     for kf_i, kf_id in enumerate(keyframe_ids):
+        kf_starts[kf_i + 1] = kf_starts[kf_i]
         kf = slam_map.keyframes[kf_id]
         sel = np.nonzero(kf.point_ids >= 0)[0]
         if len(sel) == 0:
@@ -96,6 +105,7 @@ def _collect_observation_arrays(
         if not ok.any():
             continue
         sel = sel[ok]
+        kf_starts[kf_i + 1] += len(sel)
         pid_parts.append(kf.point_ids[sel].astype(np.int64))
         row_parts.append(rows[ok])
         kf_parts.append(np.full(len(sel), kf_i, dtype=np.intp))
@@ -107,6 +117,7 @@ def _collect_observation_arrays(
             list(keyframe_ids), empty, np.zeros(0, dtype=np.intp),
             np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
             np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=np.intp),
+            kf_starts,
         )
     pids = np.concatenate(pid_parts)
     rows = np.concatenate(row_parts)
@@ -123,6 +134,7 @@ def _collect_observation_arrays(
         uv=np.concatenate(uv_parts),
         depth=np.concatenate(depth_parts),
         counts=counts,
+        kf_starts=kf_starts,
     )
 
 
@@ -206,7 +218,8 @@ def _refine_points(
             break
         m = live[seg]
         seg_m = seg[m]
-        p_cam = se3_batch.apply(rot_g[m], trans_g[m], positions[seg_m])
+        rot_m = rot_g[m]
+        p_cam = se3_batch.apply(rot_m, trans_g[m], positions[seg_m])
         x, y = p_cam[:, 0], p_cam[:, 1]
         z = np.maximum(p_cam[:, 2], 1e-6)
         uv_m = uv[m]
@@ -220,28 +233,30 @@ def _refine_points(
         j_proj[:, 0, 2] = -fx * x / (z * z)
         j_proj[:, 1, 1] = fy / z
         j_proj[:, 1, 2] = -fy * y / (z * z)
-        j = j_proj @ rot_g[m]
+        j = j_proj @ rot_m
         h_rows = np.einsum("nki,nkj->nij", j, j)
         g_rows = np.einsum("nki,nk->ni", j, r)
         dm = dep_ok[m]
         if dm.any():
-            # Depth rows are spliced in directly after their
-            # reprojection row so the segment sums accumulate in the
-            # oracle loop's order (reproj_1, depth_1, reproj_2, ...),
-            # not grouped.
+            # Each depth row takes the slot right after its reprojection
+            # row, so the segment sums accumulate in the oracle loop's
+            # order (reproj_1, depth_1, reproj_2, ...), not grouped.
             inv_dm = inv_d[m][dm]
-            j_d = (fx * inv_dm)[:, None] * rot_g[m][dm][:, 2, :]
+            j_d = (fx * inv_dm)[:, None] * rot_m[dm][:, 2, :]
             # Depth residual in pixel-like units: d(fx/z) ~ disparity.
             r_d = (z[dm] - depth[m][dm]) * fx * inv_dm
-            h_depth = np.einsum("ni,nj->nij", j_d, j_d)
-            g_depth = j_d * r_d[:, None]
-            keys = np.concatenate(
-                [np.arange(n_m) * 2, np.nonzero(dm)[0] * 2 + 1]
-            )
-            order = np.argsort(keys, kind="stable")
-            h_entries = np.concatenate([h_rows, h_depth])[order]
-            g_entries = np.concatenate([g_rows, g_depth])[order]
-            entry_seg = np.concatenate([seg_m, seg_m[dm]])[order]
+            slot = np.arange(n_m) + np.cumsum(dm) - dm
+            depth_slot = slot[dm] + 1
+            n_entries = n_m + len(depth_slot)
+            h_entries = np.empty((n_entries, 3, 3))
+            h_entries[slot] = h_rows
+            h_entries[depth_slot] = np.einsum("ni,nj->nij", j_d, j_d)
+            g_entries = np.empty((n_entries, 3))
+            g_entries[slot] = g_rows
+            g_entries[depth_slot] = j_d * r_d[:, None]
+            entry_seg = np.empty(n_entries, dtype=seg.dtype)
+            entry_seg[slot] = seg_m
+            entry_seg[depth_slot] = seg_m[dm]
         else:
             h_entries, g_entries, entry_seg = h_rows, g_rows, seg_m
         h = _segment_sum(h_entries, entry_seg, n_points)
@@ -258,32 +273,31 @@ def _refine_points(
         frozen = frozen | (update & (np.linalg.norm(step, axis=1) < 1e-10))
     good = active & ~failed & np.isfinite(positions).all(axis=1)
     if good.any():
-        slam_map.set_point_positions(obs.point_ids[good], positions[good])
+        slam_map.set_point_positions(obs.point_ids[good], positions[good],
+                                     obs.point_rows[good])
 
 
 def _resect_keyframes(
     slam_map: SlamMap,
     camera: PinholeCamera,
-    keyframe_ids: List[int],
+    obs: _ObsArrays,
     fixed: Set[int],
 ) -> None:
-    """Refine each free keyframe pose by PnP against the current points."""
-    for kf_id in keyframe_ids:
-        if kf_id in fixed:
+    """Refine each free keyframe pose by PnP against the current points.
+
+    A keyframe's correspondences are its block of ``obs``: its features
+    whose point is in the map, in feature order, with the points'
+    packed rows (no point is added or removed during BA).
+    """
+    positions = slam_map.packed_positions()
+    for kf_i, kf_id in enumerate(obs.kf_ids):
+        start, stop = obs.kf_starts[kf_i], obs.kf_starts[kf_i + 1]
+        if kf_id in fixed or stop - start < 6:
             continue
         kf = slam_map.keyframes[kf_id]
-        pids = kf.point_ids
-        mask = pids >= 0
-        if mask.sum() < 6:
-            continue
-        sel = np.nonzero(mask)[0]
-        rows = slam_map.lookup_point_rows(pids[sel])
-        ok = rows >= 0
-        if int(ok.sum()) < 6:
-            continue
-        pts = slam_map.packed_positions()[rows[ok]]
-        uvs = np.asarray(kf.uv[sel[ok]], dtype=float)
-        result = solve_pnp(pts, uvs, camera, kf.pose_cw, max_iterations=5)
+        pts = positions[obs.point_rows[obs.seg[start:stop]]]
+        result = solve_pnp(pts, obs.uv[start:stop], camera, kf.pose_cw,
+                           max_iterations=5)
         if result.n_inliers >= 6:
             kf.pose_cw = result.pose_cw
 
@@ -314,7 +328,7 @@ def local_bundle_adjustment(
             with _tracer.span("ba.intersection"):
                 _refine_points(slam_map, camera, obs, min_observations)
             with _tracer.span("ba.resection"):
-                _resect_keyframes(slam_map, camera, keyframe_ids, fixed)
+                _resect_keyframes(slam_map, camera, obs, fixed)
         final_error = _mean_reprojection_error(slam_map, camera, obs)
     _ba_wall.record((time.perf_counter() - start) * 1e3)
     return BAStats(

@@ -5,6 +5,12 @@ Mapping"): when tracking promotes a frame to a keyframe, new map points
 are created from its unmatched features ("Mappoint creation"), the BoW
 vector is computed for place recognition, and local bundle adjustment
 refines the surrounding map on every keyframe.
+
+Insertion runs in array passes: one unprojection of every feature with
+a depth in range, point fusion over the map's packed rows, and one
+masked running-average update of the observed points.  Each pass keeps
+the per-feature loop's arithmetic, so it returns the same bytes as
+``tests/oracles.py::insert_keyframe_reference``.
 """
 
 from __future__ import annotations
@@ -76,45 +82,50 @@ class LocalMapper:
         position errors would feed back into tracking (ORB-SLAM3's
         ``SearchInNeighbors``/Fuse serves the same purpose).
         """
-        unmatched = np.nonzero(keyframe.point_ids < 0)[0]
+        unmatched = np.flatnonzero(keyframe.point_ids < 0)
         if len(unmatched) == 0:
             return 0
         neighbor_ids = [keyframe.keyframe_id]
         if self.last_keyframe_id is not None:
             neighbor_ids.append(self.last_keyframe_id)
             neighbor_ids += self.map.covisible_keyframes(self.last_keyframe_id)[:8]
-        points = self.map.local_map_points(neighbor_ids)
-        if not points:
+        point_ids = np.array(
+            [p.point_id for p in self.map.local_map_points(neighbor_ids)],
+            dtype=np.int64,
+        )
+        if len(point_ids) == 0:
             return 0
-        positions = np.array([p.position for p in points])
+        positions, descriptors = self.map.gather_point_arrays(point_ids)
         uv, _, valid = self.camera.project_world(positions, keyframe.pose_cw)
-        visible = np.nonzero(valid)[0]
+        visible = np.flatnonzero(valid)
         if len(visible) == 0:
             return 0
-        proj_uv = uv[visible]
-        descs = np.stack([points[i].descriptor for i in visible])
         matches = search_by_projection_vectorized(
-            proj_uv,
-            descs,
+            uv[visible],
+            descriptors,
             keyframe.uv[unmatched],
             keyframe.descriptors[unmatched],
             radius=6.0,
+            point_rows=visible,
         )
-        fused = 0
-        for feat_idx, row in zip(unmatched[matches.train_idx].tolist(),
-                                 visible[matches.query_idx].tolist()):
-            point = points[row]
-            if point.point_id in keyframe.point_ids:
-                continue  # already observed by another feature
-            keyframe.point_ids[feat_idx] = point.point_id
-            fused += 1
-        return fused
+        # A match is one-to-one, so only a point some other feature
+        # already observes is skipped.
+        fused = point_ids[visible[matches.query_idx]]
+        fresh = ~np.isin(fused, keyframe.point_ids)
+        keyframe.point_ids[unmatched[matches.train_idx[fresh]]] = fused[fresh]
+        return int(fresh.sum())
 
     def insert_keyframe(self, frame: Frame, depth_scale: float = 1.0) -> KeyFrame:
         """Promote a tracked frame into the map and create new points.
 
         ``depth_scale`` rescales the measured depths; monocular clients
         use it to model the unknown map scale (Sim3 merging recovers it).
+
+        Every feature with a depth in range is unprojected once.  An
+        unmatched one creates a point there (in feature order); every
+        feature whose point is in the map then registers its observation
+        and, where the point is within 1 m of the unprojection, moves the
+        point to the running average of the two.
         """
         keyframe = KeyFrame.from_frame(
             self.kf_allocator.allocate(), frame, client_id=self.client_id
@@ -125,49 +136,28 @@ class LocalMapper:
         if depth_scale != 1.0:
             keyframe.depths = keyframe.depths * depth_scale
         self._fuse_unmatched(keyframe)
+        point_ids = keyframe.point_ids
+        in_range = (keyframe.depths >= MIN_DEPTH) & (keyframe.depths <= MAX_DEPTH)
+        feats = np.flatnonzero(in_range)
+        # The rotation is one stacked (n, 3, 3) @ (n, 3, 1) product: each
+        # row is the matrix-vector product of the one-point
+        # ``SE3.apply``, so it rounds the same.
         pose_wc = keyframe.pose_cw.inverse()
-        created = 0
-        for feat_idx in range(len(keyframe)):
-            if keyframe.point_ids[feat_idx] >= 0:
-                continue
-            depth = float(keyframe.depths[feat_idx])
-            if not (MIN_DEPTH <= depth <= MAX_DEPTH):
-                continue
-            point_cam = self.camera.unproject(
-                keyframe.uv[feat_idx][None], np.array([depth])
-            )[0]
+        points_cam = self.camera.unproject(keyframe.uv[feats], keyframe.depths[feats])
+        observed = np.zeros((len(keyframe), 3))
+        observed[feats] = (
+            np.broadcast_to(pose_wc.rotation, (len(feats), 3, 3)) @ points_cam[:, :, None]
+        )[:, :, 0] + pose_wc.translation
+        for feat_idx in feats[point_ids[feats] < 0].tolist():
             point = MapPoint(
                 point_id=self.point_allocator.allocate(),
-                position=pose_wc.apply(point_cam),
+                position=observed[feat_idx].copy(),
                 descriptor=keyframe.descriptors[feat_idx].copy(),
                 client_id=self.client_id,
             )
-            point.add_observation(keyframe.keyframe_id, feat_idx)
-            keyframe.point_ids[feat_idx] = point.point_id
+            point_ids[feat_idx] = point.point_id
             self.map.add_mappoint(point)
-            created += 1
-        # Register observations of already-known points, and refine their
-        # positions as a running average of depth-unprojections: the
-        # cheap stand-in for continuous map refinement between BA runs.
-        for feat_idx, pid in enumerate(keyframe.point_ids):
-            pid = int(pid)
-            if pid < 0 or pid not in self.map.mappoints:
-                continue
-            point = self.map.mappoints[pid]
-            point.add_observation(keyframe.keyframe_id, feat_idx)
-            depth = float(keyframe.depths[feat_idx])
-            if MIN_DEPTH <= depth <= MAX_DEPTH:
-                observed = pose_wc.apply(
-                    self.camera.unproject(
-                        keyframe.uv[feat_idx][None], np.array([depth])
-                    )[0]
-                )
-                n = max(point.n_observations, 1)
-                weight = 1.0 / (n + 1.0)
-                if np.linalg.norm(observed - point.position) < 1.0:
-                    self.map.set_point_position(
-                        pid, (1.0 - weight) * point.position + weight * observed
-                    )
+        self._register_and_refine(keyframe, observed, in_range)
         keyframe.bow_vector = self.vocabulary.transform(keyframe.descriptors)
         self.map.add_keyframe(keyframe)
         self.database.add(keyframe.keyframe_id, keyframe.bow_vector)
@@ -175,6 +165,45 @@ class LocalMapper:
         self.run_local_ba(keyframe.keyframe_id)
         self.enforce_budgets(keyframe)
         return keyframe
+
+    def _register_and_refine(self, keyframe: KeyFrame, observed: np.ndarray,
+                             in_range: np.ndarray) -> None:
+        """Register the keyframe's observations of map points, and refine
+        their positions as a running average of depth-unprojections: the
+        cheap stand-in for continuous map refinement between BA runs.
+
+        Each point's update reads only its own row, so all points update
+        in one masked pass.  A point two features observe (the last one
+        is its registered observation) is averaged once per feature, in
+        feature order.
+        """
+        feats = np.flatnonzero(keyframe.point_ids >= 0)
+        rows = self.map.lookup_point_rows(keyframe.point_ids[feats])
+        known = rows >= 0
+        feats, rows = feats[known], rows[known]
+        pids = keyframe.point_ids[feats]
+        points = [self.map.mappoints[pid] for pid in pids.tolist()]
+        kf_id = keyframe.keyframe_id
+        for point, feat_idx in zip(points, feats.tolist()):
+            point.observations[kf_id] = feat_idx
+        weight = 1.0 / (np.maximum([len(p.observations) for p in points], 1) + 1.0)
+        # The i-th feature of a point goes in pass i.
+        order = np.argsort(pids, kind="stable")
+        first = np.flatnonzero(np.diff(pids[order], prepend=-1))
+        rank = np.empty(len(pids), dtype=np.intp)
+        rank[order] = np.arange(len(pids)) - np.repeat(first, np.diff(first, append=len(pids)))
+        for i in range(int(rank.max(initial=-1)) + 1):
+            sel = np.flatnonzero((rank == i) & in_range[feats])
+            position = self.map.packed_positions()[rows[sel]]
+            obs = observed[feats[sel]]
+            diff = obs - position
+            # The distance is |d| as np.linalg.norm takes it: the root of
+            # the dot product d . d.
+            close = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]) < 1.0
+            sel, position, obs = sel[close], position[close], obs[close]
+            w = weight[sel][:, None]
+            self.map.set_point_positions(
+                pids[sel], (1.0 - w) * position + w * obs, rows[sel])
 
     def enforce_budgets(self, keyframe: Optional[KeyFrame] = None) -> int:
         """Apply the configured map budgets (no-op when unbounded).

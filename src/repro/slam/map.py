@@ -9,6 +9,7 @@ when maps are merged.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -66,8 +67,8 @@ class _PackedPointArrays:
     Python object table on every search is the dominant per-frame cost
     the paper's Fig. 5 attributes to *search local points*.  The mirror
     is maintained incrementally: point insertions append (amortized via
-    capacity doubling), position refinements overwrite one row, and only
-    out-of-band bulk edits (``touch``) force a rebuild.
+    capacity doubling), position refinements overwrite their rows, and
+    only out-of-band bulk edits (``touch``) force a rebuild.
     """
 
     def __init__(self) -> None:
@@ -132,11 +133,6 @@ class _PackedPointArrays:
             self.row_of[moved_id] = row
         self.ids.pop()
         self.n = last
-
-    def update_position(self, point_id: int, position: np.ndarray) -> None:
-        row = self.row_of.get(point_id)
-        if row is not None:
-            self.positions[row] = position
 
     def gather(self, point_ids: List[int]) -> "Tuple[np.ndarray, np.ndarray]":
         rows = np.fromiter(
@@ -208,44 +204,30 @@ class SlamMap:
         instead of per-feature ``mappoints.get`` calls: one dict probe
         per id, then a single fancy-index into the packed matrix.
         """
-        pk = self._packed_arrays()
-        get = pk.row_of.get
-        ids = np.asarray(point_ids).ravel()
-        return np.fromiter(
-            (get(int(pid), -1) for pid in ids), dtype=np.intp, count=len(ids)
-        )
+        get = self._packed_arrays().row_of.get
+        ids = np.asarray(point_ids).ravel().tolist()
+        return np.fromiter(map(get, ids, repeat(-1, len(ids))), dtype=np.intp,
+                           count=len(ids))
 
-    def set_point_positions(self, point_ids, positions: np.ndarray) -> None:
-        """Bulk :meth:`set_point_position`: one version bump for the batch.
+    def set_point_positions(self, point_ids, positions: np.ndarray,
+                            rows: np.ndarray) -> None:
+        """Move points, keeping the packed mirror and caches coherent.
 
-        Each row is copied out of ``positions`` so map points never alias
-        the caller's (often reused) scratch matrix.
+        Refinement loops (local BA, running-average updates) must use
+        this instead of assigning ``point.position`` directly.  ``rows``
+        are the points' packed rows (:meth:`lookup_point_rows`, with no
+        point added or removed since), so every id is present and the
+        mirror is written in one pass; the batch bumps the version once.
+        Each point gets its own copy of its row, so map points never
+        alias the caller's (often reused) scratch matrix.
         """
         positions = np.asarray(positions, dtype=float)
-        for pid, pos in zip(point_ids, positions):
-            point = self.mappoints.get(int(pid))
-            if point is None:
-                continue
-            point.position = np.array(pos, dtype=float).reshape(3)
-            if not self._packed_dirty:
-                self._packed.update_position(int(pid), point.position)
-        self._version += 1
-
-    def set_point_position(self, point_id: int, position: np.ndarray) -> None:
-        """Move a point, keeping the packed mirror and caches coherent.
-
-        Refinement loops (local BA, pose-graph correction, running-
-        average updates) must use this instead of assigning
-        ``point.position`` directly: it is an O(1) in-place row update
-        rather than a full matrix rebuild.
-        """
-        point = self.mappoints.get(point_id)
-        if point is None:
-            return
-        point.position = np.asarray(position, dtype=float).reshape(3)
-        self._version += 1
+        mappoints = self.mappoints
+        for pid, pos in zip(np.asarray(point_ids).tolist(), positions):
+            mappoints[pid].position = pos.copy()
         if not self._packed_dirty:
-            self._packed.update_position(point_id, point.position)
+            self._packed.positions[rows] = positions
+        self._version += 1
 
     # ---------------------------------------------------------------- insert
     def add_keyframe(self, keyframe: KeyFrame) -> None:
@@ -509,24 +491,12 @@ class SlamMap:
         Preferring freshly-minted points instead lets the map 'follow'
         its own pose drift — a positive feedback we explicitly avoid.
         """
-        seen = set()
-        points: List[MapPoint] = []
-        for kf_id in keyframe_ids:
-            kf = self.keyframes.get(kf_id)
-            if kf is None:
-                continue
-            for pid in kf.observed_point_ids():
-                pid = int(pid)
-                if pid in seen:
-                    continue
-                seen.add(pid)
-                point = self.mappoints.get(pid)
-                if point is not None and not point.is_bad:
-                    points.append(point)
-        points.sort(key=lambda p: p.point_id)
-        if limit is not None:
-            points = points[:limit]
-        return points
+        parts = [kf.point_ids for kf in map(self.keyframes.get, keyframe_ids)
+                 if kf is not None]
+        ids = np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
+        points = [point for point in map(self.mappoints.get, ids[ids >= 0].tolist())
+                  if point is not None and not point.is_bad]
+        return points if limit is None else points[:limit]
 
     def keyframe_trajectory(self, client_id: Optional[int] = None) -> Trajectory:
         """Camera-center trajectory of (one client's) keyframes."""

@@ -53,7 +53,18 @@ strategy.  The live codec must decode every stream to the same frames,
 and its q <= 2 P-frames, still 16-bit, to the same bytes.
 
 ``word_of_reference`` descends the vocabulary tree one descriptor at a
-time; ``Vocabulary.words_of`` must pick the same leaf for every row.
+time, and ``transform_reference`` is ``Vocabulary.transform`` over the
+recursive descent (one ``hamming_distance_matrix`` argmin per node) from
+before the level-by-level one; ``Vocabulary.words_of`` must pick the
+same leaf for every row, and ``transform`` return the same dict.
+
+The keyframe path from before it ran in array passes:
+``insert_keyframe_reference`` creates and refines map points one feature
+at a time (``fuse_unmatched_reference`` reads point objects and scans
+the keyframe once per match), and ``local_bundle_adjustment_arrays_reference``
+is local BA with ``refine_points_reference`` (depth rows spliced in by an
+``argsort``) and a point lookup per resected keyframe.  The live bodies
+must leave the same bytes; ``assert_same_map`` compares two maps.
 
 The projection search's oracles return plain ``(point, feature,
 distance)`` tuples; ``as_tuples`` reads a live ``Matches`` the same way
@@ -71,10 +82,14 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.geometry import SE3, Trajectory, TrajectoryPoint, quaternion, so3
+from repro.geometry import SE3, Trajectory, TrajectoryPoint, quaternion, se3_batch, so3
 from repro.imu.model import GRAVITY_W, ImuNoiseModel, ImuSample, _angular_velocity_body
+from repro.slam import bundle_adjustment as ba_module
 from repro.slam.bundle_adjustment import BAStats
+from repro.slam.keyframe import KeyFrame
+from repro.slam.local_mapping import BA_WINDOW, MAX_DEPTH, MIN_DEPTH
 from repro.slam.map import SlamMap
+from repro.slam.mappoint import MapPoint
 from repro.slam.pnp import (
     DEFAULT_DEPTH_SIGMA_REL,
     DEFAULT_HUBER_DELTA,
@@ -108,7 +123,12 @@ from repro.vision.fast import (
     detect_fast_vectorized,
 )
 from repro.vision.image import Image, ImagePyramid
-from repro.vision.matching import DEFAULT_MATCH_THRESHOLD, FrameGrid, Matches
+from repro.vision.matching import (
+    DEFAULT_MATCH_THRESHOLD,
+    FrameGrid,
+    Matches,
+    search_by_projection_vectorized,
+)
 from repro.vision.orb import FeatureSet, OrbExtractorConfig
 from repro.vision.render import PATCH_SIZE
 
@@ -159,15 +179,48 @@ def hamming_distance(desc_a: np.ndarray, desc_b: np.ndarray) -> int:
     return int(_POPCOUNT[np.bitwise_xor(desc_a, desc_b)].sum())
 
 
+def _children(vocabulary, node: int) -> range:
+    first = int(vocabulary._first_child[node])
+    return range(first, first + int(vocabulary._n_children[node]))
+
+
 def word_of_reference(vocabulary, descriptor: np.ndarray) -> int:
     """One descriptor's leaf word: the per-descriptor tree descent that
     ``Vocabulary.words_of`` batches."""
-    node = vocabulary._root
+    node = 0
     desc = descriptor[None]
-    while node.children:
-        centers = np.stack([c.center for c in node.children])
-        node = node.children[int(hamming_distance_matrix(desc, centers)[0].argmin())]
-    return node.word_id
+    while len(_children(vocabulary, node)):
+        children = _children(vocabulary, node)
+        centers = vocabulary._centers[children.start:children.stop]
+        node = children[int(hamming_distance_matrix(desc, centers)[0].argmin())]
+    return int(vocabulary._word[node])
+
+
+def transform_reference(vocabulary, descriptors: np.ndarray) -> Dict[int, float]:
+    """``Vocabulary.transform`` over the recursive descent: each node
+    splits its descriptors by one ``hamming_distance_matrix`` argmin
+    against its children and recurses into each child in turn."""
+    if len(descriptors) == 0:
+        return {}
+    descriptors = np.atleast_2d(np.asarray(descriptors, dtype=np.uint8))
+    words = np.empty(len(descriptors), dtype=np.int64)
+
+    def descend(node: int, idx: np.ndarray) -> None:
+        children = _children(vocabulary, node)
+        if not len(children):
+            words[idx] = vocabulary._word[node]
+            return
+        centers = np.stack([vocabulary._centers[c] for c in children])
+        choice = hamming_distance_matrix(descriptors[idx], centers).argmin(axis=1)
+        for c, child in enumerate(children):
+            sub = idx[choice == c]
+            if len(sub):
+                descend(child, sub)
+
+    descend(0, np.arange(len(descriptors)))
+    unique, counts = np.unique(words, return_counts=True)
+    total = float(counts.sum())
+    return {int(w): float(c) / total for w, c in zip(unique, counts)}
 
 
 def intensity_centroid_angle(pixels: np.ndarray, u: float, v: float,
@@ -697,6 +750,12 @@ def solve_pnp_reference(
 
 
 # ------------------------------------------------------- bundle adjustment
+def set_point_position(slam_map: SlamMap, point_id: int, position: np.ndarray) -> None:
+    """Move one point: the one-point write-back the per-item bodies make."""
+    slam_map.set_point_positions([point_id], np.reshape(position, (1, 3)),
+                                 slam_map.lookup_point_rows([point_id]))
+
+
 def _collect_observations(
     slam_map: SlamMap, keyframe_ids: Iterable[int]
 ) -> Dict[int, List]:
@@ -845,7 +904,7 @@ def local_bundle_adjustment(
                 point.position, obs_list, slam_map, camera
             )
             if refined is not None and np.isfinite(refined).all():
-                slam_map.set_point_position(pid, refined)
+                set_point_position(slam_map, pid, refined)
         _resect_keyframes(slam_map, camera, keyframe_ids, fixed)
     final_error = _mean_reprojection_error(slam_map, camera, observations)
     return BAStats(
@@ -855,6 +914,257 @@ def local_bundle_adjustment(
         n_keyframes=len(keyframe_ids),
         n_points=len(observations),
     )
+
+
+def local_bundle_adjustment_arrays_reference(
+    slam_map: SlamMap,
+    camera: PinholeCamera,
+    keyframe_ids: Iterable[int],
+    fixed_keyframe_ids: Optional[Set[int]] = None,
+    iterations: int = 3,
+    min_observations: int = 2,
+) -> BAStats:
+    """``local_bundle_adjustment`` from before its intersection wrote
+    entries into interleaved slots and its resection reused the
+    observation blocks: :func:`refine_points_reference`, then
+    :func:`_resect_keyframes` with its per-keyframe point lookups."""
+    keyframe_ids = [k for k in keyframe_ids if k in slam_map.keyframes]
+    fixed = set(fixed_keyframe_ids or ())
+    if not keyframe_ids:
+        return BAStats(0, 0.0, 0.0, 0, 0)
+    obs = ba_module._collect_observation_arrays(slam_map, keyframe_ids)
+    initial_error = ba_module._mean_reprojection_error(slam_map, camera, obs)
+    for _ in range(iterations):
+        refine_points_reference(slam_map, camera, obs, min_observations)
+        _resect_keyframes(slam_map, camera, keyframe_ids, fixed)
+    final_error = ba_module._mean_reprojection_error(slam_map, camera, obs)
+    return BAStats(
+        iterations=iterations,
+        initial_error_px=initial_error,
+        final_error_px=final_error,
+        n_keyframes=len(keyframe_ids),
+        n_points=len(obs.point_ids),
+    )
+
+
+def refine_points_reference(
+    slam_map: SlamMap,
+    camera: PinholeCamera,
+    obs: ba_module._ObsArrays,
+    min_observations: int,
+) -> None:
+    """``_refine_points`` with its depth rows spliced in by an ``argsort``
+    over interleaved keys, ``rot_g[m]`` gathered three times an
+    iteration, and its positions written back one point at a time."""
+    n_points = len(obs.point_ids)
+    if n_points == 0 or obs.n_obs == 0:
+        return
+    active = obs.counts >= min_observations
+    if not active.any():
+        return
+    rot, trans = ba_module._window_pose_stack(slam_map, obs.kf_ids)
+    fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
+    seg = np.asarray(obs.seg, dtype=np.int64)
+    uv = np.asarray(obs.uv, dtype=np.float64)
+    depth = np.asarray(obs.depth, dtype=np.float64)
+    rot_g = rot[obs.kf_idx]
+    trans_g = trans[obs.kf_idx]
+    positions = slam_map.packed_positions()[obs.point_rows].copy()
+    dep_ok = (obs.depth > 0) & np.isfinite(obs.depth)
+    inv_d = 1.0 / np.maximum(obs.depth, 1e-6)
+    frozen = ~active
+    failed = np.zeros(n_points, dtype=bool)
+    for _ in range(3):
+        live = ~frozen & ~failed
+        if not live.any():
+            break
+        m = live[seg]
+        seg_m = seg[m]
+        p_cam = se3_batch.apply(rot_g[m], trans_g[m], positions[seg_m])
+        x, y = p_cam[:, 0], p_cam[:, 1]
+        z = np.maximum(p_cam[:, 2], 1e-6)
+        uv_m = uv[m]
+        r = np.stack(
+            [fx * x / z + cx - uv_m[:, 0], fy * y / z + cy - uv_m[:, 1]],
+            axis=1,
+        )
+        n_m = len(z)
+        j_proj = np.zeros((n_m, 2, 3))
+        j_proj[:, 0, 0] = fx / z
+        j_proj[:, 0, 2] = -fx * x / (z * z)
+        j_proj[:, 1, 1] = fy / z
+        j_proj[:, 1, 2] = -fy * y / (z * z)
+        j = j_proj @ rot_g[m]
+        h_rows = np.einsum("nki,nkj->nij", j, j)
+        g_rows = np.einsum("nki,nk->ni", j, r)
+        dm = dep_ok[m]
+        if dm.any():
+            # Depth rows are spliced in directly after their
+            # reprojection row so the segment sums accumulate in the
+            # oracle loop's order (reproj_1, depth_1, reproj_2, ...),
+            # not grouped.
+            inv_dm = inv_d[m][dm]
+            j_d = (fx * inv_dm)[:, None] * rot_g[m][dm][:, 2, :]
+            # Depth residual in pixel-like units: d(fx/z) ~ disparity.
+            r_d = (z[dm] - depth[m][dm]) * fx * inv_dm
+            h_depth = np.einsum("ni,nj->nij", j_d, j_d)
+            g_depth = j_d * r_d[:, None]
+            keys = np.concatenate(
+                [np.arange(n_m) * 2, np.nonzero(dm)[0] * 2 + 1]
+            )
+            order = np.argsort(keys, kind="stable")
+            h_entries = np.concatenate([h_rows, h_depth])[order]
+            g_entries = np.concatenate([g_rows, g_depth])[order]
+            entry_seg = np.concatenate([seg_m, seg_m[dm]])[order]
+        else:
+            h_entries, g_entries, entry_seg = h_rows, g_rows, seg_m
+        h = ba_module._segment_sum(h_entries, entry_seg, n_points)
+        g = ba_module._segment_sum(g_entries, entry_seg, n_points)
+        h += 1e-6 * np.eye(3)
+        det = np.linalg.det(h)
+        bad = ~np.isfinite(det) | (det == 0.0)
+        if bad.any():
+            h[bad] = np.eye(3)
+            failed = failed | (bad & live)
+        step = np.linalg.solve(h, -g[..., None])[..., 0]
+        update = live & ~bad
+        positions[update] += step[update]
+        frozen = frozen | (update & (np.linalg.norm(step, axis=1) < 1e-10))
+    good = active & ~failed & np.isfinite(positions).all(axis=1)
+    if good.any():
+        for pid, pos in zip(obs.point_ids[good], positions[good]):
+            set_point_position(slam_map, int(pid), pos)
+
+
+# ------------------------------------------------------ keyframe insertion
+def fuse_unmatched_reference(mapper, keyframe: KeyFrame) -> int:
+    """``LocalMapper._fuse_unmatched`` reading positions and descriptors
+    off the point objects, with a membership scan per match."""
+    unmatched = np.nonzero(keyframe.point_ids < 0)[0]
+    if len(unmatched) == 0:
+        return 0
+    neighbor_ids = [keyframe.keyframe_id]
+    if mapper.last_keyframe_id is not None:
+        neighbor_ids.append(mapper.last_keyframe_id)
+        neighbor_ids += mapper.map.covisible_keyframes(mapper.last_keyframe_id)[:8]
+    points = mapper.map.local_map_points(neighbor_ids)
+    if not points:
+        return 0
+    positions = np.array([p.position for p in points])
+    uv, _, valid = mapper.camera.project_world(positions, keyframe.pose_cw)
+    visible = np.nonzero(valid)[0]
+    if len(visible) == 0:
+        return 0
+    proj_uv = uv[visible]
+    descs = np.stack([points[i].descriptor for i in visible])
+    matches = search_by_projection_vectorized(
+        proj_uv,
+        descs,
+        keyframe.uv[unmatched],
+        keyframe.descriptors[unmatched],
+        radius=6.0,
+    )
+    fused = 0
+    for feat_idx, row in zip(unmatched[matches.train_idx].tolist(),
+                             visible[matches.query_idx].tolist()):
+        point = points[row]
+        if point.point_id in keyframe.point_ids:
+            continue  # already observed by another feature
+        keyframe.point_ids[feat_idx] = point.point_id
+        fused += 1
+    return fused
+
+
+def insert_keyframe_reference(mapper, frame, depth_scale: float = 1.0) -> KeyFrame:
+    """``LocalMapper.insert_keyframe`` with one-feature-at-a-time point
+    creation and refinement, the recursive BoW descent
+    (:func:`transform_reference`) and
+    :func:`local_bundle_adjustment_arrays_reference` over the window
+    ``LocalMapper.run_local_ba`` picks."""
+    keyframe = KeyFrame.from_frame(
+        mapper.kf_allocator.allocate(), frame, client_id=mapper.client_id
+    )
+    if depth_scale != 1.0:
+        keyframe.depths = keyframe.depths * depth_scale
+    fuse_unmatched_reference(mapper, keyframe)
+    pose_wc = keyframe.pose_cw.inverse()
+    for feat_idx in range(len(keyframe)):
+        if keyframe.point_ids[feat_idx] >= 0:
+            continue
+        depth = float(keyframe.depths[feat_idx])
+        if not (MIN_DEPTH <= depth <= MAX_DEPTH):
+            continue
+        point_cam = mapper.camera.unproject(
+            keyframe.uv[feat_idx][None], np.array([depth])
+        )[0]
+        point = MapPoint(
+            point_id=mapper.point_allocator.allocate(),
+            position=pose_wc.apply(point_cam),
+            descriptor=keyframe.descriptors[feat_idx].copy(),
+            client_id=mapper.client_id,
+        )
+        point.add_observation(keyframe.keyframe_id, feat_idx)
+        keyframe.point_ids[feat_idx] = point.point_id
+        mapper.map.add_mappoint(point)
+    for feat_idx, pid in enumerate(keyframe.point_ids):
+        pid = int(pid)
+        if pid < 0 or pid not in mapper.map.mappoints:
+            continue
+        point = mapper.map.mappoints[pid]
+        point.add_observation(keyframe.keyframe_id, feat_idx)
+        depth = float(keyframe.depths[feat_idx])
+        if MIN_DEPTH <= depth <= MAX_DEPTH:
+            observed = pose_wc.apply(
+                mapper.camera.unproject(
+                    keyframe.uv[feat_idx][None], np.array([depth])
+                )[0]
+            )
+            n = max(point.n_observations, 1)
+            weight = 1.0 / (n + 1.0)
+            if np.linalg.norm(observed - point.position) < 1.0:
+                set_point_position(
+                    mapper.map, pid, (1.0 - weight) * point.position + weight * observed
+                )
+    keyframe.bow_vector = transform_reference(mapper.vocabulary, keyframe.descriptors)
+    mapper.map.add_keyframe(keyframe)
+    mapper.database.add(keyframe.keyframe_id, keyframe.bow_vector)
+    mapper.last_keyframe_id = keyframe.keyframe_id
+    window = [keyframe.keyframe_id] + mapper.map.covisible_keyframes(
+        keyframe.keyframe_id
+    )[: BA_WINDOW - 1]
+    for kf_id in window:
+        mapper.map.touch_keyframe(kf_id)
+    fixed = {min(window)} if len(window) > 1 else set()
+    local_bundle_adjustment_arrays_reference(
+        mapper.map, mapper.camera, window, fixed_keyframe_ids=fixed, iterations=2,
+    )
+    mapper.enforce_budgets(keyframe)
+    return keyframe
+
+
+def assert_same_map(got: SlamMap, want: SlamMap) -> None:
+    """Two maps hold the same bytes: ids in the same order, positions,
+    descriptors, observations, keyframe poses, BoW vectors, feature
+    associations, covisibility and the packed mirror."""
+    assert list(got.mappoints) == list(want.mappoints)
+    for pid, point in got.mappoints.items():
+        other = want.mappoints[pid]
+        assert (point.client_id, point.times_visible, point.times_found) == \
+            (other.client_id, other.times_visible, other.times_found), pid
+        assert point.position.tobytes() == other.position.tobytes(), pid
+        assert point.descriptor.tobytes() == other.descriptor.tobytes(), pid
+        assert list(point.observations.items()) == list(other.observations.items()), pid
+    assert list(got.keyframes) == list(want.keyframes)
+    for kf_id, kf in got.keyframes.items():
+        other = want.keyframes[kf_id]
+        assert kf.pose_cw.rotation.tobytes() == other.pose_cw.rotation.tobytes(), kf_id
+        assert kf.pose_cw.translation.tobytes() == other.pose_cw.translation.tobytes(), kf_id
+        assert kf.point_ids.tobytes() == other.point_ids.tobytes(), kf_id
+        assert ([(w, np.float64(x).tobytes()) for w, x in kf.bow_vector.items()]
+                == [(w, np.float64(x).tobytes()) for w, x in other.bow_vector.items()]), kf_id
+    assert got.covisibility == want.covisibility
+    assert got.packed_positions().tobytes() == want.packed_positions().tobytes()
+    assert got._packed.ids == want._packed.ids
 
 
 # -------------------------------------------------------------- pose graph

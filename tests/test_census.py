@@ -149,6 +149,37 @@ class TestReachAllowlist:
         assert len(set(keys)) == len(keys)
 
 
+class TestDigestPins:
+    """``tools/digest_pins.json``, checked statically: running the pinned
+    scenarios takes minutes and gives host-specific bytes, so the CI job
+    ``digest-pins`` runs ``digests --check`` on the pinned numpy."""
+
+    def test_every_pin_names_a_known_scenario_with_every_field(self):
+        pins = census.read_pins()
+        assert pins
+        for pin in pins:
+            assert sorted(pin) == sorted(census.PIN_FIELDS), pin
+            assert pin["scenario"] in census.DIGEST_SCENARIOS, pin
+            assert re.fullmatch(r"[0-9a-f]{64}", pin["digest"]), pin
+            assert all(pin[name] for name in ("numpy", "openblas", "kernel")), pin
+            assert isinstance(pin["pr"], int), pin
+
+    def test_each_scenario_is_pinned_once_per_kernel_and_every_one_is_pinned(self):
+        keys = [(pin["scenario"], pin["kernel"]) for pin in census.read_pins()]
+        assert len(set(keys)) == len(keys)
+        assert {scenario for scenario, _ in keys} == set(census.DIGEST_SCENARIOS)
+
+    def test_a_differing_run_names_what_differs(self):
+        pin = census.read_pins()[0]
+        assert census.pin_problems(pin, dict(pin)) == []
+        other = dict(pin, numpy="1.26.4", digest="0" * 64)
+        problems = census.pin_problems(pin, other)
+        assert len(problems) == 2
+        assert "numpy 1.26.4 here, pinned " + pin["numpy"] in problems[0]
+        assert "digest" in problems[1]
+        assert "run failed" in census.pin_problems(pin, {"error": "exit 1"})[0]
+
+
 class TestReachHook:
     @pytest.fixture
     def tree(self, tmp_path):

@@ -276,6 +276,41 @@ class TestTrajectorySample:
             Trajectory().sample(0.0)
 
 
+class TestOrientationRows:
+    """``Trajectory.orientations_at`` and the quaternion ``*_rows``
+    functions batch ``sample`` / ``slerp`` / ``to_matrix``: the same
+    bytes row for row."""
+
+    @pytest.mark.parametrize("max_angle", [0.5, 1e-5, 3.0],
+                             ids=["slerp", "near_parallel", "flipped"])
+    def test_rows_match_one_sample_at_a_time(self, max_angle):
+        traj = _knot_trajectory(max_angle=max_angle)
+        knots = traj.timestamps
+        queries = np.concatenate([
+            knots, [knots[0] - 1.0, knots[-1] + 1.0], (knots[:-1] + knots[1:]) / 2,
+            np.linspace(knots[0], knots[-1], 97),
+        ])
+        got = traj.orientations_at(queries)
+        want = np.array([sample_reference(traj, float(t)).orientation for t in queries])
+        assert got.tobytes() == want.tobytes()
+        matrices = quaternion.to_matrix_rows(got)
+        assert matrices.tobytes() == np.array(
+            [quaternion.to_matrix(q) for q in got]).tobytes()
+        if max_angle == 3.0:
+            # Opposite-hemisphere knots: slerp flips one of them.
+            rows = quaternion.normalize_rows(traj.orientations)
+            assert ((rows[:-1] * rows[1:]).sum(axis=1) < 0).any()
+
+    def test_a_zero_quaternion_raises(self):
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            quaternion.normalize_rows(rows)
+        with pytest.raises(ValueError):
+            quaternion.slerp_rows(rows, rows[::-1], np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            Trajectory().orientations_at(np.zeros(1))
+
+
 class TestSynthesizeImuMatchesReference:
     @pytest.mark.parametrize("with_noise", [True, False], ids=["noisy", "clean"])
     @pytest.mark.parametrize("rate_hz", [100.0, 200.0])
@@ -291,6 +326,19 @@ class TestSynthesizeImuMatchesReference:
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         traj = _dataset().ground_truth
+        self._check(traj, rate_hz, with_noise, made)
+
+    @pytest.mark.parametrize("trace", ["MH05", "V202"])
+    def test_other_traces(self, trace):
+        self._check(euroc_dataset(trace, duration=12.0, rate=10.0).ground_truth,
+                    200.0, True)
+
+    def test_near_parallel_and_flipped_knots(self):
+        for max_angle in (1e-5, 3.0):
+            self._check(_knot_trajectory(max_angle=max_angle), 200.0, False)
+
+    @staticmethod
+    def _check(traj, rate_hz, with_noise, made=None):
         got = synthesize_imu(traj, rate_hz=rate_hz, seed=17, with_noise=with_noise)
         want = synthesize_imu_reference(traj, rate_hz=rate_hz, seed=17,
                                         with_noise=with_noise)
@@ -301,5 +349,6 @@ class TestSynthesizeImuMatchesReference:
             assert a.gyro.dtype == b.gyro.dtype and a.gyro.shape == b.gyro.shape
             assert a.gyro.tobytes() == b.gyro.tobytes()
             assert a.accel.tobytes() == b.accel.tobytes()
-        assert len(made) == 2
-        assert made[0].bit_generator.state == made[1].bit_generator.state
+        if made is not None:
+            assert len(made) == 2
+            assert made[0].bit_generator.state == made[1].bit_generator.state

@@ -410,7 +410,7 @@ class TestPackedMapArrays:
         m.packed_positions()
         v = m.version
         target = np.array([9.0, 8.0, 7.0])
-        m.set_point_position(1, target)
+        m.set_point_positions([1], target[None], m.lookup_point_rows([1]))
         assert m.version > v
         np.testing.assert_allclose(m.mappoints[1].position, target)
         pos, _ = m.gather_point_arrays([1])
@@ -448,7 +448,8 @@ class TestTrackerLocalMapCache:
         pack1 = tracker._local_map_pack()
         pid = pack1.points[0].point_id
         moved = pack1.points[0].position + np.array([0.5, 0.0, 0.0])
-        system.map.set_point_position(pid, moved)
+        system.map.set_point_positions([pid], moved[None],
+                                       system.map.lookup_point_rows([pid]))
         pack2 = tracker._local_map_pack()
         assert pack2 is not pack1
         row = [p.point_id for p in pack2.points].index(pid)

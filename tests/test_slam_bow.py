@@ -1,11 +1,14 @@
 """Tests for the bag-of-words vocabulary and keyframe database."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.slam.bow import KeyframeDatabase, Vocabulary, default_vocabulary
+from repro.vision import brief
 from repro.vision.brief import DESCRIPTOR_BYTES, perturb_descriptor
 from tests import oracles
 
@@ -94,6 +97,103 @@ class TestVocabulary:
         a = vocab.transform(_descriptors(30, seed=seed))
         b = vocab.transform(_descriptors(30, seed=seed + 1))
         assert Vocabulary.score(a, b) == pytest.approx(Vocabulary.score(b, a))
+
+
+@contextlib.contextmanager
+def _hamming_dtype(dtype):
+    """Run with ``brief.HAMMING_DTYPE`` set to ``dtype``: ``np.uint8`` is
+    numpy < 2's popcount-table layout."""
+    saved = brief.HAMMING_DTYPE
+    brief.HAMMING_DTYPE = dtype
+    try:
+        yield
+    finally:
+        brief.HAMMING_DTYPE = saved
+
+
+def _tree_shape(vocab):
+    """(leaf depths, smallest child count of an inner node)."""
+    depths, fewest = set(), vocab.branching
+    stack = [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        count = int(vocab._n_children[node])
+        if count == 0:
+            depths.add(depth)
+            continue
+        fewest = min(fewest, count)
+        first = int(vocab._first_child[node])
+        stack += [(child, depth + 1) for child in range(first, first + count)]
+    return depths, fewest
+
+
+def _equidistant(vocab, node, rng):
+    """Descriptors at equal Hamming distance from two children of
+    ``node``: where the two centers differ in an even number of bits,
+    take half of those bits from each."""
+    first = int(vocab._first_child[node])
+    centers = vocab._centers[first:first + int(vocab._n_children[node])]
+    out = []
+    for a in range(len(centers)):
+        for b in range(a + 1, len(centers)):
+            bits_a = np.unpackbits(centers[a])
+            differ = np.flatnonzero(bits_a != np.unpackbits(centers[b]))
+            if len(differ) % 2 or not len(differ):
+                continue
+            bits = bits_a.copy()
+            take = rng.choice(differ, size=len(differ) // 2, replace=False)
+            bits[take] ^= 1
+            out.append(np.packbits(bits))
+    return np.array(out, dtype=np.uint8).reshape(-1, DESCRIPTOR_BYTES)
+
+
+class TestLevelDescent:
+    """``words_of`` descends one level at a time over the flat node
+    table; it must pick the leaf the one-descriptor walk picks, with the
+    first child winning a tie, and ``transform`` must return the
+    recursive body's dict."""
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint8], ids=["uint64", "uint8"])
+    @given(seed=st.integers(0, 2**32 - 1), pool=st.integers(1, 60),
+           n_train=st.integers(2, 150), branching=st.integers(2, 6),
+           depth=st.integers(1, 4))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_words_and_transform_match_the_references(
+        self, dtype, seed, pool, n_train, branching, depth
+    ):
+        rng = np.random.default_rng(seed)
+        n_train = max(n_train, branching)
+        # Rows drawn from a small pool repeat, so clusters empty out.
+        bank = rng.integers(0, 256, size=(pool, DESCRIPTOR_BYTES), dtype=np.uint8)
+        training = bank[rng.integers(0, pool, size=n_train)]
+        with _hamming_dtype(dtype):
+            vocab = Vocabulary(branching=branching, depth=depth)
+            vocab.train(training, rng)
+            queries = [training, rng.integers(0, 256, size=(40, DESCRIPTOR_BYTES),
+                                              dtype=np.uint8)]
+            for node in np.flatnonzero(vocab._n_children)[:4]:
+                queries.append(_equidistant(vocab, node, rng))
+            queries = np.concatenate(queries)
+            words = vocab.words_of(queries)
+            assert words.dtype == np.int64
+            assert words.tolist() == [oracles.word_of_reference(vocab, d) for d in queries]
+            assert vocab.transform(queries) == oracles.transform_reference(vocab, queries)
+
+    def test_the_cases_occur(self):
+        """The strategy's vocabularies include leaves at mixed depths,
+        inner nodes with fewer children than ``branching`` and
+        descriptors tied between two children."""
+        rng = np.random.default_rng(0)
+        bank = rng.integers(0, 256, size=(12, DESCRIPTOR_BYTES), dtype=np.uint8)
+        vocab = Vocabulary(branching=4, depth=3)
+        vocab.train(bank[rng.integers(0, 12, size=90)], rng)
+        depths, fewest = _tree_shape(vocab)
+        assert len(depths) > 1 and fewest < vocab.branching
+        ties = _equidistant(vocab, 0, rng)
+        first = int(vocab._first_child[0])
+        dist = brief.hamming_distance_matrix(
+            ties, vocab._centers[first:first + int(vocab._n_children[0])])
+        assert ((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
 
 
 class TestKeyframeDatabase:

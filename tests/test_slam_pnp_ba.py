@@ -1,5 +1,6 @@
 """Tests for PnP pose solving and bundle adjustment."""
 
+import copy
 import zlib
 
 import numpy as np
@@ -463,6 +464,55 @@ class TestShadowSession:
         assert digest == _short_default()[1].digest()
 
 
+def _twin(mapper):
+    """A deep copy of a local mapper that shares its vocabulary and camera."""
+    return copy.deepcopy(mapper, {id(mapper.vocabulary): mapper.vocabulary,
+                                  id(mapper.camera): mapper.camera})
+
+
+class TestKeyframeShadowSession:
+    """Every keyframe insertion and every local BA of the short scenario
+    leaves the same bytes as the bodies they replaced, each run on a
+    deep copy of the map it started from."""
+
+    def test_every_insertion_and_ba_matches_the_reference(self, monkeypatch):
+        from repro.slam import local_mapping
+        from tests.test_core_session import _short_default, _short_session
+
+        live_insert = local_mapping.LocalMapper.insert_keyframe
+        live_ba = local_mapping.local_bundle_adjustment
+        calls = {"insert_keyframe": 0, "local_ba": 0}
+
+        def insert_keyframe(mapper, frame, depth_scale=1.0):
+            twin = _twin(mapper)
+            got = live_insert(mapper, frame, depth_scale)
+            want = oracles.insert_keyframe_reference(twin, frame, depth_scale)
+            assert got.keyframe_id == want.keyframe_id
+            oracles.assert_same_map(mapper.map, twin.map)
+            assert mapper.point_allocator._next == twin.point_allocator._next
+            assert mapper.database._vectors == twin.database._vectors
+            calls["insert_keyframe"] += 1
+            return got
+
+        def local_bundle_adjustment(slam_map, camera, keyframe_ids, **kwargs):
+            twin = copy.deepcopy(slam_map)
+            got = live_ba(slam_map, camera, keyframe_ids, **kwargs)
+            want = oracles.local_bundle_adjustment_arrays_reference(
+                twin, camera, keyframe_ids, **kwargs)
+            assert got == want
+            oracles.assert_same_map(slam_map, twin)
+            calls["local_ba"] += 1
+            return got
+
+        monkeypatch.setattr(local_mapping.LocalMapper, "insert_keyframe",
+                            insert_keyframe)
+        monkeypatch.setattr(local_mapping, "local_bundle_adjustment",
+                            local_bundle_adjustment)
+        digest = _short_session().run().digest()
+        assert calls["insert_keyframe"] > 10 and calls["local_ba"] > 10
+        assert digest == _short_default()[1].digest()
+
+
 class TestLinearisationCount:
     """Only a pose the solve steps from is linearised."""
 
@@ -593,8 +643,73 @@ class TestBundleAdjustment:
         stats = local_bundle_adjustment(slam_map, cam, [])
         assert stats.n_keyframes == 0
 
+    def test_matches_the_arrays_reference(self):
+        """Byte-equal to the argsort-splice body, with depth rows on only
+        some observations, a point too few keyframes see to move, and a
+        feature whose point has left the map."""
+        slam_map, cam, _, _ = self._slam_scene(seed=5)
+        for kf in slam_map.keyframes.values():
+            kf.depths[::3] = -1.0
+        slam_map.remove_mappoint(int(slam_map.keyframes[1].point_ids[4]))
+        slam_map.keyframes[2].point_ids[7] = 10**6
+        twin = copy.deepcopy(slam_map)
+        got = local_bundle_adjustment(slam_map, cam, list(slam_map.keyframes),
+                                      fixed_keyframe_ids={0})
+        want = oracles.local_bundle_adjustment_arrays_reference(
+            twin, cam, list(twin.keyframes), fixed_keyframe_ids={0})
+        assert got == want
+        oracles.assert_same_map(slam_map, twin)
+
     def test_global_ba_runs(self):
         slam_map, cam, _, _ = self._slam_scene(seed=4)
         stats = global_bundle_adjustment(slam_map, cam)
         assert stats.n_keyframes == 3
         assert np.isfinite(stats.final_error_px)
+
+
+class TestInsertKeyframe:
+    """One insertion on a small map against the per-feature body."""
+
+    @pytest.mark.parametrize("depth_scale", [1.0, 0.8])
+    def test_matches_the_reference(self, depth_scale):
+        from repro.slam import IdAllocator, KeyframeDatabase, default_vocabulary
+        from repro.slam.frame import Frame
+        from repro.slam.local_mapping import LocalMapper
+        from repro.vision.brief import DESCRIPTOR_BYTES
+        from repro.vision.orb import FeatureSet
+
+        slam_map, cam, world, poses = TestBundleAdjustment()._slam_scene(seed=6)
+        vocabulary = default_vocabulary()
+        kf_alloc, pt_alloc = IdAllocator(0), IdAllocator(0)
+        kf_alloc.reserve_until(max(slam_map.keyframes) + 1)
+        pt_alloc.reserve_until(max(slam_map.mappoints) + 1)
+        mapper = LocalMapper(slam_map, cam, vocabulary, KeyframeDatabase(vocabulary),
+                             kf_alloc, pt_alloc)
+        mapper.last_keyframe_id = max(slam_map.keyframes)
+        rng = np.random.default_rng(7)
+        pose = SE3(so3.exp(np.array([0.0, 0.12, 0.0])), np.array([0.5, 0.0, 0.0]))
+        extra = np.column_stack([rng.uniform(-3, 3, 40), rng.uniform(-2, 2, 40),
+                                 rng.uniform(4, 12, 40)])
+        uv, depth, valid = cam.project_world(np.vstack([world, extra]), pose)
+        idx = np.flatnonzero(valid)
+        depth = depth[idx] + rng.normal(scale=0.02, size=len(idx))
+        ids = sorted(slam_map.mappoints)
+        matched = np.array([ids[i] if i < len(world) and i % 4 else -1 for i in idx],
+                           dtype=np.int64)
+        matched[5] = matched[9] = matched[13]     # one point, three features
+        matched[17] = 10**6                        # a point no longer in the map
+        depth[[2, 21]] = [-1.0, np.nan]            # no depth
+        depth[30] = 200.0                          # out of range
+        descriptors = rng.integers(0, 256, (len(idx), DESCRIPTOR_BYTES), dtype=np.uint8)
+        frame = Frame(0, 9.0, FeatureSet(uv=uv[idx] + rng.normal(scale=0.5, size=(len(idx), 2)),
+                                         descriptors=descriptors, depths=depth),
+                      pose_cw=pose, matched_point_ids=matched)
+        twin = _twin(mapper)
+        got = mapper.insert_keyframe(frame, depth_scale)
+        want = oracles.insert_keyframe_reference(twin, frame, depth_scale)
+        assert got.point_ids.tobytes() == want.point_ids.tobytes()
+        assert (got.point_ids[[5, 9, 13]] == matched[13]).all()
+        assert len(mapper.map.mappoints) > len(ids)          # points were created
+        oracles.assert_same_map(mapper.map, twin.map)
+        assert mapper.point_allocator._next == twin.point_allocator._next
+

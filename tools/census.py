@@ -4,6 +4,8 @@
     python3 tools/census.py settable --unset    # only fields no run code sets
     python3 tools/census.py reach               # every def of src/repro that no run executes
     python3 tools/census.py reach --check       # ... and fail on one without an allowlist entry
+    python3 tools/census.py digests             # every pinned run's digest, recomputed
+    python3 tools/census.py digests --check     # ... and fail on one that differs from its pin
 
 ``settable`` walks ``src``, ``tests``, ``benchmarks`` and ``examples``
 with :mod:`ast` and reports, for each field of each ``*Config``
@@ -36,12 +38,24 @@ only.  ``--check`` fails when a never-run def is missing from
 ``tools/reach_allowlist.txt``, or when an entry there names a def that
 is gone or that now runs.  Whether a bench's asserts pass does not
 matter: reach counts what ran.
+
+``digests`` recomputes ``SessionResult.digest()`` for every entry of
+``tools/digest_pins.json``: each entry names a scenario of
+:data:`DIGEST_SCENARIOS`, the digest, and the numpy version, OpenBLAS
+version and OpenBLAS kernel it was computed with, and the PR that
+pinned it.  Each entry runs in its own child process with
+``OPENBLAS_CORETYPE`` set to its kernel, since the low-order bits of a
+run depend on the BLAS kernel.  ``--check`` fails on an entry whose
+digest differs, and also when the child's numpy, OpenBLAS or kernel is
+not the pinned one: a pin says nothing about other arithmetic, so such
+an entry fails, naming what differs, rather than being skipped.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -49,11 +63,12 @@ import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 WALKED = ("src", "tests", "benchmarks", "examples")
 REACH_ALLOWLIST = ROOT / "tools" / "reach_allowlist.txt"
+DIGEST_PINS = ROOT / "tools" / "digest_pins.json"
 # The reasons a never-run def may stay: an open ROADMAP item, or one of
 # the roles below (see the allowlist's header).
 REACH_REASON = (r"(ROADMAP \d+|lifecycle|observation point|oracle|test tool"
@@ -552,6 +567,145 @@ def reach_problems(defs: Dict[str, Def], dead: List[Def],
     return problems
 
 
+# ---------------------------------------------------------------- digests
+
+def _short(video: bool = False, shaping_name: str = "PROFILE_IDEAL", **serving):
+    """Two clients, 5 s each, overlapping MH04 passes (they merge)."""
+    from repro import net
+    from repro.core import ClientScenario, SlamShareConfig, SlamShareSession
+    from repro.datasets import euroc_dataset
+
+    config = SlamShareConfig(camera_fps=10.0, render_video_frames=video,
+                             shaping=getattr(net, shaping_name))
+    for key, value in serving.items():
+        setattr(config.serving, key, value)
+    mh04 = euroc_dataset("MH04", duration=5.0, rate=10.0)
+    return SlamShareSession(
+        [ClientScenario(0, mh04, oracle_seed=7),
+         ClientScenario(1, mh04, start_time=1.0, oracle_seed=21, imu_seed=23)],
+        config)
+
+
+def _session_4c(seed: int):
+    """The perf ledger's ``session_4c`` workload at 12 s."""
+    from benchmarks.perf.workloads import Session4c
+
+    return Session4c(seed, 12.0)._session(Session4c.CLIENTS, 12.0)
+
+
+def _loss_churn():
+    """10 % uplink loss; client 0 goes offline twice (2 frames parked)."""
+    from repro.core import ClientScenario, SlamShareConfig, SlamShareSession
+    from repro.datasets import euroc_dataset
+    from repro.net import ShapingProfile
+
+    config = SlamShareConfig(camera_fps=10.0, render_video_frames=False,
+                             shaping=ShapingProfile("lossy wifi", loss_rate=0.10))
+    return SlamShareSession(
+        [ClientScenario(0, euroc_dataset("MH04", duration=12.0, rate=10.0),
+                        offline_windows=((4.0, 6.0), (8.0, 8.6))),
+         ClientScenario(1, euroc_dataset("MH05", duration=9.0, rate=10.0),
+                        start_time=3.0, oracle_seed=9, imu_seed=13)],
+        config)
+
+
+def _delay_drop():
+    """300 ms link delay that drops to 0 at t = 4 s (2 frames superseded)."""
+    from repro.core import ClientScenario, SlamShareConfig, SlamShareSession
+    from repro.datasets import euroc_dataset
+    from repro.net import PROFILE_DELAY_300MS
+
+    config = SlamShareConfig(camera_fps=10.0, render_video_frames=False,
+                             shaping=PROFILE_DELAY_300MS)
+    session = SlamShareSession(
+        [ClientScenario(0, euroc_dataset("MH04", duration=8.0, rate=10.0))], config)
+
+    def heal():
+        link = session.clients[0].link
+        link.uplink.delay_s = link.downlink.delay_s = 0.0
+
+    session.clock.schedule_at(4.0, heal)
+    return session
+
+
+#: name -> builder of a session whose ``run().digest()`` is pinned.
+DIGEST_SCENARIOS: Dict[str, Callable] = {
+    "short": _short,
+    "short_shm": lambda: _short(store_backend="shm"),
+    "video_bw_9_4": lambda: _short(video=True, shaping_name="PROFILE_BW_9_4"),
+    "loss_churn": _loss_churn,
+    "delay_drop": _delay_drop,
+    **{f"session_4c_seed{seed}": (lambda seed=seed: _session_4c(seed))
+       for seed in range(5)},
+}
+PIN_FIELDS = ("scenario", "digest", "numpy", "openblas", "kernel", "pr")
+
+
+def arithmetic() -> Dict[str, str]:
+    """This process's numpy version, OpenBLAS version and OpenBLAS kernel
+    (``"none"`` where numpy is not linked against OpenBLAS)."""
+    import ctypes
+
+    import numpy as np
+
+    np.linalg.solve(np.eye(2), np.ones(2))      # loads BLAS/LAPACK
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    openblas = "openblas" in blas.get("name", "")
+    kernel = "none"
+    if openblas:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_get_corename64_",
+                           "scipy_openblas_get_corename",
+                           "openblas_get_corename64_", "openblas_get_corename"):
+                if hasattr(lib, symbol):
+                    getter = getattr(lib, symbol)
+                    getter.restype = ctypes.c_char_p
+                    kernel = getter().decode()
+                    break
+    return {"numpy": np.__version__,
+            "openblas": blas.get("version", "none") if openblas else "none",
+            "kernel": kernel}
+
+
+def run_scenario(name: str) -> Dict[str, str]:
+    """Run one scenario here: its digest and this process's arithmetic."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    session = DIGEST_SCENARIOS[name]()
+    with session:
+        digest = session.run().digest()
+    return {"scenario": name, "digest": digest, **arithmetic()}
+
+
+def read_pins(path: Path = DIGEST_PINS) -> List[Dict]:
+    return json.loads(path.read_text())["pins"]
+
+
+def digest_in_child(name: str, kernel: str) -> Dict[str, str]:
+    """:func:`run_scenario` in a child process with ``OPENBLAS_CORETYPE``
+    set to ``kernel``; ``{"error": ...}`` if the child fails."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "digests",
+                           "--one", name], cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, errors="replace")
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or not lines:
+        return {"error": f"exit {done.returncode}: " + " | ".join(lines[-FAILED_RUN_TAIL:])}
+    return json.loads(lines[-1])
+
+
+def pin_problems(pin: Dict, got: Dict[str, str]) -> List[str]:
+    """What differs between a pin and a recomputed run, one line each."""
+    where = f"{pin['scenario']} [{pin['kernel']}]"
+    if "error" in got:
+        return [f"{where}: run failed, {got['error']}"]
+    return [f"{where}: {name} {got[name]} here, pinned {pin[name]}"
+            for name in ("numpy", "openblas", "kernel", "digest")
+            if got[name] != pin[name]]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -562,7 +716,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     cmd.add_argument("--check", action="store_true",
                      help="fail on a never-run def without an allowlist entry, "
                           "or on a stale entry")
+    cmd = sub.add_parser("digests", help="recompute every pinned run's digest")
+    cmd.add_argument("--check", action="store_true",
+                     help="fail on a digest, numpy, OpenBLAS or kernel that "
+                          "differs from its pin")
+    cmd.add_argument("--one", choices=sorted(DIGEST_SCENARIOS),
+                     help="run one scenario in this process and print it as JSON")
     args = parser.parse_args(argv)
+    if args.command == "digests":
+        if args.one:
+            print(json.dumps(run_scenario(args.one)))
+            return 0
+        problems = []
+        for pin in read_pins():
+            got = digest_in_child(pin["scenario"], pin["kernel"])
+            found = pin_problems(pin, got)
+            print(f"{pin['scenario']:<22} {pin['kernel']:<9} "
+                  f"{got.get('digest', '-')[:16]}  {'ok' if not found else 'DIFFERS'}",
+                  flush=True)
+            problems += found
+        for problem in problems:
+            print(problem)
+        return 1 if args.check and problems else 0
     if args.command == "settable":
         _print_settable(settable(), args.unset)
     elif args.command == "reach":
